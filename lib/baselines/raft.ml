@@ -420,10 +420,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         let app', resp = Sm.apply node.app (Sm.decode_command cmd) in
         let rsp = Sm.encode_response resp in
         node.app <- app';
-        node.sessions <-
-          Session.trim
-            (Session.record node.sessions ~client ~seq ~rsp)
-            ~client ~below:low_water;
+        Session.record node.sessions ~client ~seq ~rsp;
+        Session.trim node.sessions ~client ~below:low_water;
         Counters.incr t.counters "applied";
         incr node.n_applied;
         (match node.role with
@@ -994,7 +992,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     let initial_snapshot =
       Snapshot.encode
         { Snapshot.app = Sm.snapshot (Sm.init ());
-          sessions = Session.encode Session.empty }
+          sessions = Session.encode (Session.create ()) }
     in
     List.iter
       (fun id ->
@@ -1014,7 +1012,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
             role = Follower;
             leader_hint = None;
             app = Sm.init ();
-            sessions = Session.empty;
+            sessions = Session.create ();
             pending_target = None;
             snap_in = Buffer.create 64;
             election_timer = None;

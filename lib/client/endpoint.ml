@@ -101,6 +101,14 @@ let cancel_timer t o =
     o.timer <- None
   | None -> ()
 
+(* The lowest outstanding seq ([max_seq + 1] when none is): every request
+   below it has been replied to, so servers may drop those responses.
+   The minimum does not depend on the order the table is walked in. *)
+let low_water t =
+  (* lint: order-insensitive *)
+  Hashtbl.fold (fun s _ acc -> min s acc) t.pending (t.max_seq + 1)
+[@@rsmr.assume_deterministic]
+
 let rec attempt t seq =
   match Hashtbl.find_opt t.pending seq with
   | None -> ()
@@ -108,13 +116,8 @@ let rec attempt t seq =
     cancel_timer t o;
     o.attempts <- o.attempts + 1;
     Counters.incr t.counters "sent";
-    let low_water =
-      Stable.fold_sorted ~compare:Int.compare
-        (fun s _ acc -> min s acc)
-        t.pending (t.max_seq + 1)
-    in
     t.send ~dst:(target t)
-      (Client_msg.Request { seq; low_water; payload = o.payload });
+      (Client_msg.Request { seq; low_water = low_water t; payload = o.payload });
     o.timer <-
       Some
         (Engine.schedule t.engine ~delay:t.req_timeout (fun () ->
@@ -144,11 +147,6 @@ and refresh_members t =
           t.members <- e.Rsmr_app.Dir_app.members
         | Some _ | None -> ())
   | Some _ | None -> ()
-
-let low_water t =
-  Stable.fold_sorted ~compare:Int.compare
-    (fun s _ acc -> min s acc)
-    t.pending (t.max_seq + 1)
 
 (* Ship the coalescing buffer as one framed multi-request message (or a
    plain [Request] when only one command accumulated).  Every inner

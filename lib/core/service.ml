@@ -152,6 +152,11 @@ struct
     mutable on_dir_update :
       epoch:int -> members:Node_id.t list -> leader:Node_id.t option -> unit;
     counters : Counters.t;
+    (* cells of [counters] bumped once per command, resolved on first use
+       so a counter that never fires stays out of the export *)
+    applied : int ref Lazy.t;
+    replies : int ref Lazy.t;
+    requests : int ref Lazy.t;
     obs : Obs.t;
     bus : Trace.t;  (* = Obs.bus obs, cached *)
     wedge_times : (int, float) Hashtbl.t;
@@ -257,7 +262,7 @@ struct
   let send t ~src ~dst wire = Network.send t.net ~src ~dst wire
 
   let reply_client t host ~client ~seq ~rsp =
-    Counters.incr t.counters "replies";
+    incr (Lazy.force t.replies);
     send t ~src:host.me ~dst:client (Wire.Client (Client_msg.Reply { seq; rsp }))
 
   let is_inst_leader inst =
@@ -322,15 +327,9 @@ struct
        | None -> ())
     end
 
-  let submit_envelope inst env =
-    match inst.replica with
-    | Some r when not (Replica.is_halted r) ->
-      Replica.submit r (Envelope.encode env)
-    | Some _ | None -> ()
-
-  (* Same, for envelopes we already hold in wire form: the whole list
-     reaches the block as one proposal batch (one broadcast when the block
-     leads), in list order. *)
+  (* Submit envelopes in wire form: the whole list reaches the block as
+     one proposal batch (one broadcast when the block leads), in list
+     order. *)
   let submit_raw_many inst values =
     match inst.replica with
     | Some r when not (Replica.is_halted r) -> (
@@ -431,9 +430,7 @@ struct
   and process t host inst idx env value =
     if idx > inst.applied_hi then inst.applied_hi <- idx;
     inst.applied_digest <-
-      Fnv.combine_framed
-        (Fnv.combine inst.applied_digest (string_of_int idx))
-        value;
+      Fnv.combine_framed (Fnv.combine_int inst.applied_digest idx) value;
     if Trace.active t.bus && is_inst_leader inst then begin
       let client, seq = env_client_seq env in
       lifecycle t ~node:host.me "ordered"
@@ -451,11 +448,9 @@ struct
         let app', resp = Sm.apply inst.app (Sm.decode_command cmd) in
         let rsp = Sm.encode_response resp in
         inst.app <- app';
-        inst.sessions <-
-          Session.trim
-            (Session.record inst.sessions ~client ~seq ~rsp)
-            ~client ~below:low_water;
-        Counters.incr t.counters "applied";
+        Session.record inst.sessions ~client ~seq ~rsp;
+        Session.trim inst.sessions ~client ~below:low_water;
+        incr (Lazy.force t.applied);
         incr inst.sc_applied;
         if is_inst_leader inst then begin
           if Trace.active t.bus then
@@ -474,7 +469,7 @@ struct
       match Session.check inst.sessions ~client ~seq with
       | `New ->
         let rsp = "ok" in
-        inst.sessions <- Session.record inst.sessions ~client ~seq ~rsp;
+        Session.record inst.sessions ~client ~seq ~rsp;
         if is_inst_leader inst then reply_client t host ~client ~seq ~rsp;
         wedge t host inst idx members
       | `Dup rsp -> if is_inst_leader inst then reply_client t host ~client ~seq ~rsp
@@ -570,7 +565,10 @@ struct
       (* A host in both configurations transfers state locally: its own
          wedge-point state is exactly the new instance's initial state.
          An early-prepared instance is confirmed (or replaced, if its
-         membership lost the race) by this same authoritative step. *)
+         membership lost the race) by this same authoritative step.  The
+         next instance gets a copy of the session table, not this one:
+         under [No_first_wedge] this instance keeps applying past the
+         wedge, and those records must not leak into the next epoch. *)
       if List.exists (Node_id.equal host.me) members' then begin
         match Hashtbl.find_opt host.instances new_epoch with
         | Some next ->
@@ -578,14 +576,16 @@ struct
             confirm_or_replace t host next ~members:members'
               ~prev_members:inst.cfg.Config.members
           in
-          activate t host next ~app:inst.app ~sessions:inst.sessions ~local:true
+          activate t host next ~app:inst.app
+            ~sessions:(Session.copy inst.sessions) ~local:true
         | None ->
           let next =
             create_instance t host ~provisional:false ~epoch:new_epoch
               ~members:members' ~prev_members:inst.cfg.Config.members
               ~boot:`Await
           in
-          activate t host next ~app:inst.app ~sessions:inst.sessions ~local:true
+          activate t host next ~app:inst.app
+            ~sessions:(Session.copy inst.sessions) ~local:true
       end
     end
 
@@ -703,7 +703,7 @@ struct
         prev_members;
         replica = None;
         app = Sm.init ();
-        sessions = Session.empty;
+        sessions = Session.create ();
         activated = false;
         wedged_at = None;
         applied_hi = -1;
@@ -926,59 +926,15 @@ struct
       (fun e inst -> if e < epoch then retire_instance t inst)
       host.instances
 
-  let handle_request t host ~src ~seq ~low_water ~payload =
-    Counters.incr t.counters "requests";
+  (* A client request window (a plain [Request] is a window of one): each
+     request is deduplicated against the session table and replied to
+     from it when already applied, and every other command reaches the
+     block as one vector submission (one proposal batch, one
+     broadcast). *)
+  let handle_requests t host ~src ~low_water ~reqs =
     (* Provisional (early-prepared) instances never serve clients: until
        a wedge-time bootstrap confirms them they are not part of the
        committed configuration sequence. *)
-    let current =
-      newest_instance host ~pred:(fun i ->
-          i.replica <> None && (not i.retired) && not i.provisional)
-    in
-    let redirect () =
-      Counters.incr t.counters "redirects";
-      let leader =
-        match current with
-        | Some inst when inst.wedged_at = None -> (
-          match inst.replica with
-          | Some r -> Replica.leader_hint r
-          | None -> None)
-        | Some _ | None -> None
-      in
-      send t ~src:host.me ~dst:src
-        (Wire.Client
-           (Client_msg.Redirect
-              { seq; leader; members = host.latest_members; epoch = host.top_epoch }))
-    in
-    match current with
-    | Some inst when is_inst_leader inst && inst.wedged_at = None -> (
-      (* Fast-path dedup only once sessions are installed; ordering a
-         duplicate before that is harmless. *)
-      let dup =
-        if inst.activated then
-          match Session.check inst.sessions ~client:src ~seq with
-          | `Dup rsp -> Some rsp
-          | `New | `Stale -> None
-        else None
-      in
-      match dup with
-      | Some rsp -> reply_client t host ~client:src ~seq ~rsp
-      | None ->
-        let env =
-          match (payload : Client_msg.payload) with
-          | Client_msg.Cmd cmd ->
-            Envelope.App { client = src; seq; low_water; cmd }
-          | Client_msg.Change_membership members ->
-            maybe_prepare t host inst members;
-            Envelope.Reconfig { client = src; seq; members }
-        in
-        submit_envelope inst env)
-    | Some _ | None -> redirect ()
-
-  (* A coalesced client window: per-request dedup/reply semantics are those
-     of [handle_request], but every non-duplicate command reaches the block
-     as one vector submission (one proposal batch, one broadcast). *)
-  let handle_request_batch t host ~src ~low_water ~reqs =
     let current =
       newest_instance host ~pred:(fun i ->
           i.replica <> None && (not i.retired) && not i.provisional)
@@ -1003,7 +959,9 @@ struct
       let envs =
         List.filter_map
           (fun (seq, payload) ->
-            Counters.incr t.counters "requests";
+            incr (Lazy.force t.requests);
+            (* Fast-path dedup only once sessions are installed; ordering
+               a duplicate before that is harmless. *)
             let dup =
               if inst.activated then
                 match Session.check inst.sessions ~client:src ~seq with
@@ -1031,7 +989,7 @@ struct
     | Some _ | None ->
       List.iter
         (fun (seq, _) ->
-          Counters.incr t.counters "requests";
+          incr (Lazy.force t.requests);
           redirect seq)
         reqs
 
@@ -1046,9 +1004,9 @@ struct
         | None -> ())
       | None -> ())
     | Wire.Client (Client_msg.Request { seq; low_water; payload }) ->
-      handle_request t host ~src ~seq ~low_water ~payload
+      handle_requests t host ~src ~low_water ~reqs:[ (seq, payload) ]
     | Wire.Client (Client_msg.Request_batch { low_water; reqs }) ->
-      handle_request_batch t host ~src ~low_water ~reqs
+      handle_requests t host ~src ~low_water ~reqs
     | Wire.Client (Client_msg.Reply _ | Client_msg.Redirect _) -> ()
     | Wire.Bootstrap { epoch; members; prev_epoch; prev_members } ->
       handle_bootstrap t host ~epoch ~members ~prev_epoch ~prev_members
@@ -1251,6 +1209,7 @@ struct
       Network.create engine ?mode:net_mode ?latency ?drop ?bandwidth ~tagger
         ~sizer:Wire.size ~obs ()
     in
+    let counters = Obs.counters obs "svc" in
     let t =
       {
         engine;
@@ -1267,7 +1226,10 @@ struct
         on_dir_update = (fun ~epoch:_ ~members:_ ~leader:_ -> ());
         (* the service's flat counter table IS the registry's "svc"
            section: same live cells, picked up at export time *)
-        counters = Obs.counters obs "svc";
+        counters;
+        applied = lazy (Counters.handle counters "applied");
+        replies = lazy (Counters.handle counters "replies");
+        requests = lazy (Counters.handle counters "requests");
         obs;
         bus = Obs.bus obs;
         wedge_times = Hashtbl.create 4;
@@ -1300,7 +1262,7 @@ struct
         let host = Hashtbl.find t.hosts node in
         ignore
           (create_instance t host ~provisional:false ~epoch:0 ~members
-             ~prev_members:[] ~boot:(`Active (Sm.init (), Session.empty))))
+             ~prev_members:[] ~boot:(`Active (Sm.init (), Session.create ()))))
       members;
     Directory.update t.dir ~epoch:0 ~members ~leader:None;
     Network.register t.net dir_id (dir_handler t);

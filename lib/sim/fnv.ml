@@ -10,18 +10,34 @@ let offset_basis = 0xcbf29ce484222325L
 let prime = 0x100000001b3L
 let empty = offset_basis
 
+let[@inline] step h byte = Int64.mul (Int64.logxor h (Int64.of_int byte)) prime
+
 let combine h s =
   let h = ref h in
   for i = 0 to String.length s - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
+    h := step !h (Char.code s.[i])
+  done;
+  !h
+
+(* The decimal digits of [n] fed straight into the chain, most significant
+   first, without building the string.  The digits are taken from [-|n|],
+   which unlike [|n|] exists for [min_int]. *)
+let combine_int h n =
+  let h = ref (if n < 0 then step h (Char.code '-') else h) in
+  let m = if n < 0 then n else -n in
+  let p = ref 1 in
+  while m / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    h := step !h (Char.code '0' - (m / !p mod 10));
+    p := !p / 10
   done;
   !h
 
 (* Fold the length in first so concatenation cannot alias:
    ["ab"] ++ ["c"] and ["a"] ++ ["bc"] chain to different digests. *)
-let combine_framed h s =
-  let h = combine h (string_of_int (String.length s)) in
-  combine (combine h "\x00") s
+let combine_framed h s = combine (step (combine_int h (String.length s)) 0) s
 
 let hash s = combine offset_basis s
 

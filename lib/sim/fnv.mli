@@ -19,6 +19,10 @@ val combine : int64 -> string -> int64
 (** [combine h s] continues an FNV-1a chain: feeds the bytes of [s]
     into running digest [h]. *)
 
+val combine_int : int64 -> int -> int64
+(** [combine_int h n] = [combine h (string_of_int n)], computed without
+    building the string. *)
+
 val combine_framed : int64 -> string -> int64
 (** Like {!combine} but folds the length of [s] in first, so adjacent
     parts cannot alias across their boundary ("ab"+"c" vs "a"+"bc").

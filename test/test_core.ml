@@ -33,15 +33,15 @@ let test_envelope_roundtrip () =
     cases
 
 let test_session_semantics () =
-  let s = Session.empty in
+  let s = Session.create () in
   Alcotest.(check bool) "fresh is new" true
     (Session.check s ~client:1 ~seq:1 = `New);
-  let s = Session.record s ~client:1 ~seq:1 ~rsp:"r1" in
+  Session.record s ~client:1 ~seq:1 ~rsp:"r1";
   Alcotest.(check bool) "same seq dup" true
     (Session.check s ~client:1 ~seq:1 = `Dup "r1");
   Alcotest.(check bool) "next seq new" true
     (Session.check s ~client:1 ~seq:2 = `New);
-  let s = Session.record s ~client:1 ~seq:2 ~rsp:"r2" in
+  Session.record s ~client:1 ~seq:2 ~rsp:"r2";
   Alcotest.(check bool) "older seq still deduped (pipelined clients)" true
     (Session.check s ~client:1 ~seq:1 = `Dup "r1");
   Alcotest.(check bool) "other client independent" true
@@ -51,27 +51,141 @@ let test_session_semantics () =
     (Session.check s' ~client:1 ~seq:2 = `Dup "r2")
 
 let test_session_trim () =
-  let s = ref Session.empty in
+  let s = Session.create () in
   for i = 1 to 10 do
-    s := Session.record !s ~client:1 ~seq:i ~rsp:(Printf.sprintf "r%d" i)
+    Session.record s ~client:1 ~seq:i ~rsp:(Printf.sprintf "r%d" i)
   done;
-  s := Session.record !s ~client:2 ~seq:1 ~rsp:"other";
-  Alcotest.(check int) "all retained" 11 (Session.cardinal !s);
-  s := Session.trim !s ~client:1 ~below:8;
-  Alcotest.(check int) "trimmed below watermark" 4 (Session.cardinal !s);
+  Session.record s ~client:2 ~seq:1 ~rsp:"other";
+  Alcotest.(check int) "all retained" 11 (Session.cardinal s);
+  Session.trim s ~client:1 ~below:8;
+  Alcotest.(check int) "trimmed below watermark" 4 (Session.cardinal s);
   Alcotest.(check bool) "watermark entry kept" true
-    (Session.check !s ~client:1 ~seq:8 = `Dup "r8");
+    (Session.check s ~client:1 ~seq:8 = `Dup "r8");
   Alcotest.(check bool) "above watermark kept" true
-    (Session.check !s ~client:1 ~seq:10 = `Dup "r10");
+    (Session.check s ~client:1 ~seq:10 = `Dup "r10");
   Alcotest.(check bool) "below watermark recognized as stale, not new" true
-    (Session.check !s ~client:1 ~seq:3 = `Stale);
+    (Session.check s ~client:1 ~seq:3 = `Stale);
   Alcotest.(check bool) "other client untouched" true
-    (Session.check !s ~client:2 ~seq:1 = `Dup "other");
-  s := Session.trim !s ~client:2 ~below:100;
+    (Session.check s ~client:2 ~seq:1 = `Dup "other");
+  Session.trim s ~client:2 ~below:100;
   Alcotest.(check bool) "fully trimmed client keeps its floor" true
-    (Session.check !s ~client:2 ~seq:1 = `Stale);
+    (Session.check s ~client:2 ~seq:1 = `Stale);
   Alcotest.(check bool) "above the floor is new" true
-    (Session.check !s ~client:2 ~seq:200 = `New)
+    (Session.check s ~client:2 ~seq:200 = `New)
+
+(* The decide path's per-command session work: one client sliding a
+   16-deep response window.  Once the window's arrays have grown, a step
+   allocates nothing. *)
+let test_session_steady_state_allocates_nothing () =
+  let s = Session.create () in
+  let rsp = "response" in
+  let step i =
+    (match Session.check s ~client:7 ~seq:i with
+     | `New -> ()
+     | `Dup _ | `Stale -> Alcotest.fail "fresh seq not new");
+    Session.record s ~client:7 ~seq:i ~rsp;
+    Session.trim s ~client:7 ~below:(i - 15)
+  in
+  for i = 0 to 999 do
+    step i
+  done;
+  let steps = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1000 to 999 + steps do
+    step i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words per step" 0.
+    (words /. float_of_int steps);
+  Alcotest.(check int) "window depth" 16 (Session.cardinal s)
+
+(* --- Session against its reference model (the persistent map
+   implementation in session_model.ml) --- *)
+
+type session_op =
+  | Check of int * int
+  | Record of int * int * string
+  | Trim of int * int
+  | Copy of session_op list  (* mutations applied to the copy only *)
+  | Encode
+
+let session_op_gen =
+  QCheck.Gen.(
+    (* few clients, a narrow seq range: repeated seqs, records at or below
+       the floor, unknown clients and trims on absent clients all occur *)
+    let client = int_range (-2) 3 and seq = int_range 0 24 in
+    let rsp = string_size ~gen:(char_range 'a' 'c') (int_bound 3) in
+    let mutation =
+      frequency
+        [
+          (4, map3 (fun c q r -> Record (c, q, r)) client seq rsp);
+          (2, map2 (fun c b -> Trim (c, b)) client (int_range 0 26));
+        ]
+    in
+    frequency
+      [
+        (3, map2 (fun c q -> Check (c, q)) client seq);
+        (6, mutation);
+        (1, map (fun ms -> Copy ms) (list_size (int_bound 6) mutation));
+        (1, return Encode);
+      ])
+
+let rec show_session_op = function
+  | Check (c, q) -> Printf.sprintf "check %d %d" c q
+  | Record (c, q, r) -> Printf.sprintf "record %d %d %S" c q r
+  | Trim (c, b) -> Printf.sprintf "trim %d %d" c b
+  | Copy ms ->
+    Printf.sprintf "copy [%s]" (String.concat "; " (List.map show_session_op ms))
+  | Encode -> "encode"
+
+let rec apply_session_op (t, m) op =
+  match op with
+  | Check (client, seq) ->
+    Session.check t ~client ~seq = Session_model.check m ~client ~seq, m
+  | Record (client, seq, rsp) ->
+    Session.record t ~client ~seq ~rsp;
+    (true, Session_model.record m ~client ~seq ~rsp)
+  | Trim (client, below) ->
+    Session.trim t ~client ~below;
+    (true, Session_model.trim m ~client ~below)
+  | Copy ms ->
+    let before = Session.encode t in
+    let c = Session.copy t in
+    let same = Session.encode c = before in
+    let copy_ok, m' =
+      List.fold_left
+        (fun (ok, m') op ->
+          let ok', m' = apply_session_op (c, m') op in
+          (ok && ok', m'))
+        (true, m) ms
+    in
+    ( same && copy_ok
+      && Session.encode c = Session_model.encode m'
+      && Session.encode t = before,
+      m )
+  | Encode ->
+    let bytes = Session.encode t in
+    ( bytes = Session_model.encode m
+      && Session.encode (Session.decode bytes) = bytes
+      && Session.cardinal t = Session_model.cardinal m,
+      m )
+
+let prop_session_matches_model =
+  QCheck.Test.make ~name:"session table matches its reference model"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_session_op ops))
+       QCheck.Gen.(list_size (int_bound 40) session_op_gen))
+    (fun ops ->
+      let t = Session.create () in
+      let ok, m =
+        List.fold_left
+          (fun (ok, m) op ->
+            let ok', m = apply_session_op (t, m) op in
+            (ok && ok', m))
+          (true, Session_model.empty) ops
+      in
+      ok && Session.encode t = Session_model.encode m)
 
 let test_snapshot_chunking () =
   let data = String.init 1000 (fun i -> Char.chr (i mod 256)) in
@@ -737,6 +851,9 @@ let () =
           Alcotest.test_case "envelope roundtrip" `Quick test_envelope_roundtrip;
           Alcotest.test_case "session semantics" `Quick test_session_semantics;
           Alcotest.test_case "session trim" `Quick test_session_trim;
+          Alcotest.test_case "session steady state allocates nothing" `Quick
+            test_session_steady_state_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_session_matches_model;
           Alcotest.test_case "snapshot chunking" `Quick test_snapshot_chunking;
           Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
         ] );

@@ -8,6 +8,7 @@ module Timeseries = Rsmr_sim.Timeseries
 module Counters = Rsmr_sim.Counters
 module Trace = Rsmr_sim.Trace
 module Stable = Rsmr_sim.Stable
+module Fnv = Rsmr_sim.Fnv
 
 (* --- engine --- *)
 
@@ -411,6 +412,22 @@ let test_stable_no_revisit_of_added_keys () =
   Alcotest.(check bool) "late key present afterwards" true
     (Hashtbl.mem t 99)
 
+(* --- Fnv --- *)
+
+let test_fnv_combine_int_edges () =
+  let h = Fnv.hash "seed" in
+  List.iter
+    (fun n ->
+      Alcotest.(check int64) (string_of_int n)
+        (Fnv.combine h (string_of_int n))
+        (Fnv.combine_int h n))
+    [ 0; 9; 10; 99; 100; -1; -10; max_int; min_int ]
+
+let prop_fnv_combine_int =
+  QCheck.Test.make ~name:"combine_int = combine of string_of_int" ~count:2000
+    QCheck.(pair int64 int)
+    (fun (h, n) -> Fnv.combine_int h n = Fnv.combine h (string_of_int n))
+
 let () =
   Alcotest.run "sim"
     [
@@ -462,6 +479,12 @@ let () =
           Alcotest.test_case "fold order" `Quick test_stable_fold_order;
           Alcotest.test_case "snapshot semantics" `Quick
             test_stable_no_revisit_of_added_keys;
+        ] );
+      ( "fnv",
+        [
+          Alcotest.test_case "combine_int edge values" `Quick
+            test_fnv_combine_int_edges;
+          QCheck_alcotest.to_alcotest prop_fnv_combine_int;
         ] );
       ("counters", [ Alcotest.test_case "basic" `Quick test_counters ]);
       ( "trace",

@@ -254,7 +254,8 @@ let snapshot_gen =
 
 (* Session.t is abstract: generate one by replaying a random trace of the
    operations that can actually produce a table, so trimmed floors and
-   cached responses both appear. *)
+   cached responses both appear.  Each sample replays into a fresh
+   table. *)
 let session_gen =
   QCheck.Gen.(
     let op =
@@ -267,11 +268,14 @@ let session_gen =
         ]
     in
     map
-      (List.fold_left
-         (fun t -> function
-           | `Record (client, seq, rsp) -> Session.record t ~client ~seq ~rsp
-           | `Trim (client, below) -> Session.trim t ~client ~below)
-         Session.empty)
+      (fun ops ->
+        let t = Session.create () in
+        List.iter
+          (function
+            | `Record (client, seq, rsp) -> Session.record t ~client ~seq ~rsp
+            | `Trim (client, below) -> Session.trim t ~client ~below)
+          ops;
+        t)
       (list_size (int_bound 12) op))
 
 let envelope_gen =
