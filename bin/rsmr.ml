@@ -19,14 +19,14 @@ module Kv_gen = Rsmr_workload.Kv_gen
 
 let proto_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "core" -> Ok Common.Core
-    | "matchmaker" -> Ok Common.Matchmaker
-    | "core-nospec" -> Ok Common.Core_nospec
-    | "core-noresid" -> Ok Common.Core_noresidual
-    | "stopworld" -> Ok Common.Stopworld
-    | "raft" -> Ok Common.Raft
-    | other -> Error (`Msg (Printf.sprintf "unknown protocol %S" other))
+    let s = String.lowercase_ascii s in
+    match
+      List.find_opt
+        (fun p -> String.equal (Common.proto_name p) s)
+        Common.all_protos
+    with
+    | Some p -> Ok p
+    | None -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
   in
   Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Common.proto_name p))
 
@@ -85,7 +85,12 @@ let list_cmd =
 let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
 let proto_t =
-  Arg.(value & opt proto_conv Common.Core & info [ "proto" ] ~doc:"Protocol: core, matchmaker, core-nospec, core-noresid, stopworld, raft.")
+  let doc =
+    "Protocol: "
+    ^ String.concat ", " (List.map Common.proto_name Common.all_protos)
+    ^ "."
+  in
+  Arg.(value & opt proto_conv Common.Core & info [ "proto" ] ~doc)
 
 let replicas_t =
   Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Initial replica count.")
@@ -137,7 +142,8 @@ let run_scenario seed proto replicas clients duration drop keys read_ratio
          match setup.Common.leader () with
          | Some l ->
            Printf.printf "t=+%g crashing leader n%d\n" at l;
-           setup.Common.cluster.Rsmr_iface.Cluster.crash l
+           let control = setup.Common.cluster.Rsmr_iface.Cluster.control in
+           Rsmr_iface.Overlay.crash control l
          | None -> print_endline "no leader to crash")
    | None -> ());
   Common.run_to setup (t0 +. duration +. 10.0);
@@ -166,6 +172,7 @@ let run_cmd =
 (* --- linearizability check --- *)
 
 module RegCore = Rsmr_core.Service.Make (Rsmr_app.Register)
+module RegCoreVr = Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Rsmr_app.Register)
 module RegRaft = Rsmr_baselines.Raft.Make (Rsmr_app.Register)
 module Lin = Rsmr_checker.Linearizability.Make (Rsmr_app.Register)
 module History = Rsmr_checker.History
@@ -173,10 +180,20 @@ module History = Rsmr_checker.History
 let check_scenario seed proto clients duration drop =
   let engine = Engine.create ~seed () in
   let members = [ 0; 1; 2 ] and universe = List.init 6 Fun.id in
+  let strategy = Common.strategy_of proto in
+  Printf.printf "protocol=%s strategy=%s\n%!" (Common.proto_name proto)
+    strategy.Rsmr_iface.Reconfig_strategy.name;
+  let options = { Rsmr_core.Options.default with Rsmr_core.Options.strategy } in
   let cluster =
     match proto with
-    | Common.Raft -> RegRaft.cluster (RegRaft.create ~engine ~drop ~members ~universe ())
-    | _ -> RegCore.cluster (RegCore.create ~engine ~drop ~members ~universe ())
+    | Common.Raft ->
+      RegRaft.cluster (RegRaft.create ~engine ~drop ~members ~universe ())
+    | Common.Core_vr ->
+      RegCoreVr.cluster
+        (RegCoreVr.create ~engine ~drop ~options ~members ~universe ())
+    | Common.Core | Common.Matchmaker | Common.Core_nospec
+    | Common.Core_noresidual | Common.Stopworld ->
+      RegCore.cluster (RegCore.create ~engine ~drop ~options ~members ~universe ())
   in
   let rng = Rsmr_sim.Rng.split (Engine.rng engine) in
   let gen ~client:_ ~seq:_ =

@@ -53,7 +53,7 @@ let () =
   Printf.printf "   epoch before: %d, members: %s\n"
     (Service.current_epoch service)
     (String.concat "," (List.map string_of_int (Service.current_members service)));
-  cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  Rsmr_iface.Overlay.reconfigure cluster.Rsmr_iface.Cluster.control [ 3; 4; 5 ];
   let rec wait_epoch horizon =
     Engine.run ~until:horizon engine;
     if Service.current_epoch service < 1 then wait_epoch (horizon +. 0.1)

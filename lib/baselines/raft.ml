@@ -9,9 +9,30 @@ module Node_id = Rsmr_net.Node_id
 module Params = Rsmr_smr.Params
 module Session = Rsmr_core.Session
 module Snapshot = Rsmr_core.Snapshot
-module Directory = Rsmr_core.Directory
+module Front = Rsmr_core.Front
 module Client_msg = Rsmr_client.Client_msg
-module Endpoint = Rsmr_client.Endpoint
+
+(* How [Raft_wire.t] carries the client and directory messages. *)
+let recv_edge (h : Front.handler) (env : Raft_wire.t Network.envelope) =
+  match env.Network.payload with
+  | Raft_wire.Client msg -> h.Front.on_client msg
+  | Raft_wire.Dir_update { epoch; members; leader } ->
+    h.Front.on_update ~epoch ~members ~leader
+  | Raft_wire.Dir_lookup -> h.Front.on_lookup ~src:env.Network.src
+  | Raft_wire.Dir_info { epoch; members; leader } ->
+    h.Front.on_info ~epoch ~members ~leader
+  | Raft_wire.Rpc _ -> ()
+[@@rsmr.deterministic] [@@rsmr.total]
+
+let front_wire =
+  {
+    Front.to_client = (fun msg -> Raft_wire.Client msg);
+    lookup = Raft_wire.Dir_lookup;
+    info =
+      (fun ~epoch ~members ~leader ->
+        Raft_wire.Dir_info { epoch; members; leader });
+    recv = recv_edge;
+  }
 
 module Make (Sm : Rsmr_app.State_machine.S) = struct
   (* An in-progress chunked snapshot transfer to one follower.  The blob is
@@ -63,23 +84,13 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     n_applied : int ref;  (* {node}-scoped registry cell, resolved once *)
   }
 
-  type client_rec = {
-    endpoint : Endpoint.t;
-    mutable dir_k : (Rsmr_app.Dir_app.entry option -> unit) option;
-  }
-
   type t = {
     engine : Engine.t;
     net : Raft_wire.t Network.t;
     params : Params.t;
     snapshot_threshold : int;
     nodes : (Node_id.t, node) Hashtbl.t;
-    dir : Directory.t;
-    dir_id : Node_id.t;
-    admin_id : Node_id.t;
-    mutable admin_seq : int;
-    clients : (Node_id.t, client_rec) Hashtbl.t;
-    mutable on_reply : Rsmr_iface.Cluster.reply_handler;
+    front : Raft_wire.t Front.t;
     counters : Counters.t;
     obs : Obs.t;
     bus : Trace.t;  (* = Obs.bus obs, cached *)
@@ -87,7 +98,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
 
   let engine t = t.engine
   let net t = t.net
-  let directory_id t = t.dir_id
+  let directory_id t = Front.dir_id t.front
   let counters t = t.counters
   let obs t = t.obs
 
@@ -126,7 +137,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       (Raft_wire.Client (Client_msg.Reply { seq; rsp }))
 
   let dir_update t node =
-    Network.send t.net ~src:node.me ~dst:t.dir_id
+    Network.send t.net ~src:node.me ~dst:(Front.dir_id t.front)
       (Raft_wire.Dir_update
          {
            epoch = node.config_index;
@@ -738,88 +749,72 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
 
   (* --- client handling --- *)
 
-  let handle_request t node ~src ~seq ~low_water ~payload =
-    Counters.incr t.counters "requests";
-    match node.role with
-    | Leader _ when not node.halted -> (
-      match (payload : Client_msg.payload) with
-      | Client_msg.Cmd cmd -> (
-        match Session.check node.sessions ~client:src ~seq with
-        | `Dup rsp -> reply_client t node ~client:src ~seq ~rsp
-        | `Stale -> ()
-        | `New ->
-          ignore
-            (Raft_log.append node.log
-               {
-                 Raft_log.term = node.term;
-                 payload = Raft_log.App { client = src; seq; low_water; cmd };
-               });
-          schedule_appends t node)
-      | Client_msg.Change_membership target ->
-        (match node.pending_target with
-         | Some (cur_target, _, _) when sorted cur_target = sorted target -> ()
-         | _ ->
-           if sorted node.config = sorted target then
-             reply_client t node ~client:src ~seq ~rsp:"ok"
-           else node.pending_target <- Some (target, src, seq));
-        try_next_step t node)
-    | _ ->
-      Counters.incr t.counters "redirects";
-      Network.send t.net ~src:node.me ~dst:src
-        (Raft_wire.Client
-           (Client_msg.Redirect
-              {
-                seq;
-                leader = node.leader_hint;
-                members = node.config;
-                epoch = node.config_index;
-              }))
+  let redirect t node ~src ~leader seq =
+    Counters.incr t.counters "redirects";
+    Network.send t.net ~src:node.me ~dst:src
+      (Raft_wire.Client
+         (Client_msg.Redirect
+            { seq; leader; members = node.config; epoch = node.config_index }))
 
-  (* A coalesced client window: per-request dedup/reply semantics are those
-     of [handle_request], but all fresh commands append first and the
-     leader broadcasts once for the whole window. *)
-  let handle_request_batch t node ~src ~low_water ~reqs =
+  let is_serving node =
     match node.role with
-    | Leader _ when not node.halted ->
+    | Leader _ -> not node.halted
+    | Follower | Candidate _ -> false
+
+  (* A client request window (a plain [Request] is a window of one): each
+     command is deduplicated against the session table and every fresh
+     one is appended before [flush] replicates them together.  A lone
+     request waits out the batching timer ([schedule_appends]); a
+     coalesced window is already complete and broadcasts at once
+     ([flush_appends], taking any buffered singles along). *)
+  let handle_requests t node ~src ~low_water ~reqs ~flush =
+    if is_serving node then begin
       let appended = ref false in
       List.iter
         (fun (seq, payload) ->
+          Counters.incr t.counters "requests";
           match (payload : Client_msg.payload) with
-          | Client_msg.Cmd cmd ->
-            Counters.incr t.counters "requests";
-            (match Session.check node.sessions ~client:src ~seq with
-             | `Dup rsp -> reply_client t node ~client:src ~seq ~rsp
-             | `Stale -> ()
-             | `New ->
-               ignore
-                 (Raft_log.append node.log
-                    {
-                      Raft_log.term = node.term;
-                      payload =
-                        Raft_log.App { client = src; seq; low_water; cmd };
-                    });
-               appended := true)
-          | Client_msg.Change_membership _ ->
-            handle_request t node ~src ~seq ~low_water ~payload)
+          | Client_msg.Cmd cmd -> (
+            match Session.check node.sessions ~client:src ~seq with
+            | `Dup rsp -> reply_client t node ~client:src ~seq ~rsp
+            | `Stale -> ()
+            | `New ->
+              ignore
+                (Raft_log.append node.log
+                   {
+                     Raft_log.term = node.term;
+                     payload = Raft_log.App { client = src; seq; low_water; cmd };
+                   });
+              appended := true)
+          | Client_msg.Change_membership target ->
+            (* An earlier step of this window may have removed the leader. *)
+            if not (is_serving node) then
+              redirect t node ~src ~leader:node.leader_hint seq
+            else begin
+              (match node.pending_target with
+               | Some (cur_target, _, _) when sorted cur_target = sorted target
+                 -> ()
+               | _ ->
+                 if sorted node.config = sorted target then
+                   reply_client t node ~client:src ~seq ~rsp:"ok"
+                 else node.pending_target <- Some (target, src, seq));
+              try_next_step t node
+            end)
         reqs;
-      (* The window is already complete — no reason to sit out the batch
-         timer; this also flushes any buffered singles along with it. *)
-      if !appended then flush_appends t node
-    | _ ->
+      if !appended then flush t node
+    end
+    else
       List.iter
         (fun (seq, _) ->
           Counters.incr t.counters "requests";
-          Counters.incr t.counters "redirects";
-          Network.send t.net ~src:node.me ~dst:src
-            (Raft_wire.Client
-               (Client_msg.Redirect
-                  {
-                    seq;
-                    leader = node.leader_hint;
-                    members = node.config;
-                    epoch = node.config_index;
-                  })))
+          redirect t node ~src ~leader:node.leader_hint seq)
         reqs
+
+  (* A retired server's hint naming itself is stale. *)
+  let retired_hint node =
+    match node.leader_hint with
+    | Some l when Node_id.equal l node.me -> None
+    | other -> other
 
   let rec node_handler t node (env : Raft_wire.t Network.envelope) =
     let src = env.Network.src in
@@ -841,25 +836,11 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         node.role <- Follower;
         reset_election_timer t node;
         node_handler t node env
-      | Raft_wire.Client
-          (Client_msg.Request _ | Client_msg.Request_batch _) ->
-        let leader =
-          match node.leader_hint with
-          | Some l when Node_id.equal l node.me -> None (* stale self-hint *)
-          | other -> other
-        in
-        let redirect seq =
-          Counters.incr t.counters "redirects";
-          Network.send t.net ~src:node.me ~dst:src
-            (Raft_wire.Client
-               (Client_msg.Redirect
-                  { seq; leader; members = node.config; epoch = node.config_index }))
-        in
-        (match env.Network.payload with
-         | Raft_wire.Client (Client_msg.Request { seq; _ }) -> redirect seq
-         | Raft_wire.Client (Client_msg.Request_batch { reqs; _ }) ->
-           List.iter (fun (seq, _) -> redirect seq) reqs
-         | _ -> ())
+      | Raft_wire.Client (Client_msg.Request { seq; _ }) ->
+        redirect t node ~src ~leader:(retired_hint node) seq
+      | Raft_wire.Client (Client_msg.Request_batch { reqs; _ }) ->
+        let leader = retired_hint node in
+        List.iter (fun (seq, _) -> redirect t node ~src ~leader seq) reqs
       | _ -> ()
     end
     else
@@ -884,73 +865,14 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       | Raft_wire.Rpc (Raft_msg.Snapshot_reply { term; last_index }) ->
         on_snapshot_reply t node ~src ~term ~last_index
       | Raft_wire.Client (Client_msg.Request { seq; low_water; payload }) ->
-        handle_request t node ~src ~seq ~low_water ~payload
+        handle_requests t node ~src ~low_water ~reqs:[ (seq, payload) ]
+          ~flush:schedule_appends
       | Raft_wire.Client (Client_msg.Request_batch { low_water; reqs }) ->
-        handle_request_batch t node ~src ~low_water ~reqs
+        handle_requests t node ~src ~low_water ~reqs ~flush:flush_appends
       | Raft_wire.Client (Client_msg.Reply _ | Client_msg.Redirect _) -> ()
       | Raft_wire.Dir_update _ | Raft_wire.Dir_lookup | Raft_wire.Dir_info _ ->
         ()
   [@@rsmr.deterministic] [@@rsmr.total]
-
-  let dir_handler t (env : Raft_wire.t Network.envelope) =
-    match env.Network.payload with
-    | Raft_wire.Dir_update { epoch; members; leader } ->
-      Directory.update t.dir ~epoch ~members ~leader
-    | Raft_wire.Dir_lookup ->
-      Network.send t.net ~src:t.dir_id ~dst:env.Network.src
-        (Raft_wire.Dir_info
-           {
-             epoch = Directory.epoch t.dir;
-             members = Directory.members t.dir;
-             leader = Directory.leader t.dir;
-           })
-    | _ -> ()
-  [@@rsmr.deterministic] [@@rsmr.total]
-
-  let client_handler record (env : Raft_wire.t Network.envelope) =
-    match env.Network.payload with
-    | Raft_wire.Client msg -> Endpoint.handle record.endpoint msg
-    | Raft_wire.Dir_info { epoch; members; leader } -> (
-      match record.dir_k with
-      | Some k ->
-        record.dir_k <- None;
-        if members = [] then k None
-        else k (Some { Rsmr_app.Dir_app.epoch; members; leader })
-      | None -> ())
-    | _ -> ()
-  [@@rsmr.deterministic] [@@rsmr.total]
-
-  let add_client t cid =
-    if not (Hashtbl.mem t.clients cid) then begin
-      let record_ref = ref None in
-      let endpoint =
-        Endpoint.create ~engine:t.engine ~me:cid ~bus:t.bus
-          ~send:(fun ~dst msg ->
-            Network.send t.net ~src:cid ~dst (Raft_wire.Client msg))
-          ~members:(Directory.members t.dir)
-          ~batch_window:t.params.Params.batch_delay
-          ~batch_max:t.params.Params.batch_max
-          ~lookup:(fun k ->
-            (match !record_ref with
-             | Some record -> record.dir_k <- Some k
-             | None -> ());
-            Network.send t.net ~src:cid ~dst:t.dir_id Raft_wire.Dir_lookup)
-          ~on_reply:(fun ~seq ~rsp -> t.on_reply ~client:cid ~seq ~rsp)
-          ()
-      in
-      let record = { endpoint; dir_k = None } in
-      record_ref := Some record;
-      Hashtbl.replace t.clients cid record;
-      Network.register t.net cid (client_handler record)
-    end
-
-  let reconfigure t members =
-    t.admin_seq <- t.admin_seq + 1;
-    match Hashtbl.find_opt t.clients t.admin_id with
-    | Some record ->
-      Endpoint.submit record.endpoint ~seq:t.admin_seq
-        ~payload:(Client_msg.Change_membership members)
-    | None -> (* admin client is created with the cluster *) ()
 
   let create ~engine ?latency ?drop ?bandwidth ?params
       ?(snapshot_threshold = 512) ?universe ?obs ~members () =
@@ -963,9 +885,6 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     let params = Option.value params ~default:Params.default in
     let universe = Option.value universe ~default:members in
     let universe = List.sort_uniq Node_id.compare (universe @ members) in
-    let top = List.fold_left max 0 universe in
-    let dir_id = top + 1 in
-    let admin_id = top + 2 in
     let net =
       Network.create engine ?latency ?drop ?bandwidth ~tagger:Raft_wire.tag
         ~sizer:Raft_wire.size ~obs ()
@@ -977,12 +896,10 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         params;
         snapshot_threshold;
         nodes = Hashtbl.create 16;
-        dir = Directory.create ();
-        dir_id;
-        admin_id;
-        admin_seq = 0;
-        clients = Hashtbl.create 16;
-        on_reply = (fun ~client:_ ~seq:_ ~rsp:_ -> ());
+        front =
+          Front.create ~engine ~net ~bus:(Obs.bus obs) ~wire:front_wire
+            ~universe ~batch_window:params.Params.batch_delay
+            ~batch_max:params.Params.batch_max;
         (* the flat counter table IS the registry's "svc" section *)
         counters = Obs.counters obs "svc";
         obs;
@@ -1029,67 +946,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         Network.register t.net id (fun env -> node_handler t node env);
         reset_election_timer t node)
       universe;
-    Directory.update t.dir ~epoch:0 ~members ~leader:None;
-    Network.register t.net dir_id (dir_handler t);
-    add_client t admin_id;
+    Front.start t.front ~members;
     t
 
-  let debug_dump t id =
-    match Hashtbl.find_opt t.nodes id with
-    | None -> "?"
-    | Some n ->
-      let role =
-        match n.role with
-        | Follower -> "F"
-        | Candidate _ -> "C"
-        | Leader ls ->
-          "L{"
-          ^ String.concat ","
-              (List.rev
-                 (Stable.fold_sorted ~compare:Node_id.compare
-                    (fun m next acc ->
-                      let mi =
-                        Option.value (Hashtbl.find_opt ls.matched m) ~default:(-1)
-                      in
-                      Printf.sprintf "n%d:next=%d,match=%d" m next mi :: acc)
-                    ls.next []))
-          ^ "}"
-      in
-      Printf.sprintf
-        "n%d %s term=%d last=%d commit=%d applied=%d base=%d halted=%b cfg=[%s] pending=%b"
-        id role n.term (Raft_log.last_index n.log) n.commit n.applied
-        (Raft_log.base_index n.log) n.halted
-        (String.concat "," (List.map string_of_int n.config))
-        (n.pending_target <> None)
-
-  let cluster t =
-    {
-      Rsmr_iface.Cluster.name = "raft";
-      engine = t.engine;
-      add_client = (fun cid -> add_client t cid);
-      submit =
-        (fun ~client ~seq ~cmd ->
-          match Hashtbl.find_opt t.clients client with
-          | Some record ->
-            Endpoint.submit record.endpoint ~seq ~payload:(Client_msg.Cmd cmd)
-          | None -> invalid_arg "submit: unknown client (call add_client)");
-      set_on_reply = (fun h -> t.on_reply <- h);
-      reconfigure = (fun members -> reconfigure t members);
-      members = (fun () -> Directory.members t.dir);
-      crash = (fun node -> Network.crash t.net node);
-      recover = (fun node -> Network.recover t.net node);
-      control =
-        {
-          Rsmr_iface.Overlay.fault =
-            (fun f ->
-              match (f : Rsmr_iface.Overlay.fault) with
-              | Rsmr_iface.Overlay.Crash n -> Network.crash t.net n
-              | Rsmr_iface.Overlay.Recover n -> Network.recover t.net n
-              | Rsmr_iface.Overlay.Partition groups ->
-                Network.partition t.net groups
-              | Rsmr_iface.Overlay.Heal -> Network.heal t.net);
-          reconfigure = (fun members -> reconfigure t members);
-        };
-      obs = t.obs;
-    }
+  let cluster t = Front.cluster t.front ~name:"raft" ~obs:t.obs
 end

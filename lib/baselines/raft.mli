@@ -11,7 +11,10 @@
     adds before removes.
 
     Timing parameters are shared with the static Multi-Paxos block
-    ({!Rsmr_smr.Params}) so protocol comparisons are apples-to-apples. *)
+    ({!Rsmr_smr.Params}) so protocol comparisons are apples-to-apples.
+    The client-facing edge (directory node, client endpoints, admin
+    session, {!Rsmr_iface.Cluster.t}) is the composed service's own
+    {!Rsmr_core.Front}. *)
 
 module Make (Sm : Rsmr_app.State_machine.S) : sig
   type t
@@ -55,7 +58,4 @@ module Make (Sm : Rsmr_app.State_machine.S) : sig
   val app_state : t -> Rsmr_net.Node_id.t -> Sm.t option
   val commit_index_of : t -> Rsmr_net.Node_id.t -> int option
   val log_base_of : t -> Rsmr_net.Node_id.t -> int option
-
-  val debug_dump : t -> Rsmr_net.Node_id.t -> string
-  (** One-line internal state summary, for debugging and tests. *)
 end

@@ -22,17 +22,3 @@ let default =
     client_batch_max = 16;
     mutation = None;
   }
-
-let speculative t = t.strategy.Strategy.handoff = `Speculative
-let residual_resubmit t = t.strategy.Strategy.residuals = `Resubmit
-let early_prepare t = t.strategy.Strategy.prepare = `Early
-
-let pp ppf t =
-  Format.fprintf ppf
-    "strategy=%s spec=%b residual=%b chunk=%dB fetch_to=%.0fms cbatch=%.1fms/%d%s"
-    t.strategy.Strategy.name (speculative t) (residual_resubmit t)
-    t.chunk_size (t.fetch_timeout *. 1e3)
-    (t.client_batch_window *. 1e3) t.client_batch_max
-    (match t.mutation with
-     | None -> ""
-     | Some No_first_wedge -> " MUTATION=no-first-wedge")

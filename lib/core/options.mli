@@ -4,8 +4,7 @@
     The reconfiguration policy itself is no longer a pair of booleans:
     it is a {!Rsmr_iface.Reconfig_strategy.t} value, and
     {!Rsmr_core.Service.Make} drives whatever stage choices the value
-    declares.  {!speculative}, {!residual_resubmit} and {!early_prepare}
-    are the derived per-stage views the driver reads. *)
+    declares, reading its [prepare], [handoff] and [residuals] fields. *)
 
 type mutation = No_first_wedge
       (** Deliberately re-breaks the first-wedge-wins dispatch guard:
@@ -44,21 +43,3 @@ type t = {
 val default : t
 (** {!Rsmr_iface.Reconfig_strategy.composed} with the historical knob
     values. *)
-
-val speculative : t -> bool
-(** Paper's key optimization (strategy handoff = [`Speculative]): boot
-    the next configuration's SMR instance (and let it order commands)
-    concurrently with state transfer; execution/replies still wait for
-    the snapshot.  Off = the instance only starts once the snapshot is
-    installed. *)
-
-val residual_resubmit : t -> bool
-(** Strategy residuals = [`Resubmit]: re-submit commands the old
-    instance ordered after its wedge point into the new instance
-    (otherwise only client retries recover them). *)
-
-val early_prepare : t -> bool
-(** Strategy prepare = [`Early] (Matchmaker-style): bootstrap the next
-    epoch's instance at [Reconfig] {e submission}, before it commits. *)
-
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,7 @@ module Network = Rsmr_net.Network
 module Node_id = Rsmr_net.Node_id
 module Config = Rsmr_smr.Config
 module Client_msg = Rsmr_client.Client_msg
-module Endpoint = Rsmr_client.Endpoint
+module Strategy = Rsmr_iface.Reconfig_strategy
 
 type epoch_stat = {
   es_epoch : int;
@@ -18,6 +18,29 @@ type epoch_stat = {
   es_applied_hi : int;
   es_digest : int64;
 }
+
+(* How [Wire.t] carries the client and directory messages ({!Front}). *)
+let recv_edge (h : Front.handler) (env : Wire.t Network.envelope) =
+  match env.Network.payload with
+  | Wire.Client msg -> h.Front.on_client msg
+  | Wire.Dir_update { epoch; members; leader } ->
+    h.Front.on_update ~epoch ~members ~leader
+  | Wire.Dir_lookup -> h.Front.on_lookup ~src:env.Network.src
+  | Wire.Dir_info { epoch; members; leader } ->
+    h.Front.on_info ~epoch ~members ~leader
+  | Wire.Block _ | Wire.Bootstrap _ | Wire.Fetch_state _ | Wire.State_chunk _
+  | Wire.Retire _ | Wire.Prepare _ ->
+    ()
+[@@rsmr.deterministic] [@@rsmr.total]
+
+let front_wire =
+  {
+    Front.to_client = (fun msg -> Wire.Client msg);
+    lookup = Wire.Dir_lookup;
+    info =
+      (fun ~epoch ~members ~leader -> Wire.Dir_info { epoch; members; leader });
+    recv = recv_edge;
+  }
 
 module type S = sig
   type t
@@ -70,11 +93,11 @@ struct
      [t.opts.Options.strategy] ({!Rsmr_iface.Reconfig_strategy}): the
      stage sequence wedge → prepare → state transfer → directory publish
      → handoff → residual re-submission is fixed, and the strategy value
-     picks a policy per stage.  [Options.speculative],
-     [Options.residual_resubmit] and [Options.early_prepare] are the
-     derived stage views read below; [composed] (the paper's default)
-     keeps every code path bit-for-bit identical to the historical
-     hard-wired sequence. *)
+     picks a policy per stage.  The driver reads the strategy's
+     [prepare], [handoff] and [residuals] fields directly; [composed]
+     (the paper's default) keeps every code path bit-for-bit identical
+     to the historical hard-wired sequence.  The client-facing edge
+     (directory node, client endpoints, admin session) is {!Front}. *)
 
   type app_state = Sm.t
   type instance = {
@@ -132,23 +155,13 @@ struct
     mutable latest_members : Node_id.t list;
   }
 
-  type client_rec = {
-    endpoint : Endpoint.t;
-    mutable dir_k : (Rsmr_app.Dir_app.entry option -> unit) option;
-  }
-
   type t = {
     engine : Engine.t;
     net : Wire.t Network.t;
     opts : Options.t;
     smr_params : Rsmr_smr.Params.t;
     hosts : (Node_id.t, host) Hashtbl.t;
-    dir : Directory.t;
-    dir_id : Node_id.t;
-    admin_id : Node_id.t;
-    mutable admin_seq : int;
-    clients : (Node_id.t, client_rec) Hashtbl.t;
-    mutable on_reply : Rsmr_iface.Cluster.reply_handler;
+    front : Wire.t Front.t;
     mutable on_dir_update :
       epoch:int -> members:Node_id.t list -> leader:Node_id.t option -> unit;
     counters : Counters.t;
@@ -168,7 +181,7 @@ struct
   let engine t = t.engine
   let net t = t.net
   let set_on_dir_update t f = t.on_dir_update <- f
-  let directory_id t = t.dir_id
+  let directory_id t = Front.dir_id t.front
   let counters t = t.counters
   let obs t = t.obs
 
@@ -179,8 +192,8 @@ struct
   let lifecycle t ~node ev attrs =
     Trace.emit t.bus ~time:(Engine.now t.engine) ~node ~topic:`Lifecycle
       ~attrs:(("ev", ev) :: attrs) ev
-  let current_epoch t = Directory.epoch t.dir
-  let current_members t = Directory.members t.dir
+  let current_epoch t = Directory.epoch (Front.directory t.front)
+  let current_members t = Directory.members (Front.directory t.front)
 
   let newest_instance host ~pred =
     Stable.fold_sorted ~compare:Int.compare
@@ -289,7 +302,7 @@ struct
       List.iter
         (fun m -> send t ~src:host.me ~dst:m (Wire.Retire { epoch = inst.epoch }))
         inst.prev_members;
-      send t ~src:host.me ~dst:t.dir_id
+      send t ~src:host.me ~dst:(Front.dir_id t.front)
         (Wire.Dir_update
            {
              epoch = inst.epoch;
@@ -311,20 +324,18 @@ struct
                announce_poll t host inst))
     end
 
+  (* [slot <- cancel_timer t slot] cancels a pending timer and clears
+     its slot. *)
+  let cancel_timer t slot =
+    (match slot with Some timer -> Engine.cancel t.engine timer | None -> ());
+    None
+
   let retire_instance t inst =
     if not inst.retired then begin
       inst.retired <- true;
       (match inst.replica with Some r -> Replica.halt r | None -> ());
-      (match inst.fetch_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.fetch_timer <- None
-       | None -> ());
-      (match inst.prepare_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.prepare_timer <- None
-       | None -> ())
+      inst.fetch_timer <- cancel_timer t inst.fetch_timer;
+      inst.prepare_timer <- cancel_timer t inst.prepare_timer
     end
 
   (* Submit envelopes in wire form: the whole list reaches the block as
@@ -381,7 +392,9 @@ struct
        leader does not itself host the next instance (disjoint
        replacement), it forwards the command to a new member as a static
        Submit, which that member's replica routes to its leader. *)
-    if Options.residual_resubmit t.opts && is_inst_leader inst then begin
+    if t.opts.Options.strategy.Strategy.residuals = `Resubmit
+       && is_inst_leader inst
+    then begin
       Counters.incr t.counters "residuals_resubmitted";
       if Trace.active t.bus then begin
         let client, seq = env_client_seq env in
@@ -498,7 +511,7 @@ struct
             [
               ("epoch", string_of_int inst.epoch);
               ("widx", string_of_int widx);
-              ("strategy", t.opts.Options.strategy.Rsmr_iface.Reconfig_strategy.name);
+              ("strategy", t.opts.Options.strategy.Strategy.name);
             ]
           "wedged";
       if not (Hashtbl.mem t.wedge_times (inst.epoch + 1)) then
@@ -559,7 +572,7 @@ struct
         end
       in
       ignore (Engine.schedule t.engine ~delay:0.25 (fun () -> rebootstrap 40));
-      send t ~src:host.me ~dst:t.dir_id
+      send t ~src:host.me ~dst:(Front.dir_id t.front)
         (Wire.Dir_update { epoch = new_epoch; members = members'; leader = None });
       t.on_dir_update ~epoch:new_epoch ~members:members' ~leader:None;
       (* A host in both configurations transfers state locally: its own
@@ -608,22 +621,14 @@ struct
        | Some cur when cur.provisional && cur.retired ->
          Hashtbl.remove host.instances inst.epoch
        | Some _ | None -> ());
-      (match inst.residual_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.residual_timer <- None
-       | None -> ())
+      inst.residual_timer <- cancel_timer t inst.residual_timer
     end
 
   and confirm_provisional t host inst =
     if inst.provisional then begin
       inst.provisional <- false;
       Counters.incr t.counters "prepare_confirms";
-      (match inst.prepare_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.prepare_timer <- None
-       | None -> ());
+      inst.prepare_timer <- cancel_timer t inst.prepare_timer;
       (* The configuration is authoritative now: advertise it for
          redirects, exactly as a wedge-time bootstrap would have. *)
       if inst.epoch > host.top_epoch then begin
@@ -662,7 +667,7 @@ struct
        [handle_bootstrap]. *)
     if
       members <> []
-      && Options.early_prepare t.opts
+      && t.opts.Options.strategy.Strategy.prepare = `Early
       && not (Hashtbl.mem host.instances epoch)
     then
       ignore
@@ -671,7 +676,7 @@ struct
 
   and maybe_prepare t host inst members' =
     if
-      Options.early_prepare t.opts
+      t.opts.Options.strategy.Strategy.prepare = `Early
       && members' <> []
       && inst.wedged_at = None
       && is_inst_leader inst
@@ -751,7 +756,8 @@ struct
      | `Await ->
        (* Speculative handoff: the instance begins ordering immediately,
           concurrently with state transfer. *)
-       if Options.speculative t.opts then start_replica t host inst;
+       if t.opts.Options.strategy.Strategy.handoff = `Speculative then
+         start_replica t host inst;
        start_fetch t host inst);
     inst
 
@@ -811,14 +817,10 @@ struct
             [
               ("epoch", string_of_int inst.epoch);
               ("local", if local then "1" else "0");
-              ("strategy", t.opts.Options.strategy.Rsmr_iface.Reconfig_strategy.name);
+              ("strategy", t.opts.Options.strategy.Strategy.name);
             ]
           "activated";
-      (match inst.fetch_timer with
-       | Some timer ->
-         Engine.cancel t.engine timer;
-         inst.fetch_timer <- None
-       | None -> ());
+      inst.fetch_timer <- cancel_timer t inst.fetch_timer;
       if inst.replica = None then start_replica t host inst;
       (* Execute everything the speculative instance ordered while the
          snapshot was in flight, in log order.  Sort by slot index only:
@@ -1019,67 +1021,6 @@ struct
     | Wire.Dir_update _ | Wire.Dir_lookup | Wire.Dir_info _ -> ()
   [@@rsmr.deterministic] [@@rsmr.total]
 
-  let dir_handler t (env : Wire.t Network.envelope) =
-    match env.Network.payload with
-    | Wire.Dir_update { epoch; members; leader } ->
-      Directory.update t.dir ~epoch ~members ~leader
-    | Wire.Dir_lookup ->
-      send t ~src:t.dir_id ~dst:env.Network.src
-        (Wire.Dir_info
-           {
-             epoch = Directory.epoch t.dir;
-             members = Directory.members t.dir;
-             leader = Directory.leader t.dir;
-           })
-    | _ -> ()
-  [@@rsmr.deterministic] [@@rsmr.total]
-
-  let client_handler _t record (env : Wire.t Network.envelope) =
-    match env.Network.payload with
-    | Wire.Client msg -> Endpoint.handle record.endpoint msg
-    | Wire.Dir_info { epoch; members; leader } -> (
-      match record.dir_k with
-      | Some k ->
-        record.dir_k <- None;
-        if members = [] then k None
-        else k (Some { Rsmr_app.Dir_app.epoch; members; leader })
-      | None -> ())
-    | _ -> ()
-  [@@rsmr.deterministic] [@@rsmr.total]
-
-  let add_client t cid =
-    if not (Hashtbl.mem t.clients cid) then begin
-      let rec record =
-        lazy
-          {
-            endpoint =
-              Endpoint.create ~engine:t.engine ~me:cid ~bus:t.bus
-                ~send:(fun ~dst msg ->
-                  send t ~src:cid ~dst (Wire.Client msg))
-                ~members:(Directory.members t.dir)
-                ~batch_window:t.opts.Options.client_batch_window
-                ~batch_max:t.opts.Options.client_batch_max
-                ~lookup:(fun k ->
-                  (Lazy.force record).dir_k <- Some k;
-                  send t ~src:cid ~dst:t.dir_id Wire.Dir_lookup)
-                ~on_reply:(fun ~seq ~rsp -> t.on_reply ~client:cid ~seq ~rsp)
-                ();
-            dir_k = None;
-          }
-      in
-      let record = Lazy.force record in
-      Hashtbl.replace t.clients cid record;
-      Network.register t.net cid (client_handler t record)
-    end
-
-  let reconfigure t members =
-    t.admin_seq <- t.admin_seq + 1;
-    (match Hashtbl.find_opt t.clients t.admin_id with
-     | Some record ->
-       Endpoint.submit record.endpoint ~seq:t.admin_seq
-         ~payload:(Client_msg.Change_membership members)
-     | None -> (* admin client is created with the service *) ())
-
   (* Whole-system canonical snapshot: every behaviour-bearing field of
      every host, instance, client and queued message, serialized through
      the codec with all hash tables walked in sorted key order.  This is
@@ -1139,16 +1080,7 @@ struct
           (fun _ inst -> encode_instance inst)
           host.instances)
       t.hosts;
-    W.varint w (Directory.epoch t.dir);
-    W.list w node (Directory.members t.dir);
-    W.option w node (Directory.leader t.dir);
-    W.varint w t.admin_seq;
-    Stable.iter_sorted ~compare:Node_id.compare
-      (fun id record ->
-        node w id;
-        W.string w (Endpoint.fingerprint record.endpoint);
-        W.bool w (Option.is_some record.dir_k))
-      t.clients;
+    Front.write_state w t.front;
     List.iter
       (fun (src, dst) ->
         node w src;
@@ -1172,24 +1104,21 @@ struct
     if List.assoc_opt "proto" (Obs.meta obs) = None then
       Obs.set_meta obs "proto" "core";
     let opts = Option.value options ~default:Options.default in
-    (match opts.Options.strategy.Rsmr_iface.Reconfig_strategy.driver with
+    (match opts.Options.strategy.Strategy.driver with
      | `Composition -> ()
      | `Native ->
        invalid_arg
          ("Service.create: strategy "
-         ^ opts.Options.strategy.Rsmr_iface.Reconfig_strategy.name
+         ^ opts.Options.strategy.Strategy.name
          ^ " has a native driver — it is a separate stack, not a Service \
             configuration"));
     (* The active strategy travels as registry metadata so every
        METRICS_*.json names it without out-of-band bookkeeping. *)
     Obs.set_meta obs "strategy"
-      opts.Options.strategy.Rsmr_iface.Reconfig_strategy.name;
+      opts.Options.strategy.Strategy.name;
     let smr_params = Option.value smr_params ~default:Rsmr_smr.Params.default in
     let universe = Option.value universe ~default:members in
     let universe = List.sort_uniq Node_id.compare (universe @ members) in
-    let top = List.fold_left max 0 universe in
-    let dir_id = top + 1 in
-    let admin_id = top + 2 in
     (* The tagger runs on every send, so classify tunnelled block payloads
        from their leading wire byte ([tag_of_encoded]) instead of a full
        decode, and intern the "block." ^ tag strings. *)
@@ -1217,12 +1146,10 @@ struct
         opts;
         smr_params;
         hosts = Hashtbl.create 32;
-        dir = Directory.create ();
-        dir_id;
-        admin_id;
-        admin_seq = 0;
-        clients = Hashtbl.create 16;
-        on_reply = (fun ~client:_ ~seq:_ ~rsp:_ -> ());
+        front =
+          Front.create ~engine ~net ~bus:(Obs.bus obs) ~wire:front_wire
+            ~universe ~batch_window:opts.Options.client_batch_window
+            ~batch_max:opts.Options.client_batch_max;
         on_dir_update = (fun ~epoch:_ ~members:_ ~leader:_ -> ());
         (* the service's flat counter table IS the registry's "svc"
            section: same live cells, picked up at export time *)
@@ -1238,7 +1165,7 @@ struct
             ~labels:
               [
                 ( "strategy",
-                  opts.Options.strategy.Rsmr_iface.Reconfig_strategy.name );
+                  opts.Options.strategy.Strategy.name );
               ];
       }
     in
@@ -1264,42 +1191,10 @@ struct
           (create_instance t host ~provisional:false ~epoch:0 ~members
              ~prev_members:[] ~boot:(`Active (Sm.init (), Session.create ()))))
       members;
-    Directory.update t.dir ~epoch:0 ~members ~leader:None;
-    Network.register t.net dir_id (dir_handler t);
-    add_client t admin_id;
+    Front.start t.front ~members;
     t
 
-  let cluster t =
-    {
-      Rsmr_iface.Cluster.name = "core";
-      engine = t.engine;
-      add_client = (fun cid -> add_client t cid);
-      submit =
-        (fun ~client ~seq ~cmd ->
-          match Hashtbl.find_opt t.clients client with
-          | Some record ->
-            Endpoint.submit record.endpoint ~seq
-              ~payload:(Client_msg.Cmd cmd)
-          | None -> invalid_arg "submit: unknown client (call add_client)");
-      set_on_reply = (fun h -> t.on_reply <- h);
-      reconfigure = (fun members -> reconfigure t members);
-      members = (fun () -> Directory.members t.dir);
-      crash = (fun node -> Network.crash t.net node);
-      recover = (fun node -> Network.recover t.net node);
-      control =
-        {
-          Rsmr_iface.Overlay.fault =
-            (fun f ->
-              match (f : Rsmr_iface.Overlay.fault) with
-              | Rsmr_iface.Overlay.Crash n -> Network.crash t.net n
-              | Rsmr_iface.Overlay.Recover n -> Network.recover t.net n
-              | Rsmr_iface.Overlay.Partition groups ->
-                Network.partition t.net groups
-              | Rsmr_iface.Overlay.Heal -> Network.heal t.net);
-          reconfigure = (fun members -> reconfigure t members);
-        };
-      obs = t.obs;
-    }
+  let cluster t = Front.cluster t.front ~name:"core" ~obs:t.obs
 end
 
 module Make (Sm : Rsmr_app.State_machine.S) = Make_on (Rsmr_smr.Paxos_block) (Sm)

@@ -5,6 +5,7 @@ module Network = Rsmr_net.Network
 module Driver = Rsmr_workload.Driver
 module History = Rsmr_checker.History
 module Cluster = Rsmr_iface.Cluster
+module Overlay = Rsmr_iface.Overlay
 module Service = Rsmr_core.Service
 module Options = Rsmr_core.Options
 module Register = Rsmr_app.Register
@@ -58,13 +59,11 @@ let workload_start = 0.2
 let quiesce_grace = 30.0
 let settle_grace = 10.0
 
-(* Uniform face over the three stacks: the cluster interface carries
-   submit/reconfigure/crash/recover, everything else (partitions, link
+(* Uniform face over the stacks: the cluster's [control] carries
+   crash/recover/partition/heal/reconfigure, everything else (link
    faults, storm dials, state introspection) goes through these hooks. *)
 type stack = {
   cluster : Cluster.t;
-  partition : int list list -> unit;
-  net_heal : unit -> unit;
   set_link : src:int -> dst:int -> drop:float -> unit;
   clear_links : unit -> unit;
   set_duplicate : float -> unit;
@@ -88,8 +87,6 @@ let make_stack engine (proto : proto) (sc : Scenario.t) =
     {
       cluster =
         { (MixedCore.cluster svc) with Cluster.name = proto_name proto };
-      partition = (fun groups -> Network.partition net groups);
-      net_heal = (fun () -> Network.heal net);
       set_link =
         (fun ~src ~dst ~drop -> Network.set_link_fault net ~src ~dst ~drop);
       clear_links = (fun () -> Network.clear_link_faults net);
@@ -100,7 +97,7 @@ let make_stack engine (proto : proto) (sc : Scenario.t) =
       stats_of = (fun n -> MixedCore.epoch_stats svc n);
       svc_counters = MixedCore.counters svc;
       (* The admin client id is allocated right above the directory id
-         (Service.create's documented convention, shared by Raft). *)
+         (Rsmr_core.Front's convention, so the same under Raft). *)
       service_ids = [ dir; dir + 1 ];
     }
   | `Native ->
@@ -112,8 +109,6 @@ let make_stack engine (proto : proto) (sc : Scenario.t) =
     let dir = MixedRaft.directory_id svc in
     {
       cluster = MixedRaft.cluster svc;
-      partition = (fun groups -> Network.partition net groups);
-      net_heal = (fun () -> Network.heal net);
       set_link =
         (fun ~src ~dst ~drop -> Network.set_link_fault net ~src ~dst ~drop);
       clear_links = (fun () -> Network.clear_link_faults net);
@@ -132,16 +127,16 @@ let make_stack engine (proto : proto) (sc : Scenario.t) =
 let apply_fault stack ~non_replica fault =
   let control = stack.cluster.Cluster.control in
   match (fault : Scenario.fault) with
-  | Scenario.Crash n -> Rsmr_iface.Overlay.crash control n
-  | Scenario.Recover n -> Rsmr_iface.Overlay.recover control n
+  | Scenario.Crash n -> Overlay.crash control n
+  | Scenario.Recover n -> Overlay.recover control n
   | Scenario.Partition groups ->
-    stack.partition (List.map (fun g -> g @ non_replica) groups)
-  | Scenario.Heal -> stack.net_heal ()
+    Overlay.partition control (List.map (fun g -> g @ non_replica) groups)
+  | Scenario.Heal -> Overlay.heal control
   | Scenario.Link_fault { src; dst; drop } -> stack.set_link ~src ~dst ~drop
   | Scenario.Clear_links -> stack.clear_links ()
   | Scenario.Duplicate p -> stack.set_duplicate p
   | Scenario.Drop p -> stack.set_drop p
-  | Scenario.Reconfigure target -> Rsmr_iface.Overlay.reconfigure control target
+  | Scenario.Reconfigure target -> Overlay.reconfigure control target
 
 (* Small value domains keep the linearizability search cheap: 8 register
    values, 3 keys × 8 values, increments of 1–3. *)
@@ -185,15 +180,14 @@ let run proto (sc : Scenario.t) =
   (* Endgame: whatever the script left broken is repaired once the issue
      window closes, so every scenario eventually quiesces and the safety
      oracles judge a settled system. *)
+  let control = stack.cluster.Cluster.control in
   ignore
     (Engine.at engine ~time:t_end (fun () ->
-         stack.net_heal ();
+         Overlay.heal control;
          stack.clear_links ();
          stack.set_duplicate 0.0;
          stack.set_drop 0.0;
-         List.iter
-           (fun n -> Rsmr_iface.Overlay.recover stack.cluster.Cluster.control n)
-           sc.Scenario.universe));
+         List.iter (fun n -> Overlay.recover control n) sc.Scenario.universe));
   let history = History.create () in
   let acked_incr = ref 0 in
   let on_event (e : Driver.event) =

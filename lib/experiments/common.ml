@@ -33,7 +33,8 @@ let all_protos =
 (* Ablations are anonymous strategy records: the composed stages with one
    dial flipped — exactly what the strategy API is for. *)
 let strategy_of = function
-  | Core | Core_vr | Raft -> Strategy.composed
+  | Core | Core_vr -> Strategy.composed
+  | Raft -> Strategy.raft
   | Matchmaker -> Strategy.matchmaker
   | Core_nospec ->
     { Strategy.composed with
@@ -54,7 +55,6 @@ type setup = {
   cluster : Rsmr_iface.Cluster.t;
   leader : unit -> Node_id.t option;
   kv_state : Node_id.t -> Rsmr_app.Kv.t option;
-  debug : Node_id.t -> string;
 }
 
 let core_options proto chunk_size =
@@ -66,8 +66,7 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
   match proto with
   | Core | Matchmaker | Core_nospec | Core_noresidual | Stopworld ->
     (* Stopworld is the core composition with both overlap optimizations
-       disabled (same semantics as Rsmr_baselines.Stop_the_world, built
-       directly so leader/state introspection stays available). *)
+       disabled: a strategy value, not a separate stack. *)
     let svc =
       KvCore.create ~engine ?latency ?drop ?bandwidth
         ~options:(core_options proto chunk_size) ~universe ~members ()
@@ -80,7 +79,6 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
       cluster;
       leader = (fun () -> KvCore.current_leader svc);
       kv_state = (fun node -> KvCore.app_state svc node);
-      debug = (fun _ -> "");
     }
   | Core_vr ->
     let svc =
@@ -95,7 +93,6 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
       cluster;
       leader = (fun () -> KvCoreVr.current_leader svc);
       kv_state = (fun node -> KvCoreVr.app_state svc node);
-      debug = (fun _ -> "");
     }
   | Raft ->
     let svc = KvRaft.create ~engine ?latency ?drop ?bandwidth ~universe ~members () in
@@ -104,7 +101,6 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
       cluster = KvRaft.cluster svc;
       leader = (fun () -> KvRaft.leader svc);
       kv_state = (fun node -> KvRaft.app_state svc node);
-      debug = (fun node -> KvRaft.debug_dump svc node);
     }
 
 let run_to setup time = Engine.run ~until:time setup.engine
@@ -157,5 +153,3 @@ let throughput_in (stats : Driver.stats) ~from_ ~until =
   float_of_int count /. (until -. from_)
 
 let default_universe n = List.init n Fun.id
-
-let raft_debug setup node = setup.debug node

@@ -18,15 +18,15 @@ val all_protos : proto list
 val strategy_of : proto -> Rsmr_iface.Reconfig_strategy.t
 (** The {!Rsmr_iface.Reconfig_strategy} the proto selects.  Ablation
     protos map to anonymous strategy records (the composed stages with
-    one dial flipped); [Raft] maps to the composed default — its native
-    stack ignores strategy options. *)
+    one dial flipped); [Core_vr] runs the composed default over the VR
+    block; [Raft] maps to the native {!Rsmr_iface.Reconfig_strategy.raft}
+    (its own stack, never a Service option set). *)
 
 type setup = {
   engine : Rsmr_sim.Engine.t;
   cluster : Rsmr_iface.Cluster.t;
   leader : unit -> Rsmr_net.Node_id.t option;
   kv_state : Rsmr_net.Node_id.t -> Rsmr_app.Kv.t option;
-  debug : Rsmr_net.Node_id.t -> string;  (** protocol-internal dump, tests/debug *)
 }
 
 val make :
@@ -67,5 +67,3 @@ val throughput_in : Rsmr_workload.Driver.stats -> from_:float -> until:float -> 
 
 val default_universe : int -> Rsmr_net.Node_id.t list
 (** [0 .. n-1]. *)
-
-val raft_debug : setup -> Rsmr_net.Node_id.t -> string

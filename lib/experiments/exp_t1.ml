@@ -51,7 +51,8 @@ let run_one proto ~n_cmds =
   (* Reconfiguration phase: one membership rotation under no load. *)
   let rc0_m, rc0_b = snapshot cluster in
   let t_rc0 = Engine.now setup.Common.engine in
-  cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5; 6; 7 ];
+  Rsmr_iface.Overlay.reconfigure cluster.Rsmr_iface.Cluster.control
+    [ 3; 4; 5; 6; 7 ];
   (match
      Common.wait_for_live setup ~target:[ 3; 4; 5; 6; 7 ]
        ~deadline:(t_rc0 +. 60.0)

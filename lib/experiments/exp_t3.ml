@@ -35,9 +35,8 @@ let run_one proto ~seed =
      mid-wedge / mid-transfer. *)
   let crash_time = t_rc +. 0.05 in
   Schedule.at setup.Common.cluster ~time:crash_time (fun () ->
-      match setup.Common.leader () with
-      | Some l -> setup.Common.cluster.Rsmr_iface.Cluster.crash l
-      | None -> setup.Common.cluster.Rsmr_iface.Cluster.crash 0);
+      Rsmr_iface.Overlay.crash setup.Common.cluster.Rsmr_iface.Cluster.control
+        (Option.value (setup.Common.leader ()) ~default:0));
   let completion =
     Common.wait_for_live setup ~target:[ 3; 4; 5 ] ~deadline:(t_rc +. 90.0)
   in

@@ -7,10 +7,7 @@ type t = {
   add_client : Rsmr_net.Node_id.t -> unit;
   submit : client:Rsmr_net.Node_id.t -> seq:int -> cmd:string -> unit;
   set_on_reply : reply_handler -> unit;
-  reconfigure : Rsmr_net.Node_id.t list -> unit;
   members : unit -> Rsmr_net.Node_id.t list;
-  crash : Rsmr_net.Node_id.t -> unit;
-  recover : Rsmr_net.Node_id.t -> unit;
   control : Overlay.control;
   obs : Rsmr_obs.Registry.t;
 }

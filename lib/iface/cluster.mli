@@ -1,11 +1,13 @@
 (** The uniform face every replication protocol in this repository exposes
     to workloads, benchmarks and correctness checkers.
 
-    Protocols differ wildly inside (composed static Paxos instances, native
-    Raft, stop-the-world restarts) but all of them can: accept a command
-    from a client session, reply asynchronously, change membership, and
-    suffer injected faults.  Expressing that as a record of closures keeps
-    the experiment drivers protocol-agnostic without functor plumbing. *)
+    Protocols differ wildly inside (composed static instances under any
+    reconfiguration strategy, native Raft) but all of them can: accept a
+    command from a client session, reply asynchronously, change
+    membership, and suffer injected faults.  Expressing that as a record
+    of closures keeps the experiment drivers protocol-agnostic without
+    functor plumbing.  The single-service stacks build this record in
+    one place, [Rsmr_core.Front]. *)
 
 type reply_handler =
   client:Rsmr_net.Node_id.t -> seq:int -> rsp:string -> unit
@@ -21,23 +23,16 @@ type t = {
           at-most-once per (client, seq) and replies via [set_on_reply].
           Retries of the same (client, seq) are safe. *)
   set_on_reply : reply_handler -> unit;
-  reconfigure : Rsmr_net.Node_id.t list -> unit;
-      (** Ask the service to move to the given member set.
-          @deprecated Use [control.reconfigure] ({!Overlay.control}) — the
-          field remains so existing constructors keep compiling, but new
-          call sites should go through [control]. *)
   members : unit -> Rsmr_net.Node_id.t list;
       (** Current (believed) member set. *)
-  crash : Rsmr_net.Node_id.t -> unit;
-      (** @deprecated Use [control.fault (Crash n)] ({!Overlay.control}). *)
-  recover : Rsmr_net.Node_id.t -> unit;
-      (** @deprecated Use [control.fault (Recover n)]
-          ({!Overlay.control}). *)
   control : Overlay.control;
-      (** The unified fault-injection / control surface ({!Overlay}),
-          shared verbatim with {!Rsmr_shard}'s platform.  [Partition] and
-          [Heal] here split and repair replica↔replica connectivity on
-          the service's own network. *)
+      (** The one fault-injection and membership surface ({!Overlay}),
+          shared verbatim with {!Rsmr_shard}'s platform: crash, recover,
+          partition and heal nodes, and [reconfigure] to a new member
+          set.  On a single service [Partition] and [Heal] split and
+          repair connectivity on the service's own network; use the
+          {!Overlay} wrappers ([Overlay.crash c.control n], ...) at call
+          sites. *)
   obs : Rsmr_obs.Registry.t;
       (** The run's Observatory registry.  Network accounting lives in the
           attached ["net"] section and protocol-level accounting in

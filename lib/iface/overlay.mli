@@ -1,8 +1,8 @@
 (** The one fault-injection / control surface every overlay presents.
 
     Single-service clusters ({!Cluster.t}) and the sharded platform
-    historically exposed differently-named crash/partition/reconfigure
-    entry points; harnesses now drive both through a [control] value.
+    expose no other crash/partition/reconfigure entry points: harnesses
+    drive both through a [control] value.
     What a fault {e means} is the overlay's business — e.g. [Partition]
     splits replica links on a single service but cuts only the
     directory overlay on the platform (machine-level crashes already

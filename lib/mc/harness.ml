@@ -356,12 +356,12 @@ let apply t choice =
      | None -> raise (Divergent choice))
    | Choice.Crash n ->
      if List.mem n t.crashed then raise (Divergent choice);
-     t.cluster.Rsmr_iface.Cluster.crash n;
+     Rsmr_iface.Overlay.crash t.cluster.Rsmr_iface.Cluster.control n;
      t.crashed <- List.sort Int.compare (n :: t.crashed);
      t.crashes_used <- t.crashes_used + 1
    | Choice.Recover n ->
      if not (List.mem n t.crashed) then raise (Divergent choice);
-     t.cluster.Rsmr_iface.Cluster.recover n;
+     Rsmr_iface.Overlay.recover t.cluster.Rsmr_iface.Cluster.control n;
      t.crashed <- List.filter (fun m -> m <> n) t.crashed
    | Choice.Client_op { op } ->
      if op <> t.commands_used then raise (Divergent choice);
@@ -371,7 +371,8 @@ let apply t choice =
    | Choice.Reconfig { r } ->
      if r <> t.reconfigs_used then raise (Divergent choice);
      t.reconfigs_used <- t.reconfigs_used + 1;
-     t.cluster.Rsmr_iface.Cluster.reconfigure (Scope.reconfig_members t.scope r));
+     Rsmr_iface.Overlay.reconfigure t.cluster.Rsmr_iface.Cluster.control
+       (Scope.reconfig_members t.scope r));
   observe t
 
 let replay ~proto ~scope ~mutate choices =

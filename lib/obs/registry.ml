@@ -143,10 +143,7 @@ let counters t name =
     Hashtbl.add t.secs name c;
     c
 
-let attach t name c =
-  check_token "section name" name;
-  Hashtbl.replace t.secs name c
-
+(* Attached sections, sorted by name. *)
 let sections t =
   Stable.fold_sorted ~compare:String.compare
     (fun name c acc -> (name, c) :: acc)

@@ -92,13 +92,6 @@ val counters : t -> string -> Rsmr_sim.Counters.t
     [Counters] API (including [Counters.handle]) and the registry picks
     the values up at export time. *)
 
-val attach : t -> string -> Rsmr_sim.Counters.t -> unit
-(** Attach an existing counter table as section [name], replacing any
-    previous section of that name. *)
-
-val sections : t -> (string * Rsmr_sim.Counters.t) list
-(** Attached sections, sorted by name. *)
-
 (** {1 Aggregation and export} *)
 
 val merge : t -> t -> t

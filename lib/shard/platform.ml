@@ -52,23 +52,7 @@ module type S = sig
   val dir_epoch_regressions : t -> int
   val first_client_id : t -> Node_id.t
   val control : t -> Rsmr_iface.Overlay.control
-
-  val crash : t -> Node_id.t -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.crash"]
-
-  val recover : t -> Node_id.t -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.recover"]
-
-  val partition_dir : t -> Node_id.t list list -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.partition"]
-
   val isolate_dir : t -> Node_id.t list -> unit
-
-  val heal_dir : t -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.heal"]
-
-  val reconfigure_dir : t -> Node_id.t list -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.reconfigure"]
 
   val rebalance :
     t ->
@@ -181,16 +165,6 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
       let s = Keyspace.shard_of t.keyspace (key_of_command cmd) in
       Endpoint.submit r.eps.(s) ~seq ~payload:(Client_msg.Cmd cmd)
 
-  let crash t node =
-    Array.iter (fun sh -> Network.crash (Shard_svc.net sh.svc) node) t.shards;
-    Network.crash (Dir_svc.net t.dir_svc) node
-
-  let recover t node =
-    Array.iter (fun sh -> Network.recover (Shard_svc.net sh.svc) node) t.shards;
-    Network.recover (Dir_svc.net t.dir_svc) node
-
-  let partition_dir t groups = Network.partition (Dir_svc.net t.dir_svc) groups
-
   (* Cut [ns] away from the rest of the directory overlay.  The overlay's
      auxiliary ids (oracle node, admin session, the platform's directory
      session) ride with the majority side — a node absent from every
@@ -200,26 +174,30 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
     let aux = [ d; d + 1; t.top + 3 ] in
     let out id = List.exists (Node_id.equal id) ns in
     let rest = List.filter (fun id -> not (out id)) (t.pool @ aux) in
-    partition_dir t [ ns; rest ]
-
-  let heal_dir t = Network.heal (Dir_svc.net t.dir_svc)
-
-  let reconfigure_dir t members =
-    (Dir_svc.cluster t.dir_svc).Rsmr_iface.Cluster.reconfigure members
+    Network.partition (Dir_svc.net t.dir_svc) [ ns; rest ]
 
   (* The platform's control surface: crashes are machine-level (every
      overlay at once), partition/heal act on the directory overlay (the
      shard overlays are exercised through rebalance + machine faults),
      and reconfigure moves the directory service itself. *)
   let control t =
+    let dir_net = Dir_svc.net t.dir_svc in
+    let every_overlay f node =
+      Array.iter (fun sh -> f (Shard_svc.net sh.svc) node) t.shards;
+      f dir_net node
+    in
     {
       Rsmr_iface.Overlay.fault =
         (function
-          | Rsmr_iface.Overlay.Crash n -> crash t n
-          | Rsmr_iface.Overlay.Recover n -> recover t n
-          | Rsmr_iface.Overlay.Partition groups -> partition_dir t groups
-          | Rsmr_iface.Overlay.Heal -> heal_dir t);
-      reconfigure = (fun ms -> reconfigure_dir t ms);
+          | Rsmr_iface.Overlay.Crash n -> every_overlay Network.crash n
+          | Rsmr_iface.Overlay.Recover n -> every_overlay Network.recover n
+          | Rsmr_iface.Overlay.Partition groups ->
+            Network.partition dir_net groups
+          | Rsmr_iface.Overlay.Heal -> Network.heal dir_net);
+      reconfigure =
+        (fun ms ->
+          Rsmr_iface.Overlay.reconfigure
+            (Dir_svc.cluster t.dir_svc).Rsmr_iface.Cluster.control ms);
     }
 
   let cluster t =
@@ -229,11 +207,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
       add_client = (fun cid -> add_client t cid);
       submit = (fun ~client ~seq ~cmd -> submit t ~client ~seq ~cmd);
       set_on_reply = (fun h -> t.on_reply <- h);
-      reconfigure =
-        (fun _ -> invalid_arg "Platform: use rebalance, not reconfigure");
       members = (fun () -> t.pool);
-      crash = (fun node -> crash t node);
-      recover = (fun node -> recover t node);
       control = control t;
       obs = t.obs;
     }
@@ -264,7 +238,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
                  wait_past sh e0 (rounds - 1) k))
       in
       let e_from = Shard_svc.current_epoch fs.svc in
-      fs.ctl.Rsmr_iface.Cluster.reconfigure
+      Rsmr_iface.Overlay.reconfigure fs.ctl.Rsmr_iface.Cluster.control
         (List.filter (fun m -> not (Node_id.equal m node)) from_members);
       wait_past fs e_from 400 (fun ok ->
           if not ok then begin
@@ -276,7 +250,8 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
             if List.exists (Node_id.equal node) to_members then on_done false
             else begin
               let e_to = Shard_svc.current_epoch ts.svc in
-              ts.ctl.Rsmr_iface.Cluster.reconfigure (to_members @ [ node ]);
+              Rsmr_iface.Overlay.reconfigure ts.ctl.Rsmr_iface.Cluster.control
+                (to_members @ [ node ]);
               wait_past ts e_to 400 (fun ok ->
                   if not ok then Counters.incr t.counters "rebalance_stalled"
                   else Counters.incr t.counters "rebalances_done";

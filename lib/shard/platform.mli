@@ -55,8 +55,8 @@ module type S = sig
 
   val cluster : t -> Rsmr_iface.Cluster.t
   (** Workload facade: [submit] decodes the command's key and routes to
-      the owning shard's endpoint.  [reconfigure] is not meaningful for
-      the whole platform and raises — use {!rebalance}. *)
+      the owning shard's endpoint.  Its [control] is {!control}: moving a
+      shard is {!rebalance}, not a membership change. *)
 
   val engine : t -> Rsmr_sim.Engine.t
   val obs : t -> Rsmr_obs.Registry.t
@@ -87,35 +87,18 @@ module type S = sig
       uniformly.  [Crash]/[Recover] are {e machine}-level (the node goes
       down in every overlay at once); [Partition]/[Heal] act on the
       directory overlay only; [reconfigure] moves the directory service
-      itself onto new pool nodes. *)
-
-  val crash : t -> Rsmr_net.Node_id.t -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.crash"]
-  (** Crash the {e machine}: the node goes down in every overlay it
-      appears in (all shards and the directory) at once. *)
-
-  val recover : t -> Rsmr_net.Node_id.t -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.recover"]
-
-  val partition_dir : t -> Rsmr_net.Node_id.t list list -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.partition"]
-  (** Partition the directory overlay only — shard data paths keep
-      flowing; lookups stall until {!heal_dir}.  Raw form: the caller
-      must place the overlay's auxiliary ids (oracle node, sessions)
-      into groups itself; prefer {!isolate_dir}. *)
+      itself onto new pool nodes.  A [Partition] is raw: the caller
+      places the directory overlay's auxiliary ids (oracle node,
+      sessions) into groups itself; prefer {!isolate_dir}.  Shard data
+      paths keep flowing under a directory partition; lookups stall
+      until [Heal]. *)
 
   val isolate_dir : t -> Rsmr_net.Node_id.t list -> unit
   (** Cut the given pool nodes away from the rest of the directory
       overlay (auxiliary ids stay with the majority side).  Isolating
       every current directory member blacks the directory out for
-      clients while keeping its replicas mutually connected. *)
-
-  val heal_dir : t -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.heal"]
-
-  val reconfigure_dir : t -> Rsmr_net.Node_id.t list -> unit
-  [@@ocaml.deprecated "use control / Rsmr_iface.Overlay.reconfigure"]
-  (** Reconfigure the directory service itself onto new pool nodes. *)
+      clients while keeping its replicas mutually connected; undo with
+      [Heal] on {!control}. *)
 
   val rebalance :
     t ->

@@ -1,17 +1,13 @@
 module Engine = Rsmr_sim.Engine
 module Cluster = Rsmr_iface.Cluster
+module Overlay = Rsmr_iface.Overlay
 
 let at (cluster : Cluster.t) ~time f =
   ignore (Engine.at cluster.Cluster.engine ~time f)
 
 let reconfigure_at cluster ~time members =
-  at cluster ~time (fun () -> cluster.Cluster.reconfigure members)
-
-let crash_at cluster ~time node =
-  at cluster ~time (fun () -> cluster.Cluster.crash node)
-
-let recover_at cluster ~time node =
-  at cluster ~time (fun () -> cluster.Cluster.recover node)
+  at cluster ~time (fun () ->
+      Overlay.reconfigure cluster.Cluster.control members)
 
 let rolling_plan ~universe ~size ~step =
   let n = List.length universe in

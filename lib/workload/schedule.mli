@@ -5,9 +5,10 @@ val at : Rsmr_iface.Cluster.t -> time:float -> (unit -> unit) -> unit
 
 val reconfigure_at :
   Rsmr_iface.Cluster.t -> time:float -> Rsmr_net.Node_id.t list -> unit
-
-val crash_at : Rsmr_iface.Cluster.t -> time:float -> Rsmr_net.Node_id.t -> unit
-val recover_at : Rsmr_iface.Cluster.t -> time:float -> Rsmr_net.Node_id.t -> unit
+(** Submit a membership change through the cluster's
+    {!Rsmr_iface.Overlay.control} at an absolute simulation time.  Faults
+    are scheduled the same way: [at c ~time (fun () ->
+    Rsmr_iface.Overlay.crash c.control n)]. *)
 
 val rolling_plan :
   universe:Rsmr_net.Node_id.t list ->

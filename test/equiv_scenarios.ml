@@ -61,7 +61,7 @@ let batched_churn =
 
 let generated_seeds = [ 3; 11; 42 ]
 
-(* (label, scenario) pairs, run under core and stopworld. *)
+(* (label, scenario) pairs, run under every protocol in [service_protos]. *)
 let corpus =
   [
     ("concurrent_reconf", concurrent_reconf);
@@ -151,7 +151,7 @@ let churn_digest proto seed ~storm =
    [protos] names runner protocols by string so this module stays valid
    across the strategy refactor: the recorder and the test both resolve
    names through [Runner.proto_of_string]. *)
-let service_protos = [ "core"; "stopworld" ]
+let service_protos = [ "core"; "stopworld"; "matchmaker"; "raft" ]
 
 let all_lines () =
   let service =

@@ -10,7 +10,6 @@ module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 module RegCore = Rsmr_core.Service.Make (Rsmr_app.Register)
 module RegCoreVr = Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Rsmr_app.Register)
-module RegStopworld = Rsmr_baselines.Stop_the_world.Make (Rsmr_app.Register)
 module RegRaft = Rsmr_baselines.Raft.Make (Rsmr_app.Register)
 
 let op ~client ~cmd ~rsp ~invoked ~replied =
@@ -234,8 +233,14 @@ let test_core_linearizable () =
 
 let test_stopworld_linearizable () =
   live_check ~name:"stopworld" ~make_cluster:(fun engine ->
-      RegStopworld.cluster
-        (RegStopworld.create ~engine ~members:[ 0; 1; 2 ]
+      let options =
+        {
+          Rsmr_core.Options.default with
+          Rsmr_core.Options.strategy = Rsmr_iface.Reconfig_strategy.stopworld;
+        }
+      in
+      RegCore.cluster
+        (RegCore.create ~engine ~options ~members:[ 0; 1; 2 ]
            ~universe:[ 0; 1; 2; 3; 4; 5 ] ()))
 
 let test_raft_linearizable () =

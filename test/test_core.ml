@@ -17,6 +17,13 @@ module Wire = Rsmr_core.Wire
 module KvService = Rsmr_core.Service.Make (Rsmr_app.Kv)
 module CtrService = Rsmr_core.Service.Make (Rsmr_app.Counter)
 
+(* Faults and membership changes go through the cluster's control
+   surface. *)
+let crash (c : Rsmr_iface.Cluster.t) =
+  Rsmr_iface.Overlay.crash c.Rsmr_iface.Cluster.control
+let reconfigure (c : Rsmr_iface.Cluster.t) =
+  Rsmr_iface.Overlay.reconfigure c.Rsmr_iface.Cluster.control
+
 (* --- plumbing units --- *)
 
 let test_envelope_roundtrip () =
@@ -310,7 +317,7 @@ let test_reconfigure_overlapping () =
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("stable", "yes"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
   (* Swap replica 2 for replica 3. *)
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 0; 1; 3 ];
+  reconfigure h.cluster [ 0; 1; 3 ];
   run_until h ~deadline:15.0 (fun () -> KvService.current_epoch h.svc = 1);
   Alcotest.(check (list int)) "directory view" [ 0; 1; 3 ]
     (List.sort compare (KvService.current_members h.svc));
@@ -337,7 +344,7 @@ let test_reconfigure_disjoint () =
     submit_kv h ~client:c1 ~seq:i (Kv.Put (Printf.sprintf "k%d" i, string_of_int i))
   done;
   run_until h ~deadline:10.0 (fun () -> has_reply h ~client:c1 ~seq:10);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  reconfigure h.cluster [ 3; 4; 5 ];
   run_until h ~deadline:30.0 (fun () -> KvService.current_epoch h.svc = 1);
   (* All data must be readable through the new configuration. *)
   submit_kv h ~client:c1 ~seq:11 (Kv.Get "k7");
@@ -364,7 +371,7 @@ let test_commands_during_reconfig_not_lost () =
   (* Reconfig at t0+0.05; writes stream from t0 to t0+0.5 every 25 ms. *)
   ignore
     (Engine.schedule h.engine ~delay:0.05 (fun () ->
-         h.cluster.Rsmr_iface.Cluster.reconfigure [ 2; 3; 4 ]));
+         reconfigure h.cluster [ 2; 3; 4 ]));
   for i = 0 to 19 do
     ignore
       (Engine.schedule h.engine
@@ -407,7 +414,7 @@ let test_chained_reconfigs_rolling_replace () =
   let steps = [ [ 1; 2; 3 ]; [ 2; 3; 4 ]; [ 3; 4; 5 ] ] in
   List.iteri
     (fun i members ->
-      h.cluster.Rsmr_iface.Cluster.reconfigure members;
+      reconfigure h.cluster members;
       run_until h ~deadline:(60.0 +. (float_of_int i *. 30.0)) (fun () ->
           KvService.current_epoch h.svc = i + 1))
     steps;
@@ -441,7 +448,7 @@ let test_non_speculative_mode () =
   in
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("a", "1"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  reconfigure h.cluster [ 3; 4; 5 ];
   run_until h ~deadline:60.0 (fun () -> KvService.current_epoch h.svc = 1);
   submit_kv h ~client:c1 ~seq:2 (Kv.Get "a");
   run_until h ~deadline:90.0 (fun () -> has_reply h ~client:c1 ~seq:2);
@@ -458,12 +465,12 @@ let test_crash_old_leader_mid_reconfig () =
   in
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("x", "42"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  reconfigure h.cluster [ 3; 4; 5 ];
   (* Give the reconfig a moment to be decided, then crash node 0 (whatever
      its role: worst case it was the old leader serving the snapshot). *)
   ignore
     (Engine.schedule h.engine ~delay:0.3 (fun () ->
-         h.cluster.Rsmr_iface.Cluster.crash 0));
+         crash h.cluster 0));
   run_until h ~deadline:90.0 (fun () -> KvService.current_epoch h.svc = 1);
   submit_kv h ~client:c1 ~seq:2 (Kv.Get "x");
   run_until h ~deadline:120.0 (fun () -> has_reply h ~client:c1 ~seq:2);
@@ -480,7 +487,7 @@ let test_client_follows_reconfig_via_directory () =
   in
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("here", "before"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  reconfigure h.cluster [ 3; 4; 5 ];
   run_until h ~deadline:60.0 (fun () -> KvService.current_epoch h.svc = 1);
   (* Let retirement land so old nodes are truly out of the service path. *)
   run_until h ~deadline:90.0 (fun () ->
@@ -497,11 +504,11 @@ let test_grow_and_shrink () =
   in
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("n", "3"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 0; 1; 2; 3; 4 ];
+  reconfigure h.cluster [ 0; 1; 2; 3; 4 ];
   run_until h ~deadline:30.0 (fun () -> KvService.current_epoch h.svc = 1);
   submit_kv h ~client:c1 ~seq:2 (Kv.Put ("n", "5"));
   run_until h ~deadline:40.0 (fun () -> has_reply h ~client:c1 ~seq:2);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 1; 3 ];
+  reconfigure h.cluster [ 1; 3 ];
   run_until h ~deadline:70.0 (fun () -> KvService.current_epoch h.svc = 2);
   submit_kv h ~client:c1 ~seq:3 (Kv.Get "n");
   run_until h ~deadline:90.0 (fun () -> has_reply h ~client:c1 ~seq:3);
@@ -518,10 +525,10 @@ let test_rapid_double_reconfigure () =
   in
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("a", "1"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 1; 2; 3 ];
+  reconfigure h.cluster [ 1; 2; 3 ];
   ignore
     (Engine.schedule h.engine ~delay:0.01 (fun () ->
-         h.cluster.Rsmr_iface.Cluster.reconfigure [ 2; 3; 4 ]));
+         reconfigure h.cluster [ 2; 3; 4 ]));
   run_until h ~deadline:90.0 (fun () -> KvService.current_epoch h.svc = 2);
   (* The two requests were pipelined, so either may be ordered first; the
      loser is deduplicated, never half-applied. *)
@@ -583,7 +590,7 @@ let test_deterministic_replay () =
     done;
     ignore
       (Engine.schedule h.engine ~delay:0.4 (fun () ->
-           h.cluster.Rsmr_iface.Cluster.reconfigure [ 0; 1; 3 ]));
+           reconfigure h.cluster [ 0; 1; 3 ]));
     Engine.run ~until:20.0 h.engine;
     ( Engine.events_executed h.engine,
       Counters.to_list (KvService.counters h.svc),
@@ -637,10 +644,10 @@ let prop_bank_conservation_across_faults =
       done;
       ignore
         (Engine.schedule engine ~delay:reconfig_at (fun () ->
-             cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ]));
+             reconfigure cluster [ 3; 4; 5 ]));
       ignore
         (Engine.schedule engine ~delay:(reconfig_at +. 0.1) (fun () ->
-             cluster.Rsmr_iface.Cluster.crash (seed mod 3)));
+             crash cluster (seed mod 3)));
       Engine.run ~until:120.0 engine;
       (* Every new member must converge to exactly the opened sum: transfers
          move money but never mint or burn it.  Old members may legitimately
@@ -690,7 +697,7 @@ let prop_exactly_once_across_reconfig =
       done;
       ignore
         (Engine.schedule engine ~delay:reconfig_at (fun () ->
-             cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ]));
+             reconfigure cluster [ 3; 4; 5 ]));
       Engine.run ~until:120.0 engine;
       let all_acked = List.for_all (fun i -> Hashtbl.mem replies i) (List.init n (fun i -> i + 1)) in
       let state_ok =

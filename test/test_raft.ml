@@ -12,6 +12,13 @@ module Raft_msg = Rsmr_baselines.Raft_msg
 module KvRaft = Rsmr_baselines.Raft.Make (Rsmr_app.Kv)
 module CtrRaft = Rsmr_baselines.Raft.Make (Rsmr_app.Counter)
 
+(* Faults and membership changes go through the cluster's control
+   surface. *)
+let crash (c : Rsmr_iface.Cluster.t) =
+  Rsmr_iface.Overlay.crash c.Rsmr_iface.Cluster.control
+let reconfigure (c : Rsmr_iface.Cluster.t) =
+  Rsmr_iface.Overlay.reconfigure c.Rsmr_iface.Cluster.control
+
 (* --- log units --- *)
 
 let entry term payload = { Raft_log.term; payload }
@@ -188,7 +195,7 @@ let test_leader_crash_failover () =
   let l0 =
     match KvRaft.leader h.svc with Some l -> l | None -> Alcotest.fail "no leader"
   in
-  h.cluster.Rsmr_iface.Cluster.crash l0;
+  crash h.cluster l0;
   submit h ~client:c1 ~seq:2 (Kv.Put ("post", "crash"));
   run_until h ~deadline:20.0 (fun () -> has_reply h ~client:c1 ~seq:2);
   submit h ~client:c1 ~seq:3 (Kv.Get "pre");
@@ -225,7 +232,7 @@ let test_add_server () =
   in
   submit h ~client:c1 ~seq:1 (Kv.Put ("x", "1"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 0; 1; 2; 3 ];
+  reconfigure h.cluster [ 0; 1; 2; 3 ];
   run_until h ~deadline:20.0 (fun () ->
       match KvRaft.leader h.svc with
       | Some l -> KvRaft.config_of h.svc l = Some [ 0; 1; 2; 3 ]
@@ -240,7 +247,7 @@ let test_remove_server () =
   let h = harness ~members:[ 0; 1; 2; 3; 4 ] ~clients:[ c1 ] () in
   submit h ~client:c1 ~seq:1 (Kv.Put ("x", "1"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 0; 1; 2 ];
+  reconfigure h.cluster [ 0; 1; 2 ];
   run_until h ~deadline:20.0 (fun () ->
       match KvRaft.leader h.svc with
       | Some l -> KvRaft.config_of h.svc l = Some [ 0; 1; 2 ]
@@ -259,7 +266,7 @@ let test_full_replacement () =
     submit h ~client:c1 ~seq:i (Kv.Put (Printf.sprintf "k%d" i, "v"))
   done;
   run_until h ~deadline:10.0 (fun () -> has_reply h ~client:c1 ~seq:5);
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  reconfigure h.cluster [ 3; 4; 5 ];
   run_until h ~deadline:60.0 (fun () ->
       match KvRaft.leader h.svc with
       | Some l ->
@@ -291,7 +298,7 @@ let test_compaction_and_install_snapshot () =
       Counters.get (KvRaft.counters h.svc) "compactions" > 0);
   (* Now add a fresh server: it is too far behind the compacted logs and
      must be fed an InstallSnapshot. *)
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 0; 1; 2; 3 ];
+  reconfigure h.cluster [ 0; 1; 2; 3 ];
   run_until h ~deadline:80.0 (fun () ->
       match KvRaft.app_state h.svc 3 with
       | Some st -> Kv.cardinal st = 100
@@ -322,7 +329,7 @@ let prop_log_prefix_agreement =
       done;
       ignore
         (Engine.schedule h.engine ~delay:1.0 (fun () ->
-             h.cluster.Rsmr_iface.Cluster.crash (seed mod 5)));
+             crash h.cluster (seed mod 5)));
       Engine.run ~until:60.0 h.engine;
       (* All replies arrived despite the crash. *)
       List.for_all (fun i -> has_reply h ~client:c1 ~seq:i)

@@ -31,9 +31,14 @@ let test_msg_roundtrip () =
         Alcotest.failf "vr msg roundtrip failed (%s)" (Vr.Msg.tag m))
     cases
 
+(* Membership changes go through the cluster's control surface. *)
+let reconfigure (c : Rsmr_iface.Cluster.t) =
+  Rsmr_iface.Overlay.reconfigure c.Rsmr_iface.Cluster.control
+
 (* --- standalone cluster harness --- *)
 
 module Cluster = struct
+
   type t = {
     engine : Engine.t;
     net : Vr.Msg.t Network.t;
@@ -222,7 +227,7 @@ let test_service_over_vr_reconfigures () =
   run_until h ~deadline:10.0 (fun () ->
       List.for_all (fun i -> Hashtbl.mem h.replies (100, i))
         (List.init 8 (fun i -> i + 1)));
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 3; 4; 5 ];
+  reconfigure h.cluster [ 3; 4; 5 ];
   run_until h ~deadline:60.0 (fun () -> KvOnVr.current_epoch h.svc = 1);
   submit h ~seq:9 (Kv.Get "k5");
   run_until h ~deadline:90.0 (fun () -> Hashtbl.mem h.replies (100, 9));
@@ -239,7 +244,7 @@ let test_service_over_vr_exactly_once () =
   submit h ~seq:1 (Kv.Append ("acc", "x"));
   run_until h ~deadline:5.0 (fun () -> Hashtbl.mem h.replies (100, 1));
   (* Retry the same sequence around a reconfiguration. *)
-  h.cluster.Rsmr_iface.Cluster.reconfigure [ 2; 3; 4 ];
+  reconfigure h.cluster [ 2; 3; 4 ];
   submit h ~seq:1 (Kv.Append ("acc", "x"));
   run_until h ~deadline:60.0 (fun () -> KvOnVr.current_epoch h.svc = 1);
   submit h ~seq:2 (Kv.Get "acc");
