@@ -152,19 +152,12 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
        | Some members -> members
        | None -> node.snap_members)
 
-  let cancel t slot =
-    match slot with
-    | Some timer ->
-      Engine.cancel t.engine timer;
-      None
-    | None -> None
-
   let sorted members = List.sort_uniq Node_id.compare members
 
   (* --- timers / elections --- *)
 
   let rec reset_election_timer t node =
-    node.election_timer <- cancel t node.election_timer;
+    node.election_timer <- Engine.cancel_opt t.engine node.election_timer;
     if not node.halted then begin
       let delay =
         Rng.uniform_in node.rng t.params.Params.election_timeout_min
@@ -239,7 +232,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     try_next_step t node
 
   and start_heartbeat t node =
-    node.hb_timer <- cancel t node.hb_timer;
+    node.hb_timer <- Engine.cancel_opt t.engine node.hb_timer;
     let rec tick () =
       match node.role with
       | Leader _ when not node.halted ->
@@ -261,8 +254,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     (match node.role with
      | Leader _ | Candidate _ ->
        node.role <- Follower;
-       node.hb_timer <- cancel t node.hb_timer;
-       node.batch_timer <- cancel t node.batch_timer;
+       node.hb_timer <- Engine.cancel_opt t.engine node.hb_timer;
+       node.batch_timer <- Engine.cancel_opt t.engine node.batch_timer;
        node.batch_n <- 0
      | Follower -> ());
     reset_election_timer t node
@@ -295,7 +288,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     end
 
   and flush_appends t node =
-    node.batch_timer <- cancel t node.batch_timer;
+    node.batch_timer <- Engine.cancel_opt t.engine node.batch_timer;
     node.batch_n <- 0;
     match node.role with
     | Leader _ when not node.halted ->
@@ -504,9 +497,9 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   and halt_node t node =
     if not node.halted then begin
       node.halted <- true;
-      node.election_timer <- cancel t node.election_timer;
-      node.hb_timer <- cancel t node.hb_timer;
-      node.batch_timer <- cancel t node.batch_timer;
+      node.election_timer <- Engine.cancel_opt t.engine node.election_timer;
+      node.hb_timer <- Engine.cancel_opt t.engine node.hb_timer;
+      node.batch_timer <- Engine.cancel_opt t.engine node.batch_timer;
       node.batch_n <- 0;
       node.role <- Follower
     end

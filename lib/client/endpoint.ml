@@ -1,4 +1,5 @@
 module Engine = Rsmr_sim.Engine
+module Batch = Rsmr_sim.Batch
 module Rng = Rsmr_sim.Rng
 module Trace = Rsmr_sim.Trace
 module Counters = Rsmr_sim.Counters
@@ -21,12 +22,9 @@ type t = {
   mutable epoch : int;
   lookup : ((Rsmr_app.Dir_app.entry option -> unit) -> unit) option;
   req_timeout : float;
-  batch_window : float;
-  batch_max : int;
   on_reply : seq:int -> rsp:string -> unit;
   pending : (int, outstanding) Hashtbl.t;
-  mutable batch_buf : int list; (* buffered seqs, newest first *)
-  mutable batch_timer : Engine.timer option;
+  batch : int Batch.t; (* buffered seqs *)
   mutable rr : int;
   mutable max_seq : int;
   mutable last_target : Node_id.t option;
@@ -52,33 +50,6 @@ let lifecycle t ev ~seq =
       ev
   | Some _ | None -> ()
 
-let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
-    ?(batch_window = 0.0) ?(batch_max = 16) ?bus ~on_reply () =
-  if members = [] then invalid_arg "Endpoint.create: empty member list";
-  {
-    engine;
-    me;
-    send;
-    members;
-    leader = None;
-    epoch = 0;
-    lookup;
-    req_timeout;
-    batch_window;
-    batch_max;
-    on_reply;
-    pending = Hashtbl.create 8;
-    batch_buf = [];
-    batch_timer = None;
-    rr = 0;
-    max_seq = 0;
-    last_target = None;
-    rng = Rng.split (Engine.rng engine);
-    counters = Counters.create ();
-    lookup_inflight = false;
-    bus;
-  }
-
 let target t =
   let chosen =
     match t.leader with
@@ -94,13 +65,6 @@ let target t =
   t.last_target <- Some chosen;
   chosen
 
-let cancel_timer t o =
-  match o.timer with
-  | Some timer ->
-    Engine.cancel t.engine timer;
-    o.timer <- None
-  | None -> ()
-
 (* The lowest outstanding seq ([max_seq + 1] when none is): every request
    below it has been replied to, so servers may drop those responses.
    The minimum does not depend on the order the table is walked in. *)
@@ -113,7 +77,7 @@ let rec attempt t seq =
   match Hashtbl.find_opt t.pending seq with
   | None -> ()
   | Some o ->
-    cancel_timer t o;
+    o.timer <- Engine.cancel_opt t.engine o.timer;
     o.attempts <- o.attempts + 1;
     Counters.incr t.counters "sent";
     t.send ~dst:(target t)
@@ -154,20 +118,13 @@ and refresh_members t =
    through the ordinary single-request path, so batching only changes the
    first transmission. *)
 let flush_batch t =
-  (match t.batch_timer with
-   | Some timer ->
-     Engine.cancel t.engine timer;
-     t.batch_timer <- None
-   | None -> ());
-  let seqs = List.rev t.batch_buf in
-  t.batch_buf <- [];
   let live =
     List.filter_map
       (fun seq ->
         match Hashtbl.find_opt t.pending seq with
         | Some o -> Some (seq, o)
         | None -> None)
-      seqs
+      (Batch.drain t.batch)
   in
   match live with
   | [] -> ()
@@ -180,12 +137,46 @@ let flush_batch t =
     List.iter
       (fun (seq, o) ->
         o.attempts <- o.attempts + 1;
-        cancel_timer t o;
+        o.timer <- Engine.cancel_opt t.engine o.timer;
         o.timer <-
           Some
             (Engine.schedule t.engine ~delay:t.req_timeout (fun () ->
                  on_timeout t seq)))
       live
+
+let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
+    ?(batch_window = 0.0) ?(batch_max = 16) ?bus ~on_reply () =
+  if members = [] then invalid_arg "Endpoint.create: empty member list";
+  (* The batcher's flush needs the endpoint it belongs to. *)
+  let self = ref None in
+  let batch =
+    Batch.create engine ~delay:batch_window ~max:batch_max ~flush:(fun () ->
+        Option.iter flush_batch !self)
+  in
+  let t =
+    {
+      engine;
+      me;
+      send;
+      members;
+      leader = None;
+      epoch = 0;
+      lookup;
+      req_timeout;
+      on_reply;
+      pending = Hashtbl.create 8;
+      batch;
+      rr = 0;
+      max_seq = 0;
+      last_target = None;
+      rng = Rng.split (Engine.rng engine);
+      counters = Counters.create ();
+      lookup_inflight = false;
+      bus;
+    }
+  in
+  self := Some t;
+  t
 
 let submit t ~seq ~payload =
   if seq > t.max_seq then t.max_seq <- seq;
@@ -194,26 +185,14 @@ let submit t ~seq ~payload =
       { payload; attempts = 0; redirects = 0; timer = None };
     lifecycle t "submit" ~seq
   end;
-  if t.batch_window <= 0.0 then attempt t seq
-  else begin
-    if not (List.mem seq t.batch_buf) then begin
-      t.batch_buf <- seq :: t.batch_buf;
-      if List.length t.batch_buf >= t.batch_max then flush_batch t
-      else if t.batch_timer = None then
-        t.batch_timer <-
-          Some
-            (Engine.schedule t.engine ~delay:t.batch_window (fun () ->
-                 t.batch_timer <- None;
-                 flush_batch t))
-    end
-  end
+  if not (List.mem seq (Batch.contents t.batch)) then Batch.add t.batch seq
 
 let handle t msg =
   match (msg : Client_msg.t) with
   | Client_msg.Reply { seq; rsp } -> (
     match Hashtbl.find_opt t.pending seq with
     | Some o ->
-      cancel_timer t o;
+      o.timer <- Engine.cancel_opt t.engine o.timer;
       Hashtbl.remove t.pending seq;
       Counters.incr t.counters "replies";
       lifecycle t "replied" ~seq;
@@ -246,7 +225,7 @@ let handle t msg =
           otherwise each duplication round multiplies the request ×
           redirect ping-pong and the exchange goes supercritical. *)
        let jitter = 0.010 +. Rng.float t.rng 0.015 in
-       cancel_timer t o;
+       o.timer <- Engine.cancel_opt t.engine o.timer;
        o.timer <-
          Some (Engine.schedule t.engine ~delay:jitter (fun () -> attempt t seq))
      | None -> ())
@@ -278,10 +257,7 @@ let fingerprint t =
         (Client_msg.Request { seq; low_water = 0; payload = o.payload });
       W.varint w o.attempts;
       W.varint w o.redirects;
-      W.bool w
-        (match o.timer with
-         | Some tm -> Engine.is_pending tm
-         | None -> false))
+      W.bool w (Engine.armed o.timer))
     (List.rev
        (Stable.fold_sorted ~compare:Int.compare
           (fun k v acc -> (k, v) :: acc)
@@ -290,10 +266,7 @@ let fingerprint t =
   W.varint w t.max_seq;
   W.option w node t.last_target;
   W.bool w t.lookup_inflight;
-  W.list w W.varint (List.rev t.batch_buf);
-  W.bool w
-    (match t.batch_timer with
-     | Some tm -> Engine.is_pending tm
-     | None -> false);
+  W.list w W.varint (List.rev (Batch.contents t.batch));
+  W.bool w (Batch.armed t.batch);
   W.contents w
 [@@rsmr.codec.oneway]

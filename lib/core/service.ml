@@ -324,18 +324,12 @@ struct
                announce_poll t host inst))
     end
 
-  (* [slot <- cancel_timer t slot] cancels a pending timer and clears
-     its slot. *)
-  let cancel_timer t slot =
-    (match slot with Some timer -> Engine.cancel t.engine timer | None -> ());
-    None
-
   let retire_instance t inst =
     if not inst.retired then begin
       inst.retired <- true;
       (match inst.replica with Some r -> Replica.halt r | None -> ());
-      inst.fetch_timer <- cancel_timer t inst.fetch_timer;
-      inst.prepare_timer <- cancel_timer t inst.prepare_timer
+      inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
+      inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer
     end
 
   (* Submit envelopes in wire form: the whole list reaches the block as
@@ -621,14 +615,14 @@ struct
        | Some cur when cur.provisional && cur.retired ->
          Hashtbl.remove host.instances inst.epoch
        | Some _ | None -> ());
-      inst.residual_timer <- cancel_timer t inst.residual_timer
+      inst.residual_timer <- Engine.cancel_opt t.engine inst.residual_timer
     end
 
   and confirm_provisional t host inst =
     if inst.provisional then begin
       inst.provisional <- false;
       Counters.incr t.counters "prepare_confirms";
-      inst.prepare_timer <- cancel_timer t inst.prepare_timer;
+      inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer;
       (* The configuration is authoritative now: advertise it for
          redirects, exactly as a wedge-time bootstrap would have. *)
       if inst.epoch > host.top_epoch then begin
@@ -820,7 +814,7 @@ struct
               ("strategy", t.opts.Options.strategy.Strategy.name);
             ]
           "activated";
-      inst.fetch_timer <- cancel_timer t inst.fetch_timer;
+      inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
       if inst.replica = None then start_replica t host inst;
       (* Execute everything the speculative instance ordered while the
          snapshot was in flight, in log order.  Sort by slot index only:
@@ -1032,9 +1026,6 @@ struct
     let module W = Rsmr_app.Codec.Writer in
     let w = W.create ~size_hint:4096 () in
     let node w n = W.varint w (n : Node_id.t) in
-    let pending_timer slot =
-      match slot with Some tm -> Engine.is_pending tm | None -> false
-    in
     let encode_instance inst =
       W.varint w inst.epoch;
       W.list w node inst.cfg.Config.members;
@@ -1051,17 +1042,17 @@ struct
           W.string w v)
         inst.spec_buf;
       W.list w W.string (List.rev inst.residual_buf);
-      W.bool w (pending_timer inst.residual_timer);
+      W.bool w (Engine.armed inst.residual_timer);
       W.varint w (Array.length inst.chunks);
       Array.iter (fun c -> W.bool w (Option.is_some c)) inst.chunks;
-      W.bool w (pending_timer inst.fetch_timer);
+      W.bool w (Engine.armed inst.fetch_timer);
       W.varint w inst.fetch_rr;
       W.bool w inst.announced;
       W.bool w inst.retired;
       (* Early-prepare fields: constant (false, false) under the default
          [composed] strategy, so its reachable-state COUNT is untouched. *)
       W.bool w inst.provisional;
-      W.bool w (pending_timer inst.prepare_timer);
+      W.bool w (Engine.armed inst.prepare_timer);
       W.string w (Sm.snapshot inst.app);
       W.string w (Session.encode inst.sessions);
       W.option w W.string (Option.map Replica.fingerprint inst.replica)

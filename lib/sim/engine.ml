@@ -63,6 +63,12 @@ let cancel t timer =
 
 let is_pending timer = timer.state = Pending
 
+let cancel_opt t slot =
+  (match slot with Some timer -> cancel t timer | None -> ());
+  None
+
+let armed slot = match slot with Some timer -> is_pending timer | None -> false
+
 let timer_state timer =
   match timer.state with
   | Pending -> `Pending

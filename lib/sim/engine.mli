@@ -56,6 +56,14 @@ val cancel : t -> timer -> unit
 
 val is_pending : timer -> bool
 
+val cancel_opt : t -> timer option -> timer option
+(** [slot <- cancel_opt t slot] cancels the timer held in an optional
+    slot, if any, and returns [None] to clear the slot. *)
+
+val armed : timer option -> bool
+(** An optional slot holds a pending timer.  Fingerprints record timer
+    presence through this, never due-times. *)
+
 val timer_state : timer -> [ `Pending | `Fired | `Cancelled ]
 (** Observable lifecycle state, mainly for tests and the checker's
     enabled-set bookkeeping. *)

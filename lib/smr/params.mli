@@ -1,8 +1,9 @@
-(** Timing parameters of the static SMR building block.  Defaults are tuned
-    for the LAN latency model (sub-millisecond RTT) and have batching and
-    pipelining ON: leaders coalesce submissions for [batch_delay] into
-    multi-command slots and keep up to [max_outstanding] uncommitted slots
-    in flight. *)
+(** Timing parameters shared by the static SMR building blocks (the
+    Multi-Paxos {!Replica} and {!Vr}; the Raft baseline reuses them).
+    Defaults are tuned for the LAN latency model (sub-millisecond RTT) and
+    have batching and pipelining ON: leaders coalesce submissions for
+    [batch_delay] into multi-command runs and keep up to [max_outstanding]
+    uncommitted log positions (Paxos slots, VR ops) in flight. *)
 
 type t = {
   heartbeat_interval : float;  (** leader heartbeat period, seconds *)
@@ -13,11 +14,12 @@ type t = {
   resend_interval : float;     (** leader re-broadcast period for stuck slots *)
   learn_batch : int;           (** max entries per Learn response *)
   batch_delay : float;
-      (** leader-side batching window: submissions are accumulated for this
-          long (seconds) and proposed with a single [Accept_multi] per
-          follower.  0 disables the window (a lone submission is proposed
-          immediately as a plain [Accept]; vector submissions via
-          [submit_many] still travel as one batch). *)
+      (** leader-side batching window ({!Rsmr_sim.Batch}): submissions
+          are accumulated for this long (seconds) and proposed as one
+          multi-command run, a single message per follower.  0 disables
+          the window (a lone submission is proposed immediately as a
+          single-command proposal; vector submissions via [submit_many]
+          still travel as one batch). *)
   batch_max : int;  (** flush early at this many buffered commands *)
   max_outstanding : int;
       (** pipelining cap: the leader keeps at most this many uncommitted
@@ -30,8 +32,8 @@ val with_batching : float -> t
 (** [default] with the given batching window. *)
 
 val unbatched : t
-(** [default] with the batching window disabled (one [Accept] broadcast per
-    command) — the pre-batching ablation baseline. *)
+(** [default] with the batching window disabled (one proposal broadcast
+    per command) — the pre-batching ablation baseline. *)
 
 val default : t
 val pp : Format.formatter -> t -> unit

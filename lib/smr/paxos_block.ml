@@ -1,31 +1,1 @@
-module M = Msg
-
-let block_name = "multipaxos"
-
-module Msg = struct
-  type t = M.t
-
-  let encode = M.encode
-  let decode = M.decode
-  let size = M.size
-  let tag = M.tag
-  let tag_of_encoded = M.tag_of_encoded
-end
-
-type t = Replica.t
-
-let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
-  Replica.create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide
-    ()
-
-let handle = Replica.handle
-let submit = Replica.submit
-let submit_many = Replica.submit_many
-let submit_msg value = M.Submit { value }
-let submit_many_msg values = M.Submit_multi { values }
-let is_leader = Replica.is_leader
-let leader_hint = Replica.leader_hint
-let halt = Replica.halt
-let is_halted = Replica.is_halted
-let commit_index = Replica.commit_index
-let fingerprint = Replica.fingerprint
+include Replica

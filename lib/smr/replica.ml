@@ -1,11 +1,12 @@
 module Engine = Rsmr_sim.Engine
+module Batch = Rsmr_sim.Batch
 module Rng = Rsmr_sim.Rng
-module Trace = Rsmr_sim.Trace
 module Counters = Rsmr_sim.Counters
 module Stable = Rsmr_sim.Stable
 module Node_id = Rsmr_net.Node_id
+module Msg = Msg
 
-type status = Leader | Candidate | Follower
+let block_name = "multipaxos"
 
 type candidacy = {
   c_ballot : Ballot.t;
@@ -25,7 +26,6 @@ type role = R_follower | R_candidate of candidacy | R_leader of leadership
 type t = {
   engine : Engine.t;
   params : Params.t;
-  trace : Trace.t option;
   cfg : Config.t;
   me : Node_id.t;
   send : dst:Node_id.t -> Msg.t -> unit;
@@ -45,9 +45,7 @@ type t = {
   mutable known_committed : int;
   mutable known_committed_ballot : Ballot.t;
   pending : string Queue.t;
-  mutable batch_buf : string list; (* newest first; leader only *)
-  mutable batch_len : int; (* List.length batch_buf, kept O(1) *)
-  mutable batch_timer : Engine.timer option;
+  batch : string Batch.t; (* leader only *)
   mutable election_timer : Engine.timer option;
   mutable hb_timer : Engine.timer option;
   mutable resend_timer : Engine.timer option;
@@ -62,41 +60,15 @@ type t = {
   c_commits : int ref;
 }
 
-let trace t fmt =
-  Format.kasprintf
-    (fun msg ->
-      match t.trace with
-      | Some tr ->
-        Trace.emit tr ~time:(Engine.now t.engine) ~node:t.me ~topic:`Paxos
-          ~attrs:[ ("instance", string_of_int t.cfg.Config.instance_id) ]
-          msg
-      | None -> ())
-    fmt
-
-let status t =
-  match t.role with
-  | R_leader _ -> Leader
-  | R_candidate _ -> Candidate
-  | R_follower -> Follower
-
 let is_leader t = match t.role with R_leader _ -> true | _ -> false
 
 let leader_hint t =
   match t.role with R_leader _ -> Some t.me | _ -> t.hint
 
 let commit_index t = Log.committed_prefix t.log
-let decided_upto t = t.deliver_index
-let log_length t = Log.length t.log
-let config t = t.cfg
-let me t = t.me
 let is_halted t = t.halted
-
-let cancel_timer t slot =
-  match slot with
-  | Some timer ->
-    Engine.cancel t.engine timer;
-    None
-  | None -> None
+let submit_msg value = Msg.Submit { value }
+let submit_many_msg values = Msg.Submit_multi { values }
 
 (* Same message to every other member: hand the whole fan-out to the
    transport when it gave us a broadcast hook (it then encodes the
@@ -175,7 +147,7 @@ let note_commit_info t ~ballot ~commit_index =
 (* --- timers --- *)
 
 let rec reset_election_timer t =
-  t.election_timer <- cancel_timer t t.election_timer;
+  t.election_timer <- Engine.cancel_opt t.engine t.election_timer;
   if not t.halted then begin
     let delay =
       Rng.uniform_in t.rng t.params.Params.election_timeout_min
@@ -204,7 +176,6 @@ and start_election t =
     { c_ballot = ballot; promised_from = Node_id.Set.singleton t.me; merged; from_index }
   in
   t.role <- R_candidate cand;
-  trace t "start election %a from=%d" Ballot.pp ballot from_index;
   broadcast t (Msg.Prepare { ballot; from_index });
   reset_election_timer t;
   maybe_win t cand
@@ -225,8 +196,6 @@ and become_leader t cand =
   in
   t.role <- R_leader lead;
   t.hint <- Some t.me;
-  trace t "became leader %a, re-proposing [%d,%d]" Ballot.pp ballot
-    cand.from_index max_index;
   (* Adopt the highest-ballot entry for every slot in the takeover window,
      filling holes with no-ops, and re-propose everything at our ballot. *)
   for i = cand.from_index to max_index do
@@ -243,7 +212,7 @@ and become_leader t cand =
            { ballot; index = i; kind; commit_index = Log.committed_prefix t.log })
     end
   done;
-  t.election_timer <- cancel_timer t t.election_timer;
+  t.election_timer <- Engine.cancel_opt t.engine t.election_timer;
   start_heartbeat t;
   start_resend t;
   maybe_commit_solo t lead;
@@ -258,11 +227,11 @@ and maybe_commit_solo t lead =
       (Stable.sorted_keys ~compare:Int.compare lead.acks);
     Hashtbl.reset lead.acks;
     deliver t;
-    pump t
+    Batch.pump t.batch
   end
 
 and start_heartbeat t =
-  t.hb_timer <- cancel_timer t t.hb_timer;
+  t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
   let rec tick () =
     match t.role with
     | R_leader lead when not t.halted ->
@@ -276,7 +245,7 @@ and start_heartbeat t =
   tick ()
 
 and start_resend t =
-  t.resend_timer <- cancel_timer t t.resend_timer;
+  t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
   let rec tick () =
     match t.role with
     | R_leader lead when not t.halted ->
@@ -351,84 +320,45 @@ and propose t kind =
     maybe_commit_solo t lead
   | R_candidate _ | R_follower -> invalid_arg "propose: not leader"
 
-(* Leader-side batching + pipelining: accumulate submissions for
-   batch_delay seconds (or batch_max commands) and propose them with a
-   single Accept_multi broadcast, keeping at most max_outstanding
-   uncommitted slots in flight.  batch_delay = 0 skips the window (a lone
-   submission is proposed immediately as a plain Accept), but vector
-   submissions still travel as one batch. *)
-and buffer_value t value =
-  t.batch_buf <- value :: t.batch_buf;
-  t.batch_len <- t.batch_len + 1
-
-and enqueue_value t value =
-  buffer_value t value;
-  if
-    t.params.Params.batch_delay <= 0.0
-    || t.batch_len >= t.params.Params.batch_max
-  then flush_batch t
-  else if t.batch_timer = None then
-    t.batch_timer <-
-      Some
-        (Engine.schedule t.engine ~delay:t.params.Params.batch_delay (fun () ->
-             t.batch_timer <- None;
-             flush_batch t))
-
+(* Leader-side batching ({!Batch} owns the window) + pipelining: one
+   flush proposes the buffered values as a single Accept_multi, keeping at
+   most max_outstanding uncommitted slots in flight.  Whatever does not
+   fit stays buffered and is re-flushed by [Batch.pump] when commits
+   advance. *)
 and flush_batch t =
   match t.role with
-  | R_leader lead when t.batch_buf <> [] ->
-    (* Pipelining cap: only as many slots as commit progress has freed.
-       Whatever does not fit stays buffered and is re-flushed by [pump]
-       when commits advance (the window has already elapsed by then). *)
+  | R_leader lead -> (
     let cap =
       t.params.Params.max_outstanding
       - (lead.next_index - Log.committed_prefix t.log)
     in
-    if cap > 0 then begin
-      let values = List.rev t.batch_buf in
-      let rec split n acc rest =
-        match rest with
-        | _ when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> split (n - 1) (x :: acc) tl
+    match Batch.take t.batch cap with
+    | [] -> ()
+    | [ value ] -> propose t (Log.Value value)
+    | values ->
+      let from_index = lead.next_index in
+      let kinds =
+        List.map
+          (fun value ->
+            let index = lead.next_index in
+            lead.next_index <- index + 1;
+            let kind = Log.Value value in
+            incr t.c_proposals;
+            Log.set t.log index { Log.ballot = lead.l_ballot; kind };
+            Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me));
+            kind)
+          values
       in
-      let now_values, later = split (min cap t.batch_len) [] values in
-      t.batch_buf <- List.rev later;
-      t.batch_len <- List.length later;
-      t.batch_timer <- cancel_timer t t.batch_timer;
-      match now_values with
-      | [] -> ()
-      | [ value ] -> propose t (Log.Value value)
-      | _ ->
-        let from_index = lead.next_index in
-        let kinds =
-          List.map
-            (fun value ->
-              let index = lead.next_index in
-              lead.next_index <- index + 1;
-              let kind = Log.Value value in
-              incr t.c_proposals;
-              Log.set t.log index { Log.ballot = lead.l_ballot; kind };
-              Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me));
-              kind)
-            now_values
-        in
-        broadcast t
-          (Msg.Accept_multi
-             {
-               ballot = lead.l_ballot;
-               from_index;
-               kinds;
-               commit_index = Log.committed_prefix t.log;
-             });
-        maybe_commit_solo t lead
-    end
-  | _ -> ()
-
-(* Commit progress freed pipeline slots: re-flush values that were parked
-   waiting for capacity.  An armed batch timer means the window is still
-   open — leave those to the timer. *)
-and pump t = if t.batch_len > 0 && t.batch_timer = None then flush_batch t
+      broadcast t
+        (Msg.Accept_multi
+           {
+             ballot = lead.l_ballot;
+             from_index;
+             kinds;
+             commit_index = Log.committed_prefix t.log;
+           });
+      maybe_commit_solo t lead)
+  | R_candidate _ | R_follower -> ()
 
 and drain_pending t =
   let rec drain f =
@@ -440,7 +370,7 @@ and drain_pending t =
   in
   match t.role with
   | R_leader _ ->
-    drain (fun value -> enqueue_value t value);
+    drain (fun value -> Batch.add t.batch value);
     flush_batch t
   | R_candidate _ -> ()
   | R_follower -> (
@@ -458,15 +388,11 @@ and drain_pending t =
 let step_down t ~higher =
   (match t.role with
    | R_leader _ | R_candidate _ ->
-     trace t "stepping down (higher ballot %a)" Ballot.pp higher;
-     t.hb_timer <- cancel_timer t t.hb_timer;
-     t.resend_timer <- cancel_timer t t.resend_timer;
-     t.batch_timer <- cancel_timer t t.batch_timer;
+     t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
+     t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
      (* Unproposed batched values go back to pending so they get forwarded
         to whoever wins. *)
-     List.iter (fun v -> Queue.push v t.pending) (List.rev t.batch_buf);
-     t.batch_buf <- [];
-     t.batch_len <- 0;
+     List.iter (fun v -> Queue.push v t.pending) (Batch.drain t.batch);
      t.role <- R_follower
    | R_follower -> ());
   if Ballot.(t.promised < higher) then t.promised <- higher;
@@ -578,7 +504,7 @@ let on_accepted t ~src (ballot : Ballot.t) index =
         Hashtbl.remove lead.acks index;
         incr t.c_commits;
         deliver t;
-        pump t
+        Batch.pump t.batch
       end
     end
   | _ -> ()
@@ -608,7 +534,7 @@ let on_accepted_multi t ~src (ballot : Ballot.t) from_index upto =
     done;
     if !committed_any then begin
       deliver t;
-      pump t
+      Batch.pump t.batch
     end
   | _ -> ()
 
@@ -648,7 +574,7 @@ let on_learn_rsp t entries commit_index =
 let submit t value =
   if not t.halted then begin
     match t.role with
-    | R_leader _ -> enqueue_value t value
+    | R_leader _ -> Batch.add t.batch value
     | R_candidate _ -> Queue.push value t.pending
     | R_follower -> (
       match t.hint with
@@ -656,6 +582,7 @@ let submit t value =
         t.send ~dst (Msg.Submit { value })
       | _ -> Queue.push value t.pending)
   end
+[@@rsmr.deterministic] [@@rsmr.total]
 
 (* Vector submission: the values are already a batch, so they are proposed
    (or forwarded) as one multi-command slot run regardless of the batching
@@ -664,7 +591,7 @@ let submit_many t values =
   if (not t.halted) && values <> [] then begin
     match t.role with
     | R_leader _ ->
-      List.iter (fun value -> buffer_value t value) values;
+      List.iter (fun value -> Batch.push t.batch value) values;
       flush_batch t
     | R_candidate _ -> List.iter (fun value -> Queue.push value t.pending) values
     | R_follower -> (
@@ -673,6 +600,7 @@ let submit_many t values =
         t.send ~dst (Msg.Submit_multi { values })
       | _ -> List.iter (fun value -> Queue.push value t.pending) values)
   end
+[@@rsmr.deterministic] [@@rsmr.total]
 
 let handle t ~src msg =
   if not t.halted then
@@ -694,20 +622,21 @@ let handle t ~src msg =
       on_learn_rsp t entries commit_index
     | Msg.Submit { value } -> submit t value
     | Msg.Submit_multi { values } -> submit_many t values
+[@@rsmr.deterministic] [@@rsmr.total]
 
 let halt t =
   if not t.halted then begin
     t.halted <- true;
-    t.election_timer <- cancel_timer t t.election_timer;
-    t.hb_timer <- cancel_timer t t.hb_timer;
-    t.resend_timer <- cancel_timer t t.resend_timer;
-    t.batch_timer <- cancel_timer t t.batch_timer
+    t.election_timer <- Engine.cancel_opt t.engine t.election_timer;
+    t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
+    t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
+    Batch.cancel t.batch
   end
 
 let kick_election t = if not t.halted then start_election t
 
-let create ~engine ?(params = Params.default) ?trace ~config:cfg ~me ~send
-    ?broadcast ?obs ~on_decide () =
+let create ~engine ~params ~config:cfg ~me ~send ?broadcast ?obs ~on_decide
+    () =
   if not (Config.is_member cfg me) then
     invalid_arg "Replica.create: not a member of the configuration";
   let metric =
@@ -721,11 +650,17 @@ let create ~engine ?(params = Params.default) ?trace ~config:cfg ~me ~send
       let local = Counters.create () in
       fun name -> Counters.handle local name
   in
+  (* The batcher's flush needs the replica it belongs to. *)
+  let self = ref None in
+  let batch =
+    Batch.create engine ~delay:params.Params.batch_delay
+      ~max:params.Params.batch_max ~flush:(fun () ->
+        Option.iter flush_batch !self)
+  in
   let t =
     {
       engine;
       params;
-      trace;
       cfg;
       me;
       send;
@@ -741,9 +676,7 @@ let create ~engine ?(params = Params.default) ?trace ~config:cfg ~me ~send
       known_committed = 0;
       known_committed_ballot = Ballot.zero;
       pending = Queue.create ();
-      batch_buf = [];
-      batch_len = 0;
-      batch_timer = None;
+      batch;
       election_timer = None;
       hb_timer = None;
       resend_timer = None;
@@ -755,14 +688,15 @@ let create ~engine ?(params = Params.default) ?trace ~config:cfg ~me ~send
       c_commits = metric "commits";
     }
   in
+  self := Some t;
   reset_election_timer t;
   t
 
 (* Canonical fingerprint (the Block_intf contract): every field that can
    influence future behaviour, serialized through the codec with
    unordered collections (promise sets, ack tables, merged entries)
-   emitted in sorted key order.  Timer due-times, the RNG, the trace
-   sink and metric counters are deliberately excluded — they are not
+   emitted in sorted key order.  Timer due-times, the RNG and metric
+   counters are deliberately excluded — they are not
    protocol state — but timer *presence* is included, since "a flush is
    scheduled" and "no flush is scheduled" behave differently. *)
 let fingerprint t =
@@ -773,9 +707,6 @@ let fingerprint t =
   let entry w (e : Log.entry) =
     Ballot.encode w e.Log.ballot;
     Log.encode_kind w e.Log.kind
-  in
-  let pending_timer slot =
-    match slot with Some tm -> Engine.is_pending tm | None -> false
   in
   Ballot.encode w t.promised;
   (match t.role with
@@ -811,11 +742,11 @@ let fingerprint t =
   Ballot.encode w t.known_committed_ballot;
   W.list w W.string
     (List.rev (Queue.fold (fun acc v -> v :: acc) [] t.pending));
-  W.list w W.string t.batch_buf;
-  W.bool w (pending_timer t.batch_timer);
-  W.bool w (pending_timer t.election_timer);
-  W.bool w (pending_timer t.hb_timer);
-  W.bool w (pending_timer t.resend_timer);
+  W.list w W.string (Batch.contents t.batch);
+  W.bool w (Batch.armed t.batch);
+  W.bool w (Engine.armed t.election_timer);
+  W.bool w (Engine.armed t.hb_timer);
+  W.bool w (Engine.armed t.resend_timer);
   W.bool w t.learn_inflight;
   W.bool w t.halted;
   W.varint w (Log.length t.log);
@@ -826,4 +757,4 @@ let fingerprint t =
       W.bool w (Log.is_committed t.log slot))
     (Log.entries_from t.log 0);
   W.contents w
-[@@rsmr.codec.oneway]
+[@@rsmr.deterministic] [@@rsmr.codec.oneway]

@@ -1,4 +1,5 @@
 module Engine = Rsmr_sim.Engine
+module Batch = Rsmr_sim.Batch
 module Rng = Rsmr_sim.Rng
 module Node_id = Rsmr_net.Node_id
 module W = Rsmr_app.Codec.Writer
@@ -196,6 +197,7 @@ type status =
 type t = {
   engine : Engine.t;
   params : Params.t;
+  cfg : Config.t;
   members : Node_id.t array;
   me : Node_id.t;
   send : dst:Node_id.t -> Msg.t -> unit;
@@ -211,9 +213,7 @@ type t = {
   mutable executed : int;
   acks : (int, Node_id.Set.t ref) Hashtbl.t;
   pending : string Queue.t;
-  mutable batch_buf : string list; (* newest first; primary only *)
-  mutable batch_len : int; (* List.length batch_buf, kept O(1) *)
-  mutable batch_timer : Engine.timer option;
+  batch : string Batch.t; (* primary only *)
   mutable view_timer : Engine.timer option;
   mutable hb_timer : Engine.timer option;
   mutable resend_timer : Engine.timer option;
@@ -223,13 +223,10 @@ type t = {
 
 let n_members t = Array.length t.members
 
-(* True majority, not the textbook f+1 with f = (n-1)/2: those coincide
-   for odd n (the paper's n = 2f+1), but for even n the textbook form
-   yields n/2 — two such quorums need not intersect.  Even memberships
-   arise here whenever the composition layer reconfigures a block onto a
-   2- or 4-node slice of the pool, so VR must use the same majority rule
-   as the Paxos block (Config.quorum). *)
-let quorum t = (n_members t / 2) + 1
+(* A true majority, not the textbook f+1 with f = (n-1)/2: for even n
+   (a reconfiguration onto a 2- or 4-node slice of the pool) two f+1
+   quorums need not intersect. *)
+let quorum t = Config.quorum t.cfg
 let primary_of t view = t.members.(view mod n_members t)
 let primary t = primary_of t t.view
 let is_primary t = Node_id.equal (primary t) t.me
@@ -241,8 +238,6 @@ let leader_hint t = if t.halted then None else Some (primary t)
 let commit_index t = t.commit
 let is_halted t = t.halted
 let view t = t.view
-let is_normal t = t.status = Normal
-let log_length t = t.len
 
 let submit_msg value = Msg.Request { value }
 let submit_many_msg values = Msg.Request_multi { values }
@@ -270,13 +265,6 @@ let execute t =
     t.executed <- t.executed + 1
   done
 
-let cancel t slot =
-  match slot with
-  | Some timer ->
-    Engine.cancel t.engine timer;
-    None
-  | None -> None
-
 (* Same message to every other member: hand the whole fan-out to the
    transport when it gave us a broadcast hook (it then encodes the
    payload exactly once), else fall back to per-destination sends. *)
@@ -291,15 +279,12 @@ let broadcast t msg =
 (* A primary losing its status (view change) returns unproposed batched
    values to pending so they get forwarded to whoever leads next. *)
 let park_batch t =
-  t.batch_timer <- cancel t t.batch_timer;
-  List.iter (fun v -> Queue.push v t.pending) (List.rev t.batch_buf);
-  t.batch_buf <- [];
-  t.batch_len <- 0
+  List.iter (fun v -> Queue.push v t.pending) (Batch.drain t.batch)
 
 (* --- timers --- *)
 
 let rec reset_view_timer t =
-  t.view_timer <- cancel t t.view_timer;
+  t.view_timer <- Engine.cancel_opt t.engine t.view_timer;
   if not t.halted then begin
     let delay =
       Rng.uniform_in t.rng t.params.Params.election_timeout_min
@@ -397,7 +382,7 @@ and maybe_commit_solo t =
     t.commit <- t.len;
     Hashtbl.reset t.acks;
     execute t;
-    pump t
+    Batch.pump t.batch
   end
 
 and advance_commit t =
@@ -418,61 +403,28 @@ and propose t value =
   broadcast t (Msg.Prepare { view = t.view; op; value; commit = t.commit });
   maybe_commit_solo t
 
-(* Primary-side batching + pipelining, mirroring {!Replica}: submissions
-   accumulate for batch_delay (or batch_max commands) and are prepared as
-   one multi-op run, with at most max_outstanding uncommitted ops in
-   flight; the overflow stays buffered until commit progress pumps it. *)
-and buffer_value t value =
-  t.batch_buf <- value :: t.batch_buf;
-  t.batch_len <- t.batch_len + 1
-
-and enqueue_value t value =
-  buffer_value t value;
-  if
-    t.params.Params.batch_delay <= 0.0
-    || t.batch_len >= t.params.Params.batch_max
-  then flush_batch t
-  else if t.batch_timer = None then
-    t.batch_timer <-
-      Some
-        (Engine.schedule t.engine ~delay:t.params.Params.batch_delay (fun () ->
-             t.batch_timer <- None;
-             flush_batch t))
-
+(* Primary-side batching ({!Batch} owns the window) + pipelining, as in
+   {!Replica}: one flush prepares the buffered values as one multi-op run,
+   with at most max_outstanding uncommitted ops in flight; the overflow
+   stays buffered until commit progress pumps it. *)
 and flush_batch t =
-  if is_leader t && t.batch_buf <> [] then begin
+  if is_leader t then
     let cap = t.params.Params.max_outstanding - (t.len - t.commit) in
-    if cap > 0 then begin
-      let values = List.rev t.batch_buf in
-      let rec split n acc rest =
-        match rest with
-        | _ when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> split (n - 1) (x :: acc) tl
-      in
-      let now_values, later = split (min cap t.batch_len) [] values in
-      t.batch_buf <- List.rev later;
-      t.batch_len <- List.length later;
-      t.batch_timer <- cancel t t.batch_timer;
-      match now_values with
-      | [] -> ()
-      | [ value ] -> propose t value
-      | _ ->
-        let from_op = t.len in
-        List.iter
-          (fun value ->
-            let op = t.len in
-            append t value;
-            Hashtbl.replace t.acks op (ref (Node_id.Set.singleton t.me)))
-          now_values;
-        broadcast t
-          (Msg.Prepare_multi
-             { view = t.view; from_op; values = now_values; commit = t.commit });
-        maybe_commit_solo t
-    end
-  end
-
-and pump t = if t.batch_len > 0 && t.batch_timer = None then flush_batch t
+    match Batch.take t.batch cap with
+    | [] -> ()
+    | [ value ] -> propose t value
+    | values ->
+      let from_op = t.len in
+      List.iter
+        (fun value ->
+          let op = t.len in
+          append t value;
+          Hashtbl.replace t.acks op (ref (Node_id.Set.singleton t.me)))
+        values;
+      broadcast t
+        (Msg.Prepare_multi
+           { view = t.view; from_op; values; commit = t.commit });
+      maybe_commit_solo t
 
 and drain_pending t =
   let rec drain f =
@@ -483,7 +435,7 @@ and drain_pending t =
     | None -> ()
   in
   if is_leader t then begin
-    drain (fun value -> enqueue_value t value);
+    drain (fun value -> Batch.add t.batch value);
     flush_batch t
   end
   else if t.status = Normal then begin
@@ -500,7 +452,7 @@ and drain_pending t =
   end
 
 and start_heartbeat t =
-  t.hb_timer <- cancel t t.hb_timer;
+  t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
   let rec tick () =
     if is_leader t then begin
       broadcast t (Msg.Commit { view = t.view; commit = t.commit });
@@ -512,7 +464,7 @@ and start_heartbeat t =
     Some (Engine.schedule t.engine ~delay:t.params.Params.heartbeat_interval tick)
 
 and start_resend t =
-  t.resend_timer <- cancel t t.resend_timer;
+  t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
   let rec tick () =
     if is_leader t then begin
       (* Re-prepare the uncommitted suffix (lost Prepares / PrepareOKs) as
@@ -606,7 +558,7 @@ let on_prepare_ok t ~src ~view ~op =
      | Some acked -> acked := Node_id.Set.add src !acked
      | None -> () (* already committed *));
     advance_commit t;
-    pump t
+    Batch.pump t.batch
   end
 
 let on_prepare_ok_multi t ~src ~view ~from_op ~upto =
@@ -617,7 +569,7 @@ let on_prepare_ok_multi t ~src ~view ~from_op ~upto =
       | None -> () (* already committed *)
     done;
     advance_commit t;
-    pump t
+    Batch.pump t.batch
   end
 
 let on_commit t ~view ~commit =
@@ -694,7 +646,7 @@ let on_new_state t ~view ~from ~ops ~commit =
 
 let submit t value =
   if not t.halted then begin
-    if is_leader t then enqueue_value t value
+    if is_leader t then Batch.add t.batch value
     else begin
       Queue.push value t.pending;
       drain_pending t
@@ -707,7 +659,7 @@ let submit t value =
 let submit_many t values =
   if (not t.halted) && values <> [] then begin
     if is_leader t then begin
-      List.iter (fun value -> buffer_value t value) values;
+      List.iter (fun value -> Batch.push t.batch value) values;
       flush_batch t
     end
     else begin
@@ -753,10 +705,10 @@ let handle t ~src msg =
 let halt t =
   if not t.halted then begin
     t.halted <- true;
-    t.view_timer <- cancel t t.view_timer;
-    t.hb_timer <- cancel t t.hb_timer;
-    t.resend_timer <- cancel t t.resend_timer;
-    t.batch_timer <- cancel t t.batch_timer
+    t.view_timer <- Engine.cancel_opt t.engine t.view_timer;
+    t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
+    t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
+    Batch.cancel t.batch
   end
 
 let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
@@ -770,10 +722,18 @@ let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
         "view_changes"
     | None -> ref 0
   in
+  (* The batcher's flush needs the replica it belongs to. *)
+  let self = ref None in
+  let batch =
+    Batch.create engine ~delay:params.Params.batch_delay
+      ~max:params.Params.batch_max ~flush:(fun () ->
+        Option.iter flush_batch !self)
+  in
   let t =
     {
       engine;
       params;
+      cfg = config;
       members = Array.of_list config.Config.members;
       me;
       send;
@@ -789,9 +749,7 @@ let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
       executed = 0;
       acks = Hashtbl.create 64;
       pending = Queue.create ();
-      batch_buf = [];
-      batch_len = 0;
-      batch_timer = None;
+      batch;
       view_timer = None;
       hb_timer = None;
       resend_timer = None;
@@ -799,6 +757,7 @@ let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
       c_view_changes;
     }
   in
+  self := Some t;
   (* View 0's primary is live from the start — no election needed. *)
   if is_primary t then begin
     start_heartbeat t;
@@ -815,9 +774,6 @@ let fingerprint t =
   let w = W.create ~size_hint:256 () in
   let node w n = W.varint w (n : Node_id.t) in
   let node_set w s = W.list w node (Node_id.Set.elements s) in
-  let pending_timer slot =
-    match slot with Some tm -> Engine.is_pending tm | None -> false
-  in
   W.varint w t.view;
   (match t.status with
    | Normal -> W.u8 w 0
@@ -845,11 +801,11 @@ let fingerprint t =
           t.acks []));
   W.list w W.string
     (List.rev (Queue.fold (fun acc v -> v :: acc) [] t.pending));
-  W.list w W.string t.batch_buf;
-  W.bool w (pending_timer t.batch_timer);
-  W.bool w (pending_timer t.view_timer);
-  W.bool w (pending_timer t.hb_timer);
-  W.bool w (pending_timer t.resend_timer);
+  W.list w W.string (Batch.contents t.batch);
+  W.bool w (Batch.armed t.batch);
+  W.bool w (Engine.armed t.view_timer);
+  W.bool w (Engine.armed t.hb_timer);
+  W.bool w (Engine.armed t.resend_timer);
   W.bool w t.halted;
   W.contents w
 [@@rsmr.codec.oneway]

@@ -62,5 +62,3 @@ include Block_intf.S with module Msg := Msg
 (** {1 Introspection (tests)} *)
 
 val view : t -> int
-val is_normal : t -> bool
-val log_length : t -> int

@@ -13,10 +13,13 @@ module Harness = Rsmr_mc.Harness
 module Explore = Rsmr_mc.Explore
 module Fingerprint = Rsmr_mc.Fingerprint
 
-let tiny_scope =
-  match Scope.parse "minimal,commands=1,timer_fires=1" with
-  | Ok s -> s
-  | Error e -> failwith e
+let scope_of s = match Scope.parse s with Ok s -> s | Error e -> failwith e
+let tiny_scope = scope_of "minimal,commands=1,timer_fires=1"
+
+(* The tiny scope with the batching windows on.  Its one timer fire goes
+   to the election, so this takes three: the election, the client's
+   coalescing window and the leader's proposal window. *)
+let tiny_batch_scope = scope_of "minimal,commands=1,timer_fires=3,batch=2"
 
 (* --- exhaustion: tiny scope, both protocol configurations --- *)
 
@@ -24,9 +27,9 @@ let tiny_scope =
    what [canonical_state] writes (or to the reachable behaviour) moves
    it, so fingerprint drift fails [dune runtest], not only the CI
    minimal-scope run. *)
-let test_exhaust proto ~visited () =
+let test_exhaust ?(scope = tiny_scope) proto ~visited () =
   let stats =
-    Explore.run ~proto ~scope:tiny_scope ~mutate:false ~strategy:Explore.Bfs ()
+    Explore.run ~proto ~scope ~mutate:false ~strategy:Explore.Bfs ()
   in
   Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
   Alcotest.(check bool) "no violation" true (stats.Explore.violation = None);
@@ -144,6 +147,8 @@ let () =
             (test_exhaust Harness.core ~visited:2126);
           Alcotest.test_case "stopworld tiny scope" `Slow
             (test_exhaust Harness.stopworld ~visited:2126);
+          Alcotest.test_case "core tiny scope, batch=2" `Slow
+            (test_exhaust ~scope:tiny_batch_scope Harness.core ~visited:34809);
         ] );
       ( "teeth",
         [

@@ -1,6 +1,7 @@
 (* Unit and property tests for the discrete-event substrate. *)
 
 module Engine = Rsmr_sim.Engine
+module Batch = Rsmr_sim.Batch
 module Rng = Rsmr_sim.Rng
 module Heap = Rsmr_sim.Heap
 module Histogram = Rsmr_sim.Histogram
@@ -41,6 +42,25 @@ let test_engine_cancel () =
   Engine.cancel e timer;
   Engine.run e;
   Alcotest.(check bool) "cancelled timer does not fire" false !fired
+
+(* [slot <- cancel_opt e slot] clears the slot and cancels what it held;
+   [armed] is true exactly for a slot holding a pending timer. *)
+let test_engine_timer_slots () =
+  let e = Engine.create () in
+  let fired = ref false in
+  let slot = Some (Engine.schedule e ~delay:0.1 (fun () -> fired := true)) in
+  Alcotest.(check bool) "pending slot is armed" true (Engine.armed slot);
+  Alcotest.(check bool) "cancel_opt clears the slot" true
+    (Engine.cancel_opt e slot = None);
+  Alcotest.(check bool) "cancelled timer is not armed" false (Engine.armed slot);
+  Alcotest.(check bool) "cancel_opt of an empty slot" true
+    (Engine.cancel_opt e None = None);
+  Alcotest.(check bool) "empty slot is not armed" false (Engine.armed None);
+  Engine.run e;
+  Alcotest.(check bool) "cancelled timer never fires" false !fired;
+  let done_ = Some (Engine.schedule e ~delay:0.1 ignore) in
+  Engine.run e;
+  Alcotest.(check bool) "fired timer is not armed" false (Engine.armed done_)
 
 let test_engine_until () =
   let e = Engine.create () in
@@ -428,6 +448,160 @@ let prop_fnv_combine_int =
     QCheck.(pair int64 int)
     (fun (h, n) -> Fnv.combine_int h n = Fnv.combine h (string_of_int n))
 
+(* --- Batch: the submission batcher against a plain-list model --- *)
+
+type batch_op =
+  | Add
+  | Push
+  | Take of int
+  | Drain
+  | Pump
+  | Fire  (* run the engine: the window timer fires if armed *)
+  | Cancel
+
+let pp_batch_op = function
+  | Add -> "add"
+  | Push -> "push"
+  | Take c -> Printf.sprintf "take %d" c
+  | Drain -> "drain"
+  | Pump -> "pump"
+  | Fire -> "fire"
+  | Cancel -> "cancel"
+
+(* [delay] is 0 (no window) or positive, [max] the flush threshold,
+   [flush_cap] what the owner's flush takes (0: a full pipeline). *)
+let batch_trace_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, return Add);
+        (2, return Push);
+        (2, map (fun c -> Take c) (int_range (-1) 4));
+        (1, return Drain);
+        (2, return Pump);
+        (3, return Fire);
+        (1, return Cancel);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (delay, max, cap, ops) ->
+      Printf.sprintf "delay=%g max=%d flush_cap=%d [%s]" delay max cap
+        (String.concat "; " (List.map pp_batch_op ops)))
+    (quad (oneofl [ 0.0; 0.001 ]) (int_range 1 4) (int_range 0 3)
+       (list_size (int_range 0 40) op))
+
+let prop_batch_model =
+  QCheck.Test.make ~name:"batch matches a list model" ~count:500
+    batch_trace_arb (fun (delay, max, flush_cap, ops) ->
+      let e = Engine.create () in
+      let taken = ref [] (* newest first *) in
+      let cap_ok = ref true in
+      let take_into b cap =
+        let xs = Batch.take b cap in
+        if List.length xs > Stdlib.max cap 0 then cap_ok := false;
+        taken := List.rev_append xs !taken
+      in
+      let self = ref None in
+      let b =
+        Batch.create e ~delay ~max ~flush:(fun () ->
+            Option.iter (fun b -> take_into b flush_cap) !self)
+      in
+      self := Some b;
+      (* the model: buffer oldest first, timer armed, values taken *)
+      let m_buf = ref [] and m_armed = ref false and m_taken = ref [] in
+      let m_take cap =
+        if cap > 0 then begin
+          let rec split n = function
+            | x :: tl when n > 0 ->
+              let a, r = split (n - 1) tl in
+              (x :: a, r)
+            | l -> ([], l)
+          in
+          let out, rest = split cap !m_buf in
+          m_buf := rest;
+          m_armed := false;
+          m_taken := !m_taken @ out
+        end
+      in
+      let m_flush () = m_take flush_cap in
+      let next = ref 0 and added = ref [] in
+      let fresh () =
+        incr next;
+        added := !added @ [ !next ];
+        !next
+      in
+      let agree = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+           | Add ->
+             let x = fresh () in
+             m_buf := !m_buf @ [ x ];
+             if delay <= 0.0 || List.length !m_buf >= max then m_flush ()
+             else m_armed := true;
+             Batch.add b x
+           | Push ->
+             let x = fresh () in
+             m_buf := !m_buf @ [ x ];
+             Batch.push b x
+           | Take cap ->
+             m_take cap;
+             take_into b cap
+           | Drain ->
+             m_take max_int;
+             taken := List.rev_append (Batch.drain b) !taken
+           | Pump ->
+             if !m_buf <> [] && not !m_armed then m_flush ();
+             Batch.pump b
+           | Fire ->
+             if !m_armed then begin
+               m_armed := false;
+               m_flush ()
+             end;
+             Engine.run e
+           | Cancel ->
+             m_armed := false;
+             Batch.cancel b);
+          let contents = List.rev (Batch.contents b) in
+          if
+            contents <> !m_buf
+            || Batch.armed b <> !m_armed
+            || Batch.armed b <> (Engine.pending_count e > 0)
+            || List.rev !taken <> !m_taken
+            (* order: what left plus what stays is what came in *)
+            || List.rev !taken @ contents <> !added
+          then agree := false)
+        ops;
+      !agree && !cap_ok)
+
+(* The batcher's own per-value cost is its list cells: one cons on add,
+   one in the taken run.  Measured as the difference between a 65-value
+   and a 1-value window, so the per-window timer is not counted. *)
+let test_batch_alloc () =
+  let e = Engine.create () in
+  let b = Batch.create e ~delay:0.001 ~max:max_int ~flush:ignore in
+  let cycle n =
+    for i = 1 to n do
+      Batch.add b i
+    done;
+    ignore (Batch.take b max_int);
+    (* pop the cancelled timer so the heap never grows *)
+    Engine.run e
+  in
+  let words n =
+    cycle n;
+    let before = Gc.minor_words () in
+    cycle n;
+    Gc.minor_words () -. before
+  in
+  let one = words 1 and many = words 65 in
+  Alcotest.(check bool)
+    (Printf.sprintf "64 extra values cost %.0f words <= 2 cells each"
+       (many -. one))
+    true
+    (many -. one <= float_of_int (64 * 2 * 3))
+
 let () =
   Alcotest.run "sim"
     [
@@ -436,6 +610,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "fifo ties" `Quick test_engine_fifo_ties;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "timer slots: cancel_opt, armed" `Quick
+            test_engine_timer_slots;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "negative delay" `Quick
@@ -456,6 +632,12 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_deterministic;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+        ] );
+      ( "batch",
+        [
+          QCheck_alcotest.to_alcotest prop_batch_model;
+          Alcotest.test_case "add/take allocates only list cells" `Quick
+            test_batch_alloc;
         ] );
       ( "heap",
         [

@@ -9,6 +9,7 @@ module Config = Rsmr_smr.Config
 module Log = Rsmr_smr.Log
 module Msg = Rsmr_smr.Msg
 module Replica = Rsmr_smr.Replica
+module Params = Rsmr_smr.Params
 
 (* --- unit tests for sub-modules --- *)
 
@@ -123,7 +124,8 @@ module Cluster = struct
     decided : (int * string) list ref array; (* newest first *)
   }
 
-  let create ?(seed = 1) ?(drop = 0.0) ?(latency = Latency.lan) ?params n =
+  let create ?(seed = 1) ?(drop = 0.0) ?(latency = Latency.lan)
+      ?(params = Params.default) n =
     let engine = Engine.create ~seed () in
     let net =
       Network.create engine ~latency ~drop ~tagger:Msg.tag ~sizer:Msg.size ()
@@ -132,7 +134,7 @@ module Cluster = struct
     let decided = Array.init n (fun _ -> ref []) in
     let replicas =
       Array.init n (fun i ->
-          Replica.create ~engine ?params ~config:cfg ~me:i
+          Replica.create ~engine ~params ~config:cfg ~me:i
             ~send:(fun ~dst msg -> Network.send net ~src:i ~dst msg)
             ~on_decide:(fun idx v -> decided.(i) := (idx, v) :: !(decided.(i)))
             ())
@@ -351,7 +353,7 @@ let test_duplicated_messages_agree () =
   let decided = Array.init 3 (fun _ -> ref []) in
   let replicas =
     Array.init 3 (fun i ->
-        Replica.create ~engine ~config:cfg ~me:i
+        Replica.create ~engine ~params:Params.default ~config:cfg ~me:i
           ~send:(fun ~dst msg -> Rsmr_net.Network.send net ~src:i ~dst msg)
           ~on_decide:(fun idx v -> decided.(i) := (idx, v) :: !(decided.(i)))
           ())
