@@ -118,12 +118,17 @@ module Reader = struct
     t.pos <- t.pos + 1;
     v
 
+  (* A 9-byte varint whose last byte is >= 0x40 sets the sign bit of the
+     63-bit int.  The writer never produces one, so a negative result is
+     malformed input, not a value. *)
   let varint t =
     let rec go shift acc =
       if shift > 62 then raise Truncated;
       let b = u8 t in
       let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 <> 0 then go (shift + 7) acc
+      else if acc < 0 then raise Truncated
+      else acc
     in
     go 0 0
 
@@ -153,7 +158,7 @@ module Reader = struct
 
   let string t =
     let n = varint t in
-    if n < 0 || t.pos + n > t.limit then raise Truncated;
+    if n > t.limit - t.pos then raise Truncated;
     let s = String.sub t.data t.pos n in
     t.pos <- t.pos + n;
     s
@@ -163,7 +168,7 @@ module Reader = struct
      parent and view never race over the same bytes. *)
   let view t =
     let n = varint t in
-    if n < 0 || t.pos + n > t.limit then raise Truncated;
+    if n > t.limit - t.pos then raise Truncated;
     let v = { data = t.data; pos = t.pos; limit = t.pos + n } in
     t.pos <- t.pos + n;
     v

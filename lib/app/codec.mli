@@ -60,7 +60,12 @@ module Reader : sig
 
   val of_string : string -> t
   val u8 : t -> int
+
   val varint : t -> int
+  (** Non-negative varint.  Raises {!Truncated} on an encoding the
+      writer cannot produce: more than nine bytes, or a value past
+      [max_int]. *)
+
   val zigzag : t -> int
   val bool : t -> bool
   val float : t -> float

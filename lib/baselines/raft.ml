@@ -1,7 +1,6 @@
 module Engine = Rsmr_sim.Engine
 module Rng = Rsmr_sim.Rng
 module Counters = Rsmr_sim.Counters
-module Trace = Rsmr_sim.Trace
 module Obs = Rsmr_obs.Registry
 module Stable = Rsmr_sim.Stable
 module Network = Rsmr_net.Network
@@ -53,8 +52,6 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         (* send time of the unacknowledged chunk per follower, for retry *)
   }
 
-  let snapshot_chunk = 64 * 1024
-
   type role = Follower | Candidate of Node_id.Set.t | Leader of leader_state
 
   type node = {
@@ -93,7 +90,6 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     front : Raft_wire.t Front.t;
     counters : Counters.t;
     obs : Obs.t;
-    bus : Trace.t;  (* = Obs.bus obs, cached *)
   }
 
   let engine t = t.engine
@@ -102,18 +98,9 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   let counters t = t.counters
   let obs t = t.obs
 
-  (* Per-command lifecycle events for span reconstruction; guarded on
-     [Trace.active] so an unobserved run does not build the attrs list. *)
-  let lifecycle t ~node ev attrs =
-    Trace.emit t.bus ~time:(Engine.now t.engine) ~node ~topic:`Lifecycle
-      ~attrs:(("ev", ev) :: attrs) ev
-
   let node_opt t id = Hashtbl.find_opt t.nodes id
-  let term_of t id = Option.map (fun n -> n.term) (node_opt t id)
   let config_of t id = Option.map (fun n -> n.config) (node_opt t id)
   let app_state t id = Option.map (fun n -> n.app) (node_opt t id)
-  let commit_index_of t id = Option.map (fun n -> n.commit) (node_opt t id)
-  let log_base_of t id = Option.map (fun n -> Raft_log.base_index n.log) (node_opt t id)
 
   let leader t =
     Stable.fold_sorted ~compare:Node_id.compare
@@ -354,7 +341,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     | None -> ()
     | Some xfer ->
       let total = String.length xfer.sx_data in
-      let len = min snapshot_chunk (total - xfer.sx_offset) in
+      let len = min Snapshot.chunk_bytes (total - xfer.sx_offset) in
       let data = String.sub xfer.sx_data xfer.sx_offset len in
       let is_last = xfer.sx_offset + len >= total in
       Hashtbl.replace ls.snap_inflight f (Engine.now t.engine);
@@ -430,14 +417,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         incr node.n_applied;
         (match node.role with
          | Leader _ ->
-           if Trace.active t.bus then
-             lifecycle t ~node:node.me "applied"
-               [
-                 ("client", string_of_int client);
-                 ("seq", string_of_int seq);
-                 ("epoch", string_of_int node.config_index);
-                 ("idx", string_of_int index);
-               ];
+           Front.command_lifecycle t.front ~node:node.me "applied" ~client ~seq
+             ~epoch:node.config_index ~idx:index;
            reply_client t node ~client ~seq ~rsp
          | Follower | Candidate _ -> ())
       | `Dup rsp -> (
@@ -896,7 +877,6 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         (* the flat counter table IS the registry's "svc" section *)
         counters = Obs.counters obs "svc";
         obs;
-        bus = Obs.bus obs;
       }
     in
     let initial_snapshot =

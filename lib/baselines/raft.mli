@@ -53,9 +53,6 @@ module Make (Sm : Rsmr_app.State_machine.S) : sig
   val counters : t -> Rsmr_sim.Counters.t
   val obs : t -> Rsmr_obs.Registry.t
   val leader : t -> Rsmr_net.Node_id.t option
-  val term_of : t -> Rsmr_net.Node_id.t -> int option
   val config_of : t -> Rsmr_net.Node_id.t -> Rsmr_net.Node_id.t list option
   val app_state : t -> Rsmr_net.Node_id.t -> Sm.t option
-  val commit_index_of : t -> Rsmr_net.Node_id.t -> int option
-  val log_base_of : t -> Rsmr_net.Node_id.t -> int option
 end

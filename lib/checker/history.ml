@@ -19,16 +19,6 @@ let ops t =
 
 let length t = t.n
 
-let of_ops ops =
-  let t = create () in
-  List.iter (add t) ops;
-  t
-
-let filter t ~f = of_ops (List.filter f (List.rev t.rev_ops))
-
-let truncate_after t ~time =
-  filter t ~f:(fun o -> o.invoked <= time && o.replied <= time)
-
 let concurrency t =
   let events =
     List.concat_map (fun o -> [ (o.invoked, 1); (o.replied, -1) ]) t.rev_ops

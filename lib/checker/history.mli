@@ -18,23 +18,6 @@ val ops : t -> op list
 
 val length : t -> int
 
-(** {1 Extraction helpers}
-
-    Used by the crucible harness to carve sub-histories out of a recorded
-    run (per-client slices for shrinking, time-window slices for fault
-    bisection) without re-recording. *)
-
-val of_ops : op list -> t
-(** A history holding exactly [ops] (in the order given). *)
-
-val filter : t -> f:(op -> bool) -> t
-(** The sub-history of operations satisfying [f], insertion order
-    preserved. *)
-
-val truncate_after : t -> time:float -> t
-(** Operations fully contained in [[0, time]] — both invoked and replied
-    by then. *)
-
 val concurrency : t -> int
 (** Maximum number of operations whose [invoked, replied] intervals
     overlap — a sanity probe that a "concurrent" test actually was. *)

@@ -4,11 +4,6 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   exception Found
   exception Budget
 
-  let pp_result ppf = function
-    | Linearizable -> Format.pp_print_string ppf "linearizable"
-    | Not_linearizable -> Format.pp_print_string ppf "NOT linearizable"
-    | Inconclusive -> Format.pp_print_string ppf "inconclusive (budget)"
-
   let check ?(max_states = 2_000_000) history =
     let ops = Array.of_list (History.ops history) in
     let n = Array.length ops in

@@ -16,6 +16,4 @@ module Make (_ : Rsmr_app.State_machine.S) : sig
 
   val check : ?max_states:int -> History.t -> result
   (** [max_states] defaults to 2_000_000 visited configurations. *)
-
-  val pp_result : Format.formatter -> result -> unit
 end

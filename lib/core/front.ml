@@ -62,6 +62,22 @@ let create ~engine ~net ~bus ~wire ~universe ~batch_window ~batch_max =
     on_reply = (fun ~client:_ ~seq:_ ~rsp:_ -> ());
   }
 
+(* Per-command lifecycle events for span reconstruction.  Everything
+   tooling needs travels in attrs, never the message. *)
+let lifecycle t ~node ev attrs =
+  Trace.emit t.bus ~time:(Engine.now t.engine) ~node ~topic:`Lifecycle
+    ~attrs:(("ev", ev) :: attrs) ev
+
+let command_lifecycle t ~node ev ~client ~seq ~epoch ~idx =
+  if Trace.active t.bus then
+    lifecycle t ~node ev
+      [
+        ("client", string_of_int client);
+        ("seq", string_of_int seq);
+        ("epoch", string_of_int epoch);
+        ("idx", string_of_int idx);
+      ]
+
 let dir_id t = t.dir_id
 let directory t = t.dir
 let ignore_entry ~epoch:_ ~members:_ ~leader:_ = ()

@@ -68,6 +68,27 @@ val start : 'w t -> members:Rsmr_net.Node_id.t list -> unit
     once, after every replica exists: the admin endpoint splits the
     engine RNG, so moving this call changes every later random draw. *)
 
+val lifecycle :
+  'w t -> node:Rsmr_net.Node_id.t -> string -> (string * string) list -> unit
+(** [lifecycle t ~node ev attrs] emits one per-command lifecycle event
+    [ev] (topic [`Lifecycle], attributes [("ev", ev) :: attrs]) on the
+    stack's trace bus, for {!Rsmr_obs.Span} reconstruction.  Build
+    [attrs] only under [Trace.active], so an unobserved run allocates
+    nothing. *)
+
+val command_lifecycle :
+  'w t ->
+  node:Rsmr_net.Node_id.t ->
+  string ->
+  client:int ->
+  seq:int ->
+  epoch:int ->
+  idx:int ->
+  unit
+(** {!lifecycle} with the [client], [seq], [epoch], [idx] attributes, in
+    that order; does nothing (and allocates nothing) when no one listens
+    on the bus. *)
+
 val dir_id : 'w t -> Rsmr_net.Node_id.t
 (** The directory node; stacks send their [Dir_update]s here. *)
 

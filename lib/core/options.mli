@@ -1,5 +1,9 @@
-(** Composition-layer knobs — each one is an ablation axis in the
-    evaluation.
+(** Composition-layer settings: the reconfiguration strategy, the client
+    endpoint's coalescing window, and the model checker's mutation switch.
+    Every field here is set to more than one value somewhere (experiments,
+    Scope presets, tests); timing constants that only ever take one value
+    live next to their one user instead ({!Snapshot.chunk_bytes}, the
+    fetch-retry and early-prepare periods in {!Service}).
 
     The reconfiguration policy itself is no longer a pair of booleans:
     it is a {!Rsmr_iface.Reconfig_strategy.t} value, and
@@ -21,13 +25,6 @@ type t = {
           [`Composition]-driver strategy ({!Rsmr_iface.Reconfig_strategy});
           native strategies (raft) are whole other stacks, not Service
           configurations. *)
-  chunk_size : int;  (** state-transfer chunk bytes *)
-  fetch_timeout : float;  (** retry period for snapshot fetches *)
-  prepare_ttl : float;
-      (** Early-prepare hygiene: a provisionally-bootstrapped next epoch
-          that is not confirmed by a committed [Reconfig] within this many
-          seconds is torn down.  Only read under
-          {!Rsmr_iface.Reconfig_strategy.t.prepare}[ = `Early]. *)
   client_batch_window : float;
       (** Client endpoint coalescing window (seconds): submissions
           accumulate for this long and ship as one
@@ -41,5 +38,5 @@ type t = {
 }
 
 val default : t
-(** {!Rsmr_iface.Reconfig_strategy.composed} with the historical knob
-    values. *)
+(** {!Rsmr_iface.Reconfig_strategy.composed} with the historical
+    coalescing window (0.5 ms, 16 requests) and no mutation. *)

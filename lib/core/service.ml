@@ -19,6 +19,79 @@ type epoch_stat = {
   es_digest : int64;
 }
 
+(* [entry s] is the (key, value) a record reports, if any.  The first
+   node to report a key fixes its value; a later node with a different
+   value is the violation. *)
+let disagreement stats ~entry ~equal ~report =
+  let seen = Hashtbl.create 8 in
+  List.find_map
+    (fun (n, es) ->
+      List.find_map
+        (fun s ->
+          match entry s with
+          | None -> None
+          | Some (k, v) -> (
+            match Hashtbl.find_opt seen k with
+            | None ->
+              Hashtbl.add seen k (n, v);
+              None
+            | Some (n0, v0) ->
+              if equal v0 v then None else Some (report s n0 v0 n v)))
+        es)
+    stats
+
+let epoch_audit stats =
+  let past_wedge =
+    List.find_map
+      (fun (n, es) ->
+        List.find_map
+          (fun s ->
+            match s.es_wedged_at with
+            | Some w when s.es_applied_hi > w ->
+              Some
+                (Printf.sprintf
+                   "epoch-prefix: node %d epoch %d applied index %d past \
+                    wedge %d"
+                   n s.es_epoch s.es_applied_hi w)
+            | _ -> None)
+          es)
+      stats
+  in
+  match past_wedge with
+  | Some _ -> past_wedge
+  | None -> (
+    let wedges =
+      disagreement stats
+        ~entry:(fun s -> Option.map (fun w -> (s.es_epoch, w)) s.es_wedged_at)
+        ~equal:Int.equal
+        ~report:(fun s n0 w0 n w ->
+          Printf.sprintf
+            "wedge-agreement: epoch %d wedged at %d on node %d but at %d on \
+             node %d"
+            s.es_epoch w0 n0 w n)
+    in
+    match wedges with
+    | Some _ -> wedges
+    | None ->
+      disagreement stats
+        ~entry:(fun s ->
+          if s.es_applied_hi < 0 then None
+          else Some ((s.es_epoch, s.es_applied_hi), s.es_digest))
+        ~equal:Int64.equal
+        ~report:(fun s _ d0 n d ->
+          Printf.sprintf
+            "committed-prefix: node %d epoch %d disagrees on the prefix up \
+             to index %d (digest %s, witnessed %s)"
+            n s.es_epoch s.es_applied_hi (Fnv.to_hex d) (Fnv.to_hex d0)))
+
+(* Retry period for an unanswered snapshot fetch, seconds. *)
+let fetch_timeout = 0.25
+
+(* Early-prepare hygiene: a provisionally bootstrapped next epoch that no
+   committed [Reconfig] confirms within this many seconds is torn down.
+   Only armed under [prepare = `Early]. *)
+let prepare_ttl = 1.0
+
 (* How [Wire.t] carries the client and directory messages ({!Front}). *)
 let recv_edge (h : Front.handler) (env : Wire.t Network.envelope) =
   match env.Network.payload with
@@ -185,13 +258,6 @@ struct
   let counters t = t.counters
   let obs t = t.obs
 
-  (* Per-command lifecycle events for span reconstruction.  Guarded on
-     [Trace.active] so an unobserved run does not even build the attrs
-     list; everything tooling needs travels in attrs, never the
-     message. *)
-  let lifecycle t ~node ev attrs =
-    Trace.emit t.bus ~time:(Engine.now t.engine) ~node ~topic:`Lifecycle
-      ~attrs:(("ev", ev) :: attrs) ev
   let current_epoch t = Directory.epoch (Front.directory t.front)
   let current_members t = Directory.members (Front.directory t.front)
 
@@ -373,13 +439,8 @@ struct
     incr inst.sc_residuals;
     if Trace.active t.bus && is_inst_leader inst then begin
       let client, seq = env_client_seq env in
-      lifecycle t ~node:host.me "residual"
-        [
-          ("client", string_of_int client);
-          ("seq", string_of_int seq);
-          ("epoch", string_of_int inst.epoch);
-          ("idx", string_of_int idx);
-        ]
+      Front.command_lifecycle t.front ~node:host.me "residual" ~client ~seq
+        ~epoch:inst.epoch ~idx
     end;
     (* Only the old instance's leader re-submits, to avoid an n-fold
        duplicate storm; session dedup makes any duplicates harmless.  If the
@@ -392,7 +453,7 @@ struct
       Counters.incr t.counters "residuals_resubmitted";
       if Trace.active t.bus then begin
         let client, seq = env_client_seq env in
-        lifecycle t ~node:host.me "resubmit"
+        Front.lifecycle t.front ~node:host.me "resubmit"
           [
             ("client", string_of_int client);
             ("seq", string_of_int seq);
@@ -440,13 +501,8 @@ struct
       Fnv.combine_framed (Fnv.combine_int inst.applied_digest idx) value;
     if Trace.active t.bus && is_inst_leader inst then begin
       let client, seq = env_client_seq env in
-      lifecycle t ~node:host.me "ordered"
-        [
-          ("client", string_of_int client);
-          ("seq", string_of_int seq);
-          ("epoch", string_of_int inst.epoch);
-          ("idx", string_of_int idx);
-        ]
+      Front.command_lifecycle t.front ~node:host.me "ordered" ~client ~seq
+        ~epoch:inst.epoch ~idx
     end;
     match (env : Envelope.t) with
     | Envelope.App { client; seq; low_water; cmd } -> (
@@ -460,14 +516,8 @@ struct
         incr (Lazy.force t.applied);
         incr inst.sc_applied;
         if is_inst_leader inst then begin
-          if Trace.active t.bus then
-            lifecycle t ~node:host.me "applied"
-              [
-                ("client", string_of_int client);
-                ("seq", string_of_int seq);
-                ("epoch", string_of_int inst.epoch);
-                ("idx", string_of_int idx);
-              ];
+          Front.command_lifecycle t.front ~node:host.me "applied" ~client ~seq
+            ~epoch:inst.epoch ~idx;
           reply_client t host ~client ~seq ~rsp
         end
       | `Dup rsp -> if is_inst_leader inst then reply_client t host ~client ~seq ~rsp
@@ -736,7 +786,7 @@ struct
     if provisional then
       inst.prepare_timer <-
         Some
-          (Engine.schedule t.engine ~delay:t.opts.Options.prepare_ttl
+          (Engine.schedule t.engine ~delay:prepare_ttl
              (fun () ->
                inst.prepare_timer <- None;
                teardown_provisional t host inst));
@@ -792,7 +842,7 @@ struct
         send t ~src:host.me ~dst (Wire.Fetch_state { epoch = inst.epoch });
         inst.fetch_timer <-
           Some
-            (Engine.schedule t.engine ~delay:t.opts.Options.fetch_timeout
+            (Engine.schedule t.engine ~delay:fetch_timeout
                (fun () -> if not inst.activated then start_fetch t host inst))
     end
 
@@ -832,7 +882,7 @@ struct
     end
 
   and send_snapshot t host ~dst ~epoch snapshot =
-    let pieces = Snapshot.chunk snapshot ~size:t.opts.Options.chunk_size in
+    let pieces = Snapshot.chunk snapshot ~size:Snapshot.chunk_bytes in
     let total = List.length pieces in
     List.iteri
       (fun index data ->

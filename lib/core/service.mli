@@ -41,8 +41,19 @@ type epoch_stat = {
           digests — the model checker's cross-node witness. *)
 }
 (** Per-instance audit record, one per epoch a node hosts — the raw
-    material for the crucible's epoch-prefix and wedge-agreement
-    oracles. *)
+    material for {!epoch_audit}. *)
+
+val epoch_audit : (Rsmr_net.Node_id.t * epoch_stat list) list -> string option
+(** The epoch safety audit over one snapshot of every node's records,
+    shared by the crucible's [epoch-prefix] oracle and the model
+    checker's per-state properties.  Returns the first violation, checked
+    in this order:
+    - [epoch-prefix]: no instance applied an index past its wedge;
+    - [wedge-agreement]: every node that saw epoch [e] wedge saw the same
+      wedge index;
+    - [committed-prefix]: equal [(es_epoch, es_applied_hi)] on two nodes
+      means equal [es_digest].
+    The message starts with the property's name. *)
 
 (** Output signature of the service functors. *)
 module type S = sig

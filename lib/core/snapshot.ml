@@ -15,6 +15,8 @@ let decode s =
   let sessions = R.string r in
   { app; sessions }
 
+let chunk_bytes = 64 * 1024
+
 let chunk s ~size =
   if size <= 0 then invalid_arg "Snapshot.chunk: size must be positive";
   let n = String.length s in

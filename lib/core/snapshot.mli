@@ -7,6 +7,10 @@ val encode : t -> string
 val decode : string -> t
 [@@rsmr.deterministic] [@@rsmr.total]
 
+val chunk_bytes : int
+(** State-transfer chunk bytes (64 KiB), shared by the composition layer's
+    epoch handoff and the Raft baseline's InstallSnapshot. *)
+
 val chunk : string -> size:int -> string list
 (** Split into pieces of at most [size] bytes (at least one piece, even for
     the empty string, so transfer completion is unambiguous). *)

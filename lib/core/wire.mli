@@ -48,10 +48,6 @@ type t =
     }
   | Prepare of prepare
 
-val write_prepare : Rsmr_app.Codec.Writer.t -> prepare -> unit
-val read_prepare : Rsmr_app.Codec.Reader.t -> prepare
-[@@rsmr.deterministic] [@@rsmr.total]
-
 val size : t -> int
 (** Wire size in bytes: a single counting pass over the same body as
     {!encode}, allocating nothing. *)

@@ -26,9 +26,6 @@ include
 val counter_value : t -> int
 (** Current value of the counter component. *)
 
-val incr_amount : command -> int option
-(** [Some n] iff the command is a counter increment of [n]. *)
-
 val incr_of_encoded : string -> int option
-(** {!incr_amount} applied to an encoded command; [None] on garbage
-    input. *)
+(** [Some n] iff the encoded command is a counter increment of [n];
+    [None] for other commands and on garbage input. *)

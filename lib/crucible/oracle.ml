@@ -48,36 +48,10 @@ let check_exactly_once (r : Runner.report) =
 let check_epoch_prefix (r : Runner.report) =
   match r.Runner.proto.Rsmr_iface.Reconfig_strategy.driver with
   | `Native -> Skip "native raft has no wedge"
-  | `Composition ->
-    let violations = ref [] in
-    let agreed = Hashtbl.create 8 in
-    List.iter
-      (fun (node, stats) ->
-        List.iter
-          (fun (s : Service.epoch_stat) ->
-            match s.Service.es_wedged_at with
-            | None -> ()
-            | Some w ->
-              if s.Service.es_applied_hi > w then
-                violations :=
-                  Printf.sprintf
-                    "node %d applied index %d past wedge %d in epoch %d" node
-                    s.Service.es_applied_hi w s.Service.es_epoch
-                  :: !violations;
-              (match Hashtbl.find_opt agreed s.Service.es_epoch with
-               | Some w' when w' <> w ->
-                 violations :=
-                   Printf.sprintf
-                     "epoch %d wedged at %d on one node and %d on another"
-                     s.Service.es_epoch w' w
-                   :: !violations
-               | Some _ -> ()
-               | None -> Hashtbl.add agreed s.Service.es_epoch w))
-          stats)
-      r.Runner.epoch_stats;
-    (match !violations with
-     | [] -> Pass
-     | vs -> Fail (String.concat "; " (List.rev vs)))
+  | `Composition -> (
+    match Service.epoch_audit r.Runner.epoch_stats with
+    | None -> Pass
+    | Some v -> Fail v)
 
 let counter_of (r : Runner.report) name =
   match List.assoc_opt name r.Runner.counters with Some n -> n | None -> 0

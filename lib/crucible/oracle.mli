@@ -44,5 +44,4 @@ val inconclusives : outcome -> (string * string) list
 val ok : outcome -> bool
 (** No [Fail] verdict ([Inconclusive] and [Skip] are tolerated). *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp : Format.formatter -> outcome -> unit

@@ -22,20 +22,8 @@ module MixedRaft = Rsmr_baselines.Raft.Make (Mixed)
    Service option sets and the native ones as their own stacks. *)
 module Strategy = Rsmr_iface.Reconfig_strategy
 
-type proto = Strategy.t
-
-let proto_name (p : proto) = p.Strategy.name
-let proto_of_string = Strategy.find
-let all_protos = Strategy.all
-
-(* Value aliases so call sites read (almost) as before. *)
-let core : proto = Strategy.composed
-let matchmaker : proto = Strategy.matchmaker
-let stopworld : proto = Strategy.stopworld
-let raft : proto = Strategy.raft
-
 type report = {
-  proto : proto;
+  proto : Strategy.t;
   scenario : Scenario.t;
   history : History.t;
   submitted : int;
@@ -74,7 +62,7 @@ type stack = {
   service_ids : int list;  (* directory + admin client *)
 }
 
-let make_stack engine (proto : proto) (sc : Scenario.t) =
+let make_stack engine (proto : Strategy.t) (sc : Scenario.t) =
   match proto.Strategy.driver with
   | `Composition ->
     let options = { Options.default with Options.strategy = proto } in
@@ -86,7 +74,7 @@ let make_stack engine (proto : proto) (sc : Scenario.t) =
     let dir = MixedCore.directory_id svc in
     {
       cluster =
-        { (MixedCore.cluster svc) with Cluster.name = proto_name proto };
+        { (MixedCore.cluster svc) with Cluster.name = proto.Strategy.name };
       set_link =
         (fun ~src ~dst ~drop -> Network.set_link_fault net ~src ~dst ~drop);
       clear_links = (fun () -> Network.clear_link_faults net);

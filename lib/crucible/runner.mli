@@ -11,25 +11,13 @@
     rather than raised.  For a fixed scenario the entire run is
     bit-for-bit deterministic. *)
 
-type proto = Rsmr_iface.Reconfig_strategy.t
-(** A crucible protocol {e is} a reconfiguration strategy: every
-    registered strategy runs through the soak — composition-driver ones
-    as {!Rsmr_core.Options} strategy selections, native ones as their own
-    stacks. *)
-
-val proto_name : proto -> string
-val proto_of_string : string -> proto option
-val all_protos : proto list
-
-val core : proto
-(** The default [composed] strategy (historical name kept for tests). *)
-
-val matchmaker : proto
-val stopworld : proto
-val raft : proto
-
 type report = {
-  proto : proto;
+  proto : Rsmr_iface.Reconfig_strategy.t;
+      (** A crucible protocol {e is} a reconfiguration strategy: every
+          registered strategy ({!Rsmr_iface.Reconfig_strategy.all}) runs
+          through the soak — composition-driver ones as
+          {!Rsmr_core.Options} strategy selections, native ones as their
+          own stacks. *)
   scenario : Scenario.t;
   history : Rsmr_checker.History.t;
       (** client-observed completed operations *)
@@ -57,7 +45,7 @@ type report = {
   end_time : float;
 }
 
-val run : proto -> Scenario.t -> report
+val run : Rsmr_iface.Reconfig_strategy.t -> Scenario.t -> report
 
 val first_client_id : int
 (** Client ids start here — far above any replica universe the generator

@@ -1,5 +1,7 @@
+module Strategy = Rsmr_iface.Reconfig_strategy
+
 type failure = {
-  f_proto : Runner.proto;
+  f_proto : Strategy.t;
   f_seed : int;
   f_scenario : Scenario.t;
   f_failed : (string * string) list;
@@ -17,7 +19,7 @@ type summary = {
 
 let replay_command proto scenario =
   Printf.sprintf "dune exec test/crucible_main.exe -- --proto %s --scenario '%s'"
-    (Runner.proto_name proto) (Scenario.to_string scenario)
+    proto.Strategy.name (Scenario.to_string scenario)
 
 let run_scenario ?lin_budget proto scenario =
   let report = Runner.run proto scenario in
@@ -86,7 +88,7 @@ let pp_failure ppf f =
   Format.fprintf ppf
     "@[<v>%s seed %d FAILED: %a@,  scenario: %a@,  shrunk (%d re-runs): %a@,\
     \  shrunk failure: %a@,  replay: %s@]"
-    (Runner.proto_name f.f_proto) f.f_seed
+    f.f_proto.Strategy.name f.f_seed
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
        (fun ppf (name, msg) -> Format.fprintf ppf "%s (%s)" name msg))

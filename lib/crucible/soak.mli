@@ -8,7 +8,7 @@
     bit-for-bit. *)
 
 type failure = {
-  f_proto : Runner.proto;
+  f_proto : Rsmr_iface.Reconfig_strategy.t;
   f_seed : int;
   f_scenario : Scenario.t;  (** the original generated scenario *)
   f_failed : (string * string) list;  (** oracle name → reason *)
@@ -26,37 +26,29 @@ type summary = {
   failures : failure list;
 }
 
-val replay_command : Runner.proto -> Scenario.t -> string
+val replay_command : Rsmr_iface.Reconfig_strategy.t -> Scenario.t -> string
 (** The one-liner that replays a scenario against a protocol. *)
 
 val run_scenario :
   ?lin_budget:int ->
-  Runner.proto ->
+  Rsmr_iface.Reconfig_strategy.t ->
   Scenario.t ->
   Oracle.outcome * Runner.report
 
 val check_scenario :
   ?lin_budget:int ->
   ?shrink:bool ->
-  Runner.proto ->
+  Rsmr_iface.Reconfig_strategy.t ->
   Scenario.t ->
   (Oracle.outcome, failure) result
 (** Run and judge; on failure, minimize (unless [shrink:false]) and
     re-judge the minimized scenario. *)
 
-val check_seed :
-  ?lin_budget:int ->
-  ?shrink:bool ->
-  Runner.proto ->
-  int ->
-  (Oracle.outcome, failure) result
-(** [check_scenario] over [Generate.scenario ~seed]. *)
-
 val soak :
   ?lin_budget:int ->
   ?shrink:bool ->
-  ?on_run:(Runner.proto -> int -> Oracle.outcome option -> unit) ->
-  protos:Runner.proto list ->
+  ?on_run:(Rsmr_iface.Reconfig_strategy.t -> int -> Oracle.outcome option -> unit) ->
+  protos:Rsmr_iface.Reconfig_strategy.t list ->
   seeds:int list ->
   unit ->
   summary

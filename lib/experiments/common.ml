@@ -54,14 +54,12 @@ type setup = {
   engine : Engine.t;
   cluster : Rsmr_iface.Cluster.t;
   leader : unit -> Node_id.t option;
-  kv_state : Node_id.t -> Rsmr_app.Kv.t option;
 }
 
-let core_options proto chunk_size =
-  { Options.default with Options.chunk_size; strategy = strategy_of proto }
+let core_options proto =
+  { Options.default with Options.strategy = strategy_of proto }
 
-let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
-    ~members ~universe =
+let make ?(seed = 1) ?latency ?drop ?bandwidth proto ~members ~universe =
   let engine = Engine.create ~seed () in
   match proto with
   | Core | Matchmaker | Core_nospec | Core_noresidual | Stopworld ->
@@ -69,7 +67,7 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
        disabled: a strategy value, not a separate stack. *)
     let svc =
       KvCore.create ~engine ?latency ?drop ?bandwidth
-        ~options:(core_options proto chunk_size) ~universe ~members ()
+        ~options:(core_options proto) ~universe ~members ()
     in
     let cluster =
       { (KvCore.cluster svc) with Rsmr_iface.Cluster.name = proto_name proto }
@@ -78,12 +76,11 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
       engine;
       cluster;
       leader = (fun () -> KvCore.current_leader svc);
-      kv_state = (fun node -> KvCore.app_state svc node);
     }
   | Core_vr ->
     let svc =
       KvCoreVr.create ~engine ?latency ?drop ?bandwidth
-        ~options:(core_options proto chunk_size) ~universe ~members ()
+        ~options:(core_options proto) ~universe ~members ()
     in
     let cluster =
       { (KvCoreVr.cluster svc) with Rsmr_iface.Cluster.name = proto_name proto }
@@ -92,7 +89,6 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
       engine;
       cluster;
       leader = (fun () -> KvCoreVr.current_leader svc);
-      kv_state = (fun node -> KvCoreVr.app_state svc node);
     }
   | Raft ->
     let svc = KvRaft.create ~engine ?latency ?drop ?bandwidth ~universe ~members () in
@@ -100,23 +96,9 @@ let make ?(seed = 1) ?latency ?drop ?bandwidth ?(chunk_size = 64 * 1024) proto
       engine;
       cluster = KvRaft.cluster svc;
       leader = (fun () -> KvRaft.leader svc);
-      kv_state = (fun node -> KvRaft.app_state svc node);
     }
 
 let run_to setup time = Engine.run ~until:time setup.engine
-
-let wait_for_members setup ~target ~deadline =
-  let target = List.sort_uniq Node_id.compare target in
-  let rec loop horizon =
-    Engine.run ~until:horizon setup.engine;
-    if
-      List.sort_uniq Node_id.compare (setup.cluster.Rsmr_iface.Cluster.members ())
-      = target
-    then Some (Engine.now setup.engine)
-    else if horizon >= deadline then None
-    else loop (horizon +. 0.02)
-  in
-  loop (Engine.now setup.engine +. 0.02)
 
 let wait_for_live setup ~target ~deadline =
   let target = List.sort_uniq Node_id.compare target in
@@ -142,14 +124,5 @@ let downtime (stats : Driver.stats) ~from_ ~window =
   with
   | Some v -> v
   | None -> Float.nan
-
-let throughput_in (stats : Driver.stats) ~from_ ~until =
-  let count =
-    List.fold_left
-      (fun acc (time, _) -> if time >= from_ && time < until then acc + 1 else acc)
-      0
-      (Timeseries.points stats.Driver.completions)
-  in
-  float_of_int count /. (until -. from_)
 
 let default_universe n = List.init n Fun.id

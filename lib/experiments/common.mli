@@ -26,7 +26,6 @@ type setup = {
   engine : Rsmr_sim.Engine.t;
   cluster : Rsmr_iface.Cluster.t;
   leader : unit -> Rsmr_net.Node_id.t option;
-  kv_state : Rsmr_net.Node_id.t -> Rsmr_app.Kv.t option;
 }
 
 val make :
@@ -34,7 +33,6 @@ val make :
   ?latency:Rsmr_net.Latency.t ->
   ?drop:float ->
   ?bandwidth:float ->
-  ?chunk_size:int ->
   proto ->
   members:Rsmr_net.Node_id.t list ->
   universe:Rsmr_net.Node_id.t list ->
@@ -44,26 +42,18 @@ val make :
 val run_to : setup -> float -> unit
 (** Run the engine to an absolute simulation time. *)
 
-val wait_for_members :
-  setup -> target:Rsmr_net.Node_id.t list -> deadline:float -> float option
-(** Run until the cluster's advertised membership equals [target]
-    (sorted); returns the simulation time when it happened, or [None] at
-    the deadline. *)
-
 val wait_for_live :
   setup -> target:Rsmr_net.Node_id.t list -> deadline:float -> float option
-(** Like {!wait_for_members}, but additionally requires an elected leader
-    inside [target] — the point at which the new configuration is actually
-    serving. *)
+(** Run until the cluster's advertised membership equals [target]
+    (sorted) and an elected leader sits inside [target] — the point at
+    which the new configuration is actually serving.  Returns the
+    simulation time when it happened, or [None] at the deadline. *)
 
 val downtime : Rsmr_workload.Driver.stats -> from_:float -> window:float -> float
 (** Worst client-perceived latency among requests completing in
     [from_, from_+window] — the unavailability proxy used throughout the
     evaluation.  NaN when nothing completed in the window (total outage
     longer than the window). *)
-
-val throughput_in : Rsmr_workload.Driver.stats -> from_:float -> until:float -> float
-(** Completions per second inside the interval. *)
 
 val default_universe : int -> Rsmr_net.Node_id.t list
 (** [0 .. n-1]. *)

@@ -10,6 +10,7 @@ module Runner = Rsmr_crucible.Runner
 module Oracle = Rsmr_crucible.Oracle
 module Obs = Rsmr_obs.Registry
 module Histogram = Rsmr_sim.Histogram
+module Strategy = Rsmr_iface.Reconfig_strategy
 
 let id = "T5"
 let title = "Strategy comparison under reconfiguration churn"
@@ -30,7 +31,7 @@ let run_one proto ~seeds =
       prepares := !prepares + counter_of r "prepares";
       let h =
         Obs.histogram r.Runner.obs "wedged_window_s"
-          ~labels:[ ("strategy", Runner.proto_name proto) ]
+          ~labels:[ ("strategy", proto.Strategy.name) ]
       in
       if Histogram.count h > 0 then windows := Histogram.mean h :: !windows)
     seeds;
@@ -51,14 +52,14 @@ let run ?(quick = false) () =
           run_one proto ~seeds
         in
         [
-          Runner.proto_name proto;
+          proto.Strategy.name;
           Printf.sprintf "%d/%d" passed n;
           string_of_int completed;
           (if Float.is_nan window then "n/a" else Table.cell_ms window);
           string_of_int transfer;
           string_of_int prepares;
         ])
-      Runner.all_protos
+      Strategy.all
   in
   Table.make ~id ~title
     ~headers:

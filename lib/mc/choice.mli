@@ -21,13 +21,8 @@ type t =
 
 val equal : t -> t -> bool
 
-val to_token : t -> string
-(** Compact shell-safe token, e.g. ["d1-2"], ["t17"]. *)
-
-val of_token : string -> t option
-
 val seq_to_string : t list -> string
-(** [";"]-joined tokens — the trace format of counterexample files,
+(** [";"]-joined compact shell-safe tokens (e.g. ["d1-2"], ["t17"]) — the trace format of counterexample files,
     frontier entries and [--replay]. *)
 
 val seq_of_string : string -> t list option

@@ -168,7 +168,7 @@ let render_counterexample ~proto ~scope ~mutate trace =
   Buffer.add_string b
     (Printf.sprintf "counterexample: %d step(s), proto=%s, scope=[%s]%s\n"
        (List.length trace)
-       (Harness.proto_to_string proto)
+       proto.Rsmr_iface.Reconfig_strategy.name
        (Scope.to_string scope)
        (if mutate then ", mutation=no-first-wedge" else ""));
   let h = Harness.create ~proto ~scope ~mutate () in
@@ -192,7 +192,7 @@ let render_counterexample ~proto ~scope ~mutate trace =
   Buffer.add_string b
     (Printf.sprintf
        "reproduce: mc_main.exe --proto %s --scope %s%s --replay '%s'\n"
-       (Harness.proto_to_string proto)
+       proto.Rsmr_iface.Reconfig_strategy.name
        (Scope.to_string scope)
        (if mutate then " --mutate" else "")
        (Choice.seq_to_string trace));

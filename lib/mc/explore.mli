@@ -31,7 +31,7 @@ type stats = {
 type progress = visited:int -> transitions:int -> depth:int -> unit
 
 val run :
-  proto:Harness.proto ->
+  proto:Rsmr_iface.Reconfig_strategy.t ->
   scope:Scope.t ->
   mutate:bool ->
   strategy:strategy ->
@@ -47,7 +47,7 @@ val run :
     [on_progress] is invoked every 500 new states. *)
 
 val render_counterexample :
-  proto:Harness.proto ->
+  proto:Rsmr_iface.Reconfig_strategy.t ->
   scope:Scope.t ->
   mutate:bool ->
   Choice.t list ->

@@ -7,22 +7,6 @@ module Service = Rsmr_core.Service
 module Counter = Rsmr_app.Counter
 module Svc = Rsmr_core.Service.Make (Rsmr_app.Counter)
 
-module Strategy = Rsmr_iface.Reconfig_strategy
-
-(* The harness explores composition-driver strategies only: a native
-   stack has no wedge/instance structure for the properties to inspect. *)
-type proto = Strategy.t
-
-let core : proto = Strategy.composed
-let stopworld : proto = Strategy.stopworld
-
-let proto_of_string s =
-  match Strategy.find s with
-  | Some p when p.Strategy.driver = `Composition -> Some p
-  | Some _ | None -> None
-
-let proto_to_string (p : proto) = p.Strategy.name
-
 exception Divergent of Choice.t
 (** A stored choice did not apply — the replayed path diverged from the
     state it was recorded against.  Determinism makes this unreachable
@@ -32,7 +16,6 @@ let client_id = 1000
 
 type t = {
   scope : Scope.t;
-  proto : proto;
   svc : Svc.t;
   cluster : Rsmr_iface.Cluster.t;
   engine : Engine.t;
@@ -54,7 +37,6 @@ type t = {
 
 let violation t = t.violation
 let scope t = t.scope
-let proto t = t.proto
 let engine t = t.engine
 
 let options ~proto ~scope ~mutate =
@@ -111,7 +93,6 @@ let create ~proto ~scope ~mutate () =
   let t =
     {
       scope;
-      proto;
       svc;
       cluster;
       engine;
@@ -146,51 +127,10 @@ let create ~proto ~scope ~mutate () =
 let check_properties t =
   let nodes = Scope.universe t.scope in
   let stats = List.map (fun n -> (n, Svc.epoch_stats t.svc n)) nodes in
-  (* epoch-prefix: nothing past the wedge index ever takes effect *)
-  let epoch_prefix =
-    List.find_map
-      (fun (n, es) ->
-        List.find_map
-          (fun (s : Service.epoch_stat) ->
-            match s.Service.es_wedged_at with
-            | Some w when s.Service.es_applied_hi > w ->
-              Some
-                (Printf.sprintf
-                   "epoch-prefix: node %d epoch %d applied index %d past \
-                    wedge %d"
-                   n s.Service.es_epoch s.Service.es_applied_hi w)
-            | _ -> None)
-          es)
-      stats
-  in
-  (* wedge agreement: every node that saw epoch e wedge saw the same
-     wedge index *)
-  let wedge_agreement () =
-    let seen : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-    List.find_map
-      (fun (n, es) ->
-        List.find_map
-          (fun (s : Service.epoch_stat) ->
-            match s.Service.es_wedged_at with
-            | None -> None
-            | Some w -> (
-              match Hashtbl.find_opt seen s.Service.es_epoch with
-              | None ->
-                Hashtbl.add seen s.Service.es_epoch (n, w);
-                None
-              | Some (n0, w0) when w0 <> w ->
-                Some
-                  (Printf.sprintf
-                     "wedge-agreement: epoch %d wedged at %d on node %d \
-                      but at %d on node %d"
-                     s.Service.es_epoch w0 n0 w n)
-              | Some _ -> None))
-          es)
-      stats
-  in
-  (* committed-prefix agreement: the (epoch, applied_hi) -> digest map is
-     a function — across nodes in this state, and across every state of
-     this path (the digest of a given prefix never rewrites) *)
+  (* path-wide committed-prefix agreement: the (epoch, applied_hi) ->
+     digest map is a function across every state of this path (the digest
+     of a given prefix never rewrites); {!Service.epoch_audit} checks it
+     across the nodes of this one state *)
   let committed_prefix () =
     List.find_map
       (fun (n, es) ->
@@ -233,15 +173,12 @@ let check_properties t =
           else None)
       nodes
   in
-  match epoch_prefix with
+  match Service.epoch_audit stats with
   | Some v -> Some v
   | None -> (
-    match wedge_agreement () with
+    match committed_prefix () with
     | Some v -> Some v
-    | None -> (
-      match committed_prefix () with
-      | Some v -> Some v
-      | None -> exactly_once ()))
+    | None -> exactly_once ())
 
 let observe t =
   if t.violation = None then t.violation <- check_properties t

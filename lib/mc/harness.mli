@@ -13,22 +13,6 @@
 
 module Svc : Rsmr_core.Service.S with type app_state = Rsmr_app.Counter.t
 
-type proto = Rsmr_iface.Reconfig_strategy.t
-(** A composition-driver reconfiguration strategy (native stacks have no
-    wedge/instance structure for the explored properties to inspect). *)
-
-val core : proto
-val stopworld : proto
-(** [Core] is the paper's composition with default options (speculative
-    handoff, residual resubmission); [Stopworld] the conservative
-    baseline configuration of the same composition. *)
-
-val proto_of_string : string -> proto option
-(** Registered strategy names and aliases; [None] for unknown names and
-    [`Native]-driver strategies. *)
-
-val proto_to_string : proto -> string
-
 exception Divergent of Choice.t
 (** Raised by {!apply} when a stored choice is not applicable — a
     replayed path diverged from the run it was recorded on.  Indicates
@@ -36,8 +20,11 @@ exception Divergent of Choice.t
 
 type t
 
-val create : proto:proto -> scope:Scope.t -> mutate:bool -> unit -> t
-(** Fresh initial state.  [mutate] re-introduces the first-wedge-wins
+val create :
+  proto:Rsmr_iface.Reconfig_strategy.t -> scope:Scope.t -> mutate:bool -> unit -> t
+(** Fresh initial state over a [`Composition]-driver strategy (a native
+    stack has no wedge/instance structure for the explored properties to
+    inspect).  [mutate] re-introduces the first-wedge-wins
     bug ({!Rsmr_core.Options.mutation}) so the checker's teeth can be
     tested: exploration must then find an epoch-prefix violation. *)
 
@@ -51,7 +38,12 @@ val apply : t -> Choice.t -> unit
     property on the resulting state (first failure latches into
     {!violation}).  @raise Divergent if the choice is not enabled. *)
 
-val replay : proto:proto -> scope:Scope.t -> mutate:bool -> Choice.t list -> t
+val replay :
+  proto:Rsmr_iface.Reconfig_strategy.t ->
+  scope:Scope.t ->
+  mutate:bool ->
+  Choice.t list ->
+  t
 (** [create] + [apply] each choice in order (stopping early if a
     violation latches) — how the explorer materialises a frontier state
     and how counterexamples are reproduced. *)
@@ -66,16 +58,11 @@ val violation : t -> string option
 (** First safety-property failure observed on this path, if any. *)
 
 val scope : t -> Scope.t
-val proto : t -> proto
 val engine : t -> Rsmr_sim.Engine.t
 
 val summary : t -> string
 (** Human-readable one-state digest (virtual time, per-node epoch
     stats, counter values) for counterexample traces. *)
-
-val client_id : int
-(** Node id of the single scripted client (1000 — far above any
-    universe the scope parser will produce). *)
 
 (** {2 Coverage}
 

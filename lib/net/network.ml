@@ -10,9 +10,9 @@ type 'm t = {
   engine : Engine.t;
   mode : mode;
   (* Enumerate mode: per-directed-link FIFO queues of undelivered
-     payloads.  Only the head of each queue is deliverable — the
-     in-order clamp [fifo] enforces with arrival-time bumps in `Sim
-     mode holds by construction here. *)
+     payloads.  Only the head of each queue is deliverable, so the
+     per-link order `Sim mode enforces with arrival-time bumps holds by
+     construction here. *)
   queues : (Node_id.t * Node_id.t, 'm Queue.t) Hashtbl.t;
   latency : Latency.t;
   mutable drop : float;
@@ -25,7 +25,6 @@ type 'm t = {
   mutable groups : Node_id.Set.t list; (* empty list = no partition *)
   link_drop : (Node_id.t * Node_id.t, float) Hashtbl.t;
   egress_free_at : (Node_id.t, float) Hashtbl.t;
-  fifo : bool;
   tagger : ('m -> string) option;
   last_arrival : (Node_id.t * Node_id.t, float) Hashtbl.t;
   counters : Counters.t;
@@ -42,8 +41,7 @@ type 'm t = {
 }
 
 let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
-    ?(duplicate = 0.0) ?(bandwidth = 1.25e8) ?(fifo = true) ?tagger
-    ?(sizer = fun _ -> 64) ?obs () =
+    ?(bandwidth = 1.25e8) ?tagger ?(sizer = fun _ -> 64) ?obs () =
   (* With an Observatory registry the network's counter table IS the
      registry's "net" section: same live cells, no extra hot-path cost,
      and the registry exports per-message-type series by splitting the
@@ -59,7 +57,7 @@ let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
     queues = Hashtbl.create 16;
     latency;
     drop;
-    duplicate;
+    duplicate = 0.0;
     bandwidth;
     sizer;
     rng = Rng.split (Engine.rng engine);
@@ -68,7 +66,6 @@ let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
     groups = [];
     link_drop = Hashtbl.create 8;
     egress_free_at = Hashtbl.create 32;
-    fifo;
     tagger;
     last_arrival = Hashtbl.create 64;
     counters;
@@ -83,7 +80,6 @@ let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
 let engine t = t.engine
 let mode t = t.mode
 let register t node f = Hashtbl.replace t.handlers node f
-let unregister t node = Hashtbl.remove t.handlers node
 
 let crash t node = t.crashed <- Node_id.Set.add node t.crashed
 let recover t node = t.crashed <- Node_id.Set.remove node t.crashed
@@ -217,20 +213,15 @@ let transmit t ~src ~dst ~size ~chan payload =
         (* TCP-like per-link FIFO: a message never overtakes an earlier one
            on the same directed link.  Protocols built for stream
            transports (pipelined Raft appends) depend on this. *)
-        let delay =
-          if not t.fifo then delay
-          else begin
-            let now = Engine.now t.engine in
-            let arrival = now +. delay in
-            let arrival =
-              match Hashtbl.find_opt t.last_arrival (src, dst) with
-              | Some prev when prev >= arrival -> prev +. 1e-9
-              | Some _ | None -> arrival
-            in
-            Hashtbl.replace t.last_arrival (src, dst) arrival;
-            arrival -. now
-          end
+        let now = Engine.now t.engine in
+        let arrival = now +. delay in
+        let arrival =
+          match Hashtbl.find_opt t.last_arrival (src, dst) with
+          | Some prev when prev >= arrival -> prev +. 1e-9
+          | Some _ | None -> arrival
         in
+        Hashtbl.replace t.last_arrival (src, dst) arrival;
+        let delay = arrival -. now in
         (* Partition / crash are re-checked at delivery time so that a
            partition installed while a message is in flight cuts it off,
            matching how long network convulsions behave. *)

@@ -26,9 +26,7 @@ val create :
   ?mode:mode ->
   ?latency:Latency.t ->
   ?drop:float ->
-  ?duplicate:float ->
   ?bandwidth:float ->
-  ?fifo:bool ->
   ?tagger:('m -> string) ->
   ?sizer:('m -> int) ->
   ?obs:Rsmr_obs.Registry.t ->
@@ -48,11 +46,6 @@ val create :
     transfers (snapshots) take time proportional to their size.  Default
     1.25e8 (10 GbE); [infinity] disables the model.
 
-    [fifo] (default true) prevents a message from overtaking an earlier
-    one on the same directed link, as a TCP stream would — protocols that
-    pipeline (Raft appends) depend on it.  Set false to model independent
-    datagrams.
-
     [tagger] classifies payloads for per-message-type counters
     ("sent.<tag>", "bytes.<tag>"). *)
 
@@ -62,12 +55,11 @@ val register : 'm t -> Node_id.t -> ('m envelope -> unit) -> unit
 (** Attach a node's receive handler.  Re-registering replaces the handler
     (used when a node restarts with fresh state). *)
 
-val unregister : 'm t -> Node_id.t -> unit
-
 val send : 'm t -> src:Node_id.t -> dst:Node_id.t -> 'm -> unit
 (** Fire-and-forget.  Self-sends are delivered through the queue too (with
     near-zero latency), preserving the no-reentrancy property handlers rely
-    on. *)
+    on.  A message never overtakes an earlier one on the same directed
+    link, as over a TCP stream: pipelined Raft appends depend on it. *)
 
 val broadcast : 'm t -> src:Node_id.t -> dsts:Node_id.t list -> 'm -> unit
 (** Send to every node in [dsts] except [src].  The payload is sized and

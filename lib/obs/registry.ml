@@ -127,10 +127,7 @@ let scope ?node ?epoch ?(labels = []) t =
   in
   { reg = t; sc = canon l }
 
-let scope_labels s = s.sc
 let scope_counter s name = counter ~labels:s.sc s.reg name
-let scope_histogram s name = histogram ~labels:s.sc s.reg name
-let scope_series s name = series ~labels:s.sc s.reg name
 
 (* --- attached sections --- *)
 

@@ -76,13 +76,7 @@ type scope
 
 val scope : ?node:int -> ?epoch:int -> ?labels:labels -> t -> scope
 
-val scope_labels : scope -> labels
-
 val scope_counter : scope -> string -> int ref
-
-val scope_histogram : scope -> string -> Rsmr_sim.Histogram.t
-
-val scope_series : scope -> string -> Rsmr_sim.Timeseries.t
 
 (** {1 Attached legacy counter sections} *)
 

@@ -46,7 +46,6 @@ module type S = sig
   val n_shards : t -> int
   val shard : t -> int -> Shard_svc.t
   val shard_members : t -> int -> Node_id.t list
-  val shard_of_key : t -> string -> int
   val dir : t -> Dir_svc.t
   val dir_client : t -> Dir_client.t
   val dir_epoch_regressions : t -> int
@@ -102,7 +101,6 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
   let n_shards t = Array.length t.shards
   let shard t i = t.shards.(i).svc
   let shard_members t i = Shard_svc.current_members t.shards.(i).svc
-  let shard_of_key t key = Keyspace.shard_of t.keyspace key
   let dir t = t.dir_svc
   let dir_client t = t.dirc
   let dir_epoch_regressions t = Dir_client.regressions t.dirc

@@ -69,7 +69,6 @@ module type S = sig
   val n_shards : t -> int
   val shard : t -> int -> Shard_svc.t
   val shard_members : t -> int -> Rsmr_net.Node_id.t list
-  val shard_of_key : t -> string -> int
   val dir : t -> Dir_svc.t
   val dir_client : t -> Dir_client.t
 

@@ -105,10 +105,9 @@ let rec next_event_time t =
       next_event_time t
     end
 
-let run ?until ?max_events t =
-  let budget = ref (match max_events with Some n -> n | None -> max_int) in
+let run ?until t =
   let continue = ref true in
-  while !continue && !budget > 0 do
+  while !continue do
     match next_event_time t with
     | None -> continue := false
     | Some time ->
@@ -118,9 +117,7 @@ let run ?until ?max_events t =
             observe monotonic time, but leave the event queued. *)
          t.time <- u;
          continue := false
-       | _ ->
-         ignore (step t);
-         decr budget)
+       | _ -> ignore (step t))
   done
 
 let events_executed t = t.executed

@@ -54,8 +54,6 @@ val cancel : t -> timer -> unit
 (** Cancel a pending event.  Cancelling a fired or already-cancelled
     timer is a no-op — the timer keeps its terminal state. *)
 
-val is_pending : timer -> bool
-
 val cancel_opt : t -> timer option -> timer option
 (** [slot <- cancel_opt t slot] cancels the timer held in an optional
     slot, if any, and returns [None] to clear the slot. *)
@@ -78,11 +76,10 @@ val step : t -> bool
     running anything and without advancing the clock — dead entries
     have no meaningful priority. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Drain the event queue, stopping when it holds no live event, when
-    virtual time would exceed [until], or after [max_events] executed
-    callbacks (dead entries do not consume budget).  Events beyond
-    [until] remain queued. *)
+val run : ?until:float -> t -> unit
+(** Drain the event queue, stopping when it holds no live event or when
+    virtual time would exceed [until].  Events beyond [until] remain
+    queued. *)
 
 val events_executed : t -> int
 (** Number of callbacks executed so far — a cheap determinism probe. *)
@@ -91,11 +88,6 @@ val pending_count : t -> int
 (** Number of live pending timers, in O(1).  Part of the model
     checker's state fingerprint (the {e count} of outstanding timers is
     state; their absolute due-times are not, see DESIGN.md §11). *)
-
-val next_event_time : t -> float option
-(** Virtual time of the next event that will actually run, discarding any
-    dead timers found at the head of the queue.  [None] when the
-    queue holds no live event. *)
 
 val run_until : t -> pred:(unit -> bool) -> deadline:float -> float option
 (** Step the engine until [pred ()] holds, checking before every event.

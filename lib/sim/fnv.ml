@@ -41,9 +41,6 @@ let combine_framed h s = combine (step (combine_int h (String.length s)) 0) s
 
 let hash s = combine offset_basis s
 
-let of_parts parts =
-  List.fold_left (fun h part -> combine_framed h part) offset_basis parts
-
 let to_hex h = Printf.sprintf "%016Lx" h
 
 let of_hex s =

@@ -28,10 +28,6 @@ val combine_framed : int64 -> string -> int64
     parts cannot alias across their boundary ("ab"+"c" vs "a"+"bc").
     Use this when chaining variable-length fields. *)
 
-val of_parts : string list -> int64
-(** Framed digest of a part list: [of_parts ps] folds each part with
-    {!combine_framed} from the offset basis. *)
-
 val to_hex : int64 -> string
 (** 16-digit lowercase hex, zero-padded — the external fingerprint
     form used in frontier files and counterexample traces. *)

@@ -60,13 +60,3 @@ let count t ~topic =
   | None -> 0
 
 let attr ev key = List.assoc_opt key ev.attrs
-
-let pp_level ppf = function
-  | Debug -> Format.pp_print_string ppf "debug"
-  | Info -> Format.pp_print_string ppf "info"
-  | Warn -> Format.pp_print_string ppf "warn"
-
-let pp_event ppf ev =
-  Format.fprintf ppf "[%.6f] n%d %s/%a: %s" ev.time ev.node
-    (topic_name ev.topic) pp_level ev.level ev.message;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k v) ev.attrs

@@ -22,10 +22,6 @@ type topic =
   | `Lifecycle   (** per-command lifecycle events consumed by spans *)
   | `Other of string ]
 
-val topic_name : topic -> string
-(** Stable lowercase name ("paxos", "lifecycle", ...); [`Other s] maps to
-    [s]. *)
-
 type event = {
   time : float;
   node : int;          (** -1 when not attributable to a node *)
@@ -70,5 +66,3 @@ val count : t -> topic:topic -> int
 
 val attr : event -> string -> string option
 (** [attr ev k] looks up a structured field. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -3,7 +3,6 @@ type t = {
   election_timeout_min : float;
   election_timeout_max : float;
   resend_interval : float;
-  learn_batch : int;
   batch_delay : float;
   batch_max : int;
   max_outstanding : int;
@@ -15,7 +14,6 @@ let default =
     election_timeout_min = 0.100;
     election_timeout_max = 0.200;
     resend_interval = 0.050;
-    learn_batch = 256;
     batch_delay = 0.0005;
     batch_max = 64;
     max_outstanding = 64;
@@ -23,13 +21,3 @@ let default =
 
 let unbatched = { default with batch_delay = 0.0 }
 let with_batching delay = { default with batch_delay = delay }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "hb=%.0fms eto=[%.0f,%.0f]ms resend=%.0fms batch=%.1fms/%d pipe=%d"
-    (t.heartbeat_interval *. 1e3)
-    (t.election_timeout_min *. 1e3)
-    (t.election_timeout_max *. 1e3)
-    (t.resend_interval *. 1e3)
-    (t.batch_delay *. 1e3)
-    t.batch_max t.max_outstanding

@@ -12,7 +12,6 @@ type t = {
       (** follower election timeout is drawn uniformly from this range,
           Raft-style, to break dueling-proposer livelock *)
   resend_interval : float;     (** leader re-broadcast period for stuck slots *)
-  learn_batch : int;           (** max entries per Learn response *)
   batch_delay : float;
       (** leader-side batching window ({!Rsmr_sim.Batch}): submissions
           are accumulated for this long (seconds) and proposed as one
@@ -36,4 +35,3 @@ val unbatched : t
     per command) — the pre-batching ablation baseline. *)
 
 val default : t
-val pp : Format.formatter -> t -> unit

@@ -553,9 +553,12 @@ let on_heartbeat t ~src (ballot : Ballot.t) commit_index =
   end
   else t.send ~dst:src (Msg.Reject { ballot; higher = t.promised })
 
+(* Max committed entries per [Learn_rsp]. *)
+let learn_batch = 256
+
 let on_learn_req t ~src from_index =
   let upto = Log.committed_prefix t.log - 1 in
-  let hi = min upto (from_index + t.params.Params.learn_batch - 1) in
+  let hi = min upto (from_index + learn_batch - 1) in
   if hi >= from_index then
     t.send ~dst:src
       (Msg.Learn_rsp

@@ -34,9 +34,6 @@ val n_keys : t -> int
 val next_index : t -> int
 (** Sample one global key index. *)
 
-val next_key : t -> string
-(** [Keys.key_name (next_index t)]. *)
-
 val next : t -> string
 (** Next encoded KV command against a sampled key (Get with probability
     [read_ratio], else Put of a fresh [value_size]-byte value). *)

@@ -17,6 +17,7 @@ module Runner = Rsmr_crucible.Runner
 module Oracle = Rsmr_crucible.Oracle
 module Soak = Rsmr_crucible.Soak
 module Churn = Rsmr_shard.Churn
+module Strategy = Rsmr_iface.Reconfig_strategy
 
 let usage () =
   prerr_endline
@@ -35,7 +36,7 @@ let usage () =
 
 type opts = {
   mutable seeds : int list;
-  mutable protos : Runner.proto list;
+  mutable protos : Strategy.t list;
   mutable protos_raw : string option;
   mutable family : string;
   mutable storm : bool;
@@ -65,14 +66,14 @@ let parse_seeds s =
 
 let parse_protos s =
   match s with
-  | "all" -> Some Runner.all_protos
-  | s -> Option.map (fun p -> [ p ]) (Runner.proto_of_string s)
+  | "all" -> Some Strategy.all
+  | s -> Option.map (fun p -> [ p ]) (Strategy.find s)
 
 let parse_args () =
   let o =
     {
       seeds = [];
-      protos = Runner.all_protos;
+      protos = Strategy.all;
       protos_raw = None;
       family = "default";
       storm = false;
@@ -264,7 +265,7 @@ let () =
               let r = Runner.run proto sc in
               Format.printf
                 "seed %d %-9s ok (%d/%d ops, %d sim events, vt %.2fs)@.%a@."
-                sc.Scenario.seed (Runner.proto_name proto) r.Runner.completed
+                sc.Scenario.seed proto.Strategy.name r.Runner.completed
                 r.Runner.submitted r.Runner.events_executed r.Runner.end_time
                 Oracle.pp outcome;
               Format.printf "  %a@." Rsmr_obs.Span.pp_summary r.Runner.spans;

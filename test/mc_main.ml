@@ -17,6 +17,7 @@ module Scope = Rsmr_mc.Scope
 module Choice = Rsmr_mc.Choice
 module Harness = Rsmr_mc.Harness
 module Explore = Rsmr_mc.Explore
+module Strategy = Rsmr_iface.Reconfig_strategy
 
 let usage () =
   prerr_endline
@@ -29,7 +30,7 @@ let usage () =
 
 type opts = {
   mutable scope : Scope.t;
-  mutable protos : Harness.proto list;
+  mutable protos : Strategy.t list;
   mutable strategy : Explore.strategy;
   mutable max_states : int option;
   mutable frontier_dir : string option;
@@ -43,7 +44,7 @@ let parse_args () =
   let o =
     {
       scope = Scope.minimal;
-      protos = [ Harness.core ];
+      protos = [ Strategy.composed ];
       strategy = Explore.Bfs;
       max_states = None;
       frontier_dir = None;
@@ -64,11 +65,13 @@ let parse_args () =
       go rest
     | "--proto" :: v :: rest ->
       (match v with
-       | "both" -> o.protos <- [ Harness.core; Harness.stopworld ]
+       | "both" -> o.protos <- [ Strategy.composed; Strategy.stopworld ]
        | v -> (
-         match Harness.proto_of_string v with
-         | Some p -> o.protos <- [ p ]
-         | None ->
+         (* Composition-driver strategies only: a native stack has no
+            wedge/instance structure for the properties to inspect. *)
+         match Strategy.find v with
+         | Some p when p.Strategy.driver = `Composition -> o.protos <- [ p ]
+         | Some _ | None ->
            Printf.eprintf "bad proto %S\n" v;
            usage ()));
       go rest
@@ -119,12 +122,12 @@ let run_replay o proto trace =
 let run_explore o proto =
   let label =
     Printf.sprintf "%s%s"
-      (Harness.proto_to_string proto)
+      proto.Strategy.name
       (if o.mutate then "+mutation" else "")
   in
   let frontier_dir =
     Option.map
-      (fun d -> Filename.concat d (Harness.proto_to_string proto))
+      (fun d -> Filename.concat d proto.Strategy.name)
       o.frontier_dir
   in
   let on_progress ~visited ~transitions ~depth =

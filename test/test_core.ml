@@ -850,6 +850,53 @@ end
 module Oracle_props = Dir_props (Oracle_sem)
 module Dir_app_props = Dir_props (Dir_app_sem)
 
+(* --- the epoch audit over hand-built per-node records --- *)
+
+let stat ?wedged_at ?(digest = 7L) epoch applied_hi =
+  {
+    Rsmr_core.Service.es_epoch = epoch;
+    es_activated = true;
+    es_retired = false;
+    es_wedged_at = wedged_at;
+    es_applied_hi = applied_hi;
+    es_digest = digest;
+  }
+
+let test_epoch_audit () =
+  let audit = Rsmr_core.Service.epoch_audit in
+  let check name want stats =
+    Alcotest.(check (option string)) name want (audit stats)
+  in
+  check "clean" None
+    [
+      (0, [ stat ~wedged_at:5 0 5; stat 1 3 ]);
+      (1, [ stat ~wedged_at:5 0 4 ~digest:9L; stat 1 3 ]);
+      (2, []);
+    ];
+  check "applied past the wedge"
+    (Some "epoch-prefix: node 1 epoch 0 applied index 6 past wedge 5")
+    [ (0, [ stat ~wedged_at:5 0 5 ]); (1, [ stat ~wedged_at:5 0 6 ]) ];
+  check "wedge disagreement"
+    (Some "wedge-agreement: epoch 0 wedged at 5 on node 0 but at 4 on node 2")
+    [
+      (0, [ stat ~wedged_at:5 0 5 ]);
+      (1, [ stat 0 3 ]);
+      (2, [ stat ~wedged_at:4 0 4 ]);
+    ];
+  check "digest disagreement"
+    (Some
+       "committed-prefix: node 1 epoch 1 disagrees on the prefix up to index \
+        3 (digest 0000000000000008, witnessed 0000000000000007)")
+    [ (0, [ stat 1 3 ]); (1, [ stat 1 3 ~digest:8L ]) ];
+  check "nothing applied is never compared" None
+    [ (0, [ stat 1 (-1) ]); (1, [ stat 1 (-1) ~digest:8L ]) ];
+  check "past the wedge is reported before a digest disagreement"
+    (Some "epoch-prefix: node 1 epoch 0 applied index 6 past wedge 5")
+    [
+      (0, [ stat 1 3 ]);
+      (1, [ stat 1 3 ~digest:8L; stat ~wedged_at:5 0 6 ]);
+    ]
+
 let () =
   Alcotest.run "core"
     [
@@ -863,6 +910,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_session_matches_model;
           Alcotest.test_case "snapshot chunking" `Quick test_snapshot_chunking;
           Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
+          Alcotest.test_case "epoch audit" `Quick test_epoch_audit;
         ] );
       ( "service",
         [

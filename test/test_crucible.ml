@@ -8,6 +8,7 @@ module Runner = Rsmr_crucible.Runner
 module Oracle = Rsmr_crucible.Oracle
 module Shrink = Rsmr_crucible.Shrink
 module Soak = Rsmr_crucible.Soak
+module Strategy = Rsmr_iface.Reconfig_strategy
 module Service = Rsmr_core.Service
 
 let scenario = Alcotest.testable Scenario.pp Scenario.equal
@@ -156,16 +157,16 @@ let test_run_deterministic () =
       let a, b = run_twice proto sc in
       Alcotest.(check bool)
         (Printf.sprintf "%s run is bit-for-bit repeatable"
-           (Runner.proto_name proto))
+           proto.Strategy.name)
         true
         (fingerprint a = fingerprint b))
-    Runner.all_protos
+    Strategy.all
 
 let test_smoke_all_protos () =
   (* A handful of seeds across every stack; any oracle failure is a real
      protocol or harness bug and must fail the suite loudly. *)
   let summary =
-    Soak.soak ~protos:Runner.all_protos ~seeds:[ 0; 1; 2; 3; 4 ] ()
+    Soak.soak ~protos:Strategy.all ~seeds:[ 0; 1; 2; 3; 4 ] ()
   in
   List.iter
     (fun f -> Format.printf "%a@." Soak.pp_failure f)
@@ -180,8 +181,8 @@ let test_replay_matches_soak () =
   match Scenario.of_string (Scenario.to_string sc) with
   | Error e -> Alcotest.failf "reproducer does not parse: %s" e
   | Ok sc' ->
-    let a = Runner.run Runner.core sc in
-    let b = Runner.run Runner.core sc' in
+    let a = Runner.run Strategy.composed sc in
+    let b = Runner.run Strategy.composed sc' in
     Alcotest.(check bool) "replay is bit-for-bit" true
       (fingerprint a = fingerprint b)
 
@@ -209,7 +210,7 @@ let concurrent_reconf =
   }
 
 let test_first_wedge_wins () =
-  let report = Runner.run Runner.core concurrent_reconf in
+  let report = Runner.run Strategy.composed concurrent_reconf in
   let outcome = Oracle.check report in
   if not (Oracle.ok outcome) then
     Alcotest.failf "oracles failed: %s" (Format.asprintf "%a" Oracle.pp outcome);
@@ -288,12 +289,12 @@ let test_batched_fast_path_under_churn () =
       let report = Runner.run proto batched_churn in
       let outcome = Oracle.check report in
       if not (Oracle.ok outcome) then
-        Alcotest.failf "%s oracles failed: %s" (Runner.proto_name proto)
+        Alcotest.failf "%s oracles failed: %s" proto.Strategy.name
           (Format.asprintf "%a" Oracle.pp outcome);
       Alcotest.(check bool)
-        (Runner.proto_name proto ^ " quiesced")
+        (proto.Strategy.name ^ " quiesced")
         true report.Runner.quiesced)
-    Runner.all_protos
+    Strategy.all
 
 (* --- dir_churn: platform-level churn family --- *)
 

@@ -12,6 +12,7 @@ module Choice = Rsmr_mc.Choice
 module Harness = Rsmr_mc.Harness
 module Explore = Rsmr_mc.Explore
 module Fingerprint = Rsmr_mc.Fingerprint
+module Strategy = Rsmr_iface.Reconfig_strategy
 
 let scope_of s = match Scope.parse s with Ok s -> s | Error e -> failwith e
 let tiny_scope = scope_of "minimal,commands=1,timer_fires=1"
@@ -43,7 +44,7 @@ let test_exhaust ?(scope = tiny_scope) proto ~visited () =
 
 let find_counterexample () =
   let stats =
-    Explore.run ~proto:Harness.core ~scope:Scope.minimal ~mutate:true
+    Explore.run ~proto:Strategy.composed ~scope:Scope.minimal ~mutate:true
       ~strategy:Explore.Bfs ()
   in
   match stats.Explore.violation with
@@ -60,7 +61,7 @@ let test_mutation_counterexample () =
     (List.length trace <= 36);
   (* the trace must reproduce the violation when replayed from scratch *)
   let h =
-    Harness.replay ~proto:Harness.core ~scope:Scope.minimal ~mutate:true trace
+    Harness.replay ~proto:Strategy.composed ~scope:Scope.minimal ~mutate:true trace
   in
   (match Harness.violation h with
    | Some p -> Alcotest.(check string) "replayed violation" prop p
@@ -77,7 +78,7 @@ let test_mutation_counterexample () =
 
 let fingerprint_film trace =
   let h =
-    Harness.create ~proto:Harness.core ~scope:Scope.minimal ~mutate:true ()
+    Harness.create ~proto:Strategy.composed ~scope:Scope.minimal ~mutate:true ()
   in
   let film = ref [ Harness.fingerprint h ] in
   List.iter
@@ -144,11 +145,11 @@ let () =
       ( "exhaustion",
         [
           Alcotest.test_case "core tiny scope" `Slow
-            (test_exhaust Harness.core ~visited:2126);
+            (test_exhaust Strategy.composed ~visited:2126);
           Alcotest.test_case "stopworld tiny scope" `Slow
-            (test_exhaust Harness.stopworld ~visited:2126);
+            (test_exhaust Strategy.stopworld ~visited:2126);
           Alcotest.test_case "core tiny scope, batch=2" `Slow
-            (test_exhaust ~scope:tiny_batch_scope Harness.core ~visited:34809);
+            (test_exhaust ~scope:tiny_batch_scope Strategy.composed ~visited:34809);
         ] );
       ( "teeth",
         [

@@ -9,7 +9,8 @@ module Node_id = Rsmr_net.Node_id
 
 let setup ?latency ?drop ?duplicate n =
   let engine = Engine.create ~seed:7 () in
-  let net = Network.create engine ?latency ?drop ?duplicate () in
+  let net = Network.create engine ?latency ?drop () in
+  Option.iter (Network.set_duplicate net) duplicate;
   let inboxes = Array.make n [] in
   for i = 0 to n - 1 do
     Network.register net i (fun env ->
@@ -260,9 +261,9 @@ let prop_fifo_under_duplication =
       (* Wide jittery latency so reordering would happen without the FIFO
          clamp — duplicates get their own sampled delay too. *)
       let net =
-        Network.create engine ~duplicate:dup
-          ~latency:(Latency.Uniform (0.001, 0.2)) ()
+        Network.create engine ~latency:(Latency.Uniform (0.001, 0.2)) ()
       in
+      Network.set_duplicate net dup;
       let seen = ref [] in
       Network.register net 1 (fun env ->
           seen := env.Network.payload :: !seen);

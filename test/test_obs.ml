@@ -19,6 +19,7 @@ module Span = Rsmr_obs.Span
 module Scenario = Rsmr_crucible.Scenario
 module Generate = Rsmr_crucible.Generate
 module Runner = Rsmr_crucible.Runner
+module Strategy = Rsmr_iface.Reconfig_strategy
 
 (* {1 Registry} *)
 
@@ -281,7 +282,7 @@ let test_span_orphans () =
 let test_crucible_run_resolves () =
   (* Seed 6 reconfigures three times, so the export must carry multiple
      epochs and the spans must cross them. *)
-  let r = Runner.run Runner.core (Generate.scenario ~seed:6) in
+  let r = Runner.run Strategy.composed (Generate.scenario ~seed:6) in
   let frac = Span.resolved_fraction r.Runner.spans in
   if frac < 0.99 then
     Alcotest.failf "only %.2f%% of spans resolved" (100.0 *. frac);

@@ -346,9 +346,8 @@ let test_follower_submit_forwards () =
 let test_duplicated_messages_agree () =
   (* Message duplication must not double-apply or break agreement. *)
   let engine = Engine.create ~seed:17 () in
-  let net =
-    Rsmr_net.Network.create engine ~duplicate:0.3 ~sizer:Msg.size ()
-  in
+  let net = Rsmr_net.Network.create engine ~sizer:Msg.size () in
+  Rsmr_net.Network.set_duplicate net 0.3;
   let cfg = Config.make ~instance_id:0 ~members:[ 0; 1; 2 ] in
   let decided = Array.init 3 (fun _ -> ref []) in
   let replicas =

@@ -118,10 +118,10 @@ let test_reconf_churn_all_strategies () =
           match Oracle.failures o with
           | [] -> ()
           | fs ->
-            Alcotest.failf "seed %d %s: %s" seed (Runner.proto_name proto)
+            Alcotest.failf "seed %d %s: %s" seed proto.Strategy.name
               (String.concat "; "
                  (List.map (fun (n, m) -> n ^ ": " ^ m) fs)))
-        Runner.all_protos)
+        Strategy.all)
     soak_seeds
 
 (* --- 4. matchmaker early prepare --- *)
@@ -150,7 +150,7 @@ let prepare_scenario =
   }
 
 let test_matchmaker_prepares () =
-  let r = Runner.run Runner.matchmaker prepare_scenario in
+  let r = Runner.run Strategy.matchmaker prepare_scenario in
   let o = Oracle.check r in
   (match Oracle.failures o with
    | [] -> ()
@@ -166,8 +166,8 @@ let test_matchmaker_prepares () =
     (Histogram.count h > 0)
 
 let test_matchmaker_window_no_worse () =
-  let rc = Runner.run Runner.core prepare_scenario in
-  let rm = Runner.run Runner.matchmaker prepare_scenario in
+  let rc = Runner.run Strategy.composed prepare_scenario in
+  let rm = Runner.run Strategy.matchmaker prepare_scenario in
   let hc = wedged_window rc "composed" in
   let hm = wedged_window rm "matchmaker" in
   Alcotest.(check bool) "composed window recorded" true (Histogram.count hc > 0);
@@ -185,7 +185,7 @@ let test_matchmaker_window_no_worse () =
 (* Composed must not send prepares at all (it is the no-early-prepare
    strategy), and must not leak provisional instances. *)
 let test_composed_sends_no_prepares () =
-  let r = Runner.run Runner.core prepare_scenario in
+  let r = Runner.run Strategy.composed prepare_scenario in
   Alcotest.(check int) "no prepares under composed" 0 (counter_of r "prepares");
   Alcotest.(check int) "no teardowns under composed" 0
     (counter_of r "prepare_teardowns")
