@@ -49,27 +49,28 @@ let experiments_cmd =
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
   in
+  (* Every id is resolved before any table runs: a typo fails the whole
+     command with a non-zero exit instead of silently shrinking the run. *)
   let run quick ids =
-    let entries =
-      match ids with
-      | [] -> Registry.all
-      | ids ->
-        List.filter_map
-          (fun id ->
-            match Registry.find id with
-            | Some e -> Some e
-            | None ->
-              Printf.eprintf "unknown experiment: %s\n" id;
-              None)
-          ids
+    let found, unknown =
+      List.partition_map
+        (fun id ->
+          match Registry.find id with Some e -> Left e | None -> Right id)
+        ids
     in
-    List.iter
-      (fun (e : Registry.entry) -> Table.print (e.Registry.run ~quick ()))
-      entries
+    match unknown with
+    | _ :: _ ->
+      `Error (true, "unknown experiment: " ^ String.concat ", " unknown)
+    | [] ->
+      let entries = match ids with [] -> Registry.all | _ -> found in
+      List.iter
+        (fun (e : Registry.entry) -> Table.print (e.Registry.run ~quick ()))
+        entries;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the evaluation tables/figures")
-    Term.(const run $ quick $ ids)
+    Term.(ret (const run $ quick $ ids))
 
 let list_cmd =
   let run () =

@@ -84,7 +84,7 @@ let run ?(quick = false) () =
           n_keys;
         "expected shape: core blip ~ election; matchmaker ~ core at these \
          LAN RTTs (the prepare head start is one commit round, sub-ms here \
-         — the WAN reconfig probe in the bench JSON is where it shows); \
+         — T5's WAN wedge column is where it shows); \
          stopworld ~ election+transfer; raft small blips per membership \
          step";
       ]
