@@ -13,6 +13,7 @@ type t =
       seq : int;
       members : Rsmr_net.Node_id.t list;
     }
+  | Drain
 
 (* Single wire-format body shared by [encode] (buffer sink) and [size]
    (counting sink). *)
@@ -29,6 +30,7 @@ let write w t =
     W.zigzag w client;
     W.varint w seq;
     W.list w W.zigzag members
+  | Drain -> W.u8 w 2
 
 let read r =
   match R.u8 r with
@@ -41,6 +43,7 @@ let read r =
     let client = R.zigzag r in
     let seq = R.varint r in
     Reconfig { client; seq; members = R.list r R.zigzag }
+  | 2 -> Drain
   | _ -> raise Rsmr_app.Codec.Truncated
 
 let encode t =
@@ -66,3 +69,4 @@ let pp ppf = function
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
          Rsmr_net.Node_id.pp)
       members
+  | Drain -> Format.pp_print_string ppf "drain"

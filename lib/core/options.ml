@@ -1,6 +1,8 @@
 module Strategy = Rsmr_iface.Reconfig_strategy
 
-type mutation = No_first_wedge
+type mutation = No_first_wedge | Skip_phase1
+
+let mutations = [ ("first-wedge", No_first_wedge); ("skip-phase1", Skip_phase1) ]
 
 type t = {
   strategy : Strategy.t;

@@ -18,6 +18,16 @@ type mutation = No_first_wedge
           exists only as the model checker's teeth test — Scope must
           find a counterexample within a few dozen steps when it is
           enabled.  Never set it in a real configuration. *)
+  | Skip_phase1
+      (** Deliberately breaks the ballot-0 rule of the Multi-Paxos block
+          ({!Rsmr_smr.Params.skip_phase1}): a member whose election timer
+          fires leads at its next ballot on its own log, skipping phase
+          1, as only the ballot-0 owner may.  Another teeth test: Scope
+          must find two values decided in one slot.  The VR block has no
+          phase 1 and ignores it. *)
+
+val mutations : (string * mutation) list
+(** Every mutation under its command-line name. *)
 
 type t = {
   strategy : Rsmr_iface.Reconfig_strategy.t;

@@ -87,6 +87,10 @@ let epoch_audit stats =
 (* Retry period for an unanswered snapshot fetch, seconds. *)
 let fetch_timeout = 0.25
 
+(* Most block messages an instance holds for a replica that has not
+   started; later ones are dropped. *)
+let early_cap = 64
+
 (* Early-prepare hygiene: a provisionally bootstrapped next epoch that no
    committed [Reconfig] confirms within this many seconds is torn down.
    Only armed under [prepare = `Early]. *)
@@ -178,6 +182,11 @@ struct
     cfg : Config.t;
     prev_members : Node_id.t list;
     mutable replica : Replica.t option;
+    mutable early : (Node_id.t * string) list;
+        (* block messages that arrived before the replica started
+           (blocking handoff, or a provisional instance), newest first,
+           at most [early_cap]; replayed when it starts.  A residual batch
+           forwarded at wedge time is one of them. *)
     mutable app : Sm.t;
     mutable sessions : Session.t;
     mutable activated : bool;
@@ -207,9 +216,12 @@ struct
     mutable provisional : bool;
         (* Matchmaker-style early prepare: the instance was bootstrapped
            at [Reconfig] submission, before the command committed.  A
-           provisional instance may order speculatively but never serves
-           clients, announces, or installs a snapshot until a wedge-time
-           [Bootstrap] confirms its membership (or replaces it). *)
+           provisional instance runs no replica, never serves clients,
+           announces, or installs a snapshot until a wedge-time
+           [Bootstrap] confirms its membership (or replaces it).  Block
+           traffic is tagged by epoch alone, so a replica of a torn-down
+           incarnation could otherwise reach its same-epoch replacement
+           with a ballot the replacement also owns. *)
     mutable prepare_timer : Engine.timer option;
         (* provisional-hygiene TTL: tears the instance down if no
            confirmation arrives (the prepared [Reconfig] lost the race
@@ -347,9 +359,10 @@ struct
   let is_inst_leader inst =
     match inst.replica with Some r -> Replica.is_leader r | None -> false
 
-  (* Announce a freshly live configuration: retire the previous instance on
-     its members and give the directory a leader hint.  Done by the
-     instance's leader once it is both activated and elected. *)
+  (* Announce a freshly live configuration: give the directory a leader
+     hint.  Done by the instance's leader once it is both activated and
+     elected.  The previous instance halts on its own schedule, once it
+     has drained ({!drained}). *)
   let announce t host inst =
     if
       inst.activated
@@ -365,9 +378,6 @@ struct
          Hashtbl.remove t.wedge_times inst.epoch;
          Rsmr_sim.Histogram.record t.wedged_window (Engine.now t.engine -. t0)
        | None -> ());
-      List.iter
-        (fun m -> send t ~src:host.me ~dst:m (Wire.Retire { epoch = inst.epoch }))
-        inst.prev_members;
       send t ~src:host.me ~dst:(Front.dir_id t.front)
         (Wire.Dir_update
            {
@@ -394,6 +404,7 @@ struct
     if not inst.retired then begin
       inst.retired <- true;
       (match inst.replica with Some r -> Replica.halt r | None -> ());
+      inst.early <- [];
       inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
       inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer
     end
@@ -410,12 +421,20 @@ struct
       | _ -> Replica.submit_many r values)
     | Some _ | None -> ()
 
+  let drain_barrier = Envelope.encode Envelope.Drain
+
+  (* Order the drain barrier after everything this leader has proposed or
+     buffered in the wedged instance. *)
+  let submit_drain inst =
+    if is_inst_leader inst then submit_raw_many inst [ drain_barrier ]
+
   (* --- decided-command processing --- *)
 
   let env_client_seq (env : Envelope.t) =
     match env with
     | Envelope.App { client; seq; _ } | Envelope.Reconfig { client; seq; _ } ->
       (client, seq)
+    | Envelope.Drain -> (-1, -1) (* never traced: dispatch diverts it *)
 
   (* [value] is the envelope's wire bytes (what the block ordered); it is
      decoded exactly once here and threaded alongside [env] so the
@@ -423,16 +442,33 @@ struct
      instead of re-encoding. *)
   let rec dispatch t host inst idx value =
     let env = Envelope.decode value in
-    match inst.wedged_at with
-    | Some w when idx > w -> (
+    match (env, inst.wedged_at) with
+    | Envelope.Drain, Some w when idx > w -> drained t host inst
+    | Envelope.Drain, (Some _ | None) -> () (* only ever ordered past a wedge *)
+    | (Envelope.App _ | Envelope.Reconfig _), Some w when idx > w -> (
       (* First-wedge-wins: the composed history for this epoch ends at
          the wedge index, so anything the block ordered later is a
          residual, never applied here.  [No_first_wedge] re-breaks this
          guard on purpose — the model checker's mutation self-test. *)
       match t.opts.Options.mutation with
       | Some Options.No_first_wedge -> process t host inst idx env value
-      | None -> handle_residual t host inst idx env value)
-    | Some _ | None -> process t host inst idx env value
+      | Some Options.Skip_phase1 | None ->
+        handle_residual t host inst idx env value)
+    | (Envelope.App _ | Envelope.Reconfig _), (Some _ | None) ->
+      process t host inst idx env value
+
+  (* The drain barrier is decided: every command this instance's leader
+     proposed before it is decided here too, and its residuals are on
+     their way to the next epoch, so halting strands nothing.  A halted
+     leader sends no further commit notices, so it tells the other
+     members to halt. *)
+  and drained t host inst =
+    if is_inst_leader inst then
+      List.iter
+        (fun m ->
+          send t ~src:host.me ~dst:m (Wire.Retire { epoch = inst.epoch + 1 }))
+        (Config.others inst.cfg host.me);
+    retire_instance t inst
 
   and handle_residual t host inst idx env value =
     Counters.incr t.counters "residuals";
@@ -479,11 +515,16 @@ struct
     inst.residual_buf <- [];
     if values <> [] then begin
       match Hashtbl.find_opt host.instances (inst.epoch + 1) with
-      | Some next -> submit_raw_many next values
-      | None -> (
-        (* Disjoint replacement: forward the whole residual batch to a new
-           member as one static message; its replica routes it onward. *)
-        match inst.next_members with
+      | Some next when not next.provisional -> submit_raw_many next values
+      | Some _ | None -> (
+        (* This host is not in the next configuration: forward the whole
+           residual batch as one static message to its first member, which
+           routes it onward.  That member is the Paxos ballot-0 owner and
+           the VR view-0 primary, so usually the leader, and the Bootstrap
+           sent on the same link at wedge time has created its instance
+           before this arrives; a member whose replica already knows that
+           leader could forward the batch to it before it exists. *)
+        match List.sort Node_id.compare inst.next_members with
         | dst :: _ ->
           let msg =
             match values with
@@ -531,6 +572,7 @@ struct
         wedge t host inst idx members
       | `Dup rsp -> if is_inst_leader inst then reply_client t host ~client ~seq ~rsp
       | `Stale -> ())
+    | Envelope.Drain -> ()
 
   and on_decide t host inst idx value =
     if inst.activated then dispatch t host inst idx value
@@ -600,16 +642,23 @@ struct
           members'
       in
       bootstrap_members ();
+      (* The leader drains the instance before it halts ({!drained}).  The
+         barrier goes in from a fresh engine step, not from inside the
+         block's decide callback. *)
+      if is_inst_leader inst then
+        ignore (Engine.schedule t.engine ~delay:0.0 (fun () -> submit_drain inst));
       (* Bootstrap is fire-and-forget: a new member unreachable at wedge
          time would otherwise never learn its epoch exists and the
          configuration could run forever one replica short.  Re-send on a
          slow timer for a fixed window — retirement is no stop signal,
-         since the new quorum retires the old epoch while a crashed
-         newcomer is still in the dark; duplicates are ignored on
-         receipt. *)
+         since the old epoch drains while a crashed newcomer may still be
+         in the dark; duplicates are ignored on receipt.  The same tick
+         re-submits the drain barrier from whoever leads the instance
+         now, in case the leader that wedged it crashed first. *)
       let rec rebootstrap rounds =
         if rounds > 0 then begin
           bootstrap_members ();
+          if not inst.retired then submit_drain inst;
           ignore
             (Engine.schedule t.engine ~delay:0.25 (fun () ->
                  rebootstrap (rounds - 1)))
@@ -679,6 +728,8 @@ struct
         host.top_epoch <- inst.epoch;
         host.latest_members <- inst.cfg.Config.members
       end;
+      if t.opts.Options.strategy.Strategy.handoff = `Speculative then
+        start_replica t host inst;
       (* A snapshot that finished transferring while we were provisional
          installs now. *)
       try_install t host inst
@@ -702,12 +753,11 @@ struct
     end
 
   and handle_prepare t host ~epoch ~members ~prev_members =
-    (* Speculative bootstrap at [Reconfig] submission time: the new
-       epoch's instance boots (and, under a speculative-handoff strategy,
-       starts electing and ordering) while the old epoch is still
-       committing the membership change — so at wedge time only state
-       transfer remains inside the wedged window.  Garbage off the wire
-       (empty member list) is ignored, exactly as in
+    (* Early bootstrap at [Reconfig] submission time: the new epoch's
+       members learn of it, and park their snapshot fetches with the old
+       members, while the old epoch is still committing the membership
+       change — so at wedge time the snapshot ships at once.  Garbage off
+       the wire (empty member list) is ignored, exactly as in
        [handle_bootstrap]. *)
     if
       members <> []
@@ -751,6 +801,7 @@ struct
         cfg;
         prev_members;
         replica = None;
+        early = [];
         app = Sm.init ();
         sessions = Session.create ();
         activated = false;
@@ -799,9 +850,10 @@ struct
        start_replica t host inst
      | `Await ->
        (* Speculative handoff: the instance begins ordering immediately,
-          concurrently with state transfer. *)
-       if t.opts.Options.strategy.Strategy.handoff = `Speculative then
-         start_replica t host inst;
+          concurrently with state transfer.  A provisional instance waits
+          for confirmation ({!confirm_provisional}). *)
+       if (not provisional) && t.opts.Options.strategy.Strategy.handoff = `Speculative
+       then start_replica t host inst;
        start_fetch t host inst);
     inst
 
@@ -823,7 +875,10 @@ struct
           ~on_decide:(fun idx value -> on_decide t host inst idx value)
           ()
       in
-      inst.replica <- Some replica
+      inst.replica <- Some replica;
+      let early = List.rev inst.early in
+      inst.early <- [];
+      List.iter (fun (src, data) -> Replica.handle replica ~src (B.Msg.decode data)) early
     end
 
   and start_fetch t host inst =
@@ -1047,7 +1102,9 @@ struct
       | Some inst -> (
         match inst.replica with
         | Some r -> Replica.handle r ~src (B.Msg.decode data)
-        | None -> ())
+        | None ->
+          if (not inst.retired) && List.compare_length_with inst.early early_cap < 0
+          then inst.early <- (src, data) :: inst.early)
       | None -> ())
     | Wire.Client (Client_msg.Request { seq; low_water; payload }) ->
       handle_requests t host ~src ~low_water ~reqs:[ (seq, payload) ]
@@ -1081,6 +1138,11 @@ struct
       W.list w node inst.cfg.Config.members;
       W.list w node inst.prev_members;
       W.bool w inst.activated;
+      W.list w
+        (fun w (src, data) ->
+          node w src;
+          W.string w data)
+        inst.early;
       W.option w (fun w v -> W.varint w v) inst.wedged_at;
       W.zigzag w inst.applied_hi;
       W.string w (Fnv.to_hex inst.applied_digest);
@@ -1158,6 +1220,12 @@ struct
     Obs.set_meta obs "strategy"
       opts.Options.strategy.Strategy.name;
     let smr_params = Option.value smr_params ~default:Rsmr_smr.Params.default in
+    let smr_params =
+      match opts.Options.mutation with
+      | Some Options.Skip_phase1 ->
+        { smr_params with Rsmr_smr.Params.skip_phase1 = true }
+      | Some Options.No_first_wedge | None -> smr_params
+    in
     let universe = Option.value universe ~default:members in
     let universe = List.sort_uniq Node_id.compare (universe @ members) in
     (* The tagger runs on every send, so classify tunnelled block payloads

@@ -17,8 +17,11 @@
     - With speculative handoff on, epoch [e+1]'s instance boots and orders
       commands {e while} the snapshot is in flight; it executes and replies
       only once the snapshot is installed.
-    - Superseded instances halt on [Retire]; the directory node tracks the
-      freshest configuration for clients that lost the trail.
+    - A wedged instance halts once it has drained: its leader orders a
+      [Drain] barrier after everything it proposed, and when the barrier
+      is decided it halts and sends [Retire] to the other members.  The
+      directory node tracks the freshest configuration for clients that
+      lost the trail.
 
     {!Make_on} composes {e any} building block; {!Make} is the Multi-Paxos
     default.  {!Rsmr_smr.Vr} demonstrates that the layer really is

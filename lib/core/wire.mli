@@ -34,7 +34,9 @@ type t =
           member of [epoch - 1] once it has wedged. *)
   | State_chunk of { epoch : int; index : int; total : int; data : string }
   | Retire of { epoch : int }
-      (** "Configuration [epoch] is live — instances below it may halt." *)
+      (** "Instance [epoch - 1] has drained — halt every instance below
+          [epoch]."  Sent by that instance's leader once its drain barrier
+          is decided. *)
   | Dir_update of {
       epoch : int;
       members : Rsmr_net.Node_id.t list;

@@ -1,8 +1,9 @@
 (* F2 — Client-perceived latency timeline across one full-fleet
    reconfiguration {0,1,2} -> {3,4,5}.
    The paper's availability claim in one picture: with speculative handoff
-   the blip is about one leader election; stop-the-world also eats the
-   state transfer; Raft performs three add + three remove steps. *)
+   the blip is about the state transfer, since the new configuration's
+   first member leads from boot; stop-the-world adds a client retry for
+   its residual commands; Raft performs three add + three remove steps. *)
 
 module Rng = Rsmr_sim.Rng
 module Engine = Rsmr_sim.Engine
@@ -82,10 +83,11 @@ let run ?(quick = false) () =
         Printf.sprintf
           "max client latency per bucket; %d keys x 100B preloaded; 200Mb/s uplinks"
           n_keys;
-        "expected shape: core blip ~ election; matchmaker ~ core at these \
-         LAN RTTs (the prepare head start is one commit round, sub-ms here \
-         — T5's WAN wedge column is where it shows); \
-         stopworld ~ election+transfer; raft small blips per membership \
-         step";
+        "expected shape: core blip ~ transfer time, no election (the new \
+         configuration's first member leads from boot); matchmaker ~ core \
+         at these LAN RTTs (the prepare head start is one commit round, \
+         sub-ms here — T5's WAN wedge column is where it shows); stopworld \
+         blips like core, then its residual commands wait out one 0.5s \
+         client retry; raft small blips per membership step";
       ]
     (timeline_rows @ [ summary ])

@@ -60,7 +60,7 @@ let run_one ~speculative ~residual ~n_keys =
     Counters.get (KvCore.counters svc) "residuals_resubmitted" )
 
 let run ?(quick = false) () =
-  let n_keys = if quick then 1_000 else 5_000 in
+  let n_keys = if quick then 9_000 else 36_000 in
   let variants =
     [ (true, true); (true, false); (false, true); (false, false) ]
   in
@@ -87,8 +87,12 @@ let run ?(quick = false) () =
       [
         Printf.sprintf
           "%d keys x 100B; fleet replacement at t=2s under 6-client load" n_keys;
-        "expected shape: speculation cuts the outage by ~ the transfer time; \
-         residual re-submission converts residual commands' client-timeout \
-         retries into immediate completions";
+        "expected shape: both handoffs wait out a transfer, with no \
+         election on top (every instance boots with a leader); with \
+         speculation the new leader executes once its own snapshot lands, \
+         without it nothing commits until a majority of the new members \
+         hold theirs, so speculation helps only when those transfers end \
+         apart; residual re-submission converts residual commands' \
+         client-timeout retries into immediate completions";
       ]
     rows

@@ -16,7 +16,7 @@ type stats = {
 
 type progress = visited:int -> transitions:int -> depth:int -> unit
 
-let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
+let run ~proto ~scope ~mutation ~strategy ?max_states ?frontier_dir
     ?(on_progress : progress = fun ~visited:_ ~transitions:_ ~depth:_ -> ())
     () =
   let visited : (int64, unit) Hashtbl.t = Hashtbl.create 4096 in
@@ -27,7 +27,7 @@ let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
   let coverage = ref Harness.coverage_empty in
   let capped = ref false in
   let depth_pruned = ref false in
-  let replay trace = Harness.replay ~proto ~scope ~mutate trace in
+  let replay trace = Harness.replay ~proto ~scope ~mutation trace in
   let note_state fp depth =
     if Hashtbl.mem visited fp then false
     else begin
@@ -163,15 +163,23 @@ let run ~proto ~scope ~mutate ~strategy ?max_states ?frontier_dir
     coverage = !coverage;
   }
 
-let render_counterexample ~proto ~scope ~mutate trace =
+let render_counterexample ~proto ~scope ~mutation trace =
+  let name =
+    match mutation with
+    | Some m ->
+      List.find_map
+        (fun (n, m') -> if m = m' then Some n else None)
+        Rsmr_core.Options.mutations
+    | None -> None
+  in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "counterexample: %d step(s), proto=%s, scope=[%s]%s\n"
        (List.length trace)
        proto.Rsmr_iface.Reconfig_strategy.name
        (Scope.to_string scope)
-       (if mutate then ", mutation=no-first-wedge" else ""));
-  let h = Harness.create ~proto ~scope ~mutate () in
+       (match name with Some n -> ", mutation=" ^ n | None -> ""));
+  let h = Harness.create ~proto ~scope ~mutation () in
   let indent s = "    " ^ String.concat "\n    " (String.split_on_char '\n' s) in
   Buffer.add_string b ("  initial state:\n" ^ indent (Harness.summary h) ^ "\n");
   (try
@@ -194,6 +202,6 @@ let render_counterexample ~proto ~scope ~mutate trace =
        "reproduce: mc_main.exe --proto %s --scope %s%s --replay '%s'\n"
        proto.Rsmr_iface.Reconfig_strategy.name
        (Scope.to_string scope)
-       (if mutate then " --mutate" else "")
+       (match name with Some n -> " --mutate " ^ n | None -> "")
        (Choice.seq_to_string trace));
   Buffer.contents b

@@ -33,7 +33,7 @@ type progress = visited:int -> transitions:int -> depth:int -> unit
 val run :
   proto:Rsmr_iface.Reconfig_strategy.t ->
   scope:Scope.t ->
-  mutate:bool ->
+  mutation:Rsmr_core.Options.mutation option ->
   strategy:strategy ->
   ?max_states:int ->
   ?frontier_dir:string ->
@@ -49,7 +49,7 @@ val run :
 val render_counterexample :
   proto:Rsmr_iface.Reconfig_strategy.t ->
   scope:Scope.t ->
-  mutate:bool ->
+  mutation:Rsmr_core.Options.mutation option ->
   Choice.t list ->
   string
 (** Replay a violating trace step by step into a human-readable report:

@@ -39,7 +39,7 @@ let violation t = t.violation
 let scope t = t.scope
 let engine t = t.engine
 
-let options ~proto ~scope ~mutate =
+let options ~proto ~scope ~mutation =
   let base = { Options.default with Options.strategy = proto } in
   (* Client coalescing follows the scope's batch key: the presets check
      the immediate-send configuration; batch >= 2 pulls the coalescing
@@ -54,8 +54,7 @@ let options ~proto ~scope ~mutate =
       }
     else { base with Options.client_batch_window = 0.0 }
   in
-  if mutate then { base with Options.mutation = Some Options.No_first_wedge }
-  else base
+  { base with Options.mutation }
 
 (* Virtual-time parameters tuned for exploration, not for realism: the
    election timer must be the earliest-due timer so a leader exists
@@ -80,11 +79,11 @@ let mc_params ~scope =
     { base with Rsmr_smr.Params.batch_max = scope.Scope.batch }
   else { base with Rsmr_smr.Params.batch_delay = 0.0 }
 
-let create ~proto ~scope ~mutate () =
+let create ~proto ~scope ~mutation () =
   let engine = Engine.create ~seed:7 () in
   let svc =
     Svc.create ~engine ~smr_params:(mc_params ~scope)
-      ~options:(options ~proto ~scope ~mutate)
+      ~options:(options ~proto ~scope ~mutation)
       ~universe:(Scope.universe scope) ~net_mode:`Enumerate
       ~members:(Scope.initial_members scope) ()
   in
@@ -312,8 +311,8 @@ let apply t choice =
        (Scope.reconfig_members t.scope r));
   observe t
 
-let replay ~proto ~scope ~mutate choices =
-  let t = create ~proto ~scope ~mutate () in
+let replay ~proto ~scope ~mutation choices =
+  let t = create ~proto ~scope ~mutation () in
   observe t;
   List.iter (fun c -> if t.violation = None then apply t c) choices;
   t

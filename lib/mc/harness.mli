@@ -21,12 +21,16 @@ exception Divergent of Choice.t
 type t
 
 val create :
-  proto:Rsmr_iface.Reconfig_strategy.t -> scope:Scope.t -> mutate:bool -> unit -> t
+  proto:Rsmr_iface.Reconfig_strategy.t ->
+  scope:Scope.t ->
+  mutation:Rsmr_core.Options.mutation option ->
+  unit ->
+  t
 (** Fresh initial state over a [`Composition]-driver strategy (a native
     stack has no wedge/instance structure for the explored properties to
-    inspect).  [mutate] re-introduces the first-wedge-wins
-    bug ({!Rsmr_core.Options.mutation}) so the checker's teeth can be
-    tested: exploration must then find an epoch-prefix violation. *)
+    inspect).  [mutation] re-introduces a known bug
+    ({!Rsmr_core.Options.mutation}) so the checker's teeth can be
+    tested: exploration must then find a violation. *)
 
 val enabled : t -> Choice.t list
 (** Outgoing transitions of the current state, deterministically
@@ -41,7 +45,7 @@ val apply : t -> Choice.t -> unit
 val replay :
   proto:Rsmr_iface.Reconfig_strategy.t ->
   scope:Scope.t ->
-  mutate:bool ->
+  mutation:Rsmr_core.Options.mutation option ->
   Choice.t list ->
   t
 (** [create] + [apply] each choice in order (stopping early if a

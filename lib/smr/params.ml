@@ -6,6 +6,7 @@ type t = {
   batch_delay : float;
   batch_max : int;
   max_outstanding : int;
+  skip_phase1 : bool;
 }
 
 let default =
@@ -17,6 +18,7 @@ let default =
     batch_delay = 0.0005;
     batch_max = 64;
     max_outstanding = 64;
+    skip_phase1 = false;
   }
 
 let unbatched = { default with batch_delay = 0.0 }

@@ -25,6 +25,12 @@ type t = {
           slots in flight; further submissions wait in the batch buffer
           until commit progress frees a slot.  Also bounds the resend
           window for stuck slots. *)
+  skip_phase1 : bool;
+      (** A deliberate bug, for the model checker's teeth test only
+          ({!Rsmr_core.Options.mutation}): a Multi-Paxos member whose
+          election timer fires leads at its next ballot on its own log,
+          without phase 1 — the shortcut only the ballot-0 owner may
+          take.  [false] everywhere else; VR and Raft ignore it. *)
 }
 
 val with_batching : float -> t

@@ -60,10 +60,12 @@ type t = {
   c_commits : int ref;
 }
 
-let is_leader t = match t.role with R_leader _ -> true | _ -> false
+let is_leader t =
+  match t.role with R_leader _ -> not t.halted | R_follower | R_candidate _ -> false
 
 let leader_hint t =
-  match t.role with R_leader _ -> Some t.me | _ -> t.hint
+  if t.halted then None
+  else match t.role with R_leader _ -> Some t.me | _ -> t.hint
 
 let commit_index t = Log.committed_prefix t.log
 let is_halted t = t.halted
@@ -175,10 +177,16 @@ and start_election t =
   let cand =
     { c_ballot = ballot; promised_from = Node_id.Set.singleton t.me; merged; from_index }
   in
-  t.role <- R_candidate cand;
-  broadcast t (Msg.Prepare { ballot; from_index });
-  reset_election_timer t;
-  maybe_win t cand
+  if t.params.Params.skip_phase1 then
+    (* The model checker's mutation: lead on our own log alone, as only
+       the ballot-0 owner may. *)
+    become_leader t cand
+  else begin
+    t.role <- R_candidate cand;
+    broadcast t (Msg.Prepare { ballot; from_index });
+    reset_election_timer t;
+    maybe_win t cand
+  end
 
 and maybe_win t cand =
   if Node_id.Set.cardinal cand.promised_from >= Config.quorum t.cfg then
@@ -692,7 +700,23 @@ let create ~engine ~params ~config:cfg ~me ~send ?broadcast ?obs ~on_decide
     }
   in
   self := Some t;
-  reset_election_timer t;
+  (* Ballot 0 belongs to the configuration's first member, which leads
+     from creation without phase 1: no acceptor can hold a lower ballot
+     and a fresh replica has accepted nothing, so the takeover window is
+     empty.  Every other member waits out an election timeout, and only
+     then runs phase 1 at a ballot above 0. *)
+  (match cfg.Config.members with
+   | owner :: _ when Node_id.equal owner me ->
+     let ballot = { Ballot.round = 0; node = me } in
+     t.promised <- ballot;
+     become_leader t
+       {
+         c_ballot = ballot;
+         promised_from = Node_id.Set.singleton me;
+         merged = Hashtbl.create 1;
+         from_index = 0;
+       }
+   | _ -> reset_election_timer t);
   t
 
 (* Canonical fingerprint (the Block_intf contract): every field that can

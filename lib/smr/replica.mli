@@ -6,11 +6,24 @@
     whole point of the paper, which composes these black boxes into a
     reconfigurable service ({!Rsmr_core}).
 
-    A replica plays all three Paxos roles.  Leadership is established with
-    phase 1 over the uncommitted log suffix and maintained with heartbeats;
-    followers start elections after a randomized timeout.  Decided commands
-    are delivered to [on_decide] in strict index order, exactly once per
-    index on any given replica.
+    A replica plays all three Paxos roles.  The configuration's first
+    member (in {!Config.t}'s sorted order) owns ballot [{round = 0; node =
+    me}] and leads from creation without phase 1: no acceptor can hold a
+    lower ballot and a fresh replica has accepted nothing, so its takeover
+    window is empty.  That is what lets a new configuration order commands
+    while its state is still in transit, with no election on the handoff's
+    critical path.  Every other member starts an election after a
+    randomized timeout and establishes leadership with phase 1 over the
+    uncommitted log suffix, always at a ballot above 0; a leader keeps its
+    followers with heartbeats.  Decided commands are delivered to
+    [on_decide] in strict index order, exactly once per index on any given
+    replica.
+
+    Ballot 0 is safe only for a replica that has never accepted anything
+    in this configuration.  A replica restarting without memory must never
+    re-enter ballot 0, nor rejoin as if fresh: it could overwrite a value
+    it had accepted and a quorum had chosen.  Recovery must keep it silent
+    until it has learned the instance's state from a quorum.
 
     The replica is transport-agnostic: it emits messages through the [send]
     callback given at creation and consumes them via {!handle}; the host is

@@ -4,7 +4,7 @@
      dune exec test/mc_main.exe -- --scope minimal --proto core
      dune exec test/mc_main.exe -- --scope minimal,commands=1 --proto both \
        --frontier-dir _frontier --max-states 200000
-     dune exec test/mc_main.exe -- --proto core --mutate --strategy dfs
+     dune exec test/mc_main.exe -- --proto core --mutate first-wedge --strategy dfs
      dune exec test/mc_main.exe -- --proto core --replay 's0;t1;d1-2;...'
 
    Exit status: 0 if every requested exploration finished with no
@@ -23,7 +23,8 @@ let usage () =
   prerr_endline
     "usage: mc_main [--scope SPEC] [--proto core|matchmaker|stopworld|both]\n\
     \       [--strategy bfs|dfs] [--max-states N] [--frontier-dir DIR]\n\
-    \       [--mutate] [--out FILE] [--replay TRACE] [-v]\n\
+    \       [--mutate first-wedge|skip-phase1] [--out FILE]\n\
+    \       [--replay TRACE] [-v]\n\
      SPEC is 'minimal', 'small', or either plus key=value overrides,\n\
      e.g. 'minimal,commands=1,depth=20' (see Rsmr_mc.Scope).";
   exit 2
@@ -34,7 +35,7 @@ type opts = {
   mutable strategy : Explore.strategy;
   mutable max_states : int option;
   mutable frontier_dir : string option;
-  mutable mutate : bool;
+  mutable mutation : Rsmr_core.Options.mutation option;
   mutable out : string option;
   mutable replay : Choice.t list option;
   mutable verbose : bool;
@@ -48,7 +49,7 @@ let parse_args () =
       strategy = Explore.Bfs;
       max_states = None;
       frontier_dir = None;
-      mutate = false;
+      mutation = None;
       out = None;
       replay = None;
       verbose = false;
@@ -92,8 +93,12 @@ let parse_args () =
     | "--frontier-dir" :: v :: rest ->
       o.frontier_dir <- Some v;
       go rest
-    | "--mutate" :: rest ->
-      o.mutate <- true;
+    | "--mutate" :: v :: rest ->
+      (match List.assoc_opt v Rsmr_core.Options.mutations with
+       | Some m -> o.mutation <- Some m
+       | None ->
+         Printf.eprintf "bad mutation %S\n" v;
+         usage ());
       go rest
     | "--out" :: v :: rest ->
       o.out <- Some v;
@@ -116,14 +121,14 @@ let parse_args () =
 
 let run_replay o proto trace =
   print_string
-    (Explore.render_counterexample ~proto ~scope:o.scope ~mutate:o.mutate
+    (Explore.render_counterexample ~proto ~scope:o.scope ~mutation:o.mutation
        trace)
 
 let run_explore o proto =
   let label =
     Printf.sprintf "%s%s"
       proto.Strategy.name
-      (if o.mutate then "+mutation" else "")
+      (if o.mutation <> None then "+mutation" else "")
   in
   let frontier_dir =
     Option.map
@@ -142,7 +147,7 @@ let run_explore o proto =
      | Some n -> Printf.sprintf " max_states=%d" n
      | None -> "");
   let stats =
-    Explore.run ~proto ~scope:o.scope ~mutate:o.mutate ~strategy:o.strategy
+    Explore.run ~proto ~scope:o.scope ~mutation:o.mutation ~strategy:o.strategy
       ?max_states:o.max_states ?frontier_dir ~on_progress ()
   in
   Printf.printf
@@ -165,7 +170,7 @@ let run_explore o proto =
          label
    | Some (prop, trace) ->
      let report =
-       Explore.render_counterexample ~proto ~scope:o.scope ~mutate:o.mutate
+       Explore.render_counterexample ~proto ~scope:o.scope ~mutation:o.mutation
          trace
      in
      Printf.printf "[%s] VIOLATION: %s\n%s%!" label prop report;

@@ -31,6 +31,7 @@ let test_envelope_roundtrip () =
     [
       Envelope.App { client = 100; seq = 7; low_water = 5; cmd = "payload" };
       Envelope.Reconfig { client = 2; seq = 1; members = [ 0; 1; 4 ] };
+      Envelope.Drain;
     ]
   in
   List.iter
@@ -897,6 +898,98 @@ let test_epoch_audit () =
       (1, [ stat 1 3 ~digest:8L; stat ~wedged_at:5 0 6 ]);
     ]
 
+(* A matchmaker-style provisional instance runs no replica until a
+   wedge-time bootstrap confirms it.  Block traffic is tagged by epoch
+   alone, so a running replica of a provisional incarnation that is later
+   torn down could reach its same-epoch replacement with a ballot both
+   own.  Here the prepared [Reconfig] never commits: node 3 hosts the
+   provisional epoch 1 with nothing running, and the TTL reaps it. *)
+let test_provisional_runs_no_replica () =
+  let options =
+    { Options.default with
+      Options.strategy = Rsmr_iface.Reconfig_strategy.matchmaker }
+  in
+  let h =
+    kv_harness ~options ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4; 5 ]
+      ~clients:[ c1 ] ()
+  in
+  submit_kv h ~client:c1 ~seq:1 (Kv.Put ("k", "v"));
+  run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
+  Network.send (KvService.net h.svc) ~src:0 ~dst:3
+    (Wire.Prepare
+       { epoch = 1; members = [ 3; 4; 5 ]; prev_epoch = 0;
+         prev_members = [ 0; 1; 2 ] });
+  Engine.run ~until:(Engine.now h.engine +. 0.1) h.engine;
+  Alcotest.(check (option int)) "node 3 hosts the prepared epoch" (Some 1)
+    (KvService.host_epoch h.svc 3);
+  Alcotest.(check int) "and runs no replica for it" 0
+    (KvService.live_instances h.svc 3);
+  Engine.run ~until:(Engine.now h.engine +. 2.0) h.engine;
+  Alcotest.(check (option int)) "the unconfirmed epoch is torn down" None
+    (KvService.host_epoch h.svc 3)
+
+(* --- an old instance halts only once drained ---
+
+   Rolling single-member reconfigurations under closed-loop load, over
+   both blocks.  When the new instance has a leader the moment it is
+   created, the handoff can finish while the old leader still has
+   commands in flight past the wedge; halting the old instance then would
+   strand them, and their clients would wait out the 0.5 s request
+   timeout.  So: every request is answered, no client ever retries, and
+   each host ends with at most one running instance. *)
+
+module Rolling (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
+  let run ~seed ~changes =
+    let engine = Engine.create ~seed () in
+    let universe = [ 0; 1; 2; 3; 4; 5 ] in
+    let svc =
+      S.create ~engine ~latency:Rsmr_net.Latency.lan ~bandwidth:2.5e7 ~universe
+        ~members:[ 0; 1; 2 ] ()
+    in
+    let cluster = S.cluster svc in
+    let retries = ref 0 in
+    Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs svc)) (fun ev ->
+        if ev.Rsmr_sim.Trace.topic = `Lifecycle && ev.Rsmr_sim.Trace.message = "retry"
+        then incr retries);
+    Rsmr_workload.Driver.preload ~cluster ~client:99
+      ~commands:
+        (Rsmr_workload.Kv_gen.preload_commands ~n_keys:1_000 ~value_size:100)
+      ~deadline:30.0 ();
+    let start = Engine.now engine +. 0.5 in
+    let gen =
+      Rsmr_workload.Kv_gen.create ~rng:(Rsmr_sim.Rng.split (Engine.rng engine))
+        ~keys:(Rsmr_workload.Keys.uniform ~n:1_000) ~read_ratio:0.8
+        ~value_size:100 ()
+    in
+    let stats =
+      Rsmr_workload.Driver.run_closed ~cluster ~n_clients:3
+        ~first_client_id:100 ~window:4
+        ~gen:(fun ~client:_ ~seq:_ -> Rsmr_workload.Kv_gen.next gen)
+        ~start ~duration:(float_of_int (changes + 1)) ()
+    in
+    Rsmr_workload.Schedule.periodic_reconfigure cluster ~universe ~size:3
+      ~start:(start +. 1.0) ~period:1.0 ~count:changes;
+    Engine.run engine ~until:(start +. float_of_int changes +. 4.0);
+    let label what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check int) (label "reconfigurations") changes (S.current_epoch svc);
+    Alcotest.(check int) (label "every request answered")
+      stats.Rsmr_workload.Driver.submitted stats.Rsmr_workload.Driver.completed;
+    Alcotest.(check int) (label "client retries") 0 !retries;
+    List.iter
+      (fun n ->
+        Alcotest.(check bool)
+          (label (Printf.sprintf "node %d runs at most one instance" n))
+          true
+          (S.live_instances svc n <= 1))
+      universe
+end
+
+module Rolling_paxos = Rolling (KvService)
+module Rolling_vr = Rolling (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
+
+let test_halt_after_drain run () =
+  List.iter (fun seed -> run ~seed ~changes:6) [ 3; 4; 5 ]
+
 let () =
   Alcotest.run "core"
     [
@@ -940,6 +1033,12 @@ let () =
             test_session_gc_bounds_snapshot;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
+          Alcotest.test_case "provisional instance runs no replica" `Quick
+            test_provisional_runs_no_replica;
+          Alcotest.test_case "old instance halts once drained (paxos)" `Quick
+            (test_halt_after_drain Rolling_paxos.run);
+          Alcotest.test_case "old instance halts once drained (vr)" `Quick
+            (test_halt_after_drain Rolling_vr.run);
           QCheck_alcotest.to_alcotest prop_exactly_once_across_reconfig;
           QCheck_alcotest.to_alcotest prop_bank_conservation_across_faults;
         ] );

@@ -53,7 +53,9 @@ let test_replica_uses_broadcast_hook () =
   let sends = ref 0 in
   let broadcasts = ref 0 in
   let r =
-    Replica.create ~engine ~params:Params.default ~config:cfg ~me:0
+    (* Node 1, not the ballot-0 owner: it sends nothing until it runs
+       for election. *)
+    Replica.create ~engine ~params:Params.default ~config:cfg ~me:1
       ~send:(fun ~dst:_ _ -> incr sends)
       ~broadcast:(fun _ -> incr broadcasts)
       ~on_decide:(fun _ _ -> ())

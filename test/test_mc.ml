@@ -2,7 +2,8 @@
    must exhaust with zero violations while still reaching the protocol's
    milestones (a wedge and an epoch-1 activation), re-breaking the
    first-wedge-wins guard must produce a short replayable counterexample
-   (the checker's teeth), replays must be bit-for-bit deterministic
+   and skipping phase 1 above ballot 0 must be caught (the checker's
+   teeth), replays must be bit-for-bit deterministic
    (fingerprint sequence identical across independent replays of the
    same trace), and composite fingerprints must not depend on the order
    their parts were gathered in. *)
@@ -17,9 +18,9 @@ module Strategy = Rsmr_iface.Reconfig_strategy
 let scope_of s = match Scope.parse s with Ok s -> s | Error e -> failwith e
 let tiny_scope = scope_of "minimal,commands=1,timer_fires=1"
 
-(* The tiny scope with the batching windows on.  Its one timer fire goes
-   to the election, so this takes three: the election, the client's
-   coalescing window and the leader's proposal window. *)
+(* The tiny scope with the batching windows on: three timer fires, for
+   the client's coalescing window, the leader's proposal window and one
+   more (an election, or the step that submits the drain barrier). *)
 let tiny_batch_scope = scope_of "minimal,commands=1,timer_fires=3,batch=2"
 
 (* --- exhaustion: tiny scope, both protocol configurations --- *)
@@ -30,7 +31,7 @@ let tiny_batch_scope = scope_of "minimal,commands=1,timer_fires=3,batch=2"
    minimal-scope run. *)
 let test_exhaust ?(scope = tiny_scope) proto ~visited () =
   let stats =
-    Explore.run ~proto ~scope ~mutate:false ~strategy:Explore.Bfs ()
+    Explore.run ~proto ~scope ~mutation:None ~strategy:Explore.Bfs ()
   in
   Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
   Alcotest.(check bool) "no violation" true (stats.Explore.violation = None);
@@ -42,9 +43,11 @@ let test_exhaust ?(scope = tiny_scope) proto ~visited () =
 
 (* --- teeth: the mutation must yield a short counterexample --- *)
 
+let mutation = Some Rsmr_core.Options.No_first_wedge
+
 let find_counterexample () =
   let stats =
-    Explore.run ~proto:Strategy.composed ~scope:Scope.minimal ~mutate:true
+    Explore.run ~proto:Strategy.composed ~scope:Scope.minimal ~mutation
       ~strategy:Explore.Bfs ()
   in
   match stats.Explore.violation with
@@ -61,7 +64,7 @@ let test_mutation_counterexample () =
     (List.length trace <= 36);
   (* the trace must reproduce the violation when replayed from scratch *)
   let h =
-    Harness.replay ~proto:Strategy.composed ~scope:Scope.minimal ~mutate:true trace
+    Harness.replay ~proto:Strategy.composed ~scope:Scope.minimal ~mutation trace
   in
   (match Harness.violation h with
    | Some p -> Alcotest.(check string) "replayed violation" prop p
@@ -74,11 +77,26 @@ let test_mutation_counterexample () =
       (List.for_all2 Choice.equal trace trace')
   | None -> Alcotest.fail "trace failed to parse back"
 
+(* Phase 1 skipped at a ballot above 0: a member that times out leads on
+   its own log and overwrites a slot the ballot-0 owner already had
+   chosen, so two nodes decide different commands at one index. *)
+let test_skip_phase1_caught () =
+  let stats =
+    Explore.run ~proto:Strategy.composed ~scope:Scope.minimal
+      ~mutation:(Some Rsmr_core.Options.Skip_phase1) ~strategy:Explore.Bfs ()
+  in
+  match stats.Explore.violation with
+  | None -> Alcotest.fail "skip-phase1 exploration found no violation"
+  | Some (prop, _) ->
+    Alcotest.(check bool)
+      "committed-prefix property violated" true
+      (String.length prop >= 16 && String.sub prop 0 16 = "committed-prefix")
+
 (* --- bit-for-bit determinism: independent replays agree stepwise --- *)
 
 let fingerprint_film trace =
   let h =
-    Harness.create ~proto:Strategy.composed ~scope:Scope.minimal ~mutate:true ()
+    Harness.create ~proto:Strategy.composed ~scope:Scope.minimal ~mutation ()
   in
   let film = ref [ Harness.fingerprint h ] in
   List.iter
@@ -145,16 +163,18 @@ let () =
       ( "exhaustion",
         [
           Alcotest.test_case "core tiny scope" `Slow
-            (test_exhaust Strategy.composed ~visited:2126);
+            (test_exhaust Strategy.composed ~visited:4845);
           Alcotest.test_case "stopworld tiny scope" `Slow
-            (test_exhaust Strategy.stopworld ~visited:2126);
+            (test_exhaust Strategy.stopworld ~visited:5088);
           Alcotest.test_case "core tiny scope, batch=2" `Slow
-            (test_exhaust ~scope:tiny_batch_scope Strategy.composed ~visited:34809);
+            (test_exhaust ~scope:tiny_batch_scope Strategy.composed ~visited:43089);
         ] );
       ( "teeth",
         [
           Alcotest.test_case "mutation yields counterexample" `Slow
             test_mutation_counterexample;
+          Alcotest.test_case "skip-phase1 mutation is caught" `Slow
+            test_skip_phase1_caught;
           Alcotest.test_case "replay is bit-for-bit deterministic" `Slow
             test_replay_determinism;
         ] );

@@ -290,6 +290,7 @@ let envelope_gen =
           (fun client seq members ->
             Envelope.Reconfig { client; seq; members })
           nid num nids;
+        return Envelope.Drain;
       ])
 
 (* --------------------------------------- one handcrafted case per tag *)
