@@ -400,15 +400,6 @@ struct
                announce_poll t host inst))
     end
 
-  let retire_instance t inst =
-    if not inst.retired then begin
-      inst.retired <- true;
-      (match inst.replica with Some r -> Replica.halt r | None -> ());
-      inst.early <- [];
-      inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
-      inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer
-    end
-
   (* Submit envelopes in wire form: the whole list reaches the block as
      one proposal batch (one broadcast when the block leads), in list
      order. *)
@@ -468,7 +459,7 @@ struct
         (fun m ->
           send t ~src:host.me ~dst:m (Wire.Retire { epoch = inst.epoch + 1 }))
         (Config.others inst.cfg host.me);
-    retire_instance t inst
+    retire_instance t host inst
 
   and handle_residual t host inst idx env value =
     Counters.incr t.counters "residuals";
@@ -706,7 +697,7 @@ struct
        any — can take the epoch slot with a clean boot. *)
     if inst.provisional && not inst.retired then begin
       Counters.incr t.counters "prepare_teardowns";
-      retire_instance t inst;
+      retire_instance t host inst;
       (* Free the epoch slot only if it still holds this (now retired)
          provisional instance — an authoritative replacement that already
          took the slot is never provisional. *)
@@ -854,7 +845,7 @@ struct
           for confirmation ({!confirm_provisional}). *)
        if (not provisional) && t.opts.Options.strategy.Strategy.handoff = `Speculative
        then start_replica t host inst;
-       start_fetch t host inst);
+       await_state t host inst);
     inst
 
   and start_replica t host inst =
@@ -881,9 +872,39 @@ struct
       List.iter (fun (src, data) -> Replica.handle replica ~src (B.Msg.decode data)) early
     end
 
+  (* Only a member new to the configuration pulls the wedge-point state
+     over the network.  A host still running the previous epoch's
+     instance gets it from its own wedge ({!wedge}'s local handoff), so it
+     fetches only if that instance retires unwedged ({!retire_instance})
+     or no wedge has activated it within one [fetch_timeout]. *)
+  and await_state t host inst =
+    match Hashtbl.find_opt host.instances (inst.epoch - 1) with
+    | Some prev when not prev.retired -> arm_fetch_timer t host inst
+    | Some _ | None -> start_fetch t host inst
+
+  (* (Re-)start the fetch clock: the next donor is asked only after a
+     whole [fetch_timeout] with no chunk arriving ({!handle_chunk}). *)
+  and arm_fetch_timer t host inst =
+    inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
+    inst.fetch_timer <-
+      Some
+        (Engine.schedule t.engine ~delay:fetch_timeout (fun () ->
+             if not inst.activated then start_fetch t host inst))
+
   and start_fetch t host inst =
-    let targets =
+    (* The new configuration's first member leads it from boot (the Paxos
+       ballot-0 owner, VR's view-0 primary).  A snapshot on its uplink
+       would hold that epoch's consensus traffic for the whole transfer,
+       so it is asked last. *)
+    let others =
       List.filter (fun m -> not (Node_id.equal m host.me)) inst.prev_members
+    in
+    let targets =
+      match inst.cfg.Config.members with
+      | leader :: _ ->
+        let last, first = List.partition (Node_id.equal leader) others in
+        first @ last
+      | [] -> others
     in
     if targets <> [] && not inst.activated then begin
       (* Stagger initial fetch targets by requester identity so concurrent
@@ -895,10 +916,24 @@ struct
       | Some dst ->
         inst.fetch_rr <- inst.fetch_rr + 1;
         send t ~src:host.me ~dst (Wire.Fetch_state { epoch = inst.epoch });
-        inst.fetch_timer <-
-          Some
-            (Engine.schedule t.engine ~delay:fetch_timeout
-               (fun () -> if not inst.activated then start_fetch t host inst))
+        arm_fetch_timer t host inst
+    end
+
+  and retire_instance t host inst =
+    if not inst.retired then begin
+      inst.retired <- true;
+      (match inst.replica with Some r -> Replica.halt r | None -> ());
+      inst.early <- [];
+      inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
+      inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer;
+      (* Retired before its wedge (it lagged, then got [Retire]): no local
+         handoff is coming, so a next instance waiting for one fetches
+         now.  [fetch_rr = 0] means it has not asked anyone yet. *)
+      if inst.wedged_at = None then
+        match Hashtbl.find_opt host.instances (inst.epoch + 1) with
+        | Some next when (not next.activated) && next.fetch_rr = 0 ->
+          start_fetch t host next
+        | Some _ | None -> ()
     end
 
   and activate t host inst ~app ~sessions ~local =
@@ -1015,16 +1050,22 @@ struct
           inst.chunks <- Array.make total None;
           inst.chunks_got <- 0
         end;
-        if index < total && inst.chunks.(index) = None then begin
-          inst.chunks.(index) <- Some data;
-          inst.chunks_got <- inst.chunks_got + 1
+        if index < total then begin
+          (* The transfer is moving: wait for it rather than ask the next
+             donor for another copy.  A chunk already held counts too: a
+             second donor re-sends from the first chunk. *)
+          arm_fetch_timer t host inst;
+          if inst.chunks.(index) = None then begin
+            inst.chunks.(index) <- Some data;
+            inst.chunks_got <- inst.chunks_got + 1
+          end
         end;
         try_install t host inst
       end
 
   let handle_retire t host ~epoch =
     Stable.iter_sorted ~compare:Int.compare
-      (fun e inst -> if e < epoch then retire_instance t inst)
+      (fun e inst -> if e < epoch then retire_instance t host inst)
       host.instances
 
   (* A client request window (a plain [Request] is a window of one): each

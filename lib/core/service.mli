@@ -11,9 +11,14 @@
     - Commands the black box happens to order after the wedge point are
       {e residuals}: never applied in [e], optionally re-submitted into
       [e+1] (deduplicated by client session).
-    - Old members push [Bootstrap] to the new configuration's members; new
-      members pull the wedge-point snapshot (application state + session
-      table) in chunks, spreading their fetches across old members.
+    - Old members push [Bootstrap] to the new configuration's members.
+      Members new to the configuration pull the wedge-point snapshot
+      (application state + session table) in chunks, spreading their
+      fetches across old members and asking the next one only after a
+      retry period with no chunk arriving.  A member of both
+      configurations takes the state from its own wedge instead, and
+      fetches only if its old instance retires unwedged or no wedge
+      comes within that period.
     - With speculative handoff on, epoch [e+1]'s instance boots and orders
       commands {e while} the snapshot is in flight; it executes and replies
       only once the snapshot is installed.
@@ -133,8 +138,12 @@ module type S = sig
   val counters : t -> Rsmr_sim.Counters.t
   (** Keys include "applied", "wedges", "residuals",
       "residuals_resubmitted", "transfers", "local_activations",
-      "chunks_sent", "replies", "redirects".  This is the live ["svc"]
-      section of {!obs}. *)
+      "chunks_sent", "transfer_bytes", "replies", "redirects".
+      "transfers" counts instances activated by a fetched snapshot —
+      one per joiner, plus any continuing member whose old instance
+      retired unwedged; "local_activations" counts members that
+      continued and took the state from their own wedge.  This is the
+      live ["svc"] section of {!obs}. *)
 
   val obs : t -> Rsmr_obs.Registry.t
   (** The run's Observatory registry (same handle as

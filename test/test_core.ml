@@ -990,6 +990,200 @@ module Rolling_vr = Rolling (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
 let test_halt_after_drain run () =
   List.iter (fun seed -> run ~seed ~changes:6) [ 3; 4; 5 ]
 
+(* --- one snapshot per joiner ---
+
+   A single-member swap {0,1,2} -> {1,2,3} with the keyspace preloaded.
+   Nodes 1 and 2 run epoch 0 and take the wedge-point state from their
+   own wedge; only node 3 is new, so only node 3 fetches, and exactly one
+   snapshot crosses the network. *)
+
+(* The service's retry period for an unanswered snapshot fetch. *)
+let fetch_timeout = 0.25
+
+module Handoff (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
+  type run = { svc : S.t; engine : Engine.t; cluster : Rsmr_iface.Cluster.t }
+
+  let start ?(bandwidth = 1.25e8) ~strategy ~n_keys ~value_size () =
+    let engine = Engine.create ~seed:1 () in
+    let svc =
+      S.create ~engine ~latency:Rsmr_net.Latency.lan ~bandwidth
+        ~options:{ Options.default with Options.strategy }
+        ~universe:[ 0; 1; 2; 3 ] ~members:[ 0; 1; 2 ] ()
+    in
+    let cluster = S.cluster svc in
+    Rsmr_workload.Driver.preload ~cluster ~client:99
+      ~commands:(Rsmr_workload.Kv_gen.preload_commands ~n_keys ~value_size)
+      ~deadline:60.0 ();
+    { svc; engine; cluster }
+
+  let svc_count r key = Counters.get (S.counters r.svc) key
+  let net_count r key = Counters.get (Network.counters (S.net r.svc)) key
+
+  let state r n =
+    match S.app_state r.svc n with
+    | Some st -> Kv.snapshot st
+    | None -> Alcotest.failf "node %d holds no state" n
+
+  (* Swap node 0 for node 3 and run until node 3 has installed a state
+     equal to node 1's. *)
+  let swap ?(during = fun () -> ()) r ~deadline =
+    reconfigure r.cluster [ 1; 2; 3 ];
+    during ();
+    let rec loop () =
+      Engine.run ~until:(Engine.now r.engine +. 0.05) r.engine;
+      let joined =
+        match (S.app_state r.svc 1, S.app_state r.svc 3, S.host_epoch r.svc 3)
+        with
+        | Some a, Some b, Some 1 -> Kv.snapshot a = Kv.snapshot b
+        | _ -> false
+      in
+      if not joined then
+        if Engine.now r.engine >= deadline then
+          Alcotest.failf "node 3 not activated by t=%g" deadline
+        else loop ()
+    in
+    loop ()
+
+  (* The chunks sent are one copy of the joiner's state: fewer bytes than
+     two copies of its application state, in as many chunks as one
+     snapshot of that many bytes makes. *)
+  let check_one_snapshot r ~label =
+    let bytes = svc_count r "transfer_bytes" in
+    Alcotest.(check bool)
+      (label "transfer bytes are one copy of the state")
+      true
+      (bytes < 2 * String.length (state r 3));
+    Alcotest.(check int) (label "chunks_sent is one snapshot")
+      ((bytes + Snapshot.chunk_bytes - 1) / Snapshot.chunk_bytes)
+      (svc_count r "chunks_sent")
+
+  let only_joiners_fetch strategy =
+    let label what =
+      Printf.sprintf "%s: %s" strategy.Rsmr_iface.Reconfig_strategy.name what
+    in
+    let r = start ~strategy ~n_keys:300 ~value_size:500 () in
+    swap r ~deadline:(Engine.now r.engine +. 10.0);
+    Engine.run ~until:(Engine.now r.engine +. 1.0) r.engine;
+    Alcotest.(check int) (label "transfers") 1 (svc_count r "transfers");
+    Alcotest.(check int) (label "local activations") 2
+      (svc_count r "local_activations");
+    Alcotest.(check int) (label "fetches sent") 1
+      (net_count r "sent.fetch_state");
+    check_one_snapshot r ~label
+
+  (* (a) A snapshot that holds the donor's 2 MB/s uplink for about 0.5 s,
+     twice [fetch_timeout]: chunks keep arriving, so nobody asks a second
+     donor. *)
+  let slow_transfer () =
+    let label what = "slow transfer: " ^ what in
+    let r =
+      start ~bandwidth:2e6 ~strategy:Rsmr_iface.Reconfig_strategy.composed
+        ~n_keys:2_000 ~value_size:500 ()
+    in
+    swap r ~deadline:(Engine.now r.engine +. 10.0);
+    Alcotest.(check bool) (label "the snapshot is over 1 MB") true
+      (svc_count r "transfer_bytes" > 1_000_000);
+    Alcotest.(check int) (label "fetches sent") 1
+      (net_count r "sent.fetch_state");
+    check_one_snapshot r ~label
+
+  (* (b) The donor dies halfway through: its queued chunks are lost with
+     it.  The joiner asks the next old member once no chunk has arrived
+     for [fetch_timeout], and installs a snapshot assembled from both. *)
+  let stalled_transfer () =
+    let label what = "stalled transfer: " ^ what in
+    let r =
+      start ~bandwidth:2e6 ~strategy:Rsmr_iface.Reconfig_strategy.composed
+        ~n_keys:2_000 ~value_size:500 ()
+    in
+    let control = r.cluster.Rsmr_iface.Cluster.control in
+    let rec await_fetch () =
+      if net_count r "sent.fetch_state" = 0 then begin
+        Engine.run ~until:(Engine.now r.engine +. 0.001) r.engine;
+        await_fetch ()
+      end
+    in
+    let during () =
+      await_fetch ();
+      (* Node 3 fetches from node 0 first; cut it off after half of the
+         0.5 s transfer, in-flight chunks included. *)
+      Engine.run ~until:(Engine.now r.engine +. 0.25) r.engine;
+      Rsmr_iface.Overlay.crash control 0;
+      Rsmr_iface.Overlay.partition control [ [ 1; 2; 3 ] ]
+    in
+    swap r ~during ~deadline:(Engine.now r.engine +. 10.0);
+    Rsmr_iface.Overlay.heal control;
+    Alcotest.(check int) (label "fetches sent") 2
+      (net_count r "sent.fetch_state");
+    Alcotest.(check int) (label "one remote activation") 1
+      (svc_count r "transfers");
+    Alcotest.(check bool) (label "both donors sent the snapshot") true
+      (svc_count r "transfer_bytes" > 2 * String.length (state r 3));
+    List.iter
+      (fun n ->
+        Alcotest.(check string)
+          (label (Printf.sprintf "node %d agrees with node 1" n))
+          (state r 1) (state r n))
+      [ 2; 3 ]
+
+  (* (c) Node 2 continues into the new configuration, but its links from
+     the old members fail while the [Reconfig] commits and come back at
+     the first wedge.  It hears the [Bootstrap] and then the
+     leader's [Retire]: its old instance retires without having wedged,
+     so no local handoff is coming, and it fetches at once instead of
+     after [fetch_timeout], well inside a client's 0.5 s retry. *)
+  let lagging_member () =
+    let label what = "lagging member: " ^ what in
+    let r =
+      start ~strategy:Rsmr_iface.Reconfig_strategy.composed ~n_keys:300
+        ~value_size:500 ()
+    in
+    let net = S.net r.svc in
+    let healed_at = ref None and activated_at = ref None in
+    Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs r.svc)) (fun ev ->
+        match ev.Rsmr_sim.Trace.message with
+        | "wedged" when !healed_at = None ->
+          healed_at := Some ev.Rsmr_sim.Trace.time;
+          Network.clear_link_faults net
+        | "activated" when ev.Rsmr_sim.Trace.node = 2 ->
+          activated_at := Some ev.Rsmr_sim.Trace.time
+        | _ -> ());
+    let during () =
+      List.iter
+        (fun src -> Network.set_link_fault net ~src ~dst:2 ~drop:1.0)
+        [ 0; 1 ]
+    in
+    swap r ~during ~deadline:(Engine.now r.engine +. 10.0);
+    Engine.run ~until:(Engine.now r.engine +. 1.0) r.engine;
+    (match S.epoch_stats r.svc 2 with
+     | [ old; next ] ->
+       Alcotest.(check bool) (label "old instance retired unwedged") true
+         (old.Rsmr_core.Service.es_retired
+         && old.Rsmr_core.Service.es_wedged_at = None);
+       Alcotest.(check bool) (label "epoch 1 activated") true
+         next.Rsmr_core.Service.es_activated
+     | _ -> Alcotest.fail (label "node 2 does not host epochs 0 and 1"));
+    Alcotest.(check int) (label "node 2 activated by transfer too") 2
+      (svc_count r "transfers");
+    (match (!healed_at, !activated_at) with
+     | Some healed, Some activated ->
+       Alcotest.(check bool) (label "activated within fetch_timeout") true
+         (activated -. healed < fetch_timeout)
+     | _ -> Alcotest.fail (label "no wedge or no activation traced"));
+    Alcotest.(check string) (label "node 2 agrees with node 1") (state r 1)
+      (state r 2)
+end
+
+module Handoff_paxos = Handoff (KvService)
+module Handoff_vr = Handoff (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
+
+let test_only_joiners_fetch () =
+  List.iter
+    (fun strategy ->
+      Handoff_paxos.only_joiners_fetch strategy;
+      Handoff_vr.only_joiners_fetch strategy)
+    Rsmr_iface.Reconfig_strategy.[ composed; matchmaker; stopworld ]
+
 let () =
   Alcotest.run "core"
     [
@@ -1039,6 +1233,14 @@ let () =
             (test_halt_after_drain Rolling_paxos.run);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
             (test_halt_after_drain Rolling_vr.run);
+          Alcotest.test_case "only joiners fetch" `Quick
+            test_only_joiners_fetch;
+          Alcotest.test_case "slow transfer is not re-requested" `Quick
+            Handoff_paxos.slow_transfer;
+          Alcotest.test_case "stalled transfer resumes from the next donor"
+            `Quick Handoff_paxos.stalled_transfer;
+          Alcotest.test_case "lagging member fetches once retired" `Quick
+            Handoff_paxos.lagging_member;
           QCheck_alcotest.to_alcotest prop_exactly_once_across_reconfig;
           QCheck_alcotest.to_alcotest prop_bank_conservation_across_faults;
         ] );

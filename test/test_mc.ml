@@ -163,11 +163,11 @@ let () =
       ( "exhaustion",
         [
           Alcotest.test_case "core tiny scope" `Slow
-            (test_exhaust Strategy.composed ~visited:4845);
+            (test_exhaust Strategy.composed ~visited:3841);
           Alcotest.test_case "stopworld tiny scope" `Slow
-            (test_exhaust Strategy.stopworld ~visited:5088);
+            (test_exhaust Strategy.stopworld ~visited:3048);
           Alcotest.test_case "core tiny scope, batch=2" `Slow
-            (test_exhaust ~scope:tiny_batch_scope Strategy.composed ~visited:43089);
+            (test_exhaust ~scope:tiny_batch_scope Strategy.composed ~visited:42427);
         ] );
       ( "teeth",
         [

@@ -11,6 +11,7 @@ module Keyspace = Rsmr_shard.Keyspace
 module Dir_client = Rsmr_shard.Dir_client
 module Platform = Rsmr_shard.Platform
 module DirService = Rsmr_core.Service.Make (Rsmr_app.Dir_app)
+module Snapshot = Rsmr_core.Snapshot
 
 (* --- keyspace --- *)
 
@@ -200,6 +201,91 @@ let test_rebalance_updates_directory () =
       (List.sort compare e.Dir_app.members)
   | _ -> Alcotest.fail "no directory entry for shard-1"
 
+(* --- one snapshot per move ---
+
+   The elastic-platform shape: two shards of 100 keys per tenant over
+   2 MB/s NICs, a follower of shard 0 moving to shard 1 and back, twice,
+   under closed-loop load.  A move shrinks the donor (no member is new)
+   and grows the recipient (one member is new), so it ships exactly one
+   snapshot, about 0.35 s of one uplink.  Every request is answered and
+   no client waits out its retry timer. *)
+let test_one_snapshot_per_move () =
+  let engine = Engine.create ~seed:8 () in
+  let tenants = 50 and keys_per_tenant = 100 and value_size = 256 in
+  let n_keys = tenants * keys_per_tenant in
+  let pf =
+    Platform.Core.create ~engine ~latency:Rsmr_net.Latency.lan ~bandwidth:2e6
+      ~pool:[ 0; 1; 2; 3; 4; 5 ]
+      ~shards:[ [ 0; 1; 2 ]; [ 3; 4; 5 ] ]
+      ~keyspace:(Keyspace.ranges ~shards:2 ~n_keys)
+      ()
+  in
+  let cluster = Platform.Core.cluster pf in
+  let client = Platform.Core.first_client_id pf in
+  Rsmr_workload.Driver.preload ~cluster ~client
+    ~commands:(Rsmr_workload.Kv_gen.preload_commands ~n_keys ~value_size)
+    ~deadline:60.0 ();
+  let gen =
+    Rsmr_workload.Tenant.create ~rng:(Rsmr_sim.Rng.split (Engine.rng engine))
+      ~tenants ~keys_per_tenant ~tenant_theta:0.3 ~value_size ()
+  in
+  let start = Engine.now engine +. 0.1 in
+  let stats =
+    Rsmr_workload.Driver.run_closed ~cluster ~n_clients:8
+      ~first_client_id:(client + 1)
+      ~gen:(fun ~client:_ ~seq:_ -> Rsmr_workload.Tenant.next gen)
+      ~window:4 ~start ~duration:6.0 ()
+  in
+  let pairs = [ (0.5, 2.0); (3.5, 5.0) ] in
+  let moves = 2 * List.length pairs and moves_done = ref 0 in
+  let move ~at ~from_ ~to_ =
+    ignore
+      (Engine.at engine ~time:(start +. at) (fun () ->
+           Platform.Core.rebalance pf ~node:2 ~from_ ~to_
+             ~on_done:(fun ok -> if ok then incr moves_done)
+             ()))
+  in
+  List.iter
+    (fun (out_at, back_at) ->
+      move ~at:out_at ~from_:0 ~to_:1;
+      move ~at:back_at ~from_:1 ~to_:0)
+    pairs;
+  let svc = Rsmr_obs.Registry.counters (Platform.Core.obs pf) "svc"
+  and net = Rsmr_obs.Registry.counters (Platform.Core.obs pf) "net" in
+  let chunks0 = Counters.get svc "chunks_sent"
+  and bytes0 = Counters.get svc "transfer_bytes" in
+  let retries0 = Platform.Core.endpoint_counter_total pf "retries" in
+  Engine.run engine ~until:(start +. 8.0);
+  Alcotest.(check int) "every move done" moves !moves_done;
+  Alcotest.(check int) "every request answered"
+    stats.Rsmr_workload.Driver.submitted stats.Rsmr_workload.Driver.completed;
+  Alcotest.(check int) "client retries" 0
+    (Platform.Core.endpoint_counter_total pf "retries" - retries0);
+  Alcotest.(check int) "one fetch per move" moves
+    (Counters.get net "sent.fetch_state");
+  Alcotest.(check int) "one remote activation per move" moves
+    (Counters.get svc "transfers");
+  (* Writes replace values of the same size, so a shard's state is as
+     large at every move as at the end: the bytes sent are at most one
+     copy of it per move. *)
+  let smallest_state =
+    List.fold_left
+      (fun acc s ->
+        match
+          Platform.Core.Shard_svc.app_state (Platform.Core.shard pf s)
+            (List.hd (Platform.Core.shard_members pf s))
+        with
+        | Some st -> min acc (String.length (Kv.snapshot st))
+        | None -> Alcotest.fail "shard member holds no state")
+      max_int [ 0; 1 ]
+  in
+  let bytes = Counters.get svc "transfer_bytes" - bytes0 in
+  Alcotest.(check bool) "at most one snapshot's bytes per move" true
+    (bytes < (moves + 1) * smallest_state);
+  Alcotest.(check int) "chunks_sent: one snapshot per move"
+    (moves * (((bytes / moves) + Snapshot.chunk_bytes - 1) / Snapshot.chunk_bytes))
+    (Counters.get svc "chunks_sent" - chunks0)
+
 let () =
   Alcotest.run "shard"
     [
@@ -225,5 +311,7 @@ let () =
             test_rebalance_moves_node;
           Alcotest.test_case "rebalance updates directory" `Quick
             test_rebalance_updates_directory;
+          Alcotest.test_case "one snapshot per move" `Quick
+            test_one_snapshot_per_move;
         ] );
     ]
