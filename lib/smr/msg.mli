@@ -1,10 +1,11 @@
 (** Wire messages of the static Multi-Paxos building block.
 
     [Prepare]/[Promise] are phase 1 over the whole uncommitted log suffix;
-    [Accept]/[Accepted] are per-slot phase 2; [Heartbeat] renews leadership
-    and carries the commit watermark; [Learn_req]/[Learn_rsp] let a lagging
-    replica fetch chosen values; [Submit]/[Submit_multi] forward commands
-    to the leader. *)
+    [Accept_multi]/[Accepted_multi] are phase 2 over a run of consecutive
+    slots, and [Accept]/[Accepted] encode a run of one; [Heartbeat] renews
+    leadership and carries the commit watermark; [Learn_req]/[Learn_rsp]
+    let a lagging replica fetch chosen values; [Submit]/[Submit_multi]
+    forward commands to the leader. *)
 
 type t =
   | Prepare of { ballot : Ballot.t; from_index : int }

@@ -80,6 +80,17 @@ let broadcast t msg =
   | Some f -> f msg
   | None -> List.iter (fun dst -> t.send ~dst msg) t.others
 
+(* Phase 2 is a run of consecutive slots; a run of one travels as the
+   compact single-slot encoding. *)
+let accept_msg ~ballot ~from_index ~commit_index kinds =
+  match kinds with
+  | [ kind ] -> Msg.Accept { ballot; index = from_index; kind; commit_index }
+  | _ -> Msg.Accept_multi { ballot; from_index; kinds; commit_index }
+
+let accepted_msg ~ballot ~from_index ~upto =
+  if upto = from_index then Msg.Accepted { ballot; index = from_index }
+  else Msg.Accepted_multi { ballot; from_index; upto }
+
 (* Deliver the committed prefix to the application, in order. *)
 let deliver t =
   let stop = ref false in
@@ -216,8 +227,8 @@ and become_leader t cand =
       Log.set t.log i { Log.ballot; kind };
       Hashtbl.replace lead.acks i (ref (Node_id.Set.singleton t.me));
       broadcast t
-        (Msg.Accept
-           { ballot; index = i; kind; commit_index = Log.committed_prefix t.log })
+        (accept_msg ~ballot ~from_index:i
+           ~commit_index:(Log.committed_prefix t.log) [ kind ])
     end
   done;
   t.election_timer <- Engine.cancel_opt t.engine t.election_timer;
@@ -265,26 +276,17 @@ and start_resend t =
         | _ when n = 0 -> []
         | x :: rest -> x :: take (n - 1) rest
       in
-      (* Re-broadcast stuck slots at our ballot, coalescing consecutive
-         runs into a single Accept_multi so a stalled pipeline window is
-         one message per follower, not max_outstanding of them. *)
+      (* Re-broadcast stuck slots at our ballot, one run per stretch of
+         consecutive slots, so a stalled pipeline window is one message
+         per follower, not max_outstanding of them. *)
       let commit_index = Log.committed_prefix t.log in
       let flush_run run =
         match List.rev run with
         | [] -> ()
-        | [ (index, (e : Log.entry)) ] ->
-          broadcast t
-            (Msg.Accept
-               { ballot = lead.l_ballot; index; kind = e.Log.kind; commit_index })
         | (from_index, _) :: _ as entries ->
           broadcast t
-            (Msg.Accept_multi
-               {
-                 ballot = lead.l_ballot;
-                 from_index;
-                 kinds = List.map (fun (_, (e : Log.entry)) -> e.Log.kind) entries;
-                 commit_index;
-               })
+            (accept_msg ~ballot:lead.l_ballot ~from_index ~commit_index
+               (List.map (fun (_, (e : Log.entry)) -> e.Log.kind) entries))
       in
       let rec walk run = function
         | [] -> flush_run run
@@ -309,30 +311,11 @@ and start_resend t =
   t.resend_timer <-
     Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
 
-and propose t kind =
-  match t.role with
-  | R_leader lead ->
-    incr t.c_proposals;
-    let index = lead.next_index in
-    lead.next_index <- index + 1;
-    Log.set t.log index { Log.ballot = lead.l_ballot; kind };
-    Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me));
-    broadcast t
-      (Msg.Accept
-         {
-           ballot = lead.l_ballot;
-           index;
-           kind;
-           commit_index = Log.committed_prefix t.log;
-         });
-    maybe_commit_solo t lead
-  | R_candidate _ | R_follower -> invalid_arg "propose: not leader"
-
 (* Leader-side batching ({!Batch} owns the window) + pipelining: one
-   flush proposes the buffered values as a single Accept_multi, keeping at
-   most max_outstanding uncommitted slots in flight.  Whatever does not
-   fit stays buffered and is re-flushed by [Batch.pump] when commits
-   advance. *)
+   flush proposes the buffered values as one run of slots (a single value
+   is a run of one), keeping at most max_outstanding uncommitted slots in
+   flight.  Whatever does not fit stays buffered and is re-flushed by
+   [Batch.pump] when commits advance. *)
 and flush_batch t =
   match t.role with
   | R_leader lead -> (
@@ -342,7 +325,6 @@ and flush_batch t =
     in
     match Batch.take t.batch cap with
     | [] -> ()
-    | [ value ] -> propose t (Log.Value value)
     | values ->
       let from_index = lead.next_index in
       let kinds =
@@ -358,13 +340,8 @@ and flush_batch t =
           values
       in
       broadcast t
-        (Msg.Accept_multi
-           {
-             ballot = lead.l_ballot;
-             from_index;
-             kinds;
-             commit_index = Log.committed_prefix t.log;
-           });
+        (accept_msg ~ballot:lead.l_ballot ~from_index
+           ~commit_index:(Log.committed_prefix t.log) kinds);
       maybe_commit_solo t lead)
   | R_candidate _ | R_follower -> ()
 
@@ -450,26 +427,8 @@ let on_reject t (ballot : Ballot.t) higher =
   in
   if ours then step_down t ~higher
 
-let on_accept t ~src (ballot : Ballot.t) index kind commit_index =
-  if Ballot.(t.promised <= ballot) then begin
-    (match t.role with
-     | R_leader l when not (Ballot.equal l.l_ballot ballot) ->
-       step_down t ~higher:ballot
-     | R_candidate c when not (Ballot.equal c.c_ballot ballot) ->
-       step_down t ~higher:ballot
-     | _ -> ());
-    t.promised <- ballot;
-    t.hint <- Some ballot.Ballot.node;
-    if not (is_leader t) then reset_election_timer t;
-    if not (Log.is_committed t.log index) then
-      Log.set t.log index { Log.ballot; kind };
-    t.send ~dst:src (Msg.Accepted { ballot; index });
-    note_commit_info t ~ballot ~commit_index;
-    drain_pending t
-  end
-  else t.send ~dst:src (Msg.Reject { ballot; higher = t.promised })
-
-let on_accept_multi t ~src (ballot : Ballot.t) from_index kinds commit_index =
+(* A run of consecutive slots from [from_index], acknowledged as a whole. *)
+let on_accept t ~src (ballot : Ballot.t) from_index kinds commit_index =
   if Ballot.(t.promised <= ballot) then begin
     (match t.role with
      | R_leader l when not (Ballot.equal l.l_ballot ballot) ->
@@ -487,37 +446,14 @@ let on_accept_multi t ~src (ballot : Ballot.t) from_index kinds commit_index =
           Log.set t.log index { Log.ballot; kind })
       kinds;
     t.send ~dst:src
-      (Msg.Accepted_multi
-         { ballot; from_index; upto = from_index + List.length kinds - 1 });
+      (accepted_msg ~ballot ~from_index
+         ~upto:(from_index + List.length kinds - 1));
     note_commit_info t ~ballot ~commit_index;
     drain_pending t
   end
   else t.send ~dst:src (Msg.Reject { ballot; higher = t.promised })
 
-let on_accepted t ~src (ballot : Ballot.t) index =
-  match t.role with
-  | R_leader lead when Ballot.equal lead.l_ballot ballot ->
-    if not (Log.is_committed t.log index) then begin
-      let acks =
-        match Hashtbl.find_opt lead.acks index with
-        | Some r -> r
-        | None ->
-          let r = ref (Node_id.Set.singleton t.me) in
-          Hashtbl.replace lead.acks index r;
-          r
-      in
-      acks := Node_id.Set.add src !acks;
-      if Node_id.Set.cardinal !acks >= Config.quorum t.cfg then begin
-        Log.mark_committed t.log index;
-        Hashtbl.remove lead.acks index;
-        incr t.c_commits;
-        deliver t;
-        Batch.pump t.batch
-      end
-    end
-  | _ -> ()
-
-let on_accepted_multi t ~src (ballot : Ballot.t) from_index upto =
+let on_accepted t ~src (ballot : Ballot.t) from_index upto =
   match t.role with
   | R_leader lead when Ballot.equal lead.l_ballot ballot ->
     let committed_any = ref false in
@@ -620,12 +556,12 @@ let handle t ~src msg =
     | Msg.Promise { ballot; entries; _ } -> on_promise t ~src ballot entries
     | Msg.Reject { ballot; higher } -> on_reject t ballot higher
     | Msg.Accept { ballot; index; kind; commit_index } ->
-      on_accept t ~src ballot index kind commit_index
+      on_accept t ~src ballot index [ kind ] commit_index
     | Msg.Accept_multi { ballot; from_index; kinds; commit_index } ->
-      on_accept_multi t ~src ballot from_index kinds commit_index
-    | Msg.Accepted { ballot; index } -> on_accepted t ~src ballot index
+      on_accept t ~src ballot from_index kinds commit_index
+    | Msg.Accepted { ballot; index } -> on_accepted t ~src ballot index index
     | Msg.Accepted_multi { ballot; from_index; upto } ->
-      on_accepted_multi t ~src ballot from_index upto
+      on_accepted t ~src ballot from_index upto
     | Msg.Heartbeat { ballot; commit_index } ->
       on_heartbeat t ~src ballot commit_index
     | Msg.Learn_req { from_index } -> on_learn_req t ~src from_index

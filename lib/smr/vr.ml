@@ -276,6 +276,17 @@ let broadcast t msg =
       (fun dst -> if not (Node_id.equal dst t.me) then t.send ~dst msg)
       t.members
 
+(* Normal-case replication is a run of consecutive ops; a run of one
+   travels as the compact single-op encoding. *)
+let prepare_msg ~view ~from_op ~commit values =
+  match values with
+  | [ value ] -> Msg.Prepare { view; op = from_op; value; commit }
+  | _ -> Msg.Prepare_multi { view; from_op; values; commit }
+
+let prepare_ok_msg ~view ~from_op ~upto =
+  if upto = from_op then Msg.Prepare_ok { view; op = from_op }
+  else Msg.Prepare_ok_multi { view; from_op; upto }
+
 (* A primary losing its status (view change) returns unproposed batched
    values to pending so they get forwarded to whoever leads next. *)
 let park_batch t =
@@ -396,23 +407,16 @@ and advance_commit t =
   done;
   execute t
 
-and propose t value =
-  let op = t.len in
-  append t value;
-  Hashtbl.replace t.acks op (ref (Node_id.Set.singleton t.me));
-  broadcast t (Msg.Prepare { view = t.view; op; value; commit = t.commit });
-  maybe_commit_solo t
-
 (* Primary-side batching ({!Batch} owns the window) + pipelining, as in
-   {!Replica}: one flush prepares the buffered values as one multi-op run,
-   with at most max_outstanding uncommitted ops in flight; the overflow
-   stays buffered until commit progress pumps it. *)
+   {!Replica}: one flush prepares the buffered values as one run of ops (a
+   single value is a run of one), with at most max_outstanding uncommitted
+   ops in flight; the overflow stays buffered until commit progress pumps
+   it. *)
 and flush_batch t =
   if is_leader t then
     let cap = t.params.Params.max_outstanding - (t.len - t.commit) in
     match Batch.take t.batch cap with
     | [] -> ()
-    | [ value ] -> propose t value
     | values ->
       let from_op = t.len in
       List.iter
@@ -421,9 +425,7 @@ and flush_batch t =
           append t value;
           Hashtbl.replace t.acks op (ref (Node_id.Set.singleton t.me)))
         values;
-      broadcast t
-        (Msg.Prepare_multi
-           { view = t.view; from_op; values; commit = t.commit });
+      broadcast t (prepare_msg ~view:t.view ~from_op ~commit:t.commit values);
       maybe_commit_solo t
 
 and drain_pending t =
@@ -468,27 +470,12 @@ and start_resend t =
   let rec tick () =
     if is_leader t then begin
       (* Re-prepare the uncommitted suffix (lost Prepares / PrepareOKs) as
-         one multi-op run per follower, bounded by the pipeline window. *)
+         one run per follower, bounded by the pipeline window. *)
       let hi = min t.len (t.commit + t.params.Params.max_outstanding) in
-      (if hi - t.commit = 1 then
-         broadcast t
-           (Msg.Prepare
-              {
-                view = t.view;
-                op = t.commit;
-                value = t.log.(t.commit);
-                commit = t.commit;
-              })
-       else if hi > t.commit then
-         broadcast t
-           (Msg.Prepare_multi
-              {
-                view = t.view;
-                from_op = t.commit;
-                values =
-                  Array.to_list (Array.sub t.log t.commit (hi - t.commit));
-                commit = t.commit;
-              }));
+      if hi > t.commit then
+        broadcast t
+          (prepare_msg ~view:t.view ~from_op:t.commit ~commit:t.commit
+             (Array.to_list (Array.sub t.log t.commit (hi - t.commit))));
       t.resend_timer <-
         Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
     end
@@ -508,30 +495,10 @@ let catch_up t view =
      we missed, so it must be re-fetched, never trusted. *)
   t.send ~dst:(primary_of t view) (Msg.Get_state { view; from = t.commit })
 
-let on_prepare t ~src ~view ~op ~value ~commit =
-  if behind t view then catch_up t view
-  else if view = t.view && t.status = Normal && not (is_primary t) then begin
-    reset_view_timer t;
-    if op = t.len then begin
-      append t value;
-      t.send ~dst:src (Msg.Prepare_ok { view; op })
-    end
-    else if op < t.len then
-      (* Duplicate (retransmission): re-ack. *)
-      t.send ~dst:src (Msg.Prepare_ok { view; op })
-    else
-      (* Gap: lost earlier prepares. *)
-      t.send ~dst:src (Msg.Get_state { view; from = t.commit });
-    if commit > t.commit then begin
-      t.commit <- min commit t.len;
-      execute t
-    end
-  end
-
-(* Multi-op Prepare: consecutive values from [from_op].  Appends the
-   portion past our log end, re-acks duplicates, and answers with a single
-   Prepare_ok_multi covering the whole run. *)
-let on_prepare_multi t ~src ~view ~from_op ~values ~commit =
+(* A run of consecutive values from [from_op].  Appends the portion past
+   our log end, re-acks duplicates, and answers with one ack covering the
+   whole run. *)
+let on_prepare t ~src ~view ~from_op ~values ~commit =
   if behind t view then catch_up t view
   else if view = t.view && t.status = Normal && not (is_primary t) then begin
     reset_view_timer t;
@@ -543,8 +510,7 @@ let on_prepare_multi t ~src ~view ~from_op ~values ~commit =
       List.iteri
         (fun offset value -> if from_op + offset = t.len then append t value)
         values;
-      t.send ~dst:src
-        (Msg.Prepare_ok_multi { view; from_op; upto = from_op + n - 1 })
+      t.send ~dst:src (prepare_ok_msg ~view ~from_op ~upto:(from_op + n - 1))
     end;
     if commit > t.commit then begin
       t.commit <- min commit t.len;
@@ -552,16 +518,7 @@ let on_prepare_multi t ~src ~view ~from_op ~values ~commit =
     end
   end
 
-let on_prepare_ok t ~src ~view ~op =
-  if view = t.view && is_leader t then begin
-    (match Hashtbl.find_opt t.acks op with
-     | Some acked -> acked := Node_id.Set.add src !acked
-     | None -> () (* already committed *));
-    advance_commit t;
-    Batch.pump t.batch
-  end
-
-let on_prepare_ok_multi t ~src ~view ~from_op ~upto =
+let on_prepare_ok t ~src ~view ~from_op ~upto =
   if view = t.view && is_leader t then begin
     for op = from_op to upto do
       match Hashtbl.find_opt t.acks op with
@@ -600,11 +557,8 @@ let on_start_view t ~view ~log ~commit =
     reset_view_timer t;
     (* Ack the uncommitted suffix to the new primary in one message. *)
     let p = primary t in
-    (if t.len - t.commit = 1 then
-       t.send ~dst:p (Msg.Prepare_ok { view; op = t.commit })
-     else if t.len > t.commit then
-       t.send ~dst:p
-         (Msg.Prepare_ok_multi { view; from_op = t.commit; upto = t.len - 1 }));
+    if t.len > t.commit then
+      t.send ~dst:p (prepare_ok_msg ~view ~from_op:t.commit ~upto:(t.len - 1));
     drain_pending t
   end
 
@@ -675,12 +629,12 @@ let handle t ~src msg =
     | Msg.Request { value } -> submit t value
     | Msg.Request_multi { values } -> submit_many t values
     | Msg.Prepare { view; op; value; commit } ->
-      on_prepare t ~src ~view ~op ~value ~commit
+      on_prepare t ~src ~view ~from_op:op ~values:[ value ] ~commit
     | Msg.Prepare_multi { view; from_op; values; commit } ->
-      on_prepare_multi t ~src ~view ~from_op ~values ~commit
-    | Msg.Prepare_ok { view; op } -> on_prepare_ok t ~src ~view ~op
+      on_prepare t ~src ~view ~from_op ~values ~commit
+    | Msg.Prepare_ok { view; op } -> on_prepare_ok t ~src ~view ~from_op:op ~upto:op
     | Msg.Prepare_ok_multi { view; from_op; upto } ->
-      on_prepare_ok_multi t ~src ~view ~from_op ~upto
+      on_prepare_ok t ~src ~view ~from_op ~upto
     | Msg.Commit { view; commit } -> on_commit t ~view ~commit
     | Msg.Start_view_change { view } ->
       if view > t.view then start_view_change t view;

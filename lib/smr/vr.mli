@@ -14,7 +14,9 @@ module Msg : sig
   type t =
     | Request of { value : string }
     | Prepare of { view : int; op : int; value : string; commit : int }
+        (** [Prepare_multi] for a run of one op *)
     | Prepare_ok of { view : int; op : int }
+        (** [Prepare_ok_multi] for a run of one op *)
     | Commit of { view : int; commit : int }
     | Start_view_change of { view : int }
     | Do_view_change of {
@@ -34,6 +36,7 @@ module Msg : sig
         values : string list;  (** consecutive ops from [from_op] *)
         commit : int;
       }
+        (** a run of ops; a run of one is sent as [Prepare] *)
     | Prepare_ok_multi of { view : int; from_op : int; upto : int }
 
   val size : t -> int
