@@ -115,17 +115,36 @@ let client_handler endpoint dir_k =
   }
 [@@rsmr.deterministic] [@@rsmr.total]
 
+(* How long a client waits for the directory's answer before taking the
+   lookup as lost: twice the endpoint's request timeout, and shorter than
+   the three timeouts between one request's refresh points. *)
+let lookup_timeout = 1.0
+
 let add_client t cid =
   if not (Hashtbl.mem t.clients cid) then begin
     let dir_k = ref None in
+    let lookup_sent = ref 0.0 in
+    (* A lookup is one datagram each way.  Lost, it would hold the
+       endpoint's single lookup for good, so once it is overdue the
+       client's next send answers it "nobody": the endpoint keeps its
+       cached members and asks again at its next refresh point. *)
+    let expire_lookup () =
+      match !dir_k with
+      | Some k when Engine.now t.engine -. !lookup_sent >= lookup_timeout ->
+        dir_k := None;
+        k None
+      | Some _ | None -> ()
+    in
     let endpoint =
       Endpoint.create ~engine:t.engine ~me:cid ~bus:t.bus
         ~send:(fun ~dst msg ->
-          Network.send t.net ~src:cid ~dst (t.wire.to_client msg))
+          Network.send t.net ~src:cid ~dst (t.wire.to_client msg);
+          expire_lookup ())
         ~members:(Directory.members t.dir) ~batch_window:t.batch_window
         ~batch_max:t.batch_max
         ~lookup:(fun k ->
           dir_k := Some k;
+          lookup_sent := Engine.now t.engine;
           Network.send t.net ~src:cid ~dst:t.dir_id t.wire.lookup)
         ~on_reply:(fun ~seq ~rsp -> t.on_reply ~client:cid ~seq ~rsp)
         ()

@@ -4,6 +4,9 @@
 
     Clients reach a service through a directory that maps it to its
     current configuration and refresh that mapping on retry or redirect.
+    A lookup is one datagram each way; one left unanswered for a second
+    is answered "nobody" at the client's next send, so a lost lookup
+    never stops the endpoint from asking again.
     None of that depends on how the service orders commands, so the
     composed {!Service} and the native Raft baseline share this one
     implementation.  A stack parameterises it only by how its own wire

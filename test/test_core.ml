@@ -498,6 +498,34 @@ let test_client_follows_reconfig_via_directory () =
   Alcotest.(check bool) "client found the new configuration" true
     (reply_of h ~client:c1 ~seq:2 = Some (Kv.Value (Some "before")))
 
+let test_lost_lookup_does_not_strand_client () =
+  (* The client's only way to the new configuration is a directory
+     lookup.  Its links to the old members and to the directory drop
+     everything, so the lookup its third attempt sends is lost; the old
+     members are then replaced and crashed, and the links heal at
+     t = 10 s.  A lost lookup must not latch the endpoint for good: a
+     later refresh point asks again and the request is answered. *)
+  let h =
+    kv_harness ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4; 5 ]
+      ~clients:[ c1 ] ()
+  in
+  let net = KvService.net h.svc in
+  List.iter
+    (fun dst -> Network.set_link_fault net ~src:c1 ~dst ~drop:1.0)
+    [ 0; 1; 2; KvService.directory_id h.svc ];
+  submit_kv h ~client:c1 ~seq:1 (Kv.Put ("k", "v"));
+  Engine.run ~until:2.0 h.engine;
+  reconfigure h.cluster [ 3; 4; 5 ];
+  run_until h ~deadline:9.0 (fun () ->
+      List.for_all (fun n -> KvService.live_instances h.svc n = 0) [ 0; 1; 2 ]);
+  List.iter (crash h.cluster) [ 0; 1; 2 ];
+  ignore
+    (Engine.schedule h.engine ~delay:(10.0 -. Engine.now h.engine) (fun () ->
+         Network.clear_link_faults net));
+  run_until h ~deadline:60.0 (fun () -> has_reply h ~client:c1 ~seq:1);
+  Alcotest.(check bool) "answered by the new configuration" true
+    (reply_of h ~client:c1 ~seq:1 = Some Kv.Ok)
+
 let test_grow_and_shrink () =
   let h =
     kv_harness ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4 ] ~clients:[ c1 ]
@@ -1218,6 +1246,8 @@ let () =
             test_crash_old_leader_mid_reconfig;
           Alcotest.test_case "client follows via directory" `Quick
             test_client_follows_reconfig_via_directory;
+          Alcotest.test_case "lost directory lookup is retried" `Quick
+            test_lost_lookup_does_not_strand_client;
           Alcotest.test_case "grow and shrink" `Quick test_grow_and_shrink;
           Alcotest.test_case "rapid double reconfigure" `Quick
             test_rapid_double_reconfigure;
