@@ -915,6 +915,16 @@ struct
       | None -> ()
       | Some dst ->
         inst.fetch_rr <- inst.fetch_rr + 1;
+        if Trace.active t.bus then
+          Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
+            ~topic:`Reconfig
+            ~attrs:
+              [
+                ("epoch", string_of_int inst.epoch);
+                ("donor", string_of_int dst);
+                ("strategy", t.opts.Options.strategy.Strategy.name);
+              ]
+            "fetch";
         send t ~src:host.me ~dst (Wire.Fetch_state { epoch = inst.epoch });
         arm_fetch_timer t host inst
     end

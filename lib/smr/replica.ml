@@ -19,6 +19,9 @@ type leadership = {
   l_ballot : Ballot.t;
   mutable next_index : int;
   acks : (int, Node_id.Set.t ref) Hashtbl.t;
+  (* [next_index] at the last resend tick (or takeover): only slots below
+     it have waited a whole [resend_interval] and may be re-sent. *)
+  mutable resend_below : int;
 }
 
 type role = R_follower | R_candidate of candidacy | R_leader of leadership
@@ -33,7 +36,7 @@ type t = {
   others : Node_id.t list; (* Config.others cfg me, computed once *)
   on_decide : int -> string -> unit;
   rng : Rng.t;
-  log : Log.t;
+  mutable log : Log.t; (* dropped by [halt] *)
   mutable promised : Ballot.t;
   mutable role : role;
   mutable hint : Node_id.t option;
@@ -51,12 +54,14 @@ type t = {
   mutable resend_timer : Engine.timer option;
   mutable learn_inflight : bool;
   mutable halted : bool;
+  mutable halted_commit : int; (* [commit_index] once the log is dropped *)
   (* Pre-resolved metric cells — scoped {node; epoch} registry cells when
      an Observatory is attached, otherwise cells of a private table — so
      accounting is a ref bump either way. *)
   c_elections : int ref;
   c_takeovers : int ref;
   c_proposals : int ref;
+  c_resent : int ref;
   c_commits : int ref;
 }
 
@@ -67,7 +72,8 @@ let leader_hint t =
   if t.halted then None
   else match t.role with R_leader _ -> Some t.me | _ -> t.hint
 
-let commit_index t = Log.committed_prefix t.log
+let commit_index t =
+  if t.halted then t.halted_commit else Log.committed_prefix t.log
 let is_halted t = t.halted
 let submit_msg value = Msg.Submit { value }
 let submit_many_msg values = Msg.Submit_multi { values }
@@ -211,7 +217,12 @@ and become_leader t cand =
       (Stable.sorted_keys ~compare:Int.compare cand.merged)
   in
   let lead =
-    { l_ballot = ballot; next_index = max_index + 1; acks = Hashtbl.create 64 }
+    {
+      l_ballot = ballot;
+      next_index = max_index + 1;
+      acks = Hashtbl.create 64;
+      resend_below = max_index + 1;
+    }
   in
   t.role <- R_leader lead;
   t.hint <- Some t.me;
@@ -271,9 +282,12 @@ and start_resend t =
       let stuck =
         Log.uncommitted_range t.log ~lo:(Log.committed_prefix t.log)
       in
+      (* Only slots proposed before the previous tick are stuck: anything
+         newer has not yet waited a whole interval for its acks, and its
+         Accept may still be queued on our own uplink. *)
       let rec take n = function
+        | (i, _) :: _ when n = 0 || i >= lead.resend_below -> []
         | [] -> []
-        | _ when n = 0 -> []
         | x :: rest -> x :: take (n - 1) rest
       in
       (* Re-broadcast stuck slots at our ballot, one run per stretch of
@@ -284,6 +298,7 @@ and start_resend t =
         match List.rev run with
         | [] -> ()
         | (from_index, _) :: _ as entries ->
+          t.c_resent := !(t.c_resent) + List.length entries;
           broadcast t
             (accept_msg ~ballot:lead.l_ballot ~from_index ~commit_index
                (List.map (fun (_, (e : Log.entry)) -> e.Log.kind) entries))
@@ -304,6 +319,7 @@ and start_resend t =
           end
       in
       walk [] (take t.params.Params.max_outstanding stuck);
+      lead.resend_below <- lead.next_index;
       t.resend_timer <-
         Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
     | _ -> ()
@@ -318,7 +334,7 @@ and start_resend t =
    [Batch.pump] when commits advance. *)
 and flush_batch t =
   match t.role with
-  | R_leader lead -> (
+  | R_leader lead when not t.halted -> (
     let cap =
       t.params.Params.max_outstanding
       - (lead.next_index - Log.committed_prefix t.log)
@@ -343,7 +359,7 @@ and flush_batch t =
         (accept_msg ~ballot:lead.l_ballot ~from_index
            ~commit_index:(Log.committed_prefix t.log) kinds);
       maybe_commit_solo t lead)
-  | R_candidate _ | R_follower -> ()
+  | R_leader _ | R_candidate _ | R_follower -> ()
 
 and drain_pending t =
   let rec drain f =
@@ -571,9 +587,14 @@ let handle t ~src msg =
     | Msg.Submit_multi { values } -> submit_many t values
 [@@rsmr.deterministic] [@@rsmr.total]
 
+(* A halted replica never reads its log again (its instance has handed
+   its state on), so the log is dropped rather than kept for the life of
+   the process. *)
 let halt t =
   if not t.halted then begin
     t.halted <- true;
+    t.halted_commit <- Log.committed_prefix t.log;
+    t.log <- Log.create ();
     t.election_timer <- Engine.cancel_opt t.engine t.election_timer;
     t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
     t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
@@ -629,9 +650,11 @@ let create ~engine ~params ~config:cfg ~me ~send ?broadcast ?obs ~on_decide
       resend_timer = None;
       learn_inflight = false;
       halted = false;
+      halted_commit = 0;
       c_elections = metric "elections";
       c_takeovers = metric "takeovers";
       c_proposals = metric "proposals";
+      c_resent = metric "resent";
       c_commits = metric "commits";
     }
   in
@@ -691,6 +714,7 @@ let fingerprint t =
      W.u8 w 2;
      Ballot.encode w l.l_ballot;
      W.varint w l.next_index;
+     W.varint w l.resend_below;
      W.list w
        (fun w (slot, s) ->
          W.varint w slot;

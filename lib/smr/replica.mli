@@ -32,7 +32,8 @@
 include Block_intf.S with type Msg.t = Msg.t
 (** [create] raises [Invalid_argument] unless [me] is a member of
     [config].  [obs] receives the accounting "elections", "takeovers",
-    "proposals" and "commits".  A follower forwards a submission to the
+    "proposals", "resent" (slots re-sent by the leader's resend tick) and
+    "commits".  A follower forwards a submission to the
     leader it believes in (best effort: the client layer owns retries).
     [handle], [submit] and [submit_many] are flow roots
     ([@@rsmr.deterministic] [@@rsmr.total] on their definitions):

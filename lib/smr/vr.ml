@@ -217,8 +217,12 @@ type t = {
   mutable view_timer : Engine.timer option;
   mutable hb_timer : Engine.timer option;
   mutable resend_timer : Engine.timer option;
+  (* [len] at the primary's last resend tick (or view start): only ops
+     below it have waited a whole [resend_interval] and may be re-sent. *)
+  mutable resend_below : int;
   mutable halted : bool;
   c_view_changes : int ref;
+  c_resent : int ref;
 }
 
 let n_members t = Array.length t.members
@@ -467,15 +471,24 @@ and start_heartbeat t =
 
 and start_resend t =
   t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
+  t.resend_below <- t.len;
   let rec tick () =
     if is_leader t then begin
       (* Re-prepare the uncommitted suffix (lost Prepares / PrepareOKs) as
-         one run per follower, bounded by the pipeline window. *)
-      let hi = min t.len (t.commit + t.params.Params.max_outstanding) in
-      if hi > t.commit then
+         one run per follower, bounded by the pipeline window.  Ops
+         prepared since the previous tick have not yet waited a whole
+         interval for their acks, so they are not stuck. *)
+      let hi =
+        min (min t.len t.resend_below)
+          (t.commit + t.params.Params.max_outstanding)
+      in
+      if hi > t.commit then begin
+        t.c_resent := !(t.c_resent) + (hi - t.commit);
         broadcast t
           (prepare_msg ~view:t.view ~from_op:t.commit ~commit:t.commit
-             (Array.to_list (Array.sub t.log t.commit (hi - t.commit))));
+             (Array.to_list (Array.sub t.log t.commit (hi - t.commit))))
+      end;
+      t.resend_below <- t.len;
       t.resend_timer <-
         Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
     end
@@ -656,9 +669,13 @@ let handle t ~src msg =
       on_new_state t ~view ~from ~ops ~commit
 [@@rsmr.deterministic] [@@rsmr.total]
 
+(* As {!Replica.halt}: the log of a halted replica is never read
+   again, so it is dropped; [commit] still answers [commit_index]. *)
 let halt t =
   if not t.halted then begin
     t.halted <- true;
+    t.log <- [||];
+    t.len <- 0;
     t.view_timer <- Engine.cancel_opt t.engine t.view_timer;
     t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
     t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
@@ -668,13 +685,12 @@ let halt t =
 let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
   if not (Config.is_member config me) then
     invalid_arg "Vr.create: not a member of the configuration";
-  let c_view_changes =
+  let metric =
     match obs with
     | Some reg ->
       Rsmr_obs.Registry.scope_counter
         (Rsmr_obs.Registry.scope ~node:me ~epoch:config.Config.instance_id reg)
-        "view_changes"
-    | None -> ref 0
+    | None -> fun _ -> ref 0
   in
   (* The batcher's flush needs the replica it belongs to. *)
   let self = ref None in
@@ -707,8 +723,10 @@ let create ~engine ~params ~config ~me ~send ?broadcast ?obs ~on_decide () =
       view_timer = None;
       hb_timer = None;
       resend_timer = None;
+      resend_below = 0;
       halted = false;
-      c_view_changes;
+      c_view_changes = metric "view_changes";
+      c_resent = metric "resent";
     }
   in
   self := Some t;
@@ -760,6 +778,7 @@ let fingerprint t =
   W.bool w (Engine.armed t.view_timer);
   W.bool w (Engine.armed t.hb_timer);
   W.bool w (Engine.armed t.resend_timer);
+  W.varint w t.resend_below;
   W.bool w t.halted;
   W.contents w
 [@@rsmr.codec.oneway]

@@ -124,8 +124,9 @@ module Cluster = struct
     decided : (int * string) list ref array; (* newest first *)
   }
 
+  (* [tap] sees every message a replica sends, before the network does. *)
   let create ?(seed = 1) ?(drop = 0.0) ?(latency = Latency.lan)
-      ?(params = Params.default) n =
+      ?(params = Params.default) ?obs ?(tap = fun ~src:_ ~dst:_ _ -> ()) n =
     let engine = Engine.create ~seed () in
     let net =
       Network.create engine ~latency ~drop ~tagger:Msg.tag ~sizer:Msg.size ()
@@ -135,7 +136,10 @@ module Cluster = struct
     let replicas =
       Array.init n (fun i ->
           Replica.create ~engine ~params ~config:cfg ~me:i
-            ~send:(fun ~dst msg -> Network.send net ~src:i ~dst msg)
+            ~send:(fun ~dst msg ->
+              tap ~src:i ~dst msg;
+              Network.send net ~src:i ~dst msg)
+            ?obs
             ~on_decide:(fun idx v -> decided.(i) := (idx, v) :: !(decided.(i)))
             ())
     in
@@ -587,6 +591,109 @@ let prop_run_equals_its_slots =
         kinds;
       String.equal (Replica.fingerprint via_run) (Replica.fingerprint via_slots))
 
+(* --- resend only what has waited a whole interval --- *)
+
+(* The slots an Accept carries. *)
+let accept_slots = function
+  | Msg.Accept { index; _ } -> [ index ]
+  | Msg.Accept_multi { from_index; kinds; _ } ->
+    List.mapi (fun k _ -> from_index + k) kinds
+  | _ -> []
+
+let resent reg node =
+  !(Rsmr_obs.Registry.scope_counter
+      (Rsmr_obs.Registry.scope ~node ~epoch:0 reg)
+      "resent")
+
+(* Member 0 leads from time 0, so its resend ticks fall on every multiple
+   of [resend_interval] (50 ms).  A slot proposed at 60 ms whose Accepts
+   are all lost is still unacknowledged at the 100 ms tick, but it has
+   waited only 40 ms there: it is re-sent at 150 ms, and then commits. *)
+let test_resend_waits_one_interval () =
+  let reg = Rsmr_obs.Registry.create () in
+  let slot_sends = ref 0 in
+  let tap ~src:_ ~dst:_ msg =
+    slot_sends := !slot_sends + List.length (accept_slots msg)
+  in
+  let c = Cluster.create ~params:Params.unbatched ~obs:reg ~tap 3 in
+  Cluster.run c ~until:0.06;
+  List.iter
+    (fun dst -> Network.set_link_fault c.Cluster.net ~src:0 ~dst ~drop:1.0)
+    [ 1; 2 ];
+  Replica.submit c.Cluster.replicas.(0) "x";
+  Network.clear_link_faults c.Cluster.net;
+  Alcotest.(check int) "proposed once to each follower" 2 !slot_sends;
+  Cluster.run c ~until:0.12;
+  Alcotest.(check int) "not re-sent at the next tick" 2 !slot_sends;
+  Alcotest.(check (list string)) "not yet decided" []
+    (Cluster.decided_values c 0);
+  Cluster.run c ~until:0.3;
+  Alcotest.(check int) "re-sent once, at the tick after" 4 !slot_sends;
+  Alcotest.(check int) "resent cell" 1 (resent reg 0);
+  for i = 0 to 2 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "replica %d decided" i)
+      [ "x" ] (Cluster.decided_values c i)
+  done
+
+(* On a lossless link whose round trip is far below [resend_interval],
+   every slot is acknowledged before it has waited a whole interval, so
+   the leader never sends any slot to any follower twice, whatever the
+   submission timing. *)
+let prop_lossless_sends_each_slot_once =
+  QCheck.Test.make ~name:"lossless: no slot is sent twice" ~count:20
+    QCheck.(pair small_nat (list_of_size (Gen.int_range 20 120) (int_range 1 40)))
+    (fun (seed, gaps) ->
+      let reg = Rsmr_obs.Registry.create () in
+      let seen = Hashtbl.create 256 in
+      let twice = ref false in
+      let tap ~src:_ ~dst msg =
+        List.iter
+          (fun slot ->
+            if Hashtbl.mem seen (dst, slot) then twice := true
+            else Hashtbl.add seen (dst, slot) ())
+          (accept_slots msg)
+      in
+      let c = Cluster.create ~seed:(seed + 1) ~obs:reg ~tap 3 in
+      (* Gaps are in tenths of a millisecond. *)
+      let at = ref 0.0 in
+      List.iteri
+        (fun k gap ->
+          at := !at +. (float_of_int gap *. 1e-4);
+          ignore
+            (Engine.schedule c.Cluster.engine ~delay:!at (fun () ->
+                 Replica.submit c.Cluster.replicas.(0) (Printf.sprintf "q%d" k))))
+        gaps;
+      Cluster.run c ~until:(!at +. 1.0);
+      (not !twice)
+      && resent reg 0 = 0
+      && List.for_all
+           (fun i -> List.length (Cluster.decided_values c i) = List.length gaps)
+           [ 0; 1; 2 ])
+
+(* A halted replica keeps no log: nothing it decided is left in its
+   state, and [commit_index] answers as it did before the halt. *)
+let test_halt_drops_log () =
+  let c = Cluster.create 3 in
+  List.iter (Replica.submit c.Cluster.replicas.(0)) [ "kept-a"; "kept-b" ];
+  Cluster.run c ~until:1.0;
+  let r = c.Cluster.replicas.(1) in
+  let before = Replica.commit_index r in
+  Alcotest.(check int) "both committed" 2 before;
+  Replica.halt r;
+  Alcotest.(check int) "commit_index unchanged" before (Replica.commit_index r);
+  Alcotest.(check bool) "still halted" true (Replica.is_halted r);
+  let fp = Replica.fingerprint r in
+  Alcotest.(check bool) "no log entry in the fingerprint" false
+    (List.exists
+       (fun v ->
+         let n = String.length v in
+         let rec at i =
+           i + n <= String.length fp && (String.sub fp i n = v || at (i + 1))
+         in
+         at 0)
+       [ "kept-a"; "kept-b" ])
+
 let () =
   Alcotest.run "smr"
     [
@@ -637,5 +744,12 @@ let () =
           Alcotest.test_case "run of one is single-slot" `Quick
             test_run_of_one_is_single_slot;
           QCheck_alcotest.to_alcotest prop_run_equals_its_slots;
+        ] );
+      ( "resend",
+        [
+          Alcotest.test_case "resend waits one interval" `Quick
+            test_resend_waits_one_interval;
+          QCheck_alcotest.to_alcotest prop_lossless_sends_each_slot_once;
+          Alcotest.test_case "halt drops the log" `Quick test_halt_drops_log;
         ] );
     ]

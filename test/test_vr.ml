@@ -46,15 +46,20 @@ module Cluster = struct
     decided : (int * string) list ref array;
   }
 
-  let create ?(seed = 1) ?(drop = 0.0) n =
+  (* [tap] sees every message a replica sends, before the network does. *)
+  let create ?(seed = 1) ?(drop = 0.0) ?(params = Params.default) ?obs
+      ?(tap = fun ~src:_ ~dst:_ _ -> ()) n =
     let engine = Engine.create ~seed () in
     let net = Network.create engine ~drop ~sizer:Vr.Msg.size () in
     let cfg = Config.make ~instance_id:0 ~members:(List.init n Fun.id) in
     let decided = Array.init n (fun _ -> ref []) in
     let replicas =
       Array.init n (fun i ->
-          Vr.create ~engine ~params:Params.default ~config:cfg ~me:i
-            ~send:(fun ~dst msg -> Network.send net ~src:i ~dst msg)
+          Vr.create ~engine ~params ~config:cfg ~me:i
+            ~send:(fun ~dst msg ->
+              tap ~src:i ~dst msg;
+              Network.send net ~src:i ~dst msg)
+            ?obs
             ~on_decide:(fun idx v -> decided.(i) := (idx, v) :: !(decided.(i)))
             ())
     in
@@ -305,6 +310,110 @@ let prop_run_equals_its_ops =
         values;
       String.equal (Vr.fingerprint via_run) (Vr.fingerprint via_ops))
 
+(* --- resend only what has waited a whole interval --- *)
+
+(* The ops a Prepare carries. *)
+let prepare_ops = function
+  | Vr.Msg.Prepare { op; _ } -> [ op ]
+  | Vr.Msg.Prepare_multi { from_op; values; _ } ->
+    List.mapi (fun k _ -> from_op + k) values
+  | _ -> []
+
+let resent reg node =
+  !(Rsmr_obs.Registry.scope_counter
+      (Rsmr_obs.Registry.scope ~node ~epoch:0 reg)
+      "resent")
+
+(* View 0's primary (member 0) starts its resend ticks at time 0, so they
+   fall on every multiple of [resend_interval] (50 ms).  An op prepared at
+   60 ms whose Prepares are all lost is still unacknowledged at the 100 ms
+   tick, but it has waited only 40 ms there: it is re-sent at 150 ms, and
+   then commits. *)
+let test_resend_waits_one_interval () =
+  let reg = Rsmr_obs.Registry.create () in
+  let op_sends = ref 0 in
+  let tap ~src:_ ~dst:_ msg =
+    op_sends := !op_sends + List.length (prepare_ops msg)
+  in
+  let c = Cluster.create ~params:Params.unbatched ~obs:reg ~tap 3 in
+  Engine.run ~until:0.06 c.Cluster.engine;
+  List.iter
+    (fun dst -> Network.set_link_fault c.Cluster.net ~src:0 ~dst ~drop:1.0)
+    [ 1; 2 ];
+  Vr.submit c.Cluster.replicas.(0) "x";
+  Network.clear_link_faults c.Cluster.net;
+  Alcotest.(check int) "prepared once to each backup" 2 !op_sends;
+  Engine.run ~until:0.12 c.Cluster.engine;
+  Alcotest.(check int) "not re-sent at the next tick" 2 !op_sends;
+  Alcotest.(check (list string)) "not yet decided" []
+    (Cluster.decided_values c 0);
+  Engine.run ~until:0.3 c.Cluster.engine;
+  Alcotest.(check int) "re-sent once, at the tick after" 4 !op_sends;
+  Alcotest.(check int) "resent cell" 1 (resent reg 0);
+  for i = 0 to 2 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "replica %d decided" i)
+      [ "x" ] (Cluster.decided_values c i)
+  done
+
+(* On a lossless link whose round trip is far below [resend_interval],
+   every op is acknowledged before it has waited a whole interval, so the
+   primary never sends any op to any backup twice, whatever the
+   submission timing. *)
+let prop_lossless_sends_each_op_once =
+  QCheck.Test.make ~name:"lossless: no op is sent twice" ~count:20
+    QCheck.(pair small_nat (list_of_size (Gen.int_range 20 120) (int_range 1 40)))
+    (fun (seed, gaps) ->
+      let reg = Rsmr_obs.Registry.create () in
+      let seen = Hashtbl.create 256 in
+      let twice = ref false in
+      let tap ~src:_ ~dst msg =
+        List.iter
+          (fun op ->
+            if Hashtbl.mem seen (dst, op) then twice := true
+            else Hashtbl.add seen (dst, op) ())
+          (prepare_ops msg)
+      in
+      let c = Cluster.create ~seed:(seed + 1) ~obs:reg ~tap 3 in
+      (* Gaps are in tenths of a millisecond. *)
+      let at = ref 0.0 in
+      List.iteri
+        (fun k gap ->
+          at := !at +. (float_of_int gap *. 1e-4);
+          ignore
+            (Engine.schedule c.Cluster.engine ~delay:!at (fun () ->
+                 Vr.submit c.Cluster.replicas.(0) (Printf.sprintf "q%d" k))))
+        gaps;
+      Engine.run ~until:(!at +. 1.0) c.Cluster.engine;
+      (not !twice)
+      && resent reg 0 = 0
+      && List.for_all
+           (fun i -> List.length (Cluster.decided_values c i) = List.length gaps)
+           [ 0; 1; 2 ])
+
+(* A halted replica keeps no log: nothing it decided is left in its
+   state, and [commit_index] answers as it did before the halt. *)
+let test_halt_drops_log () =
+  let c = Cluster.create 3 in
+  List.iter (Vr.submit c.Cluster.replicas.(0)) [ "kept-a"; "kept-b" ];
+  Engine.run ~until:1.0 c.Cluster.engine;
+  let r = c.Cluster.replicas.(1) in
+  let before = Vr.commit_index r in
+  Alcotest.(check int) "both committed" 2 before;
+  Vr.halt r;
+  Alcotest.(check int) "commit_index unchanged" before (Vr.commit_index r);
+  Alcotest.(check bool) "still halted" true (Vr.is_halted r);
+  let fp = Vr.fingerprint r in
+  Alcotest.(check bool) "no log entry in the fingerprint" false
+    (List.exists
+       (fun v ->
+         let n = String.length v in
+         let rec at i =
+           i + n <= String.length fp && (String.sub fp i n = v || at (i + 1))
+         in
+         at 0)
+       [ "kept-a"; "kept-b" ])
+
 let () =
   Alcotest.run "vr"
     [
@@ -325,6 +434,13 @@ let () =
           Alcotest.test_case "run of one is single-op" `Quick
             test_run_of_one_is_single_op;
           QCheck_alcotest.to_alcotest prop_run_equals_its_ops;
+        ] );
+      ( "resend",
+        [
+          Alcotest.test_case "resend waits one interval" `Quick
+            test_resend_waits_one_interval;
+          QCheck_alcotest.to_alcotest prop_lossless_sends_each_op_once;
+          Alcotest.test_case "halt drops the log" `Quick test_halt_drops_log;
         ] );
       ( "composition",
         [
