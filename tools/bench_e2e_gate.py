@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Exact gate on bench/e2e's deterministic end-to-end metrics.
+"""Exact gate on bench/e2e's deterministic metrics.
 
     python3 tools/bench_e2e_gate.py RUN.json            # print expected form
     python3 tools/bench_e2e_gate.py RUN.json EXPECTED   # compare, exit 1 on drift
 
 RUN.json is the rsmr-bench/2 document that
 `bash bench/e2e/run.sh --workload all --reps 2 --trace 0 --out RUN.json`
-writes.  The virtual-time metrics are exact for a seed, so they must match
-EXPECTED exactly at the printed precision.  alloc_words_per_cmd counts
-OCaml heap words, which may shift slightly with the build, so it may move
-by 1%.  Host-time metrics are not gated.  Lines starting with '#' are a
+writes.  Every production metric of kind "virtual" (end-to-end and
+per-layer alike) is exact for a seed, so it must match EXPECTED exactly at
+the printed precision.  alloc_words_per_cmd counts OCaml heap words, which
+may shift slightly with the build, so it may move by 1%.  Host-time metrics
+and the other heap metrics are not gated.  Lines starting with '#' are a
 header and are not compared.
 """
 
@@ -17,25 +18,16 @@ import json
 import sys
 
 COMMAND = "bash bench/e2e/run.sh --workload all --reps 2 --trace 0"
-METRICS = [
-    "throughput_cps",
-    "latency_p50_ms",
-    "latency_tail_ms",
-    "answered_frac",
-    "msgs_per_cmd",
-    "bytes_per_cmd",
-    "outage_ms",
-    "alloc_words_per_cmd",
-]
+ALLOC = "alloc_words_per_cmd"
 ALLOC_TOLERANCE = 0.01
 
 
 def render(doc):
     lines = ["# ocaml %s; %s" % (doc["ocaml_version"], COMMAND)]
     for workload, result in doc["workloads"].items():
-        for metric in METRICS:
-            value = result["production"][metric]["value"]
-            lines.append("%s %s %.12g" % (workload, metric, value))
+        for metric, m in result["production"].items():
+            if m["kind"] == "virtual" or metric == ALLOC:
+                lines.append("%s %s %.12g" % (workload, metric, m["value"]))
     return lines
 
 
@@ -51,7 +43,7 @@ def parse(lines):
 def agree(metric, want, got):
     if want == got:
         return True
-    if metric != "alloc_words_per_cmd" or None in (want, got):
+    if metric != ALLOC or None in (want, got):
         return False
     return abs(float(got) - float(want)) <= ALLOC_TOLERANCE * float(want)
 
