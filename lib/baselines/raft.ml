@@ -1,6 +1,5 @@
 module Engine = Rsmr_sim.Engine
 module Rng = Rsmr_sim.Rng
-module Counters = Rsmr_sim.Counters
 module Obs = Rsmr_obs.Registry
 module Stable = Rsmr_sim.Stable
 module Network = Rsmr_net.Network
@@ -88,14 +87,14 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     snapshot_threshold : int;
     nodes : (Node_id.t, node) Hashtbl.t;
     front : Raft_wire.t Front.t;
-    counters : Counters.t;
+    svc : Obs.scope;  (* the run-level {section=svc} counts *)
     obs : Obs.t;
   }
 
   let engine t = t.engine
   let net t = t.net
   let directory_id t = Front.dir_id t.front
-  let counters t = t.counters
+  let counters t = Obs.counters t.obs "svc"
   let obs t = t.obs
 
   let node_opt t id = Hashtbl.find_opt t.nodes id
@@ -119,7 +118,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     Network.send t.net ~src:node.me ~dst (Raft_wire.Rpc msg)
 
   let reply_client t node ~client ~seq ~rsp =
-    Counters.incr t.counters "replies";
+    incr (Obs.scope_counter t.svc "replies");
     Network.send t.net ~src:node.me ~dst:client
       (Raft_wire.Client (Client_msg.Reply { seq; rsp }))
 
@@ -164,7 +163,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     else if not node.halted then reset_election_timer t node
 
   and start_election t node =
-    Counters.incr t.counters "elections";
+    incr (Obs.scope_counter t.svc "elections");
     node.term <- node.term + 1;
     node.voted_for <- Some node.me;
     node.role <- Candidate (Node_id.Set.singleton node.me);
@@ -194,7 +193,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     | Follower | Leader _ -> ()
 
   and become_leader t node =
-    Counters.incr t.counters "takeovers";
+    incr (Obs.scope_counter t.svc "takeovers");
     let ls =
       {
         next = Hashtbl.create 8;
@@ -301,7 +300,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           (match Hashtbl.find_opt ls.snap_sending f with
            | Some _ -> () (* resume: retransmit the current chunk below *)
            | None ->
-             Counters.incr t.counters "snapshots_sent";
+             incr (Obs.scope_counter t.svc "snapshots_sent");
              Hashtbl.replace ls.snap_sending f
                {
                  sx_data = node.snapshot_data;
@@ -413,7 +412,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         node.app <- app';
         Session.record node.sessions ~client ~seq ~rsp;
         Session.trim node.sessions ~client ~below:low_water;
-        Counters.incr t.counters "applied";
+        incr (Obs.scope_counter t.svc "applied");
         incr node.n_applied;
         (match node.role with
          | Leader _ ->
@@ -472,7 +471,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           { Snapshot.app = Sm.snapshot node.app;
             sessions = Session.encode node.sessions };
       Raft_log.compact_to node.log node.applied;
-      Counters.incr t.counters "compactions"
+      incr (Obs.scope_counter t.svc "compactions")
     end
 
   and halt_node t node =
@@ -521,7 +520,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           | [], [] -> cur
         in
         if next_members <> cur then begin
-          Counters.incr t.counters "config_steps";
+          incr (Obs.scope_counter t.svc "config_steps");
           ignore
             (Raft_log.append node.log
                { Raft_log.term = node.term; payload = Raft_log.Config next_members });
@@ -679,7 +678,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           node.config_index <- last_index;
           node.commit <- last_index;
           node.applied <- last_index;
-          Counters.incr t.counters "snapshots_installed"
+          incr (Obs.scope_counter t.svc "snapshots_installed")
         end;
         send t node ~dst:src
           (Raft_msg.Snapshot_reply
@@ -724,7 +723,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   (* --- client handling --- *)
 
   let redirect t node ~src ~leader seq =
-    Counters.incr t.counters "redirects";
+    incr (Obs.scope_counter t.svc "redirects");
     Network.send t.net ~src:node.me ~dst:src
       (Raft_wire.Client
          (Client_msg.Redirect
@@ -746,7 +745,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       let appended = ref false in
       List.iter
         (fun (seq, payload) ->
-          Counters.incr t.counters "requests";
+          incr (Obs.scope_counter t.svc "requests");
           match (payload : Client_msg.payload) with
           | Client_msg.Cmd cmd -> (
             match Session.check node.sessions ~client:src ~seq with
@@ -780,7 +779,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     else
       List.iter
         (fun (seq, _) ->
-          Counters.incr t.counters "requests";
+          incr (Obs.scope_counter t.svc "requests");
           redirect t node ~src ~leader:node.leader_hint seq)
         reqs
 
@@ -874,8 +873,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           Front.create ~engine ~net ~bus:(Obs.bus obs) ~wire:front_wire
             ~universe ~batch_window:params.Params.batch_delay
             ~batch_max:params.Params.batch_max;
-        (* the flat counter table IS the registry's "svc" section *)
-        counters = Obs.counters obs "svc";
+        svc = Obs.scope ~labels:[ ("section", "svc") ] obs;
         obs;
       }
     in

@@ -51,6 +51,11 @@ module Make (Sm : Rsmr_app.State_machine.S) : sig
 
   val directory_id : t -> Rsmr_net.Node_id.t
   val counters : t -> Rsmr_sim.Counters.t
+  (** The live ["svc"] section view of {!obs} (cells labelled
+      [("section", "svc")]): "applied", "requests", "replies",
+      "redirects", "elections", "takeovers", "config_steps",
+      "compactions", "snapshots_sent", "snapshots_installed". *)
+
   val obs : t -> Rsmr_obs.Registry.t
   val leader : t -> Rsmr_net.Node_id.t option
   val config_of : t -> Rsmr_net.Node_id.t -> Rsmr_net.Node_id.t list option

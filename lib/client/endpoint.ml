@@ -29,7 +29,12 @@ type t = {
   mutable max_seq : int;
   mutable last_target : Node_id.t option;
   rng : Rng.t;
-  counters : Counters.t;
+  (* tallies behind [counters] *)
+  mutable n_sent : int;
+  mutable n_retries : int;
+  mutable n_lookups : int;
+  mutable n_replies : int;
+  mutable n_redirects : int;
   mutable lookup_inflight : bool;
   bus : Trace.t option;
 }
@@ -79,7 +84,7 @@ let rec attempt t seq =
   | Some o ->
     o.timer <- Engine.cancel_opt t.engine o.timer;
     o.attempts <- o.attempts + 1;
-    Counters.incr t.counters "sent";
+    t.n_sent <- t.n_sent + 1;
     t.send ~dst:(target t)
       (Client_msg.Request { seq; low_water = low_water t; payload = o.payload });
     o.timer <-
@@ -91,7 +96,7 @@ and on_timeout t seq =
   match Hashtbl.find_opt t.pending seq with
   | None -> ()
   | Some o ->
-    Counters.incr t.counters "retries";
+    t.n_retries <- t.n_retries + 1;
     lifecycle t "retry" ~seq;
     (* Distrust the cached leader and rotate; periodically consult the
        directory for a fresh configuration. *)
@@ -103,7 +108,7 @@ and refresh_members t =
   match t.lookup with
   | Some lookup when not t.lookup_inflight ->
     t.lookup_inflight <- true;
-    Counters.incr t.counters "lookups";
+    t.n_lookups <- t.n_lookups + 1;
     lookup (fun entry ->
         t.lookup_inflight <- false;
         match entry with
@@ -130,7 +135,7 @@ let flush_batch t =
   | [] -> ()
   | [ (seq, _) ] -> attempt t seq
   | _ ->
-    Counters.incr t.counters "sent";
+    t.n_sent <- t.n_sent + 1;
     let reqs = List.map (fun (seq, o) -> (seq, o.payload)) live in
     t.send ~dst:(target t)
       (Client_msg.Request_batch { low_water = low_water t; reqs });
@@ -170,7 +175,11 @@ let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
       max_seq = 0;
       last_target = None;
       rng = Rng.split (Engine.rng engine);
-      counters = Counters.create ();
+      n_sent = 0;
+      n_retries = 0;
+      n_lookups = 0;
+      n_replies = 0;
+      n_redirects = 0;
       lookup_inflight = false;
       bus;
     }
@@ -194,12 +203,12 @@ let handle t msg =
     | Some o ->
       o.timer <- Engine.cancel_opt t.engine o.timer;
       Hashtbl.remove t.pending seq;
-      Counters.incr t.counters "replies";
+      t.n_replies <- t.n_replies + 1;
       lifecycle t "replied" ~seq;
       t.on_reply ~seq ~rsp
     | None -> (* duplicate reply from a retry *) ())
   | Client_msg.Redirect { seq; leader; members; epoch } ->
-    Counters.incr t.counters "redirects";
+    t.n_redirects <- t.n_redirects + 1;
     if epoch >= t.epoch then begin
       t.epoch <- epoch;
       if members <> [] then t.members <- members;
@@ -234,7 +243,15 @@ let handle t msg =
 
 let me t = t.me
 let outstanding t = Hashtbl.length t.pending
-let counters t = t.counters
+let counters t =
+  Counters.make (fun () ->
+      [
+        ("sent", t.n_sent);
+        ("retries", t.n_retries);
+        ("lookups", t.n_lookups);
+        ("replies", t.n_replies);
+        ("redirects", t.n_redirects);
+      ])
 let believed_members t = t.members
 let believed_leader t = t.leader
 

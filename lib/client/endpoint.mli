@@ -58,7 +58,8 @@ val outstanding : t -> int
 (** Requests not yet answered. *)
 
 val counters : t -> Rsmr_sim.Counters.t
-(** Keys: "sent", "retries", "redirects", "replies", "lookups". *)
+(** A live view of the endpoint's own tallies, which no registry exports.
+    Keys: "sent", "retries", "redirects", "replies", "lookups". *)
 
 val believed_members : t -> Rsmr_net.Node_id.t list
 val believed_leader : t -> Rsmr_net.Node_id.t option

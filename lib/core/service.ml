@@ -1,5 +1,4 @@
 module Engine = Rsmr_sim.Engine
-module Counters = Rsmr_sim.Counters
 module Fnv = Rsmr_sim.Fnv
 module Trace = Rsmr_sim.Trace
 module Obs = Rsmr_obs.Registry
@@ -249,9 +248,9 @@ struct
     front : Wire.t Front.t;
     mutable on_dir_update :
       epoch:int -> members:Node_id.t list -> leader:Node_id.t option -> unit;
-    counters : Counters.t;
-    (* cells of [counters] bumped once per command, resolved on first use
-       so a counter that never fires stays out of the export *)
+    svc : Obs.scope;  (* the run-level {section=svc} counts *)
+    (* cells of [svc] bumped once per command, resolved on first use so a
+       counter that never fires stays out of the export *)
     applied : int ref Lazy.t;
     replies : int ref Lazy.t;
     requests : int ref Lazy.t;
@@ -267,7 +266,7 @@ struct
   let net t = t.net
   let set_on_dir_update t f = t.on_dir_update <- f
   let directory_id t = Front.dir_id t.front
-  let counters t = t.counters
+  let counters t = Obs.counters t.obs "svc"
   let obs t = t.obs
 
   let current_epoch t = Directory.epoch (Front.directory t.front)
@@ -462,7 +461,7 @@ struct
     retire_instance t host inst
 
   and handle_residual t host inst idx env value =
-    Counters.incr t.counters "residuals";
+    incr (Obs.scope_counter t.svc "residuals");
     incr inst.sc_residuals;
     if Trace.active t.bus && is_inst_leader inst then begin
       let client, seq = env_client_seq env in
@@ -477,7 +476,7 @@ struct
     if t.opts.Options.strategy.Strategy.residuals = `Resubmit
        && is_inst_leader inst
     then begin
-      Counters.incr t.counters "residuals_resubmitted";
+      incr (Obs.scope_counter t.svc "residuals_resubmitted");
       if Trace.active t.bus then begin
         let client, seq = env_client_seq env in
         Front.lifecycle t.front ~node:host.me "resubmit"
@@ -579,7 +578,7 @@ struct
     if inst.wedged_at = None then begin
       inst.wedged_at <- Some widx;
       inst.next_members <- members';
-      Counters.incr t.counters "wedges";
+      incr (Obs.scope_counter t.svc "wedges");
       incr (Obs.scope_counter inst.sc "wedged");
       if Trace.active t.bus then
         Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
@@ -696,7 +695,7 @@ struct
        and forget the instance so the authoritative configuration — if
        any — can take the epoch slot with a clean boot. *)
     if inst.provisional && not inst.retired then begin
-      Counters.incr t.counters "prepare_teardowns";
+      incr (Obs.scope_counter t.svc "prepare_teardowns");
       retire_instance t host inst;
       (* Free the epoch slot only if it still holds this (now retired)
          provisional instance — an authoritative replacement that already
@@ -711,7 +710,7 @@ struct
   and confirm_provisional t host inst =
     if inst.provisional then begin
       inst.provisional <- false;
-      Counters.incr t.counters "prepare_confirms";
+      incr (Obs.scope_counter t.svc "prepare_confirms");
       inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer;
       (* The configuration is authoritative now: advertise it for
          redirects, exactly as a wedge-time bootstrap would have. *)
@@ -767,7 +766,7 @@ struct
       && is_inst_leader inst
       && not (Hashtbl.mem host.instances (inst.epoch + 1))
     then begin
-      Counters.incr t.counters "prepares";
+      incr (Obs.scope_counter t.svc "prepares");
       let epoch = inst.epoch + 1 in
       let prev_members = inst.cfg.Config.members in
       List.iter
@@ -952,8 +951,9 @@ struct
       inst.app <- app;
       inst.sessions <- sessions;
       inst.activated <- true;
-      Counters.incr t.counters
-        (if local then "local_activations" else "transfers");
+      incr
+        (Obs.scope_counter t.svc
+           (if local then "local_activations" else "transfers"));
       if Trace.active t.bus then
         Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
           ~topic:`Reconfig
@@ -986,8 +986,9 @@ struct
     let total = List.length pieces in
     List.iteri
       (fun index data ->
-        Counters.incr t.counters "chunks_sent";
-        Counters.add t.counters "transfer_bytes" (String.length data);
+        incr (Obs.scope_counter t.svc "chunks_sent");
+        let bytes = Obs.scope_counter t.svc "transfer_bytes" in
+        bytes := !bytes + String.length data;
         send t ~src:host.me ~dst (Wire.State_chunk { epoch; index; total; data }))
       pieces
 
@@ -1092,7 +1093,7 @@ struct
           i.replica <> None && (not i.retired) && not i.provisional)
     in
     let redirect seq =
-      Counters.incr t.counters "redirects";
+      incr (Obs.scope_counter t.svc "redirects");
       let leader =
         match current with
         | Some inst when inst.wedged_at = None -> (
@@ -1298,7 +1299,7 @@ struct
       Network.create engine ?mode:net_mode ?latency ?drop ?bandwidth ~tagger
         ~sizer:Wire.size ~obs ()
     in
-    let counters = Obs.counters obs "svc" in
+    let svc = Obs.scope ~labels:[ ("section", "svc") ] obs in
     let t =
       {
         engine;
@@ -1311,12 +1312,10 @@ struct
             ~universe ~batch_window:opts.Options.client_batch_window
             ~batch_max:opts.Options.client_batch_max;
         on_dir_update = (fun ~epoch:_ ~members:_ ~leader:_ -> ());
-        (* the service's flat counter table IS the registry's "svc"
-           section: same live cells, picked up at export time *)
-        counters;
-        applied = lazy (Counters.handle counters "applied");
-        replies = lazy (Counters.handle counters "replies");
-        requests = lazy (Counters.handle counters "requests");
+        svc;
+        applied = lazy (Obs.scope_counter svc "applied");
+        replies = lazy (Obs.scope_counter svc "replies");
+        requests = lazy (Obs.scope_counter svc "requests");
         obs;
         bus = Obs.bus obs;
         wedge_times = Hashtbl.create 4;

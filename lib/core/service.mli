@@ -143,7 +143,8 @@ module type S = sig
       one per joiner, plus any continuing member whose old instance
       retired unwedged; "local_activations" counts members that
       continued and took the state from their own wedge.  This is the
-      live ["svc"] section of {!obs}. *)
+      live ["svc"] section view of {!obs} (cells labelled
+      [("section", "svc")]). *)
 
   val obs : t -> Rsmr_obs.Registry.t
   (** The run's Observatory registry (same handle as

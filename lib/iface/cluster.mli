@@ -35,8 +35,9 @@ type t = {
           sites. *)
   obs : Rsmr_obs.Registry.t;
       (** The run's Observatory registry.  Network accounting lives in the
-          attached ["net"] section and protocol-level accounting in
-          ["svc"] ([Rsmr_obs.Registry.counters obs "net"] / ["svc"]);
+          cells labelled [("section", "net")] and protocol-level
+          accounting in those labelled [("section", "svc")], read as flat
+          tables with [Rsmr_obs.Registry.counters obs "net"] / ["svc"];
           labeled per-node/per-epoch cells and the lifecycle trace bus
           hang off the same handle. *)
 }

@@ -1,6 +1,6 @@
 module Engine = Rsmr_sim.Engine
 module Rng = Rsmr_sim.Rng
-module Counters = Rsmr_sim.Counters
+module Registry = Rsmr_obs.Registry
 
 type 'm envelope = { src : Node_id.t; dst : Node_id.t; payload : 'm }
 
@@ -27,30 +27,23 @@ type 'm t = {
   egress_free_at : (Node_id.t, float) Hashtbl.t;
   tagger : ('m -> string) option;
   last_arrival : (Node_id.t * Node_id.t, float) Hashtbl.t;
-  counters : Counters.t;
-  (* Cached handles for the counters every send touches, so the hot path
-     bumps refs instead of hashing counter names per message. *)
+  obs : Registry.t;
+  (* The registry cells every send touches, resolved once, so the hot
+     path bumps refs instead of hashing counter names per message. *)
   c_sent : int ref;
   c_bytes_sent : int ref;
   c_delivered : int ref;
   c_dropped : int ref;
   c_duplicated : int ref;
-  (* tag -> ("sent."^tag, "bytes."^tag) handles, so per-tag accounting
-     neither re-concatenates the key strings nor re-hashes them. *)
+  (* tag -> the (sent, bytes) cells labelled with that msg_type, so
+     per-tag accounting resolves each pair once. *)
   tag_handles : (string, int ref * int ref) Hashtbl.t;
 }
 
 let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
     ?(bandwidth = 1.25e8) ?tagger ?(sizer = fun _ -> 64) ?obs () =
-  (* With an Observatory registry the network's counter table IS the
-     registry's "net" section: same live cells, no extra hot-path cost,
-     and the registry exports per-message-type series by splitting the
-     dotted tag keys at export time. *)
-  let counters =
-    match obs with
-    | Some reg -> Rsmr_obs.Registry.counters reg "net"
-    | None -> Counters.create ()
-  in
+  let obs = match obs with Some reg -> reg | None -> Registry.create () in
+  let cell name = Registry.counter obs ~labels:[ ("section", "net") ] name in
   {
     engine;
     mode;
@@ -68,12 +61,12 @@ let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
     egress_free_at = Hashtbl.create 32;
     tagger;
     last_arrival = Hashtbl.create 64;
-    counters;
-    c_sent = Counters.handle counters "sent";
-    c_bytes_sent = Counters.handle counters "bytes_sent";
-    c_delivered = Counters.handle counters "delivered";
-    c_dropped = Counters.handle counters "dropped";
-    c_duplicated = Counters.handle counters "duplicated";
+    obs;
+    c_sent = cell "sent";
+    c_bytes_sent = cell "bytes_sent";
+    c_delivered = cell "delivered";
+    c_dropped = cell "dropped";
+    c_duplicated = cell "duplicated";
     tag_handles = Hashtbl.create 16;
   }
 
@@ -97,7 +90,7 @@ let clear_link_faults t = Hashtbl.reset t.link_drop
 let set_drop t p = t.drop <- p
 let set_duplicate t p = t.duplicate <- p
 
-let counters t = t.counters
+let counters t = Registry.counters t.obs "net"
 
 let connected t src dst =
   match t.groups with
@@ -137,15 +130,16 @@ let egress_delay t src size =
     free_at +. ser -. now
   end
 
-(* The ("sent."^tag, "bytes."^tag) handle pair for [tag], concatenating
-   and hashing the key strings only the first time the tag appears. *)
+(* The (sent, bytes) cell pair for [tag], resolved only the first time
+   the tag appears. *)
 let tag_handles t tag =
   match Hashtbl.find_opt t.tag_handles tag with
   | Some h -> h
   | None ->
+    let labels = [ ("msg_type", tag); ("section", "net") ] in
     let h =
-      ( Counters.handle t.counters ("sent." ^ tag),
-        Counters.handle t.counters ("bytes." ^ tag) )
+      ( Registry.counter t.obs ~labels "sent",
+        Registry.counter t.obs ~labels "bytes" )
     in
     Hashtbl.add t.tag_handles tag h;
     h

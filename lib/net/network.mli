@@ -35,10 +35,9 @@ val create :
 (** [sizer] estimates the wire size of a payload in bytes for the byte
     counters and the bandwidth model; defaults to a flat 64.
 
-    [obs], when given, makes the network account into the registry's
-    ["net"] counter section instead of a private table — the cells are
-    shared, so there is no per-message overhead and [counters] still
-    returns the live table.
+    [obs], when given, makes the network count into that registry's
+    cells labelled [("section", "net")] instead of a private registry's.
+    Each cell is resolved once, so there is no per-message lookup.
 
     [bandwidth], in bytes/second, models per-node egress (NIC)
     serialization: a message occupies its sender's uplink for
@@ -46,8 +45,8 @@ val create :
     transfers (snapshots) take time proportional to their size.  Default
     1.25e8 (10 GbE); [infinity] disables the model.
 
-    [tagger] classifies payloads for per-message-type counters
-    ("sent.<tag>", "bytes.<tag>"). *)
+    [tagger] classifies payloads for per-message-type counters: cells
+    ["sent"] and ["bytes"] that also carry [("msg_type", tag)]. *)
 
 val engine : 'm t -> Rsmr_sim.Engine.t
 
@@ -103,7 +102,12 @@ val set_duplicate : 'm t -> float -> unit
 (** {1 Accounting} *)
 
 val counters : 'm t -> Rsmr_sim.Counters.t
-(** Keys: "sent", "delivered", "dropped", "duplicated", "bytes_sent". *)
+(** The live ["net"] section view ({!Rsmr_obs.Registry.counters}).  Keys:
+    "sent", "delivered", "dropped", "duplicated", "bytes_sent", and per
+    tag "sent.<tag>" and "bytes.<tag>".  A tagged send bumps "sent" and
+    exactly one "sent.<tag>" (bytes alike), so [sent = Σ sent.<tag>] and
+    [bytes_sent = Σ bytes.<tag>] whenever every network counting into the
+    registry has a [tagger], as Service's and Raft's do. *)
 
 (** {1 Enumerate mode}
 

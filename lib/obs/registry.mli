@@ -1,6 +1,6 @@
 (** Observatory: one labeled metrics registry for a whole run.
 
-    The registry unifies the three raw instruments ([Counters],
+    The registry unifies the run's instruments (integer counters,
     [Histogram], [Timeseries]) behind a single handle with structured
     labels, and owns the run's {!Rsmr_sim.Trace} bus so span collectors
     and other listeners have one place to subscribe.
@@ -10,8 +10,7 @@
     A cell is identified by a metric name plus a canonical (sorted,
     deduplicated) label set, e.g. [applied{epoch=1,node=2}].  Lookup
     functions are find-or-create and return the {e live} instrument, so
-    hot paths resolve a cell once at setup and then mutate it directly —
-    the same trick as [Counters.handle]:
+    hot paths resolve a cell once at setup and then mutate it directly:
 
     {[
       let c_applied = Registry.counter reg ~labels:[ ("node", "2") ] "applied" in
@@ -23,14 +22,13 @@
     [scope reg ~node ~epoch] pre-binds a label set so per-node/per-epoch
     cells stop being name-mangled by hand ([Printf.sprintf "n%d.%s"]).
 
-    {2 Attached sections}
+    {2 Sections}
 
-    Existing subsystems that already keep a flat [Counters.t] (the
-    network, the service) attach it as a named {e section}.  The registry
-    exports section counters with a [section] label, splitting the
-    legacy dotted per-message-type keys ([sent.accept]) into a base name
-    plus an [msg_type] label — so per-message-type series come out
-    labeled without touching the send hot path.
+    Run-level counts carry a [section] label: ["net"] for the network,
+    ["svc"] for the service or Raft, ["shard"] for the platform.  The
+    network's per-message-type counts add an [msg_type] label
+    ([sent{msg_type=block.accept,section=net}]).  {!counters} reads a
+    section back as a flat table with dotted keys ([sent.block.accept]).
 
     {2 Export}
 
@@ -77,30 +75,31 @@ type scope
 val scope : ?node:int -> ?epoch:int -> ?labels:labels -> t -> scope
 
 val scope_counter : scope -> string -> int ref
+(** The live cell [name] under the scope's labels.  The scope remembers
+    each cell it has handed out, so a repeated lookup costs one table
+    probe. *)
 
-(** {1 Attached legacy counter sections} *)
+(** {1 Section views} *)
 
 val counters : t -> string -> Rsmr_sim.Counters.t
-(** [counters t name] finds or creates the attached flat counter section
-    [name].  The returned [Counters.t] is live: subsystems keep using the
-    [Counters] API (including [Counters.handle]) and the registry picks
-    the values up at export time. *)
+(** [counters t section] is a read-only, live view of the counter cells
+    labelled exactly [("section", section)], keyed by cell name, and of
+    those labelled [("section", section)] plus [("msg_type", m)], keyed
+    [name ^ "." ^ m].  Every read sees the cells' current values. *)
 
 (** {1 Aggregation and export} *)
 
 val merge : t -> t -> t
 (** Commutative merge into a fresh registry: counters sum, histograms
-    merge bucket-wise, series concatenate (re-sorted by time), sections
-    sum per key, metadata unions (on a conflicting key the
+    merge bucket-wise, series concatenate (re-sorted by time), metadata
+    unions (on a conflicting key the
     lexicographically larger value wins, for commutativity). *)
 
 type flat_counter = { f_name : string; f_labels : labels; f_value : int }
 
 val flat_counters : t -> flat_counter list
-(** Every counter value the document will carry — labeled cells plus
-    attached sections, the latter with a [section] label and their
-    dotted per-message-type keys ([sent.accept]) split into base name
-    plus [msg_type].  Sorted by (name, labels), exactly as exported. *)
+(** Every counter cell the document will carry, sorted by (name,
+    labels), exactly as exported. *)
 
 val to_json : t -> string
 (** The [rsmr-metrics/1] document.  Deterministic: equal registries

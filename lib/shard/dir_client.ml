@@ -18,7 +18,11 @@ type t = {
   queues : (string, (Dir_app.entry option -> unit) Queue.t) Hashtbl.t;
   last_seen : (string, int) Hashtbl.t;
   last_pub : (string, int * int option) Hashtbl.t;
-  counters : Counters.t;
+  (* tallies behind [counters] *)
+  mutable n_lookups : int;
+  mutable n_lookup_replies : int;
+  mutable n_publishes : int;
+  mutable n_publish_acks : int;
   mutable regressions : int;
 }
 
@@ -32,7 +36,10 @@ let rec attach ~cluster ~client () =
       queues = Hashtbl.create 8;
       last_seen = Hashtbl.create 8;
       last_pub = Hashtbl.create 8;
-      counters = Counters.create ();
+      n_lookups = 0;
+      n_lookup_replies = 0;
+      n_publishes = 0;
+      n_publish_acks = 0;
       regressions = 0;
     }
   in
@@ -44,9 +51,9 @@ let rec attach ~cluster ~client () =
         | Some p ->
           Hashtbl.remove t.pending seq;
           (match p with
-           | P_publish -> Counters.incr t.counters "publish_acks"
+           | P_publish -> t.n_publish_acks <- t.n_publish_acks + 1
            | P_lookup (name, k) ->
-             Counters.incr t.counters "lookup_replies";
+             t.n_lookup_replies <- t.n_lookup_replies + 1;
              let entry =
                match Dir_app.decode_response rsp with
                | Dir_app.Info e -> e
@@ -77,7 +84,7 @@ and next_lookup t name =
     if Queue.is_empty q then Hashtbl.remove t.queues name
     else begin
       let k = Queue.pop q in
-      Counters.incr t.counters "lookups";
+      t.n_lookups <- t.n_lookups + 1;
       let seq = submit t (Dir_app.encode_command (Dir_app.Lookup name)) in
       Hashtbl.replace t.pending seq (P_lookup (name, k))
     end
@@ -114,7 +121,7 @@ let publish t ~name ~epoch ~members ~leader =
   in
   if fresh then begin
     Hashtbl.replace t.last_pub name (epoch, leader);
-    Counters.incr t.counters "publishes";
+    t.n_publishes <- t.n_publishes + 1;
     let seq =
       submit t
         (Dir_app.encode_command (Dir_app.Update { name; epoch; members; leader }))
@@ -126,5 +133,12 @@ let last_epoch t ~name =
   Option.value (Hashtbl.find_opt t.last_seen name) ~default:(-1)
 
 let regressions t = t.regressions
-let counters t = t.counters
+let counters t =
+  Counters.make (fun () ->
+      [
+        ("lookups", t.n_lookups);
+        ("lookup_replies", t.n_lookup_replies);
+        ("publishes", t.n_publishes);
+        ("publish_acks", t.n_publish_acks);
+      ])
 let outstanding t = Hashtbl.length t.pending

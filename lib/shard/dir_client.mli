@@ -44,6 +44,7 @@ val regressions : t -> int
     the same name — must stay 0 over a linearizable directory. *)
 
 val counters : t -> Rsmr_sim.Counters.t
-(** Keys: "lookups", "lookup_replies", "publishes", "publish_acks". *)
+(** A live view of the client's own tallies, which no registry exports.
+    Keys: "lookups", "lookup_replies", "publishes", "publish_acks". *)
 
 val outstanding : t -> int

@@ -90,13 +90,13 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
     dirc : Dir_client.t;
     clients : (Node_id.t, client_rec) Hashtbl.t;
     mutable on_reply : Rsmr_iface.Cluster.reply_handler;
-    counters : Counters.t;
+    shard_sc : Obs.scope;  (* the platform's {section=shard} counts *)
     top : Node_id.t;  (* highest pool id; overlay service ids sit above *)
   }
 
   let engine t = t.engine
   let obs t = t.obs
-  let counters t = t.counters
+  let counters t = Obs.counters t.obs "shard"
   let keyspace t = t.keyspace
   let n_shards t = Array.length t.shards
   let shard t i = t.shards.(i).svc
@@ -127,7 +127,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
         ~batch_max:t.opts.Options.client_batch_max
         ~bus:(Obs.bus t.obs)
         ~lookup:(fun k ->
-          Counters.incr t.counters "dir_lookups";
+          incr (Obs.scope_counter t.shard_sc "dir_lookups");
           Dir_client.lookup t.dirc ~name:(shard_name sh.index) (fun entry ->
               match entry with
               | Some e when e.Dir_app.members <> [] -> k entry
@@ -226,7 +226,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
       || List.length from_members <= 1
     then on_done false
     else begin
-      Counters.incr t.counters "rebalances";
+      incr (Obs.scope_counter t.shard_sc "rebalances");
       let rec wait_past sh e0 rounds k =
         if Shard_svc.current_epoch sh.svc > e0 then k true
         else if rounds <= 0 then k false
@@ -240,7 +240,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
         (List.filter (fun m -> not (Node_id.equal m node)) from_members);
       wait_past fs e_from 400 (fun ok ->
           if not ok then begin
-            Counters.incr t.counters "rebalance_stalled";
+            incr (Obs.scope_counter t.shard_sc "rebalance_stalled");
             on_done false
           end
           else begin
@@ -251,8 +251,8 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
               Rsmr_iface.Overlay.reconfigure ts.ctl.Rsmr_iface.Cluster.control
                 (to_members @ [ node ]);
               wait_past ts e_to 400 (fun ok ->
-                  if not ok then Counters.incr t.counters "rebalance_stalled"
-                  else Counters.incr t.counters "rebalances_done";
+                  if not ok then incr (Obs.scope_counter t.shard_sc "rebalance_stalled")
+                  else incr (Obs.scope_counter t.shard_sc "rebalances_done");
                   on_done ok)
             end
           end)
@@ -341,7 +341,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
         dirc;
         clients = Hashtbl.create 16;
         on_reply = (fun ~client:_ ~seq:_ ~rsp:_ -> ());
-        counters = Obs.counters obs "shard";
+        shard_sc = Obs.scope ~labels:[ ("section", "shard") ] obs;
         top;
       }
     in

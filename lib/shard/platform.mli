@@ -62,7 +62,8 @@ module type S = sig
   val obs : t -> Rsmr_obs.Registry.t
 
   val counters : t -> Rsmr_sim.Counters.t
-  (** Platform-level section ["shard"]: "dir_lookups", "rebalances",
+  (** The live view of the platform's ["shard"] section (cells of {!obs}
+      labelled [("section", "shard")]): "dir_lookups", "rebalances",
       "rebalances_done", "rebalance_stalled". *)
 
   val keyspace : t -> Keyspace.t

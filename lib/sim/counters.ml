@@ -1,29 +1,8 @@
-type t = (string, int ref) Hashtbl.t
+type t = unit -> (string * int) list
 
-let create () : t = Hashtbl.create 32
-
-let handle t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.add t name r;
-    r
-
-let add t name n =
-  let r = handle t name in
-  r := !r + n
-
-let incr t name = add t name 1
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-
-let to_list t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* Zero the cells in place rather than clearing the table, so handles
-   obtained before the reset keep counting into the same set. *)
-let reset t = Hashtbl.iter (fun _ r -> r := 0) t
+let make read = read
+let get t name = match List.assoc_opt name (t ()) with Some v -> v | None -> 0
+let to_list t = List.sort (fun (a, _) (b, _) -> String.compare a b) (t ())
 
 let pp ppf t =
   Format.pp_print_list

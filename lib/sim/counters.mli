@@ -1,23 +1,21 @@
-(** Named integer counters for run-level accounting (messages sent, bytes
-    transferred, commands committed, ...). *)
+(** A read-only, live view of named integer counts (messages sent, bytes
+    transferred, commands committed, ...).
+
+    Nothing writes through a [Counters.t]: the counts live elsewhere
+    (registry cells, or a component's own mutable tallies), and the view
+    reads them afresh on every call, so a view kept across time sees
+    later counts. *)
 
 type t
 
-val create : unit -> t
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
-val get : t -> string -> int
+val make : (unit -> (string * int) list) -> t
+(** [make read] is the view whose current contents [read ()] returns,
+    in any order and without duplicate names. *)
 
-val handle : t -> string -> int ref
-(** The cell behind [name], created at zero if absent.  Hot paths can
-    resolve a counter once and bump the ref directly, skipping the hash
-    lookup that {!incr}/{!add} pay on every call.  The cell stays live
-    across {!reset} (which zeroes it in place). *)
+val get : t -> string -> int
+(** The current count under [name]; 0 if absent. *)
 
 val to_list : t -> (string * int) list
-(** Sorted by name. *)
-
-val reset : t -> unit
-(** Zero every counter in place; handles remain valid. *)
+(** The current counts, sorted by name. *)
 
 val pp : Format.formatter -> t -> unit

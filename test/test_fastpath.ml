@@ -5,7 +5,6 @@
    - a Replica given a [broadcast] hook routes full fan-outs through it
      instead of per-destination [send] (so the service layer can encode
      the payload once);
-   - Counters handles stay attached across [reset];
    - the event-queue heap drops popped payloads and shrinks after bursts. *)
 
 module Engine = Rsmr_sim.Engine
@@ -67,17 +66,6 @@ let test_replica_uses_broadcast_hook () =
   Alcotest.(check int) "election used one broadcast" 1 !broadcasts;
   Alcotest.(check int) "no per-destination sends" 0 !sends
 
-let test_counter_handles_survive_reset () =
-  let c = Counters.create () in
-  let h = Counters.handle c "hits" in
-  h := !h + 3;
-  Alcotest.(check int) "handle feeds get" 3 (Counters.get c "hits");
-  Counters.reset c;
-  Alcotest.(check int) "reset zeroes in place" 0 (Counters.get c "hits");
-  h := !h + 2;
-  Alcotest.(check int) "handle still attached after reset" 2
-    (Counters.get c "hits")
-
 let test_heap_releases_and_shrinks () =
   let h = Heap.create () in
   (* Track liveness of a popped payload via a weak pointer. *)
@@ -120,11 +108,6 @@ let () =
         [
           Alcotest.test_case "broadcast hook used for fan-out" `Quick
             test_replica_uses_broadcast_hook;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "handles survive reset" `Quick
-            test_counter_handles_survive_reset;
         ] );
       ( "heap",
         [
