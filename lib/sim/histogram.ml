@@ -47,18 +47,18 @@ let percentile t p =
       let x = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
       if x < 1 then 1 else if x > t.n then t.n else x
     in
-    let acc = ref 0 and result = ref t.maxv and found = ref false in
+    let acc = ref 0 and result = ref t.maxv in
     (try
        for i = 0 to nbuckets - 1 do
          acc := !acc + t.buckets.(i);
          if !acc >= target then begin
            result := value_of i;
-           found := true;
            raise Exit
          end
        done
      with Exit -> ());
-    if !found && !result > t.maxv then t.maxv else !result
+    (* A bucket's midpoint can lie outside the values it holds. *)
+    Float.min t.maxv (Float.max t.minv !result)
   end
 
 let merge a b =

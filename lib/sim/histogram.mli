@@ -14,7 +14,8 @@ val min_value : t -> float
 val max_value : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t p] with [p] in (0, 100].  Returns 0. when empty. *)
+(** [percentile t p] with [p] in (0, 100].  Returns 0. when empty;
+    otherwise the result lies in [[min_value t, max_value t]]. *)
 
 val merge : t -> t -> t
 (** Combine two histograms into a fresh one. *)
