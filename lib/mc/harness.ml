@@ -70,7 +70,6 @@ let mc_params ~scope =
       Rsmr_smr.Params.election_timeout_min = 0.001;
       election_timeout_max = 0.001;
       heartbeat_interval = 0.05;
-      resend_interval = 0.05;
     }
   in
   (* The presets check the historical unbatched block configuration;

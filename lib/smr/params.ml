@@ -2,7 +2,6 @@ type t = {
   heartbeat_interval : float;
   election_timeout_min : float;
   election_timeout_max : float;
-  resend_interval : float;
   batch_delay : float;
   batch_max : int;
   max_outstanding : int;
@@ -14,12 +13,12 @@ let default =
     heartbeat_interval = 0.020;
     election_timeout_min = 0.100;
     election_timeout_max = 0.200;
-    resend_interval = 0.050;
     batch_delay = 0.0005;
     batch_max = 64;
     max_outstanding = 64;
     skip_phase1 = false;
   }
 
+let resend_interval = 0.050
 let unbatched = { default with batch_delay = 0.0 }
 let with_batching delay = { default with batch_delay = delay }

@@ -11,7 +11,6 @@ type t = {
   election_timeout_max : float;
       (** follower election timeout is drawn uniformly from this range,
           Raft-style, to break dueling-proposer livelock *)
-  resend_interval : float;     (** leader re-broadcast period for stuck slots *)
   batch_delay : float;
       (** leader-side batching window ({!Rsmr_sim.Batch}): submissions
           are accumulated for this long (seconds) and proposed as one
@@ -41,3 +40,7 @@ val unbatched : t
     per command) — the pre-batching ablation baseline. *)
 
 val default : t
+
+val resend_interval : float
+(** The leader's re-broadcast period for stuck slots (Paxos) or ops (VR),
+    in seconds: 0.05. *)

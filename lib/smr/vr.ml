@@ -490,11 +490,11 @@ and start_resend t =
       end;
       t.resend_below <- t.len;
       t.resend_timer <-
-        Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
+        Some (Engine.schedule t.engine ~delay:Params.resend_interval tick)
     end
   in
   t.resend_timer <-
-    Some (Engine.schedule t.engine ~delay:t.params.Params.resend_interval tick)
+    Some (Engine.schedule t.engine ~delay:Params.resend_interval tick)
 
 (* --- normal-protocol handlers --- *)
 
