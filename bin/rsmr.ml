@@ -16,19 +16,16 @@ module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 module Keys = Rsmr_workload.Keys
 module Kv_gen = Rsmr_workload.Kv_gen
+module Protocol = Rsmr_protocol.Protocol
 
 let proto_conv =
   let parse s =
     let s = String.lowercase_ascii s in
-    match
-      List.find_opt
-        (fun p -> String.equal (Common.proto_name p) s)
-        Common.all_protos
-    with
+    match Protocol.find s with
     | Some p -> Ok p
     | None -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
   in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Common.proto_name p))
+  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf p.Protocol.name)
 
 let members_conv =
   let parse s =
@@ -88,10 +85,10 @@ let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 let proto_t =
   let doc =
     "Protocol: "
-    ^ String.concat ", " (List.map Common.proto_name Common.all_protos)
+    ^ String.concat ", " (List.map (fun p -> p.Protocol.name) Protocol.all)
     ^ "."
   in
-  Arg.(value & opt proto_conv Common.Core & info [ "proto" ] ~doc)
+  Arg.(value & opt proto_conv Protocol.core & info [ "proto" ] ~doc)
 
 let replicas_t =
   Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Initial replica count.")
@@ -117,7 +114,7 @@ let run_scenario seed proto replicas clients duration drop keys read_ratio
   let universe = List.init (replicas + 3) Fun.id in
   let setup = Common.make ~seed ~drop proto ~members ~universe in
   Printf.printf "protocol=%s replicas=%d clients=%d duration=%gs drop=%g seed=%d\n"
-    (Common.proto_name proto) replicas clients duration drop seed;
+    proto.Protocol.name replicas clients duration drop seed;
   Driver.preload ~cluster:setup.Common.cluster ~client:99
     ~commands:(Kv_gen.preload_commands ~n_keys:keys ~value_size:100)
     ~deadline:600.0 ();
@@ -172,29 +169,17 @@ let run_cmd =
 
 (* --- linearizability check --- *)
 
-module RegCore = Rsmr_core.Service.Make (Rsmr_app.Register)
-module RegCoreVr = Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Rsmr_app.Register)
-module RegRaft = Rsmr_baselines.Raft.Make (Rsmr_app.Register)
+module Reg_protocol = Protocol.Make (Rsmr_app.Register)
 module Lin = Rsmr_checker.Linearizability.Make (Rsmr_app.Register)
 module History = Rsmr_checker.History
 
 let check_scenario seed proto clients duration drop =
   let engine = Engine.create ~seed () in
   let members = [ 0; 1; 2 ] and universe = List.init 6 Fun.id in
-  let strategy = Common.strategy_of proto in
-  Printf.printf "protocol=%s strategy=%s\n%!" (Common.proto_name proto)
-    strategy.Rsmr_iface.Reconfig_strategy.name;
-  let options = { Rsmr_core.Options.default with Rsmr_core.Options.strategy } in
-  let cluster =
-    match proto with
-    | Common.Raft ->
-      RegRaft.cluster (RegRaft.create ~engine ~drop ~members ~universe ())
-    | Common.Core_vr ->
-      RegCoreVr.cluster
-        (RegCoreVr.create ~engine ~drop ~options ~members ~universe ())
-    | Common.Core | Common.Matchmaker | Common.Core_nospec
-    | Common.Core_noresidual | Common.Stopworld ->
-      RegCore.cluster (RegCore.create ~engine ~drop ~options ~members ~universe ())
+  Printf.printf "protocol=%s strategy=%s\n%!" proto.Protocol.name
+    (Protocol.strategy_name proto);
+  let { Reg_protocol.cluster; _ } =
+    Reg_protocol.create ~engine ~drop proto ~members ~universe
   in
   let rng = Rsmr_sim.Rng.split (Engine.rng engine) in
   let gen ~client:_ ~seq:_ =

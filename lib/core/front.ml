@@ -171,10 +171,9 @@ let submit t ~client ~seq ~cmd =
   | Some c -> Endpoint.submit c.endpoint ~seq ~payload:(Client_msg.Cmd cmd)
   | None -> invalid_arg "submit: unknown client (call add_client)"
 
-let cluster t ~name ~obs =
+let cluster t ~obs =
   {
-    Rsmr_iface.Cluster.name;
-    engine = t.engine;
+    Rsmr_iface.Cluster.engine = t.engine;
     add_client = (fun cid -> add_client t cid);
     submit = (fun ~client ~seq ~cmd -> submit t ~client ~seq ~cmd);
     set_on_reply = (fun h -> t.on_reply <- h);

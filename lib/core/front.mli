@@ -98,7 +98,7 @@ val dir_id : 'w t -> Rsmr_net.Node_id.t
 val directory : 'w t -> Directory.t
 
 val cluster :
-  'w t -> name:string -> obs:Rsmr_obs.Registry.t -> Rsmr_iface.Cluster.t
+  'w t -> obs:Rsmr_obs.Registry.t -> Rsmr_iface.Cluster.t
 (** The protocol-agnostic face.  [add_client] registers a client endpoint
     on the stack's network; [control] crashes, recovers, partitions and
     heals nodes there, and reconfigures through the admin session. *)

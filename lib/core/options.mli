@@ -31,10 +31,8 @@ val mutations : (string * mutation) list
 
 type t = {
   strategy : Rsmr_iface.Reconfig_strategy.t;
-      (** Which stage policies drive an epoch change.  Must be a
-          [`Composition]-driver strategy ({!Rsmr_iface.Reconfig_strategy});
-          native strategies (raft) are whole other stacks, not Service
-          configurations. *)
+      (** Which stage policies drive an epoch change
+          ({!Rsmr_iface.Reconfig_strategy}). *)
   client_batch_window : float;
       (** Client endpoint coalescing window (seconds): submissions
           accumulate for this long and ship as one

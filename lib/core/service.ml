@@ -1259,14 +1259,6 @@ struct
     if List.assoc_opt "proto" (Obs.meta obs) = None then
       Obs.set_meta obs "proto" "core";
     let opts = Option.value options ~default:Options.default in
-    (match opts.Options.strategy.Strategy.driver with
-     | `Composition -> ()
-     | `Native ->
-       invalid_arg
-         ("Service.create: strategy "
-         ^ opts.Options.strategy.Strategy.name
-         ^ " has a native driver — it is a separate stack, not a Service \
-            configuration"));
     (* The active strategy travels as registry metadata so every
        METRICS_*.json names it without out-of-band bookkeeping. *)
     Obs.set_meta obs "strategy"
@@ -1353,7 +1345,7 @@ struct
     Front.start t.front ~members;
     t
 
-  let cluster t = Front.cluster t.front ~name:"core" ~obs:t.obs
+  let cluster t = Front.cluster t.front ~obs:t.obs
 end
 
 module Make (Sm : Rsmr_app.State_machine.S) = Make_on (Rsmr_smr.Paxos_block) (Sm)

@@ -1,4 +1,5 @@
 module Service = Rsmr_core.Service
+module Protocol = Rsmr_protocol.Protocol
 module Lin = Rsmr_checker.Linearizability.Make (Mixed)
 
 type verdict =
@@ -46,9 +47,9 @@ let check_exactly_once (r : Runner.report) =
             else "lost application"))
 
 let check_epoch_prefix (r : Runner.report) =
-  match r.Runner.proto.Rsmr_iface.Reconfig_strategy.driver with
-  | `Native -> Skip "native raft has no wedge"
-  | `Composition -> (
+  match r.Runner.proto.Protocol.kind with
+  | Protocol.Raft -> Skip "native raft has no wedge"
+  | Protocol.Composed _ -> (
     match Service.epoch_audit r.Runner.epoch_stats with
     | None -> Pass
     | Some v -> Fail v)
@@ -63,9 +64,9 @@ let check_residual (r : Runner.report) =
          (r.Runner.submitted - r.Runner.completed)
          r.Runner.submitted)
   else
-    match r.Runner.proto.Rsmr_iface.Reconfig_strategy.driver with
-    | `Native -> Pass (* reduces to the no-lost-command check above *)
-    | `Composition ->
+    match r.Runner.proto.Protocol.kind with
+    | Protocol.Raft -> Pass (* reduces to the no-lost-command check above *)
+    | Protocol.Composed _ ->
       let resid = counter_of r "residuals" in
       let resub = counter_of r "residuals_resubmitted" in
       if resub > resid then

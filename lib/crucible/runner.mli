@@ -12,12 +12,7 @@
     bit-for-bit deterministic. *)
 
 type report = {
-  proto : Rsmr_iface.Reconfig_strategy.t;
-      (** A crucible protocol {e is} a reconfiguration strategy: every
-          registered strategy ({!Rsmr_iface.Reconfig_strategy.all}) runs
-          through the soak — composition-driver ones as
-          {!Rsmr_core.Options} strategy selections, native ones as their
-          own stacks. *)
+  proto : Rsmr_protocol.Protocol.t;
   scenario : Scenario.t;
   history : Rsmr_checker.History.t;
       (** client-observed completed operations *)
@@ -45,7 +40,7 @@ type report = {
   end_time : float;
 }
 
-val run : Rsmr_iface.Reconfig_strategy.t -> Scenario.t -> report
+val run : Rsmr_protocol.Protocol.t -> Scenario.t -> report
 
 val first_client_id : int
 (** Client ids start here — far above any replica universe the generator

@@ -1,7 +1,7 @@
-module Strategy = Rsmr_iface.Reconfig_strategy
+module Protocol = Rsmr_protocol.Protocol
 
 type failure = {
-  f_proto : Strategy.t;
+  f_proto : Protocol.t;
   f_seed : int;
   f_scenario : Scenario.t;
   f_failed : (string * string) list;
@@ -19,7 +19,7 @@ type summary = {
 
 let replay_command proto scenario =
   Printf.sprintf "dune exec test/crucible_main.exe -- --proto %s --scenario '%s'"
-    proto.Strategy.name (Scenario.to_string scenario)
+    proto.Protocol.name (Scenario.to_string scenario)
 
 let run_scenario ?lin_budget proto scenario =
   let report = Runner.run proto scenario in
@@ -88,7 +88,7 @@ let pp_failure ppf f =
   Format.fprintf ppf
     "@[<v>%s seed %d FAILED: %a@,  scenario: %a@,  shrunk (%d re-runs): %a@,\
     \  shrunk failure: %a@,  replay: %s@]"
-    f.f_proto.Strategy.name f.f_seed
+    f.f_proto.Protocol.name f.f_seed
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
        (fun ppf (name, msg) -> Format.fprintf ppf "%s (%s)" name msg))

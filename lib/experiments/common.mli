@@ -1,26 +1,8 @@
 (** Shared scaffolding for the experiment suite: uniform construction of
     every protocol under test and the standard measurements. *)
 
-type proto =
-  | Core  (** the paper's protocol over Multi-Paxos, speculative handoff on *)
-  | Matchmaker
-      (** composed stages + Matchmaker-style early prepare: the next
-          configuration bootstraps while the old epoch is still committing *)
-  | Core_vr  (** the same composition layer over the VR building block *)
-  | Core_nospec  (** ablation: ordering waits for state transfer *)
-  | Core_noresidual  (** ablation: residuals recovered by client retry only *)
-  | Stopworld  (** halt + transfer + restart *)
-  | Raft  (** natively reconfigurable baseline *)
-
-val proto_name : proto -> string
-val all_protos : proto list
-
-val strategy_of : proto -> Rsmr_iface.Reconfig_strategy.t
-(** The {!Rsmr_iface.Reconfig_strategy} the proto selects.  Ablation
-    protos map to anonymous strategy records (the composed stages with
-    one dial flipped); [Core_vr] runs the composed default over the VR
-    block; [Raft] maps to the native {!Rsmr_iface.Reconfig_strategy.raft}
-    (its own stack, never a Service option set). *)
+module Kv_protocol : module type of Rsmr_protocol.Protocol.Make (Rsmr_app.Kv)
+(** Every protocol over the KV store. *)
 
 type setup = {
   engine : Rsmr_sim.Engine.t;
@@ -33,7 +15,7 @@ val make :
   ?latency:Rsmr_net.Latency.t ->
   ?drop:float ->
   ?bandwidth:float ->
-  proto ->
+  Rsmr_protocol.Protocol.t ->
   members:Rsmr_net.Node_id.t list ->
   universe:Rsmr_net.Node_id.t list ->
   setup

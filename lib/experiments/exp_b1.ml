@@ -12,7 +12,7 @@ module Params = Rsmr_smr.Params
 module Keys = Rsmr_workload.Keys
 module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
-module KvCore = Rsmr_core.Service.Make (Rsmr_app.Kv)
+module Protocol = Rsmr_protocol.Protocol
 
 let id = "B1"
 let title = "Batching ablation: window vs messages/command vs latency"
@@ -20,10 +20,12 @@ let title = "Batching ablation: window vs messages/command vs latency"
 let run_one ~batch_delay ~rate ~duration =
   let engine = Engine.create ~seed:51 () in
   let params = { Params.default with Params.batch_delay } in
-  let svc =
-    KvCore.create ~engine ~smr_params:params ~members:[ 0; 1; 2 ] ()
+  let members = [ 0; 1; 2 ] in
+  let cluster =
+    (Common.Kv_protocol.create ~engine ~smr_params:params Protocol.core
+       ~members ~universe:members)
+      .Common.Kv_protocol.cluster
   in
-  let cluster = KvCore.cluster svc in
   let rng = Rng.split (Engine.rng engine) in
   let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:1_000) ~read_ratio:0.5 () in
   (* Warm up the leader, then snapshot counters around the loaded window. *)

@@ -2,6 +2,7 @@
    Baseline characterization: the composed service's static instance should
    track natively-built Raft, both degrading with quorum size. *)
 
+module Protocol = Rsmr_protocol.Protocol
 module Rng = Rsmr_sim.Rng
 module Engine = Rsmr_sim.Engine
 module Histogram = Rsmr_sim.Histogram
@@ -40,12 +41,12 @@ let run ?(quick = false) () =
             let thr, p50, p99 = run_one proto ~n ~duration in
             [
               string_of_int n;
-              Common.proto_name proto;
+              proto.Protocol.name;
               Table.cell_f thr;
               Table.cell_ms p50;
               Table.cell_ms p99;
             ])
-          [ Common.Core; Common.Raft ])
+          [ Protocol.core; Protocol.raft ])
       sizes
   in
   Table.make ~id ~title

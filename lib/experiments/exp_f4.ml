@@ -3,6 +3,7 @@
    (there is no CPU model), so the knee is where per-command leader egress
    saturates the configured uplink. *)
 
+module Protocol = Rsmr_protocol.Protocol
 module Rng = Rsmr_sim.Rng
 module Engine = Rsmr_sim.Engine
 module Histogram = Rsmr_sim.Histogram
@@ -17,7 +18,7 @@ let bandwidth = 5e5 (* 4 Mb/s uplinks: saturates around 4k cmd/s *)
 let run_one ~rate ~duration =
   let members = [ 0; 1; 2 ] in
   let setup =
-    Common.make ~seed:37 ~bandwidth Common.Core ~members ~universe:members
+    Common.make ~seed:37 ~bandwidth Protocol.core ~members ~universe:members
   in
   let rng = Rng.split (Engine.rng setup.Common.engine) in
   let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:1_000) ~read_ratio:0.5 () in

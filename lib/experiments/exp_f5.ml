@@ -8,8 +8,7 @@ module Keys = Rsmr_workload.Keys
 module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
-module Options = Rsmr_core.Options
-module KvCore = Rsmr_core.Service.Make (Rsmr_app.Kv)
+module Protocol = Rsmr_protocol.Protocol
 
 let id = "F5"
 let title = "Ablation: speculative handoff x residual re-submission"
@@ -19,7 +18,6 @@ module Strategy = Rsmr_iface.Reconfig_strategy
 (* Each ablation cell is an anonymous strategy: the composed stages with
    the speculation / residual dials set per-variant. *)
 let run_one ~speculative ~residual ~n_keys =
-  let engine = Engine.create ~seed:41 () in
   let strategy =
     {
       Strategy.composed with
@@ -32,12 +30,17 @@ let run_one ~speculative ~residual ~n_keys =
       residuals = (if residual then `Resubmit else `Client_retry);
     }
   in
-  let options = { Options.default with Options.strategy } in
-  let svc =
-    KvCore.create ~engine ~bandwidth:5e6 ~options ~members:[ 0; 1; 2 ]
-      ~universe:(Common.default_universe 6) ()
+  let proto =
+    { Protocol.name = strategy.Strategy.name;
+      aliases = [];
+      kind = Protocol.Composed { block = Protocol.Paxos; strategy }
+    }
   in
-  let cluster = KvCore.cluster svc in
+  let setup =
+    Common.make ~seed:41 ~bandwidth:5e6 proto ~members:[ 0; 1; 2 ]
+      ~universe:(Common.default_universe 6)
+  in
+  let engine = setup.Common.engine and cluster = setup.Common.cluster in
   Driver.preload ~cluster ~client:99
     ~commands:(Kv_gen.preload_commands ~n_keys ~value_size:100)
     ~deadline:200.0 ();
@@ -52,12 +55,13 @@ let run_one ~speculative ~residual ~n_keys =
   let t_rc = t0 +. 2.0 in
   Schedule.reconfigure_at cluster ~time:t_rc [ 3; 4; 5 ];
   Engine.run ~until:(t_rc +. 30.0) engine;
+  let svc = Rsmr_obs.Registry.counters cluster.Rsmr_iface.Cluster.obs "svc" in
   let outage = Common.downtime stats ~from_:t_rc ~window:25.0 in
   let thr = float_of_int stats.Driver.completed /. 20.0 in
   ( outage,
     thr,
-    Counters.get (KvCore.counters svc) "residuals",
-    Counters.get (KvCore.counters svc) "residuals_resubmitted" )
+    Counters.get svc "residuals",
+    Counters.get svc "residuals_resubmitted" )
 
 let run ?(quick = false) () =
   let n_keys = if quick then 9_000 else 36_000 in

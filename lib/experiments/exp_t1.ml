@@ -3,6 +3,7 @@
    block's (the layer adds nothing on the fast path); its reconfiguration
    cost is bootstrap + phase-1 of the new instance + snapshot chunks. *)
 
+module Protocol = Rsmr_protocol.Protocol
 module Engine = Rsmr_sim.Engine
 module Counters = Rsmr_sim.Counters
 module Keys = Rsmr_workload.Keys
@@ -75,14 +76,14 @@ let run ?(quick = false) () =
       (fun proto ->
         let cmd_m, cmd_b, rc_m, rc_b, rc_t = run_one proto ~n_cmds in
         [
-          Common.proto_name proto;
+          proto.Protocol.name;
           Table.cell_f cmd_m;
           Table.cell_f cmd_b;
           Table.cell_f rc_m;
           Table.cell_f (rc_b /. 1024.0);
           Table.cell_f rc_t;
         ])
-      [ Common.Core; Common.Stopworld; Common.Raft ]
+      [ Protocol.core; Protocol.stopworld; Protocol.raft ]
   in
   Table.make ~id ~title
     ~headers:

@@ -4,6 +4,7 @@
    about one election; the composed protocol additionally relies on
    surviving old members to keep serving the snapshot. *)
 
+module Protocol = Rsmr_protocol.Protocol
 module Rng = Rsmr_sim.Rng
 module Engine = Rsmr_sim.Engine
 module Keys = Rsmr_workload.Keys
@@ -59,13 +60,13 @@ let run ?(quick = false) () =
           (fun seed ->
             let outage, comp = run_one proto ~seed in
             [
-              Common.proto_name proto;
+              proto.Protocol.name;
               string_of_int seed;
               Table.cell_ms outage;
               (if Float.is_nan comp then "never" else Table.cell_f comp ^ "s");
             ])
           seeds)
-      [ Common.Core; Common.Raft ]
+      [ Protocol.core; Protocol.raft ]
   in
   Table.make ~id ~title
     ~headers:[ "protocol"; "seed"; "worst latency"; "reconf done" ]

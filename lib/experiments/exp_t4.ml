@@ -5,6 +5,7 @@
    differences (VR's larger view-change messages, its election-free view-0
    start) belong to the block, not the layer. *)
 
+module Protocol = Rsmr_protocol.Protocol
 module Rng = Rsmr_sim.Rng
 module Engine = Rsmr_sim.Engine
 module Histogram = Rsmr_sim.Histogram
@@ -61,14 +62,14 @@ let run ?(quick = false) () =
       (fun proto ->
         let thr, p50, outage, bpc, wedges = run_one proto ~duration in
         [
-          Common.proto_name proto;
+          proto.Protocol.name;
           Table.cell_f thr;
           Table.cell_ms p50;
           Table.cell_ms outage;
           Table.cell_f bpc;
           string_of_int wedges;
         ])
-      [ Common.Core; Common.Core_vr ]
+      [ Protocol.core; Protocol.core_vr ]
   in
   Table.make ~id ~title
     ~headers:[ "block"; "txn/s"; "p50"; "reconf outage"; "bytes/txn"; "wedges" ]

@@ -11,10 +11,9 @@ module Runner = Rsmr_crucible.Runner
 module Oracle = Rsmr_crucible.Oracle
 module Obs = Rsmr_obs.Registry
 module Histogram = Rsmr_sim.Histogram
-module Strategy = Rsmr_iface.Reconfig_strategy
 module Engine = Rsmr_sim.Engine
 module Counters = Rsmr_sim.Counters
-module KvCore = Rsmr_core.Service.Make (Rsmr_app.Kv)
+module Protocol = Rsmr_protocol.Protocol
 
 let id = "T5"
 let title = "Strategy comparison under reconfiguration churn"
@@ -35,7 +34,7 @@ let run_one proto ~seeds =
       prepares := !prepares + counter_of r "prepares";
       let h =
         Obs.histogram r.Runner.obs "wedged_window_s"
-          ~labels:[ ("strategy", proto.Strategy.name) ]
+          ~labels:[ ("strategy", Protocol.strategy_name proto) ]
       in
       if Histogram.count h > 0 then windows := Histogram.mean h :: !windows)
     seeds;
@@ -50,19 +49,15 @@ let run_one proto ~seeds =
    the WAN latency model: with sub-millisecond RTTs the prepare->wedge gap
    (one commit round) is too small for matchmaker's head start to show.
    Returns the mean wedge->announce window (seconds) and the transfer
-   bytes, both simulator-exact; [None] for native strategies, which never
-   wedge. *)
-let wan_probe strategy =
-  match strategy.Strategy.driver with
-  | `Native -> None
-  | `Composition ->
-    let engine = Engine.create ~seed:3 () in
-    let svc =
-      KvCore.create ~engine ~latency:Rsmr_net.Latency.wan
-        ~options:{ Rsmr_core.Options.default with Rsmr_core.Options.strategy }
-        ~universe:(Common.default_universe 6) ~members:[ 0; 1; 2 ] ()
+   bytes, both simulator-exact; [None] for raft, which never wedges. *)
+let wan_probe proto =
+  match proto.Protocol.kind with
+  | Protocol.Raft -> None
+  | Protocol.Composed _ ->
+    let { Common.engine; cluster; _ } =
+      Common.make ~seed:3 ~latency:Rsmr_net.Latency.wan proto
+        ~members:[ 0; 1; 2 ] ~universe:(Common.default_universe 6)
     in
-    let cluster = KvCore.cluster svc in
     let obs = cluster.Rsmr_iface.Cluster.obs in
     Rsmr_workload.Driver.preload ~cluster ~client:98
       ~commands:
@@ -73,7 +68,7 @@ let wan_probe strategy =
     Engine.run ~until:(Engine.now engine +. 30.0) engine;
     let h =
       Obs.histogram obs "wedged_window_s"
-        ~labels:[ ("strategy", strategy.Strategy.name) ]
+        ~labels:[ ("strategy", Protocol.strategy_name proto) ]
     in
     Some
       ( Histogram.mean h,
@@ -94,7 +89,7 @@ let run ?(quick = false) () =
           | None -> ("n/a", "n/a")
         in
         [
-          proto.Strategy.name;
+          Protocol.strategy_name proto;
           Printf.sprintf "%d/%d" passed n;
           string_of_int completed;
           (if Float.is_nan window then "n/a" else Table.cell_ms window);
@@ -103,7 +98,7 @@ let run ?(quick = false) () =
           wan_window;
           wan_transfer;
         ])
-      Strategy.all
+      Protocol.[ core; matchmaker; stopworld; raft ]
   in
   Table.make ~id ~title
     ~headers:

@@ -2,7 +2,6 @@ type reply_handler =
   client:Rsmr_net.Node_id.t -> seq:int -> rsp:string -> unit
 
 type t = {
-  name : string;
   engine : Rsmr_sim.Engine.t;
   add_client : Rsmr_net.Node_id.t -> unit;
   submit : client:Rsmr_net.Node_id.t -> seq:int -> cmd:string -> unit;

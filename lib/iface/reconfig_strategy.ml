@@ -1,4 +1,3 @@
-type driver = [ `Composition | `Native ]
 type prepare = [ `At_wedge | `Early ]
 type handoff = [ `Speculative | `Blocking ]
 type residuals = [ `Resubmit | `Client_retry ]
@@ -6,7 +5,6 @@ type residuals = [ `Resubmit | `Client_retry ]
 type t = {
   name : string;
   aliases : string list;
-  driver : driver;
   prepare : prepare;
   handoff : handoff;
   residuals : residuals;
@@ -16,7 +14,6 @@ let composed =
   {
     name = "composed";
     aliases = [ "core" ];
-    driver = `Composition;
     prepare = `At_wedge;
     handoff = `Speculative;
     residuals = `Resubmit;
@@ -26,7 +23,6 @@ let matchmaker =
   {
     name = "matchmaker";
     aliases = [];
-    driver = `Composition;
     prepare = `Early;
     handoff = `Speculative;
     residuals = `Resubmit;
@@ -36,50 +32,14 @@ let stopworld =
   {
     name = "stopworld";
     aliases = [ "stop-the-world" ];
-    driver = `Composition;
     prepare = `At_wedge;
     handoff = `Blocking;
     residuals = `Client_retry;
   }
 
-let raft =
-  {
-    name = "raft";
-    aliases = [];
-    driver = `Native;
-    (* Stage fields are nominal for a native driver: joint consensus
-       reconfigures inside one log, so there is no wedge to stage. *)
-    prepare = `At_wedge;
-    handoff = `Blocking;
-    residuals = `Client_retry;
-  }
-
-let all = [ composed; matchmaker; stopworld; raft ]
+let all = [ composed; matchmaker; stopworld ]
 
 let find name =
   List.find_opt
     (fun s -> String.equal s.name name || List.mem name s.aliases)
     all
-
-let equal a b = String.equal a.name b.name
-
-let pp ppf s =
-  let pv ppf = function
-    | `Composition -> Format.pp_print_string ppf "composition"
-    | `Native -> Format.pp_print_string ppf "native"
-  in
-  let pprep ppf = function
-    | `At_wedge -> Format.pp_print_string ppf "at-wedge"
-    | `Early -> Format.pp_print_string ppf "early"
-  in
-  let ph ppf = function
-    | `Speculative -> Format.pp_print_string ppf "speculative"
-    | `Blocking -> Format.pp_print_string ppf "blocking"
-  in
-  let pr ppf = function
-    | `Resubmit -> Format.pp_print_string ppf "resubmit"
-    | `Client_retry -> Format.pp_print_string ppf "client-retry"
-  in
-  Format.fprintf ppf
-    "%s{driver=%a;prepare=%a;handoff=%a;residuals=%a}" s.name pv s.driver
-    pprep s.prepare ph s.handoff pr s.residuals

@@ -7,18 +7,15 @@
     (the new instance activates and takes client traffic) and {b residual
     re-submission} (commands decided after the wedge index are replayed
     into the new epoch).  A strategy value picks a policy for each stage;
-    {!Rsmr_core.Service.Make} is a driver over the chosen value, and the
-    baselines present through the same interface so harnesses select
-    strategies uniformly by name.
+    {!Rsmr_core.Service.Make} is a driver over the chosen value.  A
+    strategy is only these stage dials: which stack runs it (which block,
+    or the native Raft baseline, which has no stages) is a protocol,
+    {!Rsmr_protocol.Protocol}.
 
     Strategy values are descriptive records, not behaviour: all stage
     logic lives with the driver that interprets them, which is what keeps
     the default {!composed} value replay-identical to the historical
     hard-wired sequence. *)
-
-type driver =
-  [ `Composition  (** one static SMR instance per epoch (the paper) *)
-  | `Native  (** the block reconfigures inside its own log (raft) *) ]
 
 type prepare =
   [ `At_wedge
@@ -41,7 +38,6 @@ type residuals =
 type t = {
   name : string;  (** unique key used by CLIs, metrics and reports *)
   aliases : string list;  (** accepted alternative names ([find]) *)
-  driver : driver;
   prepare : prepare;
   handoff : handoff;
   residuals : residuals;
@@ -57,16 +53,8 @@ val matchmaker : t
 val stopworld : t
 (** Blocking handoff, no residual replay.  Alias ["stop-the-world"]. *)
 
-val raft : t
-(** Native joint-consensus baseline; stage fields are nominal. *)
-
 val all : t list
 (** Every registered strategy, [composed] first. *)
 
 val find : string -> t option
 (** Lookup by [name] or alias. *)
-
-val equal : t -> t -> bool
-(** Keyed on [name]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -200,8 +200,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
 
   let cluster t =
     {
-      Rsmr_iface.Cluster.name = "platform";
-      engine = t.engine;
+      Rsmr_iface.Cluster.engine = t.engine;
       add_client = (fun cid -> add_client t cid);
       submit = (fun ~client ~seq ~cmd -> submit t ~client ~seq ~cmd);
       set_on_reply = (fun h -> t.on_reply <- h);

@@ -20,7 +20,7 @@ module Generate = Rsmr_crucible.Generate
 module Runner = Rsmr_crucible.Runner
 module Service = Rsmr_core.Service
 module Churn = Rsmr_shard.Churn
-module Strategy = Rsmr_iface.Reconfig_strategy
+module Protocol = Rsmr_protocol.Protocol
 
 (* PR-4: two Reconfigure submissions race in the same epoch. *)
 let concurrent_reconf =
@@ -151,7 +151,7 @@ let churn_digest proto seed ~storm =
 (* Every (key, digest) line the expected file must contain, in order.
    [protos] names runner protocols by string so this module stays valid
    across the strategy refactor: the recorder and the test both resolve
-   names through [Strategy.find]. *)
+   names through [Protocol.find]. *)
 let service_protos = [ "core"; "stopworld"; "matchmaker"; "raft" ]
 
 let all_lines () =
@@ -160,7 +160,7 @@ let all_lines () =
       (fun (label, sc) ->
         List.filter_map
           (fun pname ->
-            match Strategy.find pname with
+            match Protocol.find pname with
             | None -> None
             | Some proto ->
               Some

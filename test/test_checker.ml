@@ -8,9 +8,8 @@ module History = Rsmr_checker.History
 module Lin = Rsmr_checker.Linearizability.Make (Rsmr_app.Register)
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
-module RegCore = Rsmr_core.Service.Make (Rsmr_app.Register)
-module RegCoreVr = Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Rsmr_app.Register)
-module RegRaft = Rsmr_baselines.Raft.Make (Rsmr_app.Register)
+module Protocol = Rsmr_protocol.Protocol
+module Reg_protocol = Protocol.Make (Rsmr_app.Register)
 
 let op ~client ~cmd ~rsp ~invoked ~replied =
   {
@@ -198,9 +197,13 @@ let register_gen engine =
       let e = Rsmr_sim.Rng.int rng 100 in
       Register.encode_command (Register.Cas (e, Rsmr_sim.Rng.int rng 100))
 
-let live_check ~name ~make_cluster =
+let live_check proto () =
+  let name = proto.Protocol.name in
   let engine = Engine.create ~seed:21 () in
-  let cluster = make_cluster engine in
+  let { Reg_protocol.cluster; _ } =
+    Reg_protocol.create ~engine proto ~members:[ 0; 1; 2 ]
+      ~universe:[ 0; 1; 2; 3; 4; 5 ]
+  in
   let gen = register_gen engine in
   let h =
     record_history (fun on_event ->
@@ -225,42 +228,11 @@ let live_check ~name ~make_cluster =
   | Lin.Not_linearizable -> Alcotest.failf "%s: history NOT linearizable" name
   | Lin.Inconclusive -> Alcotest.failf "%s: checker budget exhausted" name
 
-let test_core_linearizable () =
-  live_check ~name:"core" ~make_cluster:(fun engine ->
-      RegCore.cluster
-        (RegCore.create ~engine ~members:[ 0; 1; 2 ]
-           ~universe:[ 0; 1; 2; 3; 4; 5 ] ()))
-
-let test_stopworld_linearizable () =
-  live_check ~name:"stopworld" ~make_cluster:(fun engine ->
-      let options =
-        {
-          Rsmr_core.Options.default with
-          Rsmr_core.Options.strategy = Rsmr_iface.Reconfig_strategy.stopworld;
-        }
-      in
-      RegCore.cluster
-        (RegCore.create ~engine ~options ~members:[ 0; 1; 2 ]
-           ~universe:[ 0; 1; 2; 3; 4; 5 ] ()))
-
-let test_raft_linearizable () =
-  live_check ~name:"raft" ~make_cluster:(fun engine ->
-      RegRaft.cluster
-        (RegRaft.create ~engine ~members:[ 0; 1; 2 ]
-           ~universe:[ 0; 1; 2; 3; 4; 5 ] ()))
-
-let test_core_over_vr_linearizable () =
-  live_check ~name:"core/vr" ~make_cluster:(fun engine ->
-      RegCoreVr.cluster
-        (RegCoreVr.create ~engine ~members:[ 0; 1; 2 ]
-           ~universe:[ 0; 1; 2; 3; 4; 5 ] ()))
-
 let test_core_linearizable_lossy () =
   let engine = Engine.create ~seed:33 () in
-  let cluster =
-    RegCore.cluster
-      (RegCore.create ~engine ~drop:0.05 ~members:[ 0; 1; 2 ]
-         ~universe:[ 0; 1; 2; 3; 4 ] ())
+  let { Reg_protocol.cluster; _ } =
+    Reg_protocol.create ~engine ~drop:0.05 Protocol.core ~members:[ 0; 1; 2 ]
+      ~universe:[ 0; 1; 2; 3; 4 ]
   in
   let gen = register_gen engine in
   let h =
@@ -301,13 +273,13 @@ let () =
       ( "live",
         [
           Alcotest.test_case "core linearizable across reconfigs" `Slow
-            test_core_linearizable;
+            (live_check Protocol.core);
           Alcotest.test_case "stopworld linearizable across reconfigs" `Slow
-            test_stopworld_linearizable;
+            (live_check Protocol.stopworld);
           Alcotest.test_case "raft linearizable across reconfigs" `Slow
-            test_raft_linearizable;
+            (live_check Protocol.raft);
           Alcotest.test_case "core-over-VR linearizable across reconfigs" `Slow
-            test_core_over_vr_linearizable;
+            (live_check Protocol.core_vr);
           Alcotest.test_case "core linearizable under loss" `Slow
             test_core_linearizable_lossy;
         ] );

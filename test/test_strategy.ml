@@ -22,6 +22,7 @@
       composed baseline). *)
 
 module Strategy = Rsmr_iface.Reconfig_strategy
+module Protocol = Rsmr_protocol.Protocol
 module Scenario = Rsmr_crucible.Scenario
 module Generate = Rsmr_crucible.Generate
 module Runner = Rsmr_crucible.Runner
@@ -80,7 +81,7 @@ let test_composed_replays_golden () =
 let test_registry () =
   Alcotest.(check (list string))
     "registered strategy names"
-    [ "composed"; "matchmaker"; "stopworld"; "raft" ]
+    [ "composed"; "matchmaker"; "stopworld" ]
     (List.map (fun s -> s.Strategy.name) Strategy.all);
   (* aliases resolve, and resolve to the same value as the canonical name *)
   List.iter
@@ -94,15 +95,13 @@ let test_registry () =
     [ ("core", "composed"); ("stop-the-world", "stopworld") ];
   Alcotest.(check bool) "unknown name rejected" true (Strategy.find "zab" = None);
   (* the stage dials the drivers key off *)
-  let dials s = (s.Strategy.driver, s.Strategy.prepare, s.Strategy.handoff, s.Strategy.residuals) in
+  let dials s = (s.Strategy.prepare, s.Strategy.handoff, s.Strategy.residuals) in
   Alcotest.(check bool) "composed dials" true
-    (dials Strategy.composed = (`Composition, `At_wedge, `Speculative, `Resubmit));
+    (dials Strategy.composed = (`At_wedge, `Speculative, `Resubmit));
   Alcotest.(check bool) "matchmaker dials" true
-    (dials Strategy.matchmaker = (`Composition, `Early, `Speculative, `Resubmit));
+    (dials Strategy.matchmaker = (`Early, `Speculative, `Resubmit));
   Alcotest.(check bool) "stopworld dials" true
-    (dials Strategy.stopworld = (`Composition, `At_wedge, `Blocking, `Client_retry));
-  Alcotest.(check bool) "raft is native" true
-    (Strategy.raft.Strategy.driver = `Native)
+    (dials Strategy.stopworld = (`At_wedge, `Blocking, `Client_retry))
 
 (* --- 3. reconfig-churn soak (runtest slice of the CI soak) --- *)
 
@@ -119,10 +118,10 @@ let test_reconf_churn_all_strategies () =
           match Oracle.failures o with
           | [] -> ()
           | fs ->
-            Alcotest.failf "seed %d %s: %s" seed proto.Strategy.name
+            Alcotest.failf "seed %d %s: %s" seed proto.Protocol.name
               (String.concat "; "
                  (List.map (fun (n, m) -> n ^ ": " ^ m) fs)))
-        Strategy.all)
+        Protocol.crucible)
     soak_seeds
 
 (* --- 4. matchmaker early prepare --- *)
@@ -151,7 +150,7 @@ let prepare_scenario =
   }
 
 let test_matchmaker_prepares () =
-  let r = Runner.run Strategy.matchmaker prepare_scenario in
+  let r = Runner.run Protocol.matchmaker prepare_scenario in
   let o = Oracle.check r in
   (match Oracle.failures o with
    | [] -> ()
@@ -222,8 +221,8 @@ let wedges_and_fetches strategy =
   (!wedges, List.rev !fetches)
 
 let test_matchmaker_fetches_before_wedge () =
-  let rc = Runner.run Strategy.composed prepare_scenario in
-  let rm = Runner.run Strategy.matchmaker prepare_scenario in
+  let rc = Runner.run Protocol.core prepare_scenario in
+  let rm = Runner.run Protocol.matchmaker prepare_scenario in
   Alcotest.(check bool) "composed window recorded" true
     (Histogram.count (wedged_window rc "composed") > 0);
   Alcotest.(check bool) "matchmaker window recorded" true
@@ -262,7 +261,7 @@ let test_matchmaker_fetches_before_wedge () =
 (* Composed must not send prepares at all (it is the no-early-prepare
    strategy), and must not leak provisional instances. *)
 let test_composed_sends_no_prepares () =
-  let r = Runner.run Strategy.composed prepare_scenario in
+  let r = Runner.run Protocol.core prepare_scenario in
   Alcotest.(check int) "no prepares under composed" 0 (counter_of r "prepares");
   Alcotest.(check int) "no teardowns under composed" 0
     (counter_of r "prepare_teardowns")
