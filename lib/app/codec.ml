@@ -102,7 +102,6 @@ module Writer = struct
     | Buf b -> Buffer.contents b
     | Count -> invalid_arg "Codec.Writer.contents: counting sink"
 
-  let length t = t.written
 end
 
 module Reader = struct

@@ -51,8 +51,6 @@ module Writer : sig
   (** The accumulated bytes.  Raises [Invalid_argument] on a counting
       sink, which has none. *)
 
-  val length : t -> int
-  (** Alias of {!written}. *)
 end
 
 module Reader : sig

@@ -141,5 +141,4 @@ let pp_response ppf = function
     Format.fprintf ppf "info(%a)" (Format.pp_print_option pp_entry) e
   | Acked -> Format.pp_print_string ppf "acked"
 
-let cardinal = Smap.cardinal
 let find t n = Smap.find_opt n t

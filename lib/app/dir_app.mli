@@ -24,5 +24,4 @@ include State_machine.S
   with type command := command
    and type response := response
 
-val cardinal : t -> int
 val find : t -> string -> entry option

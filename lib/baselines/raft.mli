@@ -42,8 +42,6 @@ module Make (Sm : Rsmr_app.State_machine.S) : sig
 
   (** {1 Introspection} *)
 
-  val engine : t -> Rsmr_sim.Engine.t
-
   val net : t -> Raft_wire.t Rsmr_net.Network.t
   (** The underlying simulated network, for fault injection beyond what
       {!Rsmr_iface.Cluster.t} carries (partitions, link faults, duplicate
@@ -56,7 +54,6 @@ module Make (Sm : Rsmr_app.State_machine.S) : sig
       "redirects", "elections", "takeovers", "config_steps",
       "compactions", "snapshots_sent", "snapshots_installed". *)
 
-  val obs : t -> Rsmr_obs.Registry.t
   val leader : t -> Rsmr_net.Node_id.t option
   val config_of : t -> Rsmr_net.Node_id.t -> Rsmr_net.Node_id.t list option
   val app_state : t -> Rsmr_net.Node_id.t -> Sm.t option

@@ -34,8 +34,8 @@ let decode_entry r =
   let term = R.varint r in
   (i, { Raft_log.term; payload = Raft_log.decode_payload r })
 
-(* Single wire-format body shared by [encode] (buffer sink) and [size]
-   (counting sink). *)
+(* Single wire-format body shared by [encode] and the parent codecs that
+   embed this message. *)
 let write w t =
   match t with
   | Request_vote { term; last_index; last_term } ->
@@ -119,11 +119,6 @@ let encode t =
   W.contents w
 
 let decode s = read (R.of_string s)
-
-let size t =
-  let c = W.counter () in
-  write c t;
-  W.written c
 
 let tag = function
   | Request_vote _ -> "request_vote"

@@ -28,13 +28,9 @@ type t =
           expected. *)
   | Snapshot_reply of { term : int; last_index : int }
 
-val size : t -> int
-(** Wire size in bytes: a single counting pass over the same body as
-    {!encode}, allocating nothing. *)
-
 val write : Rsmr_app.Codec.Writer.t -> t -> unit
-(** The wire-format body shared by {!encode} and {!size}; also lets a
-    parent codec embed this message via [Writer.nested]. *)
+(** The wire-format body of {!encode}; also lets a parent codec embed
+    this message via [Writer.nested]. *)
 
 val read : Rsmr_app.Codec.Reader.t -> t
 (** Decode in place from a reader (e.g. a [Reader.view]). *)

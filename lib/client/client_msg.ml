@@ -39,8 +39,8 @@ let read_req r =
   let payload = read_payload r in
   (seq, payload)
 
-(* Single wire-format body shared by [encode] (buffer sink) and [size]
-   (counting sink). *)
+(* Single wire-format body shared by [encode] and the parent codecs that
+   embed this message. *)
 let write w t =
   match t with
   | Request { seq; low_water; payload } ->
@@ -89,11 +89,6 @@ let encode t =
   W.contents w
 
 let decode s = read (R.of_string s)
-
-let size t =
-  let c = W.counter () in
-  write c t;
-  W.written c
 
 let pp ppf = function
   | Request { seq; payload = Cmd cmd; _ } ->

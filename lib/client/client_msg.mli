@@ -30,13 +30,9 @@ type t =
       (** "Not me — try there": carries the responder's freshest view of
           the configuration. *)
 
-val size : t -> int
-(** Wire size in bytes: a single counting pass over the same body as
-    {!encode}, allocating nothing. *)
-
 val write : Rsmr_app.Codec.Writer.t -> t -> unit
-(** The wire-format body shared by {!encode} and {!size}; also lets a
-    parent codec embed this message via [Writer.nested]. *)
+(** The wire-format body of {!encode}; also lets a parent codec embed
+    this message via [Writer.nested]. *)
 
 val read : Rsmr_app.Codec.Reader.t -> t
 (** Decode in place from a reader (e.g. a [Reader.view]). *)

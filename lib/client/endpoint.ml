@@ -241,7 +241,6 @@ let handle t msg =
   | Client_msg.Request _ | Client_msg.Request_batch _ ->
     (* not addressed to clients *) ()
 
-let me t = t.me
 let outstanding t = Hashtbl.length t.pending
 let counters t =
   Counters.make (fun () ->

@@ -51,9 +51,6 @@ val handle : t -> Client_msg.t -> unit
 [@@rsmr.deterministic] [@@rsmr.total]
 (** Feed a message addressed to this client. *)
 
-val me : t -> Rsmr_net.Node_id.t
-(** The node id this endpoint sends from. *)
-
 val outstanding : t -> int
 (** Requests not yet answered. *)
 

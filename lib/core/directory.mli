@@ -19,10 +19,6 @@ val update :
 (** Monotone in [epoch]: stale updates are ignored; a same-epoch update may
     refresh the leader hint. *)
 
-val entry : t -> Rsmr_app.Dir_app.entry option
-(** The directory's answer in the replicated directory's own entry shape;
-    [None] until the first {!update}. *)
-
 val epoch : t -> int
 val members : t -> Rsmr_net.Node_id.t list
 val leader : t -> Rsmr_net.Node_id.t option

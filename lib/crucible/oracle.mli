@@ -35,9 +35,6 @@ val default_lin_budget : int
 
 val check : ?lin_budget:int -> Runner.report -> outcome
 
-val named : outcome -> (string * verdict) list
-(** The five verdicts with their oracle names, fixed order. *)
-
 val failures : outcome -> (string * string) list
 val inconclusives : outcome -> (string * string) list
 

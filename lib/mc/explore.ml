@@ -1,10 +1,3 @@
-type strategy = Bfs | Dfs
-
-let strategy_of_string = function
-  | "bfs" -> Some Bfs
-  | "dfs" -> Some Dfs
-  | _ -> None
-
 type stats = {
   visited : int;
   transitions : int;
@@ -16,7 +9,7 @@ type stats = {
 
 type progress = visited:int -> transitions:int -> depth:int -> unit
 
-let run ~proto ~scope ~mutation ~strategy ?max_states ?frontier_dir
+let run ~proto ~scope ~mutation ?max_states ?frontier_dir
     ?(on_progress : progress = fun ~visited:_ ~transitions:_ ~depth:_ -> ())
     () =
   let visited : (int64, unit) Hashtbl.t = Hashtbl.create 4096 in
@@ -86,27 +79,14 @@ let run ~proto ~scope ~mutation ~strategy ?max_states ?frontier_dir
    | Some v -> violation := Some (v, [])
    | None -> ());
   if not (stop ()) then begin
-    match (strategy, frontier_dir) with
-    | Dfs, _ ->
-      (* depth-first: in-memory trace stack; good at driving deep
-         counterexamples (the mutation check) out fast *)
-      let stack = ref [ [] ] in
-      let continue = ref true in
-      while !continue do
-        match !stack with
-        | [] -> continue := false
-        | trace :: rest ->
-          stack := rest;
-          if stop () then continue := false
-          else stack := expand trace @ !stack
-      done
-    | Bfs, None ->
+    match frontier_dir with
+    | None ->
       let q = Queue.create () in
       Queue.add [] q;
       while (not (Queue.is_empty q)) && not (stop ()) do
         List.iter (fun ct -> Queue.add ct q) (expand (Queue.take q))
       done
-    | Bfs, Some dir ->
+    | Some dir ->
       (* breadth-first with a disk-backed frontier: each depth layer is
          a line file, read back while the next layer streams out, so a
          CI soak's memory stays O(visited fingerprints), not O(frontier

@@ -4,15 +4,10 @@
 
     States are identified by {!Harness.fingerprint} and reached by
     replaying their choice trace from scratch (see {!Harness}); the
-    visited set is an in-memory fingerprint table, and BFS can keep its
-    frontier on disk as per-depth layer files so CI soaks stay in
-    bounded memory and the frontier itself becomes an artifact. *)
-
-type strategy =
-  | Bfs  (** layer by layer — finds the {e shortest} counterexample *)
-  | Dfs  (** dives deep first — usually finds {e a} counterexample faster *)
-
-val strategy_of_string : string -> strategy option
+    visited set is an in-memory fingerprint table.  Exploration is
+    breadth-first, so a counterexample is a shortest one; the frontier
+    can live on disk as per-depth layer files so CI soaks stay in bounded
+    memory and the frontier itself becomes an artifact. *)
 
 type stats = {
   visited : int;  (** distinct states (fingerprints) discovered *)
@@ -34,7 +29,6 @@ val run :
   proto:Rsmr_iface.Reconfig_strategy.t ->
   scope:Scope.t ->
   mutation:Rsmr_core.Options.mutation option ->
-  strategy:strategy ->
   ?max_states:int ->
   ?frontier_dir:string ->
   ?on_progress:progress ->
@@ -42,7 +36,7 @@ val run :
   stats
 (** Explore until the scope is exhausted, a violation is found, or
     [max_states] distinct states have been visited.  [frontier_dir]
-    (BFS only) switches the frontier to disk-backed layer files
+    switches the frontier to disk-backed layer files
     [layer_NNN.frontier], one ';'-joined choice trace per line.
     [on_progress] is invoked every 500 new states. *)
 

@@ -24,6 +24,4 @@ let of_kv kvs =
     Fnv.empty sorted
 
 let to_hex = Fnv.to_hex
-let of_hex = Fnv.of_hex
 let equal = Int64.equal
-let compare = Int64.compare

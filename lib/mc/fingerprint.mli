@@ -25,6 +25,4 @@ val of_kv : (string * string) list -> t
     assembled from independently-gathered pieces. *)
 
 val to_hex : t -> string
-val of_hex : string -> t option
 val equal : t -> t -> bool
-val compare : t -> t -> int

@@ -36,8 +36,6 @@ type t = {
 }
 
 let violation t = t.violation
-let scope t = t.scope
-let engine t = t.engine
 
 let options ~proto ~scope ~mutation =
   let base = { Options.default with Options.strategy = proto } in

@@ -104,5 +104,3 @@ let to_string t =
     "nodes=%d,spare=%d,reconfigs=%d,commands=%d,crashes=%d,drops=%d,max_inflight=%d,timer_width=%d,timer_fires=%d,depth=%d,batch=%d"
     t.nodes t.spare t.reconfigs t.commands t.crashes t.drops t.max_inflight
     t.timer_width t.timer_fires t.depth t.batch
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

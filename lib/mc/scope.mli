@@ -46,11 +46,6 @@ val minimal : t
 (** 3 nodes + 1 spare, 2 epochs (1 reconfiguration), 2 commands, one
     message loss, no crashes — the acceptance scope, exhaustible in CI. *)
 
-val small : t
-(** Adds a second reconfiguration, a crash budget and a deeper timer
-    budget (enough for heartbeats and full epoch-1 activation);
-    for longer soaks. *)
-
 val initial_members : t -> int list
 val universe : t -> int list
 
@@ -65,4 +60,3 @@ val parse : string -> (t, string) result
     override list starts from [minimal]). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

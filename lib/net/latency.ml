@@ -10,16 +10,5 @@ let sample t rng =
   | Exponential_shifted (base, mean) ->
     base +. Rsmr_sim.Rng.exponential rng ~mean
 
-let mean = function
-  | Constant d -> d
-  | Uniform (lo, hi) -> (lo +. hi) /. 2.0
-  | Exponential_shifted (base, mean) -> base +. mean
-
 let lan = Exponential_shifted (1e-4, 1.5e-4)
 let wan = Exponential_shifted (20e-3, 5e-3)
-
-let pp ppf = function
-  | Constant d -> Format.fprintf ppf "const(%.3gms)" (d *. 1e3)
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%.3g-%.3gms)" (lo *. 1e3) (hi *. 1e3)
-  | Exponential_shifted (b, m) ->
-    Format.fprintf ppf "exp(base=%.3gms,mean=%.3gms)" (b *. 1e3) (m *. 1e3)

@@ -8,11 +8,8 @@ type t =
           datacenter RPC shape *)
 
 val sample : t -> Rsmr_sim.Rng.t -> float
-val mean : t -> float
 val lan : t
 (** 0.1 ms floor + 0.15 ms exponential tail — same-rack default. *)
 
 val wan : t
 (** 20 ms floor + 5 ms exponential tail. *)
-
-val pp : Format.formatter -> t -> unit

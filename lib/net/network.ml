@@ -70,8 +70,6 @@ let create engine ?(mode = `Sim) ?(latency = Latency.lan) ?(drop = 0.0)
     tag_handles = Hashtbl.create 16;
   }
 
-let engine t = t.engine
-let mode t = t.mode
 let register t node f = Hashtbl.replace t.handlers node f
 
 let crash t node = t.crashed <- Node_id.Set.add node t.crashed

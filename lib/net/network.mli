@@ -48,8 +48,6 @@ val create :
     [tagger] classifies payloads for per-message-type counters: cells
     ["sent"] and ["bytes"] that also carry [("msg_type", tag)]. *)
 
-val engine : 'm t -> Rsmr_sim.Engine.t
-
 val register : 'm t -> Node_id.t -> ('m envelope -> unit) -> unit
 (** Attach a node's receive handler.  Re-registering replaces the handler
     (used when a node restarts with fresh state). *)
@@ -116,8 +114,6 @@ val counters : 'm t -> Rsmr_sim.Counters.t
     Per directed link, messages are deliverable strictly in send order
     (the FIFO clamp): only the head is reachable, via {!deliver_head}
     (run the receive handler) or {!drop_head} (model message loss). *)
-
-val mode : 'm t -> mode
 
 val links : 'm t -> (Node_id.t * Node_id.t) list
 (** Directed links with at least one queued message, sorted by

@@ -3,7 +3,6 @@ type t = int
 let compare = Int.compare
 let equal = Int.equal
 let pp ppf n = Format.fprintf ppf "n%d" n
-let to_string n = "n" ^ string_of_int n
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)

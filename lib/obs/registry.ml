@@ -152,65 +152,10 @@ let counters t section =
           | _ -> acc)
         t.cells [])
 
-(* --- merge --- *)
-
-let merge_meta a b =
-  let keys =
-    List.sort_uniq String.compare (List.map fst a @ List.map fst b)
-  in
-  List.map
-    (fun k ->
-      match (List.assoc_opt k a, List.assoc_opt k b) with
-      | Some va, Some vb -> (k, if String.compare va vb >= 0 then va else vb)
-      | Some v, None | None, Some v -> (k, v)
-      | None, None -> assert false)
-    keys
-
 let sorted_cells t =
   Stable.fold_sorted ~compare:String.compare (fun _ c acc -> c :: acc) t.cells
     []
   |> List.rev
-
-let absorb dst src =
-  List.iter
-    (fun c ->
-      match c.c_metric with
-      | Counter r ->
-        let d = counter ~labels:c.c_labels dst c.c_name in
-        d := !d + !r
-      | Hist h ->
-        let key = encode_key c.c_name c.c_labels in
-        let merged =
-          match Hashtbl.find_opt dst.cells key with
-          | Some { c_metric = Hist d; _ } -> Histogram.merge d h
-          | Some _ ->
-            invalid_arg ("Registry.merge: metric kind mismatch at " ^ key)
-          | None -> Histogram.merge (Histogram.create ()) h
-        in
-        Hashtbl.replace dst.cells key
-          { c_name = c.c_name; c_labels = c.c_labels; c_metric = Hist merged }
-      | Series s ->
-        let d = series ~labels:c.c_labels dst c.c_name in
-        let pts =
-          List.sort
-            (fun (ta, va) (tb, vb) ->
-              match Float.compare ta tb with
-              | 0 -> Float.compare va vb
-              | cmp -> cmp)
-            (Timeseries.points d @ Timeseries.points s)
-        in
-        let fresh = Timeseries.create () in
-        List.iter (fun (time, v) -> Timeseries.add fresh ~time v) pts;
-        Hashtbl.replace dst.cells
-          (encode_key c.c_name c.c_labels)
-          { c_name = c.c_name; c_labels = c.c_labels; c_metric = Series fresh })
-    (sorted_cells src)
-
-let merge a b =
-  let t = create ~meta:(merge_meta a.md b.md) () in
-  absorb t a;
-  absorb t b;
-  t
 
 (* --- export --- *)
 

@@ -89,12 +89,6 @@ val counters : t -> string -> Rsmr_sim.Counters.t
 
 (** {1 Aggregation and export} *)
 
-val merge : t -> t -> t
-(** Commutative merge into a fresh registry: counters sum, histograms
-    merge bucket-wise, series concatenate (re-sorted by time), metadata
-    unions (on a conflicting key the
-    lexicographically larger value wins, for commutativity). *)
-
 type flat_counter = { f_name : string; f_labels : labels; f_value : int }
 
 val flat_counters : t -> flat_counter list

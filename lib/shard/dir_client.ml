@@ -141,4 +141,3 @@ let counters t =
         ("publishes", t.n_publishes);
         ("publish_acks", t.n_publish_acks);
       ])
-let outstanding t = Hashtbl.length t.pending

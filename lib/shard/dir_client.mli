@@ -46,5 +46,3 @@ val regressions : t -> int
 val counters : t -> Rsmr_sim.Counters.t
 (** A live view of the client's own tallies, which no registry exports.
     Keys: "lookups", "lookup_replies", "publishes", "publish_acks". *)
-
-val outstanding : t -> int

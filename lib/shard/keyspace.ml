@@ -24,10 +24,3 @@ let shard_of t key =
     if String.compare b.(mid) key <= 0 then lo := mid + 1 else hi := mid
   done;
   !lo
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf '|')
-       Format.pp_print_string)
-    (Array.to_list t.boundaries)

@@ -19,4 +19,3 @@ val ranges : shards:int -> n_keys:int -> t
 
 val shards : t -> int
 val shard_of : t -> string -> int
-val pp : Format.formatter -> t -> unit

@@ -70,12 +70,6 @@ val timer_id : timer -> int
 (** The engine-unique sequence number identifying this timer — the same
     id {!enabled} reports and {!fire} consumes. *)
 
-val step : t -> bool
-(** Execute the next event.  Returns [false] if the queue was empty.
-    Popping a dead (fired or cancelled) entry returns [true] without
-    running anything and without advancing the clock — dead entries
-    have no meaningful priority. *)
-
 val run : ?until:float -> t -> unit
 (** Drain the event queue, stopping when it holds no live event or when
     virtual time would exceed [until].  Events beyond [until] remain

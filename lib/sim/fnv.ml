@@ -42,8 +42,3 @@ let combine_framed h s = combine (step (combine_int h (String.length s)) 0) s
 let hash s = combine offset_basis s
 
 let to_hex h = Printf.sprintf "%016Lx" h
-
-let of_hex s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some v -> Some v
-  | None -> None

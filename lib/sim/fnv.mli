@@ -31,6 +31,3 @@ val combine_framed : int64 -> string -> int64
 val to_hex : int64 -> string
 (** 16-digit lowercase hex, zero-padded — the external fingerprint
     form used in frontier files and counterexample traces. *)
-
-val of_hex : string -> int64 option
-(** Inverse of {!to_hex}; [None] on malformed input. *)

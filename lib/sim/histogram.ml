@@ -61,24 +61,6 @@ let percentile t p =
     Float.min t.maxv (Float.max t.minv !result)
   end
 
-let merge a b =
-  let t = create () in
-  for i = 0 to nbuckets - 1 do
-    t.buckets.(i) <- a.buckets.(i) + b.buckets.(i)
-  done;
-  t.n <- a.n + b.n;
-  t.sum <- a.sum +. b.sum;
-  t.minv <- min a.minv b.minv;
-  t.maxv <- max a.maxv b.maxv;
-  t
-
-let clear t =
-  Array.fill t.buckets 0 nbuckets 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.minv <- infinity;
-  t.maxv <- neg_infinity
-
 let pp_summary ppf t =
   if t.n = 0 then Format.pp_print_string ppf "n=0"
   else

@@ -17,10 +17,5 @@ val percentile : t -> float -> float
 (** [percentile t p] with [p] in (0, 100].  Returns 0. when empty;
     otherwise the result lies in [[min_value t, max_value t]]. *)
 
-val merge : t -> t -> t
-(** Combine two histograms into a fresh one. *)
-
-val clear : t -> unit
-
 val pp_summary : Format.formatter -> t -> unit
 (** One-line "n=.. mean=.. p50=.. p99=.. max=.." rendering in ms. *)

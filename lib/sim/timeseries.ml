@@ -6,7 +6,6 @@ let add t ~time v =
   t.rev_points <- (time, v) :: t.rev_points;
   t.n <- t.n + 1
 
-let length t = t.n
 let points t = List.rev t.rev_points
 
 let bucketize t ~width =

@@ -6,7 +6,6 @@ type t
 
 val create : unit -> t
 val add : t -> time:float -> float -> unit
-val length : t -> int
 val points : t -> (float * float) list
 (** Chronological samples. *)
 

@@ -6,7 +6,6 @@ type t = { round : int; node : Rsmr_net.Node_id.t }
 val zero : t
 (** Smaller than any ballot a proposer can own. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool

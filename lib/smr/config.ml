@@ -10,13 +10,6 @@ let quorum t = (size t / 2) + 1
 let is_member t n = List.exists (Rsmr_net.Node_id.equal n) t.members
 let others t n = List.filter (fun m -> not (Rsmr_net.Node_id.equal m n)) t.members
 
-let pp ppf t =
-  Format.fprintf ppf "cfg#%d{%a}" t.instance_id
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Rsmr_net.Node_id.pp)
-    t.members
-
 let encode w t =
   Rsmr_app.Codec.Writer.varint w t.instance_id;
   Rsmr_app.Codec.Writer.list w Rsmr_app.Codec.Writer.zigzag t.members

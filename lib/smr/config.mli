@@ -15,7 +15,6 @@ val is_member : t -> Rsmr_net.Node_id.t -> bool
 val others : t -> Rsmr_net.Node_id.t -> Rsmr_net.Node_id.t list
 (** All members except the given one. *)
 
-val pp : Format.formatter -> t -> unit
 val encode : Rsmr_app.Codec.Writer.t -> t -> unit
 val decode : Rsmr_app.Codec.Reader.t -> t
 [@@rsmr.deterministic] [@@rsmr.total]

@@ -37,13 +37,6 @@ val size : t -> int
 (** Wire size in bytes: a single counting pass over the same body as
     {!encode}, allocating nothing. *)
 
-val write : Rsmr_app.Codec.Writer.t -> t -> unit
-(** The wire-format body shared by {!encode} and {!size}; also lets a
-    parent codec embed this message via [Writer.nested]. *)
-
-val read : Rsmr_app.Codec.Reader.t -> t
-(** Decode in place from a reader (e.g. a [Reader.view]). *)
-
 val encode : t -> string
 val decode : string -> t
 [@@rsmr.deterministic] [@@rsmr.total]

@@ -43,12 +43,6 @@ module Msg : sig
   (** Wire size in bytes: a single counting pass over the same body as
       {!encode}, allocating nothing. *)
 
-  val write : Rsmr_app.Codec.Writer.t -> t -> unit
-  (** The wire-format body shared by {!encode} and {!size}. *)
-
-  val read : Rsmr_app.Codec.Reader.t -> t
-  (** Decode in place from a reader (e.g. a [Reader.view]). *)
-
   val encode : t -> string
   val decode : string -> t
   [@@rsmr.deterministic] [@@rsmr.total]

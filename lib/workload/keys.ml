@@ -32,4 +32,3 @@ let sample t rng =
     !lo
 
 let key_name i = Printf.sprintf "key%08d" i
-let cardinality = function Uniform n -> n | Zipf { n; _ } -> n

@@ -12,5 +12,3 @@ val zipf : n:int -> theta:float -> t
 val sample : t -> Rsmr_sim.Rng.t -> int
 val key_name : int -> string
 (** Canonical printable key for index i ("key00000042"). *)
-
-val cardinality : t -> int

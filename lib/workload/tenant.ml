@@ -26,8 +26,6 @@ let create ~rng ~tenants ~keys_per_tenant ?(tenant_theta = 0.8)
     counter = 0;
   }
 
-let n_keys t = Keys.cardinality t.tenants * t.keys_per_tenant
-
 let next_index t =
   let tenant = Keys.sample t.tenants t.rng in
   let k = Keys.sample t.keys t.rng in

@@ -27,13 +27,6 @@ val create :
     0.99 (classic YCSB skew inside a tenant), [read_ratio] to 0.5,
     [value_size] to 64 bytes. *)
 
-val n_keys : t -> int
-(** [tenants * keys_per_tenant] — the total canonical key space, i.e.
-    the [n_keys] to cut a keyspace over. *)
-
-val next_index : t -> int
-(** Sample one global key index. *)
-
 val next : t -> string
 (** Next encoded KV command against a sampled key (Get with probability
     [read_ratio], else Put of a fresh [value_size]-byte value). *)

@@ -31,7 +31,7 @@ let tiny_batch_scope = scope_of "minimal,commands=1,timer_fires=3,batch=2"
    minimal-scope run. *)
 let test_exhaust ?(scope = tiny_scope) proto ~visited () =
   let stats =
-    Explore.run ~proto ~scope ~mutation:None ~strategy:Explore.Bfs ()
+    Explore.run ~proto ~scope ~mutation:None ()
   in
   Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
   Alcotest.(check bool) "no violation" true (stats.Explore.violation = None);
@@ -48,7 +48,7 @@ let mutation = Some Rsmr_core.Options.No_first_wedge
 let find_counterexample () =
   let stats =
     Explore.run ~proto:Strategy.composed ~scope:Scope.minimal ~mutation
-      ~strategy:Explore.Bfs ()
+      ()
   in
   match stats.Explore.violation with
   | None -> Alcotest.fail "mutated exploration found no violation"
@@ -83,7 +83,7 @@ let test_mutation_counterexample () =
 let test_skip_phase1_caught () =
   let stats =
     Explore.run ~proto:Strategy.composed ~scope:Scope.minimal
-      ~mutation:(Some Rsmr_core.Options.Skip_phase1) ~strategy:Explore.Bfs ()
+      ~mutation:(Some Rsmr_core.Options.Skip_phase1) ()
   in
   match stats.Explore.violation with
   | None -> Alcotest.fail "skip-phase1 exploration found no violation"

@@ -306,14 +306,6 @@ let test_histogram_empty () =
   Alcotest.(check (float 0.0)) "empty p99 is 0" 0.0 (Histogram.percentile h 99.0);
   Alcotest.(check (float 0.0)) "empty mean is 0" 0.0 (Histogram.mean h)
 
-let test_histogram_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  Histogram.record a 0.001;
-  Histogram.record b 0.1;
-  let m = Histogram.merge a b in
-  Alcotest.(check int) "merged count" 2 (Histogram.count m);
-  if Histogram.max_value m < 0.09 then Alcotest.fail "merge lost max"
-
 let prop_histogram_percentile_in_range =
   QCheck.Test.make ~name:"every percentile lies in [min, max]" ~count:500
     QCheck.(
@@ -668,7 +660,6 @@ let () =
         [
           Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
           Alcotest.test_case "empty" `Quick test_histogram_empty;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
           QCheck_alcotest.to_alcotest prop_histogram_percentile_in_range;
         ] );
       ( "timeseries",

@@ -34,6 +34,17 @@ let test_config_quorum () =
   let c5 = Config.make ~instance_id:1 ~members:[ 0; 1; 2; 3; 4 ] in
   Alcotest.(check int) "quorum of 5" 3 (Config.quorum c5)
 
+let test_config_roundtrip () =
+  let c = Config.make ~instance_id:7 ~members:[ 4; 0; 2 ] in
+  let w = Rsmr_app.Codec.Writer.create () in
+  Config.encode w c;
+  let c' =
+    Config.decode
+      (Rsmr_app.Codec.Reader.of_string (Rsmr_app.Codec.Writer.contents w))
+  in
+  Alcotest.(check int) "instance id" c.Config.instance_id c'.Config.instance_id;
+  Alcotest.(check (list int)) "members" c.Config.members c'.Config.members
+
 let test_log_basics () =
   let l = Log.create () in
   Alcotest.(check int) "empty length" 0 (Log.length l);
@@ -701,6 +712,7 @@ let () =
         [
           Alcotest.test_case "ballot order" `Quick test_ballot_order;
           Alcotest.test_case "config quorum" `Quick test_config_quorum;
+          Alcotest.test_case "config round-trip" `Quick test_config_roundtrip;
           Alcotest.test_case "log basics" `Quick test_log_basics;
           Alcotest.test_case "log uncommitted range" `Quick
             test_log_uncommitted_range;
