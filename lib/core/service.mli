@@ -25,8 +25,9 @@
     - A wedged instance halts once it has drained: its leader orders a
       [Drain] barrier after everything it proposed, and when the barrier
       is decided it halts and sends [Retire] to the other members.  The
-      directory node tracks the freshest configuration for clients that
-      lost the trail.
+      host then drops the instance: a retired epoch is its audit record
+      and, for a while, the snapshot it donated.  The directory node
+      tracks the freshest configuration for clients that lost the trail.
 
     {!Make_on} composes {e any} building block; {!Make} is the Multi-Paxos
     default.  {!Rsmr_smr.Vr} demonstrates that the layer really is
@@ -151,21 +152,22 @@ module type S = sig
       [(cluster t).obs]). *)
 
   val app_state : t -> Rsmr_net.Node_id.t -> app_state option
-  (** Application state of the newest activated instance hosted on a node. *)
+  (** Application state of the newest live activated epoch on a node;
+      [None] on a node with none. *)
 
   val host_epoch : t -> Rsmr_net.Node_id.t -> int option
-  (** Newest epoch a node hosts (activated or not). *)
+  (** Newest live epoch on a node (activated or not). *)
 
   val live_instances : t -> Rsmr_net.Node_id.t -> int
-  (** Instances on the node whose replica has not been halted. *)
+  (** Live epochs on the node that run a replica. *)
 
   val current_leader : t -> Rsmr_net.Node_id.t option
   (** The node leading the newest epoch's instance, if any (and not
       crashed). *)
 
   val epoch_stats : t -> Rsmr_net.Node_id.t -> epoch_stat list
-  (** Audit records for every instance the node hosts, oldest epoch
-      first; empty for nodes that host none. *)
+  (** Audit records for every epoch the node runs or has retired (the
+      record kept at retirement), oldest first; empty if it hosts none. *)
 end
 
 module Make_on (_ : Rsmr_smr.Block_intf.S) (Sm : Rsmr_app.State_machine.S) :

@@ -80,6 +80,9 @@ module type S = sig
   val leader_hint : t -> Rsmr_net.Node_id.t option
 
   val halt : t -> unit
+  (** Stop for good: no timer, message or submission acts again.  The log
+      and {!commit_index} are kept; a host done with the replica drops it. *)
+
   val is_halted : t -> bool
 
   val commit_index : t -> int

@@ -35,7 +35,7 @@ type t = {
   others : Node_id.t list; (* Config.others cfg me, computed once *)
   on_decide : int -> string -> unit;
   rng : Rng.t;
-  mutable log : Log.t; (* dropped by [halt] *)
+  log : Log.t;
   mutable promised : Ballot.t;
   mutable role : role;
   mutable hint : Node_id.t option;
@@ -53,7 +53,6 @@ type t = {
   mutable resend_timer : Engine.timer option;
   mutable learn_inflight : bool;
   mutable halted : bool;
-  mutable halted_commit : int; (* [commit_index] once the log is dropped *)
   (* Pre-resolved metric cells — scoped {node; epoch} registry cells when
      an Observatory is attached, otherwise unshared refs nobody reads — so
      accounting is a ref bump either way. *)
@@ -71,8 +70,7 @@ let leader_hint t =
   if t.halted then None
   else match t.role with R_leader _ -> Some t.me | _ -> t.hint
 
-let commit_index t =
-  if t.halted then t.halted_commit else Log.committed_prefix t.log
+let commit_index t = Log.committed_prefix t.log
 let is_halted t = t.halted
 let submit_msg value = Msg.Submit { value }
 let submit_many_msg values = Msg.Submit_multi { values }
@@ -586,14 +584,9 @@ let handle t ~src msg =
     | Msg.Submit_multi { values } -> submit_many t values
 [@@rsmr.deterministic] [@@rsmr.total]
 
-(* A halted replica never reads its log again (its instance has handed
-   its state on), so the log is dropped rather than kept for the life of
-   the process. *)
 let halt t =
   if not t.halted then begin
     t.halted <- true;
-    t.halted_commit <- Log.committed_prefix t.log;
-    t.log <- Log.create ();
     t.election_timer <- Engine.cancel_opt t.engine t.election_timer;
     t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
     t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;
@@ -647,7 +640,6 @@ let create ~engine ~params ~config:cfg ~me ~send ?broadcast ?obs ~on_decide
       resend_timer = None;
       learn_inflight = false;
       halted = false;
-      halted_commit = 0;
       c_elections = metric "elections";
       c_takeovers = metric "takeovers";
       c_proposals = metric "proposals";

@@ -669,13 +669,9 @@ let handle t ~src msg =
       on_new_state t ~view ~from ~ops ~commit
 [@@rsmr.deterministic] [@@rsmr.total]
 
-(* As {!Replica.halt}: the log of a halted replica is never read
-   again, so it is dropped; [commit] still answers [commit_index]. *)
 let halt t =
   if not t.halted then begin
     t.halted <- true;
-    t.log <- [||];
-    t.len <- 0;
     t.view_timer <- Engine.cancel_opt t.engine t.view_timer;
     t.hb_timer <- Engine.cancel_opt t.engine t.hb_timer;
     t.resend_timer <- Engine.cancel_opt t.engine t.resend_timer;

@@ -14,6 +14,7 @@ module Envelope = Rsmr_core.Envelope
 module Session = Rsmr_core.Session
 module Snapshot = Rsmr_core.Snapshot
 module Wire = Rsmr_core.Wire
+module Strategy = Rsmr_iface.Reconfig_strategy
 module KvService = Rsmr_core.Service.Make (Rsmr_app.Kv)
 module CtrService = Rsmr_core.Service.Make (Rsmr_app.Counter)
 
@@ -964,14 +965,21 @@ let test_provisional_runs_no_replica () =
    commands in flight past the wedge; halting the old instance then would
    strand them, and their clients would wait out the 0.5 s request
    timeout.  So: every request is answered, no client ever retries, and
-   each host ends with at most one running instance. *)
+   each host ends with at most one running instance.
+
+   A retired epoch leaves only its audit record and, for a while, the
+   snapshot it donated, so what the service holds stays within a small
+   multiple of one application snapshot however many changes ran.  A
+   late [Bootstrap] (or, under early prepare, [Prepare]) for a retired
+   epoch re-creates nothing. *)
 
 module Rolling (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
-  let run ~seed ~changes =
+  let run ~strategy ~seed ~changes =
     let engine = Engine.create ~seed () in
     let universe = [ 0; 1; 2; 3; 4; 5 ] in
     let svc =
       S.create ~engine ~latency:Rsmr_net.Latency.lan ~bandwidth:2.5e7 ~universe
+        ~options:{ Options.default with Options.strategy }
         ~members:[ 0; 1; 2 ] ()
     in
     let cluster = S.cluster svc in
@@ -1009,14 +1017,47 @@ module Rolling (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
           (label (Printf.sprintf "node %d runs at most one instance" n))
           true
           (S.live_instances svc n <= 1))
-      universe
+      universe;
+    let app =
+      match S.app_state svc (List.hd (S.current_members svc)) with
+      | Some app -> String.length (Kv.snapshot app)
+      | None -> Alcotest.failf "seed %d: a current member holds no state" seed
+    in
+    Alcotest.(check bool)
+      (label "retained state is at most 30 app snapshots")
+      true
+      (String.length (S.canonical_state svc) <= 30 * app);
+    let retired n =
+      List.exists
+        (fun (es : Rsmr_core.Service.epoch_stat) ->
+          es.es_epoch = 0 && es.es_retired)
+        (S.epoch_stats svc n)
+    in
+    match List.find_opt retired universe with
+    | None -> Alcotest.failf "seed %d: no host retired epoch 0" seed
+    | Some n ->
+      let before = (S.epoch_stats svc n, S.live_instances svc n) in
+      let src = if n = 0 then 1 else 0 in
+      List.iter
+        (fun wire -> Network.send (S.net svc) ~src ~dst:n wire)
+        [
+          Wire.Bootstrap
+            { epoch = 0; members = [ 0; 1; 2 ]; prev_epoch = 0; prev_members = [] };
+          Wire.Prepare
+            { epoch = 0; members = [ 0; 1; 2 ]; prev_epoch = 0; prev_members = [] };
+        ];
+      Engine.run engine ~until:(Engine.now engine +. 0.5);
+      Alcotest.(check bool)
+        (label (Printf.sprintf "node %d does not re-create epoch 0" n))
+        true
+        (before = (S.epoch_stats svc n, S.live_instances svc n))
 end
 
 module Rolling_paxos = Rolling (KvService)
 module Rolling_vr = Rolling (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
 
-let test_halt_after_drain run () =
-  List.iter (fun seed -> run ~seed ~changes:6) [ 3; 4; 5 ]
+let test_halt_after_drain run strategy () =
+  List.iter (fun seed -> run ~strategy ~seed ~changes:6) [ 3; 4; 5 ]
 
 (* --- one snapshot per joiner ---
 
@@ -1260,9 +1301,15 @@ let () =
           Alcotest.test_case "provisional instance runs no replica" `Quick
             test_provisional_runs_no_replica;
           Alcotest.test_case "old instance halts once drained (paxos)" `Quick
-            (test_halt_after_drain Rolling_paxos.run);
+            (test_halt_after_drain Rolling_paxos.run Strategy.composed);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
-            (test_halt_after_drain Rolling_vr.run);
+            (test_halt_after_drain Rolling_vr.run Strategy.composed);
+          Alcotest.test_case
+            "old instance halts once drained (matchmaker paxos)" `Quick
+            (test_halt_after_drain Rolling_paxos.run Strategy.matchmaker);
+          Alcotest.test_case "old instance halts once drained (matchmaker vr)"
+            `Quick
+            (test_halt_after_drain Rolling_vr.run Strategy.matchmaker);
           Alcotest.test_case "only joiners fetch" `Quick
             test_only_joiners_fetch;
           Alcotest.test_case "slow transfer is not re-requested" `Quick
