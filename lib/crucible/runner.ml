@@ -146,8 +146,7 @@ let run proto (sc : Scenario.t) =
     <> None
   in
   (* Convergence: all advertised members expose byte-identical application
-     state, and keep doing so for half a virtual second (so a membership
-     change still in flight cannot fake a settled cluster). *)
+     state, and still do half a virtual second later ({!Engine.settle}). *)
   let members_sorted () =
     List.sort_uniq Int.compare (stack.cluster.Cluster.members ())
   in
@@ -167,16 +166,11 @@ let run proto (sc : Scenario.t) =
           (fun (_, o) -> match o with Some s' -> String.equal s s' | None -> false)
           rest)
   in
-  let rec settle deadline =
-    if Engine.now engine >= deadline then false
-    else
-      match Engine.run_until engine ~pred:converged_now ~deadline with
-      | None -> false
-      | Some t ->
-        Engine.run ~until:(t +. 0.5) engine;
-        if converged_now () then true else settle deadline
+  let converged =
+    quiesced
+    && Engine.settle engine ~pred:converged_now ~hold:0.5
+         ~deadline:(Engine.now engine +. settle_grace)
   in
-  let converged = quiesced && settle (Engine.now engine +. settle_grace) in
   let final_members = members_sorted () in
   let final_states =
     List.filter_map

@@ -227,10 +227,9 @@ module Run (P : Platform.S) = struct
         ~pred:(fun () -> Hashtbl.length ctl.pending = 0)
         ~deadline:(t_end +. 40.0)
     in
-    (* Convergence settle: like the crucible runner, keep the engine
-       running (heartbeats propagate commit indexes to quiet followers)
-       until every shard's members expose byte-identical state and stay
-       that way for half a virtual second. *)
+    (* Convergence settle, as in the crucible runner: heartbeats carry
+       commit indexes to quiet followers until every shard's members
+       expose byte-identical state ({!Engine.settle}). *)
     let shard_converged s =
       let members = P.shard_members pf s in
       let snaps =
@@ -250,22 +249,12 @@ module Run (P : Platform.S) = struct
             rest)
     in
     let converged_now () =
-      let ok = ref true in
-      for s = 0 to P.n_shards pf - 1 do
-        if not (shard_converged s) then ok := false
-      done;
-      !ok
+      List.for_all shard_converged (List.init (P.n_shards pf) Fun.id)
     in
-    let rec settle deadline =
-      if Engine.now engine >= deadline then false
-      else
-        match Engine.run_until engine ~pred:converged_now ~deadline with
-        | None -> false
-        | Some t ->
-          Engine.run engine ~until:(t +. 0.5);
-          if converged_now () then true else settle deadline
+    let converged =
+      Engine.settle engine ~pred:converged_now ~hold:0.5
+        ~deadline:(Engine.now engine +. 10.0)
     in
-    let converged = settle (Engine.now engine +. 10.0) in
     let failures = ref [] in
     let fail name detail = failures := (name, detail) :: !failures in
     if P.dir_epoch_regressions pf > 0 then

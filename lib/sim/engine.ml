@@ -138,6 +138,15 @@ let run_until t ~pred ~deadline =
   in
   loop ()
 
+let rec settle t ~pred ~hold ~deadline =
+  t.time < deadline
+  &&
+  match run_until t ~pred ~deadline with
+  | None -> false
+  | Some at ->
+    run ~until:(at +. hold) t;
+    pred () || settle t ~pred ~hold ~deadline
+
 (* ------------------------------------------------------------------ *)
 (* Choice-point mode: instead of popping by virtual time, a model
    checker reads the enabled set and picks which pending timer fires

@@ -92,6 +92,11 @@ val run_until : t -> pred:(unit -> bool) -> deadline:float -> float option
     unlike polling with a fixed horizon, it observes the predicate at
     event granularity and never overshoots. *)
 
+val settle : t -> pred:(unit -> bool) -> hold:float -> deadline:float -> bool
+(** {!run_until} [pred], run [hold] seconds more and re-check, until it
+    still holds after a hold ([true]) or {!run_until} gives up ([false]).
+    A change still in flight cannot fake a settled state. *)
+
 (** {2 Choice-point mode}
 
     The model checker does not pop events by virtual time; it reads the
