@@ -18,7 +18,7 @@ type summary = {
 }
 
 let replay_command proto scenario =
-  Printf.sprintf "dune exec test/crucible_main.exe -- --proto %s --scenario '%s'"
+  Printf.sprintf "dune exec rsmr -- crucible --proto %s --scenario '%s'"
     proto.Protocol.name (Scenario.to_string scenario)
 
 let run_scenario ?lin_budget proto scenario =
@@ -52,31 +52,23 @@ let check_scenario ?lin_budget ?(shrink = true) proto scenario =
         f_attempts = attempts;
       }
 
-let check_seed ?lin_budget ?shrink proto seed =
-  check_scenario ?lin_budget ?shrink proto (Generate.scenario ~seed)
-
-let soak ?lin_budget ?shrink ?on_run ~protos ~seeds () =
-  let runs = ref 0 in
-  let passed = ref 0 in
-  let inconclusive = ref 0 in
+let soak ?lin_budget ?shrink ?(on_run = fun _ _ _ -> ()) ~protos ~scenarios () =
+  let runs = ref 0 and passed = ref 0 and inconclusive = ref 0 in
   let failures = ref [] in
   List.iter
-    (fun seed ->
+    (fun sc ->
       List.iter
         (fun proto ->
           incr runs;
-          (match check_seed ?lin_budget ?shrink proto seed with
+          let result = check_scenario ?lin_budget ?shrink proto sc in
+          (match result with
            | Ok outcome ->
              incr passed;
-             if Oracle.inconclusives outcome <> [] then incr inconclusive;
-             (match on_run with
-              | Some f -> f proto seed (Some outcome)
-              | None -> ())
-           | Error failure ->
-             failures := failure :: !failures;
-             (match on_run with Some f -> f proto seed None | None -> ())))
+             if Oracle.inconclusives outcome <> [] then incr inconclusive
+           | Error failure -> failures := failure :: !failures);
+          on_run proto sc result)
         protos)
-    seeds;
+    scenarios;
   {
     runs = !runs;
     passed = !passed;

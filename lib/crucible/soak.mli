@@ -1,8 +1,8 @@
 (** The soak driver: generate → run → judge → (on failure) shrink →
     print a one-line replay command.
 
-    This is the loop behind [test/crucible_main.exe] and the CI soak
-    step: a seed range crossed with the protocol stacks, each run judged
+    This is the loop behind [rsmr crucible] and the CI soak
+    step: a scenario list crossed with the protocol stacks, each run judged
     by the five {!Oracle}s, failures minimized by {!Shrink} and reported
     with a [dune exec] one-liner that replays the shrunk scenario
     bit-for-bit. *)
@@ -26,25 +26,21 @@ type summary = {
   failures : failure list;
 }
 
-val check_scenario :
-  ?lin_budget:int ->
-  ?shrink:bool ->
-  Rsmr_protocol.Protocol.t ->
-  Scenario.t ->
-  (Oracle.outcome, failure) result
-(** Run and judge; on failure, minimize (unless [shrink:false]) and
-    re-judge the minimized scenario. *)
-
 val soak :
   ?lin_budget:int ->
   ?shrink:bool ->
-  ?on_run:(Rsmr_protocol.Protocol.t -> int -> Oracle.outcome option -> unit) ->
+  ?on_run:
+    (Rsmr_protocol.Protocol.t ->
+    Scenario.t ->
+    (Oracle.outcome, failure) result ->
+    unit) ->
   protos:Rsmr_protocol.Protocol.t list ->
-  seeds:int list ->
+  scenarios:Scenario.t list ->
   unit ->
   summary
-(** Cross product of seeds × protos, in order.  [on_run] fires after each
-    run with [Some outcome] on pass and [None] on failure (the failure
-    itself lands in the summary). *)
+(** Cross product of scenarios × protos, in order: run and judge each
+    pair; on failure, minimize (unless [shrink:false]) and re-judge the
+    minimized scenario.  [on_run] fires after each run with its verdict
+    (every failure also lands in the summary). *)
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -25,7 +25,6 @@ let run_one ~speculative ~residual ~n_keys =
         Printf.sprintf "ablate-%c%c"
           (if speculative then 's' else '-')
           (if residual then 'r' else '-');
-      aliases = [];
       handoff = (if speculative then `Speculative else `Blocking);
       residuals = (if residual then `Resubmit else `Client_retry);
     }

@@ -4,7 +4,6 @@ type residuals = [ `Resubmit | `Client_retry ]
 
 type t = {
   name : string;
-  aliases : string list;
   prepare : prepare;
   handoff : handoff;
   residuals : residuals;
@@ -13,7 +12,6 @@ type t = {
 let composed =
   {
     name = "composed";
-    aliases = [ "core" ];
     prepare = `At_wedge;
     handoff = `Speculative;
     residuals = `Resubmit;
@@ -22,7 +20,6 @@ let composed =
 let matchmaker =
   {
     name = "matchmaker";
-    aliases = [];
     prepare = `Early;
     handoff = `Speculative;
     residuals = `Resubmit;
@@ -31,15 +28,7 @@ let matchmaker =
 let stopworld =
   {
     name = "stopworld";
-    aliases = [ "stop-the-world" ];
     prepare = `At_wedge;
     handoff = `Blocking;
     residuals = `Client_retry;
   }
-
-let all = [ composed; matchmaker; stopworld ]
-
-let find name =
-  List.find_opt
-    (fun s -> String.equal s.name name || List.mem name s.aliases)
-    all

@@ -36,8 +36,7 @@ type residuals =
   | `Client_retry  (** dropped; clients retry against the new epoch *) ]
 
 type t = {
-  name : string;  (** unique key used by CLIs, metrics and reports *)
-  aliases : string list;  (** accepted alternative names ([find]) *)
+  name : string;  (** the label metrics and reports carry *)
   prepare : prepare;
   handoff : handoff;
   residuals : residuals;
@@ -45,16 +44,10 @@ type t = {
 
 val composed : t
 (** The paper's default: prepare at wedge, speculative handoff, leader
-    residual re-submission.  Alias ["core"]. *)
+    residual re-submission. *)
 
 val matchmaker : t
 (** Matchmaker-style early prepare; otherwise identical to {!composed}. *)
 
 val stopworld : t
-(** Blocking handoff, no residual replay.  Alias ["stop-the-world"]. *)
-
-val all : t list
-(** Every registered strategy, [composed] first. *)
-
-val find : string -> t option
-(** Lookup by [name] or alias. *)
+(** Blocking handoff, no residual replay. *)

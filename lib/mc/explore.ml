@@ -155,8 +155,7 @@ let render_counterexample ~proto ~scope ~mutation trace =
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "counterexample: %d step(s), proto=%s, scope=[%s]%s\n"
-       (List.length trace)
-       proto.Rsmr_iface.Reconfig_strategy.name
+       (List.length trace) proto.Rsmr_protocol.Protocol.name
        (Scope.to_string scope)
        (match name with Some n -> ", mutation=" ^ n | None -> ""));
   let h = Harness.create ~proto ~scope ~mutation () in
@@ -179,8 +178,9 @@ let render_counterexample ~proto ~scope ~mutation trace =
    | None -> Buffer.add_string b "no violation at end of trace\n");
   Buffer.add_string b
     (Printf.sprintf
-       "reproduce: mc_main.exe --proto %s --scope %s%s --replay '%s'\n"
-       proto.Rsmr_iface.Reconfig_strategy.name
+       "reproduce: dune exec rsmr -- scope --proto %s --scope %s%s --replay \
+        '%s'\n"
+       proto.Rsmr_protocol.Protocol.name
        (Scope.to_string scope)
        (match name with Some n -> " --mutate " ^ n | None -> "")
        (Choice.seq_to_string trace));

@@ -26,7 +26,7 @@ type stats = {
 type progress = visited:int -> transitions:int -> depth:int -> unit
 
 val run :
-  proto:Rsmr_iface.Reconfig_strategy.t ->
+  proto:Rsmr_protocol.Protocol.t ->
   scope:Scope.t ->
   mutation:Rsmr_core.Options.mutation option ->
   ?max_states:int ->
@@ -41,11 +41,11 @@ val run :
     [on_progress] is invoked every 500 new states. *)
 
 val render_counterexample :
-  proto:Rsmr_iface.Reconfig_strategy.t ->
+  proto:Rsmr_protocol.Protocol.t ->
   scope:Scope.t ->
   mutation:Rsmr_core.Options.mutation option ->
   Choice.t list ->
   string
 (** Replay a violating trace step by step into a human-readable report:
     each choice, the state summary after it, the violated property, and
-    a copy-pasteable [mc_main] reproducer line. *)
+    a copy-pasteable [rsmr scope] reproducer line. *)

@@ -5,7 +5,8 @@ module Network = Rsmr_net.Network
 module Options = Rsmr_core.Options
 module Service = Rsmr_core.Service
 module Counter = Rsmr_app.Counter
-module Svc = Rsmr_core.Service.Make (Rsmr_app.Counter)
+module Protocol = Rsmr_protocol.Protocol
+module Counter_protocol = Protocol.Make (Counter)
 
 exception Divergent of Choice.t
 (** A stored choice did not apply — the replayed path diverged from the
@@ -16,7 +17,12 @@ let client_id = 1000
 
 type t = {
   scope : Scope.t;
-  svc : Svc.t;
+  (* the composed service under check, seen through the four views
+     exploration reads *)
+  net : Rsmr_core.Wire.t Network.t;
+  canonical_state : unit -> string;
+  epoch_stats : int -> Service.epoch_stat list;
+  app_state : int -> Counter.t option;
   cluster : Rsmr_iface.Cluster.t;
   engine : Engine.t;
   (* budget cursors — exploration state, fingerprinted alongside the
@@ -37,8 +43,8 @@ type t = {
 
 let violation t = t.violation
 
-let options ~proto ~scope ~mutation =
-  let base = { Options.default with Options.strategy = proto } in
+let options ~strategy ~scope ~mutation =
+  let base = { Options.default with Options.strategy } in
   (* Client coalescing follows the scope's batch key: the presets check
      the immediate-send configuration; batch >= 2 pulls the coalescing
      window (flush forced by a full buffer, not by wall-clock) into the
@@ -77,19 +83,28 @@ let mc_params ~scope =
   else { base with Rsmr_smr.Params.batch_delay = 0.0 }
 
 let create ~proto ~scope ~mutation () =
+  let block, strategy =
+    match proto.Protocol.kind with
+    | Protocol.Composed { block; strategy } -> (block, strategy)
+    | Protocol.Raft -> invalid_arg "Harness.create: raft is not composed"
+  in
+  let (module S) = Counter_protocol.service block in
   let engine = Engine.create ~seed:7 () in
   let svc =
-    Svc.create ~engine ~smr_params:(mc_params ~scope)
-      ~options:(options ~proto ~scope ~mutation)
+    S.create ~engine ~smr_params:(mc_params ~scope)
+      ~options:(options ~strategy ~scope ~mutation)
       ~universe:(Scope.universe scope) ~net_mode:`Enumerate
       ~members:(Scope.initial_members scope) ()
   in
-  let cluster = Svc.cluster svc in
+  let cluster = S.cluster svc in
   cluster.Rsmr_iface.Cluster.add_client client_id;
   let t =
     {
       scope;
-      svc;
+      net = S.net svc;
+      canonical_state = (fun () -> S.canonical_state svc);
+      epoch_stats = S.epoch_stats svc;
+      app_state = S.app_state svc;
       cluster;
       engine;
       commands_used = 0;
@@ -122,7 +137,7 @@ let create ~proto ~scope ~mutation () =
 
 let check_properties t =
   let nodes = Scope.universe t.scope in
-  let stats = List.map (fun n -> (n, Svc.epoch_stats t.svc n)) nodes in
+  let stats = List.map (fun n -> (n, t.epoch_stats n)) nodes in
   (* path-wide committed-prefix agreement: the (epoch, applied_hi) ->
      digest map is a function across every state of this path (the digest
      of a given prefix never rewrites); {!Service.epoch_audit} checks it
@@ -156,7 +171,7 @@ let check_properties t =
   let exactly_once () =
     List.find_map
       (fun n ->
-        match Svc.app_state t.svc n with
+        match t.app_state n with
         | None -> None
         | Some app ->
           let v = Counter.value app in
@@ -181,15 +196,13 @@ let observe t =
 
 (* --- choices --- *)
 
-let net t = Svc.net t.svc
-
 (* Timer choices are semantically enabled only while the in-flight
    bound holds (periodic traffic must not grow queues without end) and
    the fire budget lasts.  This is part of the scope's definition, so
    the reduction below may key off it. *)
 let timers_on t =
   t.timers_used < t.scope.Scope.timer_fires
-  && Network.pending_total (net t) < t.scope.Scope.max_inflight
+  && Network.pending_total t.net < t.scope.Scope.max_inflight
 
 (* Partial-order reduction.  Deliveries to distinct destination nodes
    are independent: each pops its own per-link FIFO, mutates only the
@@ -223,7 +236,7 @@ let por_target t =
           | _ -> Some dst
         else acc)
       None
-      (Network.links (net t))
+      (Network.links t.net)
   end
 
 let enabled t =
@@ -231,7 +244,7 @@ let enabled t =
   else begin
     let acc = ref [] in
     let push c = acc := c :: !acc in
-    let links = Network.links (net t) in
+    let links = Network.links t.net in
     let link_choices ls =
       List.iter
         (fun (src, dst) ->
@@ -280,11 +293,11 @@ let apply t choice =
      if not (Engine.fire t.engine ~seq) then raise (Divergent choice);
      t.timers_used <- t.timers_used + 1
    | Choice.Deliver { src; dst } -> (
-     match Network.deliver_head (net t) ~src ~dst with
+     match Network.deliver_head t.net ~src ~dst with
      | Some _ -> ()
      | None -> raise (Divergent choice))
    | Choice.Drop { src; dst } -> (
-     match Network.drop_head (net t) ~src ~dst with
+     match Network.drop_head t.net ~src ~dst with
      | Some _ -> t.drops_used <- t.drops_used + 1
      | None -> raise (Divergent choice))
    | Choice.Crash n ->
@@ -357,8 +370,8 @@ let coverage t =
                 || (s.Service.es_epoch >= 1 && s.Service.es_activated);
               cov_retired = !c.cov_retired || s.Service.es_retired;
             })
-        (Svc.epoch_stats t.svc n);
-      match Svc.app_state t.svc n with
+        (t.epoch_stats n);
+      match t.app_state n with
       | Some app ->
         c := { !c with cov_max_counter = max !c.cov_max_counter (Counter.value app) }
       | None -> ())
@@ -378,7 +391,7 @@ let fingerprint t =
   in
   Fingerprint.of_kv
     [
-      ("svc", Svc.canonical_state t.svc);
+      ("svc", t.canonical_state ());
       ("timers", string_of_int (Engine.pending_count t.engine));
       ( "budgets",
         Printf.sprintf "%d,%d,%d,%d,%d" t.commands_used t.reconfigs_used
@@ -394,11 +407,11 @@ let summary t =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "t=%.4fs inflight=%d timers=%d" (Engine.now t.engine)
-       (Network.pending_total (net t))
+       (Network.pending_total t.net)
        (Engine.pending_count t.engine));
   List.iter
     (fun n ->
-      let es = Svc.epoch_stats t.svc n in
+      let es = t.epoch_stats n in
       if es <> [] then begin
         Buffer.add_string b (Printf.sprintf "\n  node %d:" n);
         List.iter
@@ -412,7 +425,7 @@ let summary t =
                   | Some w -> Printf.sprintf " w=%d" w
                   | None -> "")))
           es;
-        match Svc.app_state t.svc n with
+        match t.app_state n with
         | Some app ->
           Buffer.add_string b (Printf.sprintf " counter=%d" (Counter.value app))
         | None -> ()

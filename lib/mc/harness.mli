@@ -1,17 +1,17 @@
 (** The bridge between the explorer and the real protocol stack.
 
-    A harness owns one live composed service (over {!Rsmr_app.Counter})
-    in enumerate-mode networking plus the exploration bookkeeping: which
-    scripted workload steps have been taken, which nodes are down, what
-    the client has been told, and the committed-prefix witness table.
+    A harness owns one live composed service (over {!Rsmr_app.Counter},
+    built through {!Rsmr_protocol.Protocol.Make.service}, so any block
+    under any strategy) in enumerate-mode networking plus the
+    exploration bookkeeping: which scripted workload steps have been
+    taken, which nodes are down, what the client has been told, and the
+    committed-prefix witness table.
 
     States are never snapshotted — they cannot be, the protocol state is
     a web of closures and mutable records.  Instead a state is reached
     by replaying its choice sequence from {!create}: the engine seed and
     virtual clock make that bit-for-bit deterministic, which
     {!fingerprint} (and a dedicated test) relies on. *)
-
-module Svc : Rsmr_core.Service.S with type app_state = Rsmr_app.Counter.t
 
 exception Divergent of Choice.t
 (** Raised by {!apply} when a stored choice is not applicable — a
@@ -21,15 +21,16 @@ exception Divergent of Choice.t
 type t
 
 val create :
-  proto:Rsmr_iface.Reconfig_strategy.t ->
+  proto:Rsmr_protocol.Protocol.t ->
   scope:Scope.t ->
   mutation:Rsmr_core.Options.mutation option ->
   unit ->
   t
-(** Fresh initial state of the composed service over Multi-Paxos under
-    the given strategy.  [mutation] re-introduces a known bug
+(** Fresh initial state of a composed protocol: its block under its
+    strategy.  [mutation] re-introduces a known bug
     ({!Rsmr_core.Options.mutation}) so the checker's teeth can be
-    tested: exploration must then find a violation. *)
+    tested: exploration must then find a violation.
+    @raise Invalid_argument on raft, which has no composition layer. *)
 
 val enabled : t -> Choice.t list
 (** Outgoing transitions of the current state, deterministically
@@ -42,7 +43,7 @@ val apply : t -> Choice.t -> unit
     {!violation}).  @raise Divergent if the choice is not enabled. *)
 
 val replay :
-  proto:Rsmr_iface.Reconfig_strategy.t ->
+  proto:Rsmr_protocol.Protocol.t ->
   scope:Scope.t ->
   mutation:Rsmr_core.Options.mutation option ->
   Choice.t list ->

@@ -22,7 +22,6 @@ let core_nospec =
   composed "core-nospec" Paxos
     { Strategy.composed with
       Strategy.name = "composed-nospec";
-      aliases = [];
       handoff = `Blocking
     }
 
@@ -30,7 +29,6 @@ let core_noresid =
   composed "core-noresid" Paxos
     { Strategy.composed with
       Strategy.name = "composed-noresid";
-      aliases = [];
       residuals = `Client_retry
     }
 
@@ -61,6 +59,11 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   module Paxos_svc = Rsmr_core.Service.Make (Sm)
   module Vr_svc = Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Sm)
   module Raft_svc = Rsmr_baselines.Raft.Make (Sm)
+
+  let service : block -> (module Rsmr_core.Service.S with type app_state = Sm.t)
+      = function
+    | Paxos -> (module Paxos_svc)
+    | Vr -> (module Vr_svc)
 
   type stack = {
     cluster : Rsmr_iface.Cluster.t;
@@ -94,9 +97,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       =
     match p.kind with
     | Composed { block; strategy } ->
-      let (module S : Rsmr_core.Service.S with type app_state = Sm.t) =
-        match block with Paxos -> (module Paxos_svc) | Vr -> (module Vr_svc)
-      in
+      let (module S) = service block in
       let options =
         { Rsmr_core.Options.default with Rsmr_core.Options.strategy }
       in

@@ -3,8 +3,9 @@
     A protocol is either a {e composed} service — one of the two
     composable static blocks (Multi-Paxos or VR) under a reconfiguration
     strategy — or the natively reconfigurable Raft baseline.  The
-    experiment tables, the crucible and both CLIs name protocols from
-    this table and build them with {!Make}. *)
+    experiment tables, the crucible, the dir_churn family, Scope and
+    every [rsmr] subcommand name protocols from this table; {!Make}
+    builds them. *)
 
 type block =
   | Paxos  (** {!Rsmr_smr.Paxos_block} *)
@@ -48,6 +49,12 @@ val strategy_name : t -> string
 (** The strategy's name, or ["raft"] for raft. *)
 
 module Make (Sm : Rsmr_app.State_machine.S) : sig
+  val service : block -> (module Rsmr_core.Service.S with type app_state = Sm.t)
+  (** The composed service over a block: the one place a block picks
+      its {!Rsmr_core.Service} instantiation.  {!create} builds through
+      it, and so does Scope, which needs the service's enumerate-mode
+      network and [canonical_state]. *)
+
   type stack = {
     cluster : Rsmr_iface.Cluster.t;
     leader : unit -> Rsmr_net.Node_id.t option;

@@ -14,18 +14,12 @@ module Rng = Rsmr_sim.Rng
 module Node_id = Rsmr_net.Node_id
 module Keys = Rsmr_workload.Keys
 module Kv = Rsmr_app.Kv
+module Protocol = Rsmr_protocol.Protocol
 
-type proto = Core | Vr
-
-let proto_name = function Core -> "core" | Vr -> "vr"
-
-let proto_of_name = function
-  | "core" -> Some Core
-  | "vr" -> Some Vr
-  | _ -> None
+let protocols = [ Protocol.core; Protocol.core_vr ]
 
 type report = {
-  r_proto : proto;
+  r_proto : Protocol.t;
   r_seed : int;
   r_commands : int;
   r_replies : int;
@@ -39,21 +33,21 @@ let failures r = r.r_failures
 
 let pp_report ppf r =
   Format.fprintf ppf "dir_churn %s seed=%d cmds=%d replies=%d reb=%d rdr=%d %s"
-    (proto_name r.r_proto) r.r_seed r.r_commands r.r_replies r.r_rebalances
+    r.r_proto.Protocol.name r.r_seed r.r_commands r.r_replies r.r_rebalances
     r.r_redirects
     (if r.r_failures = [] then "PASS"
      else
        String.concat "; "
          (List.map (fun (n, d) -> n ^ ": " ^ d) r.r_failures))
 
-let replay_command proto seed =
+let replay_command (proto : Protocol.t) seed =
   Printf.sprintf
-    "dune exec test/crucible_main.exe -- --family dir_churn --proto %s --seed \
-     %d"
-    (proto_name proto) seed
+    "dune exec rsmr -- crucible --family dir_churn --proto %s --seed %d"
+    proto.Protocol.name seed
 
 (* The harness is the same for both blocks; only the platform functor
-   instantiation differs. *)
+   instantiation differs.  The protocol's strategy drives every service
+   of the platform, the directory's included. *)
 module Run (P : Platform.S) = struct
   type ctl = {
     n_keys : int;
@@ -83,7 +77,7 @@ module Run (P : Platform.S) = struct
     Hashtbl.replace ctl.pending (client, seq) ();
     cluster.Rsmr_iface.Cluster.submit ~client ~seq ~cmd:(next_cmd ())
 
-  let go ?(quick = false) ?(storm = false) ~seed () =
+  let go ~quick ~storm ~strategy proto ~seed =
     let engine = Engine.create ~seed () in
     let rng = Rng.split (Engine.rng engine) in
     let t_end = if quick then 3.0 else 6.0 in
@@ -92,8 +86,9 @@ module Run (P : Platform.S) = struct
     let dir_members = [ 0; 2; 4 ] in
     let n_keys = 1000 in
     let pf =
-      P.create ~engine ~latency:Rsmr_net.Latency.lan ~pool ~shards
-        ~dir_members
+      P.create ~engine ~latency:Rsmr_net.Latency.lan
+        ~options:{ Rsmr_core.Options.default with Rsmr_core.Options.strategy }
+        ~pool ~shards ~dir_members
         ~keyspace:(Keyspace.ranges ~shards:2 ~n_keys)
         ()
     in
@@ -311,7 +306,7 @@ module Run (P : Platform.S) = struct
       fail "rebalance_progress"
         (Printf.sprintf "0 of %d attempted rebalances completed" !reb_tried);
     {
-      r_proto = Core (* caller overwrites: the functor is proto-blind *);
+      r_proto = proto;
       r_seed = seed;
       r_commands = ctl.submitted;
       r_replies = ctl.replied;
@@ -325,13 +320,14 @@ end
 module Run_core = Run (Platform.Core)
 module Run_vr = Run (Platform.Vr)
 
-let run ?quick ?storm proto ~seed =
-  let r =
-    match proto with
-    | Core -> Run_core.go ?quick ?storm ~seed ()
-    | Vr -> Run_vr.go ?quick ?storm ~seed ()
-  in
-  { r with r_proto = proto }
+let run ?(quick = false) ?(storm = false) (proto : Protocol.t) ~seed =
+  match proto.Protocol.kind with
+  | Protocol.Composed { block = Protocol.Paxos; strategy } ->
+    Run_core.go ~quick ~storm ~strategy proto ~seed
+  | Protocol.Composed { block = Protocol.Vr; strategy } ->
+    Run_vr.go ~quick ~storm ~strategy proto ~seed
+  | Protocol.Raft ->
+    invalid_arg "Churn.run: raft has no block to build a platform from"
 
 let storm_seed = 424
 

@@ -18,19 +18,19 @@
       application state, and a majority is caught up;
     - [rebalance_progress] — at least one attempted rebalance completed.
 
-    Runs over both composition blocks ({!Platform.Core},
-    {!Platform.Vr}).  The Raft {e baseline} cannot appear here: it is
-    not a {!Rsmr_smr.Block_intf.S}, and the replicated directory is
-    built by composing blocks — VR is the second protocol, exactly as in
+    Runs over any composed protocol: its block picks the platform
+    ({!Platform.Core} or {!Platform.Vr}) and its strategy drives every
+    service of the platform, the replicated directory's included.  The
+    Raft {e baseline} cannot appear here: it is not a
+    {!Rsmr_smr.Block_intf.S}, and the replicated directory is built by
+    composing blocks. *)
+
+val protocols : Rsmr_protocol.Protocol.t list
+(** The family's default set: core and core/vr, one per block, as in
     experiment T4. *)
 
-type proto = Core | Vr
-
-val proto_name : proto -> string
-val proto_of_name : string -> proto option
-
 type report = {
-  r_proto : proto;
+  r_proto : Rsmr_protocol.Protocol.t;
   r_seed : int;
   r_commands : int;
   r_replies : int;
@@ -43,16 +43,18 @@ type report = {
 val failures : report -> (string * string) list
 val pp_report : Format.formatter -> report -> unit
 
-val replay_command : proto -> int -> string
+val replay_command : Rsmr_protocol.Protocol.t -> int -> string
 (** Shell line that reruns one seed. *)
 
-val run : ?quick:bool -> ?storm:bool -> proto -> seed:int -> report
+val run :
+  ?quick:bool -> ?storm:bool -> Rsmr_protocol.Protocol.t -> seed:int -> report
 (** One scenario.  [storm] replaces the seeded fault schedule with the
     deterministic redirect-storm shape (directory blackout + concurrent
-    rebalances of both shards). *)
+    rebalances of both shards).
+    @raise Invalid_argument on raft. *)
 
 val storm_seed : int
 
-val redirect_storm : ?quick:bool -> proto -> report
+val redirect_storm : ?quick:bool -> Rsmr_protocol.Protocol.t -> report
 (** The PR-4 redirect-storm regression scenario against the replicated
     directory. *)

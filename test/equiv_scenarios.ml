@@ -137,6 +137,11 @@ let run_digest proto proto_name sc =
   let r = Runner.run proto sc in
   fnv1a (render_report proto_name r)
 
+(* The churn lines keep the labels they were recorded under, from before
+   dir_churn named protocols through the table: core/vr was "vr". *)
+let churn_label p =
+  if String.equal p.Protocol.name "core/vr" then "vr" else p.Protocol.name
+
 let churn_digest proto seed ~storm =
   let r =
     if storm then Churn.redirect_storm proto
@@ -144,7 +149,7 @@ let churn_digest proto seed ~storm =
   in
   fnv1a
     (Printf.sprintf "%s seed=%d cmds=%d replies=%d reb=%d redir=%d regr=%d ok=%b"
-       (Churn.proto_name proto) seed r.Churn.r_commands r.Churn.r_replies
+       (churn_label proto) seed r.Churn.r_commands r.Churn.r_replies
        r.Churn.r_rebalances r.Churn.r_redirects r.Churn.r_regressions
        (Churn.failures r = []))
 
@@ -172,7 +177,7 @@ let all_lines () =
   let churn =
     List.concat_map
       (fun proto ->
-        let pname = Churn.proto_name proto in
+        let pname = churn_label proto in
         (Printf.sprintf "churn/%s/storm" pname,
          churn_digest proto Churn.storm_seed ~storm:true)
         :: List.map
@@ -180,6 +185,6 @@ let all_lines () =
                ( Printf.sprintf "churn/%s/seed_%d" pname seed,
                  churn_digest proto seed ~storm:false ))
              churn_seeds)
-      [ Churn.Core; Churn.Vr ]
+      Churn.protocols
   in
   service @ churn

@@ -439,7 +439,6 @@ let test_non_speculative_mode () =
         {
           Rsmr_iface.Reconfig_strategy.composed with
           Rsmr_iface.Reconfig_strategy.name = "composed-blocking";
-          aliases = [];
           handoff = `Blocking;
         };
     }

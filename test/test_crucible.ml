@@ -166,7 +166,9 @@ let test_smoke_all_protos () =
   (* A handful of seeds across every stack; any oracle failure is a real
      protocol or harness bug and must fail the suite loudly. *)
   let summary =
-    Soak.soak ~protos:Protocol.crucible ~seeds:[ 0; 1; 2; 3; 4 ] ()
+    Soak.soak ~protos:Protocol.crucible
+      ~scenarios:(List.init 5 (fun seed -> Generate.scenario ~seed))
+      ()
   in
   List.iter
     (fun f -> Format.printf "%a@." Soak.pp_failure f)
@@ -315,7 +317,7 @@ let test_dir_churn_smoke () =
             Alcotest.failf "%a@.replay: %s" Churn.pp_report r
               (Churn.replay_command proto seed))
         [ 0; 1 ])
-    [ Churn.Core; Churn.Vr ]
+    Churn.protocols
 
 let test_dir_churn_redirect_storm () =
   (* The PR-4 redirect-storm regression, now against the replicated
@@ -326,7 +328,7 @@ let test_dir_churn_redirect_storm () =
       let r = Churn.redirect_storm ~quick:true proto in
       if Churn.failures r <> [] then
         Alcotest.failf "%a" Churn.pp_report r)
-    [ Churn.Core; Churn.Vr ]
+    Churn.protocols
 
 let () =
   Alcotest.run "crucible"

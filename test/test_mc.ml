@@ -1,19 +1,22 @@
 (* Scope (the explicit-state model checker) end-to-end: a tiny scope
-   must exhaust with zero violations while still reaching the protocol's
+   must exhaust with zero violations over every composed protocol (both
+   blocks, every strategy) while still reaching the protocol's
    milestones (a wedge and an epoch-1 activation), re-breaking the
    first-wedge-wins guard must produce a short replayable counterexample
-   and skipping phase 1 above ballot 0 must be caught (the checker's
-   teeth), replays must be bit-for-bit deterministic
-   (fingerprint sequence identical across independent replays of the
-   same trace), and composite fingerprints must not depend on the order
-   their parts were gathered in. *)
+   over either block and under early prepare, and skipping phase 1
+   above ballot 0 must be caught (the checker's teeth), replays must be
+   bit-for-bit deterministic (fingerprint sequence identical across
+   independent replays of the same trace), and composite fingerprints
+   must not depend on the order their parts were gathered in. *)
 
 module Scope = Rsmr_mc.Scope
 module Choice = Rsmr_mc.Choice
 module Harness = Rsmr_mc.Harness
 module Explore = Rsmr_mc.Explore
 module Fingerprint = Rsmr_mc.Fingerprint
-module Strategy = Rsmr_iface.Reconfig_strategy
+module Protocol = Rsmr_protocol.Protocol
+
+let proto name = Option.get (Protocol.find name)
 
 let scope_of s = match Scope.parse s with Ok s -> s | Error e -> failwith e
 let tiny_scope = scope_of "minimal,commands=1,timer_fires=1"
@@ -23,7 +26,7 @@ let tiny_scope = scope_of "minimal,commands=1,timer_fires=1"
    more (an election, or the step that submits the drain barrier). *)
 let tiny_batch_scope = scope_of "minimal,commands=1,timer_fires=3,batch=2"
 
-(* --- exhaustion: tiny scope, both protocol configurations --- *)
+(* --- exhaustion: tiny scope, every composed protocol --- *)
 
 (* The exact visited count pins Scope's fingerprint bytes: any change to
    what [canonical_state] writes (or to the reachable behaviour) moves
@@ -45,17 +48,16 @@ let test_exhaust ?(scope = tiny_scope) proto ~visited () =
 
 let mutation = Some Rsmr_core.Options.No_first_wedge
 
-let find_counterexample () =
-  let stats =
-    Explore.run ~proto:Strategy.composed ~scope:Scope.minimal ~mutation
-      ()
-  in
+let find_counterexample proto =
+  let stats = Explore.run ~proto ~scope:Scope.minimal ~mutation () in
   match stats.Explore.violation with
   | None -> Alcotest.fail "mutated exploration found no violation"
   | Some (prop, trace) -> (prop, trace)
 
-let test_mutation_counterexample () =
-  let prop, trace = find_counterexample () in
+(* The guard is the composition layer's, so the mutation must be caught
+   whatever the block and however early the next epoch is prepared. *)
+let test_mutation_counterexample proto () =
+  let prop, trace = find_counterexample proto in
   Alcotest.(check bool)
     "epoch-prefix property violated" true
     (String.length prop >= 12 && String.sub prop 0 12 = "epoch-prefix");
@@ -63,9 +65,7 @@ let test_mutation_counterexample () =
     "counterexample is short (a few dozen steps)" true
     (List.length trace <= 36);
   (* the trace must reproduce the violation when replayed from scratch *)
-  let h =
-    Harness.replay ~proto:Strategy.composed ~scope:Scope.minimal ~mutation trace
-  in
+  let h = Harness.replay ~proto ~scope:Scope.minimal ~mutation trace in
   (match Harness.violation h with
    | Some p -> Alcotest.(check string) "replayed violation" prop p
    | None -> Alcotest.fail "replaying the counterexample showed no violation");
@@ -82,7 +82,7 @@ let test_mutation_counterexample () =
    chosen, so two nodes decide different commands at one index. *)
 let test_skip_phase1_caught () =
   let stats =
-    Explore.run ~proto:Strategy.composed ~scope:Scope.minimal
+    Explore.run ~proto:Protocol.core ~scope:Scope.minimal
       ~mutation:(Some Rsmr_core.Options.Skip_phase1) ()
   in
   match stats.Explore.violation with
@@ -96,7 +96,7 @@ let test_skip_phase1_caught () =
 
 let fingerprint_film trace =
   let h =
-    Harness.create ~proto:Strategy.composed ~scope:Scope.minimal ~mutation ()
+    Harness.create ~proto:Protocol.core ~scope:Scope.minimal ~mutation ()
   in
   let film = ref [ Harness.fingerprint h ] in
   List.iter
@@ -107,7 +107,7 @@ let fingerprint_film trace =
   List.rev !film
 
 let test_replay_determinism () =
-  let _, trace = find_counterexample () in
+  let _, trace = find_counterexample Protocol.core in
   let a = fingerprint_film trace in
   let b = fingerprint_film trace in
   Alcotest.(check int) "same length" (List.length a) (List.length b);
@@ -163,20 +163,32 @@ let () =
       ( "exhaustion",
         [
           Alcotest.test_case "core tiny scope" `Slow
-            (test_exhaust Strategy.composed ~visited:3841);
+            (test_exhaust Protocol.core ~visited:3841);
           Alcotest.test_case "stopworld tiny scope" `Slow
-            (test_exhaust Strategy.stopworld ~visited:3048);
+            (test_exhaust Protocol.stopworld ~visited:3048);
           Alcotest.test_case "core tiny scope, batch=2" `Slow
-            (test_exhaust ~scope:tiny_batch_scope Strategy.composed ~visited:42427);
+            (test_exhaust ~scope:tiny_batch_scope Protocol.core ~visited:42427);
+          Alcotest.test_case "core/vr tiny scope" `Slow
+            (test_exhaust Protocol.core_vr ~visited:4359);
+          Alcotest.test_case "matchmaker tiny scope" `Slow
+            (test_exhaust Protocol.matchmaker ~visited:4407);
+          Alcotest.test_case "matchmaker/vr tiny scope" `Slow
+            (test_exhaust (proto "matchmaker/vr") ~visited:4680);
+          Alcotest.test_case "stopworld/vr tiny scope" `Slow
+            (test_exhaust (proto "stopworld/vr") ~visited:4116);
         ] );
       ( "teeth",
         [
           Alcotest.test_case "mutation yields counterexample" `Slow
-            test_mutation_counterexample;
+            (test_mutation_counterexample Protocol.core);
           Alcotest.test_case "skip-phase1 mutation is caught" `Slow
             test_skip_phase1_caught;
           Alcotest.test_case "replay is bit-for-bit deterministic" `Slow
             test_replay_determinism;
+          Alcotest.test_case "first-wedge caught over core/vr" `Slow
+            (test_mutation_counterexample Protocol.core_vr);
+          Alcotest.test_case "first-wedge caught over matchmaker" `Slow
+            (test_mutation_counterexample Protocol.matchmaker);
         ] );
       ( "fingerprint",
         [
