@@ -885,9 +885,10 @@ struct
 
   and start_fetch t host inst =
     (* The new configuration's first member leads it from boot (the Paxos
-       ballot-0 owner, VR's view-0 primary).  A snapshot on its uplink
-       would hold that epoch's consensus traffic for the whole transfer,
-       so it is asked last. *)
+       ballot-0 owner, VR's view-0 primary).  Under load its uplink is
+       the busiest, and control traffic goes before chunks there, so a
+       snapshot from it can stall past [fetch_timeout] and be asked for
+       twice.  It is asked last. *)
     let others =
       List.filter (fun m -> not (Node_id.equal m host.me)) inst.prev_members
     in
@@ -1242,11 +1243,12 @@ struct
       t.hosts;
     Front.write_state w t.front;
     List.iter
-      (fun (src, dst) ->
+      (fun (src, dst, bulk) ->
         node w src;
         node w dst;
+        W.bool w bulk;
         W.list w (fun w m -> W.nested w Wire.write m)
-          (Network.queued t.net ~src ~dst))
+          (Network.queued t.net ~src ~dst ~bulk))
       (Network.links t.net);
     List.iter (fun n -> W.bool w (Network.is_crashed t.net n))
       (List.sort Node_id.compare
@@ -1293,8 +1295,8 @@ struct
       | other -> Wire.tag other
     in
     let net =
-      Network.create engine ?mode:net_mode ?latency ?drop ?bandwidth ~tagger
-        ~sizer:Wire.size ~obs ()
+      Network.create engine ?mode:net_mode ?latency ?drop ?bandwidth
+        ~bulk:Wire.bulk ~tagger ~sizer:Wire.size ~obs ()
     in
     let svc = Obs.scope ~labels:[ ("section", "svc") ] obs in
     let t =

@@ -148,6 +148,12 @@ let tag = function
   | Dir_info _ -> "dir_info"
   | Prepare _ -> "prepare"
 
+let bulk = function
+  | State_chunk _ -> true
+  | Block _ | Client _ | Bootstrap _ | Fetch_state _ | Retire _ | Dir_update _
+  | Dir_lookup | Dir_info _ | Prepare _ ->
+    false
+
 let pp_members ppf members =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")

@@ -63,3 +63,8 @@ val decode : string -> t
 [@@rsmr.deterministic] [@@rsmr.total]
 val pp : Format.formatter -> t -> unit
 val tag : t -> string
+
+val bulk : t -> bool
+(** The network's traffic class ({!Rsmr_net.Network.create}'s [bulk]):
+    only snapshot chunks are bulk, so a transfer never holds consensus,
+    client or epoch-change messages behind it on the sender's uplink. *)

@@ -84,11 +84,14 @@ let run ?(quick = false) () =
         Printf.sprintf
           "max client latency per bucket; %d keys x 100B preloaded; 200Mb/s uplinks"
           n_keys;
-        "expected shape: core blip ~ transfer time, no election (the new \
-         configuration's first member leads from boot); matchmaker ~ core \
-         at these LAN RTTs (the prepare head start is one commit round, \
-         sub-ms here — T5's WAN wedge column is where it shows); stopworld \
-         blips like core, then its residual commands wait out one 0.5s \
-         client retry; raft small blips per membership step";
+        "expected shape: core blip ~ one snapshot transfer and nothing on \
+         top: no election (the new configuration's first member leads from \
+         boot), and no late wedge (commit notices overtake the queued \
+         chunks on the donor's uplink); matchmaker ~ core at these LAN \
+         RTTs (the prepare head start is one commit round, sub-ms here — \
+         T5's WAN wedge column is where it shows); stopworld blips above \
+         core (with no speculation its new instance orders nothing until \
+         the snapshot is in), then its residual commands wait out one \
+         0.5s client retry; raft small blips per membership step";
       ]
     (timeline_rows @ [ summary ])

@@ -1,6 +1,6 @@
 type t =
-  | Deliver of { src : int; dst : int }
-  | Drop of { src : int; dst : int }
+  | Deliver of { src : int; dst : int; bulk : bool }
+  | Drop of { src : int; dst : int; bulk : bool }
   | Timer of { seq : int }
   | Crash of int
   | Recover of int
@@ -9,8 +9,8 @@ type t =
 
 let equal a b =
   match (a, b) with
-  | Deliver x, Deliver y -> x.src = y.src && x.dst = y.dst
-  | Drop x, Drop y -> x.src = y.src && x.dst = y.dst
+  | Deliver x, Deliver y -> x.src = y.src && x.dst = y.dst && x.bulk = y.bulk
+  | Drop x, Drop y -> x.src = y.src && x.dst = y.dst && x.bulk = y.bulk
   | Timer x, Timer y -> x.seq = y.seq
   | Crash x, Crash y -> x = y
   | Recover x, Recover y -> x = y
@@ -20,10 +20,13 @@ let equal a b =
 
 (* Compact one-token text form, the unit of counterexample traces and
    frontier files.  Chosen to survive shells and greps: no spaces, no
-   quoting, ';' joins a sequence. *)
+   quoting, ';' joins a sequence.  A bulk queue's choices are the
+   upper-case letters. *)
 let to_token = function
-  | Deliver { src; dst } -> Printf.sprintf "d%d-%d" src dst
-  | Drop { src; dst } -> Printf.sprintf "x%d-%d" src dst
+  | Deliver { src; dst; bulk } ->
+    Printf.sprintf "%c%d-%d" (if bulk then 'D' else 'd') src dst
+  | Drop { src; dst; bulk } ->
+    Printf.sprintf "%c%d-%d" (if bulk then 'X' else 'x') src dst
   | Timer { seq } -> Printf.sprintf "t%d" seq
   | Crash n -> Printf.sprintf "c%d" n
   | Recover n -> Printf.sprintf "u%d" n
@@ -47,8 +50,12 @@ let of_token tok =
   else
     let rest = String.sub tok 1 (String.length tok - 1) in
     match tok.[0] with
-    | 'd' -> Option.map (fun (src, dst) -> Deliver { src; dst }) (pair rest)
-    | 'x' -> Option.map (fun (src, dst) -> Drop { src; dst }) (pair rest)
+    | ('d' | 'D') as c ->
+      Option.map
+        (fun (src, dst) -> Deliver { src; dst; bulk = c = 'D' })
+        (pair rest)
+    | ('x' | 'X') as c ->
+      Option.map (fun (src, dst) -> Drop { src; dst; bulk = c = 'X' }) (pair rest)
     | 't' -> Option.map (fun seq -> Timer { seq }) (num rest)
     | 'c' -> Option.map (fun n -> Crash n) (num rest)
     | 'u' -> Option.map (fun n -> Recover n) (num rest)
@@ -72,9 +79,12 @@ let seq_of_string s =
     go [] toks
 
 let pp ppf = function
-  | Deliver { src; dst } ->
-    Format.fprintf ppf "deliver head of link %d->%d" src dst
-  | Drop { src; dst } -> Format.fprintf ppf "lose head of link %d->%d" src dst
+  | Deliver { src; dst; bulk } ->
+    Format.fprintf ppf "deliver head of %slink %d->%d"
+      (if bulk then "bulk " else "") src dst
+  | Drop { src; dst; bulk } ->
+    Format.fprintf ppf "lose head of %slink %d->%d"
+      (if bulk then "bulk " else "") src dst
   | Timer { seq } -> Format.fprintf ppf "fire timer #%d" seq
   | Crash n -> Format.fprintf ppf "crash node %d" n
   | Recover n -> Format.fprintf ppf "recover node %d" n

@@ -7,10 +7,12 @@
     and replayed as choice sequences, bit-for-bit. *)
 
 type t =
-  | Deliver of { src : int; dst : int }
-      (** Deliver the head of the directed link's FIFO queue. *)
-  | Drop of { src : int; dst : int }
-      (** Lose the head of the directed link's FIFO queue. *)
+  | Deliver of { src : int; dst : int; bulk : bool }
+      (** Deliver the head of the directed link's FIFO queue for the
+          class: bulk ([State_chunk]) or control. *)
+  | Drop of { src : int; dst : int; bulk : bool }
+      (** Lose the head of the directed link's FIFO queue for the
+          class. *)
   | Timer of { seq : int }
       (** Fire the pending engine timer with this id. *)
   | Crash of int
@@ -22,7 +24,8 @@ type t =
 val equal : t -> t -> bool
 
 val seq_to_string : t list -> string
-(** [";"]-joined compact shell-safe tokens (e.g. ["d1-2"], ["t17"]) — the trace format of counterexample files,
+(** [";"]-joined compact shell-safe tokens (e.g. ["d1-2"], bulk
+    ["D1-2"], ["t17"]) — the trace format of counterexample files,
     frontier entries and [--replay]. *)
 
 val seq_of_string : string -> t list option

@@ -205,7 +205,7 @@ let timers_on t =
   && Network.pending_total t.net < t.scope.Scope.max_inflight
 
 (* Partial-order reduction.  Deliveries to distinct destination nodes
-   are independent: each pops its own per-link FIFO, mutates only the
+   are independent: each pops its own link-and-class FIFO, mutates only the
    destination's components, and appends to the destination's outgoing
    queues — so both orders of two such deliveries reach the same state,
    and every safety property checked here latches monotonically under
@@ -229,7 +229,7 @@ let por_target t =
        message-driven protocol components *)
     let protocol_dst d = d <= top + 1 in
     List.fold_left
-      (fun acc (_, dst) ->
+      (fun acc (_, dst, _) ->
         if protocol_dst dst then
           match acc with
           | Some m when m <= dst -> acc
@@ -247,15 +247,15 @@ let enabled t =
     let links = Network.links t.net in
     let link_choices ls =
       List.iter
-        (fun (src, dst) ->
+        (fun (src, dst, bulk) ->
           if t.drops_used < t.scope.Scope.drops then
-            push (Choice.Drop { src; dst });
-          push (Choice.Deliver { src; dst }))
+            push (Choice.Drop { src; dst; bulk });
+          push (Choice.Deliver { src; dst; bulk }))
         (List.rev ls)
     in
     (match por_target t with
     | Some target ->
-      link_choices (List.filter (fun (_, dst) -> dst = target) links)
+      link_choices (List.filter (fun (_, dst, _) -> dst = target) links)
     | None ->
       (* full expansion *)
       (* timers: the [timer_width] earliest-due pending timers *)
@@ -292,12 +292,12 @@ let apply t choice =
    | Choice.Timer { seq } ->
      if not (Engine.fire t.engine ~seq) then raise (Divergent choice);
      t.timers_used <- t.timers_used + 1
-   | Choice.Deliver { src; dst } -> (
-     match Network.deliver_head t.net ~src ~dst with
+   | Choice.Deliver { src; dst; bulk } -> (
+     match Network.deliver_head t.net ~src ~dst ~bulk with
      | Some _ -> ()
      | None -> raise (Divergent choice))
-   | Choice.Drop { src; dst } -> (
-     match Network.drop_head t.net ~src ~dst with
+   | Choice.Drop { src; dst; bulk } -> (
+     match Network.drop_head t.net ~src ~dst ~bulk with
      | Some _ -> t.drops_used <- t.drops_used + 1
      | None -> raise (Divergent choice))
    | Choice.Crash n ->

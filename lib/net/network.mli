@@ -14,10 +14,11 @@ type 'm envelope = { src : Node_id.t; dst : Node_id.t; payload : 'm }
 type mode = [ `Sim | `Enumerate ]
 (** [`Sim] (the default) is the stochastic discrete-event network
     described above.  [`Enumerate] is the model checker's network: a
-    send parks the payload on its directed link's FIFO queue instead of
-    scheduling a delivery event, and the checker consumes queue heads
-    explicitly via {!deliver_head} / {!drop_head} — loss and reordering
-    become enumerated choices rather than coin flips.  The mode is fixed
+    send parks the payload on the FIFO queue of its directed link and
+    class instead of scheduling a delivery event, and the checker
+    consumes queue heads explicitly via {!deliver_head} / {!drop_head} —
+    loss and reordering become enumerated choices rather than coin
+    flips.  The mode is fixed
     at {!create} time: components send messages during construction, so
     flipping modes mid-run would strand in-flight messages. *)
 
@@ -27,6 +28,7 @@ val create :
   ?latency:Latency.t ->
   ?drop:float ->
   ?bandwidth:float ->
+  ?bulk:('m -> bool) ->
   ?tagger:('m -> string) ->
   ?sizer:('m -> int) ->
   ?obs:Rsmr_obs.Registry.t ->
@@ -45,6 +47,17 @@ val create :
     transfers (snapshots) take time proportional to their size.  Default
     1.25e8 (10 GbE); [infinity] disables the model.
 
+    [bulk] splits traffic into two classes: payloads it maps to [true]
+    are bulk, all others control.  Each class queues FIFO on the uplink,
+    and the uplink is non-preemptive: the message on the wire finishes,
+    then the oldest queued control message goes before any queued bulk
+    one.  So a control message waits for at most one bulk message, and a
+    bulk message's departure moves later for every control message sent
+    before it leaves.  Loss, duplication and latency are drawn at send
+    time in send order for both classes, so with no bulk traffic (or no
+    [bulk]) draws and arrival times are those of a one-class network.
+    Default: every payload is control.
+
     [tagger] classifies payloads for per-message-type counters: cells
     ["sent"] and ["bytes"] that also carry [("msg_type", tag)]. *)
 
@@ -55,8 +68,9 @@ val register : 'm t -> Node_id.t -> ('m envelope -> unit) -> unit
 val send : 'm t -> src:Node_id.t -> dst:Node_id.t -> 'm -> unit
 (** Fire-and-forget.  Self-sends are delivered through the queue too (with
     near-zero latency), preserving the no-reentrancy property handlers rely
-    on.  A message never overtakes an earlier one on the same directed
-    link, as over a TCP stream: pipelined Raft appends depend on it. *)
+    on.  A message never overtakes an earlier one of its class on the
+    same directed link, as over a TCP stream: pipelined Raft appends
+    depend on it.  A control message may overtake an earlier bulk one. *)
 
 val broadcast : 'm t -> src:Node_id.t -> dsts:Node_id.t list -> 'm -> unit
 (** Send to every node in [dsts] except [src].  The payload is sized and
@@ -111,28 +125,33 @@ val counters : 'm t -> Rsmr_sim.Counters.t
 
     Only meaningful when the network was created with
     [~mode:`Enumerate]; in [`Sim] mode the queues are always empty.
-    Per directed link, messages are deliverable strictly in send order
-    (the FIFO clamp): only the head is reachable, via {!deliver_head}
-    (run the receive handler) or {!drop_head} (model message loss). *)
+    Each directed link has one queue per class ([~bulk:true] is the bulk
+    class).  Within a queue, messages are deliverable strictly in send
+    order (the FIFO clamp): only the head is reachable, via
+    {!deliver_head} (run the receive handler) or {!drop_head} (model
+    message loss).  The two heads of a link are independent choices, so
+    a control message can be delivered before an earlier bulk one, as
+    the uplink lets it in [`Sim] mode. *)
 
-val links : 'm t -> (Node_id.t * Node_id.t) list
-(** Directed links with at least one queued message, sorted by
-    [(src, dst)] — a deterministic enumeration order for choice
+val links : 'm t -> (Node_id.t * Node_id.t * bool) list
+(** [(src, dst, bulk)] for every queue holding a message, sorted (control
+    before bulk on a link) — a deterministic enumeration order for choice
     generation. *)
 
-val queued : 'm t -> src:Node_id.t -> dst:Node_id.t -> 'm list
-(** The link's queue, head (oldest) first.  Used for state
-    fingerprinting; does not consume anything. *)
+val queued : 'm t -> src:Node_id.t -> dst:Node_id.t -> bulk:bool -> 'm list
+(** The queue, head (oldest) first.  Used for state fingerprinting;
+    does not consume anything. *)
 
 val pending_total : 'm t -> int
-(** Total queued messages across all links — the checker's in-flight
+(** Total queued messages across all queues — the checker's in-flight
     bound. *)
 
-val deliver_head : 'm t -> src:Node_id.t -> dst:Node_id.t -> 'm option
-(** Consume the head of the link and deliver it, re-checking partition
+val deliver_head :
+  'm t -> src:Node_id.t -> dst:Node_id.t -> bulk:bool -> 'm option
+(** Consume the head of the queue and deliver it, re-checking partition
     and crash at delivery time exactly like [`Sim] mode (the message is
-    consumed either way).  [None] if the link has no queued message. *)
+    consumed either way).  [None] if the queue is empty. *)
 
-val drop_head : 'm t -> src:Node_id.t -> dst:Node_id.t -> 'm option
-(** Consume the head of the link as a message-loss choice.  Returns the
+val drop_head : 'm t -> src:Node_id.t -> dst:Node_id.t -> bulk:bool -> 'm option
+(** Consume the head of the queue as a message-loss choice.  Returns the
     lost payload for trace rendering. *)

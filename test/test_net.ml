@@ -57,6 +57,131 @@ let test_bandwidth_serialization () =
     Alcotest.(check (float 1e-6)) "second queues to 0.2s" 0.2 t2
   | l -> Alcotest.failf "expected 2 arrivals, got %d" (List.length l)
 
+(* --- two classes on one uplink: bulk waits behind control --- *)
+
+let chunk s = s.[0] = 'c'
+
+(* Two 100 KB chunks and then a 1 KB control message, all at time 0 on a
+   1 MB/s uplink: the control message overtakes the queued chunk, but the
+   chunk already on the wire finishes first. *)
+let test_control_overtakes_queued_bulk () =
+  let engine = Engine.create () in
+  let net =
+    Network.create engine ~latency:(Latency.Constant 0.0) ~bandwidth:1e6
+      ~bulk:chunk ~sizer:String.length ()
+  in
+  let arrivals = ref [] in
+  Network.register net 1 (fun env ->
+      let at_ms = Float.round (Engine.now engine *. 1e6) /. 1e3 in
+      arrivals := (String.sub env.Network.payload 0 2, at_ms) :: !arrivals);
+  Network.send net ~src:0 ~dst:1 ("c1" ^ String.make 99_998 'x');
+  Network.send net ~src:0 ~dst:1 ("c2" ^ String.make 99_998 'x');
+  Network.send net ~src:0 ~dst:1 ("a1" ^ String.make 998 'x');
+  Engine.run engine;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "arrival order and times (ms)"
+    [ ("c1", 100.0); ("a1", 101.0); ("c2", 201.0) ]
+    (List.rev !arrivals)
+
+(* Each class keeps its send order per link under jittery latency and
+   duplication, while control messages overtake the queued chunks. *)
+let prop_fifo_per_class =
+  QCheck.Test.make ~name:"each class stays FIFO per link" ~count:40
+    QCheck.(pair (float_range 0.0 1.0) small_int)
+    (fun (dup, seed) ->
+      let engine = Engine.create ~seed:(seed + 1) () in
+      let net =
+        Network.create engine ~latency:(Latency.Uniform (0.001, 0.05))
+          ~bandwidth:1e6 ~bulk:chunk ~sizer:String.length ()
+      in
+      Network.set_duplicate net dup;
+      let seen = ref [] in
+      Network.register net 1 (fun env ->
+          seen := (env.Network.payload.[0], env.Network.payload.[1]) :: !seen);
+      (* Interleaved: 50 KB chunks c1..c5 and 100 B control a1..a5. *)
+      for k = 1 to 5 do
+        let id = Char.chr (Char.code '0' + k) in
+        Network.send net ~src:0 ~dst:1
+          (String.make 1 'c' ^ String.make 1 id ^ String.make 49_998 'x');
+        Network.send net ~src:0 ~dst:1
+          (String.make 1 'a' ^ String.make 1 id ^ String.make 98 'x')
+      done;
+      Engine.run engine;
+      let delivered = List.rev !seen in
+      let ids cls = List.filter_map (fun (c, id) -> if c = cls then Some id else None) delivered in
+      let rec sorted = function
+        | a :: (b :: _ as rest) -> a <= b && sorted rest
+        | _ -> true
+      in
+      let position x =
+        let rec go i = function
+          | [] -> max_int
+          | y :: rest -> if y = x then i else go (i + 1) rest
+        in
+        go 0 delivered
+      in
+      sorted (ids 'c') && sorted (ids 'a')
+      && List.length (List.sort_uniq compare delivered) = 10
+      && position ('a', '5') < position ('c', '5'))
+
+(* With no bulk traffic the two-class uplink is the one-class uplink: a
+   fixed mixed workload (loss, duplication, jitter, broadcast, self-sends,
+   serialization) arrives at bit-identical times, and the same digest is
+   what the one-class network produced. *)
+let arrival_log ?bulk () =
+  let engine = Engine.create ~seed:11 () in
+  let net =
+    Network.create engine ~latency:(Latency.Uniform (0.0005, 0.02)) ~drop:0.1
+      ~bandwidth:1e6 ?bulk ~sizer:String.length ()
+  in
+  Network.set_duplicate net 0.2;
+  let log = Buffer.create 4096 in
+  for i = 0 to 3 do
+    Network.register net i (fun env ->
+        Printf.bprintf log "%d<-%d:%s@%Lx;" i env.Network.src
+          (String.sub env.Network.payload 0 4)
+          (Int64.bits_of_float (Engine.now engine)))
+  done;
+  for k = 0 to 39 do
+    let payload = Printf.sprintf "%04d" k ^ String.make (k * 997 mod 5000) 'x' in
+    let src = k mod 4 in
+    ignore
+      (Engine.schedule engine ~delay:(float_of_int (k / 3) *. 0.002) (fun () ->
+           if k mod 7 = 3 then
+             Network.broadcast net ~src ~dsts:[ 0; 1; 2; 3 ] payload
+           else Network.send net ~src ~dst:((k * 3 + 1) mod 4) payload))
+  done;
+  Engine.run engine;
+  Buffer.contents log
+
+let test_no_bulk_bit_identical () =
+  let digest log = Digest.to_hex (Digest.string log) in
+  let one_class = "2751c4688f967371341670b9deeb35e2" in
+  Alcotest.(check string) "no classifier" one_class (digest (arrival_log ()));
+  Alcotest.(check string) "classifier that never fires" one_class
+    (digest (arrival_log ~bulk:(fun _ -> false) ()))
+
+(* Enumerate mode keeps one queue per (link, class): a control head is
+   deliverable before an earlier chunk on the same link. *)
+let test_enumerate_two_queues () =
+  let engine = Engine.create () in
+  let net = Network.create engine ~mode:`Enumerate ~bulk:chunk () in
+  let got = ref [] in
+  Network.register net 1 (fun env -> got := env.Network.payload :: !got);
+  Network.send net ~src:0 ~dst:1 "c1";
+  Network.send net ~src:0 ~dst:1 "a1";
+  Network.send net ~src:0 ~dst:1 "c2";
+  Alcotest.(check (list (triple int int bool)))
+    "one queue per class" [ (0, 1, false); (0, 1, true) ] (Network.links net);
+  Alcotest.(check (list string)) "bulk queue" [ "c1"; "c2" ]
+    (Network.queued net ~src:0 ~dst:1 ~bulk:true);
+  Alcotest.(check (option string)) "control head first" (Some "a1")
+    (Network.deliver_head net ~src:0 ~dst:1 ~bulk:false);
+  Alcotest.(check (option string)) "then the chunks, in order" (Some "c1")
+    (Network.deliver_head net ~src:0 ~dst:1 ~bulk:true);
+  Alcotest.(check (list string)) "delivered" [ "a1"; "c1" ] (List.rev !got);
+  Alcotest.(check int) "one left" 1 (Network.pending_total net)
+
 let test_drop_all () =
   let engine, net, inboxes = setup ~drop:1.0 2 in
   for _ = 1 to 20 do
@@ -312,6 +437,16 @@ let () =
             test_broadcast_excludes_self;
           Alcotest.test_case "unregistered dropped" `Quick
             test_unregistered_dropped;
+        ] );
+      ( "classes",
+        [
+          Alcotest.test_case "control overtakes queued bulk" `Quick
+            test_control_overtakes_queued_bulk;
+          QCheck_alcotest.to_alcotest prop_fifo_per_class;
+          Alcotest.test_case "no bulk: bit-identical arrivals" `Quick
+            test_no_bulk_bit_identical;
+          Alcotest.test_case "enumerate: a queue per class" `Quick
+            test_enumerate_two_queues;
         ] );
       ( "faults",
         [
