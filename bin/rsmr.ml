@@ -335,8 +335,8 @@ let dir_churn ~protos ~seeds ~storm ~quick ~out ~verbose =
     Option.iter (fun path -> write_failures path pp_failure failures) out;
   exit (if failures = [] then 0 else 1)
 
-let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~print_only
-    ~out ~metrics ~verbose =
+let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~mutation
+    ~print_only ~out ~metrics ~verbose =
   let protos = if protos = [] then Protocol.crucible else protos in
   let scenarios =
     match (scenario, seeds) with
@@ -351,7 +351,7 @@ let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~print_only
   let on_run proto sc = function
     | Error f -> Format.printf "%a@." Soak.pp_failure f
     | Ok outcome when verbose ->
-      let r = Runner.run proto sc in
+      let r = Runner.run ?mutation proto sc in
       Format.printf "seed %d %-9s ok (%d/%d ops, %d sim events, vt %.2fs)@.%a@."
         sc.Scenario.seed proto.Protocol.name r.Runner.completed
         r.Runner.submitted r.Runner.events_executed r.Runner.end_time Oracle.pp
@@ -363,7 +363,9 @@ let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~print_only
     | Ok _ -> ()
   in
   let t0 = seconds () in
-  let s = Soak.soak ~lin_budget ~shrink ~on_run ~protos ~scenarios () in
+  let s =
+    Soak.soak ~lin_budget ~shrink ?mutation ~on_run ~protos ~scenarios ()
+  in
   let failures = s.Soak.failures in
   Format.printf
     "crucible: %d runs (%d seeds x %d protos), %d passed, %d failed, %d with \
@@ -379,7 +381,7 @@ let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~print_only
      counters, histograms, series and span aggregates of a full replay. *)
   (match (metrics, scenarios, protos) with
    | Some path, sc :: _, proto :: _ ->
-     let r = Runner.run proto sc in
+     let r = Runner.run ?mutation proto sc in
      Rsmr_obs.Registry.save r.Runner.obs ~path;
      Format.printf "metrics written to %s (spans: %a)@." path
        Rsmr_obs.Span.pp_summary r.Runner.spans
@@ -387,7 +389,7 @@ let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~print_only
   exit (if failures = [] then 0 else 1)
 
 let crucible seeds protos family storm quick scenario lin_budget no_shrink
-    print_only out metrics verbose =
+    mutation print_only out metrics verbose =
   let seeds =
     List.concat_map
       (fun (a, b) ->
@@ -397,12 +399,18 @@ let crucible seeds protos family storm quick scenario lin_budget no_shrink
   in
   let soak generate =
     soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink:(not no_shrink)
-      ~print_only ~out ~metrics ~verbose
+      ~mutation ~print_only ~out ~metrics ~verbose
   in
   match family with
   | `Default -> soak Generate.scenario
   | `Reconf_churn -> soak Generate.reconf_churn_scenario
   | `Dir_churn -> dir_churn ~protos ~seeds ~storm ~quick ~out ~verbose
+
+let mutate_t =
+  Arg.(
+    value
+    & opt (some (enum Rsmr_core.Options.mutations)) None
+    & info [ "mutate" ] ~doc:"Re-introduce a known bug.")
 
 let crucible_cmd =
   let families =
@@ -437,6 +445,7 @@ let crucible_cmd =
           value & opt int Oracle.default_lin_budget
           & info [ "lin-budget" ] ~doc:"Linearizability checker budget.")
       $ flag [ "no-shrink" ] "Report failures unshrunk."
+      $ mutate_t
       $ flag [ "print" ] "Print the scenarios instead of running them."
       $ file [ "out" ] "Write failure traces here."
       $ file [ "metrics" ] "Write the first run's rsmr-metrics/1 document here."
@@ -550,10 +559,7 @@ let scope_cmd =
           value & opt (some string) None
           & info [ "frontier-dir" ] ~docv:"DIR"
               ~doc:"Keep the BFS frontier on disk, a directory per protocol.")
-      $ Arg.(
-          value
-          & opt (some (enum Rsmr_core.Options.mutations)) None
-          & info [ "mutate" ] ~doc:"Re-introduce a known bug.")
+      $ mutate_t
       $ file [ "out" ] "Write the counterexample here."
       $ Arg.(
           value & opt (some trace_conv) None

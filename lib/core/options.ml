@@ -1,8 +1,10 @@
 module Strategy = Rsmr_iface.Reconfig_strategy
 
-type mutation = No_first_wedge | Skip_phase1
+type mutation = No_first_wedge | Skip_phase1 | No_session_dedup
 
-let mutations = [ ("first-wedge", No_first_wedge); ("skip-phase1", Skip_phase1) ]
+let mutations =
+  [ ("first-wedge", No_first_wedge); ("skip-phase1", Skip_phase1);
+    ("session-dedup", No_session_dedup) ]
 
 type t = {
   strategy : Strategy.t;

@@ -3,7 +3,7 @@
     Every field here is set to more than one value somewhere (experiments,
     Scope presets, tests); timing constants that only ever take one value
     live next to their one user instead ({!Snapshot.chunk_bytes}, the
-    fetch-retry and early-prepare periods in {!Service}).
+    fetch-retry period in {!Service}).
 
     The reconfiguration policy itself is no longer a pair of booleans:
     it is a {!Rsmr_iface.Reconfig_strategy.t} value, and
@@ -25,6 +25,12 @@ type mutation = No_first_wedge
           1, as only the ballot-0 owner may.  Another teeth test: Scope
           must find two values decided in one slot.  The VR block has no
           phase 1 and ignores it. *)
+  | No_session_dedup
+      (** Deliberately breaks session deduplication on the decide path: a
+          decided duplicate of an already-applied (client, seq) is
+          applied again instead of re-replied.  Another teeth test: a
+          client retry ordered twice increments the Scope counter twice,
+          past the number of commands submitted. *)
 
 val mutations : (string * mutation) list
 (** Every mutation under its command-line name. *)

@@ -90,11 +90,6 @@ let fetch_timeout = 0.25
    started; later ones are dropped. *)
 let early_cap = 64
 
-(* Early-prepare hygiene: a provisionally bootstrapped next epoch that no
-   committed [Reconfig] confirms within this many seconds is torn down.
-   Only armed under [prepare = `Early]. *)
-let prepare_ttl = 1.0
-
 (* How [Wire.t] carries the client and directory messages ({!Front}). *)
 let recv_edge (h : Front.handler) (env : Wire.t Network.envelope) =
   match env.Network.payload with
@@ -179,13 +174,12 @@ struct
   type instance = {
     epoch : int;
     cfg : Config.t;
-    prev_members : Node_id.t list;
     mutable replica : Replica.t option;
     mutable early : (Node_id.t * string) list;
         (* block messages that arrived before the replica started
-           (blocking handoff, or a provisional instance), newest first,
-           at most [early_cap]; replayed when it starts.  A residual batch
-           forwarded at wedge time is one of them. *)
+           (blocking handoff), newest first, at most [early_cap]; replayed
+           when it starts.  A residual batch forwarded at wedge time is
+           one of them. *)
     mutable app : Sm.t;
     mutable sessions : Session.t;
     mutable activated : bool;
@@ -205,24 +199,7 @@ struct
         (* wedge-time residual envelopes awaiting batched re-submission
            into the next epoch, newest first *)
     mutable residual_timer : Engine.timer option;
-    mutable chunks : string option array;
-    mutable chunks_got : int;
-    mutable fetch_timer : Engine.timer option;
-    mutable fetch_rr : int;
     mutable announced : bool;
-    mutable provisional : bool;
-        (* Matchmaker-style early prepare: the instance was bootstrapped
-           at [Reconfig] submission, before the command committed.  A
-           provisional instance runs no replica, never serves clients,
-           announces, or installs a snapshot until a wedge-time
-           [Bootstrap] confirms its membership (or replaces it).  Block
-           traffic is tagged by epoch alone, so a replica of a torn-down
-           incarnation could otherwise reach its same-epoch replacement
-           with a ballot the replacement also owns. *)
-    mutable prepare_timer : Engine.timer option;
-        (* provisional-hygiene TTL: tears the instance down if no
-           confirmation arrives (the prepared [Reconfig] lost the race
-           or never committed) *)
     sc : Obs.scope;  (* {node; epoch}-scoped registry view *)
     (* hot-path cells of that scope, resolved once per instance *)
     sc_applied : int ref;
@@ -232,14 +209,28 @@ struct
   (* A host's transfer into one epoch: who asked before the previous epoch
      wedged here, then the committed members and the wedge-point state. *)
   type donation =
-    | Asked of Node_id.t list (* newest first *)
+    | Asked of Node_id.t list
+        (* newest first; [Asked []] on the leader that prepared the
+           epoch, so it prepares it once *)
     | Ready of { members : Node_id.t list; snapshot : string }
+
+  (* The same transfer from the joiner's side.  An early [Prepare] may
+     start it before the epoch has an instance; it goes with the instance
+     ({!remove_instance}). *)
+  type fetch = {
+    donors : Node_id.t list; (* previous members but this host *)
+    mutable chunks : string option array;
+    mutable chunks_got : int;
+    mutable timer : Engine.timer option; (* armed only under an instance *)
+    mutable rr : int;
+  }
 
   type host = {
     me : Node_id.t;
     instances : (int, instance) Hashtbl.t; (* live epochs only *)
     retired : (int, epoch_stat) Hashtbl.t; (* never created again *)
     transfers : (int, donation) Hashtbl.t;
+    fetches : (int, fetch) Hashtbl.t;
     mutable top_epoch : int;
     mutable latest_members : Node_id.t list;
   }
@@ -347,6 +338,11 @@ struct
     incr (Lazy.force t.replies);
     send t ~src:host.me ~dst:client (Wire.Client (Client_msg.Reply { seq; rsp }))
 
+  let activated host epoch =
+    match Hashtbl.find_opt host.instances epoch with
+    | Some inst -> inst.activated
+    | None -> false
+
   let is_inst_leader inst =
     match inst.replica with Some r -> Replica.is_leader r | None -> false
 
@@ -355,12 +351,7 @@ struct
      elected.  The previous instance halts on its own schedule, once it
      has drained ({!drained}). *)
   let announce t host inst =
-    if
-      inst.activated
-      && (not inst.announced)
-      && (not inst.provisional)
-      && is_inst_leader inst
-    then begin
+    if inst.activated && (not inst.announced) && is_inst_leader inst then begin
       inst.announced <- true;
       (* Handoff complete: the wedged window for this epoch change closes
          with the directory publish below. *)
@@ -435,7 +426,7 @@ struct
          guard on purpose — the model checker's mutation self-test. *)
       match t.opts.Options.mutation with
       | Some Options.No_first_wedge -> process t host inst idx env value
-      | Some Options.Skip_phase1 | None ->
+      | Some (Options.Skip_phase1 | Options.No_session_dedup) | None ->
         handle_residual t host inst idx env value)
     | (Envelope.App _ | Envelope.Reconfig _), (Some _ | None) ->
       process t host inst idx env value
@@ -498,10 +489,10 @@ struct
     inst.residual_buf <- [];
     if values <> [] then begin
       match Hashtbl.find_opt host.instances (inst.epoch + 1) with
-      | Some next when not next.provisional -> submit_raw_many next values
+      | Some next -> submit_raw_many next values
       | None when Hashtbl.mem host.retired (inst.epoch + 1) ->
         () (* a retired epoch orders nothing more *)
-      | Some _ | None -> (
+      | None -> (
         (* This host is not in the next configuration: forward the whole
            residual batch as one static message to its first member, which
            routes it onward.  That member is the Paxos ballot-0 owner and
@@ -532,7 +523,14 @@ struct
     end;
     match (env : Envelope.t) with
     | Envelope.App { client; seq; low_water; cmd } -> (
-      match Session.check inst.sessions ~client ~seq with
+      (* [No_session_dedup] forgets what was applied: the mutation
+         self-test of session dedup. *)
+      match
+        match t.opts.Options.mutation with
+        | Some Options.No_session_dedup -> `New
+        | Some (Options.No_first_wedge | Options.Skip_phase1) | None ->
+          Session.check inst.sessions ~client ~seq
+      with
       | `New ->
         let app', resp = Sm.apply inst.app (Sm.decode_command cmd) in
         let rsp = Sm.encode_response resp in
@@ -575,6 +573,16 @@ struct
       inst.next_members <- members';
       incr (Obs.scope_counter t.svc "wedges");
       incr (Obs.scope_counter inst.sc "wedged");
+      if not (Hashtbl.mem t.wedge_times (inst.epoch + 1)) then
+        Hashtbl.add t.wedge_times (inst.epoch + 1) (Engine.now t.engine);
+      let snapshot =
+        Snapshot.encode
+          { Snapshot.app = Sm.snapshot inst.app;
+            sessions = Session.encode inst.sessions }
+      in
+      (* The digest of what this host will donate: every member that
+         wedges an epoch at one index must donate the same bytes, since a
+         joiner may assemble one snapshot from two donors. *)
       if Trace.active t.bus then
         Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
           ~topic:`Reconfig
@@ -583,15 +591,9 @@ struct
               ("epoch", string_of_int inst.epoch);
               ("widx", string_of_int widx);
               ("strategy", t.opts.Options.strategy.Strategy.name);
+              ("snapshot", Fnv.to_hex (Fnv.hash snapshot));
             ]
           "wedged";
-      if not (Hashtbl.mem t.wedge_times (inst.epoch + 1)) then
-        Hashtbl.add t.wedge_times (inst.epoch + 1) (Engine.now t.engine);
-      let snapshot =
-        Snapshot.encode
-          { Snapshot.app = Sm.snapshot inst.app;
-            sessions = Session.encode inst.sessions }
-      in
       let epoch = inst.epoch and members = inst.cfg.Config.members in
       let new_epoch = epoch + 1 in
       if new_epoch > host.top_epoch then begin
@@ -599,9 +601,8 @@ struct
         host.latest_members <- members'
       end;
       (* Anyone who asked for this snapshot before we wedged.  Only the
-         committed configuration's members are served: an early-prepared
-         instance whose membership lost the race may have fetched too, and
-         it must starve (its TTL tears it down) rather than activate. *)
+         committed configuration's members are served: a host that asked
+         on a [Prepare] whose membership lost the race gets nothing. *)
       (match Hashtbl.find_opt host.transfers new_epoch with
        | Some (Asked waiting) ->
          List.iter
@@ -659,110 +660,50 @@ struct
       t.on_dir_update ~epoch:new_epoch ~members:members' ~leader:None;
       (* A host in both configurations transfers state locally: its own
          wedge-point state is exactly the new instance's initial state.
-         An early-prepared instance is confirmed (or replaced, if its
-         membership lost the race) by this same authoritative step.  The
-         next instance gets a copy of the session table, not this one:
+         The next instance gets a copy of the session table, not this one:
          under [No_first_wedge] this instance keeps applying past the
          wedge, and those records must not leak into the next epoch. *)
       if
         List.exists (Node_id.equal host.me) members'
         && not (Hashtbl.mem host.retired new_epoch)
       then begin
-        match Hashtbl.find_opt host.instances new_epoch with
-        | Some next ->
-          let next =
-            confirm_or_replace t host next ~members:members'
-              ~prev_members:members
-          in
-          activate t host next ~app:inst.app
-            ~sessions:(Session.copy inst.sessions) ~local:true
-        | None ->
-          let next =
-            create_instance t host ~provisional:false ~epoch:new_epoch
-              ~members:members' ~prev_members:members ~boot:`Await
-          in
-          activate t host next ~app:inst.app
-            ~sessions:(Session.copy inst.sessions) ~local:true
+        let next =
+          match Hashtbl.find_opt host.instances new_epoch with
+          | Some next -> next
+          | None ->
+            create_instance t host ~epoch:new_epoch ~members:members'
+              ~boot:(`Await members)
+        in
+        activate t host next ~app:inst.app
+          ~sessions:(Session.copy inst.sessions) ~local:true
       end
     end
 
-  (* --- Matchmaker-style early prepare --- *)
+  (* --- Matchmaker-style early prepare: an early fetch --- *)
 
-  and same_members a b =
-    List.sort_uniq Node_id.compare a = List.sort_uniq Node_id.compare b
-
-  and teardown_provisional t host inst =
-    (* The prepared [Reconfig] lost the race (or never committed): forget
-       the instance, with no record, so the authoritative configuration —
-       if any — can take the epoch slot with a clean boot. *)
-    if inst.provisional then begin
-      incr (Obs.scope_counter t.svc "prepare_teardowns");
-      remove_instance t host inst
-    end
-
-  and confirm_provisional t host inst =
-    if inst.provisional then begin
-      inst.provisional <- false;
-      incr (Obs.scope_counter t.svc "prepare_confirms");
-      inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer;
-      (* The configuration is authoritative now: advertise it for
-         redirects, exactly as a wedge-time bootstrap would have. *)
-      if inst.epoch > host.top_epoch then begin
-        host.top_epoch <- inst.epoch;
-        host.latest_members <- inst.cfg.Config.members
-      end;
-      if t.opts.Options.strategy.Strategy.handoff = `Speculative then
-        start_replica t host inst;
-      (* A snapshot that finished transferring while we were provisional
-         installs now. *)
-      try_install t host inst
-    end
-
-  (* An authoritative bootstrap (wedge-time [Bootstrap], or the wedge's
-     local-handoff path) meets an existing instance: a provisional one is
-     confirmed if the committed membership matches what was prepared, and
-     torn down and rebuilt otherwise.  Non-provisional instances are
-     already authoritative — first bootstrap won. *)
-  and confirm_or_replace t host inst ~members ~prev_members =
-    if not inst.provisional then inst
-    else if same_members inst.cfg.Config.members members then begin
-      confirm_provisional t host inst;
-      inst
-    end
-    else begin
-      teardown_provisional t host inst;
-      create_instance t host ~provisional:false ~epoch:inst.epoch ~members
-        ~prev_members ~boot:`Await
-    end
-
+  (* A proposed member with no live instance of the previous epoch starts
+     its fetch; the donors serve it at the wedge.  The epoch's one
+     instance comes later, from the wedge, and takes it over
+     ({!await_state}). *)
   and handle_prepare t host ~epoch ~members ~prev_members =
-    (* Early bootstrap at [Reconfig] submission time: the new epoch's
-       members learn of it, and park their snapshot fetches with the old
-       members, while the old epoch is still committing the membership
-       change — so at wedge time the snapshot ships at once.  Garbage off
-       the wire (empty member list) is ignored, exactly as in
-       [handle_bootstrap]. *)
     if
-      members <> []
-      && t.opts.Options.strategy.Strategy.prepare = `Early
+      (not (Hashtbl.mem host.retired epoch))
       && (not (Hashtbl.mem host.instances epoch))
-      && not (Hashtbl.mem host.retired epoch)
-    then
-      ignore
-        (create_instance t host ~provisional:true ~epoch ~members
-           ~prev_members ~boot:`Await)
+      && (not (Hashtbl.mem host.instances (epoch - 1)))
+      && not (Hashtbl.mem host.fetches epoch)
+    then start_fetch t host epoch (add_fetch host epoch ~members ~prev_members)
 
   and maybe_prepare t host inst members' =
+    let epoch = inst.epoch + 1 in
     if
       t.opts.Options.strategy.Strategy.prepare = `Early
       && members' <> []
       && inst.wedged_at = None
       && is_inst_leader inst
-      && (not (Hashtbl.mem host.instances (inst.epoch + 1)))
-      && not (Hashtbl.mem host.retired (inst.epoch + 1))
+      && not (Hashtbl.mem host.transfers epoch)
     then begin
       incr (Obs.scope_counter t.svc "prepares");
-      let epoch = inst.epoch + 1 in
+      Hashtbl.replace host.transfers epoch (Asked []);
       let prev_members = inst.cfg.Config.members in
       List.iter
         (fun m ->
@@ -771,20 +712,16 @@ struct
               (Wire.Prepare
                  { epoch; members = members'; prev_epoch = inst.epoch;
                    prev_members }))
-        members';
-      if List.exists (Node_id.equal host.me) members' then
-        handle_prepare t host ~epoch ~members:members' ~prev_members
+        members'
     end
 
-  and create_instance t host ~provisional ~epoch ~members ~prev_members
-      ~boot =
+  and create_instance t host ~epoch ~members ~boot =
     let cfg = Config.make ~instance_id:epoch ~members in
     let sc = Obs.scope ~node:host.me ~epoch t.obs in
     let inst =
       {
         epoch;
         cfg;
-        prev_members;
         replica = None;
         early = [];
         app = Sm.init ();
@@ -797,33 +734,17 @@ struct
         spec_buf = [];
         residual_buf = [];
         residual_timer = None;
-        chunks = [||];
-        chunks_got = 0;
-        fetch_timer = None;
-        fetch_rr = 0;
         announced = false;
-        provisional;
-        prepare_timer = None;
         sc;
         sc_applied = Obs.scope_counter sc "applied";
         sc_residuals = Obs.scope_counter sc "residuals";
       }
     in
     Hashtbl.replace host.instances epoch inst;
-    (* A provisional configuration is not advertised: redirects keep
-       pointing clients at the last committed configuration until a
-       wedge-time bootstrap confirms this one. *)
-    if (not provisional) && epoch > host.top_epoch then begin
+    if epoch > host.top_epoch then begin
       host.top_epoch <- epoch;
       host.latest_members <- members
     end;
-    if provisional then
-      inst.prepare_timer <-
-        Some
-          (Engine.schedule t.engine ~delay:prepare_ttl
-             (fun () ->
-               inst.prepare_timer <- None;
-               teardown_provisional t host inst));
     (match boot with
      | `Active (app, sessions) ->
        inst.app <- app;
@@ -831,13 +752,12 @@ struct
        inst.activated <- true;
        inst.announced <- epoch = 0;
        start_replica t host inst
-     | `Await ->
+     | `Await prev_members ->
        (* Speculative handoff: the instance begins ordering immediately,
-          concurrently with state transfer.  A provisional instance waits
-          for confirmation ({!confirm_provisional}). *)
-       if (not provisional) && t.opts.Options.strategy.Strategy.handoff = `Speculative
-       then start_replica t host inst;
-       await_state t host inst);
+          concurrently with state transfer. *)
+       if t.opts.Options.strategy.Strategy.handoff = `Speculative then
+         start_replica t host inst;
+       await_state t host inst ~prev_members);
     inst
 
   and start_replica t host inst =
@@ -864,77 +784,103 @@ struct
       List.iter (fun (src, data) -> Replica.handle replica ~src (B.Msg.decode data)) early
     end
 
-  (* Only a member new to the configuration pulls the wedge-point state
-     over the network.  A host still running the previous epoch's
-     instance gets it from its own wedge ({!wedge}'s local handoff), so it
-     fetches only if that instance retires unwedged ({!remove_instance})
-     or no wedge has activated it within one [fetch_timeout]. *)
-  and await_state t host inst =
-    if Hashtbl.mem host.instances (inst.epoch - 1) then
-      arm_fetch_timer t host inst
-    else start_fetch t host inst
-
-  (* (Re-)start the fetch clock: the next donor is asked only after a
-     whole [fetch_timeout] with no chunk arriving ({!handle_chunk}). *)
-  and arm_fetch_timer t host inst =
-    inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
-    inst.fetch_timer <-
-      Some
-        (Engine.schedule t.engine ~delay:fetch_timeout (fun () ->
-             if not inst.activated then start_fetch t host inst))
-
-  and start_fetch t host inst =
-    (* The new configuration's first member leads it from boot (the Paxos
-       ballot-0 owner, VR's view-0 primary).  Under load its uplink is
-       the busiest, and control traffic goes before chunks there, so a
-       snapshot from it can stall past [fetch_timeout] and be asked for
-       twice.  It is asked last. *)
+  (* A transfer into [epoch] from the previous members but this host.
+     The new configuration's first member leads it from boot (the Paxos
+     ballot-0 owner, VR's view-0 primary).  Under load its uplink is the
+     busiest, and control traffic goes before chunks there, so a snapshot
+     from it can stall past [fetch_timeout] and be asked for twice.  It
+     is asked last.  A transfer that no instance took over (its prepare
+     lost the race or never committed) holds no chunks and arms no timer;
+     the next transfer the host starts drops it. *)
+  and add_fetch host epoch ~members ~prev_members =
+    List.iter
+      (fun e ->
+        if not (Hashtbl.mem host.instances e) then Hashtbl.remove host.fetches e)
+      (Stable.sorted_keys ~compare:Int.compare host.fetches);
     let others =
-      List.filter (fun m -> not (Node_id.equal m host.me)) inst.prev_members
+      List.filter (fun m -> not (Node_id.equal m host.me)) prev_members
     in
-    let targets =
-      match inst.cfg.Config.members with
+    let donors =
+      match List.sort Node_id.compare members with
       | leader :: _ ->
         let last, first = List.partition (Node_id.equal leader) others in
         first @ last
       | [] -> others
     in
-    if targets <> [] && not inst.activated then begin
+    let f = { donors; chunks = [||]; chunks_got = 0; timer = None; rr = 0 } in
+    Hashtbl.replace host.fetches epoch f;
+    f
+
+  (* Only a member new to the configuration pulls the wedge-point state
+     over the network.  A host still running the previous epoch's
+     instance gets it from its own wedge ({!wedge}'s local handoff), so it
+     fetches only if that instance retires unwedged ({!remove_instance})
+     or no wedge has activated it within one [fetch_timeout].  A transfer
+     an early [Prepare] began is taken over, not asked for again. *)
+  and await_state t host inst ~prev_members =
+    match Hashtbl.find_opt host.fetches inst.epoch with
+    | Some f ->
+      try_install t host inst f;
+      if not inst.activated then arm_fetch_timer t host inst.epoch f
+    | None ->
+      let members = inst.cfg.Config.members in
+      let f = add_fetch host inst.epoch ~members ~prev_members in
+      if Hashtbl.mem host.instances (inst.epoch - 1) then
+        arm_fetch_timer t host inst.epoch f
+      else start_fetch t host inst.epoch f
+
+  (* (Re-)start the fetch clock: the next donor is asked only after a
+     whole [fetch_timeout] with no chunk arriving ({!handle_chunk}). *)
+  and arm_fetch_timer t host epoch f =
+    f.timer <- Engine.cancel_opt t.engine f.timer;
+    f.timer <-
+      Some
+        (Engine.schedule t.engine ~delay:fetch_timeout (fun () ->
+             start_fetch t host epoch f))
+
+  and start_fetch t host epoch f =
+    if f.donors <> [] && not (activated host epoch) then begin
       (* Stagger initial fetch targets by requester identity so concurrent
          joiners pull from different old members instead of all melting one
          uplink. *)
-      if inst.fetch_rr = 0 then inst.fetch_rr <- host.me;
-      match List.nth_opt targets (inst.fetch_rr mod List.length targets) with
+      if f.rr = 0 then f.rr <- host.me;
+      match List.nth_opt f.donors (f.rr mod List.length f.donors) with
       | None -> ()
       | Some dst ->
-        inst.fetch_rr <- inst.fetch_rr + 1;
+        f.rr <- f.rr + 1;
         if Trace.active t.bus then
           Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
             ~topic:`Reconfig
             ~attrs:
               [
-                ("epoch", string_of_int inst.epoch);
+                ("epoch", string_of_int epoch);
                 ("donor", string_of_int dst);
                 ("strategy", t.opts.Options.strategy.Strategy.name);
               ]
             "fetch";
-        send t ~src:host.me ~dst (Wire.Fetch_state { epoch = inst.epoch });
-        arm_fetch_timer t host inst
+        send t ~src:host.me ~dst (Wire.Fetch_state { epoch });
+        if Hashtbl.mem host.instances epoch then arm_fetch_timer t host epoch f
     end
 
   and remove_instance t host inst =
     Hashtbl.remove host.instances inst.epoch;
     Option.iter Replica.halt inst.replica;
-    inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
-    inst.prepare_timer <- Engine.cancel_opt t.engine inst.prepare_timer;
+    (match Hashtbl.find_opt host.fetches inst.epoch with
+     | Some f ->
+       f.timer <- Engine.cancel_opt t.engine f.timer;
+       Hashtbl.remove host.fetches inst.epoch
+     | None -> ());
     (* Gone before its wedge (it lagged, then got [Retire]): no local
        handoff is coming, so a next instance waiting for one fetches now.
-       [fetch_rr = 0] means it has not asked anyone yet. *)
+       [rr = 0] means it has not asked anyone yet. *)
     if inst.wedged_at = None then
-      match Hashtbl.find_opt host.instances (inst.epoch + 1) with
-      | Some next when (not next.activated) && next.fetch_rr = 0 ->
-        start_fetch t host next
-      | Some _ | None -> ()
+      match
+        ( Hashtbl.find_opt host.instances (inst.epoch + 1),
+          Hashtbl.find_opt host.fetches (inst.epoch + 1) )
+      with
+      | Some next, Some f when (not next.activated) && f.rr = 0 ->
+        start_fetch t host next.epoch f
+      | _ -> ()
 
   (* A retired epoch is data: its audit record, plus what the host
      donated into it and out of it.  Retiring epoch [x] drops every
@@ -951,7 +897,7 @@ struct
       (Stable.sorted_keys ~compare:Int.compare host.transfers)
 
   and activate t host inst ~app ~sessions ~local =
-    if (not inst.activated) && not inst.provisional then begin
+    if not inst.activated then begin
       inst.app <- app;
       inst.sessions <- sessions;
       inst.activated <- true;
@@ -968,7 +914,9 @@ struct
               ("strategy", t.opts.Options.strategy.Strategy.name);
             ]
           "activated";
-      inst.fetch_timer <- Engine.cancel_opt t.engine inst.fetch_timer;
+      Option.iter
+        (fun f -> f.timer <- Engine.cancel_opt t.engine f.timer)
+        (Hashtbl.find_opt host.fetches inst.epoch);
       if inst.replica = None then start_replica t host inst;
       (* Execute everything the speculative instance ordered while the
          snapshot was in flight, in log order.  Sort by slot index only:
@@ -996,19 +944,13 @@ struct
         send t ~src:host.me ~dst (Wire.State_chunk { epoch; index; total; data }))
       pieces
 
-  (* Handoff: install the assembled snapshot once every chunk is here.
-     A provisional instance holds its chunks until confirmation. *)
-  and try_install t host inst =
-    let total = Array.length inst.chunks in
-    if
-      total > 0
-      && inst.chunks_got = total
-      && (not inst.activated)
-      && not inst.provisional
-    then begin
+  (* Handoff: install the assembled snapshot once every chunk is here. *)
+  and try_install t host inst f =
+    let total = Array.length f.chunks in
+    if total > 0 && f.chunks_got = total && not inst.activated then begin
       (* chunks_got = total implies every cell is filled, so the
          filter_map drops nothing. *)
-      let pieces = Array.to_list inst.chunks |> List.filter_map Fun.id in
+      let pieces = Array.to_list f.chunks |> List.filter_map Fun.id in
       let snapshot = Snapshot.decode (Snapshot.assemble pieces) in
       activate t host inst ~app:(Sm.restore snapshot.Snapshot.app)
         ~sessions:(Session.decode snapshot.Snapshot.sessions) ~local:false
@@ -1020,23 +962,18 @@ struct
     (* An empty member list off the wire would make Config.make blow up;
        such a bootstrap is garbage, not a configuration.  A late bootstrap
        for an epoch this host retired is ignored. *)
-    if members <> [] && not (Hashtbl.mem host.retired epoch) then
-      match Hashtbl.find_opt host.instances epoch with
-      | None ->
-        ignore
-          (create_instance t host ~provisional:false ~epoch ~members
-             ~prev_members ~boot:`Await)
-      | Some inst ->
-        (* Wedge-time bootstrap is authoritative: it confirms a matching
-           early-prepared instance and replaces a mismatched one. *)
-        ignore (confirm_or_replace t host inst ~members ~prev_members)
+    if
+      members <> []
+      && (not (Hashtbl.mem host.retired epoch))
+      && not (Hashtbl.mem host.instances epoch)
+    then ignore (create_instance t host ~epoch ~members ~boot:(`Await prev_members))
 
   let handle_fetch t host ~src ~epoch =
     match Hashtbl.find_opt host.transfers epoch with
     | Some (Ready { members; snapshot }) ->
       (* Post-wedge the committed next membership is known; only its
-         members are served (a mismatched early-prepared fetcher must
-         starve, never activate). *)
+         members are served (a host that fetched on a losing [Prepare]
+         gets nothing). *)
       if List.exists (Node_id.equal src) members then
         send_snapshot t host ~dst:src ~epoch snapshot
     | Some (Asked waiting) ->
@@ -1047,27 +984,29 @@ struct
          at wedge time. *)
       Hashtbl.replace host.transfers epoch (Asked [ src ])
 
+  (* Chunks that arrive before the epoch's instance exists (an early
+     [Prepare]'s transfer) are kept for it; the progress clock starts
+     when it takes the transfer over. *)
   let handle_chunk t host ~epoch ~index ~total ~data =
-    match Hashtbl.find_opt host.instances epoch with
-    | None -> ()
-    | Some inst ->
-      if not inst.activated then begin
-        if Array.length inst.chunks <> total then begin
-          inst.chunks <- Array.make total None;
-          inst.chunks_got <- 0
-        end;
-        if index < total then begin
-          (* The transfer is moving: wait for it rather than ask the next
-             donor for another copy.  A chunk already held counts too: a
-             second donor re-sends from the first chunk. *)
-          arm_fetch_timer t host inst;
-          if inst.chunks.(index) = None then begin
-            inst.chunks.(index) <- Some data;
-            inst.chunks_got <- inst.chunks_got + 1
-          end
-        end;
-        try_install t host inst
-      end
+    match Hashtbl.find_opt host.fetches epoch with
+    | Some f when not (activated host epoch) ->
+      if Array.length f.chunks <> total then begin
+        f.chunks <- Array.make total None;
+        f.chunks_got <- 0
+      end;
+      let inst = Hashtbl.find_opt host.instances epoch in
+      if index < total then begin
+        (* The transfer is moving: wait for it rather than ask the next
+           donor for another copy.  A chunk already held counts too: a
+           second donor re-sends from the first chunk. *)
+        if inst <> None then arm_fetch_timer t host epoch f;
+        if f.chunks.(index) = None then begin
+          f.chunks.(index) <- Some data;
+          f.chunks_got <- f.chunks_got + 1
+        end
+      end;
+      Option.iter (fun inst -> try_install t host inst f) inst
+    | Some _ | None -> ()
 
   let handle_retire t host ~epoch =
     Stable.iter_sorted ~compare:Int.compare
@@ -1080,13 +1019,7 @@ struct
      block as one vector submission (one proposal batch, one
      broadcast). *)
   let handle_requests t host ~src ~low_water ~reqs =
-    (* Provisional (early-prepared) instances never serve clients: until
-       a wedge-time bootstrap confirms them they are not part of the
-       committed configuration sequence. *)
-    let current =
-      newest_instance host ~pred:(fun i ->
-          i.replica <> None && not i.provisional)
-    in
+    let current = newest_instance host ~pred:(fun i -> i.replica <> None) in
     let redirect seq =
       incr (Obs.scope_counter t.svc "redirects");
       let leader =
@@ -1190,7 +1123,6 @@ struct
     let encode_instance inst =
       encode_stat (epoch_stat inst ~retired:false);
       W.list w node inst.cfg.Config.members;
-      W.list w node inst.prev_members;
       W.list w
         (fun w (src, data) ->
           node w src;
@@ -1204,15 +1136,7 @@ struct
         inst.spec_buf;
       W.list w W.string (List.rev inst.residual_buf);
       W.bool w (Engine.armed inst.residual_timer);
-      W.varint w (Array.length inst.chunks);
-      Array.iter (fun c -> W.bool w (Option.is_some c)) inst.chunks;
-      W.bool w (Engine.armed inst.fetch_timer);
-      W.varint w inst.fetch_rr;
       W.bool w inst.announced;
-      (* Early-prepare fields: constant (false, false) under the default
-         [composed] strategy, so its reachable-state COUNT is untouched. *)
-      W.bool w inst.provisional;
-      W.bool w (Engine.armed inst.prepare_timer);
       W.string w (Sm.snapshot inst.app);
       W.string w (Session.encode inst.sessions);
       W.option w W.string (Option.map Replica.fingerprint inst.replica)
@@ -1234,6 +1158,15 @@ struct
               W.list w node members;
               W.string w snapshot)
           host.transfers;
+        Stable.iter_sorted ~compare:Int.compare
+          (fun epoch f ->
+            W.varint w epoch;
+            W.list w node f.donors;
+            W.varint w (Array.length f.chunks);
+            Array.iter (fun c -> W.bool w (Option.is_some c)) f.chunks;
+            W.bool w (Engine.armed f.timer);
+            W.varint w f.rr)
+          host.fetches;
         Stable.iter_sorted ~compare:Int.compare
           (fun _ inst -> encode_instance inst)
           host.instances;
@@ -1275,7 +1208,8 @@ struct
       match opts.Options.mutation with
       | Some Options.Skip_phase1 ->
         { smr_params with Rsmr_smr.Params.skip_phase1 = true }
-      | Some Options.No_first_wedge | None -> smr_params
+      | Some (Options.No_first_wedge | Options.No_session_dedup) | None ->
+        smr_params
     in
     let universe = Option.value universe ~default:members in
     let universe = List.sort_uniq Node_id.compare (universe @ members) in
@@ -1335,6 +1269,7 @@ struct
             instances = Hashtbl.create 4;
             retired = Hashtbl.create 4;
             transfers = Hashtbl.create 4;
+            fetches = Hashtbl.create 4;
             top_epoch = 0;
             latest_members = members;
           }
@@ -1347,8 +1282,8 @@ struct
       (fun node ->
         let host = Hashtbl.find t.hosts node in
         ignore
-          (create_instance t host ~provisional:false ~epoch:0 ~members
-             ~prev_members:[] ~boot:(`Active (Sm.init (), Session.create ()))))
+          (create_instance t host ~epoch:0 ~members
+             ~boot:(`Active (Sm.init (), Session.create ()))))
       members;
     Front.start t.front ~members;
     t

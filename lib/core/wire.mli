@@ -14,11 +14,14 @@ type prepare = {
   prev_epoch : int;
   prev_members : Rsmr_net.Node_id.t list;
 }
-(** Matchmaker-style early prepare: the old epoch's leader asks the next
-    configuration to bootstrap {e before} the [Reconfig] commits, so the
-    new instance's election overlaps the old epoch still committing.  A
-    prepared instance stays provisional until a wedge-time {!t.Bootstrap}
-    confirms (or replaces) it. *)
+(** Matchmaker-style early prepare: the old epoch's leader tells the
+    proposed configuration about [epoch] {e before} the [Reconfig]
+    commits, once per epoch.  A receiver with no live instance of
+    [prev_epoch] starts its snapshot fetch from [prev_members] and
+    creates nothing else; the instance of [epoch] comes only from a
+    wedge-time {!t.Bootstrap} (or the wedge's local handoff), and takes
+    that fetch over.  Donors serve only the committed configuration, so
+    a prepare whose membership loses the race transfers nothing. *)
 
 type t =
   | Block of { epoch : int; data : string }

@@ -77,10 +77,10 @@ let gen_of rng =
     in
     Mixed.encode_command cmd
 
-let run proto (sc : Scenario.t) =
+let run ?mutation proto (sc : Scenario.t) =
   let engine = Engine.create ~seed:sc.Scenario.seed () in
   let stack =
-    Mixed_protocol.create ~engine proto ~members:sc.Scenario.members
+    Mixed_protocol.create ~engine ?mutation proto ~members:sc.Scenario.members
       ~universe:sc.Scenario.universe
   in
   let obs = stack.cluster.Cluster.obs in

@@ -40,7 +40,12 @@ type report = {
   end_time : float;
 }
 
-val run : Rsmr_protocol.Protocol.t -> Scenario.t -> report
+val run :
+  ?mutation:Rsmr_core.Options.mutation ->
+  Rsmr_protocol.Protocol.t ->
+  Scenario.t ->
+  report
+(** [mutation] re-breaks the stack on purpose. *)
 
 val first_client_id : int
 (** Client ids start here — far above any replica universe the generator

@@ -1,7 +1,9 @@
 module Protocol = Rsmr_protocol.Protocol
+module Options = Rsmr_core.Options
 
 type failure = {
   f_proto : Protocol.t;
+  f_mutation : Options.mutation option;
   f_seed : int;
   f_scenario : Scenario.t;
   f_failed : (string * string) list;
@@ -17,15 +19,19 @@ type summary = {
   failures : failure list;
 }
 
-let replay_command proto scenario =
-  Printf.sprintf "dune exec rsmr -- crucible --proto %s --scenario '%s'"
-    proto.Protocol.name (Scenario.to_string scenario)
+let replay_command ?mutation proto scenario =
+  let mutate (name, m) = if Some m = mutation then " --mutate " ^ name else "" in
+  Printf.sprintf "dune exec rsmr -- crucible --proto %s%s --scenario '%s'"
+    proto.Protocol.name
+    (String.concat "" (List.map mutate Options.mutations))
+    (Scenario.to_string scenario)
 
-let run_scenario ?lin_budget proto scenario =
-  let report = Runner.run proto scenario in
+let run_scenario ?lin_budget ?mutation proto scenario =
+  let report = Runner.run ?mutation proto scenario in
   (Oracle.check ?lin_budget report, report)
 
-let check_scenario ?lin_budget ?(shrink = true) proto scenario =
+let check_scenario ?lin_budget ?(shrink = true) ?mutation proto scenario =
+  let run_scenario = run_scenario ?mutation in
   let outcome, _report = run_scenario ?lin_budget proto scenario in
   match Oracle.failures outcome with
   | [] -> Ok outcome
@@ -44,6 +50,7 @@ let check_scenario ?lin_budget ?(shrink = true) proto scenario =
     Error
       {
         f_proto = proto;
+        f_mutation = mutation;
         f_seed = scenario.Scenario.seed;
         f_scenario = scenario;
         f_failed = failed;
@@ -52,7 +59,8 @@ let check_scenario ?lin_budget ?(shrink = true) proto scenario =
         f_attempts = attempts;
       }
 
-let soak ?lin_budget ?shrink ?(on_run = fun _ _ _ -> ()) ~protos ~scenarios () =
+let soak ?lin_budget ?shrink ?mutation ?(on_run = fun _ _ _ -> ()) ~protos
+    ~scenarios () =
   let runs = ref 0 and passed = ref 0 and inconclusive = ref 0 in
   let failures = ref [] in
   List.iter
@@ -60,7 +68,7 @@ let soak ?lin_budget ?shrink ?(on_run = fun _ _ _ -> ()) ~protos ~scenarios () =
       List.iter
         (fun proto ->
           incr runs;
-          let result = check_scenario ?lin_budget ?shrink proto sc in
+          let result = check_scenario ?lin_budget ?shrink ?mutation proto sc in
           (match result with
            | Ok outcome ->
              incr passed;
@@ -89,4 +97,4 @@ let pp_failure ppf f =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
        (fun ppf (name, msg) -> Format.fprintf ppf "%s (%s)" name msg))
     f.f_shrunk_failed
-    (replay_command f.f_proto f.f_shrunk)
+    (replay_command ?mutation:f.f_mutation f.f_proto f.f_shrunk)

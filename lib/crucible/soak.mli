@@ -9,6 +9,8 @@
 
 type failure = {
   f_proto : Rsmr_protocol.Protocol.t;
+  f_mutation : Rsmr_core.Options.mutation option;
+      (** the bug the run re-introduced on purpose, if any *)
   f_seed : int;
   f_scenario : Scenario.t;  (** the original generated scenario *)
   f_failed : (string * string) list;  (** oracle name → reason *)
@@ -29,6 +31,7 @@ type summary = {
 val soak :
   ?lin_budget:int ->
   ?shrink:bool ->
+  ?mutation:Rsmr_core.Options.mutation ->
   ?on_run:
     (Rsmr_protocol.Protocol.t ->
     Scenario.t ->

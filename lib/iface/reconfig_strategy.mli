@@ -21,10 +21,12 @@ type prepare =
   [ `At_wedge
     (** bootstrap the next epoch only once the [Reconfig] commits *)
   | `Early
-    (** Matchmaker-style: bootstrap the next epoch's instance when the
-        [Reconfig] is {e submitted}, so its election overlaps the old
-        epoch still committing and only state transfer remains inside
-        the wedged window *) ]
+    (** Matchmaker-style: when the [Reconfig] is {e submitted}, the
+        proposed members that hold no state start their snapshot fetch,
+        which the old members serve at the wedge.  The next epoch's
+        instance is still created only at the wedge, and takes the
+        transfer over; the bootstrap-to-fetch round trip leaves the
+        wedged window *) ]
 
 type handoff =
   [ `Speculative  (** new epoch starts its replica before the snapshot *)

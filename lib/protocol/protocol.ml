@@ -93,13 +93,13 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       app_state;
     }
 
-  let create ~engine ?latency ?drop ?bandwidth ?smr_params p ~members ~universe
-      =
+  let create ~engine ?latency ?drop ?bandwidth ?smr_params ?mutation p ~members
+      ~universe =
     match p.kind with
     | Composed { block; strategy } ->
       let (module S) = service block in
       let options =
-        { Rsmr_core.Options.default with Rsmr_core.Options.strategy }
+        { Rsmr_core.Options.default with Rsmr_core.Options.strategy; mutation }
       in
       let svc =
         S.create ~engine ?latency ?drop ?bandwidth ?smr_params ~options

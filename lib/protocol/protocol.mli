@@ -77,8 +77,11 @@ module Make (Sm : Rsmr_app.State_machine.S) : sig
     ?drop:float ->
     ?bandwidth:float ->
     ?smr_params:Rsmr_smr.Params.t ->
+    ?mutation:Rsmr_core.Options.mutation ->
     t ->
     members:Rsmr_net.Node_id.t list ->
     universe:Rsmr_net.Node_id.t list ->
     stack
+  (** [mutation] re-breaks a composed stack on purpose
+      ({!Rsmr_core.Options.mutation}); raft ignores it. *)
 end

@@ -6,8 +6,9 @@
    observed by clients (the replicated directory is linearizable, so a
    lookup must never report an older configuration than a previous
    lookup), exactly-once replies, bounded redirect traffic (the PR-4
-   retry-storm shape), eventual completion after the endgame repair, and
-   per-shard replica convergence. *)
+   retry-storm shape), eventual completion after the endgame repair,
+   per-shard replica convergence, and the epoch audit
+   ({!Rsmr_core.Service.epoch_audit}) of every epoch chain. *)
 
 module Engine = Rsmr_sim.Engine
 module Rng = Rsmr_sim.Rng
@@ -302,6 +303,16 @@ module Run (P : Platform.S) = struct
                           | None -> "-"))
                      (P.shard_members pf s))))
       done;
+    (* The epoch audit of each epoch chain: the directory's and every
+       shard's. *)
+    List.iter
+      (fun (name, stats) ->
+        Option.iter
+          (fun v -> fail "epoch_prefix" (name ^ ": " ^ v))
+          (Rsmr_core.Service.epoch_audit (List.map (fun n -> (n, stats n)) pool)))
+      (("directory", P.Dir_svc.epoch_stats (P.dir pf))
+      :: List.init (P.n_shards pf) (fun s ->
+             ("shard " ^ string_of_int s, P.Shard_svc.epoch_stats (P.shard pf s))));
     if !reb_tried > 0 && !reb_done = 0 then
       fail "rebalance_progress"
         (Printf.sprintf "0 of %d attempted rebalances completed" !reb_tried);

@@ -16,6 +16,8 @@
       the command count (the PR-4 retry-storm regression check);
     - [convergence] — each shard's caught-up members hold identical
       application state, and a majority is caught up;
+    - [epoch_prefix] — {!Rsmr_core.Service.epoch_audit} passes on the
+      directory's epoch chain and on each shard's;
     - [rebalance_progress] — at least one attempted rebalance completed.
 
     Runs over any composed protocol: its block picks the platform

@@ -926,13 +926,13 @@ let test_epoch_audit () =
       (1, [ stat 1 3 ~digest:8L; stat ~wedged_at:5 0 6 ]);
     ]
 
-(* A matchmaker-style provisional instance runs no replica until a
-   wedge-time bootstrap confirms it.  Block traffic is tagged by epoch
-   alone, so a running replica of a provisional incarnation that is later
-   torn down could reach its same-epoch replacement with a ballot both
-   own.  Here the prepared [Reconfig] never commits: node 3 hosts the
-   provisional epoch 1 with nothing running, and the TTL reaps it. *)
-let test_provisional_runs_no_replica () =
+(* Early prepare is an early fetch.  A [Prepare] that reaches a host with
+   no live instance of the previous epoch sends one [Fetch_state] and
+   creates nothing else.  Here the prepared [Reconfig] never commits, so
+   no donor answers: node 3 hosts no instance and runs no replica, and
+   eight fetch periods later it has still asked only once, so no retry
+   timer was armed. *)
+let test_prepared_epoch_leaves_nothing () =
   let options =
     { Options.default with
       Options.strategy = Rsmr_iface.Reconfig_strategy.matchmaker }
@@ -943,18 +943,25 @@ let test_provisional_runs_no_replica () =
   in
   submit_kv h ~client:c1 ~seq:1 (Kv.Put ("k", "v"));
   run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  Network.send (KvService.net h.svc) ~src:0 ~dst:3
+  let net = KvService.net h.svc in
+  let fetches () = Counters.get (Network.counters net) "sent.fetch_state" in
+  Network.send net ~src:0 ~dst:3
     (Wire.Prepare
        { epoch = 1; members = [ 3; 4; 5 ]; prev_epoch = 0;
          prev_members = [ 0; 1; 2 ] });
+  let check_nothing when_ =
+    Alcotest.(check (option int)) (when_ ^ ": node 3 hosts no epoch") None
+      (KvService.host_epoch h.svc 3);
+    Alcotest.(check int) (when_ ^ ": and runs no replica") 0
+      (KvService.live_instances h.svc 3);
+    Alcotest.(check int) (when_ ^ ": one fetch, never retried") 1 (fetches ())
+  in
   Engine.run ~until:(Engine.now h.engine +. 0.1) h.engine;
-  Alcotest.(check (option int)) "node 3 hosts the prepared epoch" (Some 1)
-    (KvService.host_epoch h.svc 3);
-  Alcotest.(check int) "and runs no replica for it" 0
-    (KvService.live_instances h.svc 3);
-  Engine.run ~until:(Engine.now h.engine +. 2.0) h.engine;
-  Alcotest.(check (option int)) "the unconfirmed epoch is torn down" None
-    (KvService.host_epoch h.svc 3)
+  check_nothing "after the prepare";
+  Engine.run ~until:(Engine.now h.engine +. (8.0 *. 0.25)) h.engine;
+  check_nothing "eight fetch periods later";
+  Alcotest.(check int) "the committed epoch is unchanged" 0
+    (KvService.current_epoch h.svc)
 
 (* --- an old instance halts only once drained ---
 
@@ -1058,6 +1065,83 @@ module Rolling_vr = Rolling (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
 let test_halt_after_drain run strategy () =
   List.iter (fun seed -> run ~strategy ~seed ~changes:6) [ 3; 4; 5 ]
 
+(* --- every donor holds the same snapshot ---
+
+   A joiner may assemble one snapshot from two donors: the one it asked
+   first (under early prepare, before the wedge) and the next one after
+   a stall.  That is only correct if every member that wedges epoch [e]
+   at index [w] donates the same bytes.  The traced "wedged" event
+   carries the digest of the snapshot its host donates; under rolling
+   changes and load, every epoch's wedges must agree on both. *)
+
+module Donors (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
+  let run ~strategy ~seed ~changes =
+    let engine = Engine.create ~seed () in
+    let universe = [ 0; 1; 2; 3; 4; 5 ] in
+    let svc =
+      S.create ~engine ~latency:Rsmr_net.Latency.lan ~bandwidth:2.5e7 ~universe
+        ~options:{ Options.default with Options.strategy }
+        ~members:[ 0; 1; 2 ] ()
+    in
+    let cluster = S.cluster svc in
+    let wedges = Hashtbl.create 8 in
+    Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs svc)) (fun ev ->
+        let attr k = Option.get (Rsmr_sim.Trace.attr ev k) in
+        if ev.Rsmr_sim.Trace.message = "wedged" then
+          let epoch = int_of_string (attr "epoch") in
+          let seen = Option.value ~default:[] (Hashtbl.find_opt wedges epoch) in
+          Hashtbl.replace wedges epoch
+            ((ev.Rsmr_sim.Trace.node, attr "widx", attr "snapshot") :: seen));
+    Rsmr_workload.Driver.preload ~cluster ~client:99
+      ~commands:
+        (Rsmr_workload.Kv_gen.preload_commands ~n_keys:300 ~value_size:100)
+      ~deadline:30.0 ();
+    let start = Engine.now engine +. 0.2 in
+    let gen =
+      Rsmr_workload.Kv_gen.create ~rng:(Rsmr_sim.Rng.split (Engine.rng engine))
+        ~keys:(Rsmr_workload.Keys.uniform ~n:300) ~read_ratio:0.5
+        ~value_size:100 ()
+    in
+    ignore
+      (Rsmr_workload.Driver.run_closed ~cluster ~n_clients:3
+         ~first_client_id:100 ~window:4
+         ~gen:(fun ~client:_ ~seq:_ -> Rsmr_workload.Kv_gen.next gen)
+         ~start ~duration:(0.5 *. float_of_int (changes + 1)) ());
+    Rsmr_workload.Schedule.periodic_reconfigure cluster ~universe ~size:3
+      ~start:(start +. 0.3) ~period:0.5 ~count:changes;
+    Engine.run engine ~until:(start +. (0.5 *. float_of_int changes) +. 3.0);
+    let label what =
+      Printf.sprintf "%s seed %d: %s" strategy.Rsmr_iface.Reconfig_strategy.name
+        seed what
+    in
+    Alcotest.(check int) (label "reconfigurations") changes (S.current_epoch svc);
+    for epoch = 0 to changes - 1 do
+      match Hashtbl.find_opt wedges epoch with
+      | Some ((_, w, d) :: (_ :: _ as rest)) ->
+        List.iter
+          (fun (n, w', d') ->
+            Alcotest.(check (pair string string))
+              (label (Printf.sprintf "epoch %d, node %d: wedge and snapshot" epoch n))
+              (w, d) (w', d'))
+          rest
+      | Some _ | None ->
+        Alcotest.failf "%s" (label (Printf.sprintf "epoch %d: under two wedges" epoch))
+    done
+end
+
+module Donors_paxos = Donors (KvService)
+module Donors_vr = Donors (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
+
+let test_donors_agree () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun seed ->
+          Donors_paxos.run ~strategy ~seed ~changes:4;
+          Donors_vr.run ~strategy ~seed ~changes:4)
+        [ 1; 2 ])
+    Rsmr_iface.Reconfig_strategy.[ composed; matchmaker; stopworld ]
+
 (* --- one snapshot per joiner ---
 
    A single-member swap {0,1,2} -> {1,2,3} with the keyspace preloaded.
@@ -1138,6 +1222,55 @@ module Handoff (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
     Alcotest.(check int) (label "fetches sent") 1
       (net_count r "sent.fetch_state");
     check_one_snapshot r ~label
+
+  (* A joiner keeps chunks that arrive before its epoch's instance exists.
+     A donor's [Bootstrap] leaves in the same step as the chunks it serves
+     at its wedge and, as control traffic, arrives first; so here every
+     wedge-time message to node 3 is lost, and node 3 hears of epoch 1
+     only from a [Prepare] delivered after the wedge.  Its fetch is
+     served at once, and when the next re-sent [Bootstrap] creates its
+     instance of epoch 1, that instance takes the finished transfer over
+     and installs it on the spot: one fetch, one snapshot. *)
+  let early_chunks () =
+    let strategy = Rsmr_iface.Reconfig_strategy.matchmaker in
+    let label what = "early chunks: " ^ what in
+    let r = start ~strategy ~n_keys:50 ~value_size:100 () in
+    let net = S.net r.svc in
+    let wedged = ref None in
+    Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs r.svc)) (fun ev ->
+        if ev.Rsmr_sim.Trace.message = "wedged" && !wedged = None then
+          wedged := Some ev.Rsmr_sim.Trace.time);
+    List.iter
+      (fun src -> Network.set_link_fault net ~src ~dst:3 ~drop:1.0)
+      [ 0; 1; 2 ];
+    reconfigure r.cluster [ 1; 2; 3 ];
+    let deadline = Engine.now r.engine +. 10.0 in
+    (match Engine.run_until r.engine ~pred:(fun () -> !wedged <> None) ~deadline with
+     | Some t -> Engine.run ~until:(t +. 0.1) r.engine
+     | None -> Alcotest.fail (label "epoch 0 never wedged"));
+    Alcotest.(check (option int)) (label "node 3 heard nothing") None
+      (S.host_epoch r.svc 3);
+    Network.clear_link_faults net;
+    Network.send net ~src:0 ~dst:3
+      (Wire.Prepare
+         { epoch = 1; members = [ 1; 2; 3 ]; prev_epoch = 0;
+           prev_members = [ 0; 1; 2 ] });
+    (match
+       Engine.run_until r.engine
+         ~pred:(fun () -> S.host_epoch r.svc 3 = Some 1)
+         ~deadline
+     with
+     | Some _ -> ()
+     | None -> Alcotest.fail (label "node 3 never created epoch 1"));
+    Alcotest.(check bool) (label "installed as the instance was created") true
+      (S.app_state r.svc 3 <> None);
+    Engine.run ~until:(Engine.now r.engine +. 1.0) r.engine;
+    Alcotest.(check int) (label "transfers") 1 (svc_count r "transfers");
+    Alcotest.(check int) (label "fetches sent") 1
+      (net_count r "sent.fetch_state");
+    check_one_snapshot r ~label;
+    Alcotest.(check string) (label "node 3 agrees with node 1") (state r 1)
+      (state r 3)
 
   (* (a) A snapshot that holds the donor's 2 MB/s uplink for about 0.5 s,
      twice [fetch_timeout]: chunks keep arriving, so nobody asks a second
@@ -1245,6 +1378,10 @@ end
 module Handoff_paxos = Handoff (KvService)
 module Handoff_vr = Handoff (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
 
+let test_early_chunks () =
+  Handoff_paxos.early_chunks ();
+  Handoff_vr.early_chunks ()
+
 let test_only_joiners_fetch () =
   List.iter
     (fun strategy ->
@@ -1297,8 +1434,8 @@ let () =
             test_session_gc_bounds_snapshot;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
-          Alcotest.test_case "provisional instance runs no replica" `Quick
-            test_provisional_runs_no_replica;
+          Alcotest.test_case "prepared, uncommitted epoch leaves nothing" `Quick
+            test_prepared_epoch_leaves_nothing;
           Alcotest.test_case "old instance halts once drained (paxos)" `Quick
             (test_halt_after_drain Rolling_paxos.run Strategy.composed);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
@@ -1311,6 +1448,10 @@ let () =
             (test_halt_after_drain Rolling_vr.run Strategy.matchmaker);
           Alcotest.test_case "only joiners fetch" `Quick
             test_only_joiners_fetch;
+          Alcotest.test_case "early chunks install at the bootstrap" `Quick
+            test_early_chunks;
+          Alcotest.test_case "every donor holds the same snapshot" `Quick
+            test_donors_agree;
           Alcotest.test_case "slow transfer is not re-requested" `Quick
             Handoff_paxos.slow_transfer;
           Alcotest.test_case "stalled transfer resumes from the next donor"

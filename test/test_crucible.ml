@@ -300,6 +300,29 @@ let test_batched_fast_path_under_churn () =
         true report.Runner.quiesced)
     Protocol.crucible
 
+(* --- teeth: a re-broken session dedup must be caught --- *)
+
+(* Scope's minimal scope orders no duplicate of a command, so the
+   crucible is this mutation's detector: seed 2 (the first failing seed
+   of 0..30 over core) duplicates client requests in flight, and with
+   dedup off the exactly-once oracle sees the counter pass the
+   acknowledged increments.  The unmutated run passes (the soak). *)
+let session_dedup_seed = 2
+
+let test_session_dedup_caught () =
+  let sc = Generate.scenario ~seed:session_dedup_seed in
+  let r =
+    Runner.run ~mutation:Rsmr_core.Options.No_session_dedup Protocol.core sc
+  in
+  let failed = List.map fst (Oracle.failures (Oracle.check r)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "exactly-once fails (failed: %s)"
+       (String.concat ", " failed))
+    true
+    (List.mem "exactly-once" failed);
+  Alcotest.(check bool) "the unmutated run passes" true
+    (Oracle.ok (Oracle.check (Runner.run Protocol.core sc)))
+
 (* --- dir_churn: platform-level churn family --- *)
 
 module Churn = Rsmr_shard.Churn
@@ -363,6 +386,8 @@ let () =
           Alcotest.test_case "first wedge wins" `Quick test_first_wedge_wins;
           Alcotest.test_case "batched fast path under churn" `Quick
             test_batched_fast_path_under_churn;
+          Alcotest.test_case "session-dedup mutation is caught" `Quick
+            test_session_dedup_caught;
         ] );
       ( "dir_churn",
         [

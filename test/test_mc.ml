@@ -191,9 +191,9 @@ let () =
           Alcotest.test_case "core/vr tiny scope" `Slow
             (test_exhaust Protocol.core_vr ~visited:4361);
           Alcotest.test_case "matchmaker tiny scope" `Slow
-            (test_exhaust Protocol.matchmaker ~visited:4413);
+            (test_exhaust Protocol.matchmaker ~visited:4152);
           Alcotest.test_case "matchmaker/vr tiny scope" `Slow
-            (test_exhaust (proto "matchmaker/vr") ~visited:4684);
+            (test_exhaust (proto "matchmaker/vr") ~visited:4604);
           Alcotest.test_case "stopworld/vr tiny scope" `Slow
             (test_exhaust (proto "stopworld/vr") ~visited:4118);
         ] );
