@@ -2,13 +2,14 @@
 
      rsmr experiments [--quick] [ID...]   regenerate evaluation tables
      rsmr run [options]                   ad-hoc scenario, prints stats
-     rsmr check [options]                 linearizability check of a run
      rsmr crucible [options]              seeded fault-injection soak
      rsmr scope [options]                 exhaustive bounded model check
      rsmr list                            list experiment ids
 
    Every subcommand names protocols with one --proto argument over the
-   protocol table; crucible and scope take it repeatedly. *)
+   protocol table; crucible and scope take it repeatedly.  A
+   linearizability check of one run is a crucible scenario, e.g.
+   --scenario 's=1;m=0,1,2;u=0,1,2,3,4,5;c=4;d=6;ev=3 reconf 3,4,5'. *)
 
 open Cmdliner
 
@@ -194,73 +195,6 @@ let run_cmd =
       $ duration_t $ drop_t $ keys_t $ read_ratio_t $ reconfig_at_t $ target_t
       $ crash_at_t)
 
-(* --- linearizability check --- *)
-
-module Reg_protocol = Protocol.Make (Rsmr_app.Register)
-module Lin = Rsmr_checker.Linearizability.Make (Rsmr_app.Register)
-module History = Rsmr_checker.History
-
-let check_scenario seed proto clients duration drop =
-  let engine = Engine.create ~seed () in
-  let members = [ 0; 1; 2 ] and universe = List.init 6 Fun.id in
-  Printf.printf "protocol=%s strategy=%s\n%!" proto.Protocol.name
-    (Protocol.strategy_name proto);
-  let { Reg_protocol.cluster; _ } =
-    Reg_protocol.create ~engine ~drop proto ~members ~universe
-  in
-  let rng = Rsmr_sim.Rng.split (Engine.rng engine) in
-  let gen ~client:_ ~seq:_ =
-    match Rsmr_sim.Rng.int rng 3 with
-    | 0 -> Rsmr_app.Register.encode_command Rsmr_app.Register.Read
-    | 1 ->
-      Rsmr_app.Register.encode_command
-        (Rsmr_app.Register.Write (Rsmr_sim.Rng.int rng 100))
-    | _ ->
-      let e = Rsmr_sim.Rng.int rng 100 in
-      Rsmr_app.Register.encode_command
-        (Rsmr_app.Register.Cas (e, Rsmr_sim.Rng.int rng 100))
-  in
-  let h = History.create () in
-  let on_event (e : Driver.event) =
-    History.add h
-      {
-        History.client = e.Driver.ev_client;
-        cmd = e.Driver.ev_cmd;
-        rsp = e.Driver.ev_rsp;
-        invoked = e.Driver.ev_invoked;
-        replied = e.Driver.ev_replied;
-      }
-  in
-  ignore
-    (Driver.run_closed ~cluster ~n_clients:clients ~first_client_id:100 ~gen
-       ~on_event ~start:0.5 ~duration ());
-  Schedule.reconfigure_at cluster ~time:(duration /. 2.0) [ 3; 4; 5 ];
-  Engine.run ~until:(duration +. 30.0) engine;
-  Printf.printf "history: %d operations, peak concurrency %d\n"
-    (History.length h) (History.concurrency h);
-  match Lin.check h with
-  | Lin.Linearizable ->
-    print_endline "result: LINEARIZABLE";
-    exit 0
-  | Lin.Not_linearizable ->
-    print_endline "result: NOT LINEARIZABLE — protocol bug!";
-    exit 1
-  | Lin.Inconclusive ->
-    print_endline "result: inconclusive (checker budget)";
-    exit 2
-
-let check_cmd =
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Drive a register workload across a reconfiguration and verify the \
-          recorded history is linearizable")
-    Term.(
-      const check_scenario $ seed_t $ proto_t
-      $ Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Concurrent clients.")
-      $ Arg.(value & opt float 6.0 & info [ "duration" ] ~doc:"Load duration.")
-      $ drop_t)
-
 (* --- checkers: crucible and scope --- *)
 
 module Scenario = Rsmr_crucible.Scenario
@@ -348,10 +282,13 @@ let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~mutation
     List.iter (fun sc -> print_endline (Scenario.to_string sc)) scenarios;
     exit 0
   end;
-  let on_run proto sc = function
+  (* The first (scenario, proto) pair's report, kept for --metrics. *)
+  let first = ref None in
+  let on_run proto sc (r : Runner.report) result =
+    if Option.is_some metrics && Option.is_none !first then first := Some r;
+    match result with
     | Error f -> Format.printf "%a@." Soak.pp_failure f
     | Ok outcome when verbose ->
-      let r = Runner.run ?mutation proto sc in
       Format.printf "seed %d %-9s ok (%d/%d ops, %d sim events, vt %.2fs)@.%a@."
         sc.Scenario.seed proto.Protocol.name r.Runner.completed
         r.Runner.submitted r.Runner.events_executed r.Runner.end_time Oracle.pp
@@ -378,14 +315,13 @@ let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~mutation
   if failures <> [] then
     Option.iter (fun path -> write_failures path Soak.pp_failure failures) out;
   (* One rsmr-metrics/1 artifact for the first (scenario, proto) pair:
-     counters, histograms, series and span aggregates of a full replay. *)
-  (match (metrics, scenarios, protos) with
-   | Some path, sc :: _, proto :: _ ->
-     let r = Runner.run ?mutation proto sc in
+     counters, histograms, series and span aggregates of its run. *)
+  (match (metrics, !first) with
+   | Some path, Some r ->
      Rsmr_obs.Registry.save r.Runner.obs ~path;
      Format.printf "metrics written to %s (spans: %a)@." path
        Rsmr_obs.Span.pp_summary r.Runner.spans
-   | Some _, _, _ | None, _, _ -> ());
+   | Some _, None | None, _ -> ());
   exit (if failures = [] then 0 else 1)
 
 let crucible seeds protos family storm quick scenario lin_budget no_shrink
@@ -572,5 +508,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "rsmr" ~doc)
-          [ experiments_cmd; list_cmd; run_cmd; check_cmd; crucible_cmd;
-            scope_cmd ]))
+          [ experiments_cmd; list_cmd; run_cmd; crucible_cmd; scope_cmd ]))

@@ -8,7 +8,7 @@
     The reconfiguration policy itself is no longer a pair of booleans:
     it is a {!Rsmr_iface.Reconfig_strategy.t} value, and
     {!Rsmr_core.Service.Make} drives whatever stage choices the value
-    declares, reading its [prepare], [handoff] and [residuals] fields. *)
+    declares, reading its [transfer], [handoff] and [residuals] fields. *)
 
 type mutation = No_first_wedge
       (** Deliberately re-breaks the first-wedge-wins dispatch guard:

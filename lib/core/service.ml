@@ -86,6 +86,34 @@ let epoch_audit stats =
 (* Retry period for an unanswered snapshot fetch, seconds. *)
 let fetch_timeout = 0.25
 
+(* The donors a host asks for its transfer into a configuration of
+   [members], in order: the previous members but the host.  The new
+   configuration's first member leads it from boot (the Paxos ballot-0
+   owner, VR's view-0 primary).  Under load its uplink is the busiest,
+   and control traffic goes before chunks there, so a snapshot from it
+   can stall past [fetch_timeout] and be asked for twice.  It is asked
+   last. *)
+let donor_order ~me ~members ~prev_members =
+  let others = List.filter (fun m -> not (Node_id.equal m me)) prev_members in
+  match List.sort Node_id.compare members with
+  | leader :: _ ->
+    let last, first = List.partition (Node_id.equal leader) others in
+    first @ last
+  | [] -> others
+
+(* The donor a host asks after [asked] earlier requests.  Staggering the
+   start by the host's identity makes concurrent joiners pull from
+   different old members instead of all melting one uplink. *)
+let nth_donor ~me donors asked =
+  match donors with
+  | [] -> None
+  | _ -> List.nth_opt donors ((me + asked) mod List.length donors)
+
+(* The donor [joiner]'s fetch asks first: under push, the one member of
+   the previous configuration that sends it the snapshot unasked. *)
+let first_donor ~joiner ~members ~prev_members =
+  nth_donor ~me:joiner (donor_order ~me:joiner ~members ~prev_members) 0
+
 (* Most block messages an instance holds for a replica that has not
    started; later ones are dropped. *)
 let early_cap = 64
@@ -100,7 +128,7 @@ let recv_edge (h : Front.handler) (env : Wire.t Network.envelope) =
   | Wire.Dir_info { epoch; members; leader } ->
     h.Front.on_info ~epoch ~members ~leader
   | Wire.Block _ | Wire.Bootstrap _ | Wire.Fetch_state _ | Wire.State_chunk _
-  | Wire.Retire _ | Wire.Prepare _ ->
+  | Wire.Retire _ ->
     ()
 [@@rsmr.deterministic] [@@rsmr.total]
 
@@ -162,10 +190,10 @@ struct
 
   (* The composition layer is a driver over
      [t.opts.Options.strategy] ({!Rsmr_iface.Reconfig_strategy}): the
-     stage sequence wedge → prepare → state transfer → directory publish
-     → handoff → residual re-submission is fixed, and the strategy value
-     picks a policy per stage.  The driver reads the strategy's
-     [prepare], [handoff] and [residuals] fields directly; [composed]
+     stage sequence wedge → bootstrap → state transfer → directory
+     publish → handoff → residual re-submission is fixed, and the
+     strategy value picks a policy per stage.  The driver reads the
+     strategy's [transfer], [handoff] and [residuals] fields directly; [composed]
      (the paper's default) keeps every code path bit-for-bit identical
      to the historical hard-wired sequence.  The client-facing edge
      (directory node, client endpoints, admin session) is {!Front}. *)
@@ -209,20 +237,19 @@ struct
   (* A host's transfer into one epoch: who asked before the previous epoch
      wedged here, then the committed members and the wedge-point state. *)
   type donation =
-    | Asked of Node_id.t list
-        (* newest first; [Asked []] on the leader that prepared the
-           epoch, so it prepares it once *)
+    | Asked of Node_id.t list (* newest first *)
     | Ready of { members : Node_id.t list; snapshot : string }
 
-  (* The same transfer from the joiner's side.  An early [Prepare] may
-     start it before the epoch has an instance; it goes with the instance
-     ({!remove_instance}). *)
+  (* The same transfer from the joiner's side, until its epoch activates
+     or retires.  Pushed chunks may start it before the epoch has an
+     instance; the instance then takes it over ({!await_state}). *)
   type fetch = {
-    donors : Node_id.t list; (* previous members but this host *)
+    mutable donors : Node_id.t list;
+        (* {!donor_order}; [] until an instance takes the transfer over *)
     mutable chunks : string option array;
     mutable chunks_got : int;
     mutable timer : Engine.timer option; (* armed only under an instance *)
-    mutable rr : int;
+    mutable rr : int; (* donors asked so far, counting a push as one *)
   }
 
   type host = {
@@ -337,11 +364,6 @@ struct
   let reply_client t host ~client ~seq ~rsp =
     incr (Lazy.force t.replies);
     send t ~src:host.me ~dst:client (Wire.Client (Client_msg.Reply { seq; rsp }))
-
-  let activated host epoch =
-    match Hashtbl.find_opt host.instances epoch with
-    | Some inst -> inst.activated
-    | None -> false
 
   let is_inst_leader inst =
     match inst.replica with Some r -> Replica.is_leader r | None -> false
@@ -601,16 +623,18 @@ struct
         host.latest_members <- members'
       end;
       (* Anyone who asked for this snapshot before we wedged.  Only the
-         committed configuration's members are served: a host that asked
-         on a [Prepare] whose membership lost the race gets nothing. *)
-      (match Hashtbl.find_opt host.transfers new_epoch with
-       | Some (Asked waiting) ->
-         List.iter
-           (fun dst ->
-             if List.exists (Node_id.equal dst) members' then
-               send_snapshot t host ~dst ~epoch:new_epoch snapshot)
-           waiting
-       | Some (Ready _) | None -> ());
+         committed configuration's members are served. *)
+      let served =
+        match Hashtbl.find_opt host.transfers new_epoch with
+        | Some (Asked waiting) ->
+          List.filter
+            (fun dst -> List.exists (Node_id.equal dst) members')
+            waiting
+        | Some (Ready _) | None -> []
+      in
+      List.iter
+        (fun dst -> send_snapshot t host ~dst ~epoch:new_epoch snapshot)
+        served;
       Hashtbl.replace host.transfers new_epoch
         (Ready { members = members'; snapshot });
       (* Tell the new configuration it exists.  The closures below capture
@@ -630,6 +654,19 @@ struct
           members'
       in
       bootstrap_members ();
+      (* Push: each joiner gets the snapshot, unasked, from the donor its
+         own fetch would ask first, right after the [Bootstrap] that
+         creates its instance. *)
+      if t.opts.Options.strategy.Strategy.transfer = `Push then
+        List.iter
+          (fun dst ->
+            if
+              (not (List.exists (Node_id.equal dst) members))
+              && (not (List.exists (Node_id.equal dst) served))
+              && first_donor ~joiner:dst ~members:members' ~prev_members:members
+                 = Some host.me
+            then send_snapshot t host ~dst ~epoch:new_epoch snapshot)
+          members';
       (* The leader drains the instance before it halts ({!drained}).  The
          barrier goes in from a fresh engine step, not from inside the
          block's decide callback. *)
@@ -677,42 +714,6 @@ struct
         activate t host next ~app:inst.app
           ~sessions:(Session.copy inst.sessions) ~local:true
       end
-    end
-
-  (* --- Matchmaker-style early prepare: an early fetch --- *)
-
-  (* A proposed member with no live instance of the previous epoch starts
-     its fetch; the donors serve it at the wedge.  The epoch's one
-     instance comes later, from the wedge, and takes it over
-     ({!await_state}). *)
-  and handle_prepare t host ~epoch ~members ~prev_members =
-    if
-      (not (Hashtbl.mem host.retired epoch))
-      && (not (Hashtbl.mem host.instances epoch))
-      && (not (Hashtbl.mem host.instances (epoch - 1)))
-      && not (Hashtbl.mem host.fetches epoch)
-    then start_fetch t host epoch (add_fetch host epoch ~members ~prev_members)
-
-  and maybe_prepare t host inst members' =
-    let epoch = inst.epoch + 1 in
-    if
-      t.opts.Options.strategy.Strategy.prepare = `Early
-      && members' <> []
-      && inst.wedged_at = None
-      && is_inst_leader inst
-      && not (Hashtbl.mem host.transfers epoch)
-    then begin
-      incr (Obs.scope_counter t.svc "prepares");
-      Hashtbl.replace host.transfers epoch (Asked []);
-      let prev_members = inst.cfg.Config.members in
-      List.iter
-        (fun m ->
-          if not (Node_id.equal m host.me) then
-            send t ~src:host.me ~dst:m
-              (Wire.Prepare
-                 { epoch; members = members'; prev_epoch = inst.epoch;
-                   prev_members }))
-        members'
     end
 
   and create_instance t host ~epoch ~members ~boot =
@@ -784,49 +785,49 @@ struct
       List.iter (fun (src, data) -> Replica.handle replica ~src (B.Msg.decode data)) early
     end
 
-  (* A transfer into [epoch] from the previous members but this host.
-     The new configuration's first member leads it from boot (the Paxos
-     ballot-0 owner, VR's view-0 primary).  Under load its uplink is the
-     busiest, and control traffic goes before chunks there, so a snapshot
-     from it can stall past [fetch_timeout] and be asked for twice.  It
-     is asked last.  A transfer that no instance took over (its prepare
-     lost the race or never committed) holds no chunks and arms no timer;
-     the next transfer the host starts drops it. *)
-  and add_fetch host epoch ~members ~prev_members =
-    List.iter
-      (fun e ->
-        if not (Hashtbl.mem host.instances e) then Hashtbl.remove host.fetches e)
-      (Stable.sorted_keys ~compare:Int.compare host.fetches);
-    let others =
-      List.filter (fun m -> not (Node_id.equal m host.me)) prev_members
-    in
-    let donors =
-      match List.sort Node_id.compare members with
-      | leader :: _ ->
-        let last, first = List.partition (Node_id.equal leader) others in
-        first @ last
-      | [] -> others
-    in
-    let f = { donors; chunks = [||]; chunks_got = 0; timer = None; rr = 0 } in
-    Hashtbl.replace host.fetches epoch f;
-    f
+  and fetch_record host epoch =
+    match Hashtbl.find_opt host.fetches epoch with
+    | Some f -> f
+    | None ->
+      let f =
+        { donors = []; chunks = [||]; chunks_got = 0; timer = None; rr = 0 }
+      in
+      Hashtbl.replace host.fetches epoch f;
+      f
 
-  (* Only a member new to the configuration pulls the wedge-point state
+  and drop_fetch t host epoch =
+    match Hashtbl.find_opt host.fetches epoch with
+    | Some f ->
+      f.timer <- Engine.cancel_opt t.engine f.timer;
+      Hashtbl.remove host.fetches epoch
+    | None -> ()
+
+  (* Only a member new to the configuration gets the wedge-point state
      over the network.  A host still running the previous epoch's
      instance gets it from its own wedge ({!wedge}'s local handoff), so it
      fetches only if that instance retires unwedged ({!remove_instance})
-     or no wedge has activated it within one [fetch_timeout].  A transfer
-     an early [Prepare] began is taken over, not asked for again. *)
+     or no wedge has activated it within one [fetch_timeout].  Under
+     push a joiner does not ask: its first-choice donor sends the state
+     at the wedge, so the instance takes that transfer over, chunks
+     already received included, and asks the next donor only after one
+     [fetch_timeout] with no chunk.  (A member of the previous
+     configuration is pushed nothing, so one whose old instance retired
+     unwedged asks at once.) *)
   and await_state t host inst ~prev_members =
-    match Hashtbl.find_opt host.fetches inst.epoch with
-    | Some f ->
-      try_install t host inst f;
-      if not inst.activated then arm_fetch_timer t host inst.epoch f
-    | None ->
-      let members = inst.cfg.Config.members in
-      let f = add_fetch host inst.epoch ~members ~prev_members in
+    let f = fetch_record host inst.epoch in
+    f.donors <-
+      donor_order ~me:host.me ~members:inst.cfg.Config.members ~prev_members;
+    try_install t host inst f;
+    if not inst.activated then
       if Hashtbl.mem host.instances (inst.epoch - 1) then
         arm_fetch_timer t host inst.epoch f
+      else if
+        t.opts.Options.strategy.Strategy.transfer = `Push
+        && not (List.exists (Node_id.equal host.me) prev_members)
+      then begin
+        f.rr <- 1;
+        arm_fetch_timer t host inst.epoch f
+      end
       else start_fetch t host inst.epoch f
 
   (* (Re-)start the fetch clock: the next donor is asked only after a
@@ -839,48 +840,35 @@ struct
              start_fetch t host epoch f))
 
   and start_fetch t host epoch f =
-    if f.donors <> [] && not (activated host epoch) then begin
-      (* Stagger initial fetch targets by requester identity so concurrent
-         joiners pull from different old members instead of all melting one
-         uplink. *)
-      if f.rr = 0 then f.rr <- host.me;
-      match List.nth_opt f.donors (f.rr mod List.length f.donors) with
-      | None -> ()
-      | Some dst ->
-        f.rr <- f.rr + 1;
-        if Trace.active t.bus then
-          Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
-            ~topic:`Reconfig
-            ~attrs:
-              [
-                ("epoch", string_of_int epoch);
-                ("donor", string_of_int dst);
-                ("strategy", t.opts.Options.strategy.Strategy.name);
-              ]
-            "fetch";
-        send t ~src:host.me ~dst (Wire.Fetch_state { epoch });
-        if Hashtbl.mem host.instances epoch then arm_fetch_timer t host epoch f
-    end
+    match nth_donor ~me:host.me f.donors f.rr with
+    | None -> ()
+    | Some dst ->
+      f.rr <- f.rr + 1;
+      if Trace.active t.bus then
+        Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
+          ~topic:`Reconfig
+          ~attrs:
+            [
+              ("epoch", string_of_int epoch);
+              ("donor", string_of_int dst);
+              ("strategy", t.opts.Options.strategy.Strategy.name);
+            ]
+          "fetch";
+      send t ~src:host.me ~dst (Wire.Fetch_state { epoch });
+      arm_fetch_timer t host epoch f
 
   and remove_instance t host inst =
     Hashtbl.remove host.instances inst.epoch;
     Option.iter Replica.halt inst.replica;
-    (match Hashtbl.find_opt host.fetches inst.epoch with
-     | Some f ->
-       f.timer <- Engine.cancel_opt t.engine f.timer;
-       Hashtbl.remove host.fetches inst.epoch
-     | None -> ());
+    drop_fetch t host inst.epoch;
     (* Gone before its wedge (it lagged, then got [Retire]): no local
        handoff is coming, so a next instance waiting for one fetches now.
        [rr = 0] means it has not asked anyone yet. *)
     if inst.wedged_at = None then
-      match
-        ( Hashtbl.find_opt host.instances (inst.epoch + 1),
-          Hashtbl.find_opt host.fetches (inst.epoch + 1) )
-      with
-      | Some next, Some f when (not next.activated) && f.rr = 0 ->
-        start_fetch t host next.epoch f
-      | _ -> ()
+      match Hashtbl.find_opt host.fetches (inst.epoch + 1) with
+      | Some f when f.rr = 0 && Hashtbl.mem host.instances (inst.epoch + 1) ->
+        start_fetch t host (inst.epoch + 1) f
+      | Some _ | None -> ()
 
   (* A retired epoch is data: its audit record, plus what the host
      donated into it and out of it.  Retiring epoch [x] drops every
@@ -914,9 +902,7 @@ struct
               ("strategy", t.opts.Options.strategy.Strategy.name);
             ]
           "activated";
-      Option.iter
-        (fun f -> f.timer <- Engine.cancel_opt t.engine f.timer)
-        (Hashtbl.find_opt host.fetches inst.epoch);
+      drop_fetch t host inst.epoch;
       if inst.replica = None then start_replica t host inst;
       (* Execute everything the speculative instance ordered while the
          snapshot was in flight, in log order.  Sort by slot index only:
@@ -947,7 +933,7 @@ struct
   (* Handoff: install the assembled snapshot once every chunk is here. *)
   and try_install t host inst f =
     let total = Array.length f.chunks in
-    if total > 0 && f.chunks_got = total && not inst.activated then begin
+    if total > 0 && f.chunks_got = total then begin
       (* chunks_got = total implies every cell is filled, so the
          filter_map drops nothing. *)
       let pieces = Array.to_list f.chunks |> List.filter_map Fun.id in
@@ -972,8 +958,7 @@ struct
     match Hashtbl.find_opt host.transfers epoch with
     | Some (Ready { members; snapshot }) ->
       (* Post-wedge the committed next membership is known; only its
-         members are served (a host that fetched on a losing [Prepare]
-         gets nothing). *)
+         members are served. *)
       if List.exists (Node_id.equal src) members then
         send_snapshot t host ~dst:src ~epoch snapshot
     | Some (Asked waiting) ->
@@ -984,17 +969,23 @@ struct
          at wedge time. *)
       Hashtbl.replace host.transfers epoch (Asked [ src ])
 
-  (* Chunks that arrive before the epoch's instance exists (an early
-     [Prepare]'s transfer) are kept for it; the progress clock starts
-     when it takes the transfer over. *)
+  (* Chunks that arrive before the epoch's instance exists (a push that
+     overtook the [Bootstrap]) start the transfer; donors send chunks
+     only to members of the committed configuration, so that instance
+     is coming.  An epoch that retired, or activated (an instance with no
+     record), takes none. *)
   let handle_chunk t host ~epoch ~index ~total ~data =
-    match Hashtbl.find_opt host.fetches epoch with
-    | Some f when not (activated host epoch) ->
+    let inst = Hashtbl.find_opt host.instances epoch in
+    if
+      not
+        (Hashtbl.mem host.retired epoch
+        || (inst <> None && not (Hashtbl.mem host.fetches epoch)))
+    then begin
+      let f = fetch_record host epoch in
       if Array.length f.chunks <> total then begin
         f.chunks <- Array.make total None;
         f.chunks_got <- 0
       end;
-      let inst = Hashtbl.find_opt host.instances epoch in
       if index < total then begin
         (* The transfer is moving: wait for it rather than ask the next
            donor for another copy.  A chunk already held counts too: a
@@ -1006,7 +997,7 @@ struct
         end
       end;
       Option.iter (fun inst -> try_install t host inst f) inst
-    | Some _ | None -> ()
+    end
 
   let handle_retire t host ~epoch =
     Stable.iter_sorted ~compare:Int.compare
@@ -1060,7 +1051,6 @@ struct
                 | Client_msg.Cmd cmd ->
                   Envelope.App { client = src; seq; low_water; cmd }
                 | Client_msg.Change_membership members ->
-                  maybe_prepare t host inst members;
                   Envelope.Reconfig { client = src; seq; members }
               in
               Some (Envelope.encode env))
@@ -1093,8 +1083,6 @@ struct
     | Wire.Client (Client_msg.Reply _ | Client_msg.Redirect _) -> ()
     | Wire.Bootstrap { epoch; members; prev_epoch; prev_members } ->
       handle_bootstrap t host ~epoch ~members ~prev_epoch ~prev_members
-    | Wire.Prepare { epoch; members; prev_epoch = _; prev_members } ->
-      handle_prepare t host ~epoch ~members ~prev_members
     | Wire.Fetch_state { epoch } -> handle_fetch t host ~src ~epoch
     | Wire.State_chunk { epoch; index; total; data } ->
       handle_chunk t host ~epoch ~index ~total ~data

@@ -18,10 +18,12 @@
       retry period with no chunk arriving.  A member of both
       configurations takes the state from its own wedge instead, and
       fetches only if its old instance retires unwedged or no wedge
-      comes within that period.  Under early prepare a joiner starts
-      that fetch on the [Prepare], before the wedge; the instance the
-      wedge-time [Bootstrap] creates takes the transfer over, chunks
-      already received included.
+      comes within that period.  Under push transfer a joiner does not
+      ask: the old member its fetch would ask first sends the snapshot
+      right after its [Bootstrap], and the joiner asks the next one only
+      after a retry period with no chunk.  Chunks that arrive before the
+      joiner's instance are kept for it.  A joiner's transfer record is
+      dropped when its epoch activates.
     - With speculative handoff on, epoch [e+1]'s instance boots and orders
       commands {e while} the snapshot is in flight; it executes and replies
       only once the snapshot is installed.
@@ -142,9 +144,7 @@ module type S = sig
   val counters : t -> Rsmr_sim.Counters.t
   (** Keys include "applied", "wedges", "residuals",
       "residuals_resubmitted", "transfers", "local_activations",
-      "chunks_sent", "transfer_bytes", "replies", "redirects", and
-      "prepares" (epochs a leader prepared early, at most one per epoch
-      per leader).
+      "chunks_sent", "transfer_bytes", "replies" and "redirects".
       "transfers" counts instances activated by a fetched snapshot —
       one per joiner, plus any continuing member whose old instance
       retired unwedged; "local_activations" counts members that

@@ -1,13 +1,6 @@
 module W = Rsmr_app.Codec.Writer
 module R = Rsmr_app.Codec.Reader
 
-type prepare = {
-  epoch : int;
-  members : Rsmr_net.Node_id.t list;
-  prev_epoch : int;
-  prev_members : Rsmr_net.Node_id.t list;
-}
-
 type t =
   | Block of { epoch : int; data : string }
   | Client of Rsmr_client.Client_msg.t
@@ -31,23 +24,6 @@ type t =
       members : Rsmr_net.Node_id.t list;
       leader : Rsmr_net.Node_id.t option;
     }
-  | Prepare of prepare
-
-(* [Prepare] bodies are their own named sub-codec so the shape checker
-   proves the pair symmetric on its own. *)
-let write_prepare w (p : prepare) =
-  W.varint w p.epoch;
-  W.list w W.zigzag p.members;
-  W.varint w p.prev_epoch;
-  W.list w W.zigzag p.prev_members
-
-let read_prepare r =
-  let epoch = R.varint r in
-  let members = R.list r R.zigzag in
-  let prev_epoch = R.varint r in
-  let prev_members = R.list r R.zigzag in
-  { epoch; members; prev_epoch; prev_members }
-[@@rsmr.deterministic] [@@rsmr.total]
 
 (* The one wire-format body: [encode] runs it against a buffer sink,
    [size] against a counting sink, so they cannot drift. *)
@@ -89,9 +65,6 @@ let write w t =
     W.varint w epoch;
     W.list w W.zigzag members;
     W.option w W.zigzag leader
-  | Prepare p ->
-    W.u8 w 9;
-    write_prepare w p
 
 let read r =
   match R.u8 r with
@@ -121,7 +94,6 @@ let read r =
     let epoch = R.varint r in
     let members = R.list r R.zigzag in
     Dir_info { epoch; members; leader = R.option r R.zigzag }
-  | 9 -> Prepare (read_prepare r)
   | _ -> raise Rsmr_app.Codec.Truncated
 
 let encode t =
@@ -146,12 +118,11 @@ let tag = function
   | Dir_update _ -> "dir_update"
   | Dir_lookup -> "dir_lookup"
   | Dir_info _ -> "dir_info"
-  | Prepare _ -> "prepare"
 
 let bulk = function
   | State_chunk _ -> true
   | Block _ | Client _ | Bootstrap _ | Fetch_state _ | Retire _ | Dir_update _
-  | Dir_lookup | Dir_info _ | Prepare _ ->
+  | Dir_lookup | Dir_info _ ->
     false
 
 let pp_members ppf members =
@@ -176,6 +147,3 @@ let pp ppf = function
   | Dir_lookup -> Format.pp_print_string ppf "dir_lookup"
   | Dir_info { epoch; members; _ } ->
     Format.fprintf ppf "dir_info(#%d {%a})" epoch pp_members members
-  | Prepare { epoch; members; prev_epoch; _ } ->
-    Format.fprintf ppf "prepare(#%d {%a} prev=#%d)" epoch pp_members members
-      prev_epoch

@@ -5,23 +5,8 @@
     with its epoch so a host can run replicas of several configurations at
     once — the overlap that speculative handoff exploits.  The remaining constructors are the
     glue the paper adds around the black boxes: bootstrap of new members,
-    pull-based chunked state transfer, retirement of superseded instances,
-    and the client/directory protocols. *)
-
-type prepare = {
-  epoch : int;
-  members : Rsmr_net.Node_id.t list;
-  prev_epoch : int;
-  prev_members : Rsmr_net.Node_id.t list;
-}
-(** Matchmaker-style early prepare: the old epoch's leader tells the
-    proposed configuration about [epoch] {e before} the [Reconfig]
-    commits, once per epoch.  A receiver with no live instance of
-    [prev_epoch] starts its snapshot fetch from [prev_members] and
-    creates nothing else; the instance of [epoch] comes only from a
-    wedge-time {!t.Bootstrap} (or the wedge's local handoff), and takes
-    that fetch over.  Donors serve only the committed configuration, so
-    a prepare whose membership loses the race transfers nothing. *)
+    chunked state transfer, retirement of superseded instances, and the
+    client/directory protocols. *)
 
 type t =
   | Block of { epoch : int; data : string }
@@ -36,6 +21,9 @@ type t =
       (** "Send me the starting snapshot for [epoch]" — answered by a
           member of [epoch - 1] once it has wedged. *)
   | State_chunk of { epoch : int; index : int; total : int; data : string }
+      (** One piece of that snapshot: the answer to a [Fetch_state] or,
+          under a push strategy, sent unasked to a joiner at the wedge
+          ({!Rsmr_iface.Reconfig_strategy.transfer}). *)
   | Retire of { epoch : int }
       (** "Instance [epoch - 1] has drained — halt every instance below
           [epoch]."  Sent by that instance's leader once its drain barrier
@@ -51,7 +39,6 @@ type t =
       members : Rsmr_net.Node_id.t list;
       leader : Rsmr_net.Node_id.t option;
     }
-  | Prepare of prepare
 
 val size : t -> int
 (** Wire size in bytes: a single counting pass over the same body as

@@ -32,34 +32,37 @@ let run_scenario ?lin_budget ?mutation proto scenario =
 
 let check_scenario ?lin_budget ?(shrink = true) ?mutation proto scenario =
   let run_scenario = run_scenario ?mutation in
-  let outcome, _report = run_scenario ?lin_budget proto scenario in
-  match Oracle.failures outcome with
-  | [] -> Ok outcome
-  | failed ->
-    (* Shrink against "any oracle fails": chasing one specific oracle
-       tends to dead-end when a smaller scenario trips an even earlier
-       invariant, and any surviving failure is a valid reproducer. *)
-    let still_fails sc =
-      let o, _ = run_scenario ?lin_budget proto sc in
-      Oracle.failures o <> []
-    in
-    let shrunk, attempts =
-      if shrink then Shrink.minimize ~still_fails scenario else (scenario, 0)
-    in
-    let shrunk_outcome, _ = run_scenario ?lin_budget proto shrunk in
-    Error
-      {
-        f_proto = proto;
-        f_mutation = mutation;
-        f_seed = scenario.Scenario.seed;
-        f_scenario = scenario;
-        f_failed = failed;
-        f_shrunk = shrunk;
-        f_shrunk_failed = Oracle.failures shrunk_outcome;
-        f_attempts = attempts;
-      }
+  let outcome, report = run_scenario ?lin_budget proto scenario in
+  let verdict =
+    match Oracle.failures outcome with
+    | [] -> Ok outcome
+    | failed ->
+      (* Shrink against "any oracle fails": chasing one specific oracle
+         tends to dead-end when a smaller scenario trips an even earlier
+         invariant, and any surviving failure is a valid reproducer. *)
+      let still_fails sc =
+        let o, _ = run_scenario ?lin_budget proto sc in
+        Oracle.failures o <> []
+      in
+      let shrunk, attempts =
+        if shrink then Shrink.minimize ~still_fails scenario else (scenario, 0)
+      in
+      let shrunk_outcome, _ = run_scenario ?lin_budget proto shrunk in
+      Error
+        {
+          f_proto = proto;
+          f_mutation = mutation;
+          f_seed = scenario.Scenario.seed;
+          f_scenario = scenario;
+          f_failed = failed;
+          f_shrunk = shrunk;
+          f_shrunk_failed = Oracle.failures shrunk_outcome;
+          f_attempts = attempts;
+        }
+  in
+  (report, verdict)
 
-let soak ?lin_budget ?shrink ?mutation ?(on_run = fun _ _ _ -> ()) ~protos
+let soak ?lin_budget ?shrink ?mutation ?(on_run = fun _ _ _ _ -> ()) ~protos
     ~scenarios () =
   let runs = ref 0 and passed = ref 0 and inconclusive = ref 0 in
   let failures = ref [] in
@@ -68,13 +71,15 @@ let soak ?lin_budget ?shrink ?mutation ?(on_run = fun _ _ _ -> ()) ~protos
       List.iter
         (fun proto ->
           incr runs;
-          let result = check_scenario ?lin_budget ?shrink ?mutation proto sc in
+          let report, result =
+            check_scenario ?lin_budget ?shrink ?mutation proto sc
+          in
           (match result with
            | Ok outcome ->
              incr passed;
              if Oracle.inconclusives outcome <> [] then incr inconclusive
            | Error failure -> failures := failure :: !failures);
-          on_run proto sc result)
+          on_run proto sc report result)
         protos)
     scenarios;
   {

@@ -35,6 +35,7 @@ val soak :
   ?on_run:
     (Rsmr_protocol.Protocol.t ->
     Scenario.t ->
+    Runner.report ->
     (Oracle.outcome, failure) result ->
     unit) ->
   protos:Rsmr_protocol.Protocol.t list ->
@@ -43,7 +44,8 @@ val soak :
   summary
 (** Cross product of scenarios × protos, in order: run and judge each
     pair; on failure, minimize (unless [shrink:false]) and re-judge the
-    minimized scenario.  [on_run] fires after each run with its verdict
-    (every failure also lands in the summary). *)
+    minimized scenario.  [on_run] fires after each run with the run's
+    report (of the scenario as given, not a minimized one) and its
+    verdict (every failure also lands in the summary). *)
 
 val pp_failure : Format.formatter -> failure -> unit

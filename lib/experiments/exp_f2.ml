@@ -88,7 +88,7 @@ let run ?(quick = false) () =
          top: no election (the new configuration's first member leads from \
          boot), and no late wedge (commit notices overtake the queued \
          chunks on the donor's uplink); matchmaker ~ core at these LAN \
-         RTTs (the prepare head start is one commit round, sub-ms here — \
+         RTTs (the push saves one request round trip, sub-ms here — \
          T5's WAN wedge column is where it shows); stopworld blips above \
          core (with no speculation its new instance orders nothing until \
          the snapshot is in), then its residual commands wait out one \

@@ -3,8 +3,9 @@
    membership-change-heavy scenario family, judged by the full oracle
    battery and costed along the dimensions the strategy API dials:
    wedged window (client-visible handoff blackout), state-transfer
-   bytes, and early-prepare traffic.  A second, fault-free probe prices
-   one fleet replacement per composition strategy over WAN latencies. *)
+   bytes, and the snapshot requests sent.  A second, fault-free probe
+   prices one fleet replacement per composition strategy over WAN
+   latencies. *)
 
 module Generate = Rsmr_crucible.Generate
 module Runner = Rsmr_crucible.Runner
@@ -23,7 +24,7 @@ let counter_of (r : Runner.report) name =
 
 let run_one proto ~seeds =
   let passed = ref 0 and completed = ref 0 in
-  let transfer = ref 0 and prepares = ref 0 in
+  let transfer = ref 0 and fetches = ref 0 in
   let windows = ref [] in
   List.iter
     (fun seed ->
@@ -31,7 +32,9 @@ let run_one proto ~seeds =
       if Oracle.failures (Oracle.check r) = [] then incr passed;
       completed := !completed + r.Runner.completed;
       transfer := !transfer + counter_of r "transfer_bytes";
-      prepares := !prepares + counter_of r "prepares";
+      fetches :=
+        !fetches
+        + Counters.get (Obs.counters r.Runner.obs "net") "sent.fetch_state";
       let h =
         Obs.histogram r.Runner.obs "wedged_window_s"
           ~labels:[ ("strategy", Protocol.strategy_name proto) ]
@@ -43,11 +46,11 @@ let run_one proto ~seeds =
     | [] -> Float.nan
     | ws -> List.fold_left ( +. ) 0.0 ws /. float_of_int (List.length ws)
   in
-  (!passed, !completed, window, !transfer, !prepares)
+  (!passed, !completed, window, !transfer, !fetches)
 
 (* One fleet replacement {0,1,2} -> {3,4,5} after a 200-key preload, over
-   the WAN latency model: with sub-millisecond RTTs the prepare->wedge gap
-   (one commit round) is too small for matchmaker's head start to show.
+   the WAN latency model: with sub-millisecond RTTs the request round
+   trip that matchmaker's push saves is too small to show.
    Returns the mean wedge->announce window (seconds) and the transfer
    bytes, both simulator-exact; [None] for raft, which never wedges. *)
 let wan_probe proto =
@@ -80,7 +83,7 @@ let run ?(quick = false) () =
   let rows =
     List.map
       (fun proto ->
-        let passed, completed, window, transfer, prepares =
+        let passed, completed, window, transfer, fetches =
           run_one proto ~seeds
         in
         let wan_window, wan_transfer =
@@ -94,7 +97,7 @@ let run ?(quick = false) () =
           string_of_int completed;
           (if Float.is_nan window then "n/a" else Table.cell_ms window);
           string_of_int transfer;
-          string_of_int prepares;
+          string_of_int fetches;
           wan_window;
           wan_transfer;
         ])
@@ -108,7 +111,7 @@ let run ?(quick = false) () =
         "ops";
         "mean wedge";
         "transfer B";
-        "prepares";
+        "fetches";
         "WAN wedge";
         "WAN transfer B";
       ]
@@ -117,13 +120,18 @@ let run ?(quick = false) () =
         "crucible reconf_churn family: 3-6 membership changes per run, half \
          chased by a second change, plus one crash/recover or drop spell; \
          every run must pass the full oracle battery";
-        "expected shape: matchmaker's early prepare shrinks the mean wedged \
-         window below composed at the cost of prepare traffic; stopworld \
-         pays the largest window (blocking handoff, client-retry \
-         residuals); raft is native (no wedge, so no window to report)";
+        "expected shape: matchmaker's push takes the joiner's request \
+         round trip out of the wedged window, which shows in the WAN \
+         column (the churn rows' windows are sub-ms but stopworld's), \
+         and its joiners send a Fetch_state only after a push stalls; \
+         stopworld pays the largest window (blocking handoff, \
+         client-retry residuals); raft is native (no wedge, so no window \
+         to report)";
+        "fetches: Fetch_state messages sent (the net section), by joiners \
+         and by members whose local handoff was late";
         "WAN columns: one fault-free fleet replacement {0,1,2} -> {3,4,5} \
          after a 200-key x 64B preload over WAN latencies (seed 3), where \
-         matchmaker's prepare head start is visible against the same \
-         transfer bytes";
+         matchmaker's saved request round trip is visible against the \
+         same transfer bytes";
       ]
     rows

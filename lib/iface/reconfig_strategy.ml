@@ -1,10 +1,10 @@
-type prepare = [ `At_wedge | `Early ]
+type transfer = [ `Pull | `Push ]
 type handoff = [ `Speculative | `Blocking ]
 type residuals = [ `Resubmit | `Client_retry ]
 
 type t = {
   name : string;
-  prepare : prepare;
+  transfer : transfer;
   handoff : handoff;
   residuals : residuals;
 }
@@ -12,7 +12,7 @@ type t = {
 let composed =
   {
     name = "composed";
-    prepare = `At_wedge;
+    transfer = `Pull;
     handoff = `Speculative;
     residuals = `Resubmit;
   }
@@ -20,7 +20,7 @@ let composed =
 let matchmaker =
   {
     name = "matchmaker";
-    prepare = `Early;
+    transfer = `Push;
     handoff = `Speculative;
     residuals = `Resubmit;
   }
@@ -28,7 +28,7 @@ let matchmaker =
 let stopworld =
   {
     name = "stopworld";
-    prepare = `At_wedge;
+    transfer = `Pull;
     handoff = `Blocking;
     residuals = `Client_retry;
   }

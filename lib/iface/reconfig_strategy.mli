@@ -2,12 +2,13 @@
 
     The composition layer executes an epoch change as a sequence of
     stages — {b wedge} (the old instance decides its last command),
-    {b prepare} (the new epoch's instance is bootstrapped), {b state
-    transfer} (chunked snapshot pull), {b directory publish}, {b handoff}
-    (the new instance activates and takes client traffic) and {b residual
-    re-submission} (commands decided after the wedge index are replayed
-    into the new epoch).  A strategy value picks a policy for each stage;
-    {!Rsmr_core.Service.Make} is a driver over the chosen value.  A
+    {b bootstrap} (the new epoch's instance is created), {b state
+    transfer} (the chunked wedge-point snapshot), {b directory publish},
+    {b handoff} (the new instance activates and takes client traffic) and
+    {b residual re-submission} (commands decided after the wedge index
+    are replayed into the new epoch).  A strategy value picks a policy
+    for each stage; {!Rsmr_core.Service.Make} is a driver over the
+    chosen value.  A
     strategy is only these stage dials: which stack runs it (which block,
     or the native Raft baseline, which has no stages) is a protocol,
     {!Rsmr_protocol.Protocol}.
@@ -17,16 +18,16 @@
     the default {!composed} value replay-identical to the historical
     hard-wired sequence. *)
 
-type prepare =
-  [ `At_wedge
-    (** bootstrap the next epoch only once the [Reconfig] commits *)
-  | `Early
-    (** Matchmaker-style: when the [Reconfig] is {e submitted}, the
-        proposed members that hold no state start their snapshot fetch,
-        which the old members serve at the wedge.  The next epoch's
-        instance is still created only at the wedge, and takes the
-        transfer over; the bootstrap-to-fetch round trip leaves the
-        wedged window *) ]
+type transfer =
+  [ `Pull
+    (** each joiner asks an old member for the snapshot once its
+        instance exists *)
+  | `Push
+    (** after Matchmaker Paxos: each member that wedges sends the
+        snapshot, right after its [Bootstrap]s, to every joiner whose
+        first-choice donor it is, so the joiner's request round trip
+        leaves the wedged window.  A joiner asks the next donor only
+        once a push has stalled *) ]
 
 type handoff =
   [ `Speculative  (** new epoch starts its replica before the snapshot *)
@@ -39,17 +40,17 @@ type residuals =
 
 type t = {
   name : string;  (** the label metrics and reports carry *)
-  prepare : prepare;
+  transfer : transfer;
   handoff : handoff;
   residuals : residuals;
 }
 
 val composed : t
-(** The paper's default: prepare at wedge, speculative handoff, leader
+(** The paper's default: pull transfer, speculative handoff, leader
     residual re-submission. *)
 
 val matchmaker : t
-(** Matchmaker-style early prepare; otherwise identical to {!composed}. *)
+(** Push transfer; otherwise identical to {!composed}. *)
 
 val stopworld : t
 (** Blocking handoff, no residual replay. *)

@@ -14,6 +14,7 @@ module Engine = Rsmr_sim.Engine
 module Rng = Rsmr_sim.Rng
 module Node_id = Rsmr_net.Node_id
 module Keys = Rsmr_workload.Keys
+module Driver = Rsmr_workload.Driver
 module Kv = Rsmr_app.Kv
 module Protocol = Rsmr_protocol.Protocol
 
@@ -50,33 +51,14 @@ let replay_command (proto : Protocol.t) seed =
    instantiation differs.  The protocol's strategy drives every service
    of the platform, the directory's included. *)
 module Run (P : Platform.S) = struct
-  type ctl = {
-    n_keys : int;
-    mutable submitted : int;
-    mutable replied : int;
-    mutable duplicates : int;
-    mutable stopped : bool;
-    pending : (Node_id.t * int, unit) Hashtbl.t;
-    seen : (Node_id.t * int, unit) Hashtbl.t;
-    seqs : (Node_id.t, int ref) Hashtbl.t;
-  }
-
-  let gen_command ctl rng =
-    let keys = Keys.zipf ~n:ctl.n_keys ~theta:0.8 in
+  let gen_command ~n_keys rng =
+    let keys = Keys.zipf ~n:n_keys ~theta:0.8 in
     let key () = Keys.key_name (Keys.sample keys rng) in
-    fun () ->
+    fun ~client:_ ~seq:_ ->
       if Rng.float rng 1.0 < 0.5 then Kv.encode_command (Kv.Get (key ()))
       else
         Kv.encode_command
           (Kv.Put (key (), Printf.sprintf "v%d" (Rng.int rng 1_000_000)))
-
-  let issue ctl cluster next_cmd client =
-    let seqr = Hashtbl.find ctl.seqs client in
-    incr seqr;
-    let seq = !seqr in
-    ctl.submitted <- ctl.submitted + 1;
-    Hashtbl.replace ctl.pending (client, seq) ();
-    cluster.Rsmr_iface.Cluster.submit ~client ~seq ~cmd:(next_cmd ())
 
   let go ~quick ~storm ~strategy proto ~seed =
     let engine = Engine.create ~seed () in
@@ -93,47 +75,13 @@ module Run (P : Platform.S) = struct
         ~keyspace:(Keyspace.ranges ~shards:2 ~n_keys)
         ()
     in
-    let cluster = P.cluster pf in
-    let ctl =
-      {
-        n_keys;
-        submitted = 0;
-        replied = 0;
-        duplicates = 0;
-        stopped = false;
-        pending = Hashtbl.create 256;
-        seen = Hashtbl.create 256;
-        seqs = Hashtbl.create 8;
-      }
+    (* Load from 0.2 s to [t_end], 2 requests outstanding per client. *)
+    let load =
+      Driver.run_closed ~cluster:(P.cluster pf) ~n_clients:4
+        ~first_client_id:(P.first_client_id pf) ~window:2
+        ~gen:(gen_command ~n_keys rng) ~start:0.2 ~duration:(t_end -. 0.2) ()
     in
-    let next_cmd = gen_command ctl rng in
-    let n_clients = 4 and window = 2 in
-    let first = P.first_client_id pf in
-    let clients = List.init n_clients (fun i -> first + i) in
-    List.iter
-      (fun c ->
-        cluster.Rsmr_iface.Cluster.add_client c;
-        Hashtbl.replace ctl.seqs c (ref 0))
-      clients;
-    cluster.Rsmr_iface.Cluster.set_on_reply (fun ~client ~seq ~rsp:_ ->
-        if Hashtbl.mem ctl.seen (client, seq) then
-          ctl.duplicates <- ctl.duplicates + 1
-        else begin
-          Hashtbl.replace ctl.seen (client, seq) ();
-          Hashtbl.remove ctl.pending (client, seq);
-          ctl.replied <- ctl.replied + 1;
-          if not ctl.stopped then issue ctl cluster next_cmd client
-        end);
-    (* Load starts at 0.2 s, [window] outstanding per client. *)
-    ignore
-      (Engine.at engine ~time:0.2 (fun () ->
-           List.iter
-             (fun c ->
-               for _ = 1 to window do
-                 issue ctl cluster next_cmd c
-               done)
-             clients));
-    ignore (Engine.at engine ~time:t_end (fun () -> ctl.stopped <- true));
+    let pending () = load.Driver.submitted - load.Driver.completed in
     let reb_done = ref 0 and reb_tried = ref 0 in
     let rebalance_at t0 from_ =
       let to_ = 1 - from_ in
@@ -220,7 +168,7 @@ module Run (P : Platform.S) = struct
     Engine.run engine ~until:(t_end +. 0.2);
     let settled =
       Engine.run_until engine
-        ~pred:(fun () -> Hashtbl.length ctl.pending = 0)
+        ~pred:(fun () -> pending () = 0)
         ~deadline:(t_end +. 40.0)
     in
     (* Convergence settle, as in the crucible runner: heartbeats carry
@@ -257,19 +205,19 @@ module Run (P : Platform.S) = struct
       fail "dir_epoch_monotone"
         (Printf.sprintf "%d lookup replies went backwards"
            (P.dir_epoch_regressions pf));
-    if ctl.duplicates > 0 then
+    let submitted = load.Driver.submitted in
+    if load.Driver.duplicates > 0 then
       fail "exactly_once"
-        (Printf.sprintf "%d duplicate replies" ctl.duplicates);
+        (Printf.sprintf "%d duplicate replies" load.Driver.duplicates);
     if settled = None then
       fail "liveness"
-        (Printf.sprintf "%d commands unanswered 40 s after repair"
-           (Hashtbl.length ctl.pending));
+        (Printf.sprintf "%d commands unanswered 40 s after repair" (pending ()));
     let redirects = P.endpoint_counter_total pf "redirects" in
-    let bound = (50 * ctl.submitted) + 500 in
+    let bound = (50 * submitted) + 500 in
     if redirects > bound then
       fail "redirect_bound"
         (Printf.sprintf "%d redirects for %d commands (bound %d)" redirects
-           ctl.submitted bound);
+           submitted bound);
     if not converged then
       for s = 0 to P.n_shards pf - 1 do
         if not (shard_converged s) then
@@ -319,8 +267,8 @@ module Run (P : Platform.S) = struct
     {
       r_proto = proto;
       r_seed = seed;
-      r_commands = ctl.submitted;
-      r_replies = ctl.replied;
+      r_commands = submitted;
+      r_replies = load.Driver.completed;
       r_rebalances = !reb_done;
       r_redirects = redirects;
       r_regressions = P.dir_epoch_regressions pf;

@@ -9,6 +9,7 @@ type stats = {
   completions : Timeseries.t;
   mutable submitted : int;
   mutable completed : int;
+  mutable duplicates : int;
 }
 
 type event = {
@@ -28,6 +29,7 @@ let fresh_stats () =
     completions = Timeseries.create ();
     submitted = 0;
     completed = 0;
+    duplicates = 0;
   }
 
 (* Shared reply plumbing: track in-flight requests, record latency, then
@@ -41,7 +43,9 @@ let setup ~(cluster : Cluster.t) ~n_clients ~first_client_id ?on_event
   List.iter cluster.Cluster.add_client clients;
   cluster.Cluster.set_on_reply (fun ~client ~seq ~rsp ->
       match Hashtbl.find_opt inflight (client, seq) with
-      | None -> () (* admin or stale *)
+      | None ->
+        (* an admin client's reply, or a second one to a driven client *)
+        if List.mem client clients then stats.duplicates <- stats.duplicates + 1
       | Some { cmd; invoked } ->
         Hashtbl.remove inflight (client, seq);
         let now = Engine.now engine in

@@ -12,6 +12,9 @@ type stats = {
           throughput-over-time and latency-timeline figures *)
   mutable submitted : int;
   mutable completed : int;
+  mutable duplicates : int;
+      (** replies to a driven client's request that is no longer in
+          flight: a second reply to an answered request *)
 }
 
 type event = {

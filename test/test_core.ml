@@ -926,41 +926,68 @@ let test_epoch_audit () =
       (1, [ stat 1 3 ~digest:8L; stat ~wedged_at:5 0 6 ]);
     ]
 
-(* Early prepare is an early fetch.  A [Prepare] that reaches a host with
-   no live instance of the previous epoch sends one [Fetch_state] and
-   creates nothing else.  Here the prepared [Reconfig] never commits, so
-   no donor answers: node 3 hosts no instance and runs no replica, and
-   eight fetch periods later it has still asked only once, so no retry
-   timer was armed. *)
-let test_prepared_epoch_leaves_nothing () =
+(* Stray chunks.  Donors send chunks only to members of the committed
+   configuration, so a chunk for an epoch with no instance starts that
+   member's transfer record and nothing else; a chunk for an epoch that
+   has activated or retired is ignored.  The ignored cases are checked
+   against a twin run that receives a no-op message instead on the same
+   self-link (a self-send draws no latency, so the two runs stay in
+   step): their canonical states must match.  The started record is
+   checked through what it must not do: host an epoch, run a replica or
+   ask anyone, eight fetch periods later. *)
+let test_stray_chunks () =
   let options =
     { Options.default with
       Options.strategy = Rsmr_iface.Reconfig_strategy.matchmaker }
   in
+  let run inject =
+    let h =
+      kv_harness ~options ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4; 5 ]
+        ~clients:[ c1 ] ()
+    in
+    submit_kv h ~client:c1 ~seq:1 (Kv.Put ("k", "v"));
+    run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
+    reconfigure h.cluster [ 1; 2; 3 ];
+    run_until h ~deadline:10.0 (fun () ->
+        List.exists
+          (fun (es : Rsmr_core.Service.epoch_stat) ->
+            es.es_epoch = 0 && es.es_retired)
+          (KvService.epoch_stats h.svc 1));
+    inject h;
+    Engine.run ~until:(Engine.now h.engine +. (8.0 *. 0.25)) h.engine;
+    h
+  in
+  let self_send wire h =
+    Network.send (KvService.net h.svc) ~src:1 ~dst:1 wire
+  in
+  let chunk epoch =
+    Wire.State_chunk { epoch; index = 0; total = 1; data = "x" }
+  in
+  let baseline =
+    KvService.canonical_state (run (self_send (Wire.Retire { epoch = 0 }))).svc
+  in
+  List.iter
+    (fun (what, epoch) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a chunk for %s epoch %d is ignored" what epoch)
+        true
+        (String.equal baseline
+           (KvService.canonical_state (run (self_send (chunk epoch))).svc)))
+    [ ("the retired", 0); ("the activated", 1) ];
   let h =
-    kv_harness ~options ~members:[ 0; 1; 2 ] ~universe:[ 0; 1; 2; 3; 4; 5 ]
-      ~clients:[ c1 ] ()
+    run (fun h ->
+        Network.send (KvService.net h.svc) ~src:1 ~dst:4
+          (Wire.State_chunk { epoch = 2; index = 0; total = 2; data = "x" }))
   in
-  submit_kv h ~client:c1 ~seq:1 (Kv.Put ("k", "v"));
-  run_until h ~deadline:5.0 (fun () -> has_reply h ~client:c1 ~seq:1);
-  let net = KvService.net h.svc in
-  let fetches () = Counters.get (Network.counters net) "sent.fetch_state" in
-  Network.send net ~src:0 ~dst:3
-    (Wire.Prepare
-       { epoch = 1; members = [ 3; 4; 5 ]; prev_epoch = 0;
-         prev_members = [ 0; 1; 2 ] });
-  let check_nothing when_ =
-    Alcotest.(check (option int)) (when_ ^ ": node 3 hosts no epoch") None
-      (KvService.host_epoch h.svc 3);
-    Alcotest.(check int) (when_ ^ ": and runs no replica") 0
-      (KvService.live_instances h.svc 3);
-    Alcotest.(check int) (when_ ^ ": one fetch, never retried") 1 (fetches ())
+  let fetches =
+    Counters.get (Network.counters (KvService.net h.svc)) "sent.fetch_state"
   in
-  Engine.run ~until:(Engine.now h.engine +. 0.1) h.engine;
-  check_nothing "after the prepare";
-  Engine.run ~until:(Engine.now h.engine +. (8.0 *. 0.25)) h.engine;
-  check_nothing "eight fetch periods later";
-  Alcotest.(check int) "the committed epoch is unchanged" 0
+  Alcotest.(check (option int)) "node 4 hosts no epoch" None
+    (KvService.host_epoch h.svc 4);
+  Alcotest.(check int) "and runs no replica" 0
+    (KvService.live_instances h.svc 4);
+  Alcotest.(check int) "and nobody asked for a snapshot" 0 fetches;
+  Alcotest.(check int) "the committed epoch is unchanged" 1
     (KvService.current_epoch h.svc)
 
 (* --- an old instance halts only once drained ---
@@ -976,8 +1003,8 @@ let test_prepared_epoch_leaves_nothing () =
    A retired epoch leaves only its audit record and, for a while, the
    snapshot it donated, so what the service holds stays within a small
    multiple of one application snapshot however many changes ran.  A
-   late [Bootstrap] (or, under early prepare, [Prepare]) for a retired
-   epoch re-creates nothing. *)
+   late [Bootstrap] or snapshot chunk for a retired epoch re-creates
+   nothing. *)
 
 module Rolling (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
   let run ~strategy ~seed ~changes =
@@ -1049,8 +1076,7 @@ module Rolling (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
         [
           Wire.Bootstrap
             { epoch = 0; members = [ 0; 1; 2 ]; prev_epoch = 0; prev_members = [] };
-          Wire.Prepare
-            { epoch = 0; members = [ 0; 1; 2 ]; prev_epoch = 0; prev_members = [] };
+          Wire.State_chunk { epoch = 0; index = 0; total = 1; data = "x" };
         ];
       Engine.run engine ~until:(Engine.now engine +. 0.5);
       Alcotest.(check bool)
@@ -1068,7 +1094,7 @@ let test_halt_after_drain run strategy () =
 (* --- every donor holds the same snapshot ---
 
    A joiner may assemble one snapshot from two donors: the one it asked
-   first (under early prepare, before the wedge) and the next one after
+   first (under push, the one that sent unasked) and the next one after
    a stall.  That is only correct if every member that wedges epoch [e]
    at index [w] donates the same bytes.  The traced "wedged" event
    carries the digest of the snapshot its host donates; under rolling
@@ -1146,8 +1172,9 @@ let test_donors_agree () =
 
    A single-member swap {0,1,2} -> {1,2,3} with the keyspace preloaded.
    Nodes 1 and 2 run epoch 0 and take the wedge-point state from their
-   own wedge; only node 3 is new, so only node 3 fetches, and exactly one
-   snapshot crosses the network. *)
+   own wedge; only node 3 is new, so only node 3 gets the state over the
+   network, and exactly one snapshot crosses it.  Under pull node 3 asks
+   once; under push it is sent the snapshot and asks nobody. *)
 
 (* The service's retry period for an unanswered snapshot fetch. *)
 let fetch_timeout = 0.25
@@ -1219,42 +1246,49 @@ module Handoff (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
     Alcotest.(check int) (label "transfers") 1 (svc_count r "transfers");
     Alcotest.(check int) (label "local activations") 2
       (svc_count r "local_activations");
-    Alcotest.(check int) (label "fetches sent") 1
+    Alcotest.(check int) (label "fetches sent")
+      (match strategy.Rsmr_iface.Reconfig_strategy.transfer with
+       | `Pull -> 1
+       | `Push -> 0)
       (net_count r "sent.fetch_state");
     check_one_snapshot r ~label
 
-  (* A joiner keeps chunks that arrive before its epoch's instance exists.
-     A donor's [Bootstrap] leaves in the same step as the chunks it serves
-     at its wedge and, as control traffic, arrives first; so here every
-     wedge-time message to node 3 is lost, and node 3 hears of epoch 1
-     only from a [Prepare] delivered after the wedge.  Its fetch is
-     served at once, and when the next re-sent [Bootstrap] creates its
-     instance of epoch 1, that instance takes the finished transfer over
-     and installs it on the spot: one fetch, one snapshot. *)
-  let early_chunks () =
+  (* A joiner keeps chunks pushed to it before its epoch's instance
+     exists.  Node 0 is node 3's first-choice donor (donors [0; 2; 1]:
+     the new leader, node 1, last), so only node 0 pushes.  The links
+     from nodes 1 and 2 drop everything, and node 3 is down from node
+     0's wedge until 10 ms later: node 0's [Bootstrap], control traffic,
+     arrives in that window and is lost, while its snapshot, a 30 ms
+     chunk on a 200 kB/s uplink, arrives after it.  When node 0's next
+     re-sent [Bootstrap] creates the instance, the instance takes the
+     finished transfer over and installs it on the spot: no fetch, one
+     snapshot. *)
+  let pushed_chunks () =
     let strategy = Rsmr_iface.Reconfig_strategy.matchmaker in
-    let label what = "early chunks: " ^ what in
-    let r = start ~strategy ~n_keys:50 ~value_size:100 () in
+    let label what = "pushed chunks: " ^ what in
+    let r = start ~bandwidth:2e5 ~strategy ~n_keys:50 ~value_size:100 () in
     let net = S.net r.svc in
-    let wedged = ref None in
+    let down = ref None in
     Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs r.svc)) (fun ev ->
-        if ev.Rsmr_sim.Trace.message = "wedged" && !wedged = None then
-          wedged := Some ev.Rsmr_sim.Trace.time);
+        if
+          ev.Rsmr_sim.Trace.message = "wedged"
+          && ev.Rsmr_sim.Trace.node = 0 && !down = None
+        then begin
+          down := Some ev.Rsmr_sim.Trace.time;
+          Network.crash net 3;
+          ignore
+            (Engine.schedule r.engine ~delay:0.01 (fun () -> Network.recover net 3))
+        end);
     List.iter
       (fun src -> Network.set_link_fault net ~src ~dst:3 ~drop:1.0)
-      [ 0; 1; 2 ];
+      [ 1; 2 ];
     reconfigure r.cluster [ 1; 2; 3 ];
     let deadline = Engine.now r.engine +. 10.0 in
-    (match Engine.run_until r.engine ~pred:(fun () -> !wedged <> None) ~deadline with
+    (match Engine.run_until r.engine ~pred:(fun () -> !down <> None) ~deadline with
      | Some t -> Engine.run ~until:(t +. 0.1) r.engine
-     | None -> Alcotest.fail (label "epoch 0 never wedged"));
-    Alcotest.(check (option int)) (label "node 3 heard nothing") None
+     | None -> Alcotest.fail (label "node 0 never wedged"));
+    Alcotest.(check (option int)) (label "node 3 lost the bootstrap") None
       (S.host_epoch r.svc 3);
-    Network.clear_link_faults net;
-    Network.send net ~src:0 ~dst:3
-      (Wire.Prepare
-         { epoch = 1; members = [ 1; 2; 3 ]; prev_epoch = 0;
-           prev_members = [ 0; 1; 2 ] });
     (match
        Engine.run_until r.engine
          ~pred:(fun () -> S.host_epoch r.svc 3 = Some 1)
@@ -1266,9 +1300,49 @@ module Handoff (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
       (S.app_state r.svc 3 <> None);
     Engine.run ~until:(Engine.now r.engine +. 1.0) r.engine;
     Alcotest.(check int) (label "transfers") 1 (svc_count r "transfers");
-    Alcotest.(check int) (label "fetches sent") 1
+    Alcotest.(check int) (label "fetches sent") 0
       (net_count r "sent.fetch_state");
     check_one_snapshot r ~label;
+    Alcotest.(check string) (label "node 3 agrees with node 1") (state r 1)
+      (state r 3)
+
+  (* A push that stalls is re-asked from the next donor.  Everything from
+     node 0, node 3's first-choice donor, to node 3 is lost, its push
+     included; nodes 1 and 2 bootstrap node 3.  After one [fetch_timeout]
+     with no chunk, node 3 asks node 2, the next in its donor order
+     [0; 2; 1], exactly once, and installs its snapshot. *)
+  let stalled_push () =
+    let strategy = Rsmr_iface.Reconfig_strategy.matchmaker in
+    let label what = "stalled push: " ^ what in
+    let r = start ~strategy ~n_keys:300 ~value_size:500 () in
+    let net = S.net r.svc in
+    let wedged = ref None and asked = ref [] in
+    Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs r.svc)) (fun ev ->
+        let time = ev.Rsmr_sim.Trace.time in
+        match ev.Rsmr_sim.Trace.message with
+        | "wedged" -> if !wedged = None then wedged := Some time
+        | "fetch" ->
+          asked :=
+            (ev.Rsmr_sim.Trace.node, Rsmr_sim.Trace.attr ev "donor", time)
+            :: !asked
+        | _ -> ());
+    Network.set_link_fault net ~src:0 ~dst:3 ~drop:1.0;
+    swap r ~deadline:(Engine.now r.engine +. 10.0);
+    Engine.run ~until:(Engine.now r.engine +. 1.0) r.engine;
+    (match (!wedged, !asked) with
+     | Some w, [ (3, Some "2", t) ] ->
+       Alcotest.(check bool)
+         (label
+            (Printf.sprintf "asked %.4fs after the first wedge" (t -. w)))
+         true
+         (t -. w >= fetch_timeout && t -. w < fetch_timeout +. 0.02)
+     | None, _ -> Alcotest.fail (label "no wedge traced")
+     | Some _, _ ->
+       Alcotest.failf "%s"
+         (label
+            (Printf.sprintf "want one fetch, by node 3 from node 2; got %d"
+               (List.length !asked))));
+    Alcotest.(check int) (label "transfers") 1 (svc_count r "transfers");
     Alcotest.(check string) (label "node 3 agrees with node 1") (state r 1)
       (state r 3)
 
@@ -1378,9 +1452,13 @@ end
 module Handoff_paxos = Handoff (KvService)
 module Handoff_vr = Handoff (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
 
-let test_early_chunks () =
-  Handoff_paxos.early_chunks ();
-  Handoff_vr.early_chunks ()
+let test_pushed_chunks () =
+  Handoff_paxos.pushed_chunks ();
+  Handoff_vr.pushed_chunks ()
+
+let test_stalled_push () =
+  Handoff_paxos.stalled_push ();
+  Handoff_vr.stalled_push ()
 
 let test_only_joiners_fetch () =
   List.iter
@@ -1434,8 +1512,8 @@ let () =
             test_session_gc_bounds_snapshot;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
-          Alcotest.test_case "prepared, uncommitted epoch leaves nothing" `Quick
-            test_prepared_epoch_leaves_nothing;
+          Alcotest.test_case "stray chunks start nothing" `Quick
+            test_stray_chunks;
           Alcotest.test_case "old instance halts once drained (paxos)" `Quick
             (test_halt_after_drain Rolling_paxos.run Strategy.composed);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
@@ -1448,8 +1526,10 @@ let () =
             (test_halt_after_drain Rolling_vr.run Strategy.matchmaker);
           Alcotest.test_case "only joiners fetch" `Quick
             test_only_joiners_fetch;
-          Alcotest.test_case "early chunks install at the bootstrap" `Quick
-            test_early_chunks;
+          Alcotest.test_case "pushed chunks outlive a lost bootstrap" `Quick
+            test_pushed_chunks;
+          Alcotest.test_case "stalled push resumes from the next donor" `Quick
+            test_stalled_push;
           Alcotest.test_case "every donor holds the same snapshot" `Quick
             test_donors_agree;
           Alcotest.test_case "slow transfer is not re-requested" `Quick

@@ -3,7 +3,7 @@
    blocks, every strategy) while still reaching the protocol's
    milestones (a wedge and an epoch-1 activation), re-breaking the
    first-wedge-wins guard must produce a short replayable counterexample
-   over either block and under early prepare, and skipping phase 1
+   over either block and under either transfer, and skipping phase 1
    above ballot 0 must be caught (the checker's teeth), replays must be
    bit-for-bit deterministic (fingerprint sequence identical across
    independent replays of the same trace), and composite fingerprints
@@ -55,7 +55,7 @@ let find_counterexample proto =
   | Some (prop, trace) -> (prop, trace)
 
 (* The guard is the composition layer's, so the mutation must be caught
-   whatever the block and however early the next epoch is prepared. *)
+   whatever the block and however the snapshot reaches a joiner. *)
 let test_mutation_counterexample proto () =
   let prop, trace = find_counterexample proto in
   Alcotest.(check bool)
@@ -191,9 +191,9 @@ let () =
           Alcotest.test_case "core/vr tiny scope" `Slow
             (test_exhaust Protocol.core_vr ~visited:4361);
           Alcotest.test_case "matchmaker tiny scope" `Slow
-            (test_exhaust Protocol.matchmaker ~visited:4152);
+            (test_exhaust Protocol.matchmaker ~visited:3587);
           Alcotest.test_case "matchmaker/vr tiny scope" `Slow
-            (test_exhaust (proto "matchmaker/vr") ~visited:4604);
+            (test_exhaust (proto "matchmaker/vr") ~visited:4196);
           Alcotest.test_case "stopworld/vr tiny scope" `Slow
             (test_exhaust (proto "stopworld/vr") ~visited:4118);
         ] );

@@ -15,11 +15,12 @@
       registered strategy through membership-change-heavy scenarios,
       judged by the full oracle battery.
 
-   4. Matchmaker behavior: early prepare actually fires, at most once
-      per epoch (prepares counter), the wedged-window histogram is
-      recorded under the strategy label, and each joiner asks for the
-      state before the wedge that opens its epoch (after it, under the
-      composed baseline). *)
+   4. Matchmaker behavior: with no loss every joiner installs a pushed
+      snapshot without sending a [Fetch_state], one snapshot per joiner,
+      and the wedged-window histogram is recorded under the strategy
+      label; under the composed baseline each joiner asks, after the
+      wedge that opens its epoch, and every snapshot sent answers a
+      request. *)
 
 module Strategy = Rsmr_iface.Reconfig_strategy
 module Protocol = Rsmr_protocol.Protocol
@@ -80,13 +81,13 @@ let test_composed_replays_golden () =
 
 let test_registry () =
   (* the stage dials the drivers key off *)
-  let dials s = (s.Strategy.prepare, s.Strategy.handoff, s.Strategy.residuals) in
+  let dials s = (s.Strategy.transfer, s.Strategy.handoff, s.Strategy.residuals) in
   Alcotest.(check bool) "composed dials" true
-    (dials Strategy.composed = (`At_wedge, `Speculative, `Resubmit));
+    (dials Strategy.composed = (`Pull, `Speculative, `Resubmit));
   Alcotest.(check bool) "matchmaker dials" true
-    (dials Strategy.matchmaker = (`Early, `Speculative, `Resubmit));
+    (dials Strategy.matchmaker = (`Push, `Speculative, `Resubmit));
   Alcotest.(check bool) "stopworld dials" true
-    (dials Strategy.stopworld = (`At_wedge, `Blocking, `Client_retry))
+    (dials Strategy.stopworld = (`Pull, `Blocking, `Client_retry))
 
 (* --- 3. reconfig-churn soak (runtest slice of the CI soak) --- *)
 
@@ -109,17 +110,29 @@ let test_reconf_churn_all_strategies () =
         Protocol.crucible)
     soak_seeds
 
-(* --- 4. matchmaker early prepare --- *)
+(* --- 4. matchmaker's push --- *)
 
 let counter_of (r : Runner.report) name =
   match List.assoc_opt name r.Runner.counters with Some n -> n | None -> 0
 
+let net_count (r : Runner.report) key =
+  Rsmr_sim.Counters.get (Obs.counters r.Runner.obs "net") key
+
 let wedged_window (r : Runner.report) name =
   Obs.histogram r.Runner.obs "wedged_window_s" ~labels:[ ("strategy", name) ]
 
-(* A reconfiguration-heavy scenario without message loss, so prepares
-   deterministically reach the next configuration. *)
-let prepare_scenario =
+let check_oracles r =
+  match Oracle.failures (Oracle.check r) with
+  | [] -> ()
+  | fs ->
+    Alcotest.failf "oracles failed: %s"
+      (String.concat "; " (List.map (fun (n, m) -> n ^ ": " ^ m) fs))
+
+(* A reconfiguration-heavy scenario without message loss, so every push
+   reaches its joiner.  Each change brings in one joiner, and the
+   application state stays under one chunk, so [chunks_sent] counts
+   snapshots. *)
+let push_scenario =
   {
     Scenario.seed = 1717;
     members = [ 0; 1; 2 ];
@@ -134,43 +147,51 @@ let prepare_scenario =
       ];
   }
 
-let test_matchmaker_prepares () =
-  let r = Runner.run Protocol.matchmaker prepare_scenario in
-  let o = Oracle.check r in
-  (match Oracle.failures o with
-   | [] -> ()
-   | fs ->
-     Alcotest.failf "oracles failed: %s"
-       (String.concat "; " (List.map (fun (n, m) -> n ^ ": " ^ m) fs)));
-  Alcotest.(check bool) "prepares were sent" true (counter_of r "prepares" > 0);
-  (* One leader per epoch here, and a leader prepares an epoch once. *)
-  Alcotest.(check bool) "each epoch prepared at most once" true
-    (counter_of r "prepares" <= List.length prepare_scenario.Scenario.events);
+let joiners = List.length push_scenario.Scenario.events
+
+let check_one_chunk_states (r : Runner.report) =
+  List.iter
+    (fun (n, st) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d's state fits one chunk" n)
+        true
+        (String.length st < Rsmr_core.Snapshot.chunk_bytes))
+    r.Runner.final_states
+
+let test_matchmaker_pushes () =
+  let r = Runner.run Protocol.matchmaker push_scenario in
+  check_oracles r;
+  check_one_chunk_states r;
+  Alcotest.(check int) "no Fetch_state sent" 0 (net_count r "sent.fetch_state");
+  Alcotest.(check int) "every joiner installs by transfer" joiners
+    (counter_of r "transfers");
+  Alcotest.(check int) "one snapshot per joiner" joiners
+    (counter_of r "chunks_sent");
   let h = wedged_window r "matchmaker" in
   Alcotest.(check bool) "wedged-window histogram recorded" true
     (Histogram.count h > 0)
 
-(* The wedged-window means of the two strategies on [prepare_scenario]
-   are a coin flip: over scenario seeds 1717 and 1..29 matchmaker's is the
-   larger on about 12 of 30, decided by a handful of timer-driven
-   messages.  What matchmaker does change, deterministically, is when a
-   joiner asks for the state: its [Fetch_state] leaves on the [Prepare],
-   before the wedge that opens its epoch, where under composed it leaves
-   on the [Bootstrap], after that wedge.  So that is what is checked, on
-   [prepare_scenario] itself, from the service's trace bus. *)
+(* The wedged-window means of the two strategies on [push_scenario] are
+   a coin flip, decided by a handful of timer-driven messages.  What
+   matchmaker does change, deterministically, is whether a joiner asks
+   for the state: under composed its [Fetch_state] leaves on the
+   [Bootstrap], after the wedge that opens its epoch; under matchmaker
+   it sends none, and still installs by transfer.  So that is what is
+   checked, on [push_scenario] itself, from the service's trace bus. *)
 module MixedCore = Rsmr_core.Service.Make (Rsmr_crucible.Mixed)
 
-(* [(epoch, first wedge time)] and [(node, epoch, time)] of every
-   [Fetch_state] in one run of [prepare_scenario] under [strategy]. *)
-let wedges_and_fetches strategy =
-  let sc = prepare_scenario in
+(* [(epoch, first wedge time)], [(node, epoch, time)] of every
+   [Fetch_state] and [(node, epoch)] of every activation by transfer in
+   one run of [push_scenario] under [strategy]. *)
+let trace_transfers strategy =
+  let sc = push_scenario in
   let engine = Rsmr_sim.Engine.create ~seed:sc.Scenario.seed () in
   let svc =
     MixedCore.create ~engine
       ~options:{ Rsmr_core.Options.default with Rsmr_core.Options.strategy }
       ~universe:sc.Scenario.universe ~members:sc.Scenario.members ()
   in
-  let wedges = ref [] and fetches = ref [] in
+  let wedges = ref [] and fetches = ref [] and installs = ref [] in
   Rsmr_sim.Trace.subscribe (Obs.bus (MixedCore.obs svc)) (fun ev ->
       let epoch () =
         Option.fold ~none:(-1) ~some:int_of_string
@@ -182,6 +203,8 @@ let wedges_and_fetches strategy =
       | "fetch" ->
         fetches :=
           (ev.Rsmr_sim.Trace.node, epoch (), ev.Rsmr_sim.Trace.time) :: !fetches
+      | "activated" when Rsmr_sim.Trace.attr ev "local" = Some "0" ->
+        installs := (ev.Rsmr_sim.Trace.node, epoch ()) :: !installs
       | _ -> ());
   let cluster = MixedCore.cluster svc in
   let start = 0.2 in
@@ -202,21 +225,21 @@ let wedges_and_fetches strategy =
        ~gen:(fun ~client:_ ~seq:_ -> incr)
        ~think:0.02 ~window:4 ~start ~duration:sc.Scenario.duration ());
   Rsmr_sim.Engine.run engine ~until:(start +. sc.Scenario.duration +. 1.0);
-  (!wedges, List.rev !fetches)
+  (!wedges, List.rev !fetches, !installs)
 
-let test_matchmaker_fetches_before_wedge () =
-  let rc = Runner.run Protocol.core prepare_scenario in
-  let rm = Runner.run Protocol.matchmaker prepare_scenario in
+let test_joiners_install_unasked () =
+  let rc = Runner.run Protocol.core push_scenario in
+  let rm = Runner.run Protocol.matchmaker push_scenario in
   Alcotest.(check bool) "composed window recorded" true
     (Histogram.count (wedged_window rc "composed") > 0);
   Alcotest.(check bool) "matchmaker window recorded" true
     (Histogram.count (wedged_window rm "matchmaker") > 0);
-  (* Each reconfiguration of [prepare_scenario] brings in one joiner:
+  (* Each reconfiguration of [push_scenario] brings in one joiner:
      (joiner, the epoch it joins). *)
   let joiners = [ (3, 1); (4, 2); (5, 3) ] in
   List.iter
-    (fun (strategy, before) ->
-      let wedges, fetches = wedges_and_fetches strategy in
+    (fun (strategy, asks) ->
+      let wedges, fetches, installs = trace_transfers strategy in
       List.iter
         (fun (joiner, epoch) ->
           let label what =
@@ -229,24 +252,35 @@ let test_matchmaker_fetches_before_wedge () =
             | Some w -> w
             | None -> Alcotest.fail (label "no wedge")
           in
+          Alcotest.(check bool) (label "installs by transfer") true
+            (List.mem (joiner, epoch) installs);
           match
-            List.find_opt (fun (n, e, _) -> n = joiner && e = epoch) fetches
+            ( asks,
+              List.find_opt (fun (n, e, _) -> n = joiner && e = epoch) fetches )
           with
-          | None -> Alcotest.fail (label "no Fetch_state")
-          | Some (_, _, sent) ->
+          | false, None -> ()
+          | false, Some (_, _, sent) ->
+            Alcotest.failf "%s" (label (Printf.sprintf "Fetch_state at %.6fs" sent))
+          | true, None -> Alcotest.fail (label "no Fetch_state")
+          | true, Some (_, _, sent) ->
             Alcotest.(check bool)
               (label
                  (Printf.sprintf "first Fetch_state at %.6fs, wedge at %.6fs"
                     sent wedge))
-              before (sent < wedge))
+              true (sent > wedge))
         joiners)
-    [ (Strategy.matchmaker, true); (Strategy.composed, false) ]
+    [ (Strategy.matchmaker, false); (Strategy.composed, true) ]
 
-(* Composed must not send prepares at all (it is the no-early-prepare
-   strategy). *)
-let test_composed_sends_no_prepares () =
-  let r = Runner.run Protocol.core prepare_scenario in
-  Alcotest.(check int) "no prepares under composed" 0 (counter_of r "prepares")
+(* Composed pushes nothing: with no loss, every snapshot it sends answers
+   one [Fetch_state], and every joiner asked. *)
+let test_composed_pushes_nothing () =
+  let r = Runner.run Protocol.core push_scenario in
+  check_oracles r;
+  check_one_chunk_states r;
+  let fetches = net_count r "sent.fetch_state" in
+  Alcotest.(check bool) "every joiner asked" true (fetches >= joiners);
+  Alcotest.(check int) "one snapshot per Fetch_state" fetches
+    (counter_of r "chunks_sent")
 
 let () =
   Alcotest.run "strategy"
@@ -265,11 +299,11 @@ let () =
         ] );
       ( "matchmaker",
         [
-          Alcotest.test_case "early prepare fires once per epoch" `Quick
-            test_matchmaker_prepares;
-          Alcotest.test_case "joiners fetch before the wedge" `Quick
-            test_matchmaker_fetches_before_wedge;
-          Alcotest.test_case "composed sends no prepares" `Quick
-            test_composed_sends_no_prepares;
+          Alcotest.test_case "one pushed snapshot per joiner" `Quick
+            test_matchmaker_pushes;
+          Alcotest.test_case "joiners install without asking" `Quick
+            test_joiners_install_unasked;
+          Alcotest.test_case "composed pushes nothing" `Quick
+            test_composed_pushes_nothing;
         ] );
     ]
