@@ -13,7 +13,7 @@ module Client_msg = Rsmr_client.Client_msg
 (* How [Raft_wire.t] carries the client and directory messages. *)
 let recv_edge (h : Front.handler) (env : Raft_wire.t Network.envelope) =
   match env.Network.payload with
-  | Raft_wire.Client msg -> h.Front.on_client msg
+  | Raft_wire.Client msg -> h.Front.on_client ~src:env.Network.src msg
   | Raft_wire.Dir_update { epoch; members; leader } ->
     h.Front.on_update ~epoch ~members ~leader
   | Raft_wire.Dir_lookup -> h.Front.on_lookup ~src:env.Network.src
@@ -720,8 +720,9 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
 
   (* --- client handling --- *)
 
-  let redirect t node ~src ~leader seq =
+  let redirect t node ~src seq =
     incr (Obs.scope_counter t.svc "redirects");
+    let leader = node.leader_hint in
     Network.send t.net ~src:node.me ~dst:src
       (Raft_wire.Client
          (Client_msg.Redirect
@@ -760,7 +761,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
           | Client_msg.Change_membership target ->
             (* An earlier step of this window may have removed the leader. *)
             if not (is_serving node) then
-              redirect t node ~src ~leader:node.leader_hint seq
+              redirect t node ~src seq
             else begin
               (match node.pending_target with
                | Some (cur_target, _, _) when sorted cur_target = sorted target
@@ -778,14 +779,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       List.iter
         (fun (seq, _) ->
           incr (Obs.scope_counter t.svc "requests");
-          redirect t node ~src ~leader:node.leader_hint seq)
+          redirect t node ~src seq)
         reqs
-
-  (* A retired server's hint naming itself is stale. *)
-  let retired_hint node =
-    match node.leader_hint with
-    | Some l when Node_id.equal l node.me -> None
-    | other -> other
 
   let rec node_handler t node (env : Raft_wire.t Network.envelope) =
     let src = env.Network.src in
@@ -808,10 +803,9 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         reset_election_timer t node;
         node_handler t node env
       | Raft_wire.Client (Client_msg.Request { seq; _ }) ->
-        redirect t node ~src ~leader:(retired_hint node) seq
+        redirect t node ~src seq
       | Raft_wire.Client (Client_msg.Request_batch { reqs; _ }) ->
-        let leader = retired_hint node in
-        List.iter (fun (seq, _) -> redirect t node ~src ~leader seq) reqs
+        List.iter (fun (seq, _) -> redirect t node ~src seq) reqs
       | _ -> ()
     end
     else

@@ -28,7 +28,9 @@ type t =
       epoch : int;
     }
       (** "Not me — try there": carries the responder's freshest view of
-          the configuration. *)
+          the configuration.  [leader] is who the responder believes leads
+          ([None] during an election); the client drops a [leader] that
+          names the responder ({!Endpoint.handle}). *)
 
 val write : Rsmr_app.Codec.Writer.t -> t -> unit
 (** The wire-format body of {!encode}; also lets a parent codec embed

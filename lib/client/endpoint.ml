@@ -27,7 +27,6 @@ type t = {
   batch : int Batch.t; (* buffered seqs *)
   mutable rr : int;
   mutable max_seq : int;
-  mutable last_target : Node_id.t option;
   rng : Rng.t;
   (* tallies behind [counters] *)
   mutable n_sent : int;
@@ -56,19 +55,15 @@ let lifecycle t ev ~seq =
   | Some _ | None -> ()
 
 let target t =
-  let chosen =
-    match t.leader with
-    | Some l -> l
-    | None -> (
-      let n = List.length t.members in
-      if n = 0 then t.me (* request will time out and refresh the members *)
-      else begin
-        t.rr <- (t.rr + 1) mod n;
-        match List.nth_opt t.members t.rr with Some m -> m | None -> t.me
-      end)
-  in
-  t.last_target <- Some chosen;
-  chosen
+  match t.leader with
+  | Some l -> l
+  | None -> (
+    let n = List.length t.members in
+    if n = 0 then t.me (* request will time out and refresh the members *)
+    else begin
+      t.rr <- (t.rr + 1) mod n;
+      match List.nth_opt t.members t.rr with Some m -> m | None -> t.me
+    end)
 
 (* The lowest outstanding seq ([max_seq + 1] when none is): every request
    below it has been replied to, so servers may drop those responses.
@@ -77,6 +72,11 @@ let low_water t =
   (* lint: order-insensitive *)
   Hashtbl.fold (fun s _ acc -> min s acc) t.pending (t.max_seq + 1)
 [@@rsmr.assume_deterministic]
+
+(* Put [k] in the request's single timer slot, replacing what was there. *)
+let rearm t o ~delay k =
+  o.timer <- Engine.cancel_opt t.engine o.timer;
+  o.timer <- Some (Engine.schedule t.engine ~delay k)
 
 let rec attempt t seq =
   match Hashtbl.find_opt t.pending seq with
@@ -87,10 +87,7 @@ let rec attempt t seq =
     t.n_sent <- t.n_sent + 1;
     t.send ~dst:(target t)
       (Client_msg.Request { seq; low_water = low_water t; payload = o.payload });
-    o.timer <-
-      Some
-        (Engine.schedule t.engine ~delay:t.req_timeout (fun () ->
-             on_timeout t seq))
+    rearm t o ~delay:t.req_timeout (fun () -> on_timeout t seq)
 
 and on_timeout t seq =
   match Hashtbl.find_opt t.pending seq with
@@ -125,10 +122,7 @@ and refresh_members t =
 let flush_batch t =
   let live =
     List.filter_map
-      (fun seq ->
-        match Hashtbl.find_opt t.pending seq with
-        | Some o -> Some (seq, o)
-        | None -> None)
+      (fun seq -> Option.map (fun o -> (seq, o)) (Hashtbl.find_opt t.pending seq))
       (Batch.drain t.batch)
   in
   match live with
@@ -142,11 +136,7 @@ let flush_batch t =
     List.iter
       (fun (seq, o) ->
         o.attempts <- o.attempts + 1;
-        o.timer <- Engine.cancel_opt t.engine o.timer;
-        o.timer <-
-          Some
-            (Engine.schedule t.engine ~delay:t.req_timeout (fun () ->
-                 on_timeout t seq)))
+        rearm t o ~delay:t.req_timeout (fun () -> on_timeout t seq))
       live
 
 let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
@@ -173,7 +163,6 @@ let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
       batch;
       rr = 0;
       max_seq = 0;
-      last_target = None;
       rng = Rng.split (Engine.rng engine);
       n_sent = 0;
       n_retries = 0;
@@ -196,7 +185,7 @@ let submit t ~seq ~payload =
   end;
   if not (List.mem seq (Batch.contents t.batch)) then Batch.add t.batch seq
 
-let handle t msg =
+let handle t ~src msg =
   match (msg : Client_msg.t) with
   | Client_msg.Reply { seq; rsp } -> (
     match Hashtbl.find_opt t.pending seq with
@@ -212,9 +201,9 @@ let handle t msg =
     if epoch >= t.epoch then begin
       t.epoch <- epoch;
       if members <> [] then t.members <- members;
-      (* A node redirecting to itself (a deposed leader with a stale hint)
-         would loop forever; rotate instead. *)
-      t.leader <- (if leader = t.last_target then None else leader)
+      (* A node naming itself (a deposed leader with a stale hint) would
+         capture the client; rotate instead. *)
+      t.leader <- (if leader = Some src then None else leader)
     end;
     (match Hashtbl.find_opt t.pending seq with
      | Some o ->
@@ -227,16 +216,14 @@ let handle t msg =
          t.leader <- None;
          refresh_members t
        end;
-       (* Back off so a redirect loop (e.g. during an election, when nobody
-          is leader yet) does not turn into a message storm.  The retry
-          takes over the request's single timer slot: a duplicated
-          redirect re-arms it instead of scheduling a second attempt,
-          otherwise each duplication round multiplies the request ×
-          redirect ping-pong and the exchange goes supercritical. *)
-       let jitter = 0.010 +. Rng.float t.rng 0.015 in
-       o.timer <- Engine.cancel_opt t.engine o.timer;
-       o.timer <-
-         Some (Engine.schedule t.engine ~delay:jitter (fun () -> attempt t seq))
+       (* Follow the first hint at once: across a leader change it is the
+          client's whole wait.  Any other redirect backs off in the single
+          timer slot, so a duplicate re-arms it instead of adding a send
+          and an election (nobody leads yet) is no redirect storm. *)
+       if o.redirects = 1 && t.leader <> None then attempt t seq
+       else
+         rearm t o ~delay:(0.010 +. Rng.float t.rng 0.015) (fun () ->
+             attempt t seq)
      | None -> ())
   | Client_msg.Request _ | Client_msg.Request_batch _ ->
     (* not addressed to clients *) ()
@@ -251,6 +238,11 @@ let counters t =
         ("replies", t.n_replies);
         ("redirects", t.n_redirects);
       ])
+let redirect_storm ~redirects ~submitted =
+  let bound = (50 * submitted) + 500 in
+  if redirects <= bound then None
+  else Some (Printf.sprintf "%d redirects for %d commands (bound %d)"
+               redirects submitted bound)
 let believed_members t = t.members
 let believed_leader t = t.leader
 
@@ -280,7 +272,6 @@ let fingerprint t =
           t.pending []));
   W.varint w t.rr;
   W.varint w t.max_seq;
-  W.option w node t.last_target;
   W.bool w t.lookup_inflight;
   W.list w W.varint (List.rev (Batch.contents t.batch));
   W.bool w (Batch.armed t.batch);

@@ -47,9 +47,14 @@ val submit : t -> seq:int -> payload:Client_msg.payload -> unit
 (** Start (or restart) a request.  [seq] values must be unique per
     endpoint and increasing. *)
 
-val handle : t -> Client_msg.t -> unit
+val handle : t -> src:Rsmr_net.Node_id.t -> Client_msg.t -> unit
 [@@rsmr.deterministic] [@@rsmr.total]
-(** Feed a message addressed to this client. *)
+(** Feed a message addressed to this client by node [src].  A redirect
+    no older than the believed epoch sets the believed members and
+    leader, dropping a hint that names [src].  A request's first redirect
+    that leaves a believed leader re-sends at once; any other re-sends
+    after a 10–25 ms jitter in the request's one timer slot, so
+    duplicates add no sends ({!redirect_storm}). *)
 
 val outstanding : t -> int
 (** Requests not yet answered. *)
@@ -57,6 +62,10 @@ val outstanding : t -> int
 val counters : t -> Rsmr_sim.Counters.t
 (** A live view of the endpoint's own tallies, which no registry exports.
     Keys: "sent", "retries", "redirects", "replies", "lookups". *)
+
+val redirect_storm : redirects:int -> submitted:int -> string option
+(** Why [redirects] for [submitted] commands are a storm (over
+    [50 × submitted + 500]), if they are: the checkers' redirect oracle. *)
 
 val believed_members : t -> Rsmr_net.Node_id.t list
 val believed_leader : t -> Rsmr_net.Node_id.t option

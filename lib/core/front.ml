@@ -8,7 +8,7 @@ module Endpoint = Rsmr_client.Endpoint
 module Overlay = Rsmr_iface.Overlay
 
 type handler = {
-  on_client : Client_msg.t -> unit;
+  on_client : src:Node_id.t -> Client_msg.t -> unit;
   on_update :
     epoch:int -> members:Node_id.t list -> leader:Node_id.t option -> unit;
   on_lookup : src:Node_id.t -> unit;
@@ -85,7 +85,7 @@ let ignore_entry ~epoch:_ ~members:_ ~leader:_ = ()
 (* The directory node: monotone-epoch updates in, current entry out. *)
 let dir_handler t =
   {
-    on_client = ignore;
+    on_client = (fun ~src:_ _ -> ());
     on_update = Directory.update t.dir;
     on_lookup =
       (fun ~src ->

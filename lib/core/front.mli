@@ -18,7 +18,7 @@
     Client ids must not collide with either. *)
 
 type handler = {
-  on_client : Rsmr_client.Client_msg.t -> unit;
+  on_client : src:Rsmr_net.Node_id.t -> Rsmr_client.Client_msg.t -> unit;
   on_update :
     epoch:int ->
     members:Rsmr_net.Node_id.t list ->

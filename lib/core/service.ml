@@ -86,20 +86,22 @@ let epoch_audit stats =
 (* Retry period for an unanswered snapshot fetch, seconds. *)
 let fetch_timeout = 0.25
 
+(* A configuration's leader from boot (ballot 0, view 0): its lowest id. *)
+let boot_leader members = List.nth_opt (List.sort Node_id.compare members) 0
+
 (* The donors a host asks for its transfer into a configuration of
-   [members], in order: the previous members but the host.  The new
-   configuration's first member leads it from boot (the Paxos ballot-0
-   owner, VR's view-0 primary).  Under load its uplink is the busiest,
-   and control traffic goes before chunks there, so a snapshot from it
-   can stall past [fetch_timeout] and be asked for twice.  It is asked
+   [members], in order: the previous members but the host.  Under load
+   the new configuration's {!boot_leader} has the busiest uplink, and
+   control traffic goes before chunks there, so a snapshot from it can
+   stall past [fetch_timeout] and be asked for twice.  It is asked
    last. *)
 let donor_order ~me ~members ~prev_members =
   let others = List.filter (fun m -> not (Node_id.equal m me)) prev_members in
-  match List.sort Node_id.compare members with
-  | leader :: _ ->
+  match boot_leader members with
+  | Some leader ->
     let last, first = List.partition (Node_id.equal leader) others in
     first @ last
-  | [] -> others
+  | None -> others
 
 (* The donor a host asks after [asked] earlier requests.  Staggering the
    start by the host's identity makes concurrent joiners pull from
@@ -121,7 +123,7 @@ let early_cap = 64
 (* How [Wire.t] carries the client and directory messages ({!Front}). *)
 let recv_edge (h : Front.handler) (env : Wire.t Network.envelope) =
   match env.Network.payload with
-  | Wire.Client msg -> h.Front.on_client msg
+  | Wire.Client msg -> h.Front.on_client ~src:env.Network.src msg
   | Wire.Dir_update { epoch; members; leader } ->
     h.Front.on_update ~epoch ~members ~leader
   | Wire.Dir_lookup -> h.Front.on_lookup ~src:env.Network.src
@@ -516,14 +518,13 @@ struct
         () (* a retired epoch orders nothing more *)
       | None -> (
         (* This host is not in the next configuration: forward the whole
-           residual batch as one static message to its first member, which
-           routes it onward.  That member is the Paxos ballot-0 owner and
-           the VR view-0 primary, so usually the leader, and the Bootstrap
-           sent on the same link at wedge time has created its instance
-           before this arrives; a member whose replica already knows that
-           leader could forward the batch to it before it exists. *)
-        match List.sort Node_id.compare inst.next_members with
-        | dst :: _ ->
+           residual batch as one static message to its {!boot_leader},
+           usually the leader, which routes it onward; the Bootstrap sent
+           on the same link at wedge time has created its instance before
+           this arrives (a member that knows that leader could forward the
+           batch to it before it exists). *)
+        match boot_leader inst.next_members with
+        | Some dst ->
           let msg =
             match values with
             | [ value ] -> B.submit_msg value
@@ -531,7 +532,7 @@ struct
           in
           send t ~src:host.me ~dst
             (Wire.Block { epoch = inst.epoch + 1; data = B.Msg.encode msg })
-        | [] -> ())
+        | None -> ())
     end
 
   and process t host inst idx env value =
@@ -637,8 +638,8 @@ struct
         served;
       Hashtbl.replace host.transfers new_epoch
         (Ready { members = members'; snapshot });
-      (* Tell the new configuration it exists.  The closures below capture
-         no instance: the host drops this one when it retires. *)
+      (* Tell the new configuration and the directory that it exists.  The
+         closures capture no instance: the host drops it when it retires. *)
       let bootstrap_members () =
         List.iter
           (fun m ->
@@ -651,7 +652,9 @@ struct
                      prev_epoch = epoch;
                      prev_members = members;
                    }))
-          members'
+          members';
+        send t ~src:host.me ~dst:(Front.dir_id t.front)
+          (Wire.Dir_update { epoch = new_epoch; members = members'; leader = None })
       in
       bootstrap_members ();
       (* Push: each joiner gets the snapshot, unasked, from the donor its
@@ -675,13 +678,13 @@ struct
           (Engine.schedule t.engine ~delay:0.0 (fun () ->
                submit_drain host epoch));
       (* Bootstrap is fire-and-forget: a new member unreachable at wedge
-         time would otherwise never learn its epoch exists and the
-         configuration could run forever one replica short.  Re-send on a
-         slow timer for a fixed window — retirement is no stop signal,
-         since the old epoch drains while a crashed newcomer may still be
-         in the dark; duplicates are ignored on receipt.  The same tick
-         re-submits the drain barrier from whoever leads the instance
-         now, in case the leader that wedged it crashed first. *)
+         time would never learn its epoch exists, and a directory that
+         lost every update would advertise the old configuration for good.
+         Re-send on a slow timer for a fixed window — retirement is no
+         stop signal, since the old epoch drains while a crashed newcomer
+         may still be in the dark; duplicates are ignored on receipt.  The
+         same tick re-submits the drain barrier from whoever leads the
+         instance now, in case the leader that wedged it crashed first. *)
       let rec rebootstrap rounds =
         if rounds > 0 then begin
           bootstrap_members ();
@@ -692,8 +695,6 @@ struct
         end
       in
       ignore (Engine.schedule t.engine ~delay:0.25 (fun () -> rebootstrap 40));
-      send t ~src:host.me ~dst:(Front.dir_id t.front)
-        (Wire.Dir_update { epoch = new_epoch; members = members'; leader = None });
       t.on_dir_update ~epoch:new_epoch ~members:members' ~leader:None;
       (* A host in both configurations transfers state locally: its own
          wedge-point state is exactly the new instance's initial state.
@@ -1011,21 +1012,6 @@ struct
      broadcast). *)
   let handle_requests t host ~src ~low_water ~reqs =
     let current = newest_instance host ~pred:(fun i -> i.replica <> None) in
-    let redirect seq =
-      incr (Obs.scope_counter t.svc "redirects");
-      let leader =
-        match current with
-        | Some inst when inst.wedged_at = None -> (
-          match inst.replica with
-          | Some r -> Replica.leader_hint r
-          | None -> None)
-        | Some _ | None -> None
-      in
-      send t ~src:host.me ~dst:src
-        (Wire.Client
-           (Client_msg.Redirect
-              { seq; leader; members = host.latest_members; epoch = host.top_epoch }))
-    in
     match current with
     | Some inst when is_inst_leader inst && inst.wedged_at = None ->
       let envs =
@@ -1058,10 +1044,21 @@ struct
       in
       submit_raw_many inst envs
     | Some _ | None ->
+      (* A host with no live instance (wedged, retired, or awaiting state)
+         names the newest configuration's leader from boot. *)
+      let leader =
+        match current with
+        | Some { wedged_at = None; replica = Some r; _ } -> Replica.leader_hint r
+        | Some _ | None -> boot_leader host.latest_members
+      in
       List.iter
         (fun (seq, _) ->
           incr (Lazy.force t.requests);
-          redirect seq)
+          incr (Obs.scope_counter t.svc "redirects");
+          send t ~src:host.me ~dst:src
+            (Wire.Client
+               (Client_msg.Redirect
+                  { seq; leader; members = host.latest_members; epoch = host.top_epoch })))
         reqs
 
   let host_handler t host (env : Wire.t Network.envelope) =

@@ -14,6 +14,7 @@ type outcome = {
   epoch_prefix : verdict;
   residual : verdict;
   convergence : verdict;
+  redirects : verdict;
 }
 
 let default_lin_budget = 400_000
@@ -75,6 +76,11 @@ let check_residual (r : Runner.report) =
              resub resid)
       else Pass
 
+let check_redirects (r : Runner.report) =
+  Option.fold ~none:Pass ~some:(fun msg -> Fail msg)
+    (Rsmr_client.Endpoint.redirect_storm ~redirects:(counter_of r "redirects")
+       ~submitted:r.Runner.submitted)
+
 let check_convergence (r : Runner.report) =
   if r.Runner.converged then Pass
   else if not r.Runner.quiesced then
@@ -103,6 +109,7 @@ let check ?(lin_budget = default_lin_budget) (r : Runner.report) =
     epoch_prefix = check_epoch_prefix r;
     residual = check_residual r;
     convergence = check_convergence r;
+    redirects = check_redirects r;
   }
 
 let named o =
@@ -112,6 +119,7 @@ let named o =
     ("epoch-prefix", o.epoch_prefix);
     ("residual-conservation", o.residual);
     ("convergence", o.convergence);
+    ("redirect-bound", o.redirects);
   ]
 
 let failures o =

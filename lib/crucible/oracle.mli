@@ -1,4 +1,4 @@
-(** The five invariant oracles, judged over a completed {!Runner.report}.
+(** The six invariant oracles, judged over a completed {!Runner.report}.
 
     - {b linearizability}: the client-observed history admits a legal
       total order (Wing–Gong over {!Mixed}, budgeted — a blown budget is
@@ -15,7 +15,9 @@
       by client retry shows up as a hung client), and the service never
       claims more resubmissions than residuals.
     - {b convergence}: after quiescence all advertised members expose
-      byte-identical application state. *)
+      byte-identical application state.
+    - {b redirect bound}: the service's [redirects] counter is no
+      {!Rsmr_client.Endpoint.redirect_storm}. *)
 
 type verdict =
   | Pass
@@ -29,6 +31,7 @@ type outcome = {
   epoch_prefix : verdict;
   residual : verdict;
   convergence : verdict;
+  redirects : verdict;
 }
 
 val default_lin_budget : int

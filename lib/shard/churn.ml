@@ -213,11 +213,8 @@ module Run (P : Platform.S) = struct
       fail "liveness"
         (Printf.sprintf "%d commands unanswered 40 s after repair" (pending ()));
     let redirects = P.endpoint_counter_total pf "redirects" in
-    let bound = (50 * submitted) + 500 in
-    if redirects > bound then
-      fail "redirect_bound"
-        (Printf.sprintf "%d redirects for %d commands (bound %d)" redirects
-           submitted bound);
+    Option.iter (fail "redirect_bound")
+      (Rsmr_client.Endpoint.redirect_storm ~redirects ~submitted);
     if not converged then
       for s = 0 to P.n_shards pf - 1 do
         if not (shard_converged s) then

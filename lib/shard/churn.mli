@@ -12,8 +12,7 @@
     - [exactly_once] — no duplicate client replies;
     - [liveness] — every submitted command answered within 40 s of the
       repair;
-    - [redirect_bound] — redirect traffic stays within a linear bound of
-      the command count (the PR-4 retry-storm regression check);
+    - [redirect_bound] — no {!Rsmr_client.Endpoint.redirect_storm};
     - [convergence] — each shard's caught-up members hold identical
       application state, and a majority is caught up;
     - [epoch_prefix] — {!Rsmr_core.Service.epoch_audit} passes on the

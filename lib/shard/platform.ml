@@ -108,7 +108,7 @@ module Make_on (B : Rsmr_smr.Block_intf.S) = struct
 
   let client_handler ep (env : Wire.t Network.envelope) =
     match env.Network.payload with
-    | Wire.Client msg -> Endpoint.handle ep msg
+    | Wire.Client msg -> Endpoint.handle ep ~src:env.Network.src msg
     | _ -> ()
   [@@rsmr.deterministic] [@@rsmr.total]
 

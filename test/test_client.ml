@@ -77,12 +77,12 @@ let test_submit_sends_request () =
 let test_reply_completes () =
   let h = make_harness () in
   Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
-  Endpoint.handle h.endpoint (Client_msg.Reply { seq = 1; rsp = "ok" });
+  Endpoint.handle h.endpoint ~src:0 (Client_msg.Reply { seq = 1; rsp = "ok" });
   Alcotest.(check (list (pair int string))) "callback fired" [ (1, "ok") ]
     !(h.replies);
   Alcotest.(check int) "no longer outstanding" 0 (Endpoint.outstanding h.endpoint);
   (* A duplicate reply (from a retried request) is ignored. *)
-  Endpoint.handle h.endpoint (Client_msg.Reply { seq = 1; rsp = "ok" });
+  Endpoint.handle h.endpoint ~src:0 (Client_msg.Reply { seq = 1; rsp = "ok" });
   Alcotest.(check int) "duplicate ignored" 1 (List.length !(h.replies))
 
 let test_timeout_retries_and_rotates () =
@@ -100,12 +100,11 @@ let test_timeout_retries_and_rotates () =
 let test_redirect_follows_leader () =
   let h = make_harness () in
   Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
-  Endpoint.handle h.endpoint
+  Endpoint.handle h.endpoint ~src:1
     (Client_msg.Redirect { seq = 1; leader = Some 2; members = [ 0; 1; 2 ]; epoch = 1 });
   Alcotest.(check (option int)) "leader cached" (Some 2)
     (Endpoint.believed_leader h.endpoint);
-  (* Run just past the redirect jitter but short of the request timeout. *)
-  Engine.run ~until:0.05 h.engine;
+  (* The first hint is followed at once, before the engine runs. *)
   match last_send h with
   | Some (2, Client_msg.Request { seq = 1; _ }) -> ()
   | Some (dst, _) -> Alcotest.failf "resent to n%d, expected leader n2" dst
@@ -114,25 +113,25 @@ let test_redirect_follows_leader () =
 let test_redirect_updates_members () =
   let h = make_harness () in
   Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
-  Endpoint.handle h.endpoint
+  Endpoint.handle h.endpoint ~src:1
     (Client_msg.Redirect { seq = 1; leader = None; members = [ 7; 8; 9 ]; epoch = 2 });
   Alcotest.(check (list int)) "members replaced" [ 7; 8; 9 ]
     (Endpoint.believed_members h.endpoint);
   (* Stale (lower-epoch) redirects must not clobber the fresher view. *)
-  Endpoint.handle h.endpoint
+  Endpoint.handle h.endpoint ~src:0
     (Client_msg.Redirect { seq = 1; leader = None; members = [ 0; 1 ]; epoch = 1 });
   Alcotest.(check (list int)) "stale redirect ignored" [ 7; 8; 9 ]
     (Endpoint.believed_members h.endpoint)
 
 let test_self_redirect_loop_broken () =
   (* A deposed leader that redirects to itself must not capture the client
-     forever: the hint pointing back at the node just tried is dropped. *)
+     forever: a hint naming the redirecting node is dropped. *)
   let h = make_harness () in
   Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
   let first_target =
     match last_send h with Some (d, _) -> d | None -> Alcotest.fail "no send"
   in
-  Endpoint.handle h.endpoint
+  Endpoint.handle h.endpoint ~src:first_target
     (Client_msg.Redirect
        { seq = 1; leader = Some first_target; members = [ 0; 1; 2 ]; epoch = 1 });
   Alcotest.(check (option int)) "self-hint dropped" None
@@ -143,6 +142,83 @@ let test_self_redirect_loop_broken () =
     Alcotest.(check bool) "rotated away from the looping node" true
       (dst <> first_target)
   | None -> Alcotest.fail "nothing resent"
+
+let redirect h ~src ~leader seq =
+  Endpoint.handle h.endpoint ~src
+    (Client_msg.Redirect { seq; leader; members = [ 0; 1; 2 ]; epoch = 1 })
+
+let request_dsts h =
+  List.rev_map
+    (function
+      | dst, Client_msg.Request { seq; _ } -> (dst, seq)
+      | dst, _ -> (dst, -1))
+    !(h.sent)
+
+(* Nothing is sent from the last clearing of [h.sent] until [d] more
+   seconds of virtual time have passed. *)
+let check_quiet h what d =
+  Engine.run ~until:(Engine.now h.engine +. d) h.engine;
+  Alcotest.(check (list (pair int int))) what [] (request_dsts h)
+
+let test_batch_redirect_keeps_hint () =
+  (* Every request of a batch bounced by a follower follows the follower's
+     hint at once.  The first re-send already goes to the hinted leader;
+     the rest must still trust a hint that names someone other than the
+     node that redirected. *)
+  let h = make_harness ~batch_window:0.001 () in
+  List.iter
+    (fun seq -> Endpoint.submit h.endpoint ~seq ~payload:(Client_msg.Cmd "c"))
+    [ 1; 2; 3 ];
+  Engine.run ~until:0.002 h.engine;
+  (match last_send h with
+   | Some (1, Client_msg.Request_batch _) -> ()
+   | _ -> Alcotest.fail "expected one batch to n1");
+  h.sent := [];
+  List.iter (redirect h ~src:1 ~leader:(Some 0)) [ 1; 2; 3 ];
+  Alcotest.(check (list (pair int int))) "all three re-sent to n0 at once"
+    [ (0, 1); (0, 2); (0, 3) ] (request_dsts h)
+
+let test_other_redirects_back_off () =
+  (* The leader a first hint named bounces the request too: the second
+     redirect backs off. *)
+  let h = make_harness () in
+  Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
+  redirect h ~src:1 ~leader:(Some 2) 1;
+  h.sent := [];
+  redirect h ~src:2 ~leader:(Some 0) 1;
+  check_quiet h "second redirect backs off" 0.0099;
+  Engine.run ~until:(Engine.now h.engine +. 0.016) h.engine;
+  Alcotest.(check (list (pair int int))) "then re-sent to the new hint"
+    [ (0, 1) ] (request_dsts h);
+  (* A first redirect with no hint backs off. *)
+  let h = make_harness () in
+  Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
+  h.sent := [];
+  redirect h ~src:1 ~leader:None 1;
+  check_quiet h "no hint backs off" 0.0099;
+  (* So does one whose hint names the node that redirected. *)
+  let h = make_harness () in
+  Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
+  h.sent := [];
+  redirect h ~src:1 ~leader:(Some 1) 1;
+  Alcotest.(check (option int)) "self hint dropped" None
+    (Endpoint.believed_leader h.endpoint);
+  check_quiet h "self hint backs off" 0.0099
+
+let test_duplicated_redirect_no_storm () =
+  (* Ten copies of one redirect (a duplicating network) cause at most one
+     immediate re-send; the later copies only re-arm the request's single
+     timer slot. *)
+  let h = make_harness () in
+  Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
+  h.sent := [];
+  for _ = 1 to 10 do
+    redirect h ~src:1 ~leader:(Some 2) 1
+  done;
+  Alcotest.(check int) "one immediate send" 1 (List.length !(h.sent));
+  Engine.run ~until:0.1 h.engine;
+  Alcotest.(check bool) "at most one more after the back-off" true
+    (List.length !(h.sent) <= 2)
 
 let test_lookup_after_repeated_timeouts () =
   let h = make_harness ~req_timeout:0.1 () in
@@ -217,7 +293,7 @@ let test_lookup_result_routes_retries () =
     (List.for_all (fun (d, _) -> List.mem d [ 5; 6; 7 ]) !(h.sent)
     && !(h.sent) <> []);
   (* A redirect from the new group then pins the leader as usual. *)
-  Endpoint.handle h.endpoint
+  Endpoint.handle h.endpoint ~src:5
     (Client_msg.Redirect { seq = 1; leader = Some 6; members = [ 5; 6; 7 ]; epoch = 3 });
   Alcotest.(check (option int)) "leader adopted from redirect" (Some 6)
     (Endpoint.believed_leader h.endpoint)
@@ -227,7 +303,7 @@ let test_resubmit_same_seq_is_retry () =
   Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "x");
   Endpoint.submit h.endpoint ~seq:1 ~payload:(Client_msg.Cmd "ignored");
   Alcotest.(check int) "still one outstanding" 1 (Endpoint.outstanding h.endpoint);
-  Endpoint.handle h.endpoint (Client_msg.Reply { seq = 1; rsp = "ok" });
+  Endpoint.handle h.endpoint ~src:0 (Client_msg.Reply { seq = 1; rsp = "ok" });
   Alcotest.(check int) "one reply" 1 (List.length !(h.replies))
 
 let test_coalescing_forms_batch () =
@@ -267,7 +343,7 @@ let test_batch_retry_is_single_request () =
   Engine.run ~until:0.002 h.engine;
   Alcotest.(check int) "one batched send" 1 (List.length !(h.sent));
   (* One of the two gets a reply; the other times out and is retried. *)
-  Endpoint.handle h.endpoint (Client_msg.Reply { seq = 1; rsp = "ok" });
+  Endpoint.handle h.endpoint ~src:0 (Client_msg.Reply { seq = 1; rsp = "ok" });
   Engine.run ~until:0.5 h.engine;
   let retries =
     List.filter_map
@@ -278,7 +354,7 @@ let test_batch_retry_is_single_request () =
   in
   Alcotest.(check bool) "timed-out request retried singly" true
     (List.length retries >= 1 && List.for_all (fun s -> s = 2) retries);
-  Endpoint.handle h.endpoint (Client_msg.Reply { seq = 2; rsp = "ok" });
+  Endpoint.handle h.endpoint ~src:0 (Client_msg.Reply { seq = 2; rsp = "ok" });
   Alcotest.(check int) "both complete" 0 (Endpoint.outstanding h.endpoint)
 
 let test_single_submit_skips_batch_framing () =
@@ -307,6 +383,12 @@ let () =
             test_redirect_updates_members;
           Alcotest.test_case "self-redirect loop broken" `Quick
             test_self_redirect_loop_broken;
+          Alcotest.test_case "batch redirect keeps the hint" `Quick
+            test_batch_redirect_keeps_hint;
+          Alcotest.test_case "other redirects back off" `Quick
+            test_other_redirects_back_off;
+          Alcotest.test_case "duplicated redirect: no storm" `Quick
+            test_duplicated_redirect_no_storm;
           Alcotest.test_case "lookup after timeouts" `Quick
             test_lookup_after_repeated_timeouts;
           Alcotest.test_case "re-submit same seq" `Quick

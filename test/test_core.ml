@@ -1467,6 +1467,119 @@ let test_only_joiners_fetch () =
       Handoff_vr.only_joiners_fetch strategy)
     Rsmr_iface.Reconfig_strategy.[ composed; matchmaker; stopworld ]
 
+(* --- which leader a redirect names ---
+
+   Epoch 0 runs on [0; 1; 2] and changes to [1; 2; 3], whose first member
+   (node 1) is where the new configuration serves first.  A probe node
+   sends a request straight to a host and reads the hint of the redirect
+   it gets back. *)
+
+module Hints (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
+  module Client_msg = Rsmr_client.Client_msg
+
+  let probe = 200
+
+  let start () =
+    let engine = Engine.create ~seed:1 () in
+    let svc =
+      S.create ~engine ~universe:[ 0; 1; 2; 3 ] ~members:[ 0; 1; 2 ] ()
+    in
+    let cluster = S.cluster svc in
+    cluster.Rsmr_iface.Cluster.add_client c1;
+    cluster.Rsmr_iface.Cluster.submit ~client:c1 ~seq:1
+      ~cmd:(Kv.encode_command (Kv.Put ("k", "v")));
+    Engine.run ~until:2.0 engine;
+    (engine, svc, cluster)
+
+  (* The leader named by [host]'s redirect of one request. *)
+  let hint (engine, svc, _) host =
+    let net = S.net svc in
+    let got = ref [] in
+    Network.register net probe (fun env ->
+        match env.Network.payload with
+        | Wire.Client (Client_msg.Redirect { leader; _ }) ->
+          got := leader :: !got
+        | _ -> ());
+    Network.send net ~src:probe ~dst:host
+      (Wire.Client
+         (Client_msg.Request
+            {
+              seq = 1;
+              low_water = 0;
+              payload = Client_msg.Cmd (Kv.encode_command (Kv.Get "k"));
+            }));
+    Engine.run ~until:(Engine.now engine +. 0.05) engine;
+    match !got with
+    | [ leader ] -> leader
+    | l -> Alcotest.failf "node %d: %d redirects" host (List.length l)
+
+  let epoch0 svc host =
+    List.find_opt
+      (fun (es : Rsmr_core.Service.epoch_stat) -> es.es_epoch = 0)
+      (S.epoch_stats svc host)
+
+  let run () =
+    let ((_, svc, _) as r) = start () in
+    let leader = S.current_leader svc in
+    let follower = if leader = Some 1 then 2 else 1 in
+    Alcotest.(check (option int)) "a live follower names its replica's hint"
+      leader (hint r follower);
+    (* Wedged: the two other old members crash at the first wedge, so the
+       drain barrier is never decided and the instance stays wedged. *)
+    let ((engine, svc, cluster) as r) = start () in
+    let wedged = ref None in
+    Rsmr_sim.Trace.subscribe (Rsmr_obs.Registry.bus (S.obs svc)) (fun ev ->
+        if ev.Rsmr_sim.Trace.message = "wedged" && !wedged = None then begin
+          let w = ev.Rsmr_sim.Trace.node in
+          wedged := Some w;
+          List.iter (fun n -> if n <> w then crash cluster n) [ 0; 1; 2 ]
+        end);
+    reconfigure cluster [ 1; 2; 3 ];
+    Engine.run ~until:(Engine.now engine +. 1.0) engine;
+    (match !wedged with
+     | None -> Alcotest.fail "nobody wedged"
+     | Some w ->
+       (match epoch0 svc w with
+        | Some es ->
+          Alcotest.(check bool) "epoch 0 wedged, not retired" true
+            (es.es_wedged_at <> None && not es.es_retired)
+        | None -> Alcotest.fail "no epoch 0 record");
+       Alcotest.(check (option int))
+         "a wedged host names the newest configuration's first member"
+         (Some 1) (hint r w));
+    (* Retired: node 0 leaves, drains and retires epoch 0. *)
+    let ((engine, svc, cluster) as r) = start () in
+    reconfigure cluster [ 1; 2; 3 ];
+    Engine.run ~until:(Engine.now engine +. 2.0) engine;
+    Alcotest.(check bool) "node 0 retired epoch 0" true
+      (match epoch0 svc 0 with Some es -> es.es_retired | None -> false);
+    Alcotest.(check (option int))
+      "a retired host names the newest configuration's first member"
+      (Some 1) (hint r 0)
+
+  (* Every update for the change is lost on its way to the directory, the
+     announce included; once the links heal, the re-sent ones get
+     through. *)
+  let directory_catches_up () =
+    let engine, svc, cluster = start () in
+    let net = S.net svc and dir = S.directory_id svc in
+    List.iter
+      (fun src -> Network.set_link_fault net ~src ~dst:dir ~drop:1.0)
+      [ 0; 1; 2; 3 ];
+    reconfigure cluster [ 1; 2; 3 ];
+    Engine.run ~until:(Engine.now engine +. 0.5) engine;
+    Alcotest.(check int) "the directory missed the change" 0
+      (S.current_epoch svc);
+    Network.clear_link_faults net;
+    Engine.run ~until:(Engine.now engine +. 0.5) engine;
+    Alcotest.(check (pair int (list int))) "and learns it once healed"
+      (1, [ 1; 2; 3 ])
+      (S.current_epoch svc, List.sort compare (S.current_members svc))
+end
+
+module Hints_paxos = Hints (KvService)
+module Hints_vr = Hints (Rsmr_core.Service.Make_on (Rsmr_smr.Vr) (Kv))
+
 let () =
   Alcotest.run "core"
     [
@@ -1538,6 +1651,12 @@ let () =
             `Quick Handoff_paxos.stalled_transfer;
           Alcotest.test_case "lagging member fetches once retired" `Quick
             Handoff_paxos.lagging_member;
+          Alcotest.test_case "redirect hints (paxos)" `Quick Hints_paxos.run;
+          Alcotest.test_case "redirect hints (vr)" `Quick Hints_vr.run;
+          Alcotest.test_case "directory catches up after lost updates" `Quick
+            (fun () ->
+              Hints_paxos.directory_catches_up ();
+              Hints_vr.directory_catches_up ());
           QCheck_alcotest.to_alcotest prop_exactly_once_across_reconfig;
           QCheck_alcotest.to_alcotest prop_bank_conservation_across_faults;
         ] );

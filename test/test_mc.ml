@@ -92,6 +92,22 @@ let test_skip_phase1_caught () =
       "committed-prefix property violated" true
       (String.length prop >= 16 && String.sub prop 0 16 = "committed-prefix")
 
+(* Session dedup off: the minimal scope holds a run that orders one
+   command twice and applies it twice.  It came within reach when a
+   client's first re-send after a redirect stopped needing a timer fire;
+   before, this scope exhausted with no violation. *)
+let test_session_dedup_caught () =
+  let stats =
+    Explore.run ~proto:Protocol.core ~scope:Scope.minimal
+      ~mutation:(Some Rsmr_core.Options.No_session_dedup) ()
+  in
+  match stats.Explore.violation with
+  | None -> Alcotest.fail "session-dedup exploration found no violation"
+  | Some (prop, _) ->
+    Alcotest.(check bool)
+      "exactly-once property violated" true
+      (String.length prop >= 12 && String.sub prop 0 12 = "exactly-once")
+
 (* A bulk queue's choices have their own tokens (upper case), so a trace
    that delivers a control message ahead of an earlier chunk on the same
    link replays as it was found. *)
@@ -183,19 +199,19 @@ let () =
       ( "exhaustion",
         [
           Alcotest.test_case "core tiny scope" `Slow
-            (test_exhaust Protocol.core ~visited:3845);
+            (test_exhaust Protocol.core ~visited:59702);
           Alcotest.test_case "stopworld tiny scope" `Slow
-            (test_exhaust Protocol.stopworld ~visited:3052);
+            (test_exhaust Protocol.stopworld ~visited:26776);
           Alcotest.test_case "core tiny scope, batch=2" `Slow
-            (test_exhaust ~scope:tiny_batch_scope Protocol.core ~visited:42427);
+            (test_exhaust ~scope:tiny_batch_scope Protocol.core ~visited:75775);
           Alcotest.test_case "core/vr tiny scope" `Slow
-            (test_exhaust Protocol.core_vr ~visited:4361);
+            (test_exhaust Protocol.core_vr ~visited:28798);
           Alcotest.test_case "matchmaker tiny scope" `Slow
-            (test_exhaust Protocol.matchmaker ~visited:3587);
+            (test_exhaust Protocol.matchmaker ~visited:55539);
           Alcotest.test_case "matchmaker/vr tiny scope" `Slow
-            (test_exhaust (proto "matchmaker/vr") ~visited:4196);
+            (test_exhaust (proto "matchmaker/vr") ~visited:27066);
           Alcotest.test_case "stopworld/vr tiny scope" `Slow
-            (test_exhaust (proto "stopworld/vr") ~visited:4118);
+            (test_exhaust (proto "stopworld/vr") ~visited:21052);
         ] );
       ( "teeth",
         [
@@ -203,6 +219,8 @@ let () =
             (test_mutation_counterexample Protocol.core);
           Alcotest.test_case "skip-phase1 mutation is caught" `Slow
             test_skip_phase1_caught;
+          Alcotest.test_case "session-dedup mutation is caught" `Slow
+            test_session_dedup_caught;
           Alcotest.test_case "replay is bit-for-bit deterministic" `Slow
             test_replay_determinism;
           Alcotest.test_case "first-wedge caught over core/vr" `Slow
