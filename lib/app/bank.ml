@@ -1,4 +1,6 @@
 module Smap = Map.Make (String)
+module W = Codec.Writer
+module R = Codec.Reader
 
 type command =
   | Open of string * int
@@ -30,81 +32,81 @@ let apply t = function
     | None -> (t, No_account))
   | Total -> (t, Amount (Smap.fold (fun _ b acc -> acc + b) t 0))
 
-let encode_command c =
-  let w = Codec.Writer.create () in
-  (match c with
-   | Open (a, n) ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.string w a;
-     Codec.Writer.zigzag w n
-   | Transfer (s, d, n) ->
-     Codec.Writer.u8 w 1;
-     Codec.Writer.string w s;
-     Codec.Writer.string w d;
-     Codec.Writer.zigzag w n
-   | Balance a ->
-     Codec.Writer.u8 w 2;
-     Codec.Writer.string w a
-   | Total -> Codec.Writer.u8 w 3);
-  Codec.Writer.contents w
+let write_command w = function
+  | Open (a, n) ->
+    W.u8 w 0;
+    W.string w a;
+    W.zigzag w n
+  | Transfer (s, d, n) ->
+    W.u8 w 1;
+    W.string w s;
+    W.string w d;
+    W.zigzag w n
+  | Balance a ->
+    W.u8 w 2;
+    W.string w a
+  | Total -> W.u8 w 3
 
-let decode_command s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
+let read_command r =
+  match R.u8 r with
   | 0 ->
-    let a = Codec.Reader.string r in
-    Open (a, Codec.Reader.zigzag r)
+    let a = R.string r in
+    Open (a, R.zigzag r)
   | 1 ->
-    let src = Codec.Reader.string r in
-    let dst = Codec.Reader.string r in
-    Transfer (src, dst, Codec.Reader.zigzag r)
-  | 2 -> Balance (Codec.Reader.string r)
+    let src = R.string r in
+    let dst = R.string r in
+    Transfer (src, dst, R.zigzag r)
+  | 2 -> Balance (R.string r)
   | 3 -> Total
   | _ -> raise Codec.Truncated
+
+let encode_command c = W.to_string write_command c
+
+let decode_command s = read_command (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let encode_response resp =
-  let w = Codec.Writer.create () in
-  (match resp with
-   | Ok -> Codec.Writer.u8 w 0
-   | Insufficient -> Codec.Writer.u8 w 1
-   | No_account -> Codec.Writer.u8 w 2
-   | Amount n ->
-     Codec.Writer.u8 w 3;
-     Codec.Writer.zigzag w n);
-  Codec.Writer.contents w
+let write_response w = function
+  | Ok -> W.u8 w 0
+  | Insufficient -> W.u8 w 1
+  | No_account -> W.u8 w 2
+  | Amount n ->
+    W.u8 w 3;
+    W.zigzag w n
 
-let decode_response s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
+let read_response r =
+  match R.u8 r with
   | 0 -> Ok
   | 1 -> Insufficient
   | 2 -> No_account
-  | 3 -> Amount (Codec.Reader.zigzag r)
+  | 3 -> Amount (R.zigzag r)
   | _ -> raise Codec.Truncated
+
+let encode_response resp = W.to_string write_response resp
+
+let decode_response s = read_response (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let snapshot t =
-  let w = Codec.Writer.create ~size_hint:1024 () in
-  Codec.Writer.varint w (Smap.cardinal t);
+let write_snapshot w t =
+  W.varint w (Smap.cardinal t);
   Smap.iter
     (fun k v ->
-      Codec.Writer.string w k;
-      Codec.Writer.zigzag w v)
-    t;
-  Codec.Writer.contents w
+      W.string w k;
+      W.zigzag w v)
+    t
 
-let restore s =
-  let r = Codec.Reader.of_string s in
-  let n = Codec.Reader.varint r in
+let read_snapshot r =
+  let n = R.varint r in
   let rec go acc i =
     if i = n then acc
     else
-      let k = Codec.Reader.string r in
-      let v = Codec.Reader.zigzag r in
+      let k = R.string r in
+      let v = R.zigzag r in
       go (Smap.add k v acc) (i + 1)
   in
   go Smap.empty 0
+
+let snapshot t = W.to_string write_snapshot t
+let restore s = read_snapshot (R.of_string s)
 
 let equal_response (a : response) b = a = b
 

@@ -5,6 +5,8 @@
    not depend on rsmr_net, and the composition layer owns the mapping. *)
 
 module Smap = Map.Make (String)
+module W = Codec.Writer
+module R = Codec.Reader
 
 type entry = { epoch : int; members : int list; leader : int option }
 
@@ -40,82 +42,82 @@ let apply t = function
     (t, Acked)
 
 let write_entry w (e : entry) =
-  Codec.Writer.varint w e.epoch;
-  Codec.Writer.list w Codec.Writer.varint e.members;
-  Codec.Writer.option w Codec.Writer.varint e.leader
+  W.varint w e.epoch;
+  W.list w W.varint e.members;
+  W.option w W.varint e.leader
 
 let read_entry r =
-  let epoch = Codec.Reader.varint r in
-  let members = Codec.Reader.list r Codec.Reader.varint in
-  let leader = Codec.Reader.option r Codec.Reader.varint in
+  let epoch = R.varint r in
+  let members = R.list r R.varint in
+  let leader = R.option r R.varint in
   { epoch; members; leader }
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let encode_command c =
-  let w = Codec.Writer.create () in
-  (match c with
-   | Lookup n ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.string w n
-   | Update { name = n; epoch; members; leader } ->
-     Codec.Writer.u8 w 1;
-     Codec.Writer.string w n;
-     Codec.Writer.varint w epoch;
-     Codec.Writer.list w Codec.Writer.varint members;
-     Codec.Writer.option w Codec.Writer.varint leader);
-  Codec.Writer.contents w
+let write_command w = function
+  | Lookup n ->
+    W.u8 w 0;
+    W.string w n
+  | Update { name = n; epoch; members; leader } ->
+    W.u8 w 1;
+    W.string w n;
+    W.varint w epoch;
+    W.list w W.varint members;
+    W.option w W.varint leader
 
-let decode_command s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
-  | 0 -> Lookup (Codec.Reader.string r)
+let read_command r =
+  match R.u8 r with
+  | 0 -> Lookup (R.string r)
   | 1 ->
-    let n = Codec.Reader.string r in
-    let epoch = Codec.Reader.varint r in
-    let members = Codec.Reader.list r Codec.Reader.varint in
-    let leader = Codec.Reader.option r Codec.Reader.varint in
+    let n = R.string r in
+    let epoch = R.varint r in
+    let members = R.list r R.varint in
+    let leader = R.option r R.varint in
     Update { name = n; epoch; members; leader }
   | _ -> raise Codec.Truncated
+
+let encode_command c = W.to_string write_command c
+
+let decode_command s = read_command (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let encode_response resp =
-  let w = Codec.Writer.create () in
-  (match resp with
-   | Info e ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.option w write_entry e
-   | Acked -> Codec.Writer.u8 w 1);
-  Codec.Writer.contents w
+let write_response w = function
+  | Info e ->
+    W.u8 w 0;
+    W.option w write_entry e
+  | Acked -> W.u8 w 1
 
-let decode_response s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
-  | 0 -> Info (Codec.Reader.option r read_entry)
+let read_response r =
+  match R.u8 r with
+  | 0 -> Info (R.option r read_entry)
   | 1 -> Acked
   | _ -> raise Codec.Truncated
+
+let encode_response resp = W.to_string write_response resp
+
+let decode_response s = read_response (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let snapshot t =
-  let w = Codec.Writer.create ~size_hint:1024 () in
-  Codec.Writer.varint w (Smap.cardinal t);
+let write_snapshot w t =
+  W.varint w (Smap.cardinal t);
   Smap.iter
     (fun n e ->
-      Codec.Writer.string w n;
+      W.string w n;
       write_entry w e)
-    t;
-  Codec.Writer.contents w
+    t
 
-let restore s =
-  let r = Codec.Reader.of_string s in
-  let n = Codec.Reader.varint r in
+let read_snapshot r =
+  let n = R.varint r in
   let rec go acc i =
     if i = n then acc
     else
-      let k = Codec.Reader.string r in
+      let k = R.string r in
       let e = read_entry r in
       go (Smap.add k e acc) (i + 1)
   in
   go Smap.empty 0
+
+let snapshot t = W.to_string write_snapshot t
+let restore s = read_snapshot (R.of_string s)
 
 let equal_response (a : response) b = a = b
 

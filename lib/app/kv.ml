@@ -1,4 +1,6 @@
 module Smap = Map.Make (String)
+module W = Codec.Writer
+module R = Codec.Reader
 
 type command =
   | Get of string
@@ -24,90 +26,90 @@ let apply t = function
     let current = Option.value (Smap.find_opt k t) ~default:"" in
     (Smap.add k (current ^ v) t, Ok)
 
-let encode_command c =
-  let w = Codec.Writer.create () in
-  (match c with
-   | Get k ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.string w k
-   | Put (k, v) ->
-     Codec.Writer.u8 w 1;
-     Codec.Writer.string w k;
-     Codec.Writer.string w v
-   | Delete k ->
-     Codec.Writer.u8 w 2;
-     Codec.Writer.string w k
-   | Cas (k, e, v) ->
-     Codec.Writer.u8 w 3;
-     Codec.Writer.string w k;
-     Codec.Writer.option w Codec.Writer.string e;
-     Codec.Writer.string w v
-   | Append (k, v) ->
-     Codec.Writer.u8 w 4;
-     Codec.Writer.string w k;
-     Codec.Writer.string w v);
-  Codec.Writer.contents w
+let write_command w = function
+  | Get k ->
+    W.u8 w 0;
+    W.string w k
+  | Put (k, v) ->
+    W.u8 w 1;
+    W.string w k;
+    W.string w v
+  | Delete k ->
+    W.u8 w 2;
+    W.string w k
+  | Cas (k, e, v) ->
+    W.u8 w 3;
+    W.string w k;
+    W.option w W.string e;
+    W.string w v
+  | Append (k, v) ->
+    W.u8 w 4;
+    W.string w k;
+    W.string w v
 
-let decode_command s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
-  | 0 -> Get (Codec.Reader.string r)
+let read_command r =
+  match R.u8 r with
+  | 0 -> Get (R.string r)
   | 1 ->
-    let k = Codec.Reader.string r in
-    Put (k, Codec.Reader.string r)
-  | 2 -> Delete (Codec.Reader.string r)
+    let k = R.string r in
+    Put (k, R.string r)
+  | 2 -> Delete (R.string r)
   | 3 ->
-    let k = Codec.Reader.string r in
-    let e = Codec.Reader.option r Codec.Reader.string in
-    Cas (k, e, Codec.Reader.string r)
+    let k = R.string r in
+    let e = R.option r R.string in
+    Cas (k, e, R.string r)
   | 4 ->
-    let k = Codec.Reader.string r in
-    Append (k, Codec.Reader.string r)
+    let k = R.string r in
+    Append (k, R.string r)
   | _ -> raise Codec.Truncated
+
+let encode_command c = W.to_string write_command c
+
+let decode_command s = read_command (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let encode_response resp =
-  let w = Codec.Writer.create () in
-  (match resp with
-   | Value v ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.option w Codec.Writer.string v
-   | Ok -> Codec.Writer.u8 w 1
-   | Cas_result b ->
-     Codec.Writer.u8 w 2;
-     Codec.Writer.bool w b);
-  Codec.Writer.contents w
+let write_response w = function
+  | Value v ->
+    W.u8 w 0;
+    W.option w W.string v
+  | Ok -> W.u8 w 1
+  | Cas_result b ->
+    W.u8 w 2;
+    W.bool w b
 
-let decode_response s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
-  | 0 -> Value (Codec.Reader.option r Codec.Reader.string)
+let read_response r =
+  match R.u8 r with
+  | 0 -> Value (R.option r R.string)
   | 1 -> Ok
-  | 2 -> Cas_result (Codec.Reader.bool r)
+  | 2 -> Cas_result (R.bool r)
   | _ -> raise Codec.Truncated
+
+let encode_response resp = W.to_string write_response resp
+
+let decode_response s = read_response (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let snapshot t =
-  let w = Codec.Writer.create ~size_hint:4096 () in
-  Codec.Writer.varint w (Smap.cardinal t);
+let write_snapshot w t =
+  W.varint w (Smap.cardinal t);
   Smap.iter
     (fun k v ->
-      Codec.Writer.string w k;
-      Codec.Writer.string w v)
-    t;
-  Codec.Writer.contents w
+      W.string w k;
+      W.string w v)
+    t
 
-let restore s =
-  let r = Codec.Reader.of_string s in
-  let n = Codec.Reader.varint r in
+let read_snapshot r =
+  let n = R.varint r in
   let rec go acc i =
     if i = n then acc
     else
-      let k = Codec.Reader.string r in
-      let v = Codec.Reader.string r in
+      let k = R.string r in
+      let v = R.string r in
       go (Smap.add k v acc) (i + 1)
   in
   go Smap.empty 0
+
+let snapshot t = W.to_string write_snapshot t
+let restore s = read_snapshot (R.of_string s)
 
 let equal_response (a : response) b = a = b
 

@@ -113,10 +113,7 @@ let read r =
     Snapshot_chunk_ok { term; offset = R.varint r }
   | _ -> raise Rsmr_app.Codec.Truncated
 
-let encode t =
-  let w = W.create () in
-  write w t;
-  W.contents w
+let encode t = W.to_string write t
 
 let decode s = read (R.of_string s)
 

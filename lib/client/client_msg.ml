@@ -83,10 +83,7 @@ let read r =
     Request_batch { low_water; reqs = R.list r read_req }
   | _ -> raise Rsmr_app.Codec.Truncated
 
-let encode t =
-  let w = W.create () in
-  write w t;
-  W.contents w
+let encode t = W.to_string write t
 
 let decode s = read (R.of_string s)
 

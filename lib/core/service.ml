@@ -538,7 +538,7 @@ struct
   and process t host inst idx env value =
     if idx > inst.applied_hi then inst.applied_hi <- idx;
     inst.applied_digest <-
-      Fnv.combine_framed (Fnv.combine_int inst.applied_digest idx) value;
+      Fnv.combine_int_framed inst.applied_digest idx value;
     if Trace.active t.bus && is_inst_leader inst then begin
       let client, seq = env_client_seq env in
       Front.command_lifecycle t.front ~node:host.me "ordered" ~client ~seq

@@ -144,8 +144,7 @@ let cardinal t =
   done;
   !total
 
-let encode t =
-  let w = W.create ~size_hint:256 () in
+let write w t =
   W.varint w t.n;
   for i = 0 to t.n - 1 do
     let e = t.entries.(i) in
@@ -156,11 +155,11 @@ let encode t =
       W.varint w e.seqs.(j);
       W.string w e.rsps.(j)
     done
-  done;
-  W.contents w
+  done
 
-let decode s =
-  let r = R.of_string s in
+let encode t = W.to_string write t
+
+let read r =
   let t = create () in
   let nclients = R.varint r in
   for _ = 1 to nclients do
@@ -175,3 +174,5 @@ let decode s =
     done
   done;
   t
+
+let decode s = read (R.of_string s)

@@ -3,17 +3,18 @@ module R = Rsmr_app.Codec.Reader
 
 type t = { app : string; sessions : string }
 
-let encode t =
-  let w = W.create ~size_hint:(String.length t.app + String.length t.sessions + 16) () in
+let write w t =
   W.string w t.app;
-  W.string w t.sessions;
-  W.contents w
+  W.string w t.sessions
 
-let decode s =
-  let r = R.of_string s in
+let encode t = W.to_string write t
+
+let read r =
   let app = R.string r in
   let sessions = R.string r in
   { app; sessions }
+
+let decode s = read (R.of_string s)
 
 let chunk_bytes = 64 * 1024
 

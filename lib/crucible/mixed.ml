@@ -1,4 +1,6 @@
 module Codec = Rsmr_app.Codec
+module W = Codec.Writer
+module R = Codec.Reader
 module Register = Rsmr_app.Register
 module Kv = Rsmr_app.Kv
 module Counter = Rsmr_app.Counter
@@ -29,65 +31,66 @@ let apply t = function
     let cnt, r = Counter.apply t.cnt c in
     ({ t with cnt }, Cnt_r r)
 
-let encode_command c =
-  let w = Codec.Writer.create () in
-  (match c with
-   | Reg c ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.string w (Register.encode_command c)
-   | Kv c ->
-     Codec.Writer.u8 w 1;
-     Codec.Writer.string w (Kv.encode_command c)
-   | Cnt c ->
-     Codec.Writer.u8 w 2;
-     Codec.Writer.string w (Counter.encode_command c));
-  Codec.Writer.contents w
+(* Each part is the inner application's own encoding, length-prefixed. *)
+let write_command w = function
+  | Reg c ->
+    W.u8 w 0;
+    W.string w (Register.encode_command c)
+  | Kv c ->
+    W.u8 w 1;
+    W.string w (Kv.encode_command c)
+  | Cnt c ->
+    W.u8 w 2;
+    W.string w (Counter.encode_command c)
 
-let decode_command s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
-  | 0 -> Reg (Register.decode_command (Codec.Reader.string r))
-  | 1 -> Kv (Kv.decode_command (Codec.Reader.string r))
-  | 2 -> Cnt (Counter.decode_command (Codec.Reader.string r))
+let read_command r =
+  match R.u8 r with
+  | 0 -> Reg (Register.decode_command (R.string r))
+  | 1 -> Kv (Kv.decode_command (R.string r))
+  | 2 -> Cnt (Counter.decode_command (R.string r))
   | _ -> raise Codec.Truncated
+
+let encode_command c = W.to_string write_command c
+
+let decode_command s = read_command (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let encode_response rsp =
-  let w = Codec.Writer.create () in
-  (match rsp with
-   | Reg_r r ->
-     Codec.Writer.u8 w 0;
-     Codec.Writer.string w (Register.encode_response r)
-   | Kv_r r ->
-     Codec.Writer.u8 w 1;
-     Codec.Writer.string w (Kv.encode_response r)
-   | Cnt_r r ->
-     Codec.Writer.u8 w 2;
-     Codec.Writer.string w (Counter.encode_response r));
-  Codec.Writer.contents w
+let write_response w = function
+  | Reg_r r ->
+    W.u8 w 0;
+    W.string w (Register.encode_response r)
+  | Kv_r r ->
+    W.u8 w 1;
+    W.string w (Kv.encode_response r)
+  | Cnt_r r ->
+    W.u8 w 2;
+    W.string w (Counter.encode_response r)
 
-let decode_response s =
-  let r = Codec.Reader.of_string s in
-  match Codec.Reader.u8 r with
-  | 0 -> Reg_r (Register.decode_response (Codec.Reader.string r))
-  | 1 -> Kv_r (Kv.decode_response (Codec.Reader.string r))
-  | 2 -> Cnt_r (Counter.decode_response (Codec.Reader.string r))
+let read_response r =
+  match R.u8 r with
+  | 0 -> Reg_r (Register.decode_response (R.string r))
+  | 1 -> Kv_r (Kv.decode_response (R.string r))
+  | 2 -> Cnt_r (Counter.decode_response (R.string r))
   | _ -> raise Codec.Truncated
+
+let encode_response rsp = W.to_string write_response rsp
+
+let decode_response s = read_response (R.of_string s)
 [@@rsmr.deterministic] [@@rsmr.total]
 
-let snapshot t =
-  let w = Codec.Writer.create () in
-  Codec.Writer.string w (Register.snapshot t.reg);
-  Codec.Writer.string w (Kv.snapshot t.kv);
-  Codec.Writer.string w (Counter.snapshot t.cnt);
-  Codec.Writer.contents w
+let write_snapshot w t =
+  W.string w (Register.snapshot t.reg);
+  W.string w (Kv.snapshot t.kv);
+  W.string w (Counter.snapshot t.cnt)
 
-let restore s =
-  let r = Codec.Reader.of_string s in
-  let reg = Register.restore (Codec.Reader.string r) in
-  let kv = Kv.restore (Codec.Reader.string r) in
-  let cnt = Counter.restore (Codec.Reader.string r) in
+let read_snapshot r =
+  let reg = Register.restore (R.string r) in
+  let kv = Kv.restore (R.string r) in
+  let cnt = Counter.restore (R.string r) in
   { reg; kv; cnt }
+
+let snapshot t = W.to_string write_snapshot t
+let restore s = read_snapshot (R.of_string s)
 
 let equal_response a b =
   match (a, b) with

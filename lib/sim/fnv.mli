@@ -28,6 +28,11 @@ val combine_framed : int64 -> string -> int64
     parts cannot alias across their boundary ("ab"+"c" vs "a"+"bc").
     Use this when chaining variable-length fields. *)
 
+val combine_int_framed : int64 -> int -> string -> int64
+(** [combine_int_framed h n s] = [combine_framed (combine_int h n) s]:
+    one step of an indexed chain (an applied-prefix digest folding in
+    each entry's index and bytes), allocating only the boxed result. *)
+
 val to_hex : int64 -> string
 (** 16-digit lowercase hex, zero-padded — the external fingerprint
     form used in frontier files and counterexample traces. *)

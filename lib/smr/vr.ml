@@ -137,17 +137,11 @@ module Msg = struct
       Prepare_ok_multi { view; from_op; upto = R.varint r }
     | _ -> raise Rsmr_app.Codec.Truncated
 
-  let encode t =
-    let w = W.create () in
-    write w t;
-    W.contents w
+  let encode t = W.to_string write t
 
   let decode s = read (R.of_string s)
 
-  let size t =
-    let c = W.counter () in
-    write c t;
-    W.written c
+  let size t = W.size write t
 
   let tag = function
     | Request _ -> "request"

@@ -68,7 +68,7 @@ let is_arrow_type ty =
 
 let writer_prims =
   [ "u8"; "varint"; "zigzag"; "bool"; "float"; "string"; "option"; "list";
-    "nested"; "create"; "counter"; "written"; "contents"; "length" ]
+    "nested"; "to_string"; "size"; "create"; "contents" ]
 
 let reader_prims =
   [ "u8"; "varint"; "zigzag"; "bool"; "float"; "string"; "view"; "option";
@@ -95,7 +95,7 @@ let prim_of_name = function
    expression hides wire traffic. *)
 let byte_prim key =
   match writer_prim key with
-  | Some ("create" | "counter" | "written" | "contents" | "length") -> false
+  | Some ("to_string" | "size" | "create" | "contents") -> false
   | Some _ -> true
   | None -> (
     match reader_prim key with
@@ -418,7 +418,16 @@ and lift_writer_prim st loc p argexprs =
             ignore sub;
             [ Shape.Framed None ])
         | None -> [ Shape.Framed None ])
-      | _ -> (* create / counter / written / contents / length *) [])
+      | "to_string" | "size" -> (
+        (* [to_string write v] runs [write] on a sink of its own and
+           returns what it wrote: the body of [write], unframed. *)
+        st.used_writer <- true;
+        match
+          List.find_opt (fun a -> is_arrow_type a.T.exp_type) argexprs
+        with
+        | Some f -> sub_fn_items st f
+        | None -> [ Shape.Opaque "element-codec" ])
+      | _ -> (* create / contents *) [])
   in
   (* value arguments evaluate before the primitive runs; only non-sink,
      non-function arguments can themselves move bytes *)

@@ -17,7 +17,8 @@
    - per-constructor shape equality up to the zero-copy equivalences
      (Writer.string ~ Reader.string/view, Writer.nested Sub.write ~
      Sub.read (Reader.view r)), with the shortest divergence witness
-     per mismatch                                        [mirror-shape]
+     per mismatch; [Writer.to_string f v] is the body of [f], unframed
+                                                         [mirror-shape]
    - encoder tag set = decoder dispatched tag set, no duplicates on
      either side                                           [mirror-tag]
    - every decoder tag dispatch defaults to raising Codec.Truncated
