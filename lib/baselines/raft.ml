@@ -120,6 +120,20 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     Network.send t.net ~src:node.me ~dst:client
       (Raft_wire.Client (Client_msg.Reply { seq; rsp }))
 
+  (* Only a node that is not serving redirects, so a hint naming itself
+     (a deposed or removed leader's stale one) is never right. *)
+  let redirect t node ~src seq =
+    incr (Obs.scope_counter t.svc "redirects");
+    let leader =
+      match node.leader_hint with
+      | Some l when Node_id.equal l node.me -> None
+      | hint -> hint
+    in
+    Network.send t.net ~src:node.me ~dst:src
+      (Raft_wire.Client
+         (Client_msg.Redirect
+            { seq; leader; members = node.config; epoch = node.config_index }))
+
   let dir_update t node =
     Network.send t.net ~src:node.me ~dst:(Front.dir_id t.front)
       (Raft_wire.Dir_update
@@ -474,12 +488,30 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
 
   and halt_node t node =
     if not node.halted then begin
+      let was_leader =
+        match node.role with Leader _ -> true | Follower | Candidate _ -> false
+      in
       node.halted <- true;
       node.election_timer <- Engine.cancel_opt t.engine node.election_timer;
       node.hb_timer <- Engine.cancel_opt t.engine node.hb_timer;
       node.batch_timer <- Engine.cancel_opt t.engine node.batch_timer;
       node.batch_n <- 0;
-      node.role <- Follower
+      node.role <- Follower;
+      (* A leader removed by a committed step stops applying at the
+         configuration entry.  The client entries it appended after that
+         entry may never have left its log (a pending batch), and it will
+         not reply to the ones that did: send their clients on now rather
+         than leave them to their request timeout.  A retry that meets the
+         entry committed after all is answered from the session table. *)
+      if was_leader then
+        for i = node.applied + 1 to Raft_log.last_index node.log do
+          match Raft_log.get node.log i with
+          | Some { Raft_log.payload = Raft_log.App { client; seq; _ }; _ } ->
+            redirect t node ~src:client seq
+          | Some { Raft_log.payload = Raft_log.Noop | Raft_log.Config _; _ }
+          | None ->
+            ()
+        done
     end
 
   (* --- single-server membership orchestration --- *)
@@ -719,14 +751,6 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
       | _ -> ()
 
   (* --- client handling --- *)
-
-  let redirect t node ~src seq =
-    incr (Obs.scope_counter t.svc "redirects");
-    let leader = node.leader_hint in
-    Network.send t.net ~src:node.me ~dst:src
-      (Raft_wire.Client
-         (Client_msg.Redirect
-            { seq; leader; members = node.config; epoch = node.config_index }))
 
   let is_serving node =
     match node.role with

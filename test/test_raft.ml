@@ -282,6 +282,59 @@ let test_full_replacement () =
   | Some l -> Alcotest.(check bool) "leader is a new node" true (List.mem l [ 3; 4; 5 ])
   | None -> Alcotest.fail "no leader at end"
 
+(* A leader that a membership step removes must not strand the requests
+   it appended but never applied: as it stops serving it redirects their
+   clients, and its redirects never name itself.  Clients stream puts,
+   interleaved, across the removal of the leader; the slowest answer must
+   come well inside the 0.5 s request timeout, which a stranded request
+   waits out in full.  In each case below the remaining members elect a
+   leader within about 0.15 s, and before the fix each left at least one
+   request to its timeout (slowest answer 0.50-0.52 s). *)
+let slowest_answer_across_removal ~seed ~gap ~nclients =
+  let clients = List.init nclients (fun i -> c1 + i) in
+  let h = harness ~seed ~members:[ 0; 1; 2 ] ~clients () in
+  List.iter (fun c -> submit h ~client:c ~seq:1 (Kv.Put ("x", "0"))) clients;
+  run_until h ~deadline:5.0 (fun () ->
+      List.for_all (fun c -> has_reply h ~client:c ~seq:1) clients);
+  let l0 =
+    match KvRaft.leader h.svc with Some l -> l | None -> Alcotest.fail "no leader"
+  in
+  let sent = Hashtbl.create 512 and answered = Hashtbl.create 512 in
+  h.cluster.Rsmr_iface.Cluster.set_on_reply (fun ~client ~seq ~rsp ->
+      Hashtbl.replace h.replies (client, seq) rsp;
+      if seq > 1 && not (Hashtbl.mem answered (client, seq)) then
+        Hashtbl.replace answered (client, seq) (Engine.now h.engine));
+  let n = 100 in
+  List.iteri
+    (fun ci c ->
+      for seq = 2 to n do
+        let delay =
+          (float_of_int (seq - 2) +. (float_of_int ci /. float_of_int nclients))
+          *. gap
+        in
+        ignore
+          (Engine.schedule h.engine ~delay (fun () ->
+               Hashtbl.replace sent (c, seq) (Engine.now h.engine);
+               submit h ~client:c ~seq (Kv.Put ("x", string_of_int seq))))
+      done)
+    clients;
+  reconfigure h.cluster (List.filter (fun m -> m <> l0) [ 0; 1; 2 ]);
+  run_until h ~deadline:(Engine.now h.engine +. 10.0) (fun () ->
+      Hashtbl.length answered = nclients * (n - 1));
+  Hashtbl.fold
+    (fun k at acc -> Float.max acc (at -. Hashtbl.find sent k))
+    answered 0.
+
+let test_removed_leader_strands_nothing () =
+  List.iter
+    (fun (seed, gap, nclients) ->
+      let slowest = slowest_answer_across_removal ~seed ~gap ~nclients in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, %d clients every %g s: slowest answer %.3f s"
+           seed nclients gap slowest)
+        true (slowest < 0.4))
+    [ (1, 0.001, 4); (2, 0.0003, 4); (3, 0.0001, 4); (6, 0.003, 8); (8, 0.001, 1) ]
+
 let test_compaction_and_install_snapshot () =
   let h =
     harness ~snapshot_threshold:32 ~members:[ 0; 1; 2 ]
@@ -361,6 +414,8 @@ let () =
         [
           Alcotest.test_case "add server" `Quick test_add_server;
           Alcotest.test_case "remove server" `Quick test_remove_server;
+          Alcotest.test_case "removed leader strands nothing" `Quick
+            test_removed_leader_strands_nothing;
           Alcotest.test_case "full replacement" `Quick test_full_replacement;
           Alcotest.test_case "compaction + install snapshot" `Quick
             test_compaction_and_install_snapshot;
