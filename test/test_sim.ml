@@ -458,6 +458,13 @@ let prop_fnv_combine_int =
     QCheck.(pair int64 int)
     (fun (h, n) -> Fnv.combine_int h n = Fnv.combine h (string_of_int n))
 
+let prop_fnv_combine_int_framed =
+  QCheck.Test.make ~name:"combine_int_framed = its unfused chain" ~count:2000
+    QCheck.(triple int64 int string)
+    (fun (h, n, s) ->
+      Fnv.combine_int_framed h n s
+      = Fnv.combine_framed (Fnv.combine_int h n) s)
+
 (* --- Batch: the submission batcher against a plain-list model --- *)
 
 type batch_op =
@@ -676,6 +683,7 @@ let () =
           Alcotest.test_case "combine_int edge values" `Quick
             test_fnv_combine_int_edges;
           QCheck_alcotest.to_alcotest prop_fnv_combine_int;
+          QCheck_alcotest.to_alcotest prop_fnv_combine_int_framed;
         ] );
       ("counters", [ Alcotest.test_case "basic" `Quick test_counters ]);
       ( "trace",
