@@ -13,15 +13,12 @@
 
 open Cmdliner
 
-module Engine = Rsmr_sim.Engine
 module Histogram = Rsmr_sim.Histogram
 module Common = Rsmr_experiments.Common
 module Registry = Rsmr_experiments.Registry
 module Table = Rsmr_experiments.Table
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Protocol = Rsmr_protocol.Protocol
 
 (* A conv from a parser and printer over strings. *)
@@ -95,7 +92,7 @@ let experiments_cmd =
     | [] ->
       let entries = match ids with [] -> Registry.all | _ -> found in
       List.iter
-        (fun (e : Registry.entry) -> Table.print (e.Registry.run ~quick ()))
+        (fun (e : Table.experiment) -> Table.print (e.run ~quick ()))
         entries;
       `Ok ()
   in
@@ -106,8 +103,7 @@ let experiments_cmd =
 let list_cmd =
   let run () =
     List.iter
-      (fun (e : Registry.entry) ->
-        Printf.printf "%-4s %s\n" e.Registry.id e.Registry.title)
+      (fun (e : Table.experiment) -> Printf.printf "%-4s %s\n" e.id e.title)
       Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List experiment ids") Term.(const run $ const ())
@@ -143,17 +139,9 @@ let run_scenario seed proto replicas clients duration drop keys read_ratio
   let setup = Common.make ~seed ~drop proto ~members ~universe in
   Printf.printf "protocol=%s replicas=%d clients=%d duration=%gs drop=%g seed=%d\n"
     proto.Protocol.name replicas clients duration drop seed;
-  Driver.preload ~cluster:setup.Common.cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys:keys ~value_size:100)
-    ~deadline:600.0 ();
-  let t0 = Engine.now setup.Common.engine in
-  let rng = Rsmr_sim.Rng.split (Engine.rng setup.Common.engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:keys) ~read_ratio () in
-  let stats =
-    Driver.run_closed ~cluster:setup.Common.cluster ~n_clients:clients
-      ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration ()
+  let t0, stats =
+    Driver.kv_closed ~cluster:setup.Common.cluster ~n_keys:keys
+      ~preload_deadline:600.0 ~read_ratio ~n_clients:clients ~duration ()
   in
   (match (reconfig_at, target) with
    | Some at, Some members' ->

@@ -8,10 +8,7 @@
 module Engine = Rsmr_sim.Engine
 module Network = Rsmr_net.Network
 module Service = Rsmr_core.Service.Make (Rsmr_app.Kv)
-module Kv = Rsmr_app.Kv
 module Driver = Rsmr_workload.Driver
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Schedule = Rsmr_workload.Schedule
 
 let () =
@@ -23,16 +20,9 @@ let () =
   let cluster = Service.cluster service in
   let net = Service.net service in
 
-  Driver.preload ~cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys:1_000 ~value_size:64)
-    ~deadline:60.0 ();
-  let t0 = Engine.now engine in
-  let rng = Rsmr_sim.Rng.split (Engine.rng engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:1_000) ~read_ratio:0.5 () in
-  let stats =
-    Driver.run_closed ~cluster ~n_clients:4 ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration:12.0 ()
+  let t0, stats =
+    Driver.kv_closed ~cluster ~n_keys:1_000 ~value_size:64
+      ~preload_deadline:60.0 ~read_ratio:0.5 ~n_clients:4 ~duration:12.0 ()
   in
 
   (* At t=+2: cut the current leader plus one follower off from the rest.

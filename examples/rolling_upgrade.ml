@@ -11,8 +11,6 @@ module Engine = Rsmr_sim.Engine
 module Histogram = Rsmr_sim.Histogram
 module Service = Rsmr_core.Service.Make (Rsmr_app.Kv)
 module Driver = Rsmr_workload.Driver
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Schedule = Rsmr_workload.Schedule
 
 let () =
@@ -24,17 +22,9 @@ let () =
   let cluster = Service.cluster service in
 
   print_endline "Preloading 5k keys...";
-  Driver.preload ~cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys:5_000 ~value_size:100)
-    ~deadline:120.0 ();
-  let t0 = Engine.now engine in
-
-  let rng = Rsmr_sim.Rng.split (Engine.rng engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:5_000) ~read_ratio:0.7 () in
-  let stats =
-    Driver.run_closed ~cluster ~n_clients:8 ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration:16.0 ()
+  let t0, stats =
+    Driver.kv_closed ~cluster ~n_keys:5_000 ~preload_deadline:120.0
+      ~read_ratio:0.7 ~n_clients:8 ~duration:16.0 ()
   in
 
   (* Upgrade plan: replace one replica every 4 seconds.

@@ -75,3 +75,5 @@ let run ?(quick = false) () =
          grows; p50 rises by ~ half the window";
       ]
     rows
+
+let experiment = { Table.id; title; run }

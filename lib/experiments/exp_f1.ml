@@ -57,3 +57,5 @@ let run ?(quick = false) () =
         "expected shape: core ~ raft at every size; both fall as quorums grow";
       ]
     rows
+
+let experiment = { Table.id; title; run }

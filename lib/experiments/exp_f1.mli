@@ -1,7 +1,3 @@
 (** Throughput vs cluster size (no reconfiguration). *)
 
-val id : string
-val title : string
-
-val run : ?quick:bool -> unit -> Table.t
-(** [quick] shrinks durations/sweeps for smoke runs (default [false]). *)
+val experiment : Table.experiment

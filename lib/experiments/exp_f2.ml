@@ -6,11 +6,7 @@
    its residual commands; Raft performs three add + three remove steps. *)
 
 module Protocol = Rsmr_protocol.Protocol
-module Rng = Rsmr_sim.Rng
-module Engine = Rsmr_sim.Engine
 module Timeseries = Rsmr_sim.Timeseries
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 
@@ -21,21 +17,10 @@ let reconfig_at = 5.0
 let run_one proto ~n_keys ~bandwidth =
   let members = [ 0; 1; 2 ] and universe = Common.default_universe 6 in
   let setup = Common.make ~seed:11 ~bandwidth proto ~members ~universe in
-  Driver.preload ~cluster:setup.Common.cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys ~value_size:100)
-    ~deadline:120.0 ();
-  let t0 = Engine.now setup.Common.engine in
-  let rng = Rng.split (Engine.rng setup.Common.engine) in
-  let gen =
-    Kv_gen.create ~rng ~keys:(Keys.uniform ~n:n_keys) ~read_ratio:0.8 ()
-  in
-  let stats =
-    Driver.run_closed ~cluster:setup.Common.cluster ~n_clients:6
-      ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5)
-      ~duration:(reconfig_at +. 5.0)
-      ()
+  let t0, stats =
+    Driver.kv_closed ~cluster:setup.Common.cluster ~n_keys
+      ~preload_deadline:120.0 ~read_ratio:0.8 ~n_clients:6
+      ~duration:(reconfig_at +. 5.0) ()
   in
   Schedule.reconfigure_at setup.Common.cluster ~time:(t0 +. reconfig_at)
     [ 3; 4; 5 ];
@@ -95,3 +80,5 @@ let run ?(quick = false) () =
          0.5s client retry; raft small blips per membership step";
       ]
     (timeline_rows @ [ summary ])
+
+let experiment = { Table.id; title; run }

@@ -3,10 +3,6 @@
    overlaps ordering with transfer should degrade most gently. *)
 
 module Protocol = Rsmr_protocol.Protocol
-module Rng = Rsmr_sim.Rng
-module Engine = Rsmr_sim.Engine
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 
@@ -17,17 +13,9 @@ let run_one proto ~period ~duration =
   let universe = Common.default_universe 8 in
   let members = [ 0; 1; 2 ] in
   let setup = Common.make ~seed:13 proto ~members ~universe in
-  Driver.preload ~cluster:setup.Common.cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys:2_000 ~value_size:100)
-    ~deadline:60.0 ();
-  let t0 = Engine.now setup.Common.engine in
-  let rng = Rng.split (Engine.rng setup.Common.engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:2_000) ~read_ratio:0.8 () in
-  let stats =
-    Driver.run_closed ~cluster:setup.Common.cluster ~n_clients:6
-      ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration ()
+  let t0, stats =
+    Driver.kv_closed ~cluster:setup.Common.cluster ~n_keys:2_000
+      ~preload_deadline:60.0 ~read_ratio:0.8 ~n_clients:6 ~duration ()
   in
   (match period with
    | Some p ->
@@ -85,3 +73,5 @@ let run ?(quick = false) () =
          collapses at high churn";
       ]
     rows
+
+let experiment = { Table.id; title; run }

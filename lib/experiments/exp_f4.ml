@@ -61,3 +61,5 @@ let run ?(quick = false) () =
          first and goodput plateaus";
       ]
     rows
+
+let experiment = { Table.id; title; run }

@@ -115,3 +115,5 @@ let run ?(quick = false) () =
          per-command traffic on the data path";
       ]
     rows
+
+let experiment = { Table.id; title; run }

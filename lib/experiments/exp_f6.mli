@@ -1,7 +1,3 @@
 (** Aggregate throughput vs shard count over a shared pool. *)
 
-val id : string
-val title : string
-
-val run : ?quick:bool -> unit -> Table.t
-(** [quick] shrinks durations/sweeps for smoke runs (default [false]). *)
+val experiment : Table.experiment

@@ -98,3 +98,5 @@ let run ?(quick = false) () =
          the window as endpoints keep probing until the heal";
       ]
     rows
+
+let experiment = { Table.id; title; run }

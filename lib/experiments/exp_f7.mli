@@ -1,7 +1,3 @@
 (** Directory staleness vs redirect pressure on the sharded platform. *)
 
-val id : string
-val title : string
-
-val run : ?quick:bool -> unit -> Table.t
-(** [quick] shrinks durations/sweeps for smoke runs (default [false]). *)
+val experiment : Table.experiment

@@ -97,3 +97,5 @@ let run ?(quick = false) () =
          per-step config entries + snapshot catch-up";
       ]
     rows
+
+let experiment = { Table.id; title; run }

@@ -5,10 +5,6 @@
    track the transfer time alone — no election on top. *)
 
 module Protocol = Rsmr_protocol.Protocol
-module Rng = Rsmr_sim.Rng
-module Engine = Rsmr_sim.Engine
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 
@@ -19,17 +15,9 @@ let bandwidth = 5e6 (* 40 Mb/s: makes transfer time dominate *)
 let run_one proto ~n_keys =
   let members = [ 0; 1; 2 ] and universe = Common.default_universe 6 in
   let setup = Common.make ~seed:23 ~bandwidth proto ~members ~universe in
-  Driver.preload ~cluster:setup.Common.cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys ~value_size:100)
-    ~deadline:300.0 ();
-  let t0 = Engine.now setup.Common.engine in
-  let rng = Rng.split (Engine.rng setup.Common.engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:n_keys) ~read_ratio:0.8 () in
-  let stats =
-    Driver.run_closed ~cluster:setup.Common.cluster ~n_clients:4
-      ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration:40.0 ()
+  let t0, stats =
+    Driver.kv_closed ~cluster:setup.Common.cluster ~n_keys
+      ~preload_deadline:300.0 ~read_ratio:0.8 ~n_clients:4 ~duration:40.0 ()
   in
   let t_rc = t0 +. 2.0 in
   Schedule.reconfigure_at setup.Common.cluster ~time:t_rc [ 3; 4; 5 ];
@@ -85,3 +73,5 @@ let run ?(quick = false) () =
          each single-server step catching up a snapshot";
       ]
     rows
+
+let experiment = { Table.id; title; run }

@@ -1,7 +1,3 @@
 (** Unavailability window vs state size (fleet replacement). *)
 
-val id : string
-val title : string
-
-val run : ?quick:bool -> unit -> Table.t
-(** [quick] shrinks durations/sweeps for smoke runs (default [false]). *)
+val experiment : Table.experiment

@@ -5,10 +5,6 @@
    surviving old members to keep serving the snapshot. *)
 
 module Protocol = Rsmr_protocol.Protocol
-module Rng = Rsmr_sim.Rng
-module Engine = Rsmr_sim.Engine
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 
@@ -18,17 +14,9 @@ let title = "Leader crash during reconfiguration: recovery"
 let run_one proto ~seed =
   let members = [ 0; 1; 2 ] and universe = Common.default_universe 6 in
   let setup = Common.make ~seed ~bandwidth:2.5e7 proto ~members ~universe in
-  Driver.preload ~cluster:setup.Common.cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys:5_000 ~value_size:100)
-    ~deadline:120.0 ();
-  let t0 = Engine.now setup.Common.engine in
-  let rng = Rng.split (Engine.rng setup.Common.engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:5_000) ~read_ratio:0.8 () in
-  let stats =
-    Driver.run_closed ~cluster:setup.Common.cluster ~n_clients:4
-      ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration:40.0 ()
+  let t0, stats =
+    Driver.kv_closed ~cluster:setup.Common.cluster ~n_keys:5_000
+      ~preload_deadline:120.0 ~read_ratio:0.8 ~n_clients:4 ~duration:40.0 ()
   in
   let t_rc = t0 +. 2.0 in
   Schedule.reconfigure_at setup.Common.cluster ~time:t_rc [ 3; 4; 5 ];
@@ -80,3 +68,5 @@ let run ?(quick = false) () =
          change; reconfig still completes from surviving members";
       ]
     rows
+
+let experiment = { Table.id; title; run }

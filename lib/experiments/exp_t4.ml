@@ -6,12 +6,8 @@
    start) belong to the block, not the layer. *)
 
 module Protocol = Rsmr_protocol.Protocol
-module Rng = Rsmr_sim.Rng
-module Engine = Rsmr_sim.Engine
 module Histogram = Rsmr_sim.Histogram
 module Counters = Rsmr_sim.Counters
-module Keys = Rsmr_workload.Keys
-module Kv_gen = Rsmr_workload.Kv_gen
 module Driver = Rsmr_workload.Driver
 module Schedule = Rsmr_workload.Schedule
 
@@ -21,17 +17,9 @@ let title = "Block interchangeability: composition over Multi-Paxos vs VR"
 let run_one proto ~duration =
   let members = [ 0; 1; 2 ] and universe = Common.default_universe 6 in
   let setup = Common.make ~seed:43 proto ~members ~universe in
-  Driver.preload ~cluster:setup.Common.cluster ~client:99
-    ~commands:(Kv_gen.preload_commands ~n_keys:2_000 ~value_size:100)
-    ~deadline:120.0 ();
-  let t0 = Engine.now setup.Common.engine in
-  let rng = Rng.split (Engine.rng setup.Common.engine) in
-  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:2_000) ~read_ratio:0.5 () in
-  let stats =
-    Driver.run_closed ~cluster:setup.Common.cluster ~n_clients:6
-      ~first_client_id:100
-      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
-      ~start:(t0 +. 0.5) ~duration ()
+  let t0, stats =
+    Driver.kv_closed ~cluster:setup.Common.cluster ~n_keys:2_000
+      ~preload_deadline:120.0 ~read_ratio:0.5 ~n_clients:6 ~duration ()
   in
   let t_rc = t0 +. (duration /. 2.0) in
   Schedule.reconfigure_at setup.Common.cluster ~time:t_rc [ 3; 4; 5 ];
@@ -82,3 +70,5 @@ let run ?(quick = false) () =
          to the blocks themselves";
       ]
     rows
+
+let experiment = { Table.id; title; run }

@@ -1,7 +1,3 @@
 (** Block interchangeability: composition over Multi-Paxos vs VR. *)
 
-val id : string
-val title : string
-
-val run : ?quick:bool -> unit -> Table.t
-(** [quick] shrinks durations/sweeps for smoke runs (default [false]). *)
+val experiment : Table.experiment

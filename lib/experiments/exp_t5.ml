@@ -135,3 +135,5 @@ let run ?(quick = false) () =
          same transfer bytes";
       ]
     rows
+
+let experiment = { Table.id; title; run }

@@ -1,7 +1,3 @@
 (** Strategy comparison under reconfiguration churn. *)
 
-val id : string
-val title : string
-
-val run : ?quick:bool -> unit -> Table.t
-(** [quick] shrinks the seed sweep for smoke runs (default [false]). *)
+val experiment : Table.experiment

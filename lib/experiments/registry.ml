@@ -1,26 +1,12 @@
-type entry = {
-  id : string;
-  title : string;
-  run : ?quick:bool -> unit -> Table.t;
-}
-
 let all =
-  [
-    { id = Exp_f1.id; title = Exp_f1.title; run = Exp_f1.run };
-    { id = Exp_f2.id; title = Exp_f2.title; run = Exp_f2.run };
-    { id = Exp_f3.id; title = Exp_f3.title; run = Exp_f3.run };
-    { id = Exp_f4.id; title = Exp_f4.title; run = Exp_f4.run };
-    { id = Exp_f5.id; title = Exp_f5.title; run = Exp_f5.run };
-    { id = Exp_f6.id; title = Exp_f6.title; run = Exp_f6.run };
-    { id = Exp_f7.id; title = Exp_f7.title; run = Exp_f7.run };
-    { id = Exp_t1.id; title = Exp_t1.title; run = Exp_t1.run };
-    { id = Exp_t2.id; title = Exp_t2.title; run = Exp_t2.run };
-    { id = Exp_t3.id; title = Exp_t3.title; run = Exp_t3.run };
-    { id = Exp_t4.id; title = Exp_t4.title; run = Exp_t4.run };
-    { id = Exp_t5.id; title = Exp_t5.title; run = Exp_t5.run };
-    { id = Exp_b1.id; title = Exp_b1.title; run = Exp_b1.run };
-  ]
+  [ Exp_f1.experiment; Exp_f2.experiment; Exp_f3.experiment;
+    Exp_f4.experiment; Exp_f5.experiment; Exp_f6.experiment;
+    Exp_f7.experiment; Exp_t1.experiment; Exp_t2.experiment;
+    Exp_t3.experiment; Exp_t4.experiment; Exp_t5.experiment;
+    Exp_b1.experiment ]
 
 let find id =
   let id = String.lowercase_ascii id in
-  List.find_opt (fun e -> String.lowercase_ascii e.id = id) all
+  List.find_opt
+    (fun (e : Table.experiment) -> String.lowercase_ascii e.id = id)
+    all

@@ -1,11 +1,5 @@
 (** The experiment suite: one entry per reproduced table/figure. *)
 
-type entry = {
-  id : string;
-  title : string;
-  run : ?quick:bool -> unit -> Table.t;
-}
-
-val all : entry list
-val find : string -> entry option
+val all : Table.experiment list
+val find : string -> Table.experiment option
 (** Case-insensitive lookup by id ("f2", "T1", ...). *)

@@ -6,6 +6,12 @@ type t = {
   notes : string list;
 }
 
+type experiment = {
+  id : string;
+  title : string;
+  run : ?quick:bool -> unit -> t;
+}
+
 let make ~id ~title ~headers ?(notes = []) rows =
   { id; title; headers; rows; notes }
 

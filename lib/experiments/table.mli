@@ -8,6 +8,15 @@ type t = {
   notes : string list;
 }
 
+type experiment = {
+  id : string;  (** as in the table it prints *)
+  title : string;
+  run : ?quick:bool -> unit -> t;
+      (** [quick] shrinks durations/sweeps for smoke runs (default
+          [false]) *)
+}
+(** One reproduced table or figure; each [Exp_*] module exports one. *)
+
 val make :
   id:string -> title:string -> headers:string list ->
   ?notes:string list -> string list list -> t

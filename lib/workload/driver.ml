@@ -177,3 +177,19 @@ let preload ~cluster ~client ~commands ?(window = 32) ~deadline () =
   if total > 0 then pump (Engine.now engine +. 0.5);
   (* Leave the reply slot free for the next driver. *)
   cluster.Cluster.set_on_reply (fun ~client:_ ~seq:_ ~rsp:_ -> ())
+
+let kv_closed ~cluster ~n_keys ?(value_size = 100) ~preload_deadline
+    ~read_ratio ~n_clients ~duration () =
+  preload ~cluster ~client:99
+    ~commands:(Kv_gen.preload_commands ~n_keys ~value_size)
+    ~deadline:preload_deadline ();
+  let engine = cluster.Cluster.engine in
+  let t0 = Engine.now engine in
+  let rng = Rsmr_sim.Rng.split (Engine.rng engine) in
+  let gen = Kv_gen.create ~rng ~keys:(Keys.uniform ~n:n_keys) ~read_ratio () in
+  let stats =
+    run_closed ~cluster ~n_clients ~first_client_id:100
+      ~gen:(fun ~client:_ ~seq:_ -> Kv_gen.next gen)
+      ~start:(t0 +. 0.5) ~duration ()
+  in
+  (t0, stats)

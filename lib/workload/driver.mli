@@ -71,3 +71,22 @@ val preload :
 (** Synchronously pump [commands] through the cluster (pipelining up to
     [window], default 32) by running the engine until all are acknowledged.
     Raises [Failure] if the deadline passes first. *)
+
+val kv_closed :
+  cluster:Rsmr_iface.Cluster.t ->
+  n_keys:int ->
+  ?value_size:int ->
+  preload_deadline:float ->
+  read_ratio:float ->
+  n_clients:int ->
+  duration:float ->
+  unit ->
+  float * stats
+(** The KV load of every reconfiguration table, [rsmr run] and the
+    examples, in one order so that its RNG draws and engine events never
+    differ between them: {!preload} [n_keys] Puts of [value_size]-byte
+    values (default 100) from client 99, split the engine's RNG, then a
+    {!run_closed} of [n_clients] clients from id 100 drawing uniform keys
+    ({!Kv_gen}, [read_ratio] Gets), starting 0.5 s after the preload and
+    lasting [duration].  Returns the preload's end time and the loop's
+    stats; the caller then schedules its faults and runs the engine. *)
