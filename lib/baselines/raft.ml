@@ -244,7 +244,7 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     node.hb_timer <-
       Some (Engine.schedule t.engine ~delay:t.params.Params.heartbeat_interval tick)
 
-  and step_down t node ~term =
+  and step_down ?(keep_armed = false) t node ~term =
     if term > node.term then begin
       node.term <- term;
       node.voted_for <- None
@@ -256,7 +256,8 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
        node.batch_timer <- Engine.cancel_opt t.engine node.batch_timer;
        node.batch_n <- 0
      | Follower -> ());
-    reset_election_timer t node
+    if not (keep_armed && Engine.armed node.election_timer) then
+      reset_election_timer t node
 
   (* --- replication --- *)
 
@@ -571,7 +572,10 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
   let on_request_vote t node ~src ~term ~last_index ~last_term =
     (* Disruption guard: ignore candidates outside our configuration. *)
     if node.config = [] || List.exists (Node_id.equal src) node.config then begin
-      if term > node.term then step_down t node ~term;
+      (* Raft §5.2: only a granted vote resets the election timer.  A
+         refused candidate's higher term must not keep re-arming it, or
+         the one up-to-date follower never times out to lead. *)
+      if term > node.term then step_down ~keep_armed:true t node ~term;
       let granted =
         term = node.term
         && (match node.voted_for with None -> true | Some v -> Node_id.equal v src)

@@ -333,7 +333,8 @@ let test_removed_leader_strands_nothing () =
         (Printf.sprintf "seed %d, %d clients every %g s: slowest answer %.3f s"
            seed nclients gap slowest)
         true (slowest < 0.4))
-    [ (1, 0.001, 4); (2, 0.0003, 4); (3, 0.0001, 4); (6, 0.003, 8); (8, 0.001, 1) ]
+    [ (1, 0.001, 4); (2, 0.0003, 4); (3, 0.0001, 4); (5, 0.0001, 4);
+      (6, 0.003, 8); (7, 0.003, 4); (8, 0.001, 1) ]
 
 let test_compaction_and_install_snapshot () =
   let h =
