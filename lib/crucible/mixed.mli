@@ -29,3 +29,9 @@ val counter_value : t -> int
 val incr_of_encoded : string -> int option
 (** [Some n] iff the encoded command is a counter increment of [n];
     [None] for other commands and on garbage input. *)
+
+val object_of_encoded : string -> string option
+(** The one object an encoded command touches: ["reg"], ["kv:"] followed
+    by its key, or ["cnt"]; [None] on garbage input.  Linearizability is
+    local (Herlihy & Wing), so the crucible checks each object's
+    sub-history on its own. *)

@@ -1,5 +1,6 @@
 module Service = Rsmr_core.Service
 module Protocol = Rsmr_protocol.Protocol
+module History = Rsmr_checker.History
 module Lin = Rsmr_checker.Linearizability.Make (Mixed)
 
 type verdict =
@@ -19,15 +20,48 @@ type outcome = {
 
 let default_lin_budget = 400_000
 
+(* Every Mixed command touches one object, and linearizability is local
+   (Herlihy & Wing): the history is linearizable iff each object's
+   sub-history is.  Sub-histories, named and in order of first
+   appearance. *)
+let by_object history =
+  let parts = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun (op : History.op) ->
+      let obj = Mixed.object_of_encoded op.History.cmd in
+      match Hashtbl.find_opt parts obj with
+      | Some h -> History.add h op
+      | None ->
+        let h = History.create () in
+        History.add h op;
+        Hashtbl.replace parts obj h;
+        order := (Option.value obj ~default:"undecodable", h) :: !order)
+    (History.ops history);
+  List.rev !order
+
+(* Any non-linearizable object fails the history; otherwise any blown
+   budget (each object gets the whole budget) leaves it inconclusive. *)
 let check_lin ~budget (r : Runner.report) =
-  match Lin.check ~max_states:budget r.Runner.history with
-  | Lin.Linearizable -> Pass
-  | Lin.Not_linearizable ->
-    Fail
-      (Printf.sprintf "history of %d ops is not linearizable"
-         (Rsmr_checker.History.length r.Runner.history))
-  | Lin.Inconclusive ->
-    Inconclusive (Printf.sprintf "search budget (%d states) exhausted" budget)
+  let rec judge inconclusive = function
+    | [] -> (
+      match inconclusive with
+      | None -> Pass
+      | Some obj ->
+        Inconclusive
+          (Printf.sprintf "search budget (%d states) exhausted on %s" budget
+             obj))
+    | (obj, h) :: rest -> (
+      match Lin.check ~max_states:budget h with
+      | Lin.Linearizable -> judge inconclusive rest
+      | Lin.Inconclusive ->
+        judge (Some (Option.value inconclusive ~default:obj)) rest
+      | Lin.Not_linearizable ->
+        Fail
+          (Printf.sprintf "%s: %d of the history's %d ops are not linearizable"
+             obj (History.length h)
+             (History.length r.Runner.history)))
+  in
+  judge None (by_object r.Runner.history)
 
 let check_exactly_once (r : Runner.report) =
   if not r.Runner.quiesced then

@@ -1,8 +1,9 @@
 (** The six invariant oracles, judged over a completed {!Runner.report}.
 
     - {b linearizability}: the client-observed history admits a legal
-      total order (Wing–Gong over {!Mixed}, budgeted — a blown budget is
-      [Inconclusive], never a verdict).
+      total order (Wing–Gong over {!Mixed}, one object's sub-history at a
+      time, each search budgeted — a blown budget is [Inconclusive], never
+      a verdict).
     - {b exactly-once}: the replicated counter equals the sum of
       acknowledged increments — any retry or residual resubmission that
       double-applied, or any acknowledged-then-lost command, breaks the

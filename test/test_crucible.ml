@@ -300,6 +300,55 @@ let test_batched_fast_path_under_churn () =
         true report.Runner.quiesced)
     Protocol.crucible
 
+(* --- linearizability, one object at a time ---
+
+   The oracle splits the history by object (register, one KV key,
+   counter) and checks each part on its own: a stale read on one key
+   still fails the whole history, and histories too big to search as one
+   now get a verdict. *)
+
+module Mixed = Rsmr_crucible.Mixed
+module History = Rsmr_checker.History
+module Kv = Rsmr_app.Kv
+
+(* The oracles over a short core run whose history is replaced by
+   [ops]. *)
+let lin_of ops =
+  let r = Runner.run Protocol.core concurrent_reconf in
+  let history = History.create () in
+  List.iter (History.add history) ops;
+  (Oracle.check { r with Runner.history }).Oracle.lin
+
+let kv_op ~client ~invoked ~replied cmd rsp =
+  { History.client;
+    cmd = Mixed.encode_command (Mixed.Kv cmd);
+    rsp = Mixed.encode_response (Mixed.Kv_r rsp);
+    invoked;
+    replied }
+
+let test_stale_read_fails () =
+  (* Both keys are written and then read after the write completed; the
+     read of "a" answers [read_a]. *)
+  let ops read_a =
+    [ kv_op ~client:1 ~invoked:0.0 ~replied:1.0 (Kv.Put ("a", "1")) Kv.Ok;
+      kv_op ~client:2 ~invoked:0.5 ~replied:1.5 (Kv.Put ("b", "2")) Kv.Ok;
+      kv_op ~client:2 ~invoked:2.0 ~replied:3.0 (Kv.Get "b")
+        (Kv.Value (Some "2"));
+      kv_op ~client:1 ~invoked:2.5 ~replied:3.5 (Kv.Get "a") (Kv.Value read_a)
+    ]
+  in
+  Alcotest.(check bool) "fresh read passes" true
+    (lin_of (ops (Some "1")) = Oracle.Pass);
+  Alcotest.(check bool) "stale read on one key fails" true
+    (match lin_of (ops None) with Oracle.Fail _ -> true | _ -> false)
+
+(* Core seed 70's 341-op history blew the 400k-state budget when
+   searched whole. *)
+let test_seed_70_decided () =
+  let r = Runner.run Protocol.core (Generate.scenario ~seed:70) in
+  Alcotest.(check bool) "linearizability passes" true
+    ((Oracle.check r).Oracle.lin = Oracle.Pass)
+
 (* --- teeth: a re-broken session dedup must be caught --- *)
 
 (* Scope's minimal scope orders no duplicate of a command, so the
@@ -388,6 +437,13 @@ let () =
             test_batched_fast_path_under_churn;
           Alcotest.test_case "session-dedup mutation is caught" `Quick
             test_session_dedup_caught;
+        ] );
+      ( "linearizability",
+        [
+          Alcotest.test_case "stale read on one key fails" `Quick
+            test_stale_read_fails;
+          Alcotest.test_case "seed 70 decided per object" `Quick
+            test_seed_70_decided;
         ] );
       ( "dir_churn",
         [
