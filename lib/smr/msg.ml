@@ -150,23 +150,9 @@ let decode s = read (R.of_string s)
 
 let size t = W.size write t
 
-let tag = function
-  | Prepare _ -> "prepare"
-  | Promise _ -> "promise"
-  | Reject _ -> "reject"
-  | Accept _ -> "accept"
-  | Accept_multi _ -> "accept_multi"
-  | Accepted _ -> "accepted"
-  | Accepted_multi _ -> "accepted_multi"
-  | Heartbeat _ -> "heartbeat"
-  | Learn_req _ -> "learn_req"
-  | Learn_rsp _ -> "learn_rsp"
-  | Submit _ -> "submit"
-  | Submit_multi _ -> "submit_multi"
-
 (* Tag from the leading wire byte alone, so the network tagger can
-   classify an encoded payload without a full decode.  Must agree with
-   [tag] composed with [decode]; property-tested in test_wire.ml. *)
+   classify an encoded payload without a full decode.  The one tag
+   table: [tag] is defined through it. *)
 let tag_of_encoded s =
   if String.length s = 0 then "invalid"
   else
@@ -184,6 +170,8 @@ let tag_of_encoded s =
     | 10 -> "accepted_multi"
     | 11 -> "submit_multi"
     | _ -> "invalid"
+
+let tag m = tag_of_encoded (encode m)
 
 let pp ppf t =
   match t with

@@ -143,23 +143,9 @@ module Msg = struct
 
   let size t = W.size write t
 
-  let tag = function
-    | Request _ -> "request"
-    | Prepare _ -> "prepare"
-    | Prepare_ok _ -> "prepare_ok"
-    | Commit _ -> "commit"
-    | Start_view_change _ -> "start_view_change"
-    | Do_view_change _ -> "do_view_change"
-    | Start_view _ -> "start_view"
-    | Get_state _ -> "get_state"
-    | New_state _ -> "new_state"
-    | Request_multi _ -> "request_multi"
-    | Prepare_multi _ -> "prepare_multi"
-    | Prepare_ok_multi _ -> "prepare_ok_multi"
-
   (* Tag from the leading wire byte alone, so the network tagger can
-     classify an encoded payload without a full decode.  Must agree with
-     [tag] composed with [decode]; property-tested in test_wire.ml. *)
+     classify an encoded payload without a full decode.  The one tag
+     table: [tag] is defined through it. *)
   let tag_of_encoded s =
     if String.length s = 0 then "invalid"
     else
@@ -177,6 +163,8 @@ module Msg = struct
       | 10 -> "prepare_multi"
       | 11 -> "prepare_ok_multi"
       | _ -> "invalid"
+
+  let tag m = tag_of_encoded (encode m)
 end
 
 type dvc = { d_log : string list; d_last_normal : int; d_commit : int }
