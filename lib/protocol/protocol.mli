@@ -30,6 +30,9 @@ val core_vr : t
 val core_nospec : t
 (** Ablation: ordering waits for state transfer. *)
 
+val core_noresid : t
+(** Ablation: residual commands wait for a client retry. *)
+
 val stopworld : t
 (** Halt + transfer + restart.  Alias ["stop-the-world"]. *)
 
