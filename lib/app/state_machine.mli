@@ -19,6 +19,17 @@ module type S = sig
   (** Wire encodings.  [decode_*] raise {!Codec.Truncated} on bad input. *)
 
   val encode_command : command -> string
+
+  val read_command : Codec.Reader.t -> command
+  (** Read one command from a reader positioned at its encoding, the
+      bytes [encode_command] wrote, leaving the reader past what it read.
+      It must read only forward from the reader's position, and raise
+      only {!Codec.Truncated}, on any bytes.  The composition layer runs
+      it inside the decided envelope's reader
+      ({!Rsmr_app.Codec.Reader.framed}), so a command is decoded once and
+      never copied out.  Every application derives [decode_command s] as
+      [read_command (Codec.Reader.of_string s)]. *)
+
   val decode_command : string -> command
   val encode_response : response -> string
   val decode_response : string -> response

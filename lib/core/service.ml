@@ -428,18 +428,18 @@ struct
 
   (* --- decided-command processing --- *)
 
-  let env_client_seq (env : Envelope.t) =
+  let env_client_seq (env : _ Envelope.t) =
     match env with
     | Envelope.App { client; seq; _ } | Envelope.Reconfig { client; seq; _ } ->
       (client, seq)
     | Envelope.Drain -> (-1, -1) (* never traced: dispatch diverts it *)
 
   (* [value] is the envelope's wire bytes (what the block ordered); it is
-     decoded exactly once here and threaded alongside [env] so the
-     applied-digest chain and residual re-submission reuse the bytes
-     instead of re-encoding. *)
+     decoded exactly once here, an [App]'s command included, and threaded
+     alongside [env] so the applied-digest chain and residual
+     re-submission reuse the bytes instead of re-encoding. *)
   let rec dispatch t host inst idx value =
-    let env = Envelope.decode value in
+    let env = Envelope.decode Sm.read_command value in
     match (env, inst.wedged_at) with
     | Envelope.Drain, Some w when idx > w -> drained t host inst
     | Envelope.Drain, (Some _ | None) -> () (* only ever ordered past a wedge *)
@@ -544,7 +544,7 @@ struct
       Front.command_lifecycle t.front ~node:host.me "ordered" ~client ~seq
         ~epoch:inst.epoch ~idx
     end;
-    match (env : Envelope.t) with
+    match (env : Sm.command Envelope.t) with
     | Envelope.App { client; seq; low_water; cmd } -> (
       (* [No_session_dedup] forgets what was applied: the mutation
          self-test of session dedup. *)
@@ -555,7 +555,7 @@ struct
           Session.check inst.sessions ~client ~seq
       with
       | `New ->
-        let app', resp = Sm.apply inst.app (Sm.decode_command cmd) in
+        let app', resp = Sm.apply inst.app cmd in
         let rsp = Sm.encode_response resp in
         inst.app <- app';
         Session.record inst.sessions ~client ~seq ~rsp;

@@ -45,9 +45,9 @@ let write_command w = function
 
 let read_command r =
   match R.u8 r with
-  | 0 -> Reg (Register.decode_command (R.string r))
-  | 1 -> Kv (Kv.decode_command (R.string r))
-  | 2 -> Cnt (Counter.decode_command (R.string r))
+  | 0 -> Reg (R.framed r Register.read_command)
+  | 1 -> Kv (R.framed r Kv.read_command)
+  | 2 -> Cnt (R.framed r Counter.read_command)
   | _ -> raise Codec.Truncated
 
 let encode_command c = W.to_string write_command c
