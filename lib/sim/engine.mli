@@ -26,7 +26,16 @@
 
     These semantics are what the model checker's enabled-set relies on
     (a choice is either still available or definitively consumed), and
-    they are pinned by regression tests in [test/test_sim.ml]. *)
+    they are pinned by regression tests in [test/test_sim.ml].
+
+    {2 Allocation}
+
+    A scheduled event costs its timer record, 5 words; {!schedule} adds
+    2 for the boxed due time [now + delay], which {!at} takes from its
+    caller.  Running it allocates nothing: {!run} and {!run_until} read
+    the head through the heap's [top] and [drop], which build no option
+    or tuple, and the clock takes the timer's own due time, which is its
+    heap key.  Dead (cancelled) heads are discarded as they surface. *)
 
 type t
 

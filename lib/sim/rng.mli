@@ -3,7 +3,14 @@
     Every randomized component of the simulator owns its own generator,
     obtained by {!split}ting a parent.  Two runs from the same root seed
     therefore make identical random choices regardless of how components
-    interleave their draws. *)
+    interleave their draws.
+
+    {b Allocation.}  The 64-bit state is held unboxed, so [int],
+    [int_in], [bool] and [bernoulli] allocate nothing.  [bits64] allocates
+    its boxed result, and [float], [exponential] and [uniform_in] their
+    boxed float.
+    The stream is that of the reference SplitMix64, and
+    [test/test_sim.ml] pins it for seeds 0, 1 and 42. *)
 
 type t
 
