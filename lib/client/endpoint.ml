@@ -10,6 +10,7 @@ type outstanding = {
   payload : Client_msg.payload;
   mutable attempts : int;
   mutable redirects : int;
+  mutable stale : int; (* redirects from an epoch older than believed *)
   mutable timer : Engine.timer option;
 }
 
@@ -180,7 +181,7 @@ let submit t ~seq ~payload =
   if seq > t.max_seq then t.max_seq <- seq;
   if not (Hashtbl.mem t.pending seq) then begin
     Hashtbl.replace t.pending seq
-      { payload; attempts = 0; redirects = 0; timer = None };
+      { payload; attempts = 0; redirects = 0; stale = 0; timer = None };
     lifecycle t "submit" ~seq
   end;
   if not (List.mem seq (Batch.contents t.batch)) then Batch.add t.batch seq
@@ -196,35 +197,42 @@ let handle t ~src msg =
       lifecycle t "replied" ~seq;
       t.on_reply ~seq ~rsp
     | None -> (* duplicate reply from a retry *) ())
-  | Client_msg.Redirect { seq; leader; members; epoch } ->
+  | Client_msg.Redirect { seq; leader; members; epoch } -> (
     t.n_redirects <- t.n_redirects + 1;
-    if epoch >= t.epoch then begin
+    let stale = epoch < t.epoch in
+    if not stale then begin
       t.epoch <- epoch;
       if members <> [] then t.members <- members;
       (* A node naming itself (a deposed leader with a stale hint) would
          capture the client; rotate instead. *)
       t.leader <- (if leader = Some src then None else leader)
     end;
-    (match Hashtbl.find_opt t.pending seq with
-     | Some o ->
-       o.redirects <- o.redirects + 1;
-       (* Hints can cycle (two deposed nodes pointing at each other), and a
-          redirect re-arms the request timer, so the timeout path alone
-          never breaks the loop: periodically distrust the hint, rotate,
-          and ask the directory. *)
-       if o.redirects mod 6 = 0 then begin
-         t.leader <- None;
-         refresh_members t
-       end;
-       (* Follow the first hint at once: across a leader change it is the
-          client's whole wait.  Any other redirect backs off in the single
-          timer slot, so a duplicate re-arms it instead of adding a send
-          and an election (nobody leads yet) is no redirect storm. *)
-       if o.redirects = 1 && t.leader <> None then attempt t seq
-       else
-         rearm t o ~delay:(0.010 +. Rng.float t.rng 0.015) (fun () ->
-             attempt t seq)
-     | None -> ())
+    match Hashtbl.find_opt t.pending seq with
+    | Some o ->
+      if stale then o.stale <- o.stale + 1 else o.redirects <- o.redirects + 1;
+      (* Hints can cycle (two deposed nodes pointing at each other), and a
+         redirect re-arms the request timer, so the timeout path alone
+         never breaks the loop: periodically distrust the hint, rotate,
+         and ask the directory. *)
+      if (o.redirects + o.stale) mod 6 = 0 then begin
+        t.leader <- None;
+        refresh_members t
+      end;
+      (* Follow the first hint at once: across a leader change it is the
+         client's whole wait.  A redirect from an older epoch than the
+         believed one carries no news (its sender has not yet heard of the
+         configuration, say a joiner just before its bootstrap), so it
+         neither spends that re-send nor counts toward back-off: the
+         request goes to the believed leader again after a millisecond.
+         Any other redirect backs off in the single timer slot, so a
+         duplicate re-arms it instead of adding a send and an election
+         (nobody leads yet) is no redirect storm. *)
+      if stale then rearm t o ~delay:0.001 (fun () -> attempt t seq)
+      else if o.redirects = 1 && t.leader <> None then attempt t seq
+      else
+        rearm t o ~delay:(0.010 +. Rng.float t.rng 0.015) (fun () ->
+            attempt t seq)
+    | None -> ())
   | Client_msg.Request _ | Client_msg.Request_batch _ ->
     (* not addressed to clients *) ()
 
@@ -265,6 +273,7 @@ let fingerprint t =
         (Client_msg.Request { seq; low_water = 0; payload = o.payload });
       W.varint w o.attempts;
       W.varint w o.redirects;
+      W.varint w o.stale;
       W.bool w (Engine.armed o.timer))
     (List.rev
        (Stable.fold_sorted ~compare:Int.compare

@@ -52,9 +52,12 @@ val handle : t -> src:Rsmr_net.Node_id.t -> Client_msg.t -> unit
 (** Feed a message addressed to this client by node [src].  A redirect
     no older than the believed epoch sets the believed members and
     leader, dropping a hint that names [src].  A request's first redirect
-    that leaves a believed leader re-sends at once; any other re-sends
-    after a 10–25 ms jitter in the request's one timer slot, so
-    duplicates add no sends ({!redirect_storm}). *)
+    that leaves a believed leader re-sends at once.  An older-epoch
+    redirect re-sends after 1 ms and is not counted as the request's
+    redirect.  Any other re-sends after a 10–25 ms jitter.  All of these
+    use the request's one timer slot, so duplicates add no sends, and
+    every sixth redirect of a request, counted or not, drops the
+    believed leader ({!redirect_storm}). *)
 
 val outstanding : t -> int
 (** Requests not yet answered. *)
