@@ -416,7 +416,11 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
 
   and apply_payload t node index payload =
     match payload with
-    | Raft_log.Noop -> ()
+    | Raft_log.Noop -> (
+      (* A leader's own no-op committed: a pending step may go now. *)
+      match node.role with
+      | Leader _ -> try_next_step t node
+      | Follower | Candidate _ -> ())
     | Raft_log.App { client; seq; low_water; cmd } -> (
       match Session.check node.sessions ~client ~seq with
       | `New ->
@@ -527,6 +531,14 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
     in
     scan (Raft_log.last_index node.log)
 
+  (* A leader takes the next single-server step only once it has
+     committed an entry of its own term (its election no-op), as well as
+     every configuration it holds.  Without the first rule, a leader
+     elected under the old configuration can commit a step under the
+     step's smaller quorum while a deposed leader holding an uncommitted
+     step of its own term can still win under that one: two committed
+     values at one index (Ongaro, 2015; test_raft pins the
+     interleaving). *)
   and try_next_step t node =
     match (node.role, node.pending_target) with
     | Leader _, Some (target, admin, seq) ->
@@ -534,7 +546,10 @@ module Make (Sm : Rsmr_app.State_machine.S) = struct
         node.pending_target <- None;
         reply_client t node ~client:admin ~seq ~rsp:"ok"
       end
-      else if not (has_uncommitted_config node) then begin
+      else if
+        Raft_log.term_at node.log node.commit = Some node.term
+        && not (has_uncommitted_config node)
+      then begin
         let cur = sorted node.config and tgt = sorted target in
         let adds = List.filter (fun m -> not (List.mem m cur)) tgt in
         (* Remove the leader itself last, so the change sequence costs at
