@@ -1,5 +1,7 @@
 (** Node identities.  Both replicas and clients live in one id space so the
-    network can route uniformly. *)
+    network can route uniformly.  Ids are small non-negative integers:
+    the network keeps per-node and per-link state in arrays indexed by
+    id. *)
 
 type t = int
 
