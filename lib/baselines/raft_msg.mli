@@ -33,7 +33,7 @@ val write : Rsmr_app.Codec.Writer.t -> t -> unit
     this message via [Writer.nested]. *)
 
 val read : Rsmr_app.Codec.Reader.t -> t
-(** Decode in place from a reader (e.g. a [Reader.view]). *)
+(** Decode in place from a reader (e.g. inside [Reader.framed]). *)
 
 val encode : t -> string
 val decode : string -> t

@@ -41,8 +41,8 @@ let write w t =
 
 let read r =
   match R.u8 r with
-  | 0 -> Rpc (Raft_msg.read (R.view r))
-  | 1 -> Client (Rsmr_client.Client_msg.read (R.view r))
+  | 0 -> Rpc (R.framed r Raft_msg.read)
+  | 1 -> Client (R.framed r Rsmr_client.Client_msg.read)
   | 2 ->
     let epoch = R.varint r in
     let members = R.list r R.zigzag in

@@ -71,7 +71,7 @@ let read r =
   | 0 ->
     let epoch = R.varint r in
     Block { epoch; data = R.string r }
-  | 1 -> Client (Rsmr_client.Client_msg.read (R.view r))
+  | 1 -> Client (R.framed r Rsmr_client.Client_msg.read)
   | 2 ->
     let epoch = R.varint r in
     let members = R.list r R.zigzag in

@@ -12,7 +12,7 @@
 
     [pairs_ok a b] answers whether keys [a] and [b] are two halves of a
     known codec pair, so [Writer.nested w Sub.write] compares equal to
-    [Sub.read (Reader.view r)] and delegating [encode]/[decode] wrappers
+    [Reader.framed r Sub.read] and delegating [encode]/[decode] wrappers
     compare equal. *)
 
 val check_pair :

@@ -15,8 +15,8 @@
    explicit [[@@rsmr.codec "Name"]] attribute, and checks per pair:
 
    - per-constructor shape equality up to the zero-copy equivalences
-     (Writer.string ~ Reader.string/view, Writer.nested Sub.write ~
-     Sub.read (Reader.view r)), with the shortest divergence witness
+     (Writer.string ~ Reader.string/framed, Writer.nested Sub.write ~
+     Reader.framed r Sub.read), with the shortest divergence witness
      per mismatch; [Writer.to_string f v] is the body of [f], unframed
                                                          [mirror-shape]
    - encoder tag set = decoder dispatched tag set, no duplicates on

@@ -5,7 +5,7 @@
     (length-prefixed) blobs, combinators, repetition, tag dispatch, and
     delegation to other codec bodies.  [Lift] produces one shape list
     per write/read body; [Check] compares paired shapes up to the
-    zero-copy equivalences (string↔view, nested↔view). *)
+    zero-copy equivalences (string↔framed, nested↔framed). *)
 
 type prim = U8 | Varint | Zigzag | Bool | Float
 
@@ -15,8 +15,8 @@ type t =
       (** a literal byte ([Writer.u8 w 3]) — tag bytes surface as these *)
   | Framed of string option
       (** length-prefixed blob: [Writer.string]/[Reader.string], a bare
-          [Reader.view], or — with the sub-codec's key — [Writer.nested f]
-          / [f (Reader.view r)] *)
+          [Reader.framed] with an unnamed reader, or — with the
+          sub-codec's key — [Writer.nested f] / [Reader.framed r f] *)
   | Opt of t list  (** [option] combinator: presence bool + maybe body *)
   | Rep of t list  (** [list] combinator: varint count + repeated body *)
   | Loop of t list

@@ -1,5 +1,5 @@
 (* The zero-copy equivalences: [Writer.nested write_item] must compare
-   equal to [read_item (Reader.view r)], and a manual count-plus-[let
+   equal to [Reader.framed r read_item], and a manual count-plus-[let
    rec] decode loop must compare equal to the encoder's
    count-plus-[List.iter]. *)
 
@@ -24,6 +24,6 @@ let write w (t : item list) =
 let read r =
   let n = R.varint r in
   let rec go acc i =
-    if i = n then List.rev acc else go (read_item (R.view r) :: acc) (i + 1)
+    if i = n then List.rev acc else go (R.framed r read_item :: acc) (i + 1)
   in
   go [] 0
