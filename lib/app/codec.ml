@@ -162,13 +162,26 @@ module Writer = struct
     shared.pos <- saved;
     n
 
+  (* The one exact-size sink behind [to_string], so a one-shot encode
+     allocates its result alone.  A pass saves the buffer and position
+     of the pass it interrupts (a body encoding an opaque payload) and
+     restores them when it returns.  A body that raises leaves the sink
+     to the next pass, which starts from a fresh buffer regardless. *)
+  let sink = { buf = Bytes.empty; pos = 0; counting = false }
+
   let to_string f v =
     let n = size f v in
-    let t = { buf = Bytes.create n; pos = 0; counting = false } in
-    f t v;
-    if t.pos <> n then
+    let saved_buf = sink.buf and saved_pos = sink.pos in
+    let buf = Bytes.create n in
+    sink.buf <- buf;
+    sink.pos <- 0;
+    f sink v;
+    let written = sink.pos in
+    sink.buf <- saved_buf;
+    sink.pos <- saved_pos;
+    if written <> n then
       invalid_arg "Codec.Writer.to_string: non-deterministic writer";
-    Bytes.unsafe_to_string t.buf
+    Bytes.unsafe_to_string buf
 
   let contents t =
     if t.counting then invalid_arg "Codec.Writer.contents: counting sink";

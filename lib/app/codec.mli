@@ -18,11 +18,10 @@
     [option] or [list] allocates only what it allocates itself; a
     {!Writer.create} writer doubles its buffer as it fills).  So
     [Writer.size] of an allocation-free body allocates nothing, and
-    [Writer.to_string] allocates its result and a fixed-size writer
-    record.  On the reader side [u8], [varint], [zigzag] and [bool]
-    allocate nothing; [float] allocates its boxed result, [string] the
-    copied string, [option] and [list] their result, and [framed]
-    nothing of its own. *)
+    [Writer.to_string] of one allocates its result alone.  On the reader
+    side [u8], [varint], [zigzag] and [bool] allocate nothing; [float]
+    allocates its boxed result, [string] the copied string, [option] and
+    [list] their result, and [framed] nothing of its own. *)
 
 exception Truncated
 (** Raised by readers on malformed or short input. *)
@@ -39,7 +38,13 @@ module Writer : sig
   (** [to_string write v] is the encoding of [v]: a counting pass sizes
       it, then [write] runs once into a buffer of exactly that size,
       which becomes the result without a copy.  Raises
-      [Invalid_argument] if the two passes disagree. *)
+      [Invalid_argument] if the two passes disagree.
+
+      {b Allocation.}  Both passes write through shared module-level
+      sinks, so [to_string] allocates its result and whatever [write]
+      allocates itself: no writer record.  [write] may itself call
+      [to_string] (an opaque payload encoded inside a body); each pass
+      saves and restores the pass it interrupts. *)
 
   val size : (t -> 'a -> unit) -> 'a -> int
   (** [size write v] is [String.length (to_string write v)], computed by

@@ -115,30 +115,39 @@ and refresh_members t =
         | Some _ | None -> ())
   | Some _ | None -> ()
 
+(* The still-outstanding requests among [seqs], in order, as the
+   [(seq, payload)] pairs a [Request_batch] carries. *)
+let[@tail_mod_cons] rec live_requests pending = function
+  | [] -> []
+  | seq :: rest -> (
+    match Hashtbl.find_opt pending seq with
+    | Some o -> (seq, o.payload) :: live_requests pending rest
+    | None -> live_requests pending rest)
+
+let rec rearm_sent t = function
+  | [] -> ()
+  | (seq, _) :: rest ->
+    (match Hashtbl.find_opt t.pending seq with
+     | Some o ->
+       o.attempts <- o.attempts + 1;
+       rearm t o ~delay:t.req_timeout (fun () -> on_timeout t seq)
+     | None -> ());
+    rearm_sent t rest
+
 (* Ship the coalescing buffer as one framed multi-request message (or a
    plain [Request] when only one command accumulated).  Every inner
    request keeps its own retry timer; retries and redirects then flow
    through the ordinary single-request path, so batching only changes the
    first transmission. *)
 let flush_batch t =
-  let live =
-    List.filter_map
-      (fun seq -> Option.map (fun o -> (seq, o)) (Hashtbl.find_opt t.pending seq))
-      (Batch.drain t.batch)
-  in
-  match live with
+  match live_requests t.pending (Batch.drain t.batch) with
   | [] -> ()
   | [ (seq, _) ] -> attempt t seq
-  | _ ->
+  | reqs ->
     t.n_sent <- t.n_sent + 1;
-    let reqs = List.map (fun (seq, o) -> (seq, o.payload)) live in
     t.send ~dst:(target t)
       (Client_msg.Request_batch { low_water = low_water t; reqs });
-    List.iter
-      (fun (seq, o) ->
-        o.attempts <- o.attempts + 1;
-        rearm t o ~delay:t.req_timeout (fun () -> on_timeout t seq))
-      live
+    rearm_sent t reqs
 
 let create ~engine ~me ~send ~members ?lookup ?(req_timeout = 0.5)
     ?(batch_window = 0.0) ?(batch_max = 16) ?bus ~on_reply () =

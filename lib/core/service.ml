@@ -297,8 +297,12 @@ struct
   let current_epoch t = Directory.epoch (Front.directory t.front)
   let current_members t = Directory.members (Front.directory t.front)
 
+  (* The instance with the highest epoch among those satisfying [pred].
+     The table is keyed by epoch, so the maximum does not depend on the
+     order the table is walked in. *)
   let newest_instance host ~pred =
-    Stable.fold_sorted ~compare:Int.compare
+    (* lint: order-insensitive *)
+    Hashtbl.fold
       (fun _ inst acc ->
         if pred inst then
           match acc with
@@ -306,6 +310,7 @@ struct
           | _ -> Some inst
         else acc)
       host.instances None
+  [@@rsmr.assume_deterministic]
 
   let app_state t node =
     Option.bind (Hashtbl.find_opt t.hosts node) (fun host ->
@@ -1005,6 +1010,33 @@ struct
       (fun e inst -> if e < epoch then retire_instance t host inst)
       host.instances
 
+  (* The encoded envelopes of a request window, in order.  A request
+     already applied is answered from the session table instead. *)
+  let[@tail_mod_cons] rec encode_requests t host inst ~src ~low_water =
+    function
+    | [] -> []
+    | (seq, payload) :: rest -> (
+      incr (Lazy.force t.requests);
+      (* Fast-path dedup only once sessions are installed; ordering a
+         duplicate before that is harmless. *)
+      match
+        if inst.activated then Session.check inst.sessions ~client:src ~seq
+        else `New
+      with
+      | `Dup rsp ->
+        reply_client t host ~client:src ~seq ~rsp;
+        encode_requests t host inst ~src ~low_water rest
+      | `New | `Stale ->
+        let env =
+          Envelope.encode
+            (match (payload : Client_msg.payload) with
+             | Client_msg.Cmd cmd ->
+               Envelope.App { client = src; seq; low_water; cmd }
+             | Client_msg.Change_membership members ->
+               Envelope.Reconfig { client = src; seq; members })
+        in
+        env :: encode_requests t host inst ~src ~low_water rest)
+
   (* A client request window (a plain [Request] is a window of one): each
      request is deduplicated against the session table and replied to
      from it when already applied, and every other command reaches the
@@ -1014,35 +1046,7 @@ struct
     let current = newest_instance host ~pred:(fun i -> i.replica <> None) in
     match current with
     | Some inst when is_inst_leader inst && inst.wedged_at = None ->
-      let envs =
-        List.filter_map
-          (fun (seq, payload) ->
-            incr (Lazy.force t.requests);
-            (* Fast-path dedup only once sessions are installed; ordering
-               a duplicate before that is harmless. *)
-            let dup =
-              if inst.activated then
-                match Session.check inst.sessions ~client:src ~seq with
-                | `Dup rsp -> Some rsp
-                | `New | `Stale -> None
-              else None
-            in
-            match dup with
-            | Some rsp ->
-              reply_client t host ~client:src ~seq ~rsp;
-              None
-            | None ->
-              let env =
-                match (payload : Client_msg.payload) with
-                | Client_msg.Cmd cmd ->
-                  Envelope.App { client = src; seq; low_water; cmd }
-                | Client_msg.Change_membership members ->
-                  Envelope.Reconfig { client = src; seq; members }
-              in
-              Some (Envelope.encode env))
-          reqs
-      in
-      submit_raw_many inst envs
+      submit_raw_many inst (encode_requests t host inst ~src ~low_water reqs)
     | Some _ | None ->
       (* A host with no live instance (wedged, retired, or awaiting state)
          names the newest configuration's leader from boot. *)

@@ -1,6 +1,12 @@
 (** Append-only (time, value) series, with bucketed aggregation helpers used
     by the figure printers (e.g. throughput-per-interval, latency
-    timelines). *)
+    timelines).
+
+    {b Allocation.}  Samples live in two unboxed float arrays that double
+    when full, so {!add} within capacity allocates nothing (a caller may
+    still box the floats it passes).  The readers walk the samples
+    newest first, as a list of them once did, so sums come out bit for
+    bit the same. *)
 
 type t
 

@@ -1,7 +1,18 @@
-(** A replica's Paxos log: a growable array of slots.  Slot values are
-    opaque strings (the building block knows nothing about the commands it
-    orders) plus protocol no-ops used to fill holes during leader
-    takeover. *)
+(** A replica's Paxos log.  Slot values are opaque strings (the building
+    block knows nothing about the commands it orders) plus protocol
+    no-ops used to fill holes during leader takeover.
+
+    {b Allocation.}  The log is parallel arrays in fixed chunks of 64
+    slots: a slot's ballot, its kind, and one flag byte (populated,
+    committed).  A chunk is allocated whole the first time the log
+    reaches it and is never copied, so a decided slot costs two array
+    cells and a byte; only the spine of chunk pointers grows, by
+    doubling.  Within an allocated chunk {!set_at}, {!mark_committed},
+    {!set_committed} and the readers {!is_populated}, {!ballot_at} and
+    {!kind_at} allocate nothing (the kind is stored as given).  {!get},
+    {!uncommitted_range}, {!entries_from} and {!committed_values} build
+    their entries on demand, for cold callers: phase 1, resend, learn and
+    fingerprints. *)
 
 type kind = Noop | Value of string
 
@@ -12,10 +23,23 @@ type t
 val create : unit -> t
 
 val length : t -> int
-(** One past the highest populated index. *)
+(** One past the highest slot written or marked. *)
 
 val get : t -> int -> entry option
-val set : t -> int -> entry -> unit
+
+val set_at : t -> int -> ballot:Ballot.t -> kind -> unit
+(** [set_at t i ~ballot kind] stores [kind] accepted at [ballot] in slot
+    [i], populated from then on.  It does not look at the commit mark:
+    callers leave committed slots alone. *)
+
+val is_populated : t -> int -> bool
+
+val ballot_at : t -> int -> Ballot.t
+(** The ballot of a populated slot. *)
+
+val kind_at : t -> int -> kind
+(** The kind of a populated slot. *)
+
 val is_committed : t -> int -> bool
 val mark_committed : t -> int -> unit
 

@@ -14,10 +14,15 @@ type candidacy = {
   from_index : int;
 }
 
+(* The leader's ack table is one member mask per open slot:
+   [acks.(i - acks_lo)] for slot [i], bit [k] set when the [k]-th member
+   of [cfg.members] accepted it, 0 when the slot has no entry.  Every
+   slot below [acks_lo] is committed. *)
 type leadership = {
   l_ballot : Ballot.t;
   mutable next_index : int;
-  acks : (int, Node_id.Set.t ref) Hashtbl.t;
+  mutable acks : int array;
+  mutable acks_lo : int;
   (* [next_index] at the last resend tick (or takeover): only slots below
      it have waited a whole [resend_interval] and may be re-sent. *)
   mutable resend_below : int;
@@ -33,6 +38,7 @@ type t = {
   send : dst:Node_id.t -> Msg.t -> unit;
   bcast : (Msg.t -> unit) option;
   others : Node_id.t list; (* Config.others cfg me, computed once *)
+  me_bit : int; (* our bit in an ack mask *)
   on_decide : int -> string -> unit;
   rng : Rng.t;
   log : Log.t;
@@ -94,18 +100,75 @@ let accepted_msg ~ballot ~from_index ~upto =
   if upto = from_index then Msg.Accepted { ballot; index = from_index }
   else Msg.Accepted_multi { ballot; from_index; upto }
 
+(* [src]'s bit in an ack mask, walking the members from [bit]: 0 for a
+   non-member.  Top-level, so a lookup allocates no closure. *)
+let rec member_bit src bit = function
+  | [] -> 0
+  | m :: rest ->
+    if Node_id.equal m src then bit else member_bit src (bit lsl 1) rest
+
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* The members whose bits are set in [mask], in member-list order. *)
+let rec members_of mask = function
+  | [] -> []
+  | m :: rest ->
+    if mask land 1 = 0 then members_of (mask lsr 1) rest
+    else m :: members_of (mask lsr 1) rest
+
+let ack_mask lead i =
+  let k = i - lead.acks_lo in
+  if k >= 0 && k < Array.length lead.acks then lead.acks.(k) else 0
+
+let clear_ack lead i =
+  let k = i - lead.acks_lo in
+  if k >= 0 && k < Array.length lead.acks then lead.acks.(k) <- 0
+
+(* Room for slot [i] (at or above [acks_lo]): slide the window past its
+   leading committed slots below [i] with no entry, and double it when
+   that leaves it more than half full. *)
+let make_room lead log i =
+  let n = Array.length lead.acks in
+  let d = ref 0 in
+  while
+    !d < n
+    && lead.acks_lo + !d < i
+    && lead.acks.(!d) = 0
+    && Log.is_committed log (lead.acks_lo + !d)
+  do
+    incr d
+  done;
+  let d = !d in
+  let need = i - lead.acks_lo - d + 1 in
+  if 2 * need <= n then begin
+    Array.blit lead.acks d lead.acks 0 (n - d);
+    Array.fill lead.acks (n - d) d 0
+  end
+  else begin
+    let acks = Array.make (max 64 (max need (2 * n))) 0 in
+    Array.blit lead.acks d acks 0 (n - d);
+    lead.acks <- acks
+  end;
+  lead.acks_lo <- lead.acks_lo + d
+
+let set_ack lead log i mask =
+  if i - lead.acks_lo >= Array.length lead.acks then make_room lead log i;
+  lead.acks.(i - lead.acks_lo) <- mask
+
 (* Deliver the committed prefix to the application, in order. *)
 let deliver t =
   let stop = ref false in
   while (not !stop) && t.deliver_index < Log.committed_prefix t.log do
-    (match Log.get t.log t.deliver_index with
-     | Some { Log.kind = Log.Value v; _ } -> t.on_decide t.deliver_index v
-     | Some { Log.kind = Log.Noop; _ } -> ()
-     | None ->
-       (* committed_prefix only advances over populated slots, so a gap
-          here cannot happen; stop delivering rather than crash the
-          replica if the invariant is ever violated. *)
-       stop := true);
+    if Log.is_populated t.log t.deliver_index then begin
+      match Log.kind_at t.log t.deliver_index with
+      | Log.Value v -> t.on_decide t.deliver_index v
+      | Log.Noop -> ()
+    end
+    else
+      (* committed_prefix only advances over populated slots, so a gap
+         here cannot happen; stop delivering rather than crash the
+         replica if the invariant is ever violated. *)
+      stop := true;
     if not !stop then begin
       t.deliver_index <- t.deliver_index + 1;
       if t.halted then stop := true
@@ -118,10 +181,11 @@ let absorb_commit_watermark t =
   let i = ref (Log.committed_prefix t.log) in
   let blocked = ref false in
   while (not !blocked) && !i <= hi do
-    (match Log.get t.log !i with
-     | Some e when Ballot.equal e.Log.ballot t.known_committed_ballot ->
-       Log.mark_committed t.log !i
-     | Some _ | None -> blocked := true);
+    if
+      Log.is_populated t.log !i
+      && Ballot.equal (Log.ballot_at t.log !i) t.known_committed_ballot
+    then Log.mark_committed t.log !i
+    else blocked := true;
     incr i
   done;
   deliver t
@@ -217,7 +281,8 @@ and become_leader t cand =
     {
       l_ballot = ballot;
       next_index = max_index + 1;
-      acks = Hashtbl.create 64;
+      acks = Array.make 64 0;
+      acks_lo = cand.from_index;
       resend_below = max_index + 1;
     }
   in
@@ -232,8 +297,8 @@ and become_leader t cand =
       | None -> Log.Noop
     in
     if not (Log.is_committed t.log i) then begin
-      Log.set t.log i { Log.ballot; kind };
-      Hashtbl.replace lead.acks i (ref (Node_id.Set.singleton t.me));
+      Log.set_at t.log i ~ballot kind;
+      set_ack lead t.log i t.me_bit;
       broadcast t
         (accept_msg ~ballot ~from_index:i
            ~commit_index:(Log.committed_prefix t.log) [ kind ])
@@ -249,10 +314,12 @@ and maybe_commit_solo t lead =
   (* In a single-member configuration the leader's own acceptance is a
      quorum, so slots commit without any message exchange. *)
   if Config.quorum t.cfg = 1 then begin
-    List.iter
-      (fun i -> Log.mark_committed t.log i)
-      (Stable.sorted_keys ~compare:Int.compare lead.acks);
-    Hashtbl.reset lead.acks;
+    for k = 0 to Array.length lead.acks - 1 do
+      if lead.acks.(k) <> 0 then begin
+        Log.mark_committed t.log (lead.acks_lo + k);
+        lead.acks.(k) <- 0
+      end
+    done;
     deliver t;
     Batch.pump t.batch
   end
@@ -347,8 +414,8 @@ and flush_batch t =
             lead.next_index <- index + 1;
             let kind = Log.Value value in
             incr t.c_proposals;
-            Log.set t.log index { Log.ballot = lead.l_ballot; kind };
-            Hashtbl.replace lead.acks index (ref (Node_id.Set.singleton t.me));
+            Log.set_at t.log index ~ballot:lead.l_ballot kind;
+            set_ack lead t.log index t.me_bit;
             kind)
           values
       in
@@ -456,7 +523,7 @@ let on_accept t ~src (ballot : Ballot.t) from_index kinds commit_index =
       (fun offset kind ->
         let index = from_index + offset in
         if not (Log.is_committed t.log index) then
-          Log.set t.log index { Log.ballot; kind })
+          Log.set_at t.log index ~ballot kind)
       kinds;
     t.send ~dst:src
       (accepted_msg ~ballot ~from_index
@@ -469,24 +536,20 @@ let on_accept t ~src (ballot : Ballot.t) from_index kinds commit_index =
 let on_accepted t ~src (ballot : Ballot.t) from_index upto =
   match t.role with
   | R_leader lead when Ballot.equal lead.l_ballot ballot ->
+    let bit = member_bit src 1 t.cfg.Config.members in
     let committed_any = ref false in
-    for index = from_index to upto do
+    (* Only slots this leadership proposed have ack entries to add to. *)
+    for index = max from_index lead.acks_lo to min upto (lead.next_index - 1) do
       if not (Log.is_committed t.log index) then begin
-        let acks =
-          match Hashtbl.find_opt lead.acks index with
-          | Some r -> r
-          | None ->
-            let r = ref (Node_id.Set.singleton t.me) in
-            Hashtbl.replace lead.acks index r;
-            r
-        in
-        acks := Node_id.Set.add src !acks;
-        if Node_id.Set.cardinal !acks >= Config.quorum t.cfg then begin
+        let mask = ack_mask lead index in
+        let mask = (if mask = 0 then t.me_bit else mask) lor bit in
+        if popcount mask >= Config.quorum t.cfg then begin
           Log.mark_committed t.log index;
-          Hashtbl.remove lead.acks index;
+          clear_ack lead index;
           incr t.c_commits;
           committed_any := true
         end
+        else set_ack lead t.log index mask
       end
     done;
     if !committed_any then begin
@@ -565,6 +628,12 @@ let submit_many t values =
 let handle t ~src msg =
   if not t.halted then
     match (msg : Msg.t) with
+    | Msg.Submit { value } -> submit t value
+    | Msg.Submit_multi { values } -> submit_many t values
+    | _ when member_bit src 1 t.cfg.Config.members = 0 ->
+      (* Only members propose, vote and learn.  Anyone may submit: an old
+         epoch's leader forwards residuals as a non-member. *)
+      ()
     | Msg.Prepare { ballot; from_index } -> on_prepare t ~src ballot from_index
     | Msg.Promise { ballot; entries; _ } -> on_promise t ~src ballot entries
     | Msg.Reject { ballot; higher } -> on_reject t ballot higher
@@ -580,8 +649,6 @@ let handle t ~src msg =
     | Msg.Learn_req { from_index } -> on_learn_req t ~src from_index
     | Msg.Learn_rsp { entries; commit_index } ->
       on_learn_rsp t entries commit_index
-    | Msg.Submit { value } -> submit t value
-    | Msg.Submit_multi { values } -> submit_many t values
 [@@rsmr.deterministic] [@@rsmr.total]
 
 let halt t =
@@ -599,6 +666,8 @@ let create ~engine ~params ~config:cfg ~me ~send ?broadcast ?obs ~on_decide
     () =
   if not (Config.is_member cfg me) then
     invalid_arg "Replica.create: not a member of the configuration";
+  if Config.size cfg > Sys.int_size then
+    invalid_arg "Replica.create: more members than an ack mask has bits";
   let metric =
     match obs with
     | Some reg ->
@@ -624,6 +693,7 @@ let create ~engine ~params ~config:cfg ~me ~send ?broadcast ?obs ~on_decide
       send;
       bcast = broadcast;
       others = Config.others cfg me;
+      me_bit = member_bit me 1 cfg.Config.members;
       on_decide;
       rng = Rng.split (Engine.rng engine);
       log = Log.create ();
@@ -704,14 +774,17 @@ let fingerprint t =
      Ballot.encode w l.l_ballot;
      W.varint w l.next_index;
      W.varint w l.resend_below;
+     let entries = ref [] in
+     for k = Array.length l.acks - 1 downto 0 do
+       if l.acks.(k) <> 0 then
+         entries := (l.acks_lo + k, l.acks.(k)) :: !entries
+     done;
      W.list w
-       (fun w (slot, s) ->
+       (fun w (slot, mask) ->
          W.varint w slot;
-         node_set w s)
-       (List.rev
-          (Stable.fold_sorted ~compare:Int.compare
-             (fun k v acc -> (k, !v) :: acc)
-             l.acks [])));
+         W.list w node
+           (List.sort Node_id.compare (members_of mask t.cfg.Config.members)))
+       !entries);
   W.option w node t.hint;
   W.varint w t.deliver_index;
   W.varint w t.known_committed;

@@ -618,11 +618,22 @@ let submit_many t values =
   end
 [@@rsmr.deterministic] [@@rsmr.total]
 
+(* Whether [src] is among [members] from position [k]: a top-level loop,
+   so the check allocates no closure. *)
+let rec member_from members src k =
+  k < Array.length members
+  && (Node_id.equal members.(k) src || member_from members src (k + 1))
+
 let handle t ~src msg =
   if not t.halted then
     match (msg : Msg.t) with
     | Msg.Request { value } -> submit t value
     | Msg.Request_multi { values } -> submit_many t values
+    | _ when not (member_from t.members src 0) ->
+      (* Only members replicate, vote and change views.  Anyone may
+         submit: an old epoch's leader forwards residuals as a
+         non-member. *)
+      ()
     | Msg.Prepare { view; op; value; commit } ->
       on_prepare t ~src ~view ~from_op:op ~values:[ value ] ~commit
     | Msg.Prepare_multi { view; from_op; values; commit } ->

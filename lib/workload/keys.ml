@@ -31,4 +31,21 @@ let sample t rng =
     done;
     !lo
 
-let key_name i = Printf.sprintf "key%08d" i
+(* "key" and the decimal digits of [i], zero-padded to 8: byte for byte
+   [Printf.sprintf "key%08d" i], allocating only the result. *)
+let key_name i =
+  if i < 0 then invalid_arg "Keys.key_name: negative index";
+  let digits = ref 1 and rest = ref (i / 10) in
+  while !rest > 0 do
+    incr digits;
+    rest := !rest / 10
+  done;
+  let len = 3 + max 8 !digits in
+  let b = Bytes.make len '0' in
+  Bytes.blit_string "key" 0 b 0 3;
+  let v = ref i in
+  for p = len - 1 downto len - !digits do
+    Bytes.set b p (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+    v := !v / 10
+  done;
+  Bytes.unsafe_to_string b

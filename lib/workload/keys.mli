@@ -11,4 +11,7 @@ val zipf : n:int -> theta:float -> t
 
 val sample : t -> Rsmr_sim.Rng.t -> int
 val key_name : int -> string
-(** Canonical printable key for index i ("key00000042"). *)
+(** Canonical printable key for a non-negative index [i] ("key00000042"):
+    ["key"] and [i] in decimal, zero-padded to 8 digits, as
+    [Printf.sprintf "key%08d" i] writes it.  Allocates only the result.
+    Raises [Invalid_argument] on a negative index. *)

@@ -459,6 +459,96 @@ let test_timeseries_buckets () =
   | Some m -> Alcotest.(check (float 1e-9)) "window max" 3.0 m
   | None -> Alcotest.fail "expected a max"
 
+(* The list-of-pairs series that [Timeseries] replaced, newest first:
+   the executable specification of its readers. *)
+module Ts_model = struct
+  let bucketize rev_points ~width =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (time, v) ->
+        let b = int_of_float (floor (time /. width)) in
+        match Hashtbl.find_opt tbl b with
+        | Some (c, s) -> Hashtbl.replace tbl b (c + 1, s +. v)
+        | None -> Hashtbl.add tbl b (1, v))
+      rev_points;
+    Hashtbl.fold (fun b (c, s) acc -> (b, c, s) :: acc) tbl []
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    |> List.map (fun (b, c, s) ->
+           (float_of_int b *. width, c, s /. float_of_int c))
+
+  let max_in_window rev_points ~lo ~hi =
+    List.fold_left
+      (fun acc (time, v) ->
+        if time >= lo && time <= hi then
+          match acc with Some m when m >= v -> acc | _ -> Some v
+        else acc)
+      None rev_points
+end
+
+(* Bit for bit: floats compare by their IEEE bits. *)
+let bits = Int64.bits_of_float
+let same_float a b = Int64.equal (bits a) (bits b)
+
+let same_buckets a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (s, c, m) (s', c', m') ->
+         same_float s s' && c = c' && same_float m m')
+       a b
+
+let prop_timeseries_matches_model =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, float_range (-1000.0) 1000.0);
+          (1, oneofl [ 0.0; -0.0; nan; infinity; 1e-300 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"timeseries matches its list model" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 300) (pair (float_range 0.0 20.0) value))
+           (pair (float_range 0.1 3.0) (float_range 0.0 20.0))))
+    (fun (samples, (width, lo)) ->
+      let ts = Timeseries.create () in
+      List.iter (fun (time, v) -> Timeseries.add ts ~time v) samples;
+      let rev = List.rev samples in
+      let hi = lo +. width in
+      List.length (Timeseries.points ts) = List.length samples
+      && List.for_all2
+           (fun (t, v) (t', v') -> same_float t t' && same_float v v')
+           (Timeseries.points ts) samples
+      && same_buckets (Timeseries.bucketize ts ~width)
+           (Ts_model.bucketize rev ~width)
+      && List.for_all2
+           (fun (s, r) (s', r') -> same_float s s' && same_float r r')
+           (Timeseries.rate_per_bucket ts ~width)
+           (List.map
+              (fun (s, c, _) -> (s, float_of_int c /. width))
+              (Ts_model.bucketize rev ~width))
+      &&
+      match
+        ( Timeseries.max_in_window ts ~lo ~hi,
+          Ts_model.max_in_window rev ~lo ~hi )
+      with
+      | Some a, Some b -> same_float a b
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
+(* Within capacity a sample is two unboxed float stores. *)
+let test_timeseries_add_allocates_nothing () =
+  let ts = Timeseries.create () in
+  Timeseries.add ts ~time:0.5 1.0;
+  let before = Gc.minor_words () in
+  for _ = 1 to 60 do
+    Timeseries.add ts ~time:0.5 1.0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all kept" 61 (List.length (Timeseries.points ts));
+  Alcotest.(check (float 0.)) "words for 60 adds" 0. words
+
 (* A section view over labelled registry cells: only cells labelled
    exactly {section} or {msg_type; section} show, sorted by key. *)
 let test_counters () =
@@ -797,7 +887,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_percentile_in_range;
         ] );
       ( "timeseries",
-        [ Alcotest.test_case "buckets" `Quick test_timeseries_buckets ] );
+        [
+          Alcotest.test_case "buckets" `Quick test_timeseries_buckets;
+          QCheck_alcotest.to_alcotest prop_timeseries_matches_model;
+          Alcotest.test_case "add allocates nothing" `Quick
+            test_timeseries_add_allocates_nothing;
+        ] );
       ( "stable",
         [
           Alcotest.test_case "sorted order" `Quick test_stable_sorted_order;

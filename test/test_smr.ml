@@ -48,10 +48,10 @@ let test_config_roundtrip () =
 let test_log_basics () =
   let l = Log.create () in
   Alcotest.(check int) "empty length" 0 (Log.length l);
-  Log.set l 2 { Log.ballot = Ballot.zero; kind = Log.Value "x" };
+  Log.set_at l 2 ~ballot:Ballot.zero (Log.Value "x");
   Alcotest.(check int) "length tracks highest" 3 (Log.length l);
   Alcotest.(check bool) "hole is None" true (Log.get l 0 = None);
-  Log.set l 0 { Log.ballot = Ballot.zero; kind = Log.Value "a" };
+  Log.set_at l 0 ~ballot:Ballot.zero (Log.Value "a");
   Log.mark_committed l 0;
   Alcotest.(check int) "prefix after 0" 1 (Log.committed_prefix l);
   Log.mark_committed l 2;
@@ -62,7 +62,7 @@ let test_log_basics () =
 let test_log_uncommitted_range () =
   let l = Log.create () in
   for i = 0 to 4 do
-    Log.set l i { Log.ballot = Ballot.zero; kind = Log.Value (string_of_int i) }
+    Log.set_at l i ~ballot:Ballot.zero (Log.Value (string_of_int i))
   done;
   Log.mark_committed l 0;
   Log.mark_committed l 1;
@@ -682,6 +682,273 @@ let prop_lossless_sends_each_slot_once =
            (fun i -> List.length (Cluster.decided_values c i) = List.length gaps)
            [ 0; 1; 2 ])
 
+(* --- the flat log against its slot-record model --- *)
+
+type log_op =
+  | Set_at of int * int * string option (* index, round, value *)
+  | Mark of int
+  | Set_committed of int * string option
+
+let kind_of = function Some v -> Log.Value v | None -> Log.Noop
+
+let log_op_gen =
+  let open QCheck.Gen in
+  (* Indices 0..300 cross four chunk boundaries; [value] is often None,
+     so no-ops are common. *)
+  let index = int_range 0 300 and value = opt (string_size (int_range 0 3)) in
+  frequency
+    [
+      (5, map3 (fun i r v -> Set_at (i, r, v)) index (int_range 0 4) value);
+      (3, map (fun i -> Mark i) index);
+      (2, map2 (fun i v -> Set_committed (i, v)) index value);
+    ]
+
+let print_log_op = function
+  | Set_at (i, r, v) ->
+    Printf.sprintf "set_at %d r%d %s" i r (Option.value v ~default:"noop")
+  | Mark i -> Printf.sprintf "mark %d" i
+  | Set_committed (i, v) ->
+    Printf.sprintf "set_committed %d %s" i (Option.value v ~default:"noop")
+
+let apply_log_op log model = function
+  | Set_at (i, round, v) ->
+    let ballot = { Ballot.round; node = round mod 3 } in
+    Log.set_at log i ~ballot (kind_of v);
+    Log_model.set model i { Log.ballot; kind = kind_of v }
+  | Mark i ->
+    Log.mark_committed log i;
+    Log_model.mark_committed model i
+  | Set_committed (i, v) ->
+    Log.set_committed log i (kind_of v);
+    Log_model.set_committed model i (kind_of v)
+
+(* Every accessor of the flat log agrees with the model at every slot
+   (one past the end included) and over several windows. *)
+let log_agrees log model =
+  let n = Log_model.length model in
+  let slot_agrees i =
+    let e = Log_model.get model i in
+    Log.get log i = e
+    && Log.is_populated log i = (e <> None)
+    && Log.is_committed log i = Log_model.is_committed model i
+    &&
+    match e with
+    | Some { Log.ballot; kind } ->
+      Ballot.equal (Log.ballot_at log i) ballot && Log.kind_at log i = kind
+    | None -> true
+  in
+  let windows = [ 0; 1; 63; 64; 65; 150; Log_model.committed_prefix model ] in
+  Log.length log = n
+  && Log.committed_prefix log = Log_model.committed_prefix model
+  && List.for_all slot_agrees (List.init (n + 2) (fun i -> i - 1))
+  && List.for_all
+       (fun lo ->
+         Log.uncommitted_range log ~lo = Log_model.uncommitted_range model ~lo
+         && Log.entries_from log lo = Log_model.entries_from model lo
+         && Log.committed_values log ~lo ~hi:(lo + 70)
+            = Log_model.committed_values model ~lo ~hi:(lo + 70))
+       windows
+
+let prop_log_matches_model =
+  QCheck.Test.make ~name:"flat log matches the slot model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_log_op ops))
+       QCheck.Gen.(list_size (int_range 0 120) log_op_gen))
+    (fun ops ->
+      let log = Log.create () and model = Log_model.create () in
+      List.for_all
+        (fun op ->
+          apply_log_op log model op;
+          Log.length log = Log_model.length model
+          && Log.committed_prefix log = Log_model.committed_prefix model)
+        ops
+      && log_agrees log model)
+
+(* Writing and committing a slot of an allocated chunk allocates nothing:
+   a decided slot is two array cells and a flag byte. *)
+let test_log_set_allocates_nothing () =
+  let log = Log.create () in
+  let ballot = { Ballot.round = 1; node = 0 } and kind = Log.Value "v" in
+  Log.set_at log 0 ~ballot kind;
+  let before = Gc.minor_words () in
+  for i = 0 to 63 do
+    Log.set_at log i ~ballot kind;
+    Log.mark_committed log i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all committed" 64 (Log.committed_prefix log);
+  Alcotest.(check (float 0.)) "words for 64 set_at + mark_committed" 0. words
+
+(* --- only members take part; anyone may submit --- *)
+
+let ballot0 = { Ballot.round = 0; node = 0 }
+
+(* Member 0 of {0,1,2}, leading at ballot 0 from creation; the engine
+   never runs. *)
+let lone_leader () =
+  let engine = Engine.create ~seed:5 () in
+  Replica.create ~engine ~params:Params.default
+    ~config:(Config.make ~instance_id:0 ~members:[ 0; 1; 2 ])
+    ~me:0
+    ~send:(fun ~dst:_ _ -> ())
+    ~on_decide:(fun _ _ -> ())
+    ()
+
+let test_non_member_accepted () =
+  let r = lone_leader () in
+  Replica.submit_many r [ "x" ];
+  Replica.handle r ~src:7 (Msg.Accepted { ballot = ballot0; index = 0 });
+  Alcotest.(check int) "leader + non-member is no quorum" 0
+    (Replica.commit_index r);
+  Replica.handle r ~src:1 (Msg.Accepted { ballot = ballot0; index = 0 });
+  Alcotest.(check int) "leader + member is" 1 (Replica.commit_index r)
+
+let test_non_member_promise () =
+  let r, _ = lone_follower () in
+  Replica.kick_election r;
+  let ballot = { Ballot.round = 1; node = 1 } in
+  let promise =
+    Msg.Promise { ballot; from_index = 0; entries = []; commit_index = 0 }
+  in
+  Replica.handle r ~src:7 promise;
+  Alcotest.(check bool) "candidate + non-member elects nobody" false
+    (Replica.is_leader r);
+  Replica.handle r ~src:2 promise;
+  Alcotest.(check bool) "candidate + member elects" true (Replica.is_leader r)
+
+(* A non-member's Accept and Heartbeat at a ballot it owns: a follower
+   neither accepts the value nor decides it. *)
+let test_non_member_proposal () =
+  let engine = Engine.create ~seed:5 () in
+  let decided = ref [] in
+  let r =
+    Replica.create ~engine ~params:Params.default
+      ~config:(Config.make ~instance_id:0 ~members:[ 0; 1; 2 ])
+      ~me:1
+      ~send:(fun ~dst:_ _ -> ())
+      ~on_decide:(fun i v -> decided := (i, v) :: !decided)
+      ()
+  in
+  let ballot = { Ballot.round = 5; node = 7 } in
+  Replica.handle r ~src:7
+    (Msg.Accept
+       { ballot; index = 0; kind = Log.Value "forged"; commit_index = 0 });
+  Replica.handle r ~src:7 (Msg.Heartbeat { ballot; commit_index = 1 });
+  Alcotest.(check (list (pair int string))) "nothing decided" [] !decided;
+  (* A non-member's submission is forwarded to the leader all the same. *)
+  let forwarded = ref [] in
+  let engine = Engine.create ~seed:5 () in
+  let f =
+    Replica.create ~engine ~params:Params.default
+      ~config:(Config.make ~instance_id:0 ~members:[ 0; 1; 2 ])
+      ~me:1
+      ~send:(fun ~dst msg -> forwarded := (dst, Msg.tag msg) :: !forwarded)
+      ~on_decide:(fun _ _ -> ())
+      ()
+  in
+  Replica.handle f ~src:0
+    (Msg.Heartbeat { ballot = ballot0; commit_index = 0 });
+  Replica.handle f ~src:7 (Msg.Submit { value = "residual" });
+  Alcotest.(check (list (pair int string))) "submission forwarded"
+    [ (0, "submit") ] !forwarded
+
+(* The same rules in the VR block: member [me] of {0,1,2} (member 0 is
+   view 0's primary, member 1 view 1's), its sends' tags captured oldest
+   first; the engine never runs. *)
+let lone_vr me =
+  let module Vr = Rsmr_smr.Vr in
+  let engine = Engine.create ~seed:5 () in
+  let sent = ref [] in
+  let r =
+    Vr.create ~engine ~params:Params.default
+      ~config:(Config.make ~instance_id:0 ~members:[ 0; 1; 2 ])
+      ~me
+      ~send:(fun ~dst msg -> sent := (dst, Vr.Msg.tag msg) :: !sent)
+      ~on_decide:(fun _ _ -> ())
+      ()
+  in
+  (r, fun () -> List.rev !sent)
+
+let test_vr_non_member_prepare_ok () =
+  let module Vr = Rsmr_smr.Vr in
+  let r, _ = lone_vr 0 in
+  Vr.submit_many r [ "x" ];
+  Vr.handle r ~src:7 (Vr.Msg.Prepare_ok { view = 0; op = 0 });
+  Alcotest.(check int) "primary + non-member is no quorum" 0
+    (Vr.commit_index r);
+  Vr.handle r ~src:1 (Vr.Msg.Prepare_ok { view = 0; op = 0 });
+  Alcotest.(check int) "primary + member is" 1 (Vr.commit_index r)
+
+let test_vr_non_member_view_change () =
+  let module Vr = Rsmr_smr.Vr in
+  (* Start_view_change: a backup joins view 1 on a non-member's vote but
+     does not count it, so it sends view 1's primary no Do_view_change. *)
+  let r, sent = lone_vr 2 in
+  Vr.handle r ~src:7 (Vr.Msg.Start_view_change { view = 1 });
+  Alcotest.(check bool) "no Do_view_change" false
+    (List.mem (1, "do_view_change") (sent ()));
+  (* Do_view_change: view 1's primary holds its own and takes a
+     non-member's for nothing. *)
+  let p, _ = lone_vr 1 in
+  let dvc =
+    Vr.Msg.Do_view_change { view = 1; log = []; last_normal = 0; commit = 0 }
+  in
+  Vr.handle p ~src:2 (Vr.Msg.Start_view_change { view = 1 });
+  Vr.handle p ~src:7 dvc;
+  Alcotest.(check bool) "own + non-member's starts no view" false
+    (Vr.is_leader p);
+  Vr.handle p ~src:2 dvc;
+  Alcotest.(check bool) "own + member's does" true (Vr.is_leader p)
+
+let test_vr_non_member_start_view () =
+  let module Vr = Rsmr_smr.Vr in
+  let engine = Engine.create ~seed:5 () in
+  let decided = ref [] in
+  let r =
+    Vr.create ~engine ~params:Params.default
+      ~config:(Config.make ~instance_id:0 ~members:[ 0; 1; 2 ])
+      ~me:1
+      ~send:(fun ~dst:_ _ -> ())
+      ~on_decide:(fun i v -> decided := (i, v) :: !decided)
+      ()
+  in
+  Vr.handle r ~src:7
+    (Vr.Msg.Start_view { view = 3; log = [ "forged" ]; commit = 1 });
+  Alcotest.(check (list (pair int string))) "nothing decided" [] !decided;
+  Alcotest.(check int) "still view 0" 0 (Vr.view r)
+
+(* A Learn response that reaches a replica after it took over commits a
+   slot whose ack entry the new leader holds; the entry outlives the
+   commit and is part of the fingerprint.  The digest was recorded with
+   the slot-record log and the per-slot ack sets. *)
+let test_late_learn_fingerprint () =
+  let r, _ = lone_follower () in
+  Replica.handle r ~src:0
+    (Msg.Accept
+       { ballot = ballot0; index = 0; kind = Log.Value "a"; commit_index = 0 });
+  (* Slot 0 commits from the watermark; slot 1 is missing, so r asks 0. *)
+  Replica.handle r ~src:0
+    (Msg.Heartbeat { ballot = ballot0; commit_index = 2 });
+  Replica.kick_election r;
+  let b1 = { Ballot.round = 1; node = 1 } in
+  Replica.handle r ~src:2
+    (Msg.Promise
+       {
+         ballot = b1;
+         from_index = 1;
+         entries = [ (1, { Log.ballot = ballot0; kind = Log.Value "b" }) ];
+         commit_index = 1;
+       });
+  Alcotest.(check bool) "took over" true (Replica.is_leader r);
+  Replica.handle r ~src:0
+    (Msg.Learn_rsp { entries = [ (1, Log.Value "b") ]; commit_index = 2 });
+  Replica.submit_many r [ "c" ];
+  Replica.handle r ~src:2 (Msg.Accepted { ballot = b1; index = 2 });
+  Replica.submit_many r [ "d" ];
+  Alcotest.(check int) "commit index" 3 (Replica.commit_index r);
+  Alcotest.(check string) "fingerprint digest" "6d2d037b48489566"
+    (Rsmr_sim.Fnv.to_hex (Rsmr_sim.Fnv.hash (Replica.fingerprint r)))
+
 (* Halting stops the replica without touching what it decided:
    [commit_index] answers as it did before the halt. *)
 let test_halt_keeps_commit_index () =
@@ -708,6 +975,29 @@ let () =
             test_log_uncommitted_range;
           Alcotest.test_case "msg roundtrip" `Quick test_msg_roundtrip;
           Alcotest.test_case "msg sizes" `Quick test_msg_size_positive;
+        ] );
+      ( "log",
+        [
+          QCheck_alcotest.to_alcotest prop_log_matches_model;
+          Alcotest.test_case "set_at allocates nothing" `Quick
+            test_log_set_allocates_nothing;
+          Alcotest.test_case "late learn fingerprint" `Quick
+            test_late_learn_fingerprint;
+        ] );
+      ( "members",
+        [
+          Alcotest.test_case "non-member accepted" `Quick
+            test_non_member_accepted;
+          Alcotest.test_case "non-member promise" `Quick
+            test_non_member_promise;
+          Alcotest.test_case "non-member proposal" `Quick
+            test_non_member_proposal;
+          Alcotest.test_case "vr non-member prepare_ok" `Quick
+            test_vr_non_member_prepare_ok;
+          Alcotest.test_case "vr non-member view change" `Quick
+            test_vr_non_member_view_change;
+          Alcotest.test_case "vr non-member start_view" `Quick
+            test_vr_non_member_start_view;
         ] );
       ( "protocol",
         [

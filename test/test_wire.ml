@@ -935,14 +935,69 @@ let test_reader_allocates_nothing () =
 (* A string of [n] bytes is a header and [(n + 8) / 8] words. *)
 let string_words n = 1 + ((n + 8) / 8)
 
-(* [to_string] allocates the result and the exact-size writer record (a
-   header and three fields), nothing per primitive: no growing buffer, no
-   copy out of it. *)
+(* [to_string] allocates the result and nothing else: both passes write
+   through shared sinks, so there is no writer record, no growing buffer
+   and no copy out of it. *)
 let prop_envelope_encode_alloc =
-  QCheck.Test.make ~name:"Envelope encode allocates its result + 4 words"
+  QCheck.Test.make ~name:"Envelope encode allocates its result alone"
     ~count:300 (QCheck.make envelope_gen) (fun m ->
       let words = words_per_call (fun () -> Envelope.encode m) in
-      words = float_of_int (string_words (Envelope.size m) + 4))
+      words = float_of_int (string_words (Envelope.size m)))
+
+(* A body may encode an opaque payload with [to_string] itself: the inner
+   pass saves and restores the one it interrupts, in the counting pass and
+   in the writing pass alike, at any depth and any position. *)
+let test_nested_to_string () =
+  let inner w (k, s) =
+    W.varint w k;
+    W.string w s
+  in
+  let middle w (k, s) =
+    W.string w (W.to_string inner (k, s));
+    W.u8 w 0xAB;
+    W.string w (W.to_string inner (k + 1, s ^ s))
+  in
+  let outer w (k, s) =
+    W.varint w (k * 1000);
+    W.string w (W.to_string middle (k, s));
+    W.zigzag w (-k);
+    W.string w (W.to_string inner (k, s))
+  in
+  (* The same bytes through growable writers, each drained before the
+     next starts. *)
+  let by_hand k s =
+    let enc f v =
+      let w = W.create () in
+      f w v;
+      W.contents w
+    in
+    let inner_bytes k s = enc inner (k, s) in
+    let middle_bytes =
+      enc
+        (fun w () ->
+          W.string w (inner_bytes k s);
+          W.u8 w 0xAB;
+          W.string w (inner_bytes (k + 1) (s ^ s)))
+        ()
+    in
+    enc
+      (fun w () ->
+        W.varint w (k * 1000);
+        W.string w middle_bytes;
+        W.zigzag w (-k);
+        W.string w (inner_bytes k s))
+      ()
+  in
+  List.iter
+    (fun (k, s) ->
+      let expected = by_hand k s in
+      Alcotest.(check string)
+        (Printf.sprintf "bytes (%d, %d-byte payload)" k (String.length s))
+        expected
+        (W.to_string outer (k, s));
+      Alcotest.(check int) "size" (String.length expected)
+        (W.size outer (k, s)))
+    [ (0, ""); (3, "payload"); (70_000, String.make 200 'x') ]
 
 let () =
   Alcotest.run "wire"
@@ -987,6 +1042,7 @@ let () =
         [
           Alcotest.test_case "edge values" `Quick test_edge_ints;
           Alcotest.test_case "nested prefix widths" `Quick test_nested_widths;
+          Alcotest.test_case "nested to_string" `Quick test_nested_to_string;
           QCheck_alcotest.to_alcotest prop_writers_match;
           QCheck_alcotest.to_alcotest prop_varint_reader_matches;
           QCheck_alcotest.to_alcotest prop_zigzag_reader_matches;

@@ -132,6 +132,41 @@ let test_preload_driver () =
   | Some st -> Alcotest.(check int) "all keys installed" 200 (Kv.cardinal st)
   | None -> Alcotest.fail "no state"
 
+(* [key_name] writes what [Printf.sprintf "key%08d"] does, from one
+   digit to [max_int]'s nineteen. *)
+let test_key_name_edges () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "key_name %d" i)
+        (Printf.sprintf "key%08d" i) (Keys.key_name i))
+    [ 0; 1; 9; 10; 42; 9_999_999; 10_000_000; 99_999_999; 100_000_000;
+      123_456_789_012; max_int ];
+  Alcotest.check_raises "negative index"
+    (Invalid_argument "Keys.key_name: negative index") (fun () ->
+      ignore (Keys.key_name (-1)))
+
+let prop_key_name_matches_sprintf =
+  QCheck.Test.make ~name:"key_name is sprintf key%08d" ~count:1000
+    QCheck.(oneof [ int_range 0 1_000_000_000; map abs int ])
+    (fun i ->
+      i < 0 || String.equal (Keys.key_name i) (Printf.sprintf "key%08d" i))
+
+(* A string of [n] bytes is a header and [(n + 8) / 8] words, and that is
+   all [key_name] allocates. *)
+let test_key_name_allocates_its_result () =
+  let check i =
+    let n = String.length (Keys.key_name i) in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Keys.key_name i));
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "words for key_name %d" i)
+      (float_of_int (1 + ((n + 8) / 8)))
+      words
+  in
+  List.iter check [ 0; 42; 99_999_999; 100_000_000; max_int ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -140,6 +175,10 @@ let () =
           Alcotest.test_case "uniform bounds" `Quick test_uniform_bounds;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "zipf theta=0" `Quick test_zipf_theta_zero_is_uniform;
+          Alcotest.test_case "key_name edges" `Quick test_key_name_edges;
+          QCheck_alcotest.to_alcotest prop_key_name_matches_sprintf;
+          Alcotest.test_case "key_name allocation" `Quick
+            test_key_name_allocates_its_result;
         ] );
       ( "gen",
         [
