@@ -1,5 +1,13 @@
 (** Key-value store state machine — the workhorse application for the
-    benchmarks (stands in for FRAPPE's elastic services). *)
+    benchmarks (stands in for FRAPPE's elastic services).
+
+    A fully persistent hash table by rerooting: the newest version owns
+    one mutable table and each older version is an undo record, so a Put
+    on the newest version allocates its undo record and no path copy.
+    Touching an older version flips the table back to it, one record per
+    write in between (see {!State_machine}).  Snapshots list the keys in
+    sorted order, from a sorted-key cache that only a change to the key
+    set clears. *)
 
 type command =
   | Get of string

@@ -1,9 +1,19 @@
 (** The deterministic state machine every protocol in this repository
     replicates.
 
-    States are persistent (applying a command returns a new state), which
-    keeps replicas cheap to snapshot and lets the linearizability checker
-    branch its search without copying. *)
+    States are persistent: applying a command returns a new state, and
+    every state a caller still holds keeps its meaning, whatever was
+    applied since.  That keeps replicas cheap to snapshot and lets the
+    linearizability checker branch its search without copying.
+
+    Persistence is a contract on the values, not on their layout.  An
+    application may keep one mutable current version and represent every
+    older one as the undo of the writes since ({!Kv} does).  Applying to
+    the current version is then as cheap as a mutable store, while
+    reading, applying to or snapshotting an older version first costs
+    the writes in between, and the older version keeps those writes'
+    undo records alive.  A caller that uses its states linearly, as the
+    composition layer does, never pays that. *)
 
 module type S = sig
   type t

@@ -125,16 +125,13 @@ let clear_ack lead i =
   if k >= 0 && k < Array.length lead.acks then lead.acks.(k) <- 0
 
 (* Room for slot [i] (at or above [acks_lo]): slide the window past its
-   leading committed slots below [i] with no entry, and double it when
-   that leaves it more than half full. *)
+   leading committed slots below [i], whatever their mask, and double it
+   when that leaves it more than half full. *)
 let make_room lead log i =
   let n = Array.length lead.acks in
   let d = ref 0 in
   while
-    !d < n
-    && lead.acks_lo + !d < i
-    && lead.acks.(!d) = 0
-    && Log.is_committed log (lead.acks_lo + !d)
+    !d < n && lead.acks_lo + !d < i && Log.is_committed log (lead.acks_lo + !d)
   do
     incr d
   done;
@@ -590,6 +587,11 @@ let on_learn_req t ~src from_index =
 let on_learn_rsp t entries commit_index =
   t.learn_inflight <- false;
   List.iter (fun (i, kind) -> Log.set_committed t.log i kind) entries;
+  (* A new leader may hold an ack entry for a slot the response commits;
+     the slot needs no more acks. *)
+  (match t.role with
+   | R_leader lead -> List.iter (fun (i, _) -> clear_ack lead i) entries
+   | R_follower | R_candidate _ -> ());
   if commit_index > t.known_committed then t.known_committed <- commit_index;
   deliver t;
   if Log.committed_prefix t.log < t.known_committed then request_learn t

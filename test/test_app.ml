@@ -126,8 +126,8 @@ let prop_kv_snapshot_roundtrip =
         List.fold_left (fun t c -> fst (Kv.apply t c)) (Kv.init ()) cmds
       in
       let restored = Kv.restore (Kv.snapshot final) in
-      (* States agree iff every key matches; compare via snapshots which are
-         canonically ordered by Map iteration. *)
+      (* States agree iff every key matches; compare via snapshots, which
+         list the keys in sorted order. *)
       Kv.snapshot restored = Kv.snapshot final)
 
 let prop_kv_apply_deterministic =
@@ -144,6 +144,173 @@ let prop_kv_apply_deterministic =
       in
       let _, r1 = run () and _, r2 = run () in
       r1 = r2)
+
+(* --- kv against the Map model --- *)
+
+module Model = Kv_model
+
+(* The keys [kv_command_gen] draws from. *)
+let gen_keys = List.init 21 (Printf.sprintf "k%d")
+
+(* One version of the store and of the model agree: every key of the
+   generator's key space, the key count and the snapshot bytes. *)
+let agrees t m =
+  List.for_all (fun k -> Kv.find t k = Model.find m k) gen_keys
+  && Kv.cardinal t = Model.cardinal m
+  && String.equal (Kv.snapshot t) (Model.snapshot m)
+
+(* A random version tree: each step applies a command to a random earlier
+   version (rerooting the table to it), and the response must be the
+   model's.  Afterwards every version, visited in a second random order,
+   must still equal its model. *)
+let prop_kv_version_tree =
+  QCheck.Test.make ~name:"kv version tree matches the Map model" ~count:300
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 60)
+           (pair (int_bound 1000) (QCheck.make kv_command_gen)))
+        (list_of_size (Gen.int_range 0 30) (int_bound 1000)))
+    (fun (steps, visits) ->
+      let versions = ref [| (Kv.init (), Model.init ()) |] in
+      let responses_agree =
+        List.for_all
+          (fun (pick, cmd) ->
+            let vs = !versions in
+            let t, m = vs.(pick mod Array.length vs) in
+            let t', r = Kv.apply t cmd in
+            let m', r' = Model.apply m cmd in
+            versions := Array.append vs [| (t', m') |];
+            Kv.equal_response r r' && agrees t m)
+          steps
+      in
+      let vs = !versions in
+      responses_agree
+      && List.for_all
+           (fun pick ->
+             let t, m = vs.(pick mod Array.length vs) in
+             agrees t m)
+           visits
+      && Array.for_all (fun (t, m) -> agrees t m) vs)
+
+let kv_of cmds = List.fold_left (fun t c -> fst (Kv.apply t c)) (Kv.init ()) cmds
+
+let model_of cmds =
+  List.fold_left (fun m c -> fst (Model.apply m c)) (Model.init ()) cmds
+
+let check_snapshot what t m =
+  Alcotest.(check string) what (Model.snapshot m) (Kv.snapshot t)
+
+(* The sorted-key cache follows the key set: a new key or a delete after a
+   snapshot, an overwrite (which keeps the cache), and a step back to a
+   version with fewer keys. *)
+let test_kv_sorted_key_cache () =
+  let base = [ Kv.Put ("m", "1"); Kv.Put ("c", "2"); Kv.Put ("x", "3") ] in
+  let t = kv_of base and m = model_of base in
+  check_snapshot "base" t m;
+  let t1, _ = Kv.apply t (Kv.Put ("a", "4")) in
+  let m1, _ = Model.apply m (Kv.Put ("a", "4")) in
+  check_snapshot "new key after a snapshot" t1 m1;
+  let t2, _ = Kv.apply t1 (Kv.Put ("c", "5")) in
+  let m2, _ = Model.apply m1 (Kv.Put ("c", "5")) in
+  check_snapshot "overwrite" t2 m2;
+  let t3, _ = Kv.apply t2 (Kv.Delete "m") in
+  let m3, _ = Model.apply m2 (Kv.Delete "m") in
+  check_snapshot "delete after a snapshot" t3 m3;
+  check_snapshot "back to the base version" t m;
+  check_snapshot "forward again" t3 m3;
+  check_snapshot "one step back" t2 m2
+
+(* Snapshot bytes written by hand: [restore] keeps the last binding of a
+   duplicate key, and the next snapshot is sorted whatever order the
+   restored bytes had. *)
+let raw_snapshot pairs =
+  Codec.Writer.to_string
+    (fun w pairs ->
+      Codec.Writer.varint w (List.length pairs);
+      List.iter
+        (fun (k, v) ->
+          Codec.Writer.string w k;
+          Codec.Writer.string w v)
+        pairs)
+    pairs
+
+let test_kv_restore_unsorted () =
+  let restore_both what pairs =
+    let bytes = raw_snapshot pairs in
+    let t = Kv.restore bytes and m = Model.restore bytes in
+    Alcotest.(check int) (what ^ ": cardinal") (Model.cardinal m) (Kv.cardinal t);
+    List.iter
+      (fun (k, _) ->
+        Alcotest.(check (option string)) (what ^ ": " ^ k) (Model.find m k)
+          (Kv.find t k))
+      pairs;
+    check_snapshot what t m;
+    let t', _ = Kv.apply t (Kv.Put ("b", "new")) in
+    let m', _ = Model.apply m (Kv.Put ("b", "new")) in
+    check_snapshot (what ^ ", then a new key") t' m'
+  in
+  restore_both "sorted" [ ("a", "1"); ("c", "2"); ("d", "3") ];
+  restore_both "unsorted" [ ("d", "1"); ("a", "2"); ("c", "3") ];
+  restore_both "duplicate" [ ("a", "1"); ("c", "2"); ("a", "3") ];
+  restore_both "adjacent duplicate" [ ("a", "1"); ("a", "2"); ("c", "3") ];
+  restore_both "empty" []
+
+(* A version 200,000 writes behind the current one is still itself: reading
+   it flips the table back through every undo record in between, and
+   reading the newest version flips it forward again. *)
+let test_kv_long_reroot () =
+  let t0 = kv_of [ Kv.Put ("a", "0") ] in
+  let t = ref t0 in
+  for i = 1 to 200_000 do
+    t := fst (Kv.apply !t (Kv.Put (Printf.sprintf "k%d" (i mod 1000), "v")))
+  done;
+  Alcotest.(check int) "old version" 1 (Kv.cardinal t0);
+  Alcotest.(check int) "newest version" 1001 (Kv.cardinal !t)
+
+(* Minor-heap words per call of [f], over many calls.  Gc.minor_words is
+   unboxed in native code, so the probe itself allocates nothing. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let string_words n = 1 + ((n + 8) / 8)
+
+(* A Put on the newest version of a 1,000-key store is one undo record,
+   one version handle and the result pair; it copies no path. *)
+let test_kv_put_allocation () =
+  let n = 1000 in
+  let names = Array.init n (Printf.sprintf "key%04d") in
+  let t = ref (kv_of (Array.to_list (Array.map (fun k -> Kv.Put (k, "v0")) names))) in
+  let puts = Array.map (fun k -> Kv.Put (k, "v1")) names in
+  let words =
+    words_per_call n (fun i ->
+        let t', r = Kv.apply !t puts.(i - 1) in
+        t := t';
+        r)
+  in
+  Alcotest.(check int) "still 1,000 keys" n (Kv.cardinal !t);
+  if words > 16. then
+    Alcotest.failf "a Put on a 1,000-key store allocates %.1f words (> 16)" words
+
+(* With the key set unchanged since the last snapshot, a snapshot is the
+   result string alone; a reply without a payload is a shared string. *)
+let test_kv_snapshot_allocation () =
+  let t = kv_of (List.init 20 (fun i -> Kv.Put (Printf.sprintf "k%02d" i, "v"))) in
+  let t, _ = Kv.apply t (Kv.Put ("k05", "w")) in
+  let size = String.length (Kv.snapshot t) in
+  Alcotest.(check (float 0.)) "snapshot words"
+    (float_of_int (string_words size))
+    (words_per_call 100 (fun _ -> Kv.snapshot t));
+  List.iter
+    (fun r ->
+      Alcotest.(check (float 0.))
+        (Format.asprintf "%a" Kv.pp_response r)
+        0.
+        (words_per_call 100 (fun _ -> Kv.encode_response r)))
+    [ Kv.Ok; Kv.Value None; Kv.Cas_result true; Kv.Cas_result false ]
 
 (* --- counter --- *)
 
@@ -263,6 +430,21 @@ let () =
           QCheck_alcotest.to_alcotest prop_kv_command_roundtrip;
           QCheck_alcotest.to_alcotest prop_kv_snapshot_roundtrip;
           QCheck_alcotest.to_alcotest prop_kv_apply_deterministic;
+        ] );
+      ( "kv model",
+        [
+          QCheck_alcotest.to_alcotest prop_kv_version_tree;
+          Alcotest.test_case "sorted-key cache" `Quick test_kv_sorted_key_cache;
+          Alcotest.test_case "restore unsorted or duplicate keys" `Quick
+            test_kv_restore_unsorted;
+          Alcotest.test_case "long reroot" `Quick test_kv_long_reroot;
+        ] );
+      ( "kv allocation",
+        [
+          Alcotest.test_case "put on a 1,000-key store" `Quick
+            test_kv_put_allocation;
+          Alcotest.test_case "snapshot and shared replies" `Quick
+            test_kv_snapshot_allocation;
         ] );
       ("counter", [ Alcotest.test_case "semantics" `Quick test_counter ]);
       ( "bank",

@@ -918,9 +918,11 @@ let test_vr_non_member_start_view () =
   Alcotest.(check int) "still view 0" 0 (Vr.view r)
 
 (* A Learn response that reaches a replica after it took over commits a
-   slot whose ack entry the new leader holds; the entry outlives the
-   commit and is part of the fingerprint.  The digest was recorded with
-   the slot-record log and the per-slot ack sets. *)
+   slot whose ack entry the new leader holds.  The response clears the
+   entry, so the fingerprint lists only slot 3's open entry.  The digest
+   was first recorded with the slot-record log and the per-slot ack sets,
+   where the entry outlived the commit; it was re-recorded when the learn
+   path began to clear it (the one change to these bytes). *)
 let test_late_learn_fingerprint () =
   let r, _ = lone_follower () in
   Replica.handle r ~src:0
@@ -946,7 +948,7 @@ let test_late_learn_fingerprint () =
   Replica.handle r ~src:2 (Msg.Accepted { ballot = b1; index = 2 });
   Replica.submit_many r [ "d" ];
   Alcotest.(check int) "commit index" 3 (Replica.commit_index r);
-  Alcotest.(check string) "fingerprint digest" "6d2d037b48489566"
+  Alcotest.(check string) "fingerprint digest" "b9f5563b071f28ec"
     (Rsmr_sim.Fnv.to_hex (Rsmr_sim.Fnv.hash (Replica.fingerprint r)))
 
 (* Halting stops the replica without touching what it decided:

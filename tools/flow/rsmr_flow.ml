@@ -15,7 +15,8 @@
      nondeterminism  reaches the host wall clock (Unix.gettimeofday,
                      Unix.time, Sys.time), the ambient stdlib PRNG
                      (the Random module outside Random.State), unordered
-                     hash-table iteration (Hashtbl.iter/fold/to_seq), host
+                     hash-table iteration (Hashtbl.iter/fold/to_seq, also
+                     through a Hashtbl.Make instance), host
                      environment reads (Sys.getenv), physical equality
                      (==/!=) or Marshal.
      may-raise       reaches failwith, a raise of an exception not
@@ -50,7 +51,9 @@
    - a try/with masks may-raise effects arising anywhere under its body,
      whatever it actually catches (under); nondeterminism is never masked;
    - Map/Set functor instances are opaque (under): their partial [find]
-     is not tracked. *)
+     is not tracked.  A Hashtbl.Make/MakeSeeded instance is not: it
+     resolves as Hashtbl (tools/tt), so its iter/fold/to_seq* are
+     nondeterministic and its find may raise. *)
 
 module T = Typedtree
 module Diag = Rsmr_diag.Diag
@@ -218,6 +221,10 @@ let analyze_body env node (body : T.expression) =
         (* re-raise of a variable or computed exception *)
         note_effect Raise "raise" e.T.exp_loc;
         self.Tast_iterator.expr self arg)
+    | T.Texp_letmodule (id, _, _, me, body) ->
+      register_letmodule env id me;
+      self.Tast_iterator.module_expr self me;
+      self.Tast_iterator.expr self body
     | T.Texp_try (body, handlers) ->
       (* Assume the handlers cover whatever the body raises: may-raise is
          masked under a try, nondeterminism never is. *)

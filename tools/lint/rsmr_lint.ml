@@ -6,7 +6,9 @@
    R1 determinism
      [hashtbl-iteration]  no [Hashtbl.iter]/[Hashtbl.fold] in protocol
                           libraries (lib/smr, lib/baselines, lib/core,
-                          lib/client): bucket order is a function of
+                          lib/client), nor [iter]/[fold] of a module the
+                          file binds to [Hashtbl.Make (...)] or
+                          [Hashtbl.MakeSeeded (...)]: bucket order is a function of
                           insertion history and must not reach message,
                           commit or log order.  Use
                           [Rsmr_sim.Stable.iter_sorted]/[fold_sorted], or
@@ -101,6 +103,8 @@ type ctx = {
   cfg : config;
   suppressions : (int, string list) Hashtbl.t; (* line -> tokens *)
   toplevel : (string, unit) Hashtbl.t; (* top-level value names *)
+  hashtbl_modules : (string, unit) Hashtbl.t;
+      (* modules bound to Hashtbl.Make (...) or Hashtbl.MakeSeeded (...) *)
 }
 
 let suppressed ctx rule line =
@@ -379,6 +383,16 @@ let check_expression ctx (e : P.expression) =
             with (* lint: order-insensitive *)"
            f
            (if f = "iter" then "iter" else "fold"))
+    | [ m; f ]
+      when ctx.protocol
+           && Hashtbl.mem ctx.hashtbl_modules m
+           && List.mem f hashtbl_iterators ->
+      flag ctx ~loc "hashtbl-iteration"
+        (Printf.sprintf
+           "%s.%s in a protocol library: %s is a Hashtbl functor instance, \
+            whose bucket order is nondeterministic; walk sorted keys or \
+            annotate with (* lint: order-insensitive *)"
+           m f m)
     | [ "Hashtbl"; f ] when ctx.state_scope && List.mem f structural_hashers ->
       flag ctx ~loc "state-hash"
         (Printf.sprintf
@@ -433,6 +447,37 @@ let check_expression ctx (e : P.expression) =
             dedicated equal_*/compare_* function"
            op)
   | _ -> ()
+
+(* The names a file binds to an application of the stdlib's hash-table
+   functors, at any depth ([module T = Hashtbl.Make (K)], or a local
+   [let module]).  Name-based, like the rest of this lint. *)
+let hashtbl_modules_of structure =
+  let acc = Hashtbl.create 4 in
+  let note (name : string option Location.loc) (me : P.module_expr) =
+    match (name.txt, me.pmod_desc) with
+    | Some n, P.Pmod_apply ({ pmod_desc = P.Pmod_ident { txt; _ }; _ }, _) -> (
+      match strip_stdlib (Longident.flatten txt) with
+      | [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> Hashtbl.replace acc n ()
+      | _ -> ())
+    | _ -> ()
+  in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          note mb.pmb_name mb.pmb_expr;
+          Ast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+           | P.Pexp_letmodule (name, me, _) -> note name me
+           | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it structure;
+  acc
 
 let check_decode_body ctx (body : P.expression) =
   let it =
@@ -524,6 +569,7 @@ let scan_ml ~cfg ~scope_all ~root relpath =
       cfg;
       suppressions = scan_suppressions src;
       toplevel = Hashtbl.create 32;
+      hashtbl_modules = Hashtbl.create 4;
     }
   in
   match
@@ -547,6 +593,9 @@ let scan_ml ~cfg ~scope_all ~root relpath =
     Hashtbl.iter
       (fun name _ -> Hashtbl.replace ctx.toplevel name ())
       (toplevel_values structure);
+    Hashtbl.iter
+      (fun name () -> Hashtbl.replace ctx.hashtbl_modules name ())
+      (hashtbl_modules_of structure);
     (* codec cross-check *)
     (match codec_of_structure relpath structure with
      | Some codec -> check_codec ctx codec

@@ -172,6 +172,21 @@ let case_info (c : _ T.case) =
 
 (* ---------- lifting ------------------------------------------------ *)
 
+(* Top-level constants an encoder built ([let ok = Writer.to_string
+   write Ok]), by key: a match case that returns one returns that
+   encoder's bytes, as a [to_string] call in its place would. *)
+let constants : (string, Shape.t list) Hashtbl.t = Hashtbl.create 16
+
+let case_result st (e : T.expression) =
+  match e.T.exp_desc with
+  | T.Texp_ident (path, _, _) -> (
+    match Tt.resolve_value st.env path with
+    | Some key when Hashtbl.mem constants key ->
+      st.used_writer <- true;
+      Hashtbl.find constants key
+    | Some _ | None -> [])
+  | _ -> []
+
 let rec lift st (e : T.expression) : Shape.t list =
   match e.T.exp_desc with
   | T.Texp_ident _ | T.Texp_constant _ | T.Texp_unreachable -> []
@@ -623,7 +638,7 @@ and build_match st ~loc ~scrut_items (infos : case_info list) partial =
       let cases =
         List.concat_map
           (fun ci ->
-            let items = lift st ci.ci_rhs in
+            let items = lift st ci.ci_rhs @ case_result st ci.ci_rhs in
             let labels =
               List.filter_map
                 (function
@@ -691,7 +706,10 @@ let lift_binding ~note ~env ~key (vb : T.value_binding) =
   in
   let items = lift_fn_body st vb.T.vb_expr in
   if items = [] || not (st.used_writer || st.used_reader) then None
-  else
+  else begin
+    (match vb.T.vb_expr.T.exp_desc with
+     | T.Texp_function _ -> ()
+     | _ -> if not st.used_reader then Hashtbl.replace constants key items);
     let codec_name =
       List.find_map
         (fun a ->
@@ -709,3 +727,4 @@ let lift_binding ~note ~env ~key (vb : T.value_binding) =
         b_codec_name = codec_name;
         b_oneway = Tt.has_attr "rsmr.codec.oneway" vb.T.vb_attributes;
       }
+  end

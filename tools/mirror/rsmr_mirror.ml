@@ -17,7 +17,10 @@
    - per-constructor shape equality up to the zero-copy equivalences
      (Writer.string ~ Reader.string/framed, Writer.nested Sub.write ~
      Reader.framed r Sub.read), with the shortest divergence witness
-     per mismatch; [Writer.to_string f v] is the body of [f], unframed
+     per mismatch; [Writer.to_string f v] is the body of [f], unframed,
+     and so is a match case that returns a top-level constant built that
+     way (a shared encoding); a constructor dispatch whose cases all lift
+     to the same bytes is those bytes
                                                          [mirror-shape]
    - encoder tag set = decoder dispatched tag set, no duplicates on
      either side                                           [mirror-tag]

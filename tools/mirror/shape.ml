@@ -90,17 +90,16 @@ and norm1 = function
     | [] -> []
     | a :: rest when List.for_all (fun b -> b = a) rest -> a
     | alts -> [ Branch alts ])
-  | Switch
-      {
-        sw_tag = None;
-        sw_cases = [ ({ c_tag = None; _ } as c) ];
-        sw_default = No_default;
-      }
-    when (match normalize c.c_items with Const _ :: _ -> false | _ -> true)
-    ->
-    (* single-constructor dispatch carries no information on the wire —
-       unless the case still writes a tag byte, which must stay a
-       switch for tag-set checking *)
+  | Switch { sw_tag = None; sw_cases = c :: rest; sw_default = No_default }
+    when List.for_all (fun c' -> c'.c_tag = None) (c :: rest)
+         &&
+         let items = normalize c.c_items in
+         (match items with Const _ :: _ -> false | _ -> true)
+         && List.for_all (fun c' -> normalize c'.c_items = items) rest ->
+    (* a constructor dispatch whose cases all write the same bytes (a
+       single constructor, or shared constant encodings) carries no
+       information on the wire — unless the cases still write a tag
+       byte, which must stay a switch for tag-set checking *)
     normalize c.c_items
   | Switch sw ->
     [
