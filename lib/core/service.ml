@@ -83,39 +83,6 @@ let epoch_audit stats =
              to index %d (digest %s, witnessed %s)"
             n s.es_epoch s.es_applied_hi (Fnv.to_hex d) (Fnv.to_hex d0)))
 
-(* Retry period for an unanswered snapshot fetch, seconds. *)
-let fetch_timeout = 0.25
-
-(* A configuration's leader from boot (ballot 0, view 0): its lowest id. *)
-let boot_leader members = List.nth_opt (List.sort Node_id.compare members) 0
-
-(* The donors a host asks for its transfer into a configuration of
-   [members], in order: the previous members but the host.  Under load
-   the new configuration's {!boot_leader} has the busiest uplink, and
-   control traffic goes before chunks there, so a snapshot from it can
-   stall past [fetch_timeout] and be asked for twice.  It is asked
-   last. *)
-let donor_order ~me ~members ~prev_members =
-  let others = List.filter (fun m -> not (Node_id.equal m me)) prev_members in
-  match boot_leader members with
-  | Some leader ->
-    let last, first = List.partition (Node_id.equal leader) others in
-    first @ last
-  | None -> others
-
-(* The donor a host asks after [asked] earlier requests.  Staggering the
-   start by the host's identity makes concurrent joiners pull from
-   different old members instead of all melting one uplink. *)
-let nth_donor ~me donors asked =
-  match donors with
-  | [] -> None
-  | _ -> List.nth_opt donors ((me + asked) mod List.length donors)
-
-(* The donor [joiner]'s fetch asks first: under push, the one member of
-   the previous configuration that sends it the snapshot unasked. *)
-let first_donor ~joiner ~members ~prev_members =
-  nth_donor ~me:joiner (donor_order ~me:joiner ~members ~prev_members) 0
-
 (* Most block messages an instance holds for a replica that has not
    started; later ones are dropped. *)
 let early_cap = 64
@@ -194,11 +161,11 @@ struct
      [t.opts.Options.strategy] ({!Rsmr_iface.Reconfig_strategy}): the
      stage sequence wedge → bootstrap → state transfer → directory
      publish → handoff → residual re-submission is fixed, and the
-     strategy value picks a policy per stage.  The driver reads the
-     strategy's [transfer], [handoff] and [residuals] fields directly; [composed]
-     (the paper's default) keeps every code path bit-for-bit identical
-     to the historical hard-wired sequence.  The client-facing edge
-     (directory node, client endpoints, admin session) is {!Front}. *)
+     strategy value picks a policy per stage.  {!Transfer} reads the
+     [transfer] field and owns the state-transfer policy; [Make_on]
+     reads [handoff] and [residuals] and carries out {!Transfer}'s
+     effects.  The client-facing edge (directory node, client endpoints,
+     admin session) is {!Front}. *)
 
   type app_state = Sm.t
   type instance = {
@@ -236,30 +203,12 @@ struct
     sc_residuals : int ref;
   }
 
-  (* A host's transfer into one epoch: who asked before the previous epoch
-     wedged here, then the committed members and the wedge-point state. *)
-  type donation =
-    | Asked of Node_id.t list (* newest first *)
-    | Ready of { members : Node_id.t list; snapshot : string }
-
-  (* The same transfer from the joiner's side, until its epoch activates
-     or retires.  Pushed chunks may start it before the epoch has an
-     instance; the instance then takes it over ({!await_state}). *)
-  type fetch = {
-    mutable donors : Node_id.t list;
-        (* {!donor_order}; [] until an instance takes the transfer over *)
-    mutable chunks : string option array;
-    mutable chunks_got : int;
-    mutable timer : Engine.timer option; (* armed only under an instance *)
-    mutable rr : int; (* donors asked so far, counting a push as one *)
-  }
-
   type host = {
     me : Node_id.t;
     instances : (int, instance) Hashtbl.t; (* live epochs only *)
     retired : (int, epoch_stat) Hashtbl.t; (* never created again *)
-    transfers : (int, donation) Hashtbl.t;
-    fetches : (int, fetch) Hashtbl.t;
+    mutable transfer : Transfer.t;
+    fetch_timers : (int, Engine.timer) Hashtbl.t; (* {!Transfer.Arm_timer} *)
     mutable top_epoch : int;
     mutable latest_members : Node_id.t list;
   }
@@ -439,6 +388,12 @@ struct
       (client, seq)
     | Envelope.Drain -> (-1, -1) (* never traced: dispatch diverts it *)
 
+  (* The new value goes in first: an [Install] re-enters ({!activate}). *)
+  let transfer_step host input =
+    let tr, effects = Transfer.step host.transfer input in
+    host.transfer <- tr;
+    effects
+
   (* [value] is the envelope's wire bytes (what the block ordered); it is
      decoded exactly once here, an [App]'s command included, and threaded
      alongside [env] so the applied-digest chain and residual
@@ -523,12 +478,12 @@ struct
         () (* a retired epoch orders nothing more *)
       | None -> (
         (* This host is not in the next configuration: forward the whole
-           residual batch as one static message to its {!boot_leader},
+           residual batch as one static message to its {!Transfer.boot_leader},
            usually the leader, which routes it onward; the Bootstrap sent
            on the same link at wedge time has created its instance before
            this arrives (a member that knows that leader could forward the
            batch to it before it exists). *)
-        match boot_leader inst.next_members with
+        match Transfer.boot_leader inst.next_members with
         | Some dst ->
           let msg =
             match values with
@@ -628,23 +583,18 @@ struct
         host.top_epoch <- new_epoch;
         host.latest_members <- members'
       end;
-      (* Anyone who asked for this snapshot before we wedged.  Only the
-         committed configuration's members are served. *)
-      let served =
-        match Hashtbl.find_opt host.transfers new_epoch with
-        | Some (Asked waiting) ->
-          List.filter
-            (fun dst -> List.exists (Node_id.equal dst) members')
-            waiting
-        | Some (Ready _) | None -> []
+      (* Serve the parked fetches, tell the new configuration and the
+         directory that it exists, then push.  The closures capture no
+         instance: the host drops it when it retires. *)
+      let pushes, serves =
+        transfer_step host
+          (Transfer.Wedged
+             { epoch = new_epoch; members = members'; prev_members = members; snapshot })
+        |> List.partition (function
+             | Transfer.Send_snapshot { push; _ } -> push
+             | Transfer.(Send_fetch _ | Arm_timer _ | Cancel_timer _ | Install _) -> false)
       in
-      List.iter
-        (fun dst -> send_snapshot t host ~dst ~epoch:new_epoch snapshot)
-        served;
-      Hashtbl.replace host.transfers new_epoch
-        (Ready { members = members'; snapshot });
-      (* Tell the new configuration and the directory that it exists.  The
-         closures capture no instance: the host drops it when it retires. *)
+      List.iter (perform t host) serves;
       let bootstrap_members () =
         List.iter
           (fun m ->
@@ -662,19 +612,7 @@ struct
           (Wire.Dir_update { epoch = new_epoch; members = members'; leader = None })
       in
       bootstrap_members ();
-      (* Push: each joiner gets the snapshot, unasked, from the donor its
-         own fetch would ask first, right after the [Bootstrap] that
-         creates its instance. *)
-      if t.opts.Options.strategy.Strategy.transfer = `Push then
-        List.iter
-          (fun dst ->
-            if
-              (not (List.exists (Node_id.equal dst) members))
-              && (not (List.exists (Node_id.equal dst) served))
-              && first_donor ~joiner:dst ~members:members' ~prev_members:members
-                 = Some host.me
-            then send_snapshot t host ~dst ~epoch:new_epoch snapshot)
-          members';
+      List.iter (perform t host) pushes;
       (* The leader drains the instance before it halts ({!drained}).  The
          barrier goes in from a fresh engine step, not from inside the
          block's decide callback. *)
@@ -764,7 +702,9 @@ struct
           concurrently with state transfer. *)
        if t.opts.Options.strategy.Strategy.handoff = `Speculative then
          start_replica t host inst;
-       await_state t host inst ~prev_members);
+       transfer t host
+         (Transfer.Awaiting { epoch; members; prev_members;
+            prev_live = Hashtbl.mem host.instances (epoch - 1) }));
     inst
 
   and start_replica t host inst =
@@ -791,104 +731,15 @@ struct
       List.iter (fun (src, data) -> Replica.handle replica ~src (B.Msg.decode data)) early
     end
 
-  and fetch_record host epoch =
-    match Hashtbl.find_opt host.fetches epoch with
-    | Some f -> f
-    | None ->
-      let f =
-        { donors = []; chunks = [||]; chunks_got = 0; timer = None; rr = 0 }
-      in
-      Hashtbl.replace host.fetches epoch f;
-      f
-
-  and drop_fetch t host epoch =
-    match Hashtbl.find_opt host.fetches epoch with
-    | Some f ->
-      f.timer <- Engine.cancel_opt t.engine f.timer;
-      Hashtbl.remove host.fetches epoch
-    | None -> ()
-
-  (* Only a member new to the configuration gets the wedge-point state
-     over the network.  A host still running the previous epoch's
-     instance gets it from its own wedge ({!wedge}'s local handoff), so it
-     fetches only if that instance retires unwedged ({!remove_instance})
-     or no wedge has activated it within one [fetch_timeout].  Under
-     push a joiner does not ask: its first-choice donor sends the state
-     at the wedge, so the instance takes that transfer over, chunks
-     already received included, and asks the next donor only after one
-     [fetch_timeout] with no chunk.  (A member of the previous
-     configuration is pushed nothing, so one whose old instance retired
-     unwedged asks at once.) *)
-  and await_state t host inst ~prev_members =
-    let f = fetch_record host inst.epoch in
-    f.donors <-
-      donor_order ~me:host.me ~members:inst.cfg.Config.members ~prev_members;
-    try_install t host inst f;
-    if not inst.activated then
-      if Hashtbl.mem host.instances (inst.epoch - 1) then
-        arm_fetch_timer t host inst.epoch f
-      else if
-        t.opts.Options.strategy.Strategy.transfer = `Push
-        && not (List.exists (Node_id.equal host.me) prev_members)
-      then begin
-        f.rr <- 1;
-        arm_fetch_timer t host inst.epoch f
-      end
-      else start_fetch t host inst.epoch f
-
-  (* (Re-)start the fetch clock: the next donor is asked only after a
-     whole [fetch_timeout] with no chunk arriving ({!handle_chunk}). *)
-  and arm_fetch_timer t host epoch f =
-    f.timer <- Engine.cancel_opt t.engine f.timer;
-    f.timer <-
-      Some
-        (Engine.schedule t.engine ~delay:fetch_timeout (fun () ->
-             start_fetch t host epoch f))
-
-  and start_fetch t host epoch f =
-    match nth_donor ~me:host.me f.donors f.rr with
-    | None -> ()
-    | Some dst ->
-      f.rr <- f.rr + 1;
-      if Trace.active t.bus then
-        Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
-          ~topic:`Reconfig
-          ~attrs:
-            [
-              ("epoch", string_of_int epoch);
-              ("donor", string_of_int dst);
-              ("strategy", t.opts.Options.strategy.Strategy.name);
-            ]
-          "fetch";
-      send t ~src:host.me ~dst (Wire.Fetch_state { epoch });
-      arm_fetch_timer t host epoch f
-
-  and remove_instance t host inst =
+  (* A retired epoch is data: its audit record, plus what the host
+     donated into it ({!Transfer}). *)
+  and retire_instance t host inst =
     Hashtbl.remove host.instances inst.epoch;
     Option.iter Replica.halt inst.replica;
-    drop_fetch t host inst.epoch;
-    (* Gone before its wedge (it lagged, then got [Retire]): no local
-       handoff is coming, so a next instance waiting for one fetches now.
-       [rr = 0] means it has not asked anyone yet. *)
-    if inst.wedged_at = None then
-      match Hashtbl.find_opt host.fetches (inst.epoch + 1) with
-      | Some f when f.rr = 0 && Hashtbl.mem host.instances (inst.epoch + 1) ->
-        start_fetch t host (inst.epoch + 1) f
-      | Some _ | None -> ()
-
-  (* A retired epoch is data: its audit record, plus what the host
-     donated into it and out of it.  Retiring epoch [x] drops every
-     donation keyed [< x].  A joiner of such an epoch that has not
-     activated is retired by its own epoch's [Retire], fetches a later
-     snapshot, or asks a donor that left earlier and so still holds it.
-     The donation into [x] stays: a member of [x] that missed all of it
-     may still ask for it after [x] drains. *)
-  and retire_instance t host inst =
-    remove_instance t host inst;
     Hashtbl.replace host.retired inst.epoch (epoch_stat inst ~retired:true);
-    List.iter
-      (fun e -> if e < inst.epoch then Hashtbl.remove host.transfers e)
-      (Stable.sorted_keys ~compare:Int.compare host.transfers)
+    transfer t host
+      (Transfer.Retired { epoch = inst.epoch; wedged = inst.wedged_at <> None;
+          next_live = Hashtbl.mem host.instances (inst.epoch + 1) })
 
   and activate t host inst ~app ~sessions ~local =
     if not inst.activated then begin
@@ -908,7 +759,7 @@ struct
               ("strategy", t.opts.Options.strategy.Strategy.name);
             ]
           "activated";
-      drop_fetch t host inst.epoch;
+      transfer t host (Transfer.Activated inst.epoch);
       if inst.replica = None then start_replica t host inst;
       (* Execute everything the speculative instance ordered while the
          snapshot was in flight, in log order.  Sort by slot index only:
@@ -925,28 +776,47 @@ struct
       announce_poll t host inst.epoch
     end
 
-  and send_snapshot t host ~dst ~epoch snapshot =
-    let pieces = Snapshot.chunk snapshot ~size:Snapshot.chunk_bytes in
-    let total = List.length pieces in
-    List.iteri
-      (fun index data ->
-        incr (Obs.scope_counter t.svc "chunks_sent");
-        let bytes = Obs.scope_counter t.svc "transfer_bytes" in
-        bytes := !bytes + String.length data;
-        send t ~src:host.me ~dst (Wire.State_chunk { epoch; index; total; data }))
-      pieces
+  and transfer t host input = List.iter (perform t host) (transfer_step host input)
 
-  (* Handoff: install the assembled snapshot once every chunk is here. *)
-  and try_install t host inst f =
-    let total = Array.length f.chunks in
-    if total > 0 && f.chunks_got = total then begin
-      (* chunks_got = total implies every cell is filled, so the
-         filter_map drops nothing. *)
-      let pieces = Array.to_list f.chunks |> List.filter_map Fun.id in
-      let snapshot = Snapshot.decode (Snapshot.assemble pieces) in
-      activate t host inst ~app:(Sm.restore snapshot.Snapshot.app)
-        ~sessions:(Session.decode snapshot.Snapshot.sessions) ~local:false
-    end
+  and perform t host = function
+    | Transfer.Send_snapshot { dst; epoch; snapshot; push = _ } ->
+      let pieces = Snapshot.chunk snapshot ~size:Snapshot.chunk_bytes in
+      let total = List.length pieces in
+      List.iteri
+        (fun index data ->
+          incr (Obs.scope_counter t.svc "chunks_sent");
+          let bytes = Obs.scope_counter t.svc "transfer_bytes" in
+          bytes := !bytes + String.length data;
+          send t ~src:host.me ~dst (Wire.State_chunk { epoch; index; total; data }))
+        pieces
+    | Transfer.Send_fetch { dst; epoch } ->
+      if Trace.active t.bus then
+        Trace.emit t.bus ~time:(Engine.now t.engine) ~node:host.me
+          ~topic:`Reconfig
+          ~attrs:
+            [
+              ("epoch", string_of_int epoch);
+              ("donor", string_of_int dst);
+              ("strategy", t.opts.Options.strategy.Strategy.name);
+            ]
+          "fetch";
+      send t ~src:host.me ~dst (Wire.Fetch_state { epoch })
+    | Transfer.Arm_timer epoch ->
+      perform t host (Transfer.Cancel_timer epoch);
+      Hashtbl.replace host.fetch_timers epoch
+        (Engine.schedule t.engine ~delay:Transfer.fetch_timeout (fun () ->
+             transfer t host (Transfer.Timer epoch)))
+    | Transfer.Cancel_timer epoch ->
+      Option.iter (Engine.cancel t.engine)
+        (Hashtbl.find_opt host.fetch_timers epoch);
+      Hashtbl.remove host.fetch_timers epoch
+    | Transfer.Install { epoch; snapshot } ->
+      Option.iter
+        (fun inst ->
+          let snapshot = Snapshot.decode snapshot in
+          activate t host inst ~app:(Sm.restore snapshot.Snapshot.app)
+            ~sessions:(Session.decode snapshot.Snapshot.sessions) ~local:false)
+        (Hashtbl.find_opt host.instances epoch)
 
   (* --- wire handlers --- *)
 
@@ -959,51 +829,6 @@ struct
       && (not (Hashtbl.mem host.retired epoch))
       && not (Hashtbl.mem host.instances epoch)
     then ignore (create_instance t host ~epoch ~members ~boot:(`Await prev_members))
-
-  let handle_fetch t host ~src ~epoch =
-    match Hashtbl.find_opt host.transfers epoch with
-    | Some (Ready { members; snapshot }) ->
-      (* Post-wedge the committed next membership is known; only its
-         members are served. *)
-      if List.exists (Node_id.equal src) members then
-        send_snapshot t host ~dst:src ~epoch snapshot
-    | Some (Asked waiting) ->
-      if not (List.exists (Node_id.equal src) waiting) then
-        Hashtbl.replace host.transfers epoch (Asked (src :: waiting))
-    | None ->
-      (* Not wedged yet (or not hosted): remember the request and serve it
-         at wedge time. *)
-      Hashtbl.replace host.transfers epoch (Asked [ src ])
-
-  (* Chunks that arrive before the epoch's instance exists (a push that
-     overtook the [Bootstrap]) start the transfer; donors send chunks
-     only to members of the committed configuration, so that instance
-     is coming.  An epoch that retired, or activated (an instance with no
-     record), takes none. *)
-  let handle_chunk t host ~epoch ~index ~total ~data =
-    let inst = Hashtbl.find_opt host.instances epoch in
-    if
-      not
-        (Hashtbl.mem host.retired epoch
-        || (inst <> None && not (Hashtbl.mem host.fetches epoch)))
-    then begin
-      let f = fetch_record host epoch in
-      if Array.length f.chunks <> total then begin
-        f.chunks <- Array.make total None;
-        f.chunks_got <- 0
-      end;
-      if index < total then begin
-        (* The transfer is moving: wait for it rather than ask the next
-           donor for another copy.  A chunk already held counts too: a
-           second donor re-sends from the first chunk. *)
-        if inst <> None then arm_fetch_timer t host epoch f;
-        if f.chunks.(index) = None then begin
-          f.chunks.(index) <- Some data;
-          f.chunks_got <- f.chunks_got + 1
-        end
-      end;
-      Option.iter (fun inst -> try_install t host inst f) inst
-    end
 
   let handle_retire t host ~epoch =
     Stable.iter_sorted ~compare:Int.compare
@@ -1053,7 +878,7 @@ struct
       let leader =
         match current with
         | Some { wedged_at = None; replica = Some r; _ } -> Replica.leader_hint r
-        | Some _ | None -> boot_leader host.latest_members
+        | Some _ | None -> Transfer.boot_leader host.latest_members
       in
       List.iter
         (fun (seq, _) ->
@@ -1084,9 +909,13 @@ struct
     | Wire.Client (Client_msg.Reply _ | Client_msg.Redirect _) -> ()
     | Wire.Bootstrap { epoch; members; prev_epoch; prev_members } ->
       handle_bootstrap t host ~epoch ~members ~prev_epoch ~prev_members
-    | Wire.Fetch_state { epoch } -> handle_fetch t host ~src ~epoch
+    | Wire.Fetch_state { epoch } -> transfer t host (Transfer.Fetch { src; epoch })
     | Wire.State_chunk { epoch; index; total; data } ->
-      handle_chunk t host ~epoch ~index ~total ~data
+      transfer t host
+        (Transfer.Chunk
+           { epoch; index; total; data;
+             live = Hashtbl.mem host.instances epoch;
+             retired = Hashtbl.mem host.retired epoch })
     | Wire.Retire { epoch } -> handle_retire t host ~epoch
     | Wire.Dir_update _ | Wire.Dir_lookup | Wire.Dir_info _ -> ()
   [@@rsmr.deterministic] [@@rsmr.total]
@@ -1135,27 +964,7 @@ struct
         node w id;
         W.varint w host.top_epoch;
         W.list w node host.latest_members;
-        Stable.iter_sorted ~compare:Int.compare
-          (fun epoch donation ->
-            W.varint w epoch;
-            match donation with
-            | Asked waiting ->
-              W.u8 w 0;
-              W.list w node (List.sort Node_id.compare waiting)
-            | Ready { members; snapshot } ->
-              W.u8 w 1;
-              W.list w node members;
-              W.string w snapshot)
-          host.transfers;
-        Stable.iter_sorted ~compare:Int.compare
-          (fun epoch f ->
-            W.varint w epoch;
-            W.list w node f.donors;
-            W.varint w (Array.length f.chunks);
-            Array.iter (fun c -> W.bool w (Option.is_some c)) f.chunks;
-            W.bool w (Engine.armed f.timer);
-            W.varint w f.rr)
-          host.fetches;
+        Transfer.write w host.transfer;
         Stable.iter_sorted ~compare:Int.compare
           (fun _ inst -> encode_instance inst)
           host.instances;
@@ -1257,8 +1066,8 @@ struct
             me = node;
             instances = Hashtbl.create 4;
             retired = Hashtbl.create 4;
-            transfers = Hashtbl.create 4;
-            fetches = Hashtbl.create 4;
+            transfer = Transfer.create ~me:node ~transfer:opts.Options.strategy.transfer;
+            fetch_timers = Hashtbl.create 4;
             top_epoch = 0;
             latest_members = members;
           }

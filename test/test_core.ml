@@ -941,8 +941,9 @@ let test_epoch_audit () =
    against a twin run that receives a no-op message instead on the same
    self-link (a self-send draws no latency, so the two runs stay in
    step): their canonical states must match.  The started record is
-   checked through what it must not do: host an epoch, run a replica or
-   ask anyone, eight fetch periods later. *)
+   checked through what it must not do: host a new epoch, run a replica
+   or ask anyone, eight fetch periods later.  One such chunk claims a
+   [total] of 2^62 - 1 chunks, which must size nothing. *)
 let test_stray_chunks () =
   let options =
     { Options.default with
@@ -982,21 +983,154 @@ let test_stray_chunks () =
         (String.equal baseline
            (KvService.canonical_state (run (self_send (chunk epoch))).svc)))
     [ ("the retired", 0); ("the activated", 1) ];
-  let h =
-    run (fun h ->
-        Network.send (KvService.net h.svc) ~src:1 ~dst:4
-          (Wire.State_chunk { epoch = 2; index = 0; total = 2; data = "x" }))
+  List.iter
+    (fun (dst, epoch, total, host_epoch, live) ->
+      let h =
+        run (fun h ->
+            Network.send (KvService.net h.svc) ~src:1 ~dst
+              (Wire.decode
+                 (Wire.encode
+                    (Wire.State_chunk { epoch; index = 0; total; data = "x" }))))
+      in
+      let fetches =
+        Counters.get (Network.counters (KvService.net h.svc)) "sent.fetch_state"
+      in
+      let on = Printf.sprintf "node %d, chunk %d of %d" dst epoch total in
+      Alcotest.(check (option int)) (on ^ ": host epoch unchanged") host_epoch
+        (KvService.host_epoch h.svc dst);
+      Alcotest.(check int) (on ^ ": replicas unchanged") live
+        (KvService.live_instances h.svc dst);
+      Alcotest.(check int) (on ^ ": nobody asked for a snapshot") 0 fetches;
+      Alcotest.(check int) (on ^ ": the committed epoch is unchanged") 1
+        (KvService.current_epoch h.svc))
+    [ (4, 2, 2, None, 0); (1, 5, (1 lsl 62) - 1, Some 1, 1) ]
+
+(* --- the transfer rules, driven through Transfer.step with no engine ---
+
+   Each case feeds one host's transfer a script of inputs and reads the
+   effects of every step.  The engine-level cases above and below show
+   the rules at work; these isolate the rules no run separates. *)
+
+module Transfer = Rsmr_core.Transfer
+
+let show_effect = function
+  | Transfer.Send_snapshot { dst; epoch; push; _ } ->
+    Printf.sprintf "%s %d to %d" (if push then "push" else "serve") epoch dst
+  | Transfer.Send_fetch { dst; epoch } -> Printf.sprintf "fetch %d from %d" epoch dst
+  | Transfer.Arm_timer epoch -> Printf.sprintf "arm %d" epoch
+  | Transfer.Cancel_timer epoch -> Printf.sprintf "cancel %d" epoch
+  | Transfer.Install { epoch; snapshot } ->
+    Printf.sprintf "install %d %S" epoch snapshot
+
+(* Run [script], a list of (input, expected effects), from a fresh host. *)
+let transfer_script ~me ~transfer script =
+  ignore
+    (List.fold_left
+       (fun (t, n) (input, expected) ->
+         let t, effects = Transfer.step t input in
+         Alcotest.(check (list string))
+           (Printf.sprintf "host %d, step %d" me n)
+           expected
+           (List.map show_effect effects);
+         (t, n + 1))
+       (Transfer.create ~me ~transfer, 1)
+       script)
+
+let awaiting ?(members = [ 1; 2; 3 ]) ?(prev_members = [ 0; 1; 2 ]) ~prev_live
+    epoch =
+  Transfer.Awaiting { epoch; members; prev_members; prev_live }
+
+let chunk ?(live = true) epoch index total data =
+  Transfer.Chunk { epoch; index; total; data; live; retired = false }
+
+(* Donors are the previous members but the joiner, the new
+   configuration's boot leader last; the first one asked is staggered by
+   the joiner's id. *)
+let test_transfer_donor_order () =
+  List.iter
+    (fun (me, members, prev_members, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "donors of %d" me)
+        expected
+        (Transfer.donor_order ~me ~members ~prev_members))
+    [
+      (3, [ 1; 2; 3 ], [ 0; 1; 2 ], [ 0; 2; 1 ]);
+      (5, [ 0; 4; 5 ], [ 3; 0; 2 ], [ 3; 2; 0 ]);
+      (1, [ 1; 2; 3 ], [ 0; 1; 2 ], [ 0; 2 ]);
+      (4, [ 4; 5 ], [ 0; 1 ], [ 0; 1 ]);
+    ];
+  List.iter
+    (fun (me, first, second) ->
+      transfer_script ~me ~transfer:`Pull
+        [
+          ( awaiting ~members:[ 1; 2; me ] ~prev_members:[ 0; 1; 2 ]
+              ~prev_live:false 1,
+            [ Printf.sprintf "fetch 1 from %d" first; "arm 1" ] );
+          (Transfer.Timer 1, [ Printf.sprintf "fetch 1 from %d" second; "arm 1" ]);
+        ])
+    [ (3, 0, 2); (4, 2, 1); (5, 1, 0) ]
+
+(* Under push the joiner asks nobody: its first-choice donor, and only
+   that one, sends the snapshot at the wedge.  The joiner asks the next
+   donor once the push stalls for a whole period. *)
+let test_transfer_push () =
+  let wedged =
+    Transfer.Wedged
+      { epoch = 1; members = [ 1; 2; 3 ]; prev_members = [ 0; 1; 2 ];
+        snapshot = "s" }
   in
-  let fetches =
-    Counters.get (Network.counters (KvService.net h.svc)) "sent.fetch_state"
-  in
-  Alcotest.(check (option int)) "node 4 hosts no epoch" None
-    (KvService.host_epoch h.svc 4);
-  Alcotest.(check int) "and runs no replica" 0
-    (KvService.live_instances h.svc 4);
-  Alcotest.(check int) "and nobody asked for a snapshot" 0 fetches;
-  Alcotest.(check int) "the committed epoch is unchanged" 1
-    (KvService.current_epoch h.svc)
+  transfer_script ~me:0 ~transfer:`Push [ (wedged, [ "push 1 to 3" ]) ];
+  transfer_script ~me:2 ~transfer:`Push [ (wedged, []) ];
+  transfer_script ~me:0 ~transfer:`Pull [ (wedged, []) ];
+  transfer_script ~me:3 ~transfer:`Push
+    [
+      (awaiting ~prev_live:false 1, [ "arm 1" ]);
+      (chunk 1 0 2 "a", [ "arm 1" ]);
+      (Transfer.Timer 1, [ "fetch 1 from 2"; "arm 1" ]);
+    ];
+  (* A fetch parked before the wedge is served, not pushed, and before
+     any push. *)
+  transfer_script ~me:0 ~transfer:`Push
+    [
+      (Transfer.Fetch { src = 3; epoch = 1 }, []);
+      (Transfer.Fetch { src = 5; epoch = 1 }, []);
+      (wedged, [ "serve 1 to 3" ]);
+    ]
+
+(* A member of both configurations waits for its own wedge while its
+   previous instance runs, and fetches at once, pushed or not, when that
+   instance retires unwedged. *)
+let test_transfer_continuing_member () =
+  List.iter
+    (fun transfer ->
+      transfer_script ~me:1 ~transfer
+        [
+          (awaiting ~prev_live:true 1, [ "arm 1" ]);
+          ( Transfer.Retired { epoch = 0; wedged = false; next_live = true },
+            [ "fetch 1 from 2"; "arm 1" ] );
+        ];
+      transfer_script ~me:1 ~transfer
+        [
+          (awaiting ~prev_live:true 1, [ "arm 1" ]);
+          (Transfer.Retired { epoch = 0; wedged = true; next_live = true }, []);
+          (Transfer.Activated 1, [ "cancel 1" ]);
+        ])
+    [ `Pull; `Push ]
+
+(* Every chunk of a moving transfer re-arms the timer, a repeated one
+   included, and none asks another donor; the last one installs.  Once
+   activated, the epoch takes no chunk. *)
+let test_transfer_moving () =
+  transfer_script ~me:3 ~transfer:`Pull
+    [
+      (awaiting ~prev_live:false 1, [ "fetch 1 from 0"; "arm 1" ]);
+      (chunk 1 0 3 "a", [ "arm 1" ]);
+      (chunk 1 0 3 "a", [ "arm 1" ]);
+      (chunk 1 2 3 "c", [ "arm 1" ]);
+      (chunk 1 1 3 "b", [ "arm 1"; {|install 1 "abc"|} ]);
+      (Transfer.Activated 1, [ "cancel 1" ]);
+      (chunk 1 0 3 "a", []);
+    ]
 
 (* --- an old instance halts only once drained ---
 
@@ -1635,6 +1769,14 @@ let () =
             test_deterministic_replay;
           Alcotest.test_case "stray chunks start nothing" `Quick
             test_stray_chunks;
+          Alcotest.test_case "transfer: donor order" `Quick
+            test_transfer_donor_order;
+          Alcotest.test_case "transfer: a pushed joiner waits for its donor"
+            `Quick test_transfer_push;
+          Alcotest.test_case "transfer: a continuing member waits for its wedge"
+            `Quick test_transfer_continuing_member;
+          Alcotest.test_case "transfer: a moving transfer is not re-requested"
+            `Quick test_transfer_moving;
           Alcotest.test_case "old instance halts once drained (paxos)" `Quick
             (test_halt_after_drain Rolling_paxos.run Strategy.composed);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
