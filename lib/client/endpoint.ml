@@ -193,7 +193,7 @@ let submit t ~seq ~payload =
       { payload; attempts = 0; redirects = 0; stale = 0; timer = None };
     lifecycle t "submit" ~seq
   end;
-  if not (List.mem seq (Batch.contents t.batch)) then Batch.add t.batch seq
+  if not (Batch.mem ~equal:Int.equal seq t.batch) then Batch.add t.batch seq
 
 let handle t ~src msg =
   match (msg : Client_msg.t) with

@@ -179,9 +179,11 @@ let write w t =
       W.varint w epoch;
       W.list w node f.donors;
       W.varint w f.total;
-      for index = 0 to f.total - 1 do
-        W.bool w (Imap.mem index f.chunks)
-      done;
+      (* The indices held, ascending: given [total] they name the same set
+         as one flag per index below it, but their size is what arrived,
+         not what a chunk's wire [total] claims. *)
+      W.varint w (Imap.cardinal f.chunks);
+      Imap.iter (fun index _ -> W.varint w index) f.chunks;
       W.bool w f.armed;
       W.varint w f.asked)
     t.fetches

@@ -122,4 +122,6 @@ val step : t -> input -> t * effect_ list
 
 val write : Rsmr_app.Codec.Writer.t -> t -> unit
 (** Canonical bytes for the model checker's fingerprint: both tables in
-    epoch order, a timer by its presence only.  Nothing decodes it. *)
+    epoch order, a timer by its presence only, the chunks held by their
+    indices.  Its size is bounded by what arrived, never by a chunk's
+    wire [total].  Nothing decodes it. *)

@@ -1,18 +1,23 @@
+(* A FIFO of two lists: [front] oldest first, where takes read, and
+   [back] newest first, where pushes go.  The back is reversed onto the
+   front only when the front runs dry, so each value is reversed at most
+   once however many capped takes it waits through. *)
 type 'a t = {
   engine : Engine.t;
   delay : float;
   max : int;
   flush : unit -> unit;
-  mutable buf : 'a list; (* newest first *)
-  mutable len : int; (* List.length buf, kept O(1) *)
+  mutable front : 'a list; (* oldest first *)
+  mutable back : 'a list; (* newest first, all newer than [front] *)
+  mutable len : int; (* length of both, kept O(1) *)
   mutable timer : Engine.timer option;
 }
 
 let create engine ~delay ~max ~flush =
-  { engine; delay; max; flush; buf = []; len = 0; timer = None }
+  { engine; delay; max; flush; front = []; back = []; len = 0; timer = None }
 
 let push b x =
-  b.buf <- x :: b.buf;
+  b.back <- x :: b.back;
   b.len <- b.len + 1
 
 let add b x =
@@ -28,22 +33,41 @@ let add b x =
                b.timer <- None;
                b.flush ()))
 
-let rec drop k l = match l with _ :: tl when k > 0 -> drop (k - 1) tl | _ -> l
+(* Remove the [n] oldest values, at most [b.len] of them, oldest first. *)
+let[@tail_mod_cons] rec pop b n =
+  if n = 0 then []
+  else
+    match b.front with
+    | x :: rest ->
+      b.front <- rest;
+      x :: pop b (n - 1)
+    | [] -> (
+      match b.back with
+      | [] -> []
+      | back ->
+        b.front <- List.rev back;
+        b.back <- [];
+        pop b n)
 
-let rec rev_prefix k acc l =
-  match l with x :: tl when k > 0 -> rev_prefix (k - 1) (x :: acc) tl | _ -> acc
-
-(* The buffer is newest first, so the [len - n] values that stay are its
-   prefix and the [n] taken are its suffix.  Allocates the [n] cells of
-   the result plus two copies of the kept prefix, which is empty unless
-   the cap bites. *)
+(* A capped take copies only the values it removes; a take of the whole
+   buffer copies at most the front, and nothing when only a front is
+   left.  Neither copies a value that stays. *)
 let take b cap =
   if cap <= 0 then []
   else begin
-    let keep = b.len - min cap b.len in
-    let taken = List.rev (drop keep b.buf) in
-    b.buf <- List.rev (rev_prefix keep [] b.buf);
-    b.len <- keep;
+    let n = min cap b.len in
+    let taken =
+      if n < b.len then pop b n
+      else begin
+        let all =
+          match b.back with [] -> b.front | back -> b.front @ List.rev back
+        in
+        b.front <- [];
+        b.back <- [];
+        all
+      end
+    in
+    b.len <- b.len - n;
     b.timer <- Engine.cancel_opt b.engine b.timer;
     taken
   end
@@ -54,5 +78,13 @@ let cancel b = b.timer <- Engine.cancel_opt b.engine b.timer
 let pump b =
   match b.timer with None when b.len > 0 -> b.flush () | Some _ | None -> ()
 
-let contents b = b.buf
+let rec mem_list equal x = function
+  | [] -> false
+  | y :: rest -> equal x y || mem_list equal x rest
+
+let mem ~equal x b = mem_list equal x b.front || mem_list equal x b.back
+
+let contents b =
+  match b.front with [] -> b.back | front -> b.back @ List.rev front
+
 let armed b = Engine.armed b.timer

@@ -10,7 +10,18 @@
 
     The owner keeps only what is its own: the cap on one flush (a
     pipelining window, or none), the message a run becomes, and where
-    values go when it stops leading ({!drain}). *)
+    values go when it stops leading ({!drain}).
+
+    {b Allocation.}  The buffer is a FIFO of two lists: {!add} and
+    {!push} cons one cell onto its newest end, and a take reads its
+    oldest end, which is rebuilt by one reversal of the newer values
+    only when it runs dry.  So {!take} allocates the cells of its result
+    plus, amortized, one reversed cell per value it removes, and never
+    copies the values that stay: a leader whose pipeline cap bites over
+    a backlog of thousands pays for the few values it proposes, not for
+    the backlog.  A take of the whole buffer costs at most one cell per
+    value.  {!mem} allocates nothing; {!contents} copies the buffer
+    once a capped take has left values behind. *)
 
 type 'a t
 
@@ -41,8 +52,13 @@ val pump : 'a t -> unit
 (** Flush values left behind by an earlier capped {!take}, unless the
     window is still open: an armed timer flushes them itself. *)
 
+val mem : equal:('a -> 'a -> bool) -> 'a -> 'a t -> bool
+(** [mem ~equal x b] is [true] when [b] buffers a value [equal] to [x]
+    (a duplicate check on every submission, which must not copy the
+    buffer). *)
+
 val contents : 'a t -> 'a list
-(** The buffer, newest first, without copying. *)
+(** The buffer, newest first (for fingerprints: it may copy). *)
 
 val armed : 'a t -> bool
 (** The window timer is pending. *)

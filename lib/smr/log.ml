@@ -110,14 +110,6 @@ let set_committed t i kind =
 
 let committed_prefix t = t.committed_prefix
 
-let uncommitted_range t ~lo =
-  let acc = ref [] in
-  for i = t.len - 1 downto max lo 0 do
-    if flags t i land (populated lor committed) = populated then
-      acc := (i, { ballot = ballot_at t i; kind = kind_at t i }) :: !acc
-  done;
-  !acc
-
 let entries_from t lo =
   let acc = ref [] in
   for i = t.len - 1 downto max lo 0 do

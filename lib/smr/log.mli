@@ -10,9 +10,8 @@
     doubling.  Within an allocated chunk {!set_at}, {!mark_committed},
     {!set_committed} and the readers {!is_populated}, {!ballot_at} and
     {!kind_at} allocate nothing (the kind is stored as given).  {!get},
-    {!uncommitted_range}, {!entries_from} and {!committed_values} build
-    their entries on demand, for cold callers: phase 1, resend, learn and
-    fingerprints. *)
+    {!entries_from} and {!committed_values} build their entries on
+    demand, for cold callers: phase 1, learn and fingerprints. *)
 
 type kind = Noop | Value of string
 
@@ -49,9 +48,6 @@ val set_committed : t -> int -> kind -> unit
 
 val committed_prefix : t -> int
 (** Largest [n] such that slots [0..n-1] are all committed. *)
-
-val uncommitted_range : t -> lo:int -> (int * entry) list
-(** Populated-but-uncommitted slots at index >= lo, ascending. *)
 
 val entries_from : t -> int -> (int * entry) list
 (** All populated slots at index >= the argument, ascending. *)

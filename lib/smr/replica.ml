@@ -340,46 +340,40 @@ and start_resend t =
   let rec tick () =
     match t.role with
     | R_leader lead when not t.halted ->
-      let stuck =
-        Log.uncommitted_range t.log ~lo:(Log.committed_prefix t.log)
-      in
       (* Only slots proposed before the previous tick are stuck: anything
          newer has not yet waited a whole interval for its acks, and its
-         Accept may still be queued on our own uplink. *)
-      let rec take n = function
-        | (i, _) :: _ when n = 0 || i >= lead.resend_below -> []
-        | [] -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      (* Re-broadcast stuck slots at our ballot, one run per stretch of
-         consecutive slots, so a stalled pipeline window is one message
-         per follower, not max_outstanding of them. *)
+         Accept may still be queued on our own uplink.  Re-broadcast the
+         first max_outstanding populated-but-uncommitted ones at our
+         ballot, read in place, one run per stretch of consecutive slots,
+         so a stalled pipeline window is one message per follower, not
+         max_outstanding of them. *)
       let commit_index = Log.committed_prefix t.log in
-      let flush_run run =
-        match List.rev run with
-        | [] -> ()
-        | (from_index, _) :: _ as entries ->
-          t.c_resent := !(t.c_resent) + List.length entries;
+      let hi = min (Log.length t.log) lead.resend_below in
+      (* [kinds] is the run so far, newest first: [n] slots from [from]. *)
+      let flush_run from kinds n =
+        if n > 0 then begin
+          t.c_resent := !(t.c_resent) + n;
           broadcast t
-            (accept_msg ~ballot:lead.l_ballot ~from_index ~commit_index
-               (List.map (fun (_, (e : Log.entry)) -> e.Log.kind) entries))
+            (accept_msg ~ballot:lead.l_ballot ~from_index:from ~commit_index
+               (List.rev kinds))
+        end
       in
-      let rec walk run = function
-        | [] -> flush_run run
-        | (i, (e : Log.entry)) :: rest ->
-          if Ballot.equal e.Log.ballot lead.l_ballot then (
-            match run with
-            | (j, _) :: _ when i = j + 1 -> walk ((i, e) :: run) rest
-            | [] -> walk [ (i, e) ] rest
-            | _ ->
-              flush_run run;
-              walk [ (i, e) ] rest)
-          else begin
-            flush_run run;
-            walk [] rest
-          end
+      let rec walk i budget from kinds n =
+        if i >= hi || budget = 0 then flush_run from kinds n
+        else if (not (Log.is_populated t.log i)) || Log.is_committed t.log i
+        then begin
+          (* a hole or a committed slot ends the run, off the budget *)
+          flush_run from kinds n;
+          walk (i + 1) budget (i + 1) [] 0
+        end
+        else if Ballot.equal (Log.ballot_at t.log i) lead.l_ballot then
+          walk (i + 1) (budget - 1) from (Log.kind_at t.log i :: kinds) (n + 1)
+        else begin
+          flush_run from kinds n;
+          walk (i + 1) (budget - 1) (i + 1) [] 0
+        end
       in
-      walk [] (take t.params.Params.max_outstanding stuck);
+      walk commit_index t.params.Params.max_outstanding commit_index [] 0;
       lead.resend_below <- lead.next_index;
       t.resend_timer <-
         Some (Engine.schedule t.engine ~delay:Params.resend_interval tick)

@@ -57,14 +57,6 @@ let set_committed t i kind =
 
 let committed_prefix t = t.committed_prefix
 
-let uncommitted_range t ~lo =
-  let acc = ref [] in
-  for i = t.len - 1 downto max lo 0 do
-    if not t.slots.(i).committed then
-      match t.slots.(i).entry with Some e -> acc := (i, e) :: !acc | None -> ()
-  done;
-  !acc
-
 let entries_from t lo =
   let acc = ref [] in
   for i = t.len - 1 downto max lo 0 do

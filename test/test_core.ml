@@ -943,7 +943,8 @@ let test_epoch_audit () =
    step): their canonical states must match.  The started record is
    checked through what it must not do: host a new epoch, run a replica
    or ask anyone, eight fetch periods later.  One such chunk claims a
-   [total] of 2^62 - 1 chunks, which must size nothing. *)
+   [total] of 2^62 - 1 chunks, which must size nothing: neither the
+   record nor the canonical state, which grows by a few bytes. *)
 let test_stray_chunks () =
   let options =
     { Options.default with
@@ -1002,7 +1003,14 @@ let test_stray_chunks () =
         (KvService.live_instances h.svc dst);
       Alcotest.(check int) (on ^ ": nobody asked for a snapshot") 0 fetches;
       Alcotest.(check int) (on ^ ": the committed epoch is unchanged") 1
-        (KvService.current_epoch h.svc))
+        (KvService.current_epoch h.svc);
+      let grown =
+        String.length (KvService.canonical_state h.svc) - String.length baseline
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the canonical state grows by %d <= 64 bytes" on
+           grown)
+        true (grown <= 64))
     [ (4, 2, 2, None, 0); (1, 5, (1 lsl 62) - 1, Some 1, 1) ]
 
 (* --- the transfer rules, driven through Transfer.step with no engine ---

@@ -829,6 +829,136 @@ let test_batch_alloc () =
     true
     (many -. one <= float_of_int (64 * 2 * 3))
 
+(* --- Batch against the old list batcher (test/batch_model.ml) ---
+
+   The same trace drives the FIFO and the model, each on its own engine,
+   plus membership probes; every result, the buffer, the timer and what
+   each flush took must agree, and what left plus what stays must be
+   what came in, in order. *)
+
+type model_op = Op of batch_op | Mem of int
+
+let model_trace_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, return (Op Add));
+        (3, return (Op Push));
+        (3, map (fun c -> Op (Take c)) (int_range (-1) 5));
+        (1, return (Op Drain));
+        (2, return (Op Pump));
+        (2, return (Op Fire));
+        (1, return (Op Cancel));
+        (2, map (fun x -> Mem x) (int_range 0 60));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (delay, max, cap, ops) ->
+      Printf.sprintf "delay=%g max=%d flush_cap=%d [%s]" delay max cap
+        (String.concat "; "
+           (List.map
+              (function
+                | Op o -> pp_batch_op o | Mem x -> Printf.sprintf "mem %d" x)
+              ops)))
+    (quad (oneofl [ 0.0; 0.001 ]) (int_range 1 6) (int_range 0 3)
+       (list_size (int_range 0 60) op))
+
+let prop_batch_old_model =
+  QCheck.Test.make ~name:"batch matches the old list batcher" ~count:500
+    model_trace_arb (fun (delay, max, flush_cap, ops) ->
+      let e = Engine.create () and me = Engine.create () in
+      (* what each side's takes returned, newest first *)
+      let got = ref [] and want = ref [] in
+      let self = ref None and m_self = ref None in
+      let b =
+        Batch.create e ~delay ~max ~flush:(fun () ->
+            Option.iter
+              (fun b -> got := List.rev_append (Batch.take b flush_cap) !got)
+              !self)
+      in
+      let m =
+        Batch_model.create me ~delay ~max ~flush:(fun () ->
+            Option.iter
+              (fun m ->
+                want := List.rev_append (Batch_model.take m flush_cap) !want)
+              !m_self)
+      in
+      self := Some b;
+      m_self := Some m;
+      let next = ref 0 in
+      let both f g x = f b x; g m x in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Op Add ->
+              incr next;
+              both Batch.add Batch_model.add !next;
+              true
+            | Op Push ->
+              incr next;
+              both Batch.push Batch_model.push !next;
+              true
+            | Op (Take cap) ->
+              let xs = Batch.take b cap and ys = Batch_model.take m cap in
+              got := List.rev_append xs !got;
+              want := List.rev_append ys !want;
+              xs = ys
+            | Op Drain ->
+              let xs = Batch.drain b and ys = Batch_model.drain m in
+              got := List.rev_append xs !got;
+              want := List.rev_append ys !want;
+              xs = ys
+            | Op Pump ->
+              Batch.pump b;
+              Batch_model.pump m;
+              true
+            | Op Fire ->
+              Engine.run e;
+              Engine.run me;
+              true
+            | Op Cancel ->
+              Batch.cancel b;
+              Batch_model.cancel m;
+              true
+            | Mem x ->
+              Batch.mem ~equal:Int.equal x b
+              = Batch_model.mem ~equal:Int.equal x m
+          in
+          let contents = Batch.contents b in
+          same
+          && contents = Batch_model.contents m
+          && Batch.armed b = Batch_model.armed m
+          && !got = !want
+          && List.rev_append !got (List.rev contents)
+             = List.init !next (fun i -> i + 1))
+        ops)
+
+(* A backlog drained one value at a time, as a leader whose pipeline
+   frees one slot per commit drains it: each take costs its result and,
+   amortized, one reversed cell, never the values that stay (the list
+   batcher copied them twice per take, quadratic in the backlog). *)
+let test_batch_backlog_alloc () =
+  List.iter
+    (fun n ->
+      let e = Engine.create () in
+      let b = Batch.create e ~delay:0.001 ~max:max_int ~flush:ignore in
+      let before = Gc.minor_words () in
+      for i = 1 to n do
+        Batch.push b i
+      done;
+      for _ = 1 to n do
+        ignore (Batch.take b 1)
+      done;
+      let per_value = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d values pushed then taken one by one: %.1f words \
+                         each <= 16"
+           n per_value)
+        true (per_value <= 16.0))
+    [ 1_000; 10_000 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -872,6 +1002,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_batch_model;
           Alcotest.test_case "add/take allocates only list cells" `Quick
             test_batch_alloc;
+          QCheck_alcotest.to_alcotest prop_batch_old_model;
+          Alcotest.test_case "a backlog taken one by one is linear" `Quick
+            test_batch_backlog_alloc;
         ] );
       ( "heap",
         [

@@ -59,17 +59,6 @@ let test_log_basics () =
   Log.set_committed l 1 Log.Noop;
   Alcotest.(check int) "prefix jumps over filled gap" 3 (Log.committed_prefix l)
 
-let test_log_uncommitted_range () =
-  let l = Log.create () in
-  for i = 0 to 4 do
-    Log.set_at l i ~ballot:Ballot.zero (Log.Value (string_of_int i))
-  done;
-  Log.mark_committed l 0;
-  Log.mark_committed l 1;
-  let unc = Log.uncommitted_range l ~lo:(Log.committed_prefix l) in
-  Alcotest.(check (list int)) "uncommitted indices" [ 2; 3; 4 ]
-    (List.map fst unc)
-
 let msg_roundtrip_cases =
   [
     Msg.Prepare { ballot = { Ballot.round = 3; node = 1 }; from_index = 7 };
@@ -743,8 +732,7 @@ let log_agrees log model =
   && List.for_all slot_agrees (List.init (n + 2) (fun i -> i - 1))
   && List.for_all
        (fun lo ->
-         Log.uncommitted_range log ~lo = Log_model.uncommitted_range model ~lo
-         && Log.entries_from log lo = Log_model.entries_from model lo
+         Log.entries_from log lo = Log_model.entries_from model lo
          && Log.committed_values log ~lo ~hi:(lo + 70)
             = Log_model.committed_values model ~lo ~hi:(lo + 70))
        windows
@@ -973,8 +961,6 @@ let () =
           Alcotest.test_case "config quorum" `Quick test_config_quorum;
           Alcotest.test_case "config round-trip" `Quick test_config_roundtrip;
           Alcotest.test_case "log basics" `Quick test_log_basics;
-          Alcotest.test_case "log uncommitted range" `Quick
-            test_log_uncommitted_range;
           Alcotest.test_case "msg roundtrip" `Quick test_msg_roundtrip;
           Alcotest.test_case "msg sizes" `Quick test_msg_size_positive;
         ] );
