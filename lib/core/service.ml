@@ -559,9 +559,8 @@ struct
       if not (Hashtbl.mem t.wedge_times (inst.epoch + 1)) then
         Hashtbl.add t.wedge_times (inst.epoch + 1) (Engine.now t.engine);
       let snapshot =
-        Snapshot.encode
-          { Snapshot.app = Sm.snapshot inst.app;
-            sessions = Session.encode inst.sessions }
+        { Snapshot.app = Sm.snapshot inst.app;
+          sessions = Session.encode inst.sessions }
       in
       (* The digest of what this host will donate: every member that
          wedges an epoch at one index must donate the same bytes, since a
@@ -574,7 +573,7 @@ struct
               ("epoch", string_of_int inst.epoch);
               ("widx", string_of_int widx);
               ("strategy", t.opts.Options.strategy.Strategy.name);
-              ("snapshot", Fnv.to_hex (Fnv.hash snapshot));
+              ("snapshot", Fnv.to_hex (Fnv.hash (Snapshot.encode snapshot)));
             ]
           "wedged";
       let epoch = inst.epoch and members = inst.cfg.Config.members in
@@ -810,12 +809,19 @@ struct
       Option.iter (Engine.cancel t.engine)
         (Hashtbl.find_opt host.fetch_timers epoch);
       Hashtbl.remove host.fetch_timers epoch
-    | Transfer.Install { epoch; snapshot } ->
+    | Transfer.Install { epoch; chunks } ->
       Option.iter
         (fun inst ->
-          let snapshot = Snapshot.decode snapshot in
-          activate t host inst ~app:(Sm.restore snapshot.Snapshot.app)
-            ~sessions:(Session.decode snapshot.Snapshot.sessions) ~local:false)
+          (* Chunks off the wire may be forged: what does not decode is
+             dropped here, and the joiner fetches again. *)
+          match
+            let snapshot = Snapshot.of_chunks chunks in
+            let app = Sm.restore snapshot.Snapshot.app in
+            (app, Session.decode snapshot.Snapshot.sessions)
+          with
+          | app, sessions -> activate t host inst ~app ~sessions ~local:false
+          | exception Rsmr_app.Codec.Truncated ->
+            transfer t host (Transfer.Rejected epoch))
         (Hashtbl.find_opt host.instances epoch)
 
   (* --- wire handlers --- *)

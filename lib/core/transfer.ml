@@ -20,7 +20,7 @@ let nth_donor ~me donors asked =
 
 type donation =
   | Asked of Node_id.t list (* newest first *)
-  | Ready of { members : Node_id.t list; snapshot : string }
+  | Ready of { members : Node_id.t list; snapshot : Snapshot.t }
 
 type fetch = {
   donors : Node_id.t list; (* [] until an instance takes the fetch over *)
@@ -40,7 +40,7 @@ type t = {
 type input =
   | Wedged of {
       epoch : int; members : Node_id.t list;
-      prev_members : Node_id.t list; snapshot : string }
+      prev_members : Node_id.t list; snapshot : Snapshot.t }
   | Awaiting of {
       epoch : int; members : Node_id.t list;
       prev_members : Node_id.t list; prev_live : bool }
@@ -51,14 +51,15 @@ type input =
   | Timer of int
   | Activated of int
   | Retired of { epoch : int; wedged : bool; next_live : bool }
+  | Rejected of int
 
 type effect_ =
   | Send_snapshot of {
-      dst : Node_id.t; epoch : int; snapshot : string; push : bool }
+      dst : Node_id.t; epoch : int; snapshot : Snapshot.t; push : bool }
   | Send_fetch of { dst : Node_id.t; epoch : int }
   | Arm_timer of int
   | Cancel_timer of int
-  | Install of { epoch : int; snapshot : string }
+  | Install of { epoch : int; chunks : string list }
 
 let create ~me ~transfer =
   { me; push = transfer = `Push; donations = Imap.empty; fetches = Imap.empty }
@@ -80,8 +81,7 @@ let ask t epoch f =
 
 let install epoch f =
   if f.total > 0 && Imap.cardinal f.chunks = f.total then
-    let pieces = List.map snd (Imap.bindings f.chunks) in
-    [ Install { epoch; snapshot = Snapshot.assemble pieces } ]
+    [ Install { epoch; chunks = List.map snd (Imap.bindings f.chunks) } ]
   else []
 
 let drop t epoch =
@@ -159,6 +159,11 @@ let step t = function
       let t, fetch = ask t (epoch + 1) f in
       (t, cancel @ fetch)
     | Some _ | None -> (t, cancel))
+  | Rejected epoch -> (
+    (* Wait for more chunks as after any chunk, then ask the next donor. *)
+    match Imap.find_opt epoch t.fetches with
+    | Some f -> arm t epoch { f with total = 0; chunks = Imap.empty }
+    | None -> (t, []))
 
 let write w t =
   let node w n = W.varint w (n : Node_id.t) in
@@ -172,7 +177,7 @@ let write w t =
       | Ready { members; snapshot } ->
         W.u8 w 1;
         W.list w node members;
-        W.string w snapshot)
+        W.nested w Snapshot.write snapshot)
     t.donations;
   Imap.iter
     (fun epoch f ->

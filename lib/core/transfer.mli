@@ -29,6 +29,9 @@
       or activated, takes none.  Chunks are kept by index, so a chunk's
       [total] sizes nothing: one with another [total] restarts the
       record, and one at or past its [total] is not kept.
+    - Chunks that do not decode as a snapshot (forged ones: [Rejected])
+      are dropped, all of them.  The joiner waits one {!fetch_timeout}
+      for more, as after any chunk, then asks the next donor.
     - A donor serves only members of the committed configuration; a
       fetch that comes before its wedge is parked and served then.
       Retiring epoch [x] drops every donation keyed [< x].  A joiner of
@@ -70,7 +73,7 @@ type input =
       epoch : int;
       members : Rsmr_net.Node_id.t list;
       prev_members : Rsmr_net.Node_id.t list;
-      snapshot : string;
+      snapshot : Snapshot.t;
     }
       (** The host's instance of [epoch - 1], of [prev_members], wedged
           into [members] with [snapshot] as its wedge-point state. *)
@@ -96,12 +99,14 @@ type input =
   | Retired of { epoch : int; wedged : bool; next_live : bool }
       (** The host's instance of [epoch] retired, wedged or not;
           [next_live]: it runs an instance of [epoch + 1]. *)
+  | Rejected of int
+      (** The chunks that epoch's [Install] carried do not decode. *)
 
 type effect_ =
   | Send_snapshot of {
       dst : Rsmr_net.Node_id.t;
       epoch : int;
-      snapshot : string;
+      snapshot : Snapshot.t;
       push : bool;  (** unasked, at the wedge *)
     }
   | Send_fetch of { dst : Rsmr_net.Node_id.t; epoch : int }
@@ -109,9 +114,10 @@ type effect_ =
       (** (Re-)start that epoch's retry timer, for {!fetch_timeout};
           feed [Timer] when it fires. *)
   | Cancel_timer of int
-  | Install of { epoch : int; snapshot : string }
-      (** Every chunk is here: activate that epoch's instance with the
-          assembled snapshot, then feed [Activated]. *)
+  | Install of { epoch : int; chunks : string list }
+      (** Every chunk is here, in index order: activate that epoch's
+          instance with {!Snapshot.of_chunks}[ chunks], then feed
+          [Activated], or [Rejected] if they do not decode. *)
 
 val step : t -> input -> t * effect_ list
 [@@rsmr.deterministic] [@@rsmr.total]

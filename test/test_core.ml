@@ -205,12 +205,16 @@ let prop_session_matches_model =
       ok && Session.encode t = Session_model.encode m)
 
 let test_snapshot_chunking () =
-  let data = String.init 1000 (fun i -> Char.chr (i mod 256)) in
-  let pieces = Snapshot.chunk data ~size:64 in
+  let t =
+    { Snapshot.app = String.init 1000 (fun i -> Char.chr (i mod 256));
+      sessions = "" }
+  in
+  let pieces = Snapshot.chunk t ~size:64 in
   Alcotest.(check int) "piece count" 16 (List.length pieces);
-  Alcotest.(check string) "reassembles" data (Snapshot.assemble pieces);
-  Alcotest.(check (list string)) "empty chunks to one piece" [ "" ]
-    (Snapshot.chunk "" ~size:64)
+  Alcotest.(check (list string)) "the encoding, cut"
+    (Snapshot_model.chunk (Snapshot.encode t) ~size:64)
+    pieces;
+  Alcotest.(check bool) "reassembles" true (Snapshot.of_chunks pieces = t)
 
 let test_wire_roundtrip () =
   let cases =
@@ -1027,8 +1031,8 @@ let show_effect = function
   | Transfer.Send_fetch { dst; epoch } -> Printf.sprintf "fetch %d from %d" epoch dst
   | Transfer.Arm_timer epoch -> Printf.sprintf "arm %d" epoch
   | Transfer.Cancel_timer epoch -> Printf.sprintf "cancel %d" epoch
-  | Transfer.Install { epoch; snapshot } ->
-    Printf.sprintf "install %d %S" epoch snapshot
+  | Transfer.Install { epoch; chunks } ->
+    Printf.sprintf "install %d %S" epoch (String.concat "" chunks)
 
 (* Run [script], a list of (input, expected effects), from a fresh host. *)
 let transfer_script ~me ~transfer script =
@@ -1085,7 +1089,7 @@ let test_transfer_push () =
   let wedged =
     Transfer.Wedged
       { epoch = 1; members = [ 1; 2; 3 ]; prev_members = [ 0; 1; 2 ];
-        snapshot = "s" }
+        snapshot = { Snapshot.app = "s"; sessions = "" } }
   in
   transfer_script ~me:0 ~transfer:`Push [ (wedged, [ "push 1 to 3" ]) ];
   transfer_script ~me:2 ~transfer:`Push [ (wedged, []) ];
@@ -1138,6 +1142,21 @@ let test_transfer_moving () =
       (chunk 1 1 3 "b", [ "arm 1"; {|install 1 "abc"|} ]);
       (Transfer.Activated 1, [ "cancel 1" ]);
       (chunk 1 0 3 "a", []);
+    ]
+
+(* Chunks that do not decode are dropped, all of them: a new chunk at a
+   dropped one's index is taken.  The joiner waits one [fetch_timeout]
+   for more, as after any chunk, and then asks the next donor. *)
+let test_transfer_rejected () =
+  transfer_script ~me:3 ~transfer:`Pull
+    [
+      (awaiting ~prev_live:false 1, [ "fetch 1 from 0"; "arm 1" ]);
+      (chunk 1 0 1 "\xff", [ "arm 1"; {|install 1 "\255"|} ]);
+      (Transfer.Rejected 1, [ "arm 1" ]);
+      (Transfer.Timer 1, [ "fetch 1 from 2"; "arm 1" ]);
+      (chunk 1 0 1 "s", [ "arm 1"; {|install 1 "s"|} ]);
+      (Transfer.Activated 1, [ "cancel 1" ]);
+      (Transfer.Rejected 1, []);
     ]
 
 (* --- an old instance halts only once drained ---
@@ -1597,6 +1616,59 @@ module Handoff (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
      | _ -> Alcotest.fail (label "no wedge or no activation traced"));
     Alcotest.(check string) (label "node 2 agrees with node 1") (state r 1)
       (state r 2)
+
+  (* (d) A forged chunk stops nothing.  Node 2 sends joiner 3 a
+     one-chunk snapshot of epoch 1 that does not decode, before node 3's
+     instance exists.  The instance takes it over and cannot install it:
+     it drops it, waits one [fetch_timeout] and fetches node 0's
+     snapshot. *)
+  let forged_chunk () =
+    let label what = "forged chunk: " ^ what in
+    let r =
+      start ~strategy:Rsmr_iface.Reconfig_strategy.composed ~n_keys:300
+        ~value_size:500 ()
+    in
+    let during () =
+      Network.send (S.net r.svc) ~src:2 ~dst:3
+        (Wire.State_chunk { epoch = 1; index = 0; total = 1; data = "\xff" })
+    in
+    swap r ~during ~deadline:(Engine.now r.engine +. 10.0);
+    Alcotest.(check int) (label "fetches sent") 1
+      (net_count r "sent.fetch_state");
+    Alcotest.(check int) (label "one remote activation") 1
+      (svc_count r "transfers");
+    Alcotest.(check string) (label "node 3 agrees with node 1") (state r 1)
+      (state r 3)
+
+  (* (e) The words a handoff allocates from [reconfigure] to the
+     joiner's activation, in copies of the state: the three wedge
+     snapshots, the donor's chunks, the joiner's two parts and its
+     restored table, and the block and network traffic.  7.1 copies over
+     Paxos and 6.9 over VR; 11.2 and 10.9 when each wedge encoded its
+     snapshot again and the joiner joined its chunks before decoding
+     them.  A minor collection at each end makes [Gc.counters] exact. *)
+  let handoff_allocation () =
+    let r =
+      start ~strategy:Rsmr_iface.Reconfig_strategy.composed ~n_keys:300
+        ~value_size:500 ()
+    in
+    let allocated () =
+      Gc.minor ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let deadline = Engine.now r.engine +. 10.0 in
+    let before = allocated () in
+    reconfigure r.cluster [ 1; 2; 3 ];
+    while Option.is_none (S.app_state r.svc 3) && Engine.now r.engine < deadline do
+      Engine.run ~until:(Engine.now r.engine +. 0.001) r.engine
+    done;
+    let words = allocated () -. before in
+    Alcotest.(check string) "node 3 agrees with node 1" (state r 1) (state r 3);
+    let copies = words /. float_of_int (String.length (state r 1) / 8) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f state-sized copies, at most 8" copies)
+      true (copies <= 8.)
 end
 
 module Handoff_paxos = Handoff (KvService)
@@ -1609,6 +1681,14 @@ let test_pushed_chunks () =
 let test_stalled_push () =
   Handoff_paxos.stalled_push ();
   Handoff_vr.stalled_push ()
+
+let test_forged_chunk () =
+  Handoff_paxos.forged_chunk ();
+  Handoff_vr.forged_chunk ()
+
+let test_handoff_allocation () =
+  Handoff_paxos.handoff_allocation ();
+  Handoff_vr.handoff_allocation ()
 
 let test_only_joiners_fetch () =
   List.iter
@@ -1785,6 +1865,8 @@ let () =
             `Quick test_transfer_continuing_member;
           Alcotest.test_case "transfer: a moving transfer is not re-requested"
             `Quick test_transfer_moving;
+          Alcotest.test_case "transfer: undecodable chunks are dropped" `Quick
+            test_transfer_rejected;
           Alcotest.test_case "old instance halts once drained (paxos)" `Quick
             (test_halt_after_drain Rolling_paxos.run Strategy.composed);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
@@ -1803,6 +1885,10 @@ let () =
             test_stalled_push;
           Alcotest.test_case "every donor holds the same snapshot" `Quick
             test_donors_agree;
+          Alcotest.test_case "a forged chunk stops no handoff" `Quick
+            test_forged_chunk;
+          Alcotest.test_case "a handoff allocates at most 8 state copies" `Quick
+            test_handoff_allocation;
           Alcotest.test_case "slow transfer is not re-requested" `Quick
             Handoff_paxos.slow_transfer;
           Alcotest.test_case "stalled transfer resumes from the next donor"

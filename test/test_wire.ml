@@ -623,6 +623,112 @@ let garbage_prop name decode reencode =
         true
       | exception Rsmr_app.Codec.Truncated -> true)
 
+(* --- chunked state transfer: [Snapshot.chunk] and [Snapshot.of_chunks]
+   against the reference model, the encoding built whole, cut and
+   joined (test/snapshot_model.ml).  Parts come empty and with length
+   prefixes of one, two and three bytes; chunk sizes go below a prefix's
+   width, so prefixes straddle chunks. *)
+
+let part_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (3, string_size (int_bound 40));
+        (2, string_size (int_range 120 400));
+        (1, string_size (int_range 16_370 16_400));
+      ])
+
+let parts_gen =
+  QCheck.Gen.map2 (fun app sessions -> { Snapshot.app; sessions }) part_gen part_gen
+
+let chunk_size_gen =
+  QCheck.Gen.(
+    frequency [ (3, int_range 1 4); (2, int_range 5 300); (1, int_range 301 40_000) ])
+
+let print_parts (t : Snapshot.t) =
+  Printf.sprintf "{app = %d bytes; sessions = %d bytes}" (String.length t.app)
+    (String.length t.sessions)
+
+let prop_chunk_matches_model =
+  QCheck.Test.make ~name:"Snapshot.chunk = model chunk of encode" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(pair print_parts int)
+       QCheck.Gen.(pair parts_gen chunk_size_gen))
+    (fun (t, size) ->
+      Snapshot.chunk t ~size = Snapshot_model.chunk (Snapshot.encode t) ~size)
+
+(* [s] cut after each of [sizes] bytes in turn (a zero makes an empty
+   chunk), the rest as a last chunk. *)
+let cut s sizes =
+  let n = String.length s in
+  let rec go off acc = function
+    | k :: rest when off + k <= n -> go (off + k) (String.sub s off k :: acc) rest
+    | _ :: _ | [] -> List.rev (String.sub s off (n - off) :: acc)
+  in
+  go 0 [] sizes
+
+let outcome decode chunks =
+  match decode chunks with
+  | v -> Some v
+  | exception Rsmr_app.Codec.Truncated -> None
+
+let model_of_chunks chunks = Snapshot.decode (Snapshot_model.assemble chunks)
+
+(* Valid encodings, their prefixes, encodings with junk after them, and
+   garbage, in chunks of random sizes. *)
+let chunks_gen =
+  QCheck.Gen.(
+    let encoded = map Snapshot.encode parts_gen in
+    let stream =
+      frequency
+        [
+          (2, encoded);
+          ( 2,
+            map2
+              (fun s k -> String.sub s 0 (k mod (String.length s + 1)))
+              encoded nat );
+          (1, map2 ( ^ ) encoded garbage_gen);
+          (2, garbage_gen);
+        ]
+    in
+    map2 cut stream (list_size (int_bound 12) (int_bound 20)))
+
+let prop_of_chunks_matches_model =
+  QCheck.Test.make ~name:"Snapshot.of_chunks = model decode of assemble"
+    ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(list (fun s -> String.escaped s))
+       chunks_gen)
+    (fun chunks -> outcome Snapshot.of_chunks chunks = outcome model_of_chunks chunks)
+
+(* A forged length prefix of 2^62 - 1, straddling two chunks, is refused
+   before anything is allocated for the part it announces. *)
+let test_of_chunks_forged_prefix () =
+  let chunks = [ "\xff\xff\xff"; "\xff\xff\xff\xff\xff\x3f"; "abc" ] in
+  (* Minor and major words: a minor collection at each end makes
+     [Gc.counters] exact. *)
+  let allocated () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let raised =
+    match Snapshot.of_chunks chunks with
+    | _ -> false
+    | exception Rsmr_app.Codec.Truncated -> true
+  in
+  let words = allocated () -. before in
+  Alcotest.(check bool) "raises Truncated" true raised;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocates O(1) words (%.0f)" words)
+    true (words <= 64.)
+
+(* The reader under the Snapshot fuzz groups: an encoding in 3-byte
+   chunks, so most length prefixes straddle two. *)
+let of_3_byte_chunks s = Snapshot.of_chunks (Snapshot_model.chunk s ~size:3)
+
 let garbage_fuzz =
   [
     garbage_prop "Wire" Wire.decode Wire.encode;
@@ -633,6 +739,7 @@ let garbage_fuzz =
     garbage_prop "Vr Msg" Vr_msg.decode Vr_msg.encode;
     garbage_prop "Envelope" decode_raw_envelope Envelope.encode;
     garbage_prop "Snapshot" Snapshot.decode Snapshot.encode;
+    garbage_prop "Snapshot chunks" of_3_byte_chunks Snapshot.encode;
     garbage_prop "Session" Session.decode Session.encode;
   ]
 
@@ -646,6 +753,7 @@ let truncation_fuzz =
     prefix_prop "Vr Msg" vr_msg_gen Vr_msg.encode Vr_msg.decode;
     prefix_prop "Envelope" envelope_gen Envelope.encode decode_raw_envelope;
     prefix_prop "Snapshot" snapshot_gen Snapshot.encode Snapshot.decode;
+    prefix_prop "Snapshot chunks" snapshot_gen Snapshot.encode of_3_byte_chunks;
     prefix_prop "Session" session_gen Session.encode Session.decode;
   ]
 
@@ -1028,6 +1136,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
           QCheck_alcotest.to_alcotest prop_session_roundtrip;
+          QCheck_alcotest.to_alcotest prop_chunk_matches_model;
+          QCheck_alcotest.to_alcotest prop_of_chunks_matches_model;
+          Alcotest.test_case "forged length prefix" `Quick
+            test_of_chunks_forged_prefix;
         ] );
       ( "truncation-fuzz",
         List.map QCheck_alcotest.to_alcotest truncation_fuzz );
