@@ -23,7 +23,7 @@
       right after its [Bootstrap], and the joiner asks the next one only
       after a retry period with no chunk.  Chunks that arrive before the
       joiner's instance are kept for it.  A joiner's transfer record is
-      dropped when its epoch activates.  This policy is {!Transfer}'s;
+      dropped when its epoch activates.  This policy is {!Epoch}'s;
       the service carries out its effects.
     - With speculative handoff on, epoch [e+1]'s instance boots and orders
       commands {e while} the snapshot is in flight; it executes and replies

@@ -1017,54 +1017,108 @@ let test_stray_chunks () =
         true (grown <= 64))
     [ (4, 2, 2, None, 0); (1, 5, (1 lsl 62) - 1, Some 1, 1) ]
 
-(* --- the transfer rules, driven through Transfer.step with no engine ---
+(* --- the epoch rules, driven through Epoch.step with no engine ---
 
-   Each case feeds one host's transfer a script of inputs and reads the
-   effects of every step.  The engine-level cases above and below show
-   the rules at work; these isolate the rules no run separates. *)
+   Each case feeds one host's epoch table a script of inputs and reads
+   the effects of every step.  The engine-level cases above and below
+   show the rules at work; these isolate the rules no run separates.
+   Every host boots with epoch 0 of {0,1,2}; the directory is node 9. *)
 
-module Transfer = Rsmr_core.Transfer
+module Epoch = Rsmr_core.Epoch
 
-let show_effect = function
-  | Transfer.Send_snapshot { dst; epoch; push; _ } ->
-    Printf.sprintf "%s %d to %d" (if push then "push" else "serve") epoch dst
-  | Transfer.Send_fetch { dst; epoch } -> Printf.sprintf "fetch %d from %d" epoch dst
-  | Transfer.Arm_timer epoch -> Printf.sprintf "arm %d" epoch
-  | Transfer.Cancel_timer epoch -> Printf.sprintf "cancel %d" epoch
-  | Transfer.Install { epoch; chunks } ->
-    Printf.sprintf "install %d %S" epoch (String.concat "" chunks)
+let drain_barrier = Rsmr_core.Envelope.encode Rsmr_core.Envelope.Drain
 
-(* Run [script], a list of (input, expected effects), from a fresh host. *)
-let transfer_script ~me ~transfer script =
-  ignore
+let show_effect =
+  let sp = Printf.sprintf in
+  let by = function Some l -> sp " by %d" l | None -> "" in
+  let timer = function
+    | Epoch.Refetch -> "fetch" | Epoch.Flush -> "flush" | Epoch.Drain -> "drain"
+    | Epoch.Rebootstrap -> "rebootstrap" | Epoch.Announce -> "announce"
+  in
+  let values vs =
+    String.concat "," (List.map (fun v -> if v = drain_barrier then "drain" else v) vs)
+  in
+  function
+  | Epoch.Send { dst; msg = Wire.Fetch_state { epoch } } -> sp "fetch %d from %d" epoch dst
+  | Epoch.Send { dst; msg = Wire.Bootstrap { epoch; _ } } -> sp "bootstrap %d to %d" epoch dst
+  | Epoch.Send { dst; msg = Wire.Retire { epoch } } -> sp "retire %d to %d" epoch dst
+  | Epoch.Send { dst = 9; msg = Wire.Dir_update { epoch; leader; _ } } ->
+    sp "dir %d%s" epoch (by leader)
+  | Epoch.Send { dst; msg } -> sp "send %s to %d" (Wire.tag msg) dst
+  | Epoch.Send_snapshot { dst; epoch; _ } -> sp "snapshot %d to %d" epoch dst
+  | Epoch.Forward { dst; epoch; values = vs } -> sp "forward %d to %d %s" epoch dst (values vs)
+  | Epoch.Submit { epoch; values = vs } -> sp "submit %d %s" epoch (values vs)
+  | Epoch.Arm { timer = k; epoch; _ } -> sp "arm %s %d" (timer k) epoch
+  | Epoch.Cancel { timer = k; epoch } -> sp "cancel %s %d" (timer k) epoch
+  | Epoch.Create { epoch; _ } -> sp "create %d" epoch
+  | Epoch.Start { epoch; early } ->
+    sp "start %d%s" epoch
+      (String.concat "" (List.map (fun (src, d) -> sp " %d:%s" src d) early))
+  | Epoch.Halt epoch -> sp "halt %d" epoch
+  | Epoch.Wedged { epoch; idx; _ } -> sp "wedged %d at %d" epoch idx
+  | Epoch.Resubmitted -> "resubmit"
+  | Epoch.Install { epoch; chunks } -> sp "install %d %S" epoch (String.concat "" chunks)
+  | Epoch.Activated { epoch; local } -> sp "activate %d%s" epoch (if local then " local" else "")
+  | Epoch.Replay { epoch; decided } ->
+    sp "replay %d %s" epoch
+      (String.concat "," (List.map (fun (i, v) -> sp "%d:%s" i v) decided))
+  | Epoch.Poll epoch -> sp "poll %d" epoch
+  | Epoch.Publish { epoch; leader; _ } -> sp "publish %d%s" epoch (by leader)
+
+(* Run [script], a list of (input, expected effects), from a fresh host;
+   return the last value. *)
+let epoch_script ?(strategy = Rsmr_iface.Reconfig_strategy.composed) ~me script =
+  fst
     (List.fold_left
        (fun (t, n) (input, expected) ->
-         let t, effects = Transfer.step t input in
+         let t, effects = Epoch.step t input in
          Alcotest.(check (list string))
            (Printf.sprintf "host %d, step %d" me n)
            expected
            (List.map show_effect effects);
          (t, n + 1))
-       (Transfer.create ~me ~transfer, 1)
+       (Epoch.create ~me ~dir:9 ~strategy ~members:[ 0; 1; 2 ], 1)
        script)
 
-let awaiting ?(members = [ 1; 2; 3 ]) ?(prev_members = [ 0; 1; 2 ]) ~prev_live
-    epoch =
-  Transfer.Awaiting { epoch; members; prev_members; prev_live }
+let pull = Rsmr_iface.Reconfig_strategy.composed
+let push = Rsmr_iface.Reconfig_strategy.matchmaker
+let blocking = Rsmr_iface.Reconfig_strategy.stopworld
 
-let chunk ?(live = true) epoch index total data =
-  Transfer.Chunk { epoch; index; total; data; live; retired = false }
+let bootstrap ?(members = [ 1; 2; 3 ]) ?(prev_members = [ 0; 1; 2 ]) epoch =
+  Epoch.Bootstrap { epoch; members; prev_members }
+
+let chunk epoch index total data = Epoch.Chunk { epoch; index; total; data }
+
+let wedge ?(leader = false) ?(members = [ 1; 2; 3 ]) idx =
+  Epoch.Wedge
+    { epoch = 0; idx; members; leader;
+      snapshot = { Snapshot.app = "s"; sessions = "" } }
+
+let fired ?(leader = false) timer epoch = Epoch.Fired { timer; epoch; leader }
+
+(* The wedge of epoch 0 into {1,2,3} on a host that leaves, before its
+   own effects. *)
+let wedge_0 = [ "wedged 0 at 5"; "bootstrap 1 to 1"; "bootstrap 1 to 2"; "bootstrap 1 to 3"; "dir 1" ]
+let wedge_tail = [ "arm rebootstrap 0"; "publish 1" ]
+
+(* ... and on node 1 or 2, which stays and hands its state over. *)
+let wedge_stay me =
+  [ "wedged 0 at 5" ]
+  @ List.filter_map
+      (fun m -> if m = me then None else Some (Printf.sprintf "bootstrap 1 to %d" m))
+      [ 1; 2; 3 ]
+  @ [ "dir 1" ] @ wedge_tail
 
 (* Donors are the previous members but the joiner, the new
    configuration's boot leader last; the first one asked is staggered by
    the joiner's id. *)
-let test_transfer_donor_order () =
+let test_epoch_donor_order () =
   List.iter
     (fun (me, members, prev_members, expected) ->
       Alcotest.(check (list int))
         (Printf.sprintf "donors of %d" me)
         expected
-        (Transfer.donor_order ~me ~members ~prev_members))
+        (Epoch.donor_order ~me ~members ~prev_members))
     [
       (3, [ 1; 2; 3 ], [ 0; 1; 2 ], [ 0; 2; 1 ]);
       (5, [ 0; 4; 5 ], [ 3; 0; 2 ], [ 3; 2; 0 ]);
@@ -1073,91 +1127,260 @@ let test_transfer_donor_order () =
     ];
   List.iter
     (fun (me, first, second) ->
-      transfer_script ~me ~transfer:`Pull
-        [
-          ( awaiting ~members:[ 1; 2; me ] ~prev_members:[ 0; 1; 2 ]
-              ~prev_live:false 1,
-            [ Printf.sprintf "fetch 1 from %d" first; "arm 1" ] );
-          (Transfer.Timer 1, [ Printf.sprintf "fetch 1 from %d" second; "arm 1" ]);
-        ])
+      ignore
+        (epoch_script ~me
+           [
+             ( bootstrap ~members:[ 1; 2; me ] 1,
+               [ "create 1"; "start 1"; Printf.sprintf "fetch 1 from %d" first; "arm fetch 1" ] );
+             (fired Epoch.Refetch 1, [ Printf.sprintf "fetch 1 from %d" second; "arm fetch 1" ]);
+           ]))
     [ (3, 0, 2); (4, 2, 1); (5, 1, 0) ]
 
 (* Under push the joiner asks nobody: its first-choice donor, and only
-   that one, sends the snapshot at the wedge.  The joiner asks the next
-   donor once the push stalls for a whole period. *)
-let test_transfer_push () =
-  let wedged =
-    Transfer.Wedged
-      { epoch = 1; members = [ 1; 2; 3 ]; prev_members = [ 0; 1; 2 ];
-        snapshot = { Snapshot.app = "s"; sessions = "" } }
-  in
-  transfer_script ~me:0 ~transfer:`Push [ (wedged, [ "push 1 to 3" ]) ];
-  transfer_script ~me:2 ~transfer:`Push [ (wedged, []) ];
-  transfer_script ~me:0 ~transfer:`Pull [ (wedged, []) ];
-  transfer_script ~me:3 ~transfer:`Push
-    [
-      (awaiting ~prev_live:false 1, [ "arm 1" ]);
-      (chunk 1 0 2 "a", [ "arm 1" ]);
-      (Transfer.Timer 1, [ "fetch 1 from 2"; "arm 1" ]);
-    ];
+   that one, sends the snapshot at the wedge, after the Bootstraps.  The
+   joiner asks the next donor once the push stalls for a whole
+   period. *)
+let test_epoch_push () =
+  ignore (epoch_script ~strategy:push ~me:0 [ (wedge 5, wedge_0 @ [ "snapshot 1 to 3" ] @ wedge_tail) ]);
+  ignore
+    (epoch_script ~strategy:push ~me:2
+       [ (wedge 5,
+          wedge_stay 2
+          @ [ "create 1"; "start 1"; "arm fetch 1"; "activate 1 local"; "cancel fetch 1"; "poll 1" ]) ]);
+  ignore (epoch_script ~strategy:pull ~me:0 [ (wedge 5, wedge_0 @ wedge_tail) ]);
+  ignore
+    (epoch_script ~strategy:push ~me:3
+       [
+         (bootstrap 1, [ "create 1"; "start 1"; "arm fetch 1" ]);
+         (chunk 1 0 2 "a", [ "arm fetch 1" ]);
+         (fired Epoch.Refetch 1, [ "fetch 1 from 2"; "arm fetch 1" ]);
+       ]);
   (* A fetch parked before the wedge is served, not pushed, and before
-     any push. *)
-  transfer_script ~me:0 ~transfer:`Push
-    [
-      (Transfer.Fetch { src = 3; epoch = 1 }, []);
-      (Transfer.Fetch { src = 5; epoch = 1 }, []);
-      (wedged, [ "serve 1 to 3" ]);
-    ]
+     the Bootstraps. *)
+  ignore
+    (epoch_script ~strategy:push ~me:0
+       [
+         (Epoch.Fetch { src = 3; epoch = 1 }, []);
+         (Epoch.Fetch { src = 5; epoch = 1 }, []);
+         (wedge 5, ("wedged 0 at 5" :: "snapshot 1 to 3" :: List.tl wedge_0) @ wedge_tail);
+       ])
 
 (* A member of both configurations waits for its own wedge while its
    previous instance runs, and fetches at once, pushed or not, when that
    instance retires unwedged. *)
-let test_transfer_continuing_member () =
+let test_epoch_continuing_member () =
   List.iter
-    (fun transfer ->
-      transfer_script ~me:1 ~transfer
-        [
-          (awaiting ~prev_live:true 1, [ "arm 1" ]);
-          ( Transfer.Retired { epoch = 0; wedged = false; next_live = true },
-            [ "fetch 1 from 2"; "arm 1" ] );
-        ];
-      transfer_script ~me:1 ~transfer
-        [
-          (awaiting ~prev_live:true 1, [ "arm 1" ]);
-          (Transfer.Retired { epoch = 0; wedged = true; next_live = true }, []);
-          (Transfer.Activated 1, [ "cancel 1" ]);
-        ])
-    [ `Pull; `Push ]
+    (fun strategy ->
+      ignore
+        (epoch_script ~strategy ~me:1
+           [
+             (bootstrap 1, [ "create 1"; "start 1"; "arm fetch 1" ]);
+             (Epoch.Retire 1, [ "halt 0"; "fetch 1 from 2"; "arm fetch 1" ]);
+           ]);
+      ignore
+        (epoch_script ~strategy ~me:1
+           [
+             (bootstrap 1, [ "create 1"; "start 1"; "arm fetch 1" ]);
+             (wedge 5, wedge_stay 1 @ [ "activate 1 local"; "cancel fetch 1"; "poll 1" ]);
+             (Epoch.Drained { epoch = 0; leader = false }, [ "halt 0" ]);
+           ]))
+    [ pull; push ];
+  (* Its own wedge's state wins over chunks it never asked for. *)
+  ignore
+    (epoch_script ~me:1
+       [
+         (chunk 1 0 1 "x", []);
+         (wedge 5, wedge_stay 1 @ [ "create 1"; "start 1"; "activate 1 local"; "cancel fetch 1"; "poll 1" ]);
+       ])
 
 (* Every chunk of a moving transfer re-arms the timer, a repeated one
    included, and none asks another donor; the last one installs.  Once
    activated, the epoch takes no chunk. *)
-let test_transfer_moving () =
-  transfer_script ~me:3 ~transfer:`Pull
-    [
-      (awaiting ~prev_live:false 1, [ "fetch 1 from 0"; "arm 1" ]);
-      (chunk 1 0 3 "a", [ "arm 1" ]);
-      (chunk 1 0 3 "a", [ "arm 1" ]);
-      (chunk 1 2 3 "c", [ "arm 1" ]);
-      (chunk 1 1 3 "b", [ "arm 1"; {|install 1 "abc"|} ]);
-      (Transfer.Activated 1, [ "cancel 1" ]);
-      (chunk 1 0 3 "a", []);
-    ]
+let test_epoch_moving () =
+  ignore
+    (epoch_script ~me:3
+       [
+         (bootstrap 1, [ "create 1"; "start 1"; "fetch 1 from 0"; "arm fetch 1" ]);
+         (chunk 1 0 3 "a", [ "arm fetch 1" ]);
+         (chunk 1 0 3 "a", [ "arm fetch 1" ]);
+         (chunk 1 2 3 "c", [ "arm fetch 1" ]);
+         (chunk 1 1 3 "b", [ "arm fetch 1"; {|install 1 "abc"|} ]);
+         (Epoch.Installed 1, [ "activate 1"; "cancel fetch 1"; "poll 1" ]);
+         (chunk 1 0 3 "a", []);
+       ])
 
 (* Chunks that do not decode are dropped, all of them: a new chunk at a
    dropped one's index is taken.  The joiner waits one [fetch_timeout]
    for more, as after any chunk, and then asks the next donor. *)
-let test_transfer_rejected () =
-  transfer_script ~me:3 ~transfer:`Pull
-    [
-      (awaiting ~prev_live:false 1, [ "fetch 1 from 0"; "arm 1" ]);
-      (chunk 1 0 1 "\xff", [ "arm 1"; {|install 1 "\255"|} ]);
-      (Transfer.Rejected 1, [ "arm 1" ]);
-      (Transfer.Timer 1, [ "fetch 1 from 2"; "arm 1" ]);
-      (chunk 1 0 1 "s", [ "arm 1"; {|install 1 "s"|} ]);
-      (Transfer.Activated 1, [ "cancel 1" ]);
-      (Transfer.Rejected 1, []);
-    ]
+let test_epoch_rejected () =
+  ignore
+    (epoch_script ~me:3
+       [
+         (bootstrap 1, [ "create 1"; "start 1"; "fetch 1 from 0"; "arm fetch 1" ]);
+         (chunk 1 0 1 "\xff", [ "arm fetch 1"; {|install 1 "\255"|} ]);
+         (Epoch.Rejected 1, [ "arm fetch 1" ]);
+         (fired Epoch.Refetch 1, [ "fetch 1 from 2"; "arm fetch 1" ]);
+         (chunk 1 0 1 "s", [ "arm fetch 1"; {|install 1 "s"|} ]);
+         (Epoch.Installed 1, [ "activate 1"; "cancel fetch 1"; "poll 1" ]);
+         (Epoch.Rejected 1, []);
+       ])
+
+(* An epoch is created once: a Bootstrap of a hosted or retired epoch
+   does nothing, and neither does one with no members. *)
+let test_epoch_bootstrap_once () =
+  ignore
+    (epoch_script ~me:1
+       [
+         (bootstrap ~members:[ 0; 1; 2 ] 0, []);
+         (bootstrap ~members:[] 1, []);
+         (Epoch.Retire 1, [ "halt 0" ]);
+         (bootstrap ~members:[ 0; 1; 2 ] 0, []);
+         (Epoch.Retire 1, []);
+       ])
+
+(* First wedge wins: a second decided Reconfig leaves it in place. *)
+let test_epoch_first_wedge () =
+  let t =
+    epoch_script ~me:0
+      [ (wedge 5, wedge_0 @ wedge_tail); (wedge ~members:[ 4; 5; 6 ] 7, []) ]
+  in
+  Alcotest.(check (option int)) "wedged at the first" (Some 5) (Epoch.wedged_at t 0);
+  Alcotest.(check (pair int (list int))) "the first's members are the latest"
+    (1, [ 1; 2; 3 ]) (Epoch.latest t)
+
+(* Only the leader orders the drain barrier, from a fresh step and on
+   every Bootstrap round while it leads, and only the leader sends
+   Retire once it is decided. *)
+let test_epoch_drain () =
+  ignore
+    (epoch_script ~me:0
+       [
+         (wedge ~leader:true 5, wedge_0 @ [ "arm drain 0" ] @ wedge_tail);
+         (fired ~leader:true Epoch.Drain 0, [ "submit 0 drain" ]);
+         ( fired ~leader:true Epoch.Rebootstrap 0,
+           List.tl wedge_0 @ [ "submit 0 drain"; "arm rebootstrap 0" ] );
+         (fired Epoch.Rebootstrap 0, List.tl wedge_0 @ [ "arm rebootstrap 0" ]);
+         ( Epoch.Drained { epoch = 0; leader = true },
+           [ "retire 1 to 1"; "retire 1 to 2"; "halt 0" ] );
+         (fired ~leader:true Epoch.Drain 0, []);
+       ]);
+  ignore
+    (epoch_script ~me:1
+       [
+         (wedge ~members:[ 0; 1; 2 ] 5, [ "wedged 0 at 5"; "bootstrap 1 to 0"; "bootstrap 1 to 2"; "dir 1" ] @ wedge_tail
+            @ [ "create 1"; "start 1"; "arm fetch 1"; "activate 1 local"; "cancel fetch 1"; "poll 1" ]);
+         (fired Epoch.Drain 0, []);
+         (Epoch.Drained { epoch = 0; leader = false }, [ "halt 0" ]);
+       ]);
+  (* The Bootstrap rounds stop after 40, retired or not. *)
+  let t = epoch_script ~me:0 [ (wedge 5, wedge_0 @ wedge_tail); (Epoch.Retire 1, [ "halt 0" ]) ] in
+  let rounds = ref 0 in
+  let rec go t =
+    match Epoch.step t (fired Epoch.Rebootstrap 0) with
+    | t, [] -> ignore t
+    | t, _ -> incr rounds; go t
+  in
+  go t;
+  Alcotest.(check int) "Bootstrap rounds" 40 !rounds
+
+(* Only the old instance's leader re-submits a residual, under
+   [Resubmit]; the residuals of one step go as one batch into the next
+   instance, or, with none here, to the next configuration's boot
+   leader.  Under [Client_retry] nobody re-submits. *)
+let test_epoch_residuals () =
+  let residual ?(leader = true) value = Epoch.Residual { epoch = 0; value; leader } in
+  ignore
+    (epoch_script ~me:0
+       [
+         (wedge 5, wedge_0 @ wedge_tail);
+         (residual ~leader:false "r0", []);
+         (residual "r1", [ "resubmit"; "arm flush 0" ]);
+         (residual "r2", [ "resubmit" ]);
+         (fired Epoch.Flush 0, [ "forward 1 to 1 r1,r2" ]);
+         (fired Epoch.Flush 0, []);
+       ]);
+  ignore
+    (epoch_script ~me:1
+       [
+         (wedge 5, wedge_stay 1 @ [ "create 1"; "start 1"; "arm fetch 1"; "activate 1 local"; "cancel fetch 1"; "poll 1" ]);
+         (residual "r1", [ "resubmit"; "arm flush 0" ]);
+         (fired Epoch.Flush 0, [ "submit 1 r1" ]);
+       ]);
+  ignore
+    (epoch_script ~strategy:blocking ~me:0
+       [ (wedge 5, wedge_0 @ wedge_tail); (residual "r1", []) ])
+
+(* [Retire e] retires every live epoch below [e], in order; a next
+   epoch left without its local handoff fetches. *)
+let test_epoch_retire_below () =
+  let t =
+    epoch_script ~me:1
+      [
+        (bootstrap 1, [ "create 1"; "start 1"; "arm fetch 1" ]);
+        (bootstrap ~prev_members:[ 1; 2; 3 ] 2, [ "create 2"; "start 2"; "arm fetch 2" ]);
+        ( Epoch.Retire 2,
+          [ "halt 0"; "fetch 1 from 2"; "arm fetch 1"; "halt 1"; "cancel fetch 1";
+            "fetch 2 from 3"; "arm fetch 2" ] );
+      ]
+  in
+  Alcotest.(check (list (pair int bool))) "epochs and their retirement"
+    [ (0, true); (1, true); (2, false) ]
+    (List.rev (Epoch.fold (fun e i acc -> (e, i.Epoch.retired) :: acc) t []))
+
+(* What a speculative instance decides before it activates replays in
+   index order on activation, and a blocking one's early block messages
+   go to its replica when it starts. *)
+let test_epoch_speculative_buffer () =
+  ignore
+    (epoch_script ~me:3
+       [
+         (bootstrap 1, [ "create 1"; "start 1"; "fetch 1 from 0"; "arm fetch 1" ]);
+         (Epoch.Decided { epoch = 1; idx = 7; value = "b" }, []);
+         (Epoch.Decided { epoch = 1; idx = 5; value = "a" }, []);
+         (chunk 1 0 1 "s", [ "arm fetch 1"; {|install 1 "s"|} ]);
+         (Epoch.Installed 1, [ "activate 1"; "cancel fetch 1"; "replay 1 5:a,7:b"; "poll 1" ]);
+         (Epoch.Decided { epoch = 1; idx = 8; value = "c" }, []);
+       ]);
+  ignore
+    (epoch_script ~strategy:blocking ~me:3
+       [
+         (bootstrap 1, [ "create 1"; "fetch 1 from 0"; "arm fetch 1" ]);
+         (Epoch.Early { epoch = 1; src = 2; data = "m" }, []);
+         (Epoch.Early { epoch = 1; src = 1; data = "n" }, []);
+         (chunk 1 0 1 "s", [ "arm fetch 1"; {|install 1 "s"|} ]);
+         (Epoch.Installed 1, [ "activate 1"; "cancel fetch 1"; "start 1 2:m 1:n"; "poll 1" ]);
+         (Epoch.Early { epoch = 1; src = 2; data = "o" }, []);
+       ])
+
+(* The announce fires once, only when the epoch is activated and the
+   host leads it; until then the poll re-arms. *)
+let test_epoch_announce () =
+  ignore
+    (epoch_script ~me:3
+       [
+         (bootstrap 1, [ "create 1"; "start 1"; "fetch 1 from 0"; "arm fetch 1" ]);
+         (fired ~leader:true Epoch.Announce 1, [ "arm announce 1" ]);
+         (chunk 1 0 1 "s", [ "arm fetch 1"; {|install 1 "s"|} ]);
+         (Epoch.Installed 1, [ "activate 1"; "cancel fetch 1"; "poll 1" ]);
+         (fired Epoch.Announce 1, [ "arm announce 1" ]);
+         (fired ~leader:true Epoch.Announce 1, [ "dir 1 by 3"; "publish 1 by 3" ]);
+         (fired ~leader:true Epoch.Announce 1, []);
+       ])
+
+(* The reads a decided command makes allocate nothing, for a live, a
+   wedged and an unknown epoch alike. *)
+let test_epoch_reads () =
+  let t = epoch_script ~me:1 [ (wedge 5, wedge_stay 1 @ [ "create 1"; "start 1"; "arm fetch 1"; "activate 1 local"; "cancel fetch 1"; "poll 1" ]) ] in
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    for e = 0 to 2 do
+      ignore (Sys.opaque_identity (Epoch.activated t e));
+      ignore (Sys.opaque_identity (Epoch.wedged_at t e))
+    done
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words >= 1. then Alcotest.failf "the reads allocate %.2f words per round" words
 
 (* --- an old instance halts only once drained ---
 
@@ -1640,6 +1863,46 @@ module Handoff (S : Rsmr_core.Service.S with type app_state = Kv.t) = struct
     Alcotest.(check string) (label "node 3 agrees with node 1") (state r 1)
       (state r 3)
 
+  (* (f) A forged block payload stops nothing.  Node 2 sends a 1-byte
+     [Block] that does not decode: to node 1's live instance of epoch 0
+     during the swap, and, under stopworld's blocking handoff, to joiner
+     3's instance of epoch 1 while it awaits its state, so the message
+     waits in the instance's early buffer until its replica starts.  Both
+     are dropped: the joiner activates with the donor's state and the
+     replicas agree. *)
+  let forged_block () =
+    let label what = "forged block: " ^ what in
+    let forged = "\xff" in
+    let r =
+      start ~strategy:Rsmr_iface.Reconfig_strategy.composed ~n_keys:300
+        ~value_size:500 ()
+    in
+    let during () =
+      Network.send (S.net r.svc) ~src:2 ~dst:1 (Wire.Block { epoch = 0; data = forged })
+    in
+    swap r ~during ~deadline:(Engine.now r.engine +. 10.0);
+    Alcotest.(check string) (label "live: node 2 agrees with node 1") (state r 1)
+      (state r 2);
+    (* Over a 10 Mb/s uplink the snapshot takes about 0.1 s to cross. *)
+    let r =
+      start ~bandwidth:1.25e6 ~strategy:Rsmr_iface.Reconfig_strategy.stopworld
+        ~n_keys:300 ~value_size:500 ()
+    in
+    let during () =
+      let step () = Engine.run ~until:(Engine.now r.engine +. 0.0005) r.engine in
+      let deadline = Engine.now r.engine +. 5.0 in
+      while S.host_epoch r.svc 3 <> Some 1 && Engine.now r.engine < deadline do
+        step ()
+      done;
+      Network.send (S.net r.svc) ~src:2 ~dst:3 (Wire.Block { epoch = 1; data = forged });
+      for _ = 1 to 4 do step () done;
+      Alcotest.(check bool) (label "awaiting: delivered before node 3 activates")
+        true (S.app_state r.svc 3 = None && S.live_instances r.svc 3 = 0)
+    in
+    swap r ~during ~deadline:(Engine.now r.engine +. 10.0);
+    Alcotest.(check string) (label "awaiting: node 2 agrees with node 1")
+      (state r 1) (state r 2)
+
   (* (e) The words a handoff allocates from [reconfigure] to the
      joiner's activation, in copies of the state: the three wedge
      snapshots, the donor's chunks, the joiner's two parts and its
@@ -1685,6 +1948,10 @@ let test_stalled_push () =
 let test_forged_chunk () =
   Handoff_paxos.forged_chunk ();
   Handoff_vr.forged_chunk ()
+
+let test_forged_block () =
+  Handoff_paxos.forged_block ();
+  Handoff_vr.forged_block ()
 
 let test_handoff_allocation () =
   Handoff_paxos.handoff_allocation ();
@@ -1858,15 +2125,31 @@ let () =
           Alcotest.test_case "stray chunks start nothing" `Quick
             test_stray_chunks;
           Alcotest.test_case "transfer: donor order" `Quick
-            test_transfer_donor_order;
+            test_epoch_donor_order;
           Alcotest.test_case "transfer: a pushed joiner waits for its donor"
-            `Quick test_transfer_push;
+            `Quick test_epoch_push;
           Alcotest.test_case "transfer: a continuing member waits for its wedge"
-            `Quick test_transfer_continuing_member;
+            `Quick test_epoch_continuing_member;
           Alcotest.test_case "transfer: a moving transfer is not re-requested"
-            `Quick test_transfer_moving;
+            `Quick test_epoch_moving;
           Alcotest.test_case "transfer: undecodable chunks are dropped" `Quick
-            test_transfer_rejected;
+            test_epoch_rejected;
+          Alcotest.test_case "epoch: an epoch is created once" `Quick
+            test_epoch_bootstrap_once;
+          Alcotest.test_case "epoch: the first wedge wins" `Quick
+            test_epoch_first_wedge;
+          Alcotest.test_case "epoch: only the leader drains and retires" `Quick
+            test_epoch_drain;
+          Alcotest.test_case "epoch: only the leader re-submits residuals"
+            `Quick test_epoch_residuals;
+          Alcotest.test_case "epoch: Retire e retires every epoch below e"
+            `Quick test_epoch_retire_below;
+          Alcotest.test_case "epoch: the speculative buffer replays in order"
+            `Quick test_epoch_speculative_buffer;
+          Alcotest.test_case "epoch: the announce fires once" `Quick
+            test_epoch_announce;
+          Alcotest.test_case "epoch: the per-command reads allocate nothing"
+            `Quick test_epoch_reads;
           Alcotest.test_case "old instance halts once drained (paxos)" `Quick
             (test_halt_after_drain Rolling_paxos.run Strategy.composed);
           Alcotest.test_case "old instance halts once drained (vr)" `Quick
@@ -1887,6 +2170,8 @@ let () =
             test_donors_agree;
           Alcotest.test_case "a forged chunk stops no handoff" `Quick
             test_forged_chunk;
+          Alcotest.test_case "a forged block payload stops no handoff" `Quick
+            test_forged_block;
           Alcotest.test_case "a handoff allocates at most 8 state copies" `Quick
             test_handoff_allocation;
           Alcotest.test_case "slow transfer is not re-requested" `Quick
