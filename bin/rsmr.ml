@@ -190,7 +190,6 @@ module Generate = Rsmr_crucible.Generate
 module Runner = Rsmr_crucible.Runner
 module Oracle = Rsmr_crucible.Oracle
 module Soak = Rsmr_crucible.Soak
-module Churn = Rsmr_shard.Churn
 module Scope = Rsmr_mc.Scope
 module Choice = Rsmr_mc.Choice
 module Harness = Rsmr_mc.Harness
@@ -219,53 +218,21 @@ let write_failures path pp failures =
       Format.pp_print_flush ppf ());
   Format.printf "failure traces written to %s@." path
 
-(* Platform-level churn: runs are fully determined by (proto, seed), so
-   there is no shrink pass; a failure's artifact is its report plus the
-   replay line. *)
-let dir_churn ~protos ~seeds ~storm ~quick ~out ~verbose =
-  let protos = if protos = [] then Churn.protocols else protos in
-  List.iter (fun p -> ignore (composed_only ~what:"dir_churn" p)) protos;
-  let seeds =
-    if storm then [ Churn.storm_seed ]
-    else if seeds = [] then refuse "dir_churn: need --seed/--seeds or --storm"
-    else seeds
-  in
-  let t0 = seconds () in
-  let reports =
-    List.concat_map
-      (fun seed -> List.map (fun p -> Churn.run ~quick ~storm p ~seed) protos)
-      seeds
-  in
-  let pp_failure ppf r =
-    Format.fprintf ppf "%a@.  replay: %s" Churn.pp_report r
-      (Churn.replay_command r.Churn.r_proto r.Churn.r_seed)
-  in
-  let failures = List.filter (fun r -> Churn.failures r <> []) reports in
-  List.iter
-    (fun r ->
-      if Churn.failures r <> [] then Format.printf "%a@." pp_failure r
-      else if verbose then Format.printf "%a@." Churn.pp_report r)
-    reports;
-  Format.printf
-    "dir_churn: %d runs (%d seeds x %d protos), %d passed, %d failed, %.1fs \
-     wall@."
-    (List.length reports) (List.length seeds) (List.length protos)
-    (List.length reports - List.length failures)
-    (List.length failures)
-    (seconds () -. t0);
-  if failures <> [] then
-    Option.iter (fun path -> write_failures path pp_failure failures) out;
-  exit (if failures = [] then 0 else 1)
-
-let soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink ~mutation
-    ~print_only ~out ~metrics ~verbose =
-  let protos = if protos = [] then Protocol.crucible else protos in
+let soak ~generate ~default_protos ~protos ~seeds ~scenario ~lin_budget
+    ~shrink ~mutation ~print_only ~out ~metrics ~verbose =
+  let protos = if protos = [] then default_protos else protos in
   let scenarios =
     match (scenario, seeds) with
     | Some sc, _ -> [ sc ]
     | None, [] -> refuse "crucible: need --seed/--seeds or --scenario"
     | None, seeds -> List.map (fun seed -> generate ~seed) seeds
   in
+  (* The platform is built from a block, so raft cannot run it.  One
+     command's scenarios share their shape. *)
+  (match scenarios with
+   | { Scenario.shape = Scenario.Platform _; _ } :: _ ->
+     List.iter (fun p -> ignore (composed_only ~what:"the platform" p)) protos
+   | _ -> ());
   if print_only then begin
     List.iter (fun sc -> print_endline (Scenario.to_string sc)) scenarios;
     exit 0
@@ -321,14 +288,20 @@ let crucible seeds protos family storm quick scenario lin_budget no_shrink
         else List.init (b - a + 1) (( + ) a))
       seeds
   in
-  let soak generate =
-    soak ~generate ~protos ~seeds ~scenario ~lin_budget ~shrink:(not no_shrink)
-      ~mutation ~print_only ~out ~metrics ~verbose
+  let soak ?(default_protos = Protocol.crucible) ?(scenario = scenario)
+      generate =
+    soak ~generate ~default_protos ~protos ~seeds ~scenario ~lin_budget
+      ~shrink:(not no_shrink) ~mutation ~print_only ~out ~metrics ~verbose
   in
   match family with
   | `Default -> soak Generate.scenario
   | `Reconf_churn -> soak Generate.reconf_churn_scenario
-  | `Dir_churn -> dir_churn ~protos ~seeds ~storm ~quick ~out ~verbose
+  | `Dir_churn ->
+    (* one protocol per block, as in experiment T4 *)
+    soak ~default_protos:[ Protocol.core; Protocol.core_vr ]
+      ~scenario:
+        (if storm then Some (Generate.storm_scenario ~quick) else scenario)
+      (Generate.dir_churn_scenario ~quick)
 
 let mutate_t =
   Arg.(

@@ -1,4 +1,6 @@
-(** Seed → scenario.
+(** Seed → scenario, for the three families [rsmr crucible] soaks:
+    [default] ({!scenario}), [reconf_churn] ({!reconf_churn_scenario})
+    and [dir_churn] ({!dir_churn_scenario}, with {!storm_scenario}).
 
     Every structural choice — cluster size, universe, client count,
     workload window, and the fault script (crash/recover pairs,
@@ -20,3 +22,13 @@ val reconf_churn_scenario : seed:int -> Scenario.t
     run, roughly half with a back-to-back chaser inside the install
     window) plus at most one crash or loss spell — the family the
     per-strategy reconfiguration soak runs over. *)
+
+val dir_churn_scenario : quick:bool -> seed:int -> Scenario.t
+(** The platform (two shards of three over six machines, the directory
+    on three) under one-at-a-time machine crashes, one or two directory
+    isolations and one or two cross-shard rebalances, for 5.8 s (2.8 s
+    when [quick]). *)
+
+val storm_scenario : quick:bool -> Scenario.t
+(** The redirect-storm regression, seed 424: both shards rebalanced
+    under a directory blackout. *)

@@ -3,7 +3,7 @@
 
     This is the loop behind [rsmr crucible] and the CI soak
     step: a scenario list crossed with the protocol stacks, each run judged
-    by the five {!Oracle}s, failures minimized by {!Shrink} and reported
+    by the {!Oracle}s, failures minimized by {!Shrink} and reported
     with a [dune exec] one-liner that replays the shrunk scenario
     bit-for-bit. *)
 

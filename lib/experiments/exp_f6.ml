@@ -42,7 +42,8 @@ let run_one ~shards ~tenants ~keys_per_tenant ~duration =
   let rng = Rng.split (Engine.rng engine) in
   (* Mild cross-tenant skew: enough heterogeneity to exercise routing,
      not enough to pin the aggregate to whichever shard owns the hottest
-     tenants (F7 and dir_churn stress the skewed/imbalanced regimes). *)
+     tenants (F7 and the crucible's dir_churn family stress the
+     skewed/imbalanced regimes). *)
   let gen =
     Tenant.create ~rng ~tenants ~keys_per_tenant ~tenant_theta:0.3
       ~value_size:256 ()

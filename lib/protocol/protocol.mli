@@ -3,9 +3,10 @@
     A protocol is either a {e composed} service — one of the two
     composable static blocks (Multi-Paxos or VR) under a reconfiguration
     strategy — or the natively reconfigurable Raft baseline.  The
-    experiment tables, the crucible, the dir_churn family, Scope and
-    every [rsmr] subcommand name protocols from this table; {!Make}
-    builds them. *)
+    experiment tables, the crucible, Scope and every [rsmr] subcommand
+    name protocols from this table; {!Make} builds them.  A crucible
+    platform scenario builds from a composed protocol's block, which
+    Raft lacks. *)
 
 type block =
   | Paxos  (** {!Rsmr_smr.Paxos_block} *)

@@ -13,7 +13,8 @@
     Lookups for the same name are single-flight and sequential (later
     callers queue), which makes the observed-epoch stream per name
     monotone whenever the directory service is linearizable — the
-    [dir_churn] oracle asserts {!regressions} stays zero. *)
+    crucible's [dir-epoch-monotone] oracle asserts {!regressions} stays
+    zero. *)
 
 type t
 

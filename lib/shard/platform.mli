@@ -75,7 +75,8 @@ module type S = sig
 
   val dir_epoch_regressions : t -> int
   (** Directory-epoch monotonicity witness (see
-      {!Dir_client.regressions}); the [dir_churn] oracle requires 0. *)
+      {!Dir_client.regressions}); the crucible's [dir-epoch-monotone]
+      oracle requires 0. *)
 
   val first_client_id : t -> Rsmr_net.Node_id.t
   (** Lowest safe workload-client id (above every overlay's service,

@@ -19,15 +19,14 @@ module Scenario = Rsmr_crucible.Scenario
 module Generate = Rsmr_crucible.Generate
 module Runner = Rsmr_crucible.Runner
 module Service = Rsmr_core.Service
-module Churn = Rsmr_shard.Churn
+module Oracle = Rsmr_crucible.Oracle
 module Protocol = Rsmr_protocol.Protocol
 
 (* PR-4: two Reconfigure submissions race in the same epoch. *)
 let concurrent_reconf =
   {
     Scenario.seed = 4242;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3; 4 ];
+    shape = Scenario.Service { members = [ 0; 1; 2 ]; universe = [ 0; 1; 2; 3; 4 ] };
     n_clients = 2;
     duration = 1.5;
     events =
@@ -43,8 +42,7 @@ let concurrent_reconf =
 let batched_churn =
   {
     Scenario.seed = 808;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3; 4 ];
+    shape = Scenario.Service { members = [ 0; 1; 2 ]; universe = [ 0; 1; 2; 3; 4 ] };
     n_clients = 4;
     duration = 2.0;
     events =
@@ -75,6 +73,7 @@ let corpus =
 (* Platform-level dir_churn seeds kept in the corpus: the storm
    regression plus a couple of seeded schedules, over both blocks. *)
 let churn_seeds = [ 0; 7 ]
+let churn_protos = [ Protocol.core; Protocol.core_vr ]
 
 (* --- canonical rendering + digest --- *)
 
@@ -108,16 +107,24 @@ let render_report proto_name (r : Runner.report) =
   Buffer.add_string b
     (Printf.sprintf "quiesced=%b converged=%b\n" r.Runner.quiesced
        r.Runner.converged);
+  let chain =
+    match r.Runner.chains with
+    | [ c ] -> c
+    | _ -> invalid_arg "render_report: a single service has one chain"
+  in
   Buffer.add_string b "members=";
-  render_ints b r.Runner.final_members;
+  render_ints b chain.Runner.members;
   Buffer.add_char b '\n';
   List.iter
     (fun (n, s) ->
       Buffer.add_string b (Printf.sprintf "state %d %s\n" n (fnv1a s)))
-    r.Runner.final_states;
-  (match r.Runner.final_counter with
-  | Some c -> Buffer.add_string b (Printf.sprintf "counter=%d\n" c)
-  | None -> Buffer.add_string b "counter=-\n");
+    chain.Runner.states;
+  (match chain.Runner.states with
+  | (_, s) :: _ ->
+    Buffer.add_string b
+      (Printf.sprintf "counter=%d\n"
+         (Rsmr_crucible.Mixed.counter_value (Rsmr_crucible.Mixed.restore s)))
+  | [] -> Buffer.add_string b "counter=-\n");
   List.iter
     (fun (node, stats) ->
       List.iter
@@ -130,7 +137,7 @@ let render_report proto_name (r : Runner.report) =
                | Some w -> string_of_int w)
                s.Service.es_applied_hi))
         stats)
-    r.Runner.epoch_stats;
+    chain.Runner.epoch_stats;
   Buffer.contents b
 
 let run_digest proto proto_name sc =
@@ -142,16 +149,20 @@ let run_digest proto proto_name sc =
 let churn_label p =
   if String.equal p.Protocol.name "core/vr" then "vr" else p.Protocol.name
 
-let churn_digest proto seed ~storm =
-  let r =
-    if storm then Churn.redirect_storm proto
-    else Churn.run proto ~seed
+let churn_digest proto (sc : Scenario.t) =
+  let r = Runner.run proto sc in
+  let p =
+    match r.Runner.platform with
+    | Some p -> p
+    | None -> invalid_arg "churn_digest: not a platform scenario"
   in
   fnv1a
     (Printf.sprintf "%s seed=%d cmds=%d replies=%d reb=%d redir=%d regr=%d ok=%b"
-       (churn_label proto) seed r.Churn.r_commands r.Churn.r_replies
-       r.Churn.r_rebalances r.Churn.r_redirects r.Churn.r_regressions
-       (Churn.failures r = []))
+       (churn_label proto) sc.Scenario.seed r.Runner.submitted r.Runner.completed
+       p.Runner.rebalances_done
+       (Option.value (List.assoc_opt "redirects" r.Runner.counters) ~default:0)
+       p.Runner.dir_regressions
+       (Oracle.ok (Oracle.check r)))
 
 (* Every (key, digest) line the expected file must contain, in order.
    [protos] names runner protocols by string so this module stays valid
@@ -179,12 +190,13 @@ let all_lines () =
       (fun proto ->
         let pname = churn_label proto in
         (Printf.sprintf "churn/%s/storm" pname,
-         churn_digest proto Churn.storm_seed ~storm:true)
+         churn_digest proto (Generate.storm_scenario ~quick:false))
         :: List.map
              (fun seed ->
                ( Printf.sprintf "churn/%s/seed_%d" pname seed,
-                 churn_digest proto seed ~storm:false ))
+                 churn_digest proto
+                   (Generate.dir_churn_scenario ~quick:false ~seed) ))
              churn_seeds)
-      Churn.protocols
+      churn_protos
   in
   service @ churn

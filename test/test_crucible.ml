@@ -17,8 +17,7 @@ let scenario = Alcotest.testable Scenario.pp Scenario.equal
 let kitchen_sink =
   {
     Scenario.seed = 99;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3; 4 ];
+    shape = Scenario.Service { members = [ 0; 1; 2 ]; universe = [ 0; 1; 2; 3; 4 ] };
     n_clients = 2;
     duration = 1.75;
     events =
@@ -44,11 +43,41 @@ let round_trip sc =
   | Error e ->
     Alcotest.failf "parse error on %s: %s" (Scenario.to_string sc) e
 
+(* Every platform fault, over a platform shape of three shards. *)
+let platform_sink =
+  {
+    Scenario.seed = 98;
+    shape =
+      Scenario.Platform
+        {
+          pool = [ 0; 1; 2; 3; 4; 5; 6 ];
+          shards = [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5; 6 ] ];
+          dir = [ 0; 3; 6 ];
+        };
+    n_clients = 4;
+    duration = 2.8;
+    events =
+      [
+        { at = 0.4; fault = Crash 5 };
+        { at = 0.6; fault = Isolate_dir [ 0; 3; 6 ] };
+        { at = 0.7; fault = Rebalance 2 };
+        { at = 0.937; fault = Recover 5 };
+        { at = 1.1; fault = Heal };
+        { at = 1.2; fault = Isolate_dir [ 3 ] };
+        { at = 1.25; fault = Rebalance 0 };
+      ];
+  }
+
 let test_codec_round_trip () =
   round_trip kitchen_sink;
+  round_trip platform_sink;
   for seed = 0 to 24 do
-    round_trip (Generate.scenario ~seed)
-  done
+    round_trip (Generate.scenario ~seed);
+    round_trip (Generate.dir_churn_scenario ~quick:false ~seed);
+    round_trip (Generate.dir_churn_scenario ~quick:true ~seed)
+  done;
+  round_trip (Generate.storm_scenario ~quick:false);
+  round_trip (Generate.storm_scenario ~quick:true)
 
 let test_codec_rejects_garbage () =
   List.iter
@@ -65,12 +94,32 @@ let test_codec_rejects_garbage () =
       "s=1;m=0,1,2;u=0,1,2;c=1;d=1;ev=0.5 explode 1";
       "s=1;m=0,1,2;u=0,1,2;c=1;d=1;ev=0.5 link 0-1 0.5";
       "s=1;m=0,1,2;u=0,1,2;c=1;d=-2;ev=";
+      (* platform shapes *)
+      "s=1;p=0,1,2,3;sh=;dir=0;c=1;d=1;ev=";
+      "s=1;p=0,1,2,3;sh=0,1/;dir=0;c=1;d=1;ev=";
+      "s=1;p=0,1,2,3;sh=0,1/2,9;dir=0;c=1;d=1;ev=";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;c=1;d=1;ev=";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=;c=1;d=1;ev=";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=8;c=1;d=1;ev=";
+      "s=1;p=0,1,2,3;m=0,1;u=0,1;sh=0,1/2,3;dir=0;c=1;d=1;ev=";
+      (* platform faults *)
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=0;c=1;d=1;ev=0.5 rebal 2";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=0;c=1;d=1;ev=0.5 rebal -1";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=0;c=1;d=1;ev=0.5 rebal one";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=0;c=1;d=1;ev=0.5 isolate 0,x";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=0;c=1;d=1;ev=0.5 reconf 0,1";
+      "s=1;p=0,1,2,3;sh=0,1/2,3;dir=0;c=1;d=1;ev=0.5 dup 0.5";
+      "s=1;m=0,1,2;u=0,1,2;c=1;d=1;ev=0.5 rebal 0";
+      "s=1;m=0,1,2;u=0,1,2;c=1;d=1;ev=0.5 isolate 0";
     ]
 
 let test_generator_deterministic () =
   for seed = 0 to 24 do
     Alcotest.check scenario "same seed, same scenario"
-      (Generate.scenario ~seed) (Generate.scenario ~seed)
+      (Generate.scenario ~seed) (Generate.scenario ~seed);
+    Alcotest.check scenario "same seed, same platform scenario"
+      (Generate.dir_churn_scenario ~quick:false ~seed)
+      (Generate.dir_churn_scenario ~quick:false ~seed)
   done
 
 (* --- shrinker --- *)
@@ -83,8 +132,7 @@ let fatal = { Scenario.at = 0.7; fault = Scenario.Crash 2 }
 let noisy_scenario =
   {
     Scenario.seed = 7;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3 ];
+    shape = Scenario.Service { members = [ 0; 1; 2 ]; universe = [ 0; 1; 2; 3 ] };
     n_clients = 3;
     duration = 2.0;
     events =
@@ -143,12 +191,15 @@ let run_twice proto sc =
   (Runner.run proto sc, Runner.run proto sc)
 
 let fingerprint (r : Runner.report) =
-  ( r.Runner.events_executed,
-    r.Runner.end_time,
-    r.Runner.submitted,
-    r.Runner.completed,
-    r.Runner.acked_incr,
-    r.Runner.final_states )
+  ( ( r.Runner.events_executed,
+      r.Runner.end_time,
+      r.Runner.submitted,
+      r.Runner.completed,
+      r.Runner.acked_incr ),
+    r.Runner.chains,
+    r.Runner.platform,
+    r.Runner.counters,
+    Rsmr_checker.History.length r.Runner.history )
 
 let test_run_deterministic () =
   List.iter
@@ -180,15 +231,23 @@ let test_smoke_all_protos () =
 
 let test_replay_matches_soak () =
   (* The printed reproducer must denote the same scenario: text → parse →
-     run gives the same fingerprint as running the original. *)
-  let sc = Generate.scenario ~seed:11 in
-  match Scenario.of_string (Scenario.to_string sc) with
-  | Error e -> Alcotest.failf "reproducer does not parse: %s" e
-  | Ok sc' ->
-    let a = Runner.run Protocol.core sc in
-    let b = Runner.run Protocol.core sc' in
-    Alcotest.(check bool) "replay is bit-for-bit" true
-      (fingerprint a = fingerprint b)
+     run gives the same fingerprint as running the original, on a single
+     service and on the platform. *)
+  List.iter
+    (fun (proto, sc) ->
+      match Scenario.of_string (Scenario.to_string sc) with
+      | Error e -> Alcotest.failf "reproducer does not parse: %s" e
+      | Ok sc' ->
+        let a = Runner.run proto sc in
+        let b = Runner.run proto sc' in
+        Alcotest.(check bool)
+          (Printf.sprintf "replay of %s is bit-for-bit" (Scenario.to_string sc))
+          true
+          (fingerprint a = fingerprint b))
+    [
+      (Protocol.core, Generate.scenario ~seed:11);
+      (Protocol.core, Generate.dir_churn_scenario ~quick:true ~seed:3);
+    ]
 
 (* --- first-wedge-wins regression ---
 
@@ -201,8 +260,7 @@ let test_replay_matches_soak () =
 let concurrent_reconf =
   {
     Scenario.seed = 4242;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3; 4 ];
+    shape = Scenario.Service { members = [ 0; 1; 2 ]; universe = [ 0; 1; 2; 3; 4 ] };
     n_clients = 2;
     duration = 1.5;
     events =
@@ -237,7 +295,8 @@ let test_first_wedge_wins () =
                 (Printf.sprintf "epoch %d wedge agreement" s.Service.es_epoch)
                 w' w))
         stats)
-    report.Runner.epoch_stats;
+    (List.concat_map (fun (c : Runner.chain) -> c.Runner.epoch_stats)
+       report.Runner.chains);
   (* The concurrent submissions really did reconfigure: epoch 0 wedged,
      and with three submissions at least two epochs wedged overall. *)
   Alcotest.(check bool) "epoch 0 wedged" true (Hashtbl.mem wedges 0);
@@ -254,7 +313,8 @@ let test_first_wedge_wins () =
               s.Service.es_epoch s.Service.es_applied_hi w
           | _ -> ())
         stats)
-    report.Runner.epoch_stats;
+    (List.concat_map (fun (c : Runner.chain) -> c.Runner.epoch_stats)
+       report.Runner.chains);
   Alcotest.(check bool) "run quiesced" true report.Runner.quiesced;
   Alcotest.(check bool) "run converged" true report.Runner.converged
 
@@ -270,8 +330,7 @@ let test_first_wedge_wins () =
 let batched_churn =
   {
     Scenario.seed = 808;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3; 4 ];
+    shape = Scenario.Service { members = [ 0; 1; 2 ]; universe = [ 0; 1; 2; 3; 4 ] };
     n_clients = 4;
     duration = 2.0;
     events =
@@ -372,35 +431,171 @@ let test_session_dedup_caught () =
   Alcotest.(check bool) "the unmutated run passes" true
     (Oracle.ok (Oracle.check (Runner.run Protocol.core sc)))
 
-(* --- dir_churn: platform-level churn family --- *)
+(* --- dir_churn: the sharded platform through the same pipeline --- *)
 
-module Churn = Rsmr_shard.Churn
+let dir_churn_protos = [ Protocol.core; Protocol.core_vr ]
+
+let soak_clean scenarios =
+  let summary = Soak.soak ~protos:dir_churn_protos ~scenarios () in
+  List.iter
+    (fun f -> Format.printf "%a@." Soak.pp_failure f)
+    summary.Soak.failures;
+  Alcotest.(check int) "runs"
+    (List.length scenarios * List.length dir_churn_protos)
+    summary.Soak.runs;
+  Alcotest.(check int) "no failures" 0 (List.length summary.Soak.failures)
 
 let test_dir_churn_smoke () =
   (* A few quick seeds of the platform churn family, both composition
      blocks — the full soak runs in CI; this guards the harness itself
      (a platform wiring regression should fail here, not only in CI). *)
-  List.iter
-    (fun proto ->
-      List.iter
-        (fun seed ->
-          let r = Churn.run ~quick:true proto ~seed in
-          if Churn.failures r <> [] then
-            Alcotest.failf "%a@.replay: %s" Churn.pp_report r
-              (Churn.replay_command proto seed))
-        [ 0; 1 ])
-    Churn.protocols
+  soak_clean
+    (List.map
+       (fun seed -> Generate.dir_churn_scenario ~quick:true ~seed)
+       [ 0; 1 ])
 
 let test_dir_churn_redirect_storm () =
-  (* The PR-4 redirect-storm regression, now against the replicated
-     directory: blackout + concurrent rebalances of both shards must
-     drain with bounded redirect traffic. *)
+  (* The redirect-storm regression against the replicated directory:
+     blackout + concurrent rebalances of both shards must drain with
+     bounded redirect traffic. *)
+  soak_clean [ Generate.storm_scenario ~quick:true ]
+
+(* Teeth on the platform: one rebalance with the first-wedge guard
+   broken lets shard 0 apply past its wedge (a dir_churn seed 0 failure,
+   shrunk by the soak to this one event); the unbroken run passes. *)
+let test_platform_first_wedge_caught () =
+  match
+    Scenario.of_string
+      "s=0;p=0,1,2,3,4,5;sh=0,1,2/3,4,5;dir=0,2,4;c=2;d=1.4;ev=1.185 rebal 0"
+  with
+  | Error e -> Alcotest.failf "reproducer does not parse: %s" e
+  | Ok sc ->
+    let failed =
+      Runner.run ~mutation:Rsmr_core.Options.No_first_wedge Protocol.core sc
+      |> Oracle.check |> Oracle.failures |> List.map fst
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "epoch-prefix fails (failed: %s)"
+         (String.concat ", " failed))
+      true
+      (List.mem "epoch-prefix" failed);
+    Alcotest.(check bool) "the unmutated run passes" true
+      (Oracle.ok (Oracle.check (Runner.run Protocol.core sc)))
+
+(* A report built by hand: a settled, agreeing run of [sc] with the
+   given history and platform counts, and nothing else to judge. *)
+let hand_report ?(history = History.create ()) ?platform sc chains =
+  {
+    Runner.proto = Protocol.core;
+    scenario = sc;
+    history;
+    submitted = History.length history;
+    completed = History.length history;
+    duplicates = 0;
+    acked_incr = 0;
+    quiesced = true;
+    converged = true;
+    chains =
+      List.map
+        (fun name ->
+          { Runner.name; members = [ 0 ];
+            states = [ (0, Mixed.snapshot (Mixed.init ())) ];
+            epoch_stats = [] })
+        chains;
+    platform;
+    counters = [];
+    spans = Rsmr_obs.Span.summarize [];
+    obs = Rsmr_obs.Registry.create ();
+    events_executed = 0;
+    end_time = 0.0;
+  }
+
+let quiet = { Runner.dir_regressions = 0; rebalances = 0; rebalances_done = 0 }
+
+let platform_report ?history ?(platform = quiet) () =
+  hand_report ?history ~platform (Generate.storm_scenario ~quick:true)
+    [ "directory"; "shard 0"; "shard 1" ]
+
+let single_report () = hand_report concurrent_reconf [ "service" ]
+
+let is_fail = function Oracle.Fail _ -> true | _ -> false
+let is_skip = function Oracle.Skip _ -> true | _ -> false
+
+let test_platform_oracles () =
+  let counts dir_regressions rebalances rebalances_done =
+    Oracle.check
+      (platform_report
+         ~platform:{ Runner.dir_regressions; rebalances; rebalances_done } ())
+  in
+  let ok = counts 0 2 1 in
+  Alcotest.(check bool) "clean platform report passes" true (Oracle.ok ok);
+  Alcotest.(check bool) "a directory epoch regression fails" true
+    (is_fail (counts 1 2 2).Oracle.dir_epoch);
+  Alcotest.(check bool) "0 of 3 rebalances fails" true
+    (is_fail (counts 0 3 0).Oracle.rebalance);
+  Alcotest.(check bool) "no rebalance started passes" true
+    ((counts 0 0 0).Oracle.rebalance = Oracle.Pass);
+  let single = Oracle.check (single_report ()) in
+  Alcotest.(check bool) "single service: dir-epoch-monotone skips" true
+    (is_skip single.Oracle.dir_epoch);
+  Alcotest.(check bool) "single service: rebalance-progress skips" true
+    (is_skip single.Oracle.rebalance);
+  Alcotest.(check bool) "a second reply fails exactly-once" true
+    (is_fail
+       (Oracle.check
+          { (platform_report ()) with Runner.duplicates = 1 })
+         .Oracle.exactly_once)
+
+let test_stale_kv_read_fails () =
+  (* The platform's history is plain Kv, split per key: the Kv twin of
+     "stale read on one key fails". *)
+  let op ~client ~invoked ~replied cmd rsp =
+    { History.client;
+      cmd = Kv.encode_command cmd;
+      rsp = Kv.encode_response rsp;
+      invoked;
+      replied }
+  in
+  let lin read_a =
+    let history = History.create () in
+    List.iter (History.add history)
+      [ op ~client:1 ~invoked:0.0 ~replied:1.0 (Kv.Put ("a", "1")) Kv.Ok;
+        op ~client:2 ~invoked:0.5 ~replied:1.5 (Kv.Put ("b", "2")) Kv.Ok;
+        op ~client:2 ~invoked:2.0 ~replied:3.0 (Kv.Get "b")
+          (Kv.Value (Some "2"));
+        op ~client:1 ~invoked:2.5 ~replied:3.5 (Kv.Get "a") (Kv.Value read_a)
+      ];
+    (Oracle.check (platform_report ~history ())).Oracle.lin
+  in
+  Alcotest.(check bool) "fresh Kv read passes" true (lin (Some "1") = Oracle.Pass);
+  Alcotest.(check bool) "stale Kv read on one key fails" true
+    (match lin None with Oracle.Fail _ -> true | _ -> false)
+
+let test_chain_named_convergence () =
+  (* One chain's members disagree, the directory's own included:
+     convergence fails and names that chain. *)
+  let r = platform_report () in
   List.iter
-    (fun proto ->
-      let r = Churn.redirect_storm ~quick:true proto in
-      if Churn.failures r <> [] then
-        Alcotest.failf "%a" Churn.pp_report r)
-    Churn.protocols
+    (fun name ->
+      let chains =
+        List.map
+          (fun (c : Runner.chain) ->
+            if c.Runner.name = name then
+              { c with Runner.members = [ 0; 1 ];
+                       states = [ (0, "s"); (1, "t") ] }
+            else c)
+          r.Runner.chains
+      in
+      let prefix = name ^ ":" in
+      match (Oracle.check { r with Runner.chains; converged = false })
+              .Oracle.convergence with
+      | Oracle.Fail msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "names %s (%s)" name msg)
+          true
+          (String.starts_with ~prefix msg)
+      | _ -> Alcotest.failf "a disagreeing %s passed convergence" name)
+    [ "directory"; "shard 1" ]
 
 let () =
   Alcotest.run "crucible"
@@ -442,6 +637,8 @@ let () =
         [
           Alcotest.test_case "stale read on one key fails" `Quick
             test_stale_read_fails;
+          Alcotest.test_case "stale Kv read on one key fails" `Quick
+            test_stale_kv_read_fails;
           Alcotest.test_case "seed 70 decided per object" `Quick
             test_seed_70_decided;
         ] );
@@ -451,5 +648,10 @@ let () =
             test_dir_churn_smoke;
           Alcotest.test_case "redirect storm regression" `Quick
             test_dir_churn_redirect_storm;
+          Alcotest.test_case "first-wedge mutation is caught" `Quick
+            test_platform_first_wedge_caught;
+          Alcotest.test_case "platform oracles" `Quick test_platform_oracles;
+          Alcotest.test_case "convergence names the chain" `Quick
+            test_chain_named_convergence;
         ] );
     ]

@@ -132,11 +132,14 @@ let check_oracles r =
    reaches its joiner.  Each change brings in one joiner, and the
    application state stays under one chunk, so [chunks_sent] counts
    snapshots. *)
+let push_members = [ 0; 1; 2 ]
+let push_universe = [ 0; 1; 2; 3; 4; 5 ]
+
 let push_scenario =
   {
     Scenario.seed = 1717;
-    members = [ 0; 1; 2 ];
-    universe = [ 0; 1; 2; 3; 4; 5 ];
+    shape =
+      Scenario.Service { members = push_members; universe = push_universe };
     n_clients = 2;
     duration = 2.0;
     events =
@@ -156,7 +159,7 @@ let check_one_chunk_states (r : Runner.report) =
         (Printf.sprintf "node %d's state fits one chunk" n)
         true
         (String.length st < Rsmr_core.Snapshot.chunk_bytes))
-    r.Runner.final_states
+    (List.concat_map (fun (c : Runner.chain) -> c.Runner.states) r.Runner.chains)
 
 let test_matchmaker_pushes () =
   let r = Runner.run Protocol.matchmaker push_scenario in
@@ -189,7 +192,7 @@ let trace_transfers strategy =
   let svc =
     MixedCore.create ~engine
       ~options:{ Rsmr_core.Options.default with Rsmr_core.Options.strategy }
-      ~universe:sc.Scenario.universe ~members:sc.Scenario.members ()
+      ~universe:push_universe ~members:push_members ()
   in
   let wedges = ref [] and fetches = ref [] and installs = ref [] in
   Rsmr_sim.Trace.subscribe (Obs.bus (MixedCore.obs svc)) (fun ev ->
